@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all vet build test race bench bench-all bench-check ci
+.PHONY: all vet build test race bench bench-all bench-check bench-vet loc ci
 
 all: build
 
@@ -88,4 +88,16 @@ bench-check:
 	| $(GO) run ./cmd/benchjson -o /dev/null \
 	    -check-ratio 'StudyPredict/nopredict:StudyPredict/predict:1.3'
 
-ci: vet build test race bench-check
+# bench/ is its own module (pka/bench, `replace pka => ../`), so the root
+# `go build ./... && go test ./...` never compiles it. Vet and test it here
+# so a refactor under internal/ cannot break the benchmark's compile
+# surface unnoticed.
+bench-vet:
+	cd bench && $(GO) vet . && $(GO) test .
+
+# Non-test lines under cmd/, internal/ and pka.go — the unit simplification
+# PRs state their acceptance in.
+loc:
+	@find cmd internal pka.go -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+
+ci: vet build test race bench-check bench-vet

@@ -478,7 +478,8 @@ func BenchmarkStudyRemote(b *testing.B) {
 		s.Cfg.Parallelism = 4
 		s.SetWorkloads(ws)
 		if d != nil {
-			s.SetRemote(d)
+			s.Cfg.Exec = sampling.NewExec(parallel.NewScheduler(s.Cfg.Parallelism), nil)
+			s.Cfg.Exec.SetRemote(d)
 		}
 		t0 := time.Now()
 		if _, _, err := experiments.Figure6(s); err != nil {
@@ -530,7 +531,7 @@ func BenchmarkStudyCache(b *testing.B) {
 		defer st.Close()
 		s := experiments.New()
 		s.SetWorkloads(ws)
-		s.SetArtifactStore(st)
+		s.Cfg.Exec = sampling.NewExec(parallel.NewScheduler(s.Cfg.Parallelism), st)
 		t0 := time.Now()
 		if _, _, err := experiments.Figure6(s); err != nil {
 			b.Fatal(err)

@@ -31,7 +31,6 @@ import (
 	"pka/internal/core"
 	"pka/internal/dedup"
 	"pka/internal/obs"
-	"pka/internal/parallel"
 	"pka/internal/pkp"
 	"pka/internal/pks"
 	"pka/internal/predict"
@@ -59,15 +58,12 @@ func main() {
 		suiteDed  = flag.String("suite-dedup", "", "run a suite-level dedup study over this comma-separated workload list: cluster all apps in one shared PCA space, simulate one representative per cross-workload group, and report per-app errors plus the warp-instruction savings vs per-app PKS")
 		stream    = flag.String("stream", "", "read NDJSON kernel launch events from this file ('-' = stdin) and run the streaming pipeline; output matches the batch run byte for byte")
 		emitEv    = flag.String("emit-events", "", "with -w or -workload-file: write the workload as an NDJSON kernel-event stream to this file ('-' = stdout) and exit")
-		obsFl     cli.ObsFlags
-		cacheFl   cli.CacheFlags
-		remoteFl  cli.RemoteFlags
-		predictFl cli.PredictFlags
+		execFlags cli.ExecFlags
 	)
-	obsFl.Register(nil)
-	cacheFl.Register(nil)
-	remoteFl.Register(nil)
-	predictFl.Register(nil)
+	execFlags.Obs.Register(nil)
+	execFlags.Cache.Register(nil)
+	execFlags.Remote.Register(nil)
+	execFlags.Predict.Register(nil)
 	flag.Parse()
 
 	// -stream brings its own workload (the event header names it) and is a
@@ -126,7 +122,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-	case predictFl.Train != "":
+	case execFlags.Predict.Train != "":
 		// Training without a workload selector scans the whole study set.
 	default:
 		flag.Usage()
@@ -147,64 +143,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	observer, err := obsFl.Start()
+	sess, err := execFlags.Build(*par)
 	if err != nil {
 		fatal(err)
 	}
-	store, err := cacheFl.Open()
-	if err != nil {
-		fatal(err)
-	}
-
-	if predictFl.Train != "" {
-		ws := workload.All()
-		if w != nil {
-			ws = []*workload.Workload{w}
-		}
-		if err := predictFl.TrainAndSave(dev, store, ws, predict.ScanOptions{
-			PKP: pkp.Options{Threshold: *sThresh, Window: *window},
-		}); err != nil {
-			fatal(err)
-		}
-		if err := obsFl.Finish(); err != nil {
-			fatal(err)
-		}
-		if err := cacheFl.Finish(nil); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	exec := sampling.NewExec(parallel.NewScheduler(*par), store)
-	dispatcher, err := remoteFl.Start(store, observer)
-	if err != nil {
-		fatal(err)
-	}
-	if dispatcher != nil {
-		exec.SetRemote(dispatcher)
-		fmt.Fprintf(os.Stderr, "dispatching kernel tasks to %d worker(s)\n", dispatcher.Workers())
-	}
-	shard := remoteFl.ShardClient()
-	if shard != nil {
-		exec.SetShard(shard)
-	}
-	cacheStats := func() map[string]obs.CacheCounts {
-		h, m := exec.MemStats()
-		out := map[string]obs.CacheCounts{"kernel_mem": {Hits: h, Misses: m}}
-		if store != nil {
-			a := store.Stats()
-			out["artifact"] = obs.CacheCounts{Hits: a.Hits, Misses: a.Misses, Evictions: a.Evictions, Corrupt: a.Corrupt}
-		}
-		if shard != nil {
-			out["shard"] = shard.CacheCounts()
-		}
-		return out
-	}
-	observer.RegisterCacheStats(cacheStats)
-
-	exec.SetMetrics(observer.ExecMetrics())
-	if err := predictFl.Start(exec, observer); err != nil {
-		fatal(err)
+	if d := execFlags.Remote.Dispatcher(); d != nil {
+		fmt.Fprintf(os.Stderr, "dispatching kernel tasks to %d worker(s)\n", d.Workers())
 	}
 
 	cfg := core.Config{
@@ -212,125 +156,96 @@ func main() {
 		PKS:         pks.Options{TargetErrorPct: *target, MaxK: *maxK},
 		PKP:         pkp.Options{Threshold: *sThresh, Window: *window},
 		Parallelism: *par,
-		Obs:         observer,
-		Exec:        exec,
+		Obs:         sess.Observer,
+		Exec:        sess.Exec,
 	}
-	var flight *sampling.FlightRecorder
 	if *explain || *flightF != "" {
-		flight = sampling.NewFlightRecorder()
-		cfg.Flight = flight
+		cfg.Flight = sampling.NewFlightRecorder()
 	}
-	if obsFl.Trace != "" {
+	if execFlags.Obs.Trace != "" {
 		// A Chrome-trace run is a traced run: give the study a root trace
 		// context so remote workers' spans link back under one trace ID and
 		// merge into the written trace, with this process as its own track.
 		ids := obs.NewIDGen(0)
 		cfg.Trace = ids.NewTrace()
 		cfg.TraceIDs = ids
-		observer.Tracer.SetProcessName("pka")
+		sess.Observer.Tracer.SetProcessName("pka")
 	}
 
-	if *stream != "" {
-		if err := streamStudy(cfg, *stream, *target, *jsonOut); err != nil {
-			fatal(err)
+	// Every mode leaves through the one epilogue below: provenance when a
+	// study simulated anything, then the session's Close.
+	simulated := true
+	switch {
+	case execFlags.Predict.Train != "":
+		simulated = false
+		ws := workload.All()
+		if w != nil {
+			ws = []*workload.Workload{w}
 		}
-		if *explain {
-			fmt.Println()
-			if err := flight.WriteReport(os.Stdout); err != nil {
-				fatal(err)
-			}
+		err = execFlags.Predict.TrainAndSave(dev, sess.Store, ws, predict.ScanOptions{PKP: cfg.PKP})
+	case *stream != "":
+		err = streamStudy(cfg, *stream, *target, *jsonOut)
+	case *suiteDed != "":
+		var ws []*workload.Workload
+		if ws, err = cli.Workloads(*suiteDed); err == nil {
+			err = suiteDedupStudy(cfg, ws)
 		}
-		if *flightF != "" {
-			if err := writeFlight(flight, *flightF); err != nil {
-				fatal(err)
-			}
-		}
-		if err := obsFl.Finish(); err != nil {
-			fatal(err)
-		}
-		if err := cacheFl.Finish(cacheStats); err != nil {
-			fatal(err)
-		}
-		return
+	default:
+		simulated = !*selOnly
+		err = batchStudy(cfg, w, *target, *jsonOut, *selOnly)
 	}
-
-	if *suiteDed != "" {
-		ws, err := cli.Workloads(*suiteDed)
-		if err != nil {
-			fatal(err)
-		}
-		if err := suiteDedupStudy(cfg, ws); err != nil {
-			fatal(err)
-		}
-		if *explain {
-			fmt.Println()
-			if err := flight.WriteReport(os.Stdout); err != nil {
-				fatal(err)
-			}
-		}
-		if *flightF != "" {
-			if err := writeFlight(flight, *flightF); err != nil {
-				fatal(err)
-			}
-		}
-		if err := obsFl.Finish(); err != nil {
-			fatal(err)
-		}
-		if err := cacheFl.Finish(cacheStats); err != nil {
-			fatal(err)
-		}
-		return
+	if err == nil && simulated {
+		err = writeProvenance(cfg.Flight, *explain, *flightF)
 	}
+	if cerr := sess.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fatal(err)
+	}
+}
 
-	fmt.Printf("workload   %s (%d kernels) on %s\n", w.FullName(), w.N, dev.Name)
+// batchStudy runs the default mode: select, print the selection, and —
+// unless selOnly — evaluate with that same selection and print the
+// simulation block.
+func batchStudy(cfg core.Config, w *workload.Workload, target float64, jsonOut string, selOnly bool) error {
+	fmt.Printf("workload   %s (%d kernels) on %s\n", w.FullName(), w.N, cfg.Device.Name)
 	if w.Quirk != "" {
 		fmt.Printf("quirk      %s (the paper excludes this workload from some result columns)\n", w.Quirk)
 	}
-
-	selSpan := observer.StartSpan("pks-select", w.FullName())
-	sel, err := pks.Select(dev, w, cfg.PKSOptions())
+	selSpan := cfg.Obs.StartSpan("pks-select", w.FullName())
+	sel, err := pks.Select(cfg.Device, w, cfg.PKSOptions())
 	selSpan.End()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if err := printSelection(sel, *target, *jsonOut); err != nil {
-		fatal(err)
+	if err := printSelection(sel, target, jsonOut); err != nil || selOnly {
+		return err
 	}
-	if *selOnly {
-		if err := obsFl.Finish(); err != nil {
-			fatal(err)
-		}
-		if err := cacheFl.Finish(cacheStats); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	ev, err := core.Evaluate(cfg, w)
+	ev, err := core.EvaluateWithSelection(cfg, w, sel)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	printSimulation(ev)
-	if *explain {
+	return nil
+}
+
+// writeProvenance renders the -explain report and the -flight NDJSON.
+func writeProvenance(flight *sampling.FlightRecorder, explain bool, path string) error {
+	if explain {
 		fmt.Println()
 		if err := flight.WriteReport(os.Stdout); err != nil {
-			fatal(err)
+			return err
 		}
 	}
-	if *flightF != "" {
-		if err := writeFlight(flight, *flightF); err != nil {
-			fatal(err)
-		}
+	if path == "" {
+		return nil
 	}
-	if err := predictFl.Finish(exec); err != nil {
-		fatal(err)
+	if err := cli.WriteFile(path, flight.WriteNDJSON); err != nil {
+		return err
 	}
-	if err := obsFl.Finish(); err != nil {
-		fatal(err)
-	}
-	if err := cacheFl.Finish(cacheStats); err != nil {
-		fatal(err)
-	}
+	fmt.Printf("flight recorder written to %s\n", path)
+	return nil
 }
 
 // suiteDedupStudy runs the -suite-dedup mode: one shared selection over
@@ -513,39 +428,11 @@ func streamStudy(cfg core.Config, path string, target float64, jsonOut string) e
 
 // emitEventStream writes the workload as an NDJSON kernel-event stream.
 func emitEventStream(w *workload.Workload, path string) error {
-	if path == "-" {
-		return workload.WriteEvents(os.Stdout, w)
+	err := cli.WriteOutput(path, func(out io.Writer) error { return workload.WriteEvents(out, w) })
+	if err == nil && path != "-" {
+		fmt.Fprintf(os.Stderr, "event stream written to %s\n", path)
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := workload.WriteEvents(f, w); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "event stream written to %s\n", path)
-	return nil
-}
-
-// writeFlight persists the provenance recorder as NDJSON.
-func writeFlight(flight *sampling.FlightRecorder, path string) error {
-	g, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := flight.WriteNDJSON(g); err != nil {
-		g.Close()
-		return err
-	}
-	if err := g.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("flight recorder written to %s\n", path)
-	return nil
+	return err
 }
 
 func fatal(err error) {

@@ -97,18 +97,7 @@ func run(addr string, capacity int, quiet bool, name, ringCSV, ringSelf string, 
 			len(fleetRing.Members()), fleetRing.Replicas(), ringSelf)
 	}
 
-	observer.RegisterCacheStats(func() map[string]obs.CacheCounts {
-		h, m := exec.MemStats()
-		out := map[string]obs.CacheCounts{"kernel_mem": {Hits: h, Misses: m}}
-		if store != nil {
-			a := store.Stats()
-			out["artifact"] = obs.CacheCounts{Hits: a.Hits, Misses: a.Misses, Evictions: a.Evictions, Corrupt: a.Corrupt}
-		}
-		if shard != nil {
-			out["shard"] = shard.CacheCounts()
-		}
-		return out
-	})
+	observer.RegisterCacheStats(exec.CacheStats)
 	srv := remote.NewServer(exec, capacity)
 	srv.Name = name
 	srv.Obs = observer

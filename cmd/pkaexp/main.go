@@ -131,13 +131,11 @@ func main() {
 		suite    = flag.String("suite", "", "restrict the study to one suite (Rodinia, Parboil, ...)")
 		workname = flag.String("workloads", "", "comma-separated full workload names to restrict to")
 		par      = flag.Int("p", 0, "parallelism: concurrent per-workload artifact computations (0 = GOMAXPROCS, 1 = serial)")
-		obsFl    cli.ObsFlags
-		cacheFl  cli.CacheFlags
-		remoteFl cli.RemoteFlags
+		execFl   cli.ExecFlags
 	)
-	obsFl.Register(nil)
-	cacheFl.Register(nil)
-	remoteFl.Register(nil)
+	execFl.Obs.Register(nil)
+	execFl.Cache.Register(nil)
+	execFl.Remote.Register(nil)
 	flag.Parse()
 
 	gens := generators()
@@ -162,30 +160,19 @@ func main() {
 		out = io.MultiWriter(os.Stdout, f)
 	}
 
+	sess, err := execFl.Build(*par)
+	if err != nil {
+		fatal(err)
+	}
+	if d := execFl.Remote.Dispatcher(); d != nil {
+		fmt.Fprintf(os.Stderr, "dispatching kernel tasks to %d worker(s)\n", d.Workers())
+	}
 	s := experiments.New()
 	s.Cfg.Parallelism = *par
-	observer, err := obsFl.Start()
-	if err != nil {
-		fatal(err)
-	}
-	s.Cfg.Obs = observer
-	store, err := cacheFl.Open()
-	if err != nil {
-		fatal(err)
-	}
-	s.SetArtifactStore(store)
-	dispatcher, err := remoteFl.Start(store, observer)
-	if err != nil {
-		fatal(err)
-	}
-	if dispatcher != nil {
-		s.SetRemote(dispatcher)
-		fmt.Fprintf(os.Stderr, "dispatching kernel tasks to %d worker(s)\n", dispatcher.Workers())
-	}
-	if sc := remoteFl.ShardClient(); sc != nil {
-		s.SetShard(sc)
-	}
-	observer.RegisterCacheStats(s.CacheStats)
+	s.Cfg.Obs = sess.Observer
+	s.Cfg.Exec = sess.Exec
+	// The study's per-artifact caches sit above the ladder's; report both.
+	sess.AddFamilies(s.CacheStats)
 	if *suite != "" {
 		ws := workload.BySuite(*suite)
 		if ws == nil {
@@ -232,7 +219,7 @@ func main() {
 		}
 		t0 := time.Now()
 		fmt.Fprintf(out, "### %s — %s\n\n", g.name, g.desc)
-		sp := observer.StartSpan("experiment", g.name)
+		sp := sess.Observer.StartSpan("experiment", g.name)
 		err := g.run(s, out)
 		sp.End()
 		if err != nil {
@@ -240,10 +227,7 @@ func main() {
 		}
 		fmt.Fprintf(out, "[%s generated in %s]\n\n", g.name, time.Since(t0).Round(time.Millisecond))
 	}
-	if err := obsFl.Finish(); err != nil {
-		fatal(err)
-	}
-	if err := cacheFl.Finish(s.CacheStats); err != nil {
+	if err := sess.Close(); err != nil {
 		fatal(err)
 	}
 }

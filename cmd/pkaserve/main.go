@@ -37,8 +37,6 @@ import (
 
 	"pka/internal/cli"
 	"pka/internal/obs"
-	"pka/internal/parallel"
-	"pka/internal/sampling"
 	"pka/internal/serve"
 )
 
@@ -51,18 +49,15 @@ func main() {
 		par        = flag.Int("p", 0, "per-study kernel parallelism (0 = GOMAXPROCS, 1 = serial)")
 		drainWait  = flag.Duration("drain-timeout", 30*time.Second, "bound on graceful drain at shutdown")
 		quiet      = flag.Bool("quiet", false, "suppress the startup and shutdown notes")
-		obsFl      cli.ObsFlags
-		cacheFl    cli.CacheFlags
-		remoteFl   cli.RemoteFlags
-		predictFl  cli.PredictFlags
+		execFl     cli.ExecFlags
 	)
-	obsFl.Register(nil)
-	cacheFl.Register(nil)
-	remoteFl.Register(nil)
-	predictFl.Register(nil)
+	execFl.Obs.Register(nil)
+	execFl.Cache.Register(nil)
+	execFl.Remote.Register(nil)
+	execFl.Predict.Register(nil)
 	flag.Parse()
 
-	if predictFl.Train != "" {
+	if execFl.Predict.Train != "" {
 		fatal(fmt.Errorf("-predict-train is an offline pka mode; the service only serves with -predict"))
 	}
 
@@ -75,49 +70,17 @@ func main() {
 	// adopt it for the -trace/-metrics/-audit artifact writers.
 	observer := obs.NewObserver()
 	observer.RegisterBuildInfo()
-	obsFl.Use(observer)
-	if _, err := obsFl.Start(); err != nil {
-		fatal(err)
-	}
-	store, err := cacheFl.Open()
+	execFl.Obs.Use(observer)
+	sess, err := execFl.Build(*par)
 	if err != nil {
 		fatal(err)
 	}
-	exec := sampling.NewExec(parallel.NewScheduler(*par), store)
-	exec.SetMetrics(observer.ExecMetrics())
-	if err := predictFl.Start(exec, observer); err != nil {
-		fatal(err)
+	if d := execFl.Remote.Dispatcher(); d != nil && !*quiet {
+		fmt.Fprintf(os.Stderr, "dispatching kernel tasks to %d worker(s)\n", d.Workers())
 	}
-	dispatcher, err := remoteFl.Start(store, observer)
-	if err != nil {
-		fatal(err)
-	}
-	if dispatcher != nil {
-		exec.SetRemote(dispatcher)
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "dispatching kernel tasks to %d worker(s)\n", dispatcher.Workers())
-		}
-	}
-	shard := remoteFl.ShardClient()
-	if shard != nil {
-		exec.SetShard(shard)
-	}
-	cacheStats := func() map[string]obs.CacheCounts {
-		h, m := exec.MemStats()
-		out := map[string]obs.CacheCounts{"kernel_mem": {Hits: h, Misses: m}}
-		if store != nil {
-			a := store.Stats()
-			out["artifact"] = obs.CacheCounts{Hits: a.Hits, Misses: a.Misses, Evictions: a.Evictions, Corrupt: a.Corrupt}
-		}
-		if shard != nil {
-			out["shard"] = shard.CacheCounts()
-		}
-		return out
-	}
-	observer.RegisterCacheStats(cacheStats)
 
 	srv := serve.New(serve.Options{
-		Exec:          exec,
+		Exec:          sess.Exec,
 		Workers:       *workers,
 		QueueDepth:    *queueDepth,
 		TenantWeights: weights,
@@ -149,13 +112,7 @@ func main() {
 	if !*quiet {
 		fmt.Fprint(os.Stderr, srv.LatencyReport().String())
 	}
-	if err := predictFl.Finish(exec); err != nil {
-		fatal(err)
-	}
-	if err := obsFl.Finish(); err != nil {
-		fatal(err)
-	}
-	if err := cacheFl.Finish(cacheStats); err != nil {
+	if err := sess.Close(); err != nil {
 		fatal(err)
 	}
 }

@@ -1,9 +1,9 @@
-// Package cli carries the plumbing the pka and pkaexp commands share:
-// device and workload resolution for the common flag spellings, and the
-// telemetry flag bundle (-trace, -metrics, -audit, -debug-addr) that turns
-// an internal/obs Observer on, wires it into the worker pools, and writes
-// the artifacts out at exit. Keeping this here means both binaries expose
-// identical observability surfaces without duplicating the glue.
+// Package cli carries the plumbing the commands share: device and workload
+// resolution for the common flag spellings, the telemetry, cache, remote
+// and predictor flag bundles, and the one place an Exec ladder is assembled
+// from them (ExecFlags.Build) and torn down again (Session.Close). Keeping
+// this here means every binary exposes identical observability surfaces and
+// an identically wired ladder without duplicating the glue.
 package cli
 
 import (
@@ -204,17 +204,17 @@ func (f *ObsFlags) Finish() error {
 	o.SyncCacheStats()
 	o.SyncRemoteStats()
 	if f.Trace != "" {
-		if err := writeFile(f.Trace, o.WriteChromeTrace); err != nil {
+		if err := WriteFile(f.Trace, o.WriteChromeTrace); err != nil {
 			return fmt.Errorf("trace: %w", err)
 		}
 	}
 	if f.Metrics != "" {
-		if err := writeFile(f.Metrics, o.Metrics.WritePrometheus); err != nil {
+		if err := WriteFile(f.Metrics, o.Metrics.WritePrometheus); err != nil {
 			return fmt.Errorf("metrics: %w", err)
 		}
 	}
 	if f.Audit != "" {
-		if err := writeFile(f.Audit, o.Audit.WriteNDJSON); err != nil {
+		if err := WriteFile(f.Audit, o.Audit.WriteNDJSON); err != nil {
 			return fmt.Errorf("audit: %w", err)
 		}
 	}
@@ -277,16 +277,11 @@ func (f *CacheFlags) Finish(families func() map[string]obs.CacheCounts) error {
 			st := f.store.Stats()
 			doc.Artifact = &st
 		}
-		render := func(w io.Writer) error {
+		if err := WriteOutput(f.Stats, func(w io.Writer) error {
 			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
 			return enc.Encode(doc)
-		}
-		if f.Stats == "-" {
-			if err := render(os.Stdout); err != nil {
-				return fmt.Errorf("cache stats: %w", err)
-			}
-		} else if err := writeFile(f.Stats, render); err != nil {
+		}); err != nil {
 			return fmt.Errorf("cache stats: %w", err)
 		}
 	}
@@ -324,6 +319,102 @@ type RemoteFlags struct {
 	shard      *remote.ShardClient
 }
 
+// ExecFlags bundles the four flag groups an Exec ladder is assembled from.
+// A command registers the groups it exposes; a group it leaves unregistered
+// keeps its zero value, which builds nothing.
+type ExecFlags struct {
+	Obs     ObsFlags
+	Cache   CacheFlags
+	Remote  RemoteFlags
+	Predict PredictFlags
+}
+
+// Session is an assembled Exec ladder with everything it opened.
+type Session struct {
+	// Observer is nil when no telemetry was requested.
+	Observer *obs.Observer
+	// Store is nil without -cache-dir.
+	Store *artifact.Store
+	Exec  *sampling.Exec
+
+	fl     *ExecFlags
+	extra  func() map[string]obs.CacheCounts
+	closed bool
+}
+
+// AddFamilies reports a command's own caches, the ones it keeps above the
+// ladder, beside the ladder's: to the observer now and in -cache-stats at
+// Close.
+func (s *Session) AddFamilies(src func() map[string]obs.CacheCounts) {
+	s.Observer.RegisterCacheStats(src)
+	s.extra = src
+}
+
+// families is the -cache-stats view: the ladder's tiers plus AddFamilies'.
+func (s *Session) families() map[string]obs.CacheCounts {
+	out := s.Exec.CacheStats()
+	if s.extra != nil {
+		for family, c := range s.extra() {
+			out[family] = c
+		}
+	}
+	return out
+}
+
+// Build assembles the ladder the flags describe — scheduler of width par,
+// artifact store, fleet shard, worker dispatcher, predictor tier, per-tier
+// metrics — and registers its cache counters with the observer. It is the
+// only wiring of these pieces outside tests and the worker daemon.
+func (f *ExecFlags) Build(par int) (*Session, error) {
+	observer, err := f.Obs.Start()
+	if err != nil {
+		return nil, err
+	}
+	store, err := f.Cache.Open()
+	if err != nil {
+		return nil, err
+	}
+	exec := sampling.NewExec(parallel.NewScheduler(par), store)
+	dispatcher, err := f.Remote.Start(store, observer)
+	if err == nil {
+		err = f.Predict.Start(exec, observer)
+	}
+	if err != nil {
+		store.Close() //nolint:errcheck // nothing written yet
+		return nil, err
+	}
+	if dispatcher != nil {
+		exec.SetRemote(dispatcher)
+	}
+	if f.Remote.shard != nil {
+		exec.SetShard(f.Remote.shard)
+	}
+	exec.SetMetrics(observer.ExecMetrics())
+	observer.RegisterCacheStats(exec.CacheStats)
+	return &Session{Observer: observer, Store: store, Exec: exec, fl: f}, nil
+}
+
+// Close tears the session down in dependency order: drain the predictor's
+// async verifier (it still simulates and writes the caches), write the
+// predictor report, write the telemetry artifacts, write -cache-stats, and
+// close the store. Every step runs even if an earlier one failed; the first
+// error is returned. Closing twice, or a session that opened nothing, is a
+// no-op.
+func (s *Session) Close() error {
+	if s.closed {
+		return nil
+	}
+	s.closed = true
+	err := s.fl.Predict.Finish(s.Exec)
+	if e := s.fl.Obs.Finish(); err == nil {
+		err = e
+	}
+	if e := s.fl.Cache.Finish(s.families); err == nil {
+		err = e
+	}
+	return err
+}
+
 // Register installs the remote flags on the flag set (the default set when
 // fs is nil).
 func (f *RemoteFlags) Register(fs *flag.FlagSet) {
@@ -343,8 +434,9 @@ func (f *RemoteFlags) Register(fs *flag.FlagSet) {
 // in-process worker whose Exec shares the given artifact store but has no
 // remote tier of its own (workers never forward work, so fleets cannot
 // loop). When -workers is set it builds the hedging dispatcher, registers
-// its per-worker stats with the observer, and returns it for
-// Exec.SetRemote; otherwise it returns nil.
+// its per-worker stats with the observer, and returns it for the ladder's
+// remote tier; otherwise it returns nil. -shard builds the fleet-cache
+// client alongside.
 func (f *RemoteFlags) Start(store *artifact.Store, o *obs.Observer) (*remote.Dispatcher, error) {
 	if f.Serve != "" {
 		srv := remote.NewServer(sampling.NewExec(nil, store), f.WorkerCap)
@@ -396,11 +488,6 @@ func (f *RemoteFlags) Start(store *artifact.Store, o *obs.Observer) (*remote.Dis
 
 // Dispatcher returns the dispatcher Start built (nil without -workers).
 func (f *RemoteFlags) Dispatcher() *remote.Dispatcher { return f.dispatcher }
-
-// ShardClient returns the fleet-cache shard client Start built (nil
-// without -shard). Wire it with Exec.SetShard, and fold its CacheCounts
-// into the -cache-stats families as "shard".
-func (f *RemoteFlags) ShardClient() *remote.ShardClient { return f.shard }
 
 // PredictFlags is the learned-predictor flag bundle both CLIs register.
 // -predict loads a trained model artifact and installs it as the Exec
@@ -478,9 +565,6 @@ func (f *PredictFlags) Start(exec *sampling.Exec, o *obs.Observer) error {
 	return nil
 }
 
-// Tier returns the serving tier Start installed (nil without -predict).
-func (f *PredictFlags) Tier() *predict.Tier { return f.tier }
-
 // TrainAndSave runs the -predict-train mode: mine the store for training
 // samples over the workloads' task specs, fit a model, and persist it.
 func (f *PredictFlags) TrainAndSave(dev gpu.Device, store *artifact.Store, ws []*workload.Workload, scan predict.ScanOptions) error {
@@ -512,10 +596,7 @@ func (f *PredictFlags) Finish(exec *sampling.Exec) error {
 	if f.Report == "" {
 		return nil
 	}
-	if f.Report == "-" {
-		return f.tier.WriteReport(os.Stdout)
-	}
-	return writeFile(f.Report, f.tier.WriteReport)
+	return WriteOutput(f.Report, f.tier.WriteReport)
 }
 
 // splitURLs splits a comma-separated URL list, dropping blanks.
@@ -529,7 +610,18 @@ func splitURLs(csv string) []string {
 	return urls
 }
 
-func writeFile(path string, render func(w io.Writer) error) error {
+// WriteOutput renders to the file at path, or to stdout when path is "-" —
+// the spelling -cache-stats, -predict-report and -emit-events share.
+func WriteOutput(path string, render func(w io.Writer) error) error {
+	if path == "-" {
+		return render(os.Stdout)
+	}
+	return WriteFile(path, render)
+}
+
+// WriteFile creates path and renders into it, reporting the first error of
+// create, render and close.
+func WriteFile(path string, render func(w io.Writer) error) error {
 	g, err := os.Create(path)
 	if err != nil {
 		return err

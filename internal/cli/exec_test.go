@@ -1,0 +1,192 @@
+package cli
+
+import (
+	"flag"
+	"fmt"
+	"io"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"pka/internal/gpu"
+	"pka/internal/predict"
+	"pka/internal/remote"
+	"pka/internal/sampling"
+	"pka/internal/trace"
+	"pka/internal/workload"
+)
+
+// trainTask is the spec the test model is trained under; queryTask is one
+// it never saw, so serving it is a regression (non-exact) prediction.
+var (
+	trainTask = sampling.KernelTask{Mode: sampling.ModePKS, MaxCycles: 1 << 22}
+	queryTask = sampling.KernelTask{Mode: sampling.ModePKS, MaxCycles: 1 << 21}
+)
+
+func studyKernels(t *testing.T) []trace.KernelDesc {
+	t.Helper()
+	w := workload.Find("Rodinia/gauss_mat4")
+	if w == nil {
+		t.Fatal("study workload missing")
+	}
+	ks := make([]trace.KernelDesc, w.N)
+	for i := range ks {
+		ks[i] = w.Kernel(i)
+	}
+	return ks
+}
+
+// trainedModel simulates the study kernels under trainTask, trains a
+// predictor on the outcomes and returns the saved model's path.
+func trainedModel(t *testing.T, dev gpu.Device, ks []trace.KernelDesc) string {
+	t.Helper()
+	var samples []predict.Sample
+	for i := range ks {
+		oc, err := (*sampling.Exec)(nil).RunKernelTask(dev, &ks[i], trainTask)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples = append(samples, predict.Sample{Key: sampling.TaskKey(dev, &ks[i], trainTask), Kernel: ks[i], Task: trainTask, Outcome: oc})
+	}
+	model, err := predict.Train(dev, samples, predict.TrainOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "model.json")
+	if err := model.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// parse registers every bundle on a private flag set, as pka and pkaserve
+// do on the default one, and parses args.
+func parse(t *testing.T, args ...string) *ExecFlags {
+	t.Helper()
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	fl := &ExecFlags{}
+	fl.Obs.Register(fs)
+	fl.Cache.Register(fs)
+	fl.Remote.Register(fs)
+	fl.Predict.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return fl
+}
+
+// Build is the only wiring: for each flag set, the ladder it returns has
+// exactly the tiers the flags name — observed through the cache families
+// it reports and the tier that serves a cold kernel — and Close is
+// idempotent whatever was opened.
+func TestBuildWiresTheLadderFromFlags(t *testing.T) {
+	dev := gpu.VoltaV100()
+	ks := studyKernels(t)
+	worker := httptest.NewServer(remote.NewServer(sampling.NewExec(nil, nil), 4).Handler())
+	defer worker.Close()
+	metrics := filepath.Join(t.TempDir(), "m.prom")
+
+	cases := []struct {
+		name     string
+		args     []string
+		task     sampling.KernelTask
+		families []string
+		tier     string
+		missed   string // family that must have seen the cold lookup
+	}{
+		{"none", nil, trainTask, []string{"kernel_mem"}, "sim", "kernel_mem"},
+		{"cache-dir", []string{"-cache-dir", t.TempDir(), "-metrics", metrics}, trainTask,
+			[]string{"artifact", "kernel_mem"}, "sim", "artifact"},
+		{"cache-dir+shard", []string{"-cache-dir", t.TempDir(), "-shard", worker.URL}, trainTask,
+			[]string{"artifact", "kernel_mem", "shard"}, "sim", "shard"},
+		{"workers", []string{"-workers", worker.URL}, trainTask, []string{"kernel_mem"}, "worker", "kernel_mem"},
+		{"predict", []string{"-predict", trainedModel(t, dev, ks), "-predict-conf", "1e-12", "-predict-verify-frac", "0"}, queryTask,
+			[]string{"kernel_mem"}, "predict", ""},
+	}
+	for _, tc := range cases {
+		fl := parse(t, tc.args...)
+		sess, err := fl.Build(2)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if (sess.Store != nil) != (fl.Cache.Dir != "") || sess.Exec.Store() != sess.Store {
+			t.Errorf("%s: store %v on session, %v on exec", tc.name, sess.Store, sess.Exec.Store())
+		}
+		fr := sampling.NewFlightRecorder()
+		if _, err := sess.Exec.RunKernels(dev, tc.task, ks[:1], func(int) sampling.TaskObs {
+			return sampling.TaskObs{Flight: fr, Phase: "t"}
+		}); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := fr.TierCounts(); got[tc.tier] != 1 || fr.Len() != 1 {
+			t.Errorf("%s: cold kernel served by %v, want one %s", tc.name, got, tc.tier)
+		}
+		stats := sess.families()
+		var families []string
+		for f := range stats {
+			families = append(families, f)
+		}
+		sort.Strings(families)
+		if !reflect.DeepEqual(families, tc.families) {
+			t.Errorf("%s: cache families %v, want %v", tc.name, families, tc.families)
+		}
+		if tc.missed != "" && stats[tc.missed].Misses == 0 {
+			t.Errorf("%s: the %s tier never saw the cold lookup: %+v", tc.name, tc.missed, stats)
+		}
+		for i := 0; i < 2; i++ {
+			if err := sess.Close(); err != nil {
+				t.Errorf("%s: close #%d: %v", tc.name, i+1, err)
+			}
+		}
+	}
+
+	// The observed session wrote its exposition at Close, with the
+	// per-tier families only SetMetrics produces and the registered caches.
+	prom, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"pka_exec_tier_sim_total 1", "pka_cache_artifact_misses 1", "pka_cache_kernel_mem_misses 1"} {
+		if !strings.Contains(string(prom), want) {
+			t.Errorf("metrics exposition lacks %q", want)
+		}
+	}
+}
+
+// Close drains the async verifier before it writes the predictor report —
+// on every exit, since every exit is the same Close. With verify-all, a
+// report written before the drain would count fewer verifications than
+// predictions served.
+func TestCloseDrainsVerifierBeforeReport(t *testing.T) {
+	dev := gpu.VoltaV100()
+	ks := studyKernels(t)
+	report := filepath.Join(t.TempDir(), "report.txt")
+	fl := parse(t, "-predict", trainedModel(t, dev, ks), "-predict-conf", "1e-12",
+		"-predict-verify-frac", "1", "-predict-min-verify", "1000000", "-predict-report", report)
+	sess, err := fl.Build(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Exec.RunKernels(dev, queryTask, ks, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	served := fl.Predict.tier.Stats().Served
+	if served == 0 {
+		t.Fatal("predictor served nothing; the test exercises no verifier")
+	}
+	got, err := os.ReadFile(report)
+	if err != nil {
+		t.Fatalf("Close wrote no predictor report: %v", err)
+	}
+	if want := fmt.Sprintf("verified: %d re-simulated", served); !strings.Contains(string(got), want) {
+		t.Errorf("report written before the verifier drained: want %q in\n%s", want, got)
+	}
+}

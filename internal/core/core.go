@@ -17,7 +17,6 @@ import (
 	"pka/internal/pks"
 	"pka/internal/sampling"
 	"pka/internal/silicon"
-	"pka/internal/sim"
 	"pka/internal/stats"
 	"pka/internal/trace"
 	"pka/internal/workload"
@@ -165,6 +164,21 @@ type SampledSim struct {
 	Capped bool
 }
 
+// Account fills in the two columns a sampled run is judged by: cycle error
+// against silicon, and simulated work saved against full simulation — or,
+// when full simulation was infeasible (nil), against the workload's total
+// instruction mass.
+func (s *SampledSim) Account(dev gpu.Device, w *workload.Workload, sil silicon.AppResult, full *sampling.Result) {
+	s.ErrorPct = stats.AbsPctErr(float64(s.ProjCycles), float64(sil.Cycles))
+	fullWork := TotalWarpWork(dev, w)
+	if full != nil {
+		fullWork = full.SimWarpInstrs
+	}
+	if s.SimWarpInstrs > 0 {
+		s.SpeedupVsFull = float64(fullWork) / float64(s.SimWarpInstrs)
+	}
+}
+
 // Evaluation bundles everything Table 4 reports for one workload.
 type Evaluation struct {
 	Workload  *workload.Workload
@@ -183,72 +197,119 @@ type Evaluation struct {
 	PKA SampledSim // selection + projection
 }
 
-// RunSampled simulates one representative kernel per group (with PKP when
-// usePKP is set) and projects application-level metrics from the group
-// weights.
-func RunSampled(cfg Config, w *workload.Workload, sel *pks.Selection, usePKP bool) (SampledSim, error) {
-	dev := cfg.Device
-	cap := cfg.KernelCapCycles
-	if cap <= 0 {
-		cap = sim.DefaultMaxCycles
-	}
-	mode := "pks"
+// Reps names one pass over a set of representative kernels: one workload's
+// own groups, or a suite's shared cross-workload ones.
+type Reps struct {
+	// Prefix qualifies the phase label ("pks"/"pka"): empty for a
+	// workload's own representatives, "dedup-" for a suite's.
+	Prefix string
+	// Subject labels the pass's span; SimTrack suffixes its SimObs name.
+	Subject  string
+	SimTrack string
+	Kernels  []trace.KernelDesc
+	// Owner names the workload kernel i was launched by.
+	Owner func(i int) string
+}
+
+// RepOutcomes is what simulating a set of representatives once each
+// produced, before any weighting.
+type RepOutcomes struct {
+	Outcomes []sampling.KernelOutcome
+	// SimWarpInstrs is the work actually simulated, each representative
+	// counted once; Capped reports that one of them hit the runaway guard.
+	SimWarpInstrs int64
+	Capped        bool
+}
+
+// SimulateReps runs every representative once — PKS mode, or PKA mode
+// (with PKP) when usePKP is set — as kernel tasks on cfg.Exec's scheduler
+// (inline and serial when it is nil). Outcomes come back in input order, so
+// folding them performs the same float operations in the same order at any
+// parallelism.
+func SimulateReps(cfg Config, r Reps, usePKP bool) (RepOutcomes, error) {
+	mode := r.Prefix + "pks"
 	if usePKP {
-		mode = "pka"
+		mode = r.Prefix + "pka"
 	}
-	span := cfg.Obs.StartSpan("sampled:"+mode, w.FullName())
+	task := sampling.SampledTask(cfg.KernelCapCycles, cfg.PKP, usePKP)
+	span := cfg.Obs.StartSpan("sampled:"+mode, r.Subject)
 	defer span.End()
 	var simObs *obs.SimObs
 	if cfg.Obs != nil {
-		simObs = cfg.Obs.SimObs("sim:" + mode + ":" + w.FullName())
-	}
-
-	// One kernel task per group representative, fanned out on the
-	// kernel-granular scheduler (inline and serial when cfg.Exec is nil)
-	// and folded back in group order, so the accumulation below performs
-	// the same float operations in the same order at any parallelism.
-	task := sampling.KernelTask{Mode: sampling.ModePKS, MaxCycles: cap}
-	if usePKP {
-		task = sampling.KernelTask{Mode: sampling.ModePKA, MaxCycles: cap, PKP: sampling.NewPKPSpec(cfg.PKP)}
-	}
-	kernels := make([]trace.KernelDesc, len(sel.Groups))
-	for i, g := range sel.Groups {
-		kernels[i] = w.Kernel(g.RepIndex)
+		simObs = cfg.Obs.SimObs("sim:" + mode + r.SimTrack)
 	}
 	tobs := func(i int) sampling.TaskObs {
 		to := cfg.TaskTrace(mode)
 		to.Sim = simObs
 		to.Index = i
 		if usePKP {
-			po := cfg.PKPOptions(w.FullName() + "/" + kernels[i].Name)
+			po := cfg.PKPOptions(r.Owner(i) + "/" + r.Kernels[i].Name)
 			to.Audit, to.AuditSubject, to.PKPMetrics = po.Audit, po.AuditSubject, po.Metrics
 		}
 		return to
 	}
-	outs, err := cfg.Exec.RunKernels(dev, task, kernels, tobs)
-	out := SampledSim{}
+	outs, err := cfg.Exec.RunKernels(cfg.Device, task, r.Kernels, tobs)
 	if err != nil {
-		return out, fmt.Errorf("core: rep kernels of %s: %w", w.FullName(), err)
+		return RepOutcomes{}, err
 	}
+	ro := RepOutcomes{Outcomes: outs}
+	for _, oc := range outs {
+		ro.SimWarpInstrs += oc.SimWarpInstrs
+		ro.Capped = ro.Capped || oc.Capped
+	}
+	return ro, nil
+}
+
+// Fold projects application-level metrics from the outcomes: representative
+// i stands for weights[i] launches, and every one of the app's launches
+// pays the launch overhead. Representatives the app does not use (weight 0)
+// contribute nothing, not even their Capped flag. The simulated-work fields
+// are left zero — whether the set's work belongs to one app is the
+// caller's call.
+func (ro RepOutcomes) Fold(weights []int, launches int) SampledSim {
+	var out SampledSim
 	var kernelCycles int64
 	var threadInstrs, dramWeighted float64
-	for i, g := range sel.Groups {
-		oc := outs[i]
-		if oc.Capped {
-			out.Capped = true
+	for i, oc := range ro.Outcomes {
+		weight := int64(weights[i])
+		if weight == 0 {
+			continue
 		}
-		weight := int64(g.Count())
+		out.Capped = out.Capped || oc.Capped
 		kernelCycles += oc.ProjCycles * weight
-		out.SimWarpInstrs += oc.SimWarpInstrs
 		threadInstrs += oc.ThreadInstrs * float64(weight)
 		dramWeighted += oc.DRAMUtil * float64(oc.ProjCycles*weight)
 	}
-	out.ProjCycles = kernelCycles + int64(w.N)*silicon.KernelLaunchOverheadCycles
+	out.ProjCycles = kernelCycles + int64(launches)*silicon.KernelLaunchOverheadCycles
 	if kernelCycles > 0 {
 		out.IPC = threadInstrs / float64(kernelCycles)
 		out.DRAMUtil = dramWeighted / float64(kernelCycles)
 	}
-	out.SimHours = cfg.SimHours(out.SimWarpInstrs)
+	return out
+}
+
+// RunSampled simulates one representative kernel per group (with PKP when
+// usePKP is set) and projects application-level metrics from the group
+// weights.
+func RunSampled(cfg Config, w *workload.Workload, sel *pks.Selection, usePKP bool) (SampledSim, error) {
+	kernels := make([]trace.KernelDesc, len(sel.Groups))
+	weights := make([]int, len(sel.Groups))
+	for i, g := range sel.Groups {
+		kernels[i] = w.Kernel(g.RepIndex)
+		weights[i] = g.Count()
+	}
+	ro, err := SimulateReps(cfg, Reps{
+		Subject:  w.FullName(),
+		SimTrack: ":" + w.FullName(),
+		Kernels:  kernels,
+		Owner:    func(int) string { return w.FullName() },
+	}, usePKP)
+	if err != nil {
+		return SampledSim{}, fmt.Errorf("core: rep kernels of %s: %w", w.FullName(), err)
+	}
+	out := ro.Fold(weights, w.N)
+	out.SimWarpInstrs = ro.SimWarpInstrs
+	out.SimHours = cfg.SimHours(ro.SimWarpInstrs)
 	return out, nil
 }
 
@@ -346,19 +407,8 @@ func EvaluateWithSelection(cfg Config, w *workload.Workload, sel *pks.Selection)
 	if pkaErr != nil {
 		return nil, pkaErr
 	}
-	ev.PKS.ErrorPct = stats.AbsPctErr(float64(ev.PKS.ProjCycles), float64(sil.Cycles))
-	ev.PKA.ErrorPct = stats.AbsPctErr(float64(ev.PKA.ProjCycles), float64(sil.Cycles))
-
-	fullWork := TotalWarpWork(cfg.Device, w)
-	if ev.Full != nil {
-		fullWork = ev.Full.SimWarpInstrs
-	}
-	if ev.PKS.SimWarpInstrs > 0 {
-		ev.PKS.SpeedupVsFull = float64(fullWork) / float64(ev.PKS.SimWarpInstrs)
-	}
-	if ev.PKA.SimWarpInstrs > 0 {
-		ev.PKA.SpeedupVsFull = float64(fullWork) / float64(ev.PKA.SimWarpInstrs)
-	}
+	ev.PKS.Account(cfg.Device, w, sil, ev.Full)
+	ev.PKA.Account(cfg.Device, w, sil, ev.Full)
 	return ev, nil
 }
 

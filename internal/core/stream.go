@@ -15,7 +15,6 @@ import (
 
 	"pka/internal/pks"
 	"pka/internal/sampling"
-	"pka/internal/sim"
 	"pka/internal/trace"
 	"pka/internal/workload"
 )
@@ -78,13 +77,9 @@ func NewStreamRunner(cfg Config, suite, name string, n int, opts StreamOptions) 
 
 	// The speculative task specs must be byte-for-byte the tasks RunSampled
 	// will fold, or the content keys won't match and warming buys nothing.
-	capCycles := cfg.KernelCapCycles
-	if capCycles <= 0 {
-		capCycles = sim.DefaultMaxCycles
-	}
 	r.tasks = []sampling.KernelTask{
-		{Mode: sampling.ModePKS, MaxCycles: capCycles},
-		{Mode: sampling.ModePKA, MaxCycles: capCycles, PKP: sampling.NewPKPSpec(cfg.PKP)},
+		sampling.SampledTask(cfg.KernelCapCycles, cfg.PKP, false),
+		sampling.SampledTask(cfg.KernelCapCycles, cfg.PKP, true),
 	}
 
 	so := pks.StreamOptions{

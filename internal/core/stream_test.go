@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pka/internal/obs"
 	"pka/internal/parallel"
 	"pka/internal/sampling"
 	"pka/internal/stats"
@@ -35,6 +36,16 @@ func sameEvaluation(t *testing.T, label string, got, want *Evaluation) {
 	}
 }
 
+// pksAudit returns the observer's selection decision records, sequence
+// numbers cleared (they interleave with PKP records run to run).
+func pksAudit(o *obs.Observer) []obs.AuditRecord {
+	recs := o.Audit.Filter("pks", "")
+	for i := range recs {
+		recs[i].Seq = 0
+	}
+	return recs
+}
+
 // TestStreamDeterminism pins the tentpole invariant: the streaming
 // pipeline's output is byte-identical to batch Evaluate at any
 // parallelism, across event arrival orders within the launch window, and
@@ -46,10 +57,13 @@ func TestStreamDeterminism(t *testing.T) {
 		if w == nil {
 			t.Fatalf("workload %s not registered", name)
 		}
-		want, err := Evaluate(cfg(), w)
+		batch := cfg()
+		batch.Obs = obs.NewObserver()
+		want, err := Evaluate(batch, w)
 		if err != nil {
 			t.Fatal(err)
 		}
+		wantAudit := pksAudit(batch.Obs)
 
 		arms := []struct {
 			label string
@@ -66,6 +80,7 @@ func TestStreamDeterminism(t *testing.T) {
 			c := cfg()
 			c.Parallelism = arm.par
 			c.Exec = sampling.NewExec(parallel.NewScheduler(arm.par), nil)
+			c.Obs = obs.NewObserver()
 			r, err := NewStreamRunner(c, w.Suite, w.Name, w.N, arm.opts)
 			if err != nil {
 				t.Fatal(err)
@@ -97,6 +112,11 @@ func TestStreamDeterminism(t *testing.T) {
 				t.Fatalf("%s/%s: %v", name, arm.label, err)
 			}
 			sameEvaluation(t, name+"/"+arm.label, res.Evaluation, want)
+			// One selection per study on either path, so the decision trail
+			// agrees record for record — the advisory half audits nothing.
+			if got := pksAudit(c.Obs); !reflect.DeepEqual(got, wantAudit) {
+				t.Errorf("%s/%s: pks audit differs from batch:\ngot:  %+v\nwant: %+v", name, arm.label, got, wantAudit)
+			}
 			// hots_512 is a single-kernel app: the advisory clustering never
 			// warms up, so only the multi-kernel workload asserts revisions.
 			if arm.label == "misprediction/p=4" && w.N > 8 && res.Resweeps < 2 {

@@ -34,17 +34,11 @@ import (
 	"errors"
 	"fmt"
 
-	"pka/internal/classify"
-	"pka/internal/cluster"
 	"pka/internal/core"
 	"pka/internal/gpu"
-	"pka/internal/linalg"
 	"pka/internal/obs"
 	"pka/internal/pks"
 	"pka/internal/profiler"
-	"pka/internal/sampling"
-	"pka/internal/silicon"
-	"pka/internal/sim"
 	"pka/internal/stats"
 	"pka/internal/trace"
 	"pka/internal/workload"
@@ -169,11 +163,13 @@ type Suite struct {
 	ProfilingSeconds float64
 }
 
-// pooledKernel is one detailed record tagged with its owning app.
-type pooledKernel struct {
-	app       int
-	rec       profiler.DetailedRecord
-	sharedMem int
+// pool is every app's detailed prefix in one slice, the shape the
+// clustering core takes, with each record's launch shared memory and
+// owning app alongside.
+type pool struct {
+	recs      []profiler.DetailedRecord
+	sharedMem []int
+	app       []int
 }
 
 // Select runs suite-level dedup selection over the workloads on the
@@ -194,7 +190,7 @@ func Select(dev gpu.Device, ws []*workload.Workload, opts Options) (*Suite, erro
 	// Pass 1: detailed-profile each app under its own budget, pooling the
 	// records app-major so pool index order is (app, kernelID) order —
 	// the property representative election relies on.
-	var pool []pooledKernel
+	var pl pool
 	for a, w := range ws {
 		app := &suite.Apps[a]
 		app.Workload = w.FullName()
@@ -207,7 +203,9 @@ func Select(dev gpu.Device, ws []*workload.Workload, opts Options) (*Suite, erro
 			if err != nil {
 				return nil, fmt.Errorf("dedup: detailed profiling %s: %w", app.Workload, err)
 			}
-			pool = append(pool, pooledKernel{app: a, rec: rec, sharedMem: k.SharedMemPerBlock})
+			pl.recs = append(pl.recs, rec)
+			pl.sharedMem = append(pl.sharedMem, k.SharedMemPerBlock)
+			pl.app = append(pl.app, a)
 			app.DetailedKernels++
 			app.SiliconTotalCycles += rec.Cycles
 			suite.ProfilingSeconds += cost
@@ -221,45 +219,20 @@ func Select(dev gpu.Device, ws []*workload.Workload, opts Options) (*Suite, erro
 		}
 		app.TwoLevel = app.DetailedKernels < w.N
 	}
-	suite.PooledKernels = len(pool)
+	suite.PooledKernels = len(pl.recs)
 
-	// Shared PCA space over a strided sample of the pool, scaled exactly
-	// like per-app PKS so the cluster geometry is comparable.
-	sample := pks.SampleIndices(len(pool), o.ClusterSampleMax)
-	feat := linalg.NewMatrix(len(sample), trace.NumFeatures)
-	for r, idx := range sample {
-		pks.ScaleFeatures(feat.Row(r), pool[idx].rec.Features)
-	}
-	pca, err := linalg.FitPCA(feat, o.PCAVarianceTarget, 2)
-	if err != nil {
-		return nil, fmt.Errorf("dedup: PCA: %w", err)
-	}
-	proj, err := pca.Transform(feat)
-	if err != nil {
-		return nil, err
-	}
-	points := make([][]float64, proj.Rows)
-	for i := range points {
-		points[i] = proj.Row(i)
-	}
-
-	// Per-app and suite silicon totals over the sample — the denominators
-	// of the sweep's stop criteria.
-	var totalSample int64
-	appSample := make([]int64, len(ws))
-	for _, idx := range sample {
-		totalSample += pool[idx].rec.Cycles
-		appSample[pool[idx].app] += pool[idx].rec.Cycles
-	}
-
-	ds, err := cluster.NewDataset(points)
-	if err != nil {
-		return nil, fmt.Errorf("dedup: kmeans dataset: %w", err)
-	}
-	best, sweep, err := ds.Sweep(minInt(o.MaxK, len(points)),
-		func(k int) uint64 { return o.Seed + uint64(k) },
-		func(k int, res *cluster.KMeansResult) (float64, bool) {
-			suiteErr, maxAppErr := suiteProjectionError(res, pool, sample, totalSample, appSample)
+	// One shared cluster space over the pool, through the very core per-app
+	// PKS clusters with, so the cluster geometry is comparable. The sweep
+	// stops only under both bounds of the envelope.
+	c, err := pks.ClusterRecords(pl.recs,
+		pks.ClusterParams{
+			SampleMax:   o.ClusterSampleMax,
+			PCAVariance: o.PCAVarianceTarget,
+			MaxK:        o.MaxK,
+			Seed:        o.Seed,
+		}, nil,
+		func(k int, clusters []pks.Cluster) (float64, bool) {
+			suiteErr, maxAppErr, pooled := suiteProjectionError(clusters, pl, len(ws))
 			if m := o.Metrics; m != nil {
 				m.SweepSteps.Inc()
 			}
@@ -276,82 +249,40 @@ func Select(dev gpu.Device, ws []*workload.Workload, opts Options) (*Suite, erro
 					"target_error_pct":  o.TargetErrorPct,
 					"per_app_bound_pct": o.PerAppErrorPct,
 					"under_target":      under,
-					"pooled_kernels":    float64(len(points)),
+					"pooled_kernels":    float64(pooled),
 				})
 			}
 			return suiteErr, stop
 		})
 	if err != nil {
-		return nil, fmt.Errorf("dedup: kmeans sweep: %w", err)
+		return nil, fmt.Errorf("dedup: %w", err)
 	}
-	suite.SweepErrors = sweep
+	suite.SweepErrors = c.SweepErrors
 
-	// Elect representatives from the sampled members: first chronological
-	// by (app, kernelID) == minimal pool index, since the pool is
-	// app-major chronological.
-	clusterToRep := make(map[int]int, best.K)
-	for c := 0; c < best.K; c++ {
-		members := best.Members(c)
-		if len(members) == 0 {
-			continue
-		}
-		repIdx := sample[members[0]]
-		for _, m := range members[1:] {
-			if sample[m] < repIdx {
-				repIdx = sample[m]
-			}
-		}
-		pk := pool[repIdx]
-		clusterToRep[c] = len(suite.Reps)
+	// The pool is app-major chronological, so the core's first-member
+	// election is first chronological by (app, kernelID).
+	suite.K = len(c.Clusters)
+	for _, cl := range c.Clusters {
+		rec, app := pl.recs[cl.Rep], pl.app[cl.Rep]
 		suite.Reps = append(suite.Reps, Rep{
-			App:      pk.app,
-			Workload: suite.Apps[pk.app].Workload,
-			KernelID: pk.rec.KernelID,
-			Name:     pk.rec.Name,
-			Cycles:   pk.rec.Cycles,
+			App:      app,
+			Workload: suite.Apps[app].Workload,
+			KernelID: rec.KernelID,
+			Name:     rec.Name,
+			Cycles:   rec.Cycles,
 		})
-	}
-	if len(suite.Reps) == 0 {
-		return nil, errors.New("dedup: clustering produced no representatives")
-	}
-	suite.K = len(suite.Reps)
-
-	// Assign every pooled kernel (sampled or not) to a representative and
-	// accumulate each app's group counts.
-	repOf := make([]int, len(pool))
-	samplePos := make(map[int]int, len(sample))
-	for pos, idx := range sample {
-		samplePos[idx] = pos
-	}
-	for i := range pool {
-		var c int
-		if pos, ok := samplePos[i]; ok {
-			c = best.Assignment[pos]
-		} else {
-			row := pks.ScaleFeatures(nil, pool[i].rec.Features)
-			p, err := pca.TransformRow(row)
-			if err != nil {
-				return nil, err
-			}
-			c = best.NearestCenter(p)
-		}
-		r, ok := clusterToRep[c]
-		if !ok {
-			r = 0 // nearest-center landed on a sample-empty cluster
-		}
-		repOf[i] = r
 	}
 	for a := range suite.Apps {
 		suite.Apps[a].GroupCounts = make([]int, suite.K)
 	}
-	for i, pk := range pool {
-		suite.Apps[pk.app].GroupCounts[repOf[i]]++
+	for i, app := range pl.app {
+		suite.Apps[app].GroupCounts[c.GroupOf[i]]++
 	}
 
 	// Pass 2 (two-level apps only): one suite-wide ensemble, trained on
 	// pooled launch features with representative labels, maps every
 	// lightly-profiled tail kernel onto a shared group.
-	if err := mapLightTails(dev, ws, suite, pool, repOf, o); err != nil {
+	if err := mapLightTails(dev, ws, suite, pl, c.GroupOf, o); err != nil {
 		return nil, err
 	}
 
@@ -395,37 +326,32 @@ func Select(dev gpu.Device, ws []*workload.Workload, opts Options) (*Suite, erro
 }
 
 // suiteProjectionError scores one clustering: the suite-total projected
-// cycle error and the worst single-app error, both over the sample.
-func suiteProjectionError(res *cluster.KMeansResult, pool []pooledKernel, sample []int, totalSample int64, appSample []int64) (suiteErr, maxAppErr float64) {
-	appProj := make([]int64, len(appSample))
-	var projected int64
-	for c := 0; c < res.K; c++ {
-		members := res.Members(c)
-		if len(members) == 0 {
-			continue
-		}
-		repIdx := sample[members[0]]
-		for _, m := range members[1:] {
-			if sample[m] < repIdx {
-				repIdx = sample[m]
-			}
-		}
-		repCycles := pool[repIdx].rec.Cycles
-		for _, m := range members {
+// cycle error and the worst single-app error, both over the pooled members
+// the clusters hold.
+func suiteProjectionError(clusters []pks.Cluster, pl pool, napps int) (suiteErr, maxAppErr float64, pooled int) {
+	appProj := make([]int64, napps)
+	appTotal := make([]int64, napps)
+	var projected, total int64
+	for _, cl := range clusters {
+		repCycles := pl.recs[cl.Rep].Cycles
+		pooled += len(cl.Members)
+		for _, m := range cl.Members {
 			projected += repCycles
-			appProj[pool[sample[m]].app] += repCycles
+			appProj[pl.app[m]] += repCycles
+			total += pl.recs[m].Cycles
+			appTotal[pl.app[m]] += pl.recs[m].Cycles
 		}
 	}
-	suiteErr = stats.AbsPctErr(float64(projected), float64(totalSample))
-	for a, total := range appSample {
-		if total == 0 {
+	suiteErr = stats.AbsPctErr(float64(projected), float64(total))
+	for a, t := range appTotal {
+		if t == 0 {
 			continue
 		}
-		if e := stats.AbsPctErr(float64(appProj[a]), float64(total)); e > maxAppErr {
+		if e := stats.AbsPctErr(float64(appProj[a]), float64(t)); e > maxAppErr {
 			maxAppErr = e
 		}
 	}
-	return suiteErr, maxAppErr
+	return suiteErr, maxAppErr, pooled
 }
 
 // mapLightTails is the suite's second profiling pass: for every app whose
@@ -434,7 +360,7 @@ func suiteProjectionError(res *cluster.KMeansResult, pool []pooledKernel, sample
 // ensemble serves the whole suite — it is trained on the pooled detailed
 // launch features, so an app's tail kernel can legitimately map onto a
 // representative owned by a different app.
-func mapLightTails(dev gpu.Device, ws []*workload.Workload, suite *Suite, pool []pooledKernel, repOf []int, o Options) error {
+func mapLightTails(dev gpu.Device, ws []*workload.Workload, suite *Suite, pl pool, repOf []int, o Options) error {
 	anyTail := false
 	for a := range suite.Apps {
 		if suite.Apps[a].TwoLevel {
@@ -445,20 +371,9 @@ func mapLightTails(dev gpu.Device, ws []*workload.Workload, suite *Suite, pool [
 	if !anyTail {
 		return nil
 	}
-	var ens *classify.Ensemble
-	if suite.K > 1 {
-		const classifierTrainMax = 20000
-		trainIdx := pks.SampleIndices(len(pool), classifierTrainMax)
-		X := make([][]float64, len(trainIdx))
-		labels := make([]int, len(trainIdx))
-		for i, idx := range trainIdx {
-			X[i] = profiler.FeaturesOfDetailed(pool[idx].rec, pool[idx].sharedMem)
-			labels[i] = repOf[idx]
-		}
-		ens = classify.NewEnsemble(o.Seed)
-		if err := ens.Fit(X, labels, suite.K); err != nil {
-			return fmt.Errorf("dedup: classifier training: %w", err)
-		}
+	tail, err := pks.TrainTailClassifier(pl.recs, pl.sharedMem, repOf, suite.K, o.Seed)
+	if err != nil {
+		return fmt.Errorf("dedup: %w", err)
 	}
 	for a, w := range ws {
 		app := &suite.Apps[a]
@@ -472,11 +387,7 @@ func mapLightTails(dev gpu.Device, ws []*workload.Workload, suite *Suite, pool [
 				return fmt.Errorf("dedup: light profiling %s kernel %d: %w", app.Workload, i, err)
 			}
 			suite.ProfilingSeconds += cost
-			g := 0
-			if ens != nil {
-				g = ens.Predict(profiler.FeaturesOfLight(rec))
-			}
-			app.GroupCounts[g]++
+			app.GroupCounts[tail.Group(rec)]++
 			app.SiliconTotalCycles += rec.Cycles
 		}
 	}
@@ -513,75 +424,25 @@ func Run(cfg core.Config, ws []*workload.Workload, suite *Suite, usePKP bool) (R
 	if len(ws) != len(suite.Apps) {
 		return out, fmt.Errorf("dedup: suite has %d apps, got %d workloads", len(suite.Apps), len(ws))
 	}
-	dev := cfg.Device
-	capCycles := cfg.KernelCapCycles
-	if capCycles <= 0 {
-		capCycles = sim.DefaultMaxCycles
-	}
-	mode := "dedup-pks"
-	if usePKP {
-		mode = "dedup-pka"
-	}
-	span := cfg.Obs.StartSpan("sampled:"+mode, suiteSubject(ws))
-	defer span.End()
-	var simObs *obs.SimObs
-	if cfg.Obs != nil {
-		simObs = cfg.Obs.SimObs("sim:" + mode)
-	}
-
-	task := sampling.KernelTask{Mode: sampling.ModePKS, MaxCycles: capCycles}
-	if usePKP {
-		task = sampling.KernelTask{Mode: sampling.ModePKA, MaxCycles: capCycles, PKP: sampling.NewPKPSpec(cfg.PKP)}
-	}
 	kernels := make([]trace.KernelDesc, len(suite.Reps))
 	for i, rep := range suite.Reps {
 		kernels[i] = ws[rep.App].Kernel(rep.KernelID)
 	}
-	tobs := func(i int) sampling.TaskObs {
-		to := cfg.TaskTrace(mode)
-		to.Sim = simObs
-		to.Index = i
-		if usePKP {
-			po := cfg.PKPOptions(suite.Reps[i].Workload + "/" + kernels[i].Name)
-			to.Audit, to.AuditSubject, to.PKPMetrics = po.Audit, po.AuditSubject, po.Metrics
-		}
-		return to
-	}
-	outs, err := cfg.Exec.RunKernels(dev, task, kernels, tobs)
+	ro, err := core.SimulateReps(cfg, core.Reps{
+		Prefix:  "dedup-",
+		Subject: suiteSubject(ws),
+		Kernels: kernels,
+		Owner:   func(i int) string { return suite.Reps[i].Workload },
+	}, usePKP)
 	if err != nil {
 		return out, fmt.Errorf("dedup: suite representatives: %w", err)
 	}
-
-	out.Apps = make([]core.SampledSim, len(ws))
-	for _, oc := range outs {
-		out.SimWarpInstrs += oc.SimWarpInstrs
-		if oc.Capped {
-			out.Capped = true
-		}
-	}
-	for a := range ws {
-		app := &out.Apps[a]
-		var kernelCycles int64
-		var threadInstrs, dramWeighted float64
-		for r, oc := range outs {
-			weight := int64(suite.Apps[a].GroupCounts[r])
-			if weight == 0 {
-				continue
-			}
-			if oc.Capped {
-				app.Capped = true
-			}
-			kernelCycles += oc.ProjCycles * weight
-			threadInstrs += oc.ThreadInstrs * float64(weight)
-			dramWeighted += oc.DRAMUtil * float64(oc.ProjCycles*weight)
-		}
-		app.ProjCycles = kernelCycles + int64(suite.Apps[a].TotalKernels)*silicon.KernelLaunchOverheadCycles
-		if kernelCycles > 0 {
-			app.IPC = threadInstrs / float64(kernelCycles)
-			app.DRAMUtil = dramWeighted / float64(kernelCycles)
-		}
-	}
+	out.SimWarpInstrs, out.Capped = ro.SimWarpInstrs, ro.Capped
 	out.SimHours = cfg.SimHours(out.SimWarpInstrs)
+	out.Apps = make([]core.SampledSim, len(ws))
+	for a, app := range suite.Apps {
+		out.Apps[a] = ro.Fold(app.GroupCounts, app.TotalKernels)
+	}
 	return out, nil
 }
 
@@ -595,11 +456,4 @@ func suiteSubject(ws []*workload.Workload) string {
 		s += "," + w.FullName()
 	}
 	return s
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

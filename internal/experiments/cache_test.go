@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"pka/internal/artifact"
+	"pka/internal/parallel"
+	"pka/internal/sampling"
 )
 
 // TestCacheDeterminism is the artifact-cache golden test: a serial
@@ -38,7 +40,7 @@ func TestCacheDeterminism(t *testing.T) {
 		}
 		t.Cleanup(func() { st.Close() })
 		s := tinyStudy(4)
-		s.SetArtifactStore(st)
+		s.Cfg.Exec = sampling.NewExec(parallel.NewScheduler(s.Cfg.Parallelism), st)
 		return s, st
 	}
 

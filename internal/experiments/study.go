@@ -20,7 +20,6 @@ import (
 	"errors"
 	"sync"
 
-	"pka/internal/artifact"
 	"pka/internal/core"
 	"pka/internal/gpu"
 	"pka/internal/obs"
@@ -28,7 +27,6 @@ import (
 	"pka/internal/pks"
 	"pka/internal/sampling"
 	"pka/internal/silicon"
-	"pka/internal/stats"
 	"pka/internal/tbpoint"
 	"pka/internal/workload"
 )
@@ -47,15 +45,8 @@ type Study struct {
 	mu        sync.Mutex
 	workloads []*workload.Workload
 
-	// execOnce builds the shared kernel-task executor on first use: one
-	// global bounded scheduler (width Cfg.Parallelism) plus the in-memory
-	// kernel-outcome cache, layered over the artifact store when one was
-	// installed with SetArtifactStore.
-	execOnce sync.Once
-	ex       *sampling.Exec
-	store    *artifact.Store
-	remote   sampling.RemoteTier
-	shard    sampling.ShardTier
+	// ex is the default executor Exec builds when Cfg.Exec is nil.
+	ex *sampling.Exec
 
 	selections parallel.Cache[string, *pks.Selection]
 	crossGen   parallel.Cache[string, pks.CrossGenResult]
@@ -104,58 +95,27 @@ func (s *Study) SetWorkloads(ws []*workload.Workload) {
 // SelectionDevice returns the device selections are made on.
 func (s *Study) SelectionDevice() gpu.Device { return s.Cfg.Device }
 
-// SetArtifactStore layers a persistent content-addressed store under the
-// kernel-outcome cache. Call it before the first simulation (the executor
-// is frozen on first use); a nil store is a no-op.
-func (s *Study) SetArtifactStore(st *artifact.Store) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.store = st
-}
-
-// SetRemote installs a remote worker tier between the disk cache and local
-// simulation in the study's executor ladder. Like SetArtifactStore, call
-// it before the first simulation; the tier never changes results, only
-// where cycles are spent. A nil tier is a no-op.
-func (s *Study) SetRemote(r sampling.RemoteTier) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.remote = r
-}
-
-// SetShard installs the sharded fleet-cache tier between the disk cache
-// and the remote workers in the study's executor ladder. Like SetRemote,
-// call it before the first simulation; peer cache reads never change
-// results, only where the bytes come from. A nil tier is a no-op.
-func (s *Study) SetShard(t sampling.ShardTier) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.shard = t
-}
-
-// Exec returns the study's shared kernel-task executor, building it on
-// first call: kernel simulations from every generator land on one bounded
-// scheduler (longest task first) and share one outcome cache.
+// Exec returns the kernel-task executor every generator shares, so kernel
+// simulations land on one bounded scheduler (longest task first) and share
+// one outcome cache. It is Cfg.Exec when the caller assembled a ladder
+// (artifact store, shard, workers, ...); otherwise a scheduler-only
+// executor of width Cfg.Parallelism, built on first call.
 func (s *Study) Exec() *sampling.Exec {
-	s.execOnce.Do(func() {
-		s.mu.Lock()
-		st, r, sh := s.store, s.remote, s.shard
-		s.mu.Unlock()
-		s.ex = sampling.NewExec(parallel.NewScheduler(s.Cfg.Parallelism), st)
-		if r != nil {
-			s.ex.SetRemote(r)
-		}
-		if sh != nil {
-			s.ex.SetShard(sh)
-		}
-	})
+	if s.Cfg.Exec != nil {
+		return s.Cfg.Exec
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ex == nil {
+		s.ex = sampling.NewExec(parallel.NewScheduler(s.Cfg.Parallelism), nil)
+	}
 	return s.ex
 }
 
 // CacheStats reports hit/miss counters for every cache family the study
-// maintains — the per-artifact singleflight caches, the kernel-outcome
-// memory cache, and (when configured) the on-disk artifact store. The map
-// is shaped for obs.RegisterCacheStats.
+// maintains — the per-artifact singleflight caches plus the executor's own
+// (kernel-outcome memory cache, artifact store, fleet shard). The map is
+// shaped for obs.RegisterCacheStats.
 func (s *Study) CacheStats() map[string]obs.CacheCounts {
 	out := map[string]obs.CacheCounts{}
 	add := func(family string, stats func() (hits, misses uint64)) {
@@ -170,17 +130,8 @@ func (s *Study) CacheStats() map[string]obs.CacheCounts {
 	add("first_ns", s.firstNs.Stats)
 	add("tbpoint_selections", s.tbSels.Stats)
 	add("tbpoint_sims", s.tbSims.Stats)
-	ex := s.Exec()
-	add("kernel_mem", ex.MemStats)
-	if st := ex.Store(); st != nil {
-		a := st.Stats()
-		out["artifact"] = obs.CacheCounts{Hits: a.Hits, Misses: a.Misses, Evictions: a.Evictions, Corrupt: a.Corrupt}
-	}
-	s.mu.Lock()
-	sh := s.shard
-	s.mu.Unlock()
-	if c, ok := sh.(interface{ CacheCounts() obs.CacheCounts }); ok {
-		out["shard"] = c.CacheCounts()
+	for family, c := range s.Exec().CacheStats() {
+		out[family] = c
 	}
 	return out
 }
@@ -254,18 +205,11 @@ func (s *Study) Sampled(dev gpu.Device, w *workload.Workload, usePKP bool) (core
 		if err != nil {
 			return core.SampledSim{}, err
 		}
-		r.ErrorPct = stats.AbsPctErr(float64(r.ProjCycles), float64(sil.Cycles))
 		full, err := s.Full(dev, w)
 		if err != nil {
 			return core.SampledSim{}, err
 		}
-		fullWork := int64(float64(w.ApproxWarpInstructions(1<<62)) * dev.ISAScale)
-		if full != nil {
-			fullWork = full.SimWarpInstrs
-		}
-		if r.SimWarpInstrs > 0 {
-			r.SpeedupVsFull = float64(fullWork) / float64(r.SimWarpInstrs)
-		}
+		r.Account(dev, w, sil, full)
 		return r, nil
 	})
 }

@@ -1,0 +1,251 @@
+package pks
+
+import (
+	"errors"
+	"fmt"
+
+	"pka/internal/classify"
+	"pka/internal/cluster"
+	"pka/internal/linalg"
+	"pka/internal/profiler"
+	"pka/internal/trace"
+)
+
+// This file is the one statement of the paper's clustering procedure.
+// Per-workload PKS, suite-level dedup and the streaming pipeline's advisory
+// warm-up all cluster through ClusterRecords; they differ only in the
+// records they hand in, the score that stops the sweep, and what they build
+// from the returned groups.
+
+// Cluster is one non-empty cluster of a fitted clustering, expressed in
+// record indices (the caller's numbering, not sample positions).
+type Cluster struct {
+	// ID is the cluster's index in the fitted cluster.KMeansResult.
+	ID int
+	// Rep is the elected representative's record index.
+	Rep int
+	// Members are the clustered (sampled) records, ascending.
+	Members []int
+}
+
+// ScoreFunc scores the clustering fitted at one K of the sweep and reports
+// whether the sweep may stop there. Callers own their stop bounds and
+// whatever audit records or counters a step emits.
+type ScoreFunc func(k int, clusters []Cluster) (errPct float64, stop bool)
+
+// ElectFunc picks cluster c's representative among members, which are
+// positions into points. A nil ElectFunc elects the first chronological
+// member — the paper's policy and the only one outside the ablations.
+type ElectFunc func(points [][]float64, res *cluster.KMeansResult, c int, members []int) int
+
+// ClusterParams are the knobs of the clustering core.
+type ClusterParams struct {
+	SampleMax   int     // records clustered at most; the rest are nearest-centre assigned
+	PCAVariance float64 // explained-variance fraction the PCA keeps
+	DisablePCA  bool    // cluster standardized features instead (ablation)
+	MaxK        int
+	Seed        uint64
+}
+
+// Clustering is ClusterRecords' result.
+type Clustering struct {
+	// Clusters are the chosen K's non-empty clusters; group g is Clusters[g].
+	Clusters []Cluster
+	// GroupOf maps every record, sampled or not, to its group.
+	GroupOf []int
+	// SweepErrors is the score at each K tried (index 0 is K=1).
+	SweepErrors []float64
+
+	// Best and Data are the chosen fit and the dataset it was fitted on;
+	// the streaming pipeline keeps appending to Data and seeds its online
+	// learner from Best.
+	Best *cluster.KMeansResult
+	Data *cluster.Dataset
+
+	pca *linalg.PCA
+}
+
+// Project maps one Table-2 feature vector into the clustering's space.
+func (c *Clustering) Project(features []float64) ([]float64, error) {
+	row := ScaleFeatures(nil, features)
+	if c.pca == nil {
+		return row, nil
+	}
+	return c.pca.TransformRow(row)
+}
+
+// ClusterRecords clusters detailed records on their Table-2 vectors:
+// strided sample, log scaling, PCA, one Dataset swept over K with score
+// deciding where to stop, nearest-centre assignment of the unsampled
+// records, and one representative per non-empty cluster.
+func ClusterRecords(recs []profiler.DetailedRecord, p ClusterParams, elect ElectFunc, score ScoreFunc) (*Clustering, error) {
+	sample := SampleIndices(len(recs), p.SampleMax)
+	feat := linalg.NewMatrix(len(sample), trace.NumFeatures)
+	for r, idx := range sample {
+		ScaleFeatures(feat.Row(r), recs[idx].Features)
+	}
+	out := &Clustering{}
+	proj := feat
+	if p.DisablePCA {
+		proj = feat.Standardize()
+	} else {
+		var err error
+		if out.pca, err = linalg.FitPCA(feat, p.PCAVariance, 2); err != nil {
+			return nil, fmt.Errorf("PCA: %w", err)
+		}
+		if proj, err = out.pca.Transform(feat); err != nil {
+			return nil, err
+		}
+	}
+	points := make([][]float64, proj.Rows)
+	for i := range points {
+		points[i] = proj.Row(i)
+	}
+	// One Dataset for the whole K-sweep: every fit after the first reuses
+	// the flattened points and the Lloyd scratch buffers.
+	var err error
+	if out.Data, err = cluster.NewDataset(points); err != nil {
+		return nil, fmt.Errorf("kmeans dataset: %w", err)
+	}
+	out.Best, out.Clusters, out.SweepErrors, err = sweepClusters(out.Data, points, sample, p, elect, score)
+	if err != nil {
+		return nil, err
+	}
+	if len(out.Clusters) == 0 {
+		return nil, errors.New("clustering produced no groups")
+	}
+
+	groupOfCluster := make([]int, out.Best.K)
+	for g, cl := range out.Clusters {
+		groupOfCluster[cl.ID] = g
+	}
+	// A nearest-centre assignment can land on a cluster that was empty in
+	// the sample; groupOfCluster's zero value folds it into group 0.
+	out.GroupOf = make([]int, len(recs))
+	pos := 0
+	for i := range out.GroupOf {
+		if pos < len(sample) && sample[pos] == i {
+			out.GroupOf[i] = groupOfCluster[out.Best.Assignment[pos]]
+			pos++
+			continue
+		}
+		pt, err := out.Project(recs[i].Features)
+		if err != nil {
+			return nil, err
+		}
+		out.GroupOf[i] = groupOfCluster[out.Best.NearestCenter(pt)]
+	}
+	return out, nil
+}
+
+// sweepClusters runs the K sweep over ds and returns the chosen fit, its
+// elected clusters and the per-K score trace. points and sample translate
+// dataset positions for elect and into record indices; both are nil when
+// positions already are record indices and elect is nil.
+func sweepClusters(ds *cluster.Dataset, points [][]float64, sample []int, p ClusterParams, elect ElectFunc, score ScoreFunc) (*cluster.KMeansResult, []Cluster, []float64, error) {
+	best, sweep, err := ds.Sweep(minInt(p.MaxK, ds.N()),
+		func(k int) uint64 { return p.Seed + uint64(k) },
+		func(k int, res *cluster.KMeansResult) (float64, bool) {
+			return score(k, electClusters(res, points, sample, elect))
+		})
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("kmeans sweep: %w", err)
+	}
+	return best, electClusters(best, points, sample, elect), sweep, nil
+}
+
+// electClusters lists res's non-empty clusters with one representative
+// each: elect's choice, or the first chronological member (the lowest
+// position, since samples are taken in record order).
+func electClusters(res *cluster.KMeansResult, points [][]float64, sample []int, elect ElectFunc) []Cluster {
+	out := make([]Cluster, 0, res.K)
+	for c := 0; c < res.K; c++ {
+		members := res.Members(c)
+		if len(members) == 0 {
+			continue
+		}
+		rep := members[0]
+		if elect != nil {
+			rep = elect(points, res, c, members)
+		}
+		if sample != nil {
+			rep = sample[rep]
+			for i, m := range members {
+				members[i] = sample[m]
+			}
+		}
+		out = append(out, Cluster{ID: c, Rep: rep, Members: members})
+	}
+	return out
+}
+
+// ProjectedCycles is the sweep's yardstick: the cycles the clusters'
+// representatives project for their members, and the members' true total.
+func ProjectedCycles(clusters []Cluster, recs []profiler.DetailedRecord) (projected, total int64) {
+	for _, cl := range clusters {
+		projected += recs[cl.Rep].Cycles * int64(len(cl.Members))
+		for _, m := range cl.Members {
+			total += recs[m].Cycles
+		}
+	}
+	return projected, total
+}
+
+// TailClassifier maps the lightly-profiled tail of a two-level selection
+// onto the groups its detailed prefix was clustered into.
+type TailClassifier struct {
+	ens     *classify.Ensemble // nil when there is a single group
+	x       [][]float64
+	y       []int
+	classes int
+	seed    uint64
+}
+
+// TrainTailClassifier fits the SGD + Naive Bayes + MLP ensemble on the
+// launch features of the detailed records, labelled with their groups.
+// Training cost grows linearly in rows while huge detailed prefixes are
+// massively redundant (the same layer kernels repeat thousands of times),
+// so the training set is capped by strided sampling.
+func TrainTailClassifier(recs []profiler.DetailedRecord, sharedMem, groupOf []int, numClasses int, seed uint64) (*TailClassifier, error) {
+	const classifierTrainMax = 20000
+	idx := SampleIndices(len(recs), classifierTrainMax)
+	t := &TailClassifier{x: make([][]float64, len(idx)), y: make([]int, len(idx)), classes: numClasses, seed: seed}
+	for i, r := range idx {
+		t.x[i] = profiler.FeaturesOfDetailed(recs[r], sharedMem[r])
+		t.y[i] = groupOf[r]
+	}
+	if numClasses > 1 {
+		t.ens = classify.NewEnsemble(seed)
+		if err := t.ens.Fit(t.x, t.y, numClasses); err != nil {
+			return nil, fmt.Errorf("classifier training: %w", err)
+		}
+	}
+	return t, nil
+}
+
+// Group returns the group a lightly-profiled kernel maps onto.
+func (t *TailClassifier) Group(rec profiler.LightRecord) int {
+	if t.ens == nil {
+		return 0
+	}
+	return t.ens.Predict(profiler.FeaturesOfLight(rec))
+}
+
+// HoldoutAccuracy trains a probe ensemble on 80% of the training set and
+// scores it on the strided remaining 20%.
+func (t *TailClassifier) HoldoutAccuracy() (float64, error) {
+	var trX, teX [][]float64
+	var trY, teY []int
+	for i := range t.x {
+		if i%5 == 4 {
+			teX, teY = append(teX, t.x[i]), append(teY, t.y[i])
+		} else {
+			trX, trY = append(trX, t.x[i]), append(trY, t.y[i])
+		}
+	}
+	probe := classify.NewEnsemble(t.seed)
+	if err := probe.Fit(trX, trY, t.classes); err != nil {
+		return 0, fmt.Errorf("classifier holdout: %w", err)
+	}
+	return classify.Accuracy(probe, teX, teY), nil
+}

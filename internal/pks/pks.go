@@ -18,15 +18,12 @@ import (
 	"fmt"
 	"math"
 
-	"pka/internal/classify"
 	"pka/internal/cluster"
 	"pka/internal/gpu"
-	"pka/internal/linalg"
 	"pka/internal/obs"
 	"pka/internal/profiler"
 	"pka/internal/silicon"
 	"pka/internal/stats"
-	"pka/internal/trace"
 	"pka/internal/workload"
 )
 
@@ -267,59 +264,26 @@ func finishSelection(sel *Selection, detailed []profiler.DetailedRecord, sharedM
 	return sel, nil
 }
 
-// clusterDetailed runs the PCA + K-Means sweep over detailed records. It
+// clusterParams lifts the filled options into the clustering core's knobs.
+func (o Options) clusterParams() ClusterParams {
+	return ClusterParams{
+		SampleMax:   o.ClusterSampleMax,
+		PCAVariance: o.PCAVarianceTarget,
+		DisablePCA:  o.DisablePCA,
+		MaxK:        o.MaxK,
+		Seed:        o.Seed,
+	}
+}
+
+// clusterDetailed runs the clustering core over detailed records, stopping
+// the sweep at the first K whose projected cycle error meets the target. It
 // returns the chosen groups, a per-detailed-kernel group assignment, and
 // the per-K sweep error trace.
 func clusterDetailed(detailed []profiler.DetailedRecord, o Options) ([]Group, []int, []float64, error) {
-	sample := SampleIndices(len(detailed), o.ClusterSampleMax)
-	feat := linalg.NewMatrix(len(sample), trace.NumFeatures)
-	for r, idx := range sample {
-		ScaleFeatures(feat.Row(r), detailed[idx].Features)
-	}
-
-	// Project into cluster space: PCA by default, raw standardized
-	// features for the ablation.
-	var pca *linalg.PCA
-	var points [][]float64
-	if o.DisablePCA {
-		std := feat.Standardize()
-		points = make([][]float64, std.Rows)
-		for i := range points {
-			points[i] = std.Row(i)
-		}
-	} else {
-		var err error
-		pca, err = linalg.FitPCA(feat, o.PCAVarianceTarget, 2)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("pks: PCA: %w", err)
-		}
-		proj, err := pca.Transform(feat)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		points = make([][]float64, proj.Rows)
-		for i := range points {
-			points[i] = proj.Row(i)
-		}
-	}
-
-	var totalSample int64
-	for _, idx := range sample {
-		totalSample += detailed[idx].Cycles
-	}
-
-	rng := stats.NewRNG(o.Seed ^ 0xBEE5)
-	maxK := minInt(o.MaxK, len(points))
-	// One Dataset for the whole K-sweep: every fit after the first reuses
-	// the flattened points and the Lloyd scratch buffers.
-	ds, err := cluster.NewDataset(points)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("pks: kmeans dataset: %w", err)
-	}
-	best, sweep, err := ds.Sweep(maxK,
-		func(k int) uint64 { return o.Seed + uint64(k) },
-		func(k int, res *cluster.KMeansResult) (float64, bool) {
-			errPct := projectionError(points, res, detailed, sample, totalSample, o, rng)
+	c, err := ClusterRecords(detailed, o.clusterParams(), o.elector(),
+		func(k int, clusters []Cluster) (float64, bool) {
+			projected, total := ProjectedCycles(clusters, detailed)
+			errPct := stats.AbsPctErr(float64(projected), float64(total))
 			if m := o.Metrics; m != nil {
 				m.SweepSteps.Inc()
 			}
@@ -334,118 +298,56 @@ func clusterDetailed(detailed []profiler.DetailedRecord, o Options) ([]Group, []
 					"error_pct":        errPct,
 					"target_error_pct": o.TargetErrorPct,
 					"under_target":     under,
-					"sampled_kernels":  float64(len(points)),
+					"sampled_kernels":  float64(minInt(len(detailed), o.ClusterSampleMax)),
 				})
 			}
 			return errPct, underTarget
 		})
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("pks: kmeans sweep: %w", err)
+		return nil, nil, nil, fmt.Errorf("pks: %w", err)
 	}
-
-	// Assign every detailed kernel (sampled or not) to a cluster.
-	clusterOf := make([]int, len(detailed))
-	if len(sample) == len(detailed) {
-		copy(clusterOf, best.Assignment)
-	} else {
-		samplePos := make(map[int]int, len(sample))
-		for pos, idx := range sample {
-			samplePos[idx] = pos
-		}
-		for i := range detailed {
-			if pos, ok := samplePos[i]; ok {
-				clusterOf[i] = best.Assignment[pos]
-				continue
-			}
-			row := ScaleFeatures(nil, detailed[i].Features)
-			p := row
-			if pca != nil {
-				var err error
-				p, err = pca.TransformRow(row)
-				if err != nil {
-					return nil, nil, nil, err
-				}
-			}
-			clusterOf[i] = best.NearestCenter(p)
-		}
-	}
-
-	// Build groups, dropping empty clusters, and remap assignments.
-	clusterToGroup := make(map[int]int, best.K)
-	var groups []Group
-	for c := 0; c < best.K; c++ {
-		members := best.Members(c)
-		if len(members) == 0 {
-			continue
-		}
-		repPos := pickRepresentative(points, best, c, members, detailed, sample, o, rng)
-		clusterToGroup[c] = len(groups)
-		groups = append(groups, Group{
-			Representative: detailed[sample[repPos]],
-			RepIndex:       detailed[sample[repPos]].KernelID,
+	groups := make([]Group, len(c.Clusters))
+	for g, cl := range c.Clusters {
+		groups[g] = Group{
+			Representative: detailed[cl.Rep],
+			RepIndex:       detailed[cl.Rep].KernelID,
 			NameCounts:     map[string]int{},
-		})
-	}
-	if len(groups) == 0 {
-		return nil, nil, nil, errors.New("pks: clustering produced no groups")
-	}
-	assignment := make([]int, len(detailed))
-	for i, c := range clusterOf {
-		g, ok := clusterToGroup[c]
-		if !ok {
-			// A nearest-center assignment can land on a cluster that was
-			// empty in the sample; fold it into group 0.
-			g = 0
 		}
-		assignment[i] = g
+	}
+	for i, g := range c.GroupOf {
 		groups[g].DetailedCount++
 		groups[g].NameCounts[detailed[i].Name]++
 	}
-	return groups, assignment, sweep, nil
+	return groups, c.GroupOf, c.SweepErrors, nil
 }
 
-// projectionError computes the projected-vs-actual cycle error of one
-// clustering over the sampled detailed population.
-func projectionError(points [][]float64, res *cluster.KMeansResult, detailed []profiler.DetailedRecord, sample []int, total int64, o Options, rng *stats.RNG) float64 {
-	var projected int64
-	for c := 0; c < res.K; c++ {
-		members := res.Members(c)
-		if len(members) == 0 {
-			continue
-		}
-		rep := pickRepresentative(points, res, c, members, detailed, sample, o, rng)
-		projected += detailed[sample[rep]].Cycles * int64(len(members))
-	}
-	return stats.AbsPctErr(float64(projected), float64(total))
-}
-
-// pickRepresentative returns the sample position of cluster c's
-// representative under the configured policy.
-func pickRepresentative(points [][]float64, res *cluster.KMeansResult, c int, members []int, detailed []profiler.DetailedRecord, sample []int, o Options, rng *stats.RNG) int {
+// elector returns the representative policy as the clustering core's
+// election callback: nil (first chronological) unless an ablation asks for
+// the cluster centre or a random member.
+func (o Options) elector() ElectFunc {
 	switch o.Representative {
 	case RepRandom:
-		return members[rng.Intn(len(members))]
+		rng := stats.NewRNG(o.Seed ^ 0xBEE5)
+		return func(_ [][]float64, _ *cluster.KMeansResult, _ int, members []int) int {
+			return members[rng.Intn(len(members))]
+		}
 	case RepClusterCenter:
-		best, bestD := members[0], math.Inf(1)
-		for _, m := range members {
-			var d float64
-			for j, v := range points[m] {
-				diff := v - res.Centers[c][j]
-				d += diff * diff
+		return func(points [][]float64, res *cluster.KMeansResult, c int, members []int) int {
+			best, bestD := members[0], math.Inf(1)
+			for _, m := range members {
+				var d float64
+				for j, v := range points[m] {
+					diff := v - res.Centers[c][j]
+					d += diff * diff
+				}
+				if d < bestD {
+					best, bestD = m, d
+				}
 			}
-			if d < bestD {
-				best, bestD = m, d
-			}
+			return best
 		}
-		return best
-	default: // RepFirstChronological
-		best := members[0]
-		for _, m := range members {
-			if detailed[sample[m]].KernelID < detailed[sample[best]].KernelID {
-				best = m
-			}
-		}
-		return best
+	default:
+		return nil
 	}
 }
 
@@ -454,43 +356,15 @@ func pickRepresentative(points [][]float64, res *cluster.KMeansResult, c int, me
 // kernels' light profiles from the source and map each onto a group. It
 // also extends the ground-truth cycle total over the full app.
 func mapLightKernels(sel *Selection, detailed []profiler.DetailedRecord, sharedMem []int, assignment []int, o Options, light lightSource) error {
-	// Classifier training cost grows linearly in rows while huge detailed
-	// prefixes are massively redundant (the same layer kernels repeat
-	// thousands of times), so cap the training set by strided sampling.
-	const classifierTrainMax = 20000
-	trainIdx := SampleIndices(len(detailed), classifierTrainMax)
-	X := make([][]float64, len(trainIdx))
-	labels := make([]int, len(trainIdx))
-	for i, idx := range trainIdx {
-		X[i] = profiler.FeaturesOfDetailed(detailed[idx], sharedMem[idx])
-		labels[i] = assignment[idx]
+	tail, err := TrainTailClassifier(detailed, sharedMem, assignment, len(sel.Groups), o.Seed)
+	if err != nil {
+		return fmt.Errorf("pks: %w", err)
 	}
-	assignment = labels
-	numClasses := len(sel.Groups)
-
-	// Holdout accuracy: train on 80%, test on the strided 20%.
-	if len(detailed) >= 10 && numClasses > 1 {
-		var trX, teX [][]float64
-		var trY, teY []int
-		for i := range X {
-			if i%5 == 4 {
-				teX, teY = append(teX, X[i]), append(teY, assignment[i])
-			} else {
-				trX, trY = append(trX, X[i]), append(trY, assignment[i])
-			}
+	sel.ClassifierAccuracy = 1
+	if len(detailed) >= 10 && len(sel.Groups) > 1 {
+		if sel.ClassifierAccuracy, err = tail.HoldoutAccuracy(); err != nil {
+			return fmt.Errorf("pks: %w", err)
 		}
-		probe := classify.NewEnsemble(o.Seed)
-		if err := probe.Fit(trX, trY, numClasses); err != nil {
-			return fmt.Errorf("pks: classifier holdout: %w", err)
-		}
-		sel.ClassifierAccuracy = classify.Accuracy(probe, teX, teY)
-	} else {
-		sel.ClassifierAccuracy = 1
-	}
-
-	ens := classify.NewEnsemble(o.Seed)
-	if err := ens.Fit(X, assignment, numClasses); err != nil {
-		return fmt.Errorf("pks: classifier training: %w", err)
 	}
 
 	for i := sel.DetailedKernels; i < sel.TotalKernels; i++ {
@@ -499,10 +373,7 @@ func mapLightKernels(sel *Selection, detailed []profiler.DetailedRecord, sharedM
 			return fmt.Errorf("pks: light profiling kernel %d: %w", i, err)
 		}
 		sel.ProfilingSeconds += cost
-		g := 0
-		if numClasses > 1 {
-			g = ens.Predict(profiler.FeaturesOfLight(rec))
-		}
+		g := tail.Group(rec)
 		sel.Groups[g].MappedCount++
 		sel.Groups[g].NameCounts[rec.Name]++
 		sel.SiliconTotalCycles += rec.Cycles

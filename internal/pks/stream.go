@@ -5,7 +5,6 @@ import (
 
 	"pka/internal/cluster"
 	"pka/internal/gpu"
-	"pka/internal/linalg"
 	"pka/internal/obs"
 	"pka/internal/profiler"
 	"pka/internal/stats"
@@ -99,9 +98,9 @@ type Stream struct {
 	lightCosts  []float64
 	profSeconds float64
 
-	// Advisory half.
-	pca        *linalg.PCA
-	ds         *cluster.Dataset
+	// Advisory half. space is the warm-up clustering: its projection maps
+	// later records into cluster space and its dataset grows with them.
+	space      *Clustering
 	online     *cluster.OnlineKMeans
 	repCycles  []int64 // advisory cluster -> its rep's detailed cycles
 	projected  int64   // running Σ repCycles[assigned]
@@ -213,35 +212,22 @@ func (s *Stream) process(k trace.KernelDesc) error {
 	return nil
 }
 
-// project maps a detailed record into the advisory cluster space.
-func (s *Stream) project(rec *profiler.DetailedRecord) ([]float64, error) {
-	row := ScaleFeatures(nil, rec.Features)
-	if s.pca == nil {
-		return row, nil
-	}
-	return s.pca.TransformRow(row)
-}
-
 // observe runs the advisory half on one freshly detailed record: start the
 // clustering once warm, track the running error estimate, and re-sweep
 // when it degrades. Advisory failures poison nothing — speculation simply
 // stops and Finalize still reconciles exactly.
 func (s *Stream) observe(rec *profiler.DetailedRecord) {
-	if s.ds == nil {
-		if len(s.detailed) < s.so.MinDetailed {
-			return
-		}
-		if err := s.startAdvisory(); err != nil {
-			s.ds = nil
-			return
+	if s.space == nil {
+		if len(s.detailed) >= s.so.MinDetailed {
+			s.startAdvisory()
 		}
 		return
 	}
-	p, err := s.project(rec)
+	p, err := s.space.Project(rec.Features)
 	if err != nil {
 		return
 	}
-	if s.ds.Append(p) != nil {
+	if s.space.Data.Append(p) != nil {
 		return
 	}
 	c := s.online.Observe(p)
@@ -255,124 +241,65 @@ func (s *Stream) observe(rec *profiler.DetailedRecord) {
 	}
 }
 
-// startAdvisory fits the PCA on the warmup prefix, projects it into a
-// fresh appendable dataset, and runs the first sweep.
-func (s *Stream) startAdvisory() error {
-	if !s.o.DisablePCA {
-		feat := linalg.NewMatrix(len(s.detailed), trace.NumFeatures)
-		for r := range s.detailed {
-			ScaleFeatures(feat.Row(r), s.detailed[r].Features)
-		}
-		pca, err := linalg.FitPCA(feat, s.o.PCAVarianceTarget, 2)
-		if err != nil {
-			return err
-		}
-		s.pca = pca
-	}
-	dim := trace.NumFeatures
-	if s.pca != nil {
-		p, err := s.pca.TransformRow(make([]float64, trace.NumFeatures))
-		if err != nil {
-			return err
-		}
-		dim = len(p)
-	}
-	ds, err := cluster.NewEmptyDataset(dim)
+// advisoryScore scores one clustering the way the batch sweep does —
+// projected vs actual cycles over every record the dataset holds.
+func (s *Stream) advisoryScore(_ int, clusters []Cluster) (float64, bool) {
+	projected, total := ProjectedCycles(clusters, s.detailed)
+	e := stats.AbsPctErr(float64(projected), float64(total))
+	return e, e <= s.o.TargetErrorPct
+}
+
+// startAdvisory runs the clustering core over the warm-up prefix — all of
+// it, unsampled, so dataset positions stay record indices — and keeps the
+// fitted space and dataset for the records still to come.
+func (s *Stream) startAdvisory() {
+	p := s.o.clusterParams()
+	p.SampleMax = len(s.detailed)
+	c, err := ClusterRecords(s.detailed, p, nil, s.advisoryScore)
 	if err != nil {
-		return err
+		return
 	}
-	for i := range s.detailed {
-		p, err := s.project(&s.detailed[i])
-		if err != nil {
-			return err
-		}
-		if err := ds.Append(p); err != nil {
-			return err
-		}
+	if s.adopt(c.Best, c.Clusters) {
+		s.space = c
 	}
-	s.ds = ds
-	s.resweep()
-	return nil
 }
 
-// advisoryError scores one clustering the way the batch sweep does —
-// first-chronological rep per cluster, projected vs actual cycles — over
-// every record the dataset holds.
-func (s *Stream) advisoryError(res *cluster.KMeansResult) float64 {
-	var projected, total int64
-	for c := 0; c < res.K; c++ {
-		members := res.Members(c)
-		if len(members) == 0 {
-			continue
-		}
-		rep := members[0]
-		for _, m := range members {
-			if m < rep {
-				rep = m
-			}
-		}
-		projected += s.detailed[rep].Cycles * int64(len(members))
-	}
-	for i := 0; i < s.ds.N(); i++ {
-		total += s.detailed[i].Cycles
-	}
-	return stats.AbsPctErr(float64(projected), float64(total))
-}
-
-// resweep reruns the deterministic K sweep over everything streamed so
-// far, re-elects representatives, speculates the new ones, and reseeds the
-// online learner and the running estimate.
+// resweep reruns the deterministic K sweep over everything streamed so far.
 func (s *Stream) resweep() {
+	best, clusters, _, err := sweepClusters(s.space.Data, nil, nil, s.o.clusterParams(), nil, s.advisoryScore)
+	if err == nil {
+		s.adopt(best, clusters)
+	}
+}
+
+// adopt installs a fresh sweep: reseed the online learner, rebase the
+// running estimate on the new assignment, and speculate any representative
+// not yet warmed.
+func (s *Stream) adopt(best *cluster.KMeansResult, clusters []Cluster) bool {
+	online, err := cluster.NewOnlineKMeans(best)
+	if err != nil {
+		return false
+	}
+	s.online = online
 	s.resweeps++
 	s.sinceSweep = 0
 	if m := s.so.Metrics; m != nil {
 		m.Resweeps.Inc()
 	}
-	maxK := minInt(s.o.MaxK, s.ds.N())
-	best, _, err := s.ds.Sweep(maxK,
-		func(k int) uint64 { return s.o.Seed + uint64(k) },
-		func(k int, res *cluster.KMeansResult) (float64, bool) {
-			e := s.advisoryError(res)
-			return e, e <= s.o.TargetErrorPct
-		})
-	if err != nil {
-		return
-	}
-	online, err := cluster.NewOnlineKMeans(best)
-	if err != nil {
-		return
-	}
-	s.online = online
-	s.sweepErr = s.advisoryError(best)
-
-	// Re-elect first-chronological reps, rebase the running estimate on
-	// the fresh assignment, and speculate any rep not yet warmed.
+	s.projected, s.actual = ProjectedCycles(clusters, s.detailed)
+	s.sweepErr = stats.AbsPctErr(float64(s.projected), float64(s.actual))
 	s.repCycles = make([]int64, best.K)
-	s.projected, s.actual = 0, 0
-	for c := 0; c < best.K; c++ {
-		members := best.Members(c)
-		if len(members) == 0 {
-			continue
-		}
-		rep := members[0]
-		for _, m := range members {
-			if m < rep {
-				rep = m
-			}
-		}
-		s.repCycles[c] = s.detailed[rep].Cycles
-		s.projected += s.repCycles[c] * int64(len(members))
-		id := s.detailed[rep].KernelID
+	for _, cl := range clusters {
+		s.repCycles[cl.ID] = s.detailed[cl.Rep].Cycles
+		id := s.detailed[cl.Rep].KernelID
 		if !s.speculated[id] {
 			s.speculated[id] = true
 			if s.so.Speculate != nil {
-				s.so.Speculate(s.kernels[rep])
+				s.so.Speculate(s.kernels[cl.Rep])
 			}
 		}
 	}
-	for i := 0; i < s.ds.N(); i++ {
-		s.actual += s.detailed[i].Cycles
-	}
+	return true
 }
 
 // Finalize reconciles: it checks the stream is complete, then runs the

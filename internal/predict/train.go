@@ -5,7 +5,6 @@ import (
 	"pka/internal/gpu"
 	"pka/internal/pkp"
 	"pka/internal/sampling"
-	"pka/internal/sim"
 	"pka/internal/workload"
 )
 
@@ -38,10 +37,6 @@ type ScanSummary struct {
 // Only outcomes the exact ladder produced ever enter the store, so the
 // training set is simulation ground truth by construction.
 func ScanStore(dev gpu.Device, store *artifact.Store, ws []*workload.Workload, o ScanOptions) ([]Sample, ScanSummary) {
-	capCycles := o.KernelCapCycles
-	if capCycles <= 0 {
-		capCycles = sim.DefaultMaxCycles
-	}
 	budget := o.FullSimBudget
 	if budget <= 0 {
 		budget = sampling.DefaultFullSimBudget
@@ -53,8 +48,8 @@ func ScanStore(dev gpu.Device, store *artifact.Store, ws []*workload.Workload, o
 	for _, w := range ws {
 		sum.Workloads++
 		tasks := []sampling.KernelTask{
-			{Mode: sampling.ModePKS, MaxCycles: capCycles},
-			{Mode: sampling.ModePKA, MaxCycles: capCycles, PKP: sampling.NewPKPSpec(o.PKP)},
+			sampling.SampledTask(o.KernelCapCycles, o.PKP, false),
+			sampling.SampledTask(o.KernelCapCycles, o.PKP, true),
 		}
 		if w.ApproxWarpInstructions(budget) <= budget {
 			tasks = append(tasks, sampling.KernelTask{Mode: sampling.ModeFull})

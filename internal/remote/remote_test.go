@@ -14,6 +14,7 @@ import (
 	"pka/internal/experiments"
 	"pka/internal/gpu"
 	"pka/internal/obs"
+	"pka/internal/parallel"
 	"pka/internal/remote"
 	"pka/internal/sampling"
 	"pka/internal/workload"
@@ -55,7 +56,8 @@ func remoteStudy(t *testing.T, d *remote.Dispatcher) *experiments.Study {
 	}
 	s.SetWorkloads(ws)
 	if d != nil {
-		s.SetRemote(d)
+		s.Cfg.Exec = sampling.NewExec(parallel.NewScheduler(s.Cfg.Parallelism), nil)
+		s.Cfg.Exec.SetRemote(d)
 	}
 	return s
 }

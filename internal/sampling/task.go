@@ -73,6 +73,21 @@ type KernelTask struct {
 	PKP PKPSpec
 }
 
+// SampledTask is the task spec a sampled run issues for each representative:
+// PKS mode, or PKA mode when usePKP is set, under the cycle cap (zero applies
+// sim.DefaultMaxCycles). The fold, the streaming pipeline's speculative
+// warms and the predictor's training scan all take it from here, because
+// content keys only match when the specs agree byte for byte.
+func SampledTask(capCycles int64, o pkp.Options, usePKP bool) KernelTask {
+	if capCycles <= 0 {
+		capCycles = sim.DefaultMaxCycles
+	}
+	if usePKP {
+		return KernelTask{Mode: ModePKA, MaxCycles: capCycles, PKP: NewPKPSpec(o)}
+	}
+	return KernelTask{Mode: ModePKS, MaxCycles: capCycles}
+}
+
 // KernelOutcome is the cacheable result of one kernel task: exactly the
 // values the study layer accumulates, and nothing tied to observation.
 type KernelOutcome struct {
@@ -430,6 +445,25 @@ func (e *Exec) MemStats() (hits, misses uint64) {
 		return 0, 0
 	}
 	return e.mem.Stats()
+}
+
+// CacheStats reports hit/miss counters for every cache tier this exec
+// holds — "kernel_mem", plus "artifact" with a store and "shard" with a
+// counting shard tier — in the shape obs.RegisterCacheStats and
+// -cache-stats want. Every binary takes its families from here.
+func (e *Exec) CacheStats() map[string]obs.CacheCounts {
+	h, m := e.MemStats()
+	out := map[string]obs.CacheCounts{"kernel_mem": {Hits: h, Misses: m}}
+	if st := e.Store(); st != nil {
+		a := st.Stats()
+		out["artifact"] = obs.CacheCounts{Hits: a.Hits, Misses: a.Misses, Evictions: a.Evictions, Corrupt: a.Corrupt}
+	}
+	if e != nil {
+		if c, ok := e.shard.(interface{ CacheCounts() obs.CacheCounts }); ok {
+			out["shard"] = c.CacheCounts()
+		}
+	}
+	return out
 }
 
 // RunKernels executes task once per kernel through the scheduler and the
