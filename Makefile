@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all vet build test race bench bench-all bench-check bench-vet loc ci
+.PHONY: all vet build test race bench bench-all bench-check bench-vet profile-sim loc ci
 
 all: build
 
@@ -32,8 +32,11 @@ race:
 # (BenchmarkSimTick's allocs/op==0 only means something once setup costs
 # amortize) plus the study fan-out speedup at one iteration, rendered into
 # a diffable JSON artifact. bench-all is the old full artifact sweep.
+# SimulatorThroughput records two arms: /run (the cycle loop alone, the one
+# bench-check gates) and /new+run (with sim.New on the clock).
 bench:
 	@{ $(GO) test -run NONE -bench 'SimTick' -benchmem ./internal/sim ; \
+	   $(GO) test -run NONE -bench 'CacheAccess' -benchmem ./internal/mem ; \
 	   $(GO) test -run NONE -bench 'SimulatorThroughput|RollingDetector|KMeansSweep|SiliconModel|WorkloadGeneration' -benchmem . ; \
 	   $(GO) test -run NONE -bench 'StudyParallel|StudyKernelSched|StudyCache|StudyPredict|StudyRemote|StudySuiteDedup|StudyStream|Serve' -benchtime=1x . ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_study.json -baseline BENCH_study.json \
@@ -68,10 +71,10 @@ bench-all:
 # at least 1.3x faster than the same study fully simulated — no CPU
 # floor, because the win is work elimination rather than parallelism.
 bench-check:
-	@{ $(GO) test -run NONE -bench 'SimulatorThroughput' -benchtime=5x . ; \
+	@{ $(GO) test -run NONE -bench 'SimulatorThroughput/^run$$' -benchtime=5x . ; \
 	   $(GO) test -run NONE -bench 'KMeansSweep' -benchtime=5x . ; } \
 	| $(GO) run ./cmd/benchjson -baseline BENCH_study.json \
-	    -check SimulatorThroughput,KMeansSweep -tolerance 25
+	    -check SimulatorThroughput/run,KMeansSweep -tolerance 25
 	@$(GO) test -run NONE -bench 'StudyParallel/p=|StudyCache/(cold|warm)|StudyRemote/(local|workers)' -benchtime=1x . \
 	| $(GO) run ./cmd/benchjson -o /dev/null \
 	    -check-ratio 'StudyParallel/p=1:StudyParallel/p=4:1.5:4,StudyCache/cold:StudyCache/warm:5,StudyRemote/local:StudyRemote/workers=2:1.5:4'
@@ -94,6 +97,17 @@ bench-check:
 # surface unnoticed.
 bench-vet:
 	cd bench && $(GO) vet . && $(GO) test .
+
+# Where a simulator PR starts: the CPU profile of the run-only throughput
+# bench (one simulator, RunKernel on the clock, nothing else), top ten by
+# flat time. DESIGN.md "Performance" keeps the last committed one to compare
+# against. Binary and profile stay out of the checkout.
+PROFILE_DIR ?= /tmp/pka-profile
+profile-sim:
+	@mkdir -p $(PROFILE_DIR)
+	$(GO) test -run NONE -bench 'SimulatorThroughput/^run$$' -benchtime=100x \
+	    -o $(PROFILE_DIR)/pka.test -cpuprofile $(PROFILE_DIR)/sim.cpu.prof .
+	$(GO) tool pprof -top -nodecount=10 $(PROFILE_DIR)/pka.test $(PROFILE_DIR)/sim.cpu.prof
 
 # Non-test lines under cmd/, internal/ and pka.go — the unit simplification
 # PRs state their acceptance in.

@@ -883,7 +883,11 @@ func BenchmarkServe(b *testing.B) {
 // --- Substrate microbenchmarks ---
 
 // BenchmarkSimulatorThroughput measures the cycle-level simulator's warp-
-// instruction rate on a mixed kernel.
+// instruction rate on a mixed kernel. The run arm is the cycle loop alone:
+// one simulator, flushed back to its cold state off the clock, so ns/op and
+// Mwi/s are RunKernel and nothing else (this is the arm bench-check gates
+// and `make profile-sim` profiles). The new+run arm adds sim.New — what a
+// kernel task costs when the study layer cannot reuse a simulator.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	k := KernelDesc{
 		Name: "bench", Grid: D1(640), Block: D1(256),
@@ -891,16 +895,29 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		CoalescingFactor: 4, WorkingSetBytes: 32 << 20, StridedFraction: 0.7,
 		DivergenceEff: 0.95, Seed: 42,
 	}
-	var warpInstrs int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := sim.New(VoltaV100()).RunKernel(&k, sim.Options{})
-		if err != nil {
-			b.Fatal(err)
+	arm := func(b *testing.B, fresh bool) {
+		s := sim.New(VoltaV100())
+		var warpInstrs int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if fresh {
+				s = sim.New(VoltaV100())
+			} else {
+				b.StopTimer()
+				s.Flush()
+				b.StartTimer()
+			}
+			res, err := s.RunKernel(&k, sim.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			warpInstrs += res.WarpInstrs
 		}
-		warpInstrs += res.WarpInstrs
+		b.ReportMetric(float64(warpInstrs)/b.Elapsed().Seconds()/1e6, "Mwi/s")
 	}
-	b.ReportMetric(float64(warpInstrs)/b.Elapsed().Seconds()/1e6, "Mwi/s")
+	b.Run("run", func(b *testing.B) { arm(b, false) })
+	b.Run("new+run", func(b *testing.B) { arm(b, true) })
 }
 
 // BenchmarkSiliconModel measures the analytical hardware model's kernel

@@ -8,16 +8,22 @@ package mem
 
 // Cache is a set-associative cache with true-LRU replacement and
 // write-allocate policy. It tracks hit/miss counts for miss-rate telemetry.
+//
+// Recency is positional: each set's ways are kept most-recently-used
+// first, so the state is one word per way and there is no timestamp, no
+// valid bit and no victim search — the victim is whatever falls off the
+// tail. Flush only ever invalidates the whole cache, so invalid ways
+// always form the tail of a set; dropping the tail therefore fills the
+// invalid ways before it evicts the least recently used line.
 type Cache struct {
 	ways      int
 	numSets   int
 	setMask   uint64 // numSets-1 when numSets is a power of two, else 0
 	lineShift uint
-	// tags[set*ways+way]; lru holds per-way recency (higher = more recent).
-	tags  []uint64
-	valid []bool
-	lru   []uint64
-	clock uint64
+	// lines[set*ways+i] is the set's i-th most recent line number plus one;
+	// 0 marks an invalid way. (The +1 wraps only for the all-ones address
+	// of a 1-byte-line cache.)
+	lines []uint64
 
 	hits, misses int64
 }
@@ -40,14 +46,11 @@ func NewCache(sizeBytes, ways, lineBytes int) *Cache {
 	for 1<<shift != lineBytes {
 		shift++
 	}
-	n := numSets * ways
 	c := &Cache{
 		ways:      ways,
 		numSets:   numSets,
 		lineShift: shift,
-		tags:      make([]uint64, n),
-		valid:     make([]bool, n),
-		lru:       make([]uint64, n),
+		lines:     make([]uint64, numSets*ways),
 	}
 	if numSets&(numSets-1) == 0 {
 		c.setMask = uint64(numSets - 1)
@@ -56,10 +59,10 @@ func NewCache(sizeBytes, ways, lineBytes int) *Cache {
 }
 
 // Access looks up addr, allocating the line on a miss (for both reads and
-// writes), and reports whether it hit. The tag scan doubles as the victim
-// scan (invalid way first, else least recently used) so a miss walks the
-// set once, and the per-set slices are carved out up front to keep bounds
-// checks out of the way loop.
+// writes), and reports whether it hit. One pass does everything: each way
+// takes its more recent neighbour's line as the scan goes by, so stopping
+// at a match has rotated the line to the front, and running off the end
+// has inserted it at the front and dropped the tail.
 func (c *Cache) Access(addr uint64) bool {
 	line := addr >> c.lineShift
 	var set int
@@ -69,38 +72,18 @@ func (c *Cache) Access(addr uint64) bool {
 		set = int(line % uint64(c.numSets))
 	}
 	base := set * c.ways
-	c.clock++
-
-	tags := c.tags[base : base+c.ways]
-	valid := c.valid[base : base+c.ways]
-	lru := c.lru[base : base+c.ways]
-	firstInvalid := -1
-	victim := 0
-	var oldest uint64 = ^uint64(0)
-	for w := range tags {
-		if !valid[w] {
-			if firstInvalid < 0 {
-				firstInvalid = w
-			}
-			continue
-		}
-		if tags[w] == line {
-			lru[w] = c.clock
+	key := line + 1
+	prev := key
+	ways := c.lines[base : base+c.ways]
+	for i, cur := range ways {
+		ways[i] = prev
+		if cur == key {
 			c.hits++
 			return true
 		}
-		if lru[w] < oldest {
-			oldest = lru[w]
-			victim = w
-		}
+		prev = cur
 	}
 	c.misses++
-	if firstInvalid >= 0 {
-		victim = firstInvalid
-	}
-	tags[victim] = line
-	valid[victim] = true
-	lru[victim] = c.clock
 	return false
 }
 
@@ -128,9 +111,6 @@ func (c *Cache) ResetStats() { c.hits, c.misses = 0, 0 }
 
 // Flush invalidates every line and clears statistics.
 func (c *Cache) Flush() {
-	for i := range c.valid {
-		c.valid[i] = false
-	}
-	c.clock = 0
+	clear(c.lines)
 	c.ResetStats()
 }

@@ -124,6 +124,20 @@ func goldenCases() []goldenCase {
 		CoalescingFactor: 4, WorkingSetBytes: 3*(1<<20) + 128*37, StridedFraction: 0.5,
 		DivergenceEff: 0.93, Seed: 909,
 	}
+	// Every catalogue device holds at most 64 warps per SM, so one ready
+	// word and one wheel word per bucket. This synthetic V100 doubles the
+	// warp and thread limits: 25 resident 5-warp blocks = 125 warps, two
+	// bitset words with a ragged tail.
+	wide := gpu.VoltaV100()
+	wide.Name = "wide-sm"
+	wide.NumSMs = 12
+	wide.MaxWarpsPerSM = 128
+	wide.MaxThreadsPerSM = 4096
+	wideMix := allOps
+	wideMix.Name = "wide-mix"
+	wideMix.Grid = trace.D1(700)
+	wideMix.Block = trace.D1(160)
+	wideMix.Seed = 4242
 
 	return []goldenCase{
 		{
@@ -168,6 +182,14 @@ func goldenCases() []goldenCase {
 				return Options{TraceEvery: 97, MaxCycles: 20000}
 			},
 			want: 0x0bdcff9fe6381cd3,
+		},
+		{
+			// Hash recorded on the linked-list wheel and timestamp-LRU cache,
+			// before the bitset wheel existed: the multi-word path is held
+			// to an implementation that had no such path.
+			name: "wide-sm-two-words", dev: wide,
+			kernels: []trace.KernelDesc{wideMix, oddWS},
+			want:    0x90ef3c76621c1318,
 		},
 	}
 }

@@ -1,7 +1,8 @@
 package sim
 
 import (
-	"pka/internal/parallel"
+	"sync"
+
 	"pka/internal/trace"
 )
 
@@ -13,23 +14,45 @@ import (
 // memoized process-wide, keyed on exactly the fields that determine them.
 //
 // The cached slice is shared between concurrent simulators; that is safe
-// because the cycle loop only ever reads it. parallel.Cache gives
-// singleflight semantics, so concurrent first launches of the same kernel
-// build the pattern once.
+// because the cycle loop only ever reads it. Two concurrent first launches
+// of one kernel may both build its pattern; the builds are identical and
+// the first to finish is the one kept.
 type patternKey struct {
 	mix  trace.InstrMix
 	seed uint64
 }
 
-var patternCache parallel.Cache[patternKey, []uint8]
+// patternCacheCap bounds the memo's entry count. A long-lived pkaserve or
+// pkad fed inline workloads sees an unbounded stream of distinct (mix,
+// seed) pairs, each pinning a Mix.Total()-byte slice; when the table is
+// full it is dropped whole, which costs the live kernels one rebuild each
+// and cannot change a result because a pattern is a pure function of its
+// key.
+const patternCacheCap = 4096
+
+var patternCache struct {
+	sync.Mutex
+	m map[patternKey][]uint8
+}
 
 // patternFor returns the (shared, read-only) instruction pattern for k.
 func patternFor(k *trace.KernelDesc) []uint8 {
-	p, _ := patternCache.Do(patternKey{mix: k.Mix, seed: k.Seed}, func() ([]uint8, error) {
-		return buildPattern(k), nil
-	})
+	key := patternKey{mix: k.Mix, seed: k.Seed}
+	patternCache.Lock()
+	p, ok := patternCache.m[key]
+	patternCache.Unlock()
+	if ok {
+		return p
+	}
+	p = buildPattern(k)
+	patternCache.Lock()
+	defer patternCache.Unlock()
+	if q, ok := patternCache.m[key]; ok {
+		return q
+	}
+	if patternCache.m == nil || len(patternCache.m) >= patternCacheCap {
+		patternCache.m = make(map[patternKey][]uint8)
+	}
+	patternCache.m[key] = p
 	return p
 }
-
-// patternCacheStats exposes hit/miss counts to tests.
-func patternCacheStats() (hits, misses uint64) { return patternCache.Stats() }

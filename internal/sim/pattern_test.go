@@ -110,3 +110,31 @@ func TestPatternCacheConcurrentSims(t *testing.T) {
 		}
 	}
 }
+
+// TestPatternCacheBounded feeds the memo more distinct keys than it may
+// hold: the entry count never exceeds the cap, the table is dropped when
+// full, and a pattern rebuilt after the drop equals the evicted one.
+func TestPatternCacheBounded(t *testing.T) {
+	mix := trace.InstrMix{Compute: 9, GlobalLoads: 3, SharedStores: 2}
+	first := patternKernel(1<<40, mix)
+	before := append([]uint8(nil), patternFor(&first)...)
+	for i := 1; i <= patternCacheCap+10; i++ {
+		k := patternKernel(1<<40+uint64(i), mix)
+		patternFor(&k)
+		patternCache.Lock()
+		n := len(patternCache.m)
+		patternCache.Unlock()
+		if n > patternCacheCap {
+			t.Fatalf("pattern cache holds %d entries after %d inserts, cap is %d", n, i, patternCacheCap)
+		}
+	}
+	patternCache.Lock()
+	_, kept := patternCache.m[patternKey{mix: mix, seed: first.Seed}]
+	patternCache.Unlock()
+	if kept {
+		t.Fatal("first key survived cap+10 distinct inserts; the table was never dropped")
+	}
+	if after := patternFor(&first); !equalPatterns(before, after) {
+		t.Fatal("pattern rebuilt after eviction differs from the evicted one")
+	}
+}

@@ -128,42 +128,38 @@ type Simulator struct {
 	dram *mem.DRAM
 	l1   []*mem.Cache
 	sms  []smState
+	// wakeAt[i] is the cycle SM i next needs a pass — its earliest pending
+	// event, or math.MaxInt64 while it has no resident block. It is the only
+	// word the cycle loop and the idle jump read for an SM that is not due,
+	// so skipping one costs 8 bytes of a dense array, not an smState.
+	wakeAt []int64
 }
 
 type warpSlot struct {
-	nextReady  int64
-	pending    int64 // completion time of the older in-flight load (0 = none)
-	instrLeft  int32
-	patPos     int32
-	active     bool
-	cursor     uint64 // strided address cursor (in sectors)
-	base       uint64 // strided base address
-	rng        uint64 // per-warp xorshift state
-	blockSlot  int32
-	wakeNext   int32   // intrusive link in the timing wheel's bucket list
-	threadsPer float64 // thread instructions per warp instruction
-}
-
-type blockSlotState struct {
-	live      bool
-	warpsLeft int
+	nextReady int64
+	pending   int64 // completion time of the older in-flight load (0 = none)
+	instrLeft int32
+	patPos    int32
+	cursor    uint64 // strided address cursor (in sectors)
+	base      uint64 // strided base address
+	rng       uint64 // per-warp xorshift state
+	blockSlot int32
 }
 
 type smState struct {
-	warps    []warpSlot
-	blocks   []blockSlotState
-	minReady int64
-	resident int // live blocks
-	rrPtr    int
+	warps     []warpSlot
+	warpsLeft []int // per block slot: warps of the resident block still running
+	resident  int   // live blocks
+	rrPtr     int
 	// Event-driven scheduler state (see sched.go): ready holds warps whose
 	// stall has expired; sleeping warps sit either in the timing wheel
 	// (wakes within wheelSize cycles — ALU, shared-memory, cache-hit
 	// stalls) or in the wake heap (far wakes: DRAM and L2 round trips).
 	ready     readySet
 	wake      wakeHeap
-	wheel     []int32 // wheelSize bucket heads (-1 = empty), linked via wakeNext
-	wheelLive int     // warps currently in the wheel
-	lastDrain int64   // cycle up to which wheel buckets have been emptied
+	wheel     []uint64 // wheelSize buckets, each a len(ready)-word warp bitset
+	wheelOcc  uint64   // bit b set = bucket b holds at least one warp
+	lastDrain int64    // cycle up to which wheel buckets have been emptied
 }
 
 // runCtx holds the per-kernel constants of the cycle loop, precomputed
@@ -184,11 +180,12 @@ type runCtx struct {
 // New creates a simulator for the given device.
 func New(dev gpu.Device) *Simulator {
 	s := &Simulator{
-		dev:  dev,
-		l2:   mem.NewCache(dev.L2SizeBytes, 16, dev.CacheLineBytes),
-		dram: mem.NewDRAM(dev.BytesPerCycle(), dev.DRAMLatency),
-		l1:   make([]*mem.Cache, dev.NumSMs),
-		sms:  make([]smState, dev.NumSMs),
+		dev:    dev,
+		l2:     mem.NewCache(dev.L2SizeBytes, 16, dev.CacheLineBytes),
+		dram:   mem.NewDRAM(dev.BytesPerCycle(), dev.DRAMLatency),
+		l1:     make([]*mem.Cache, dev.NumSMs),
+		sms:    make([]smState, dev.NumSMs),
+		wakeAt: make([]int64, dev.NumSMs),
 	}
 	for i := range s.l1 {
 		s.l1[i] = mem.NewCache(dev.L1SizeBytes, 8, dev.CacheLineBytes)
@@ -314,54 +311,11 @@ func (s *Simulator) RunKernel(k *trace.KernelDesc, opts Options) (*KernelResult,
 		c.ResetStats()
 	}
 
-	// Initialize SM state for this kernel's occupancy shape, reusing the
-	// previous kernel's backing arrays when they are large enough.
+	// Initialize SM state for this kernel's occupancy shape.
 	numSMs := s.dev.NumSMs
-	for i := 0; i < numSMs; i++ {
-		sm := &s.sms[i]
-		slots := occ.BlocksPerSM
-		nw := slots * wpb
-		if cap(sm.warps) >= nw {
-			sm.warps = sm.warps[:nw]
-			for j := range sm.warps {
-				sm.warps[j] = warpSlot{}
-			}
-		} else {
-			sm.warps = make([]warpSlot, nw)
-		}
-		if cap(sm.blocks) >= slots {
-			sm.blocks = sm.blocks[:slots]
-			for j := range sm.blocks {
-				sm.blocks[j] = blockSlotState{}
-			}
-		} else {
-			sm.blocks = make([]blockSlotState, slots)
-		}
-		words := (nw + 63) / 64
-		if cap(sm.ready) >= words {
-			sm.ready = sm.ready[:words]
-			for j := range sm.ready {
-				sm.ready[j] = 0
-			}
-		} else {
-			sm.ready = make(readySet, words)
-		}
-		if cap(sm.wake) >= nw {
-			sm.wake = sm.wake[:0]
-		} else {
-			sm.wake = make(wakeHeap, 0, nw)
-		}
-		if sm.wheel == nil {
-			sm.wheel = make([]int32, wheelSize)
-		}
-		for j := range sm.wheel {
-			sm.wheel[j] = -1
-		}
-		sm.wheelLive = 0
-		sm.lastDrain = 0
-		sm.minReady = 0
-		sm.resident = 0
-		sm.rrPtr = 0
+	for i := range s.sms {
+		s.sms[i].reset(occ.BlocksPerSM, wpb)
+		s.wakeAt[i] = math.MaxInt64
 	}
 
 	nextBlock := 0
@@ -375,24 +329,22 @@ func (s *Simulator) RunKernel(k *trace.KernelDesc, opts Options) (*KernelResult,
 		if instr < 1 {
 			instr = 1
 		}
-		sm.blocks[slot] = blockSlotState{live: true, warpsLeft: wpb}
+		sm.warpsLeft[slot] = wpb
 		sm.resident++
 		for w := 0; w < wpb; w++ {
 			gw := uint64(blockID)*uint64(wpb) + uint64(w)
 			idx := slot*wpb + w
 			ws := &sm.warps[idx]
 			*ws = warpSlot{
-				nextReady:  now + 20, // block launch / pipe fill latency
-				instrLeft:  instr,
-				active:     true,
-				base:       (gw * 517) % wsLines * uint64(s.dev.CacheLineBytes),
-				rng:        k.Seed ^ (gw+1)*0xA24BAED4963EE407,
-				blockSlot:  int32(slot),
-				threadsPer: threadsPer,
+				nextReady: now + 20, // block launch / pipe fill latency
+				instrLeft: instr,
+				base:      (gw * 517) % wsLines * uint64(s.dev.CacheLineBytes),
+				rng:       k.Seed ^ (gw+1)*0xA24BAED4963EE407,
+				blockSlot: int32(slot),
 			}
 			sm.sleep(now+20, now, int32(idx))
 		}
-		sm.minReady = now
+		s.wakeAt[smIdx] = now
 	}
 
 	// Fill the initial wave breadth-first across SMs, the way the hardware
@@ -440,11 +392,11 @@ func (s *Simulator) RunKernel(k *trace.KernelDesc, opts Options) (*KernelResult,
 	for completed < blocksTotal && now < maxCycles {
 		issuedCycle := 0
 
-		for i := 0; i < numSMs; i++ {
-			sm := &s.sms[i]
-			if sm.resident == 0 || sm.minReady > now {
+		for i, at := range s.wakeAt {
+			if at > now {
 				continue
 			}
+			sm := &s.sms[i]
 			// Wake every warp whose stall expires at or before now: O(1)
 			// per wake, once per issued instruction over the whole run —
 			// not once per warp per cycle.
@@ -516,11 +468,8 @@ func (s *Simulator) RunKernel(k *trace.KernelDesc, opts Options) (*KernelResult,
 					if w.nextReady < deadMin {
 						deadMin = w.nextReady
 					}
-					w.active = false
-					bs := &sm.blocks[w.blockSlot]
-					bs.warpsLeft--
-					if bs.warpsLeft == 0 {
-						bs.live = false
+					sm.warpsLeft[w.blockSlot]--
+					if sm.warpsLeft[w.blockSlot] == 0 {
 						sm.resident--
 						completed++
 						if nextBlock < blocksTotal {
@@ -538,19 +487,21 @@ func (s *Simulator) RunKernel(k *trace.KernelDesc, opts Options) (*KernelResult,
 			if sm.rrPtr >= n {
 				sm.rrPtr = 0
 			}
-			if dispatched || sm.ready.any() {
+			switch {
+			case sm.resident == 0:
+				s.wakeAt[i] = math.MaxInt64
+			case dispatched || sm.ready.any():
 				// A fresh block or an unserved ready warp: revisit next
 				// cycle (matches the linear scan's newMin <= now cases).
-				sm.minReady = now
-			} else {
+				s.wakeAt[i] = now
+			default:
+				// Finite: a resident block has a live warp, and a live warp
+				// that is not ready is asleep in the wheel or the heap.
 				newMin := deadMin
 				if wk := sm.nextWake(now); wk < newMin {
 					newMin = wk
 				}
-				if newMin == math.MaxInt64 {
-					newMin = now + 1
-				}
-				sm.minReady = newMin
+				s.wakeAt[i] = newMin
 			}
 			warpInstrs += int64(schedulers - issueBudget)
 		}
@@ -576,10 +527,9 @@ func (s *Simulator) RunKernel(k *trace.KernelDesc, opts Options) (*KernelResult,
 		} else {
 			// Nothing ready anywhere: jump to the next event.
 			next := int64(math.MaxInt64)
-			for i := 0; i < numSMs; i++ {
-				sm := &s.sms[i]
-				if sm.resident > 0 && sm.minReady < next {
-					next = sm.minReady
+			for _, at := range s.wakeAt {
+				if at < next {
+					next = at
 				}
 			}
 			if next == math.MaxInt64 || next <= now {
