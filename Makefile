@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all vet build test race bench bench-all bench-check bench-vet profile-sim loc ci
+.PHONY: all vet build test race bench bench-all bench-check bench-vet profile-sim profile-select loc ci
 
 all: build
 
@@ -15,18 +15,21 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-detect the concurrency layer. internal/parallel, internal/obs
-# (lock-free instruments, concurrent tracer/audit) and internal/serve
-# (the serving tier: concurrent admission, weighted-fair queue, fault
-# injection) are fast enough to race in full; the experiments and
-# workload suites run with -short so the concurrency regression tests
-# (singleflight, 64-goroutine stress, fuzz seed corpus) execute under
-# the detector without paying for the full artifact pipeline at ~10x
-# race overhead. `make test` covers the heavy paths (including the
-# parallel-vs-serial determinism golden) natively.
+# Race-detect the concurrency layer; CI runs this target. internal/parallel,
+# internal/obs (lock-free instruments, concurrent tracer/audit),
+# internal/serve (the serving tier: concurrent admission, weighted-fair
+# queue, fault injection) and internal/cluster (the chunked assignment step
+# and its worker-invariance test) are fast enough to race in full; the
+# experiments and workload suites run with -short so the concurrency
+# regression tests (singleflight, 64-goroutine stress, fuzz seed corpus)
+# execute under the detector without paying for the full artifact pipeline
+# at ~10x race overhead; core, pks and sampling race only their streaming
+# tests (the speculator's goroutines). `make test` covers the heavy paths
+# (including the parallel-vs-serial determinism golden) natively.
 race:
-	$(GO) test -race ./internal/parallel/... ./internal/obs/... ./internal/serve/...
+	$(GO) test -race ./internal/parallel/... ./internal/obs/... ./internal/serve/... ./internal/cluster/...
 	$(GO) test -race -short ./internal/experiments/... ./internal/workload/...
+	$(GO) test -race -run 'Stream|Speculator' ./internal/core/... ./internal/pks/... ./internal/sampling/...
 
 # Snapshot the perf trajectory: substrate microbenchmarks at full benchtime
 # (BenchmarkSimTick's allocs/op==0 only means something once setup costs
@@ -72,9 +75,9 @@ bench-all:
 # floor, because the win is work elimination rather than parallelism.
 bench-check:
 	@{ $(GO) test -run NONE -bench 'SimulatorThroughput/^run$$' -benchtime=5x . ; \
-	   $(GO) test -run NONE -bench 'KMeansSweep' -benchtime=5x . ; } \
+	   $(GO) test -run NONE -bench 'KMeansSweep/distinct' -benchtime=5x . ; } \
 	| $(GO) run ./cmd/benchjson -baseline BENCH_study.json \
-	    -check SimulatorThroughput/run,KMeansSweep -tolerance 25
+	    -check SimulatorThroughput/run,KMeansSweep/distinct -tolerance 25
 	@$(GO) test -run NONE -bench 'StudyParallel/p=|StudyCache/(cold|warm)|StudyRemote/(local|workers)' -benchtime=1x . \
 	| $(GO) run ./cmd/benchjson -o /dev/null \
 	    -check-ratio 'StudyParallel/p=1:StudyParallel/p=4:1.5:4,StudyCache/cold:StudyCache/warm:5,StudyRemote/local:StudyRemote/workers=2:1.5:4'
@@ -108,6 +111,14 @@ profile-sim:
 	$(GO) test -run NONE -bench 'SimulatorThroughput/^run$$' -benchtime=100x \
 	    -o $(PROFILE_DIR)/pka.test -cpuprofile $(PROFILE_DIR)/sim.cpu.prof .
 	$(GO) tool pprof -top -nodecount=10 $(PROFILE_DIR)/pka.test $(PROFILE_DIR)/sim.cpu.prof
+
+# Where a selection PR starts: the same for the select_cold study set (18
+# pks.Select calls per iteration, no simulation).
+profile-select:
+	@mkdir -p $(PROFILE_DIR)
+	$(GO) test -run NONE -bench 'SelectSet' -benchtime=5x \
+	    -o $(PROFILE_DIR)/pka.test -cpuprofile $(PROFILE_DIR)/select.cpu.prof .
+	$(GO) tool pprof -top -nodecount=10 $(PROFILE_DIR)/pka.test $(PROFILE_DIR)/select.cpu.prof
 
 # Non-test lines under cmd/, internal/ and pka.go — the unit simplification
 # PRs state their acceptance in.

@@ -935,22 +935,68 @@ func BenchmarkSiliconModel(b *testing.B) {
 }
 
 // BenchmarkKMeansSweep measures the PKS clustering sweep on a
-// profiler-scale point set.
+// profiler-scale point set. The distinct arm is 5 000 points no two of
+// which coincide: interning finds nothing to share, so it is the arm
+// bench-check gates — what the sweep costs when the mechanism is bypassed.
+// The dup arm draws the same 5 000 points from 40 distinct rows, the shape
+// of a scaled workload (Figure 4: a few kernels launched thousands of times).
 func BenchmarkKMeansSweep(b *testing.B) {
-	rng := stats.NewRNG(9)
-	pts := make([][]float64, 5000)
-	for i := range pts {
-		pts[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+	arm := func(b *testing.B, distinct int) {
+		rng := stats.NewRNG(9)
+		rows := make([][]float64, distinct)
+		for i := range rows {
+			rows[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+		}
+		pts := rows
+		if distinct < 5000 {
+			pts = make([][]float64, 5000)
+			for i := range pts {
+				pts[i] = rows[rng.Intn(distinct)]
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ds, err := cluster.NewDataset(pts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for k := 1; k <= 10; k++ {
+				if _, err := ds.KMeans(k, cluster.KMeansOptions{Seed: uint64(k)}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
 	}
+	b.Run("distinct", func(b *testing.B) { arm(b, 5000) })
+	b.Run("dup", func(b *testing.B) { arm(b, 40) })
+}
+
+// BenchmarkSelectSet is one pass over the repository benchmark's
+// select_cold studies: six workloads of 1 500 to 29 000 launches under the
+// default options, a 0.5 % target that sweeps K to 20, and a 1 000-kernel
+// detailed cap that forces two-level selection. `make profile-select`
+// profiles it.
+func BenchmarkSelectSet(b *testing.B) {
+	var ws []*workload.Workload
+	for _, name := range []string{
+		"MLPerf/resnet50_64b_inf", "MLPerf/resnet50_128b_inf", "MLPerf/resnet50_256b_inf",
+		"MLPerf/3dunet_inf", "Polybench/gramschmidt", "Polybench/fdtd2d",
+	} {
+		w := workload.Find(name)
+		if w == nil {
+			b.Fatalf("no workload %s", name)
+		}
+		ws = append(ws, w)
+	}
+	variants := []pks.Options{{}, {TargetErrorPct: 0.5}, {MaxDetailed: 1000}}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ds, err := cluster.NewDataset(pts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for k := 1; k <= 10; k++ {
-			if _, err := ds.KMeans(k, cluster.KMeansOptions{Seed: uint64(k)}); err != nil {
-				b.Fatal(err)
+		for _, w := range ws {
+			for _, opts := range variants {
+				if _, err := pks.Select(gpu.VoltaV100(), w, opts); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	}

@@ -14,7 +14,7 @@
 // catch performance regressions with one short bench run:
 //
 //	go test -bench 'SimulatorThroughput|KMeansSweep' . | \
-//	  benchjson -baseline BENCH_study.json -check SimulatorThroughput/run,KMeansSweep
+//	  benchjson -baseline BENCH_study.json -check SimulatorThroughput/run,KMeansSweep/distinct
 //
 // -check-ratio gates on relative speed between two benchmarks of the
 // current run (no baseline needed): each spec NUM:DEN:MIN[:MINCPU]

@@ -94,21 +94,24 @@ func (e *Ensemble) Fit(X [][]float64, y []int, numClasses int) error {
 	return nil
 }
 
-// Predict returns the majority vote of the members.
+// Predict returns the majority vote of the members. A class must beat the
+// best count so far to take over, so a tie stays with the class voted first.
 func (e *Ensemble) Predict(x []float64) int {
-	votes := map[int]int{}
-	order := make([]int, 0, len(e.Members))
+	var buf [3]int // the paper's ensemble; a longer member list spills to the heap
+	votes := buf[:0]
 	for _, m := range e.Members {
-		p := m.Predict(x)
-		if votes[p] == 0 {
-			order = append(order, p)
-		}
-		votes[p]++
+		votes = append(votes, m.Predict(x))
 	}
-	best, bestV := order[0], votes[order[0]]
-	for _, p := range order[1:] {
-		if votes[p] > bestV {
-			best, bestV = p, votes[p]
+	best, bestV := 0, 0
+	for _, p := range votes {
+		v := 0
+		for _, q := range votes {
+			if q == p {
+				v++
+			}
+		}
+		if v > bestV {
+			best, bestV = p, v
 		}
 	}
 	return best

@@ -191,3 +191,87 @@ func TestClassifiersOnGridDimFeatures(t *testing.T) {
 		}
 	}
 }
+
+// refVote is the ensemble's vote as it was first written — a count per
+// class, classes kept in first-voted order, a tie going to the first —
+// kept as the reference for the array tally that replaced it.
+func refVote(preds []int) int {
+	votes := map[int]int{}
+	var order []int
+	for _, p := range preds {
+		if votes[p] == 0 {
+			order = append(order, p)
+		}
+		votes[p]++
+	}
+	best, bestV := order[0], votes[order[0]]
+	for _, p := range order[1:] {
+		if votes[p] > bestV {
+			best, bestV = p, votes[p]
+		}
+	}
+	return best
+}
+
+// TestEnsemblePredictMatchesReferenceVote pins the allocation-free Predict
+// paths to the ones they replaced: every vote pattern of one to four members
+// over four classes against refVote, and the fitted models' stack-buffer
+// standardization against Scaler.Apply — on the light-profile width and on
+// a row too wide for the buffer.
+func TestEnsemblePredictMatchesReferenceVote(t *testing.T) {
+	for members := 1; members <= 4; members++ {
+		preds := make([]int, members)
+		e := &Ensemble{Members: make([]Classifier, members)}
+		for code := 0; code < 1<<(2*members); code++ {
+			for i := range preds {
+				preds[i] = code >> (2 * i) & 3
+				e.Members[i] = fixed(preds[i])
+			}
+			if got, want := e.Predict(nil), refVote(preds); got != want {
+				t.Fatalf("votes %v: Predict = %d, want %d", preds, got, want)
+			}
+		}
+	}
+
+	for _, dim := range []int{4, stackDim + 3} {
+		rng := stats.NewRNG(uint64(dim))
+		var X [][]float64
+		var y []int
+		for i := 0; i < 150; i++ {
+			row := make([]float64, dim)
+			for j := range row {
+				row[j] = float64(i%3)*2 + rng.NormFloat64()
+			}
+			X, y = append(X, row), append(y, i%3)
+		}
+		sgd, mlp := NewSGD(1), NewMLP(2)
+		e := &Ensemble{Members: []Classifier{sgd, NewGaussianNB(), mlp}}
+		if err := e.Fit(X, y, 3); err != nil {
+			t.Fatal(err)
+		}
+		probs, hidden := make([]float64, 3), make([]float64, mlp.Hidden)
+		for _, x := range X {
+			sgd.softmax(sgd.scaler.Apply(x), probs)
+			if got, want := sgd.Predict(x), argmax(probs); got != want {
+				t.Fatalf("dim %d: sgd.Predict = %d, want %d", dim, got, want)
+			}
+			mlp.forward(mlp.scaler.Apply(x), hidden, probs)
+			if got, want := mlp.Predict(x), argmax(probs); got != want {
+				t.Fatalf("dim %d: mlp.Predict = %d, want %d", dim, got, want)
+			}
+			preds := []int{sgd.Predict(x), e.Members[1].Predict(x), mlp.Predict(x)}
+			if got, want := e.Predict(x), refVote(preds); got != want {
+				t.Fatalf("dim %d: ensemble = %d, want %d of %v", dim, got, want, preds)
+			}
+		}
+		if dim > stackDim {
+			continue
+		}
+		// What is left is each model's class scores (and the MLP's hidden
+		// layer): 4 allocations, down from 7 with the vote's order slice and
+		// the two standardized rows.
+		if allocs := testing.AllocsPerRun(100, func() { e.Predict(X[7]) }); allocs > 4 {
+			t.Errorf("Ensemble.Predict allocates %v times per call, want <= 4", allocs)
+		}
+	}
+}

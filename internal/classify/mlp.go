@@ -144,6 +144,7 @@ func (m *MLP) Predict(x []float64) int {
 	}
 	hidden := make([]float64, m.Hidden)
 	probs := make([]float64, m.numClasses)
-	m.forward(m.scaler.Apply(x), hidden, probs)
+	var buf [stackDim]float64
+	m.forward(m.scaler.applyOn(&buf, x), hidden, probs)
 	return argmax(probs)
 }

@@ -79,3 +79,18 @@ func (s *Scaler) ApplyInto(dst, x []float64) {
 		dst[j] = (v - s.Mean[j]) / s.Scale[j]
 	}
 }
+
+// stackDim is the widest row applyOn standardizes without allocating; the
+// light-profile feature space has 10 columns.
+const stackDim = 16
+
+// applyOn standardizes one row for a Predict call: into the caller's stack
+// buffer when the row fits it, into a fresh slice otherwise.
+func (s *Scaler) applyOn(buf *[stackDim]float64, x []float64) []float64 {
+	if len(x) > stackDim {
+		return s.Apply(x)
+	}
+	dst := buf[:len(x)]
+	s.ApplyInto(dst, x)
+	return dst
+}

@@ -99,6 +99,7 @@ func (s *SGD) Predict(x []float64) int {
 		return 0
 	}
 	probs := make([]float64, s.numClasses)
-	s.softmax(s.scaler.Apply(x), probs)
+	var buf [stackDim]float64
+	s.softmax(s.scaler.applyOn(&buf, x), probs)
 	return argmax(probs)
 }

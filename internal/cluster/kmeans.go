@@ -6,6 +6,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 
@@ -73,30 +74,47 @@ const boundsPad = 1e-10
 // worker while leaving enough chunks to balance load.
 const assignChunk = 1024
 
-// Dataset is a set of points flattened to contiguous row-major storage,
-// plus the scratch buffers a K-Means run needs. Reusing one Dataset across
-// the K-sweep (k = 1..maxK over the same points) reuses every buffer, so
-// later fits allocate only their returned result.
+// Dataset is a set of points plus the scratch buffers a K-Means run needs.
+// Reusing one Dataset across the K-sweep (k = 1..maxK over the same points)
+// reuses every buffer, so later fits allocate only their returned result.
+//
+// Points are interned by the raw bits of their coordinates (±0 and NaN
+// payloads stay distinct): a scaled workload is a handful of kernels launched
+// thousands of times. What is a pure function of one point — its distances,
+// Hamerly bounds and nearest center — is computed once per distinct row, on
+// the operands the per-point code would use; every float reduction (the
+// k-means++ mass, the update step, the inertia) still adds one term per
+// point in point order, since m·v and v+…+v round differently.
 //
 // A Dataset is not safe for concurrent KMeans calls; the engine gives each
 // sweep its own.
 type Dataset struct {
-	n, dim int
-	data   []float64 // n*dim, row i at data[i*dim : (i+1)*dim]
+	dim   int
+	rows  []float64        // distinct rows in first-seen order, row r at rows[r*dim : (r+1)*dim]
+	rowOf []int32          // point i is row rowOf[i]
+	ids   map[string]int32 // a row's coordinate bits -> its index in rows
+	key   []byte           // scratch for one ids key
 
 	// Per-run scratch, grown on demand and reused across calls.
 	centers []float64 // k*dim current centers
 	next    []float64 // k*dim update-step accumulator
 	s       []float64 // k: half distance to each center's nearest neighbor
 	moved   []float64 // k: center movement in the latest update step
-	u       []float64 // n: upper bound on distance to assigned center
-	l       []float64 // n: lower bound on distance to second-closest center
+	near    []int32   // per row: its points' center; split when a repair left them on several
+	u       []float64 // per row: upper bound on distance to assigned center
+	l       []float64 // per row: lower bound on distance to second-closest center
+	d2      []float64 // per row: k-means++ squared distances, then the inertia terms
 	dist    []float64 // n: squared distance to assigned center (repair only)
-	d2      []float64 // n: k-means++ squared distances
 	chunks  []int     // assignment chunk start offsets
 }
 
-// NewDataset validates points and copies them into contiguous storage.
+// split marks a row whose points an empty-cluster repair left on different
+// centers. No center equals it, so the full scan that follows every repair
+// reports the row as changed — as the per-point scan would, since at least
+// one of its points must move.
+const split = -1
+
+// NewDataset validates points and interns them.
 func NewDataset(points [][]float64) (*Dataset, error) {
 	n := len(points)
 	if n == 0 {
@@ -108,26 +126,45 @@ func NewDataset(points [][]float64) (*Dataset, error) {
 			return nil, errors.New("cluster: ragged point dimensions")
 		}
 	}
-	ds := &Dataset{n: n, dim: dim, data: make([]float64, n*dim)}
-	for i, p := range points {
-		copy(ds.data[i*dim:], p)
+	ds := &Dataset{dim: dim, rowOf: make([]int32, 0, n), ids: map[string]int32{}}
+	for _, p := range points {
+		ds.add(p)
 	}
 	return ds, nil
 }
 
+// add appends one point of the right dimension.
+func (ds *Dataset) add(p []float64) {
+	key := ds.key[:0]
+	for _, v := range p {
+		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(v))
+	}
+	ds.key = key
+	r, ok := ds.ids[string(key)]
+	if !ok {
+		r = int32(len(ds.ids))
+		ds.ids[string(key)] = r
+		ds.rows = append(ds.rows, p...)
+	}
+	ds.rowOf = append(ds.rowOf, r)
+}
+
 // N returns the number of points.
-func (ds *Dataset) N() int { return ds.n }
+func (ds *Dataset) N() int { return len(ds.rowOf) }
 
 // Dim returns the point dimensionality.
 func (ds *Dataset) Dim() int { return ds.dim }
 
-func (ds *Dataset) row(i int) []float64 { return ds.data[i*ds.dim : (i+1)*ds.dim] }
+// row returns point i's coordinates.
+func (ds *Dataset) row(i int) []float64 { return ds.distinct(int(ds.rowOf[i])) }
 
-func growF(buf []float64, n int) []float64 {
+func (ds *Dataset) distinct(r int) []float64 { return ds.rows[r*ds.dim : (r+1)*ds.dim] }
+
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
-	return make([]float64, n)
+	return make([]T, n)
 }
 
 // KMeans clusters points into k groups using k-means++ seeding followed by
@@ -161,7 +198,7 @@ func KMeans(points [][]float64, k int, opts KMeansOptions) (*KMeansResult, error
 // tie-breaking, so assignments — and therefore every returned float — are
 // bit-identical to the plain full-scan implementation.
 func (ds *Dataset) KMeans(k int, opts KMeansOptions) (*KMeansResult, error) {
-	n, dim := ds.n, ds.dim
+	n, m, dim := ds.N(), len(ds.ids), ds.dim
 	if k < 1 {
 		return nil, errors.New("cluster: k must be >= 1")
 	}
@@ -171,33 +208,31 @@ func (ds *Dataset) KMeans(k int, opts KMeansOptions) (*KMeansResult, error) {
 	opts.fill()
 	rng := stats.NewRNG(opts.Seed ^ 0xC0FFEE)
 
-	ds.centers = growF(ds.centers, k*dim)
-	ds.next = growF(ds.next, k*dim)
-	ds.s = growF(ds.s, k)
-	ds.moved = growF(ds.moved, k)
-	ds.u = growF(ds.u, n)
-	ds.l = growF(ds.l, n)
-	ds.dist = growF(ds.dist, n)
+	ds.centers = grow(ds.centers, k*dim)
+	ds.next = grow(ds.next, k*dim)
+	ds.s = grow(ds.s, k)
+	ds.moved = grow(ds.moved, k)
+	ds.u = grow(ds.u, m)
+	ds.l = grow(ds.l, m)
+	ds.d2 = grow(ds.d2, m)
+	ds.dist = grow(ds.dist, n)
+	ds.near = grow(ds.near, m)
 	ds.seedPlusPlus(k, rng)
 
 	centers, next := ds.centers, ds.next
-	u, l, dist := ds.u, ds.l, ds.dist
-	for i := 0; i < n; i++ {
-		u[i] = math.Inf(1)
-		l[i] = 0
+	near, u, l, dist := ds.near, ds.u, ds.l, ds.dist
+	for r := 0; r < m; r++ {
+		near[r] = 0
+		u[r] = math.Inf(1)
+		l[r] = 0
 	}
 	assign := make([]int, n)
 	sizes := make([]int, k)
 	repairs := 0
 
 	workers := parallel.Workers(opts.Workers)
-	if workers > 1 && n > assignChunk {
-		nchunks := (n + assignChunk - 1) / assignChunk
-		if cap(ds.chunks) >= nchunks {
-			ds.chunks = ds.chunks[:nchunks]
-		} else {
-			ds.chunks = make([]int, nchunks)
-		}
+	if workers > 1 && m > assignChunk {
+		ds.chunks = grow(ds.chunks, (m+assignChunk-1)/assignChunk)
 		for c := range ds.chunks {
 			ds.chunks[c] = c * assignChunk
 		}
@@ -221,17 +256,17 @@ func (ds *Dataset) KMeans(k int, opts KMeansOptions) (*KMeansResult, error) {
 			ds.s[c] = 0.5 * math.Sqrt(minD) * (1 - boundsPad)
 		}
 
-		// Assignment step: per-point writes are independent and the merge
-		// of per-chunk changed flags is an OR, so the outcome is identical
-		// for any worker count or interleaving.
+		// Assignment step, once per distinct row: per-row writes are
+		// independent and the merge of per-chunk changed flags is an OR, so
+		// the outcome is identical for any worker count or interleaving.
 		changed := false
-		if workers > 1 && n > assignChunk {
+		if workers > 1 && m > assignChunk {
 			chg, err := parallel.Map(workers, ds.chunks, func(_ int, lo int) (bool, error) {
 				hi := lo + assignChunk
-				if hi > n {
-					hi = n
+				if hi > m {
+					hi = m
 				}
-				return ds.assignRange(lo, hi, k, assign), nil
+				return ds.assignRange(lo, hi, k), nil
 			})
 			if err != nil {
 				return nil, err
@@ -240,30 +275,40 @@ func (ds *Dataset) KMeans(k int, opts KMeansOptions) (*KMeansResult, error) {
 				changed = changed || c
 			}
 		} else {
-			changed = ds.assignRange(0, n, k, assign)
+			changed = ds.assignRange(0, m, k)
 		}
 
 		for c := range sizes {
 			sizes[c] = 0
 		}
-		for _, a := range assign {
-			sizes[a]++
+		for i, r := range ds.rowOf {
+			assign[i] = int(near[r])
+			sizes[near[r]]++
 		}
 
-		// Repair empty clusters. dist is materialized lazily — identical
-		// values to what the full scan would have cached, recomputed only
-		// on the rare iteration that actually repairs.
+		// Repair empty clusters, point by point: a repair moves one point,
+		// not its row. dist is materialized lazily — identical values to
+		// what the full scan would have cached, recomputed only on the rare
+		// iteration that actually repairs.
 		repaired := false
 		for c := 0; c < k; c++ {
 			if sizes[c] == 0 {
 				for i := 0; i < n; i++ {
 					dist[i] = sqDist(ds.row(i), centers[assign[i]*dim:(assign[i]+1)*dim])
 				}
-				r := ds.repairEmpty(k, assign, sizes, dist)
-				repairs += r
-				if r > 0 {
+				if r := ds.repairEmpty(k, assign, sizes, dist); r > 0 {
+					repairs += r
 					changed = true
 					repaired = true
+					// A row keeps a center only if all its points still do.
+					for i, r := range ds.rowOf {
+						near[r] = int32(assign[i])
+					}
+					for i, r := range ds.rowOf {
+						if near[r] != int32(assign[i]) {
+							near[r] = split
+						}
+					}
 				}
 				break
 			}
@@ -296,10 +341,10 @@ func (ds *Dataset) KMeans(k int, opts KMeansOptions) (*KMeansResult, error) {
 			}
 			ms := sqDist(nc, oc)
 			shift += ms
-			m := math.Sqrt(ms) * (1 + boundsPad)
-			ds.moved[c] = m
-			if m > maxMoved {
-				maxMoved = m
+			mv := math.Sqrt(ms) * (1 + boundsPad)
+			ds.moved[c] = mv
+			if mv > maxMoved {
+				maxMoved = mv
 			}
 		}
 		centers, next = next, centers
@@ -312,21 +357,33 @@ func (ds *Dataset) KMeans(k int, opts KMeansOptions) (*KMeansResult, error) {
 		if repaired {
 			// A re-seeded center teleported; movement-based bound updates
 			// do not cover that, so force a full scan next iteration.
-			for i := 0; i < n; i++ {
-				u[i] = math.Inf(1)
-				l[i] = 0
+			for r := 0; r < m; r++ {
+				u[r] = math.Inf(1)
+				l[r] = 0
 			}
 		} else {
-			for i := 0; i < n; i++ {
-				u[i] += ds.moved[assign[i]]
-				l[i] -= maxMoved
+			for r := 0; r < m; r++ {
+				u[r] += ds.moved[near[r]]
+				l[r] -= maxMoved
 			}
 		}
 	}
 
+	// Inertia: one distance per row, one term per point. A run that ends on
+	// a repair leaves split rows, whose points are measured one by one.
+	d2 := ds.d2
+	for r := 0; r < m; r++ {
+		if a := int(near[r]); a != split {
+			d2[r] = sqDist(ds.distinct(r), centers[a*dim:(a+1)*dim])
+		}
+	}
 	var inertia float64
-	for i := 0; i < n; i++ {
-		inertia += sqDist(ds.row(i), centers[assign[i]*dim:(assign[i]+1)*dim])
+	for i, r := range ds.rowOf {
+		if near[r] == split {
+			inertia += sqDist(ds.row(i), centers[assign[i]*dim:(assign[i]+1)*dim])
+		} else {
+			inertia += d2[r]
+		}
 	}
 	// Materialize the centers as an independent snapshot (one flat backing
 	// array) so the result survives subsequent fits on this Dataset.
@@ -348,21 +405,21 @@ func (ds *Dataset) KMeans(k int, opts KMeansOptions) (*KMeansResult, error) {
 	}, nil
 }
 
-// assignRange runs the assignment step over points [lo, hi), returning
-// whether any assignment changed. Writes only to assign/u/l rows in the
-// range, so disjoint ranges can run concurrently.
-func (ds *Dataset) assignRange(lo, hi, k int, assign []int) bool {
+// assignRange runs the assignment step over distinct rows [lo, hi),
+// returning whether any row's center changed. Writes only to near/u/l
+// entries in the range, so disjoint ranges can run concurrently.
+func (ds *Dataset) assignRange(lo, hi, k int) bool {
 	dim := ds.dim
-	centers, s, u, l := ds.centers, ds.s, ds.u, ds.l
+	centers, s, near, u, l := ds.centers, ds.s, ds.near, ds.u, ds.l
 	changed := false
-	for i := lo; i < hi; i++ {
-		a := assign[i]
-		if ui := u[i]; ui < s[a] || ui < l[i] {
+	for r := lo; r < hi; r++ {
+		a := near[r]
+		if ui := u[r]; a != split && (ui < s[a] || ui < l[r]) {
 			// Strictly closer to its center than any other can be: the
 			// full scan would keep a, with the same tie-breaking.
 			continue
 		}
-		p := ds.data[i*dim : (i+1)*dim]
+		p := ds.distinct(r)
 		best, bestD := 0, math.Inf(1)
 		second := math.Inf(1)
 		for c := 0; c < k; c++ {
@@ -374,12 +431,12 @@ func (ds *Dataset) assignRange(lo, hi, k int, assign []int) bool {
 				second = d
 			}
 		}
-		if best != a {
+		if int32(best) != a {
 			changed = true
 		}
-		assign[i] = best
-		u[i] = math.Sqrt(bestD) * (1 + boundsPad)
-		l[i] = math.Sqrt(second) * (1 - boundsPad)
+		near[r] = int32(best)
+		u[r] = math.Sqrt(bestD) * (1 + boundsPad)
+		l[r] = math.Sqrt(second) * (1 - boundsPad)
 	}
 	return changed
 }
@@ -393,7 +450,7 @@ func (ds *Dataset) assignRange(lo, hi, k int, assign []int) bool {
 // against the post-repair geometry instead of stale distances. Returns the
 // number of clusters repaired.
 func (ds *Dataset) repairEmpty(k int, assign, sizes []int, dist []float64) int {
-	n, dim := ds.n, ds.dim
+	n, dim := ds.N(), ds.dim
 	repairs := 0
 	for c := 0; c < k; c++ {
 		if sizes[c] > 0 {
@@ -424,53 +481,54 @@ func (ds *Dataset) repairEmpty(k int, assign, sizes []int, dist []float64) int {
 	return repairs
 }
 
-// seedPlusPlus implements k-means++ initialization into ds.centers.
+// seedPlusPlus implements k-means++ initialization into ds.centers: the
+// squared distances are kept per distinct row, the mass they weigh is summed
+// and walked per point.
 func (ds *Dataset) seedPlusPlus(k int, rng *stats.RNG) {
-	n, dim := ds.n, ds.dim
-	ds.d2 = growF(ds.d2, n)
+	n, m, dim := ds.N(), len(ds.ids), ds.dim
 	d2 := ds.d2
 	first := rng.Intn(n)
 	copy(ds.centers[:dim], ds.row(first))
-	for i := 0; i < n; i++ {
-		d2[i] = sqDist(ds.row(i), ds.centers[:dim])
+	for r := 0; r < m; r++ {
+		d2[r] = sqDist(ds.distinct(r), ds.centers[:dim])
 	}
 	for c := 1; c < k; c++ {
 		var total float64
-		for _, d := range d2 {
-			total += d
+		for _, r := range ds.rowOf {
+			total += d2[r]
 		}
 		var idx int
 		if total <= 0 {
 			idx = rng.Intn(n) // all points coincide with some center
 		} else {
-			idx = pickWeighted(d2, rng.Float64()*total)
+			idx = pickWeighted(d2, ds.rowOf, rng.Float64()*total)
 		}
 		ctr := ds.centers[c*dim : (c+1)*dim]
 		copy(ctr, ds.row(idx))
-		for i := 0; i < n; i++ {
-			if d := sqDist(ds.row(i), ctr); d < d2[i] {
-				d2[i] = d
+		for r := 0; r < m; r++ {
+			if d := sqDist(ds.distinct(r), ctr); d < d2[r] {
+				d2[r] = d
 			}
 		}
 	}
 }
 
-// pickWeighted samples an index proportionally to the weights in d2, given
-// target uniform in [0, sum(d2)): the first index where the running sum
-// reaches target. If accumulated rounding leaves the running sum short of
-// target even at the end, the draw falls back to the last index with
-// nonzero weight — never silently index 0, which would bias re-seeding
-// toward whatever point happens to be first.
-func pickWeighted(d2 []float64, target float64) int {
+// pickWeighted samples a point proportionally to its row's weight in d2,
+// given target uniform in [0, sum of the points' weights): the first point
+// where the running sum reaches target. If accumulated rounding leaves the
+// running sum short of target even at the end, the draw falls back to the
+// last point with nonzero weight — never silently point 0, which would bias
+// re-seeding toward whatever point happens to be first.
+func pickWeighted(d2 []float64, rowOf []int32, target float64) int {
 	var cum float64
-	for i, d := range d2 {
-		cum += d
+	for i, r := range rowOf {
+		cum += d2[r]
 		if cum >= target {
 			return i
 		}
 	}
-	for i := len(d2) - 1; i >= 0; i-- {
-		if d2[i] > 0 {
+	for i := len(rowOf) - 1; i >= 0; i-- {
+		if d2[rowOf[i]] > 0 {
 			return i
 		}
 	}

@@ -12,23 +12,24 @@ import (
 // silently returning index 0.
 func TestPickWeightedFallback(t *testing.T) {
 	d2 := []float64{1, 2, 0, 3, 0}
+	each := []int32{0, 1, 2, 3, 4} // one point per row
 	// Normal operation: target inside the mass picks by running sum.
-	if got := pickWeighted(d2, 0.5); got != 0 {
+	if got := pickWeighted(d2, each, 0.5); got != 0 {
 		t.Errorf("target 0.5: picked %d, want 0", got)
 	}
-	if got := pickWeighted(d2, 1.5); got != 1 {
+	if got := pickWeighted(d2, each, 1.5); got != 1 {
 		t.Errorf("target 1.5: picked %d, want 1", got)
 	}
-	if got := pickWeighted(d2, 6.0); got != 3 {
+	if got := pickWeighted(d2, each, 6.0); got != 3 {
 		t.Errorf("target 6.0 (== total): picked %d, want 3", got)
 	}
 	// Unreachable target (only possible through float rounding): must land
 	// on the last nonzero-weight point, here index 3, not index 0.
-	if got := pickWeighted(d2, 7.0); got != 3 {
+	if got := pickWeighted(d2, each, 7.0); got != 3 {
 		t.Errorf("unreachable target: picked %d, want 3 (last nonzero weight)", got)
 	}
 	// Degenerate all-zero weights: index 0 is the only sane answer.
-	if got := pickWeighted([]float64{0, 0}, 1.0); got != 0 {
+	if got := pickWeighted([]float64{0, 0}, each[:2], 1.0); got != 0 {
 		t.Errorf("all-zero weights: picked %d, want 0", got)
 	}
 }
@@ -47,7 +48,7 @@ func TestRepairEmptyRefreshesDistances(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := 3
-	ds.centers = growF(ds.centers, k*ds.dim)
+	ds.centers = grow(ds.centers, k*ds.dim)
 	ds.centers[0] = 0 // cluster 0 centered at origin; clusters 1, 2 empty
 	assign := []int{0, 0, 0, 0}
 	sizes := []int{4, 0, 0}

@@ -25,7 +25,7 @@ func NewEmptyDataset(dim int) (*Dataset, error) {
 	if dim < 1 {
 		return nil, errors.New("cluster: dataset dimension must be >= 1")
 	}
-	return &Dataset{n: 0, dim: dim}, nil
+	return &Dataset{dim: dim, ids: map[string]int32{}}, nil
 }
 
 // Append adds one point to the dataset. Scratch buffers are grown lazily
@@ -37,8 +37,7 @@ func (ds *Dataset) Append(p []float64) error {
 	if len(p) != ds.dim {
 		return errors.New("cluster: appended point has wrong dimension")
 	}
-	ds.data = append(ds.data, p...)
-	ds.n++
+	ds.add(p)
 	return nil
 }
 

@@ -3,6 +3,7 @@ package pks
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"pka/internal/classify"
 	"pka/internal/cluster"
@@ -78,31 +79,45 @@ func (c *Clustering) Project(features []float64) ([]float64, error) {
 // strided sample, log scaling, PCA, one Dataset swept over K with score
 // deciding where to stop, nearest-centre assignment of the unsampled
 // records, and one representative per non-empty cluster.
+//
+// A scaled workload launches a few dozen distinct kernels thousands of
+// times, so vectors are interned first: scaling, projection and nearest
+// centre run once per distinct vector, while what reduces over launches (the
+// PCA fit's moments, the Lloyd loop's sums) still sees one row per launch,
+// in launch order.
 func ClusterRecords(recs []profiler.DetailedRecord, p ClusterParams, elect ElectFunc, score ScoreFunc) (*Clustering, error) {
+	vecOf, vecs := internFeatures(recs)
+	scaled := linalg.NewMatrix(len(vecs), trace.NumFeatures)
+	for v, f := range vecs {
+		ScaleFeatures(scaled.Row(v), f)
+	}
 	sample := SampleIndices(len(recs), p.SampleMax)
 	feat := linalg.NewMatrix(len(sample), trace.NumFeatures)
 	for r, idx := range sample {
-		ScaleFeatures(feat.Row(r), recs[idx].Features)
+		copy(feat.Row(r), scaled.Row(int(vecOf[idx])))
 	}
 	out := &Clustering{}
-	proj := feat
+	points := make([][]float64, len(sample))
+	space := scaled // row v is what Project makes of vecs[v]
 	if p.DisablePCA {
-		proj = feat.Standardize()
+		std := feat.Standardize()
+		for r := range points {
+			points[r] = std.Row(r)
+		}
 	} else {
 		var err error
 		if out.pca, err = linalg.FitPCA(feat, p.PCAVariance, 2); err != nil {
 			return nil, fmt.Errorf("PCA: %w", err)
 		}
-		if proj, err = out.pca.Transform(feat); err != nil {
+		if space, err = out.pca.Transform(scaled); err != nil {
 			return nil, err
 		}
-	}
-	points := make([][]float64, proj.Rows)
-	for i := range points {
-		points[i] = proj.Row(i)
+		for r, idx := range sample {
+			points[r] = space.Row(int(vecOf[idx]))
+		}
 	}
 	// One Dataset for the whole K-sweep: every fit after the first reuses
-	// the flattened points and the Lloyd scratch buffers.
+	// the interned points and the Lloyd scratch buffers.
 	var err error
 	if out.Data, err = cluster.NewDataset(points); err != nil {
 		return nil, fmt.Errorf("kmeans dataset: %w", err)
@@ -121,6 +136,10 @@ func ClusterRecords(recs []profiler.DetailedRecord, p ClusterParams, elect Elect
 	}
 	// A nearest-centre assignment can land on a cluster that was empty in
 	// the sample; groupOfCluster's zero value folds it into group 0.
+	nearest := make([]int, len(vecs)) // group of each vector's nearest centre, -1 until asked
+	for v := range nearest {
+		nearest[v] = -1
+	}
 	out.GroupOf = make([]int, len(recs))
 	pos := 0
 	for i := range out.GroupOf {
@@ -129,13 +148,34 @@ func ClusterRecords(recs []profiler.DetailedRecord, p ClusterParams, elect Elect
 			pos++
 			continue
 		}
-		pt, err := out.Project(recs[i].Features)
-		if err != nil {
-			return nil, err
+		v := vecOf[i]
+		if nearest[v] < 0 {
+			nearest[v] = groupOfCluster[out.Best.NearestCenter(space.Row(int(v)))]
 		}
-		out.GroupOf[i] = groupOfCluster[out.Best.NearestCenter(pt)]
+		out.GroupOf[i] = nearest[v]
 	}
 	return out, nil
+}
+
+// internFeatures numbers the distinct Table-2 vectors of recs in first-seen
+// order: record i carries vecs[vecOf[i]], equal to its own bit for bit.
+func internFeatures(recs []profiler.DetailedRecord) (vecOf []int32, vecs [][]float64) {
+	ids := map[[trace.NumFeatures]uint64]int32{}
+	vecOf = make([]int32, len(recs))
+	for i := range recs {
+		var key [trace.NumFeatures]uint64
+		for j := range key {
+			key[j] = math.Float64bits(recs[i].Features[j])
+		}
+		v, ok := ids[key]
+		if !ok {
+			v = int32(len(vecs))
+			ids[key] = v
+			vecs = append(vecs, recs[i].Features)
+		}
+		vecOf[i] = v
+	}
+	return vecOf, vecs
 }
 
 // sweepClusters runs the K sweep over ds and returns the chosen fit, its
@@ -156,11 +196,22 @@ func sweepClusters(ds *cluster.Dataset, points [][]float64, sample []int, p Clus
 
 // electClusters lists res's non-empty clusters with one representative
 // each: elect's choice, or the first chronological member (the lowest
-// position, since samples are taken in record order).
+// position, since samples are taken in record order). Members are bucketed
+// in one counting pass over the assignment, every cluster's slice a window
+// of one array.
 func electClusters(res *cluster.KMeansResult, points [][]float64, sample []int, elect ElectFunc) []Cluster {
+	end := make([]int, res.K) // where cluster c's window has been filled up to
+	for c := 1; c < res.K; c++ {
+		end[c] = end[c-1] + res.Sizes[c-1]
+	}
+	all := make([]int, len(res.Assignment))
+	for i, c := range res.Assignment {
+		all[end[c]] = i
+		end[c]++
+	}
 	out := make([]Cluster, 0, res.K)
 	for c := 0; c < res.K; c++ {
-		members := res.Members(c)
+		members := all[end[c]-res.Sizes[c] : end[c] : end[c]]
 		if len(members) == 0 {
 			continue
 		}
@@ -194,7 +245,11 @@ func ProjectedCycles(clusters []Cluster, recs []profiler.DetailedRecord) (projec
 // TailClassifier maps the lightly-profiled tail of a two-level selection
 // onto the groups its detailed prefix was clustered into.
 type TailClassifier struct {
-	ens     *classify.Ensemble // nil when there is a single group
+	ens *classify.Ensemble // nil when there is a single group
+	// votes memoises the ensemble per launch configuration (a light record
+	// with its per-launch fields zeroed): the tail repeats a few kernels, and
+	// the vote is a pure function of what LightFeatures reads.
+	votes   map[profiler.LightRecord]int
 	x       [][]float64
 	y       []int
 	classes int
@@ -216,6 +271,7 @@ func TrainTailClassifier(recs []profiler.DetailedRecord, sharedMem, groupOf []in
 	}
 	if numClasses > 1 {
 		t.ens = classify.NewEnsemble(seed)
+		t.votes = map[profiler.LightRecord]int{}
 		if err := t.ens.Fit(t.x, t.y, numClasses); err != nil {
 			return nil, fmt.Errorf("classifier training: %w", err)
 		}
@@ -228,7 +284,13 @@ func (t *TailClassifier) Group(rec profiler.LightRecord) int {
 	if t.ens == nil {
 		return 0
 	}
-	return t.ens.Predict(profiler.FeaturesOfLight(rec))
+	rec.KernelID, rec.Cycles = 0, 0
+	g, ok := t.votes[rec]
+	if !ok {
+		g = t.ens.Predict(profiler.FeaturesOfLight(rec))
+		t.votes[rec] = g
+	}
+	return g
 }
 
 // HoldoutAccuracy trains a probe ensemble on 80% of the training set and

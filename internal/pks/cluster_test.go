@@ -1,0 +1,206 @@
+package pks
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"pka/internal/classify"
+	"pka/internal/cluster"
+	"pka/internal/gpu"
+	"pka/internal/linalg"
+	"pka/internal/profiler"
+	"pka/internal/stats"
+	"pka/internal/trace"
+	"pka/internal/workload"
+)
+
+// refClusterRecords is ClusterRecords as it ran before Table-2 vectors were
+// interned: every record scaled, projected and nearest-centre assigned on
+// its own, every cluster's members found by their own scan.
+func refClusterRecords(recs []profiler.DetailedRecord, p ClusterParams, elect ElectFunc, score ScoreFunc) (*Clustering, error) {
+	sample := SampleIndices(len(recs), p.SampleMax)
+	feat := linalg.NewMatrix(len(sample), trace.NumFeatures)
+	for r, idx := range sample {
+		ScaleFeatures(feat.Row(r), recs[idx].Features)
+	}
+	out := &Clustering{}
+	proj := feat
+	if p.DisablePCA {
+		proj = feat.Standardize()
+	} else {
+		var err error
+		if out.pca, err = linalg.FitPCA(feat, p.PCAVariance, 2); err != nil {
+			return nil, err
+		}
+		if proj, err = out.pca.Transform(feat); err != nil {
+			return nil, err
+		}
+	}
+	points := make([][]float64, proj.Rows)
+	for i := range points {
+		points[i] = proj.Row(i)
+	}
+	ds, err := cluster.NewDataset(points)
+	if err != nil {
+		return nil, err
+	}
+	clustersOf := func(res *cluster.KMeansResult) []Cluster {
+		var cs []Cluster
+		for c := 0; c < res.K; c++ {
+			members := res.Members(c)
+			if len(members) == 0 {
+				continue
+			}
+			rep := members[0]
+			if elect != nil {
+				rep = elect(points, res, c, members)
+			}
+			for i, m := range members {
+				members[i] = sample[m]
+			}
+			cs = append(cs, Cluster{ID: c, Rep: sample[rep], Members: members})
+		}
+		return cs
+	}
+	out.Best, out.SweepErrors, err = ds.Sweep(minInt(p.MaxK, ds.N()),
+		func(k int) uint64 { return p.Seed + uint64(k) },
+		func(k int, res *cluster.KMeansResult) (float64, bool) { return score(k, clustersOf(res)) })
+	if err != nil {
+		return nil, err
+	}
+	out.Clusters = clustersOf(out.Best)
+
+	groupOfCluster := make([]int, out.Best.K)
+	for g, cl := range out.Clusters {
+		groupOfCluster[cl.ID] = g
+	}
+	out.GroupOf = make([]int, len(recs))
+	pos := 0
+	for i := range out.GroupOf {
+		if pos < len(sample) && sample[pos] == i {
+			out.GroupOf[i] = groupOfCluster[out.Best.Assignment[pos]]
+			pos++
+			continue
+		}
+		pt, err := out.Project(recs[i].Features)
+		if err != nil {
+			return nil, err
+		}
+		out.GroupOf[i] = groupOfCluster[out.Best.NearestCenter(pt)]
+	}
+	return out, nil
+}
+
+// detailedRecords profiles the first max launches of a catalogue workload.
+func detailedRecords(t *testing.T, name string, max int) ([]profiler.DetailedRecord, *workload.Workload) {
+	t.Helper()
+	w := workload.Find(name)
+	if w == nil {
+		t.Fatalf("no workload %s", name)
+	}
+	var recs []profiler.DetailedRecord
+	next := w.Iterator()
+	for k := next(); k != nil && len(recs) < max; k = next() {
+		rec, _, err := profiler.Detailed(gpu.VoltaV100(), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
+	}
+	return recs, w
+}
+
+// TestClusterRecordsMatchesRowAtATime runs the interned clustering core and
+// the row-at-a-time reference over gramschmidt's 6 144 launches (132
+// distinct vectors) in a shuffled order, so duplicates are scattered rather
+// than periodic. The sampled arms leave most records to the per-vector
+// nearest-centre memo; the elector arm hands dataset positions to a callback.
+func TestClusterRecordsMatchesRowAtATime(t *testing.T) {
+	ordered, _ := detailedRecords(t, "Polybench/gramschmidt", 1<<30)
+	recs := make([]profiler.DetailedRecord, len(ordered))
+	for i, j := range stats.NewRNG(16).Perm(len(ordered)) {
+		recs[i] = ordered[j]
+	}
+	_, vecs := internFeatures(recs)
+	if len(vecs) < 2 || len(vecs) > len(recs)/10 {
+		t.Fatalf("%d distinct vectors in %d records: not a duplicate-heavy set", len(vecs), len(recs))
+	}
+	// K = 2 already projects within 0.5 %; hold the sweep to K = 10 so it
+	// fits clusterings that split duplicate-heavy data finely.
+	score := func(k int, clusters []Cluster) (float64, bool) {
+		projected, total := ProjectedCycles(clusters, recs)
+		e := stats.AbsPctErr(float64(projected), float64(total))
+		return e, k >= 10 && e <= 0.5
+	}
+	for _, arm := range []struct {
+		p     ClusterParams
+		elect ElectFunc
+	}{
+		{ClusterParams{SampleMax: len(recs)}, nil},
+		{ClusterParams{SampleMax: 500}, nil},
+		{ClusterParams{SampleMax: 500, DisablePCA: true}, nil},
+		{ClusterParams{SampleMax: 700}, Options{Representative: RepClusterCenter}.elector()},
+	} {
+		arm.p.PCAVariance, arm.p.MaxK, arm.p.Seed = 0.9, 20, 7
+		name := fmt.Sprintf("%+v elect=%v", arm.p, arm.elect != nil)
+		got, err := ClusterRecords(recs, arm.p, arm.elect, score)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := refClusterRecords(recs, arm.p, arm.elect, score)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		if !reflect.DeepEqual(got.SweepErrors, want.SweepErrors) {
+			t.Errorf("%s: SweepErrors = %v, want %v", name, got.SweepErrors, want.SweepErrors)
+		}
+		if !reflect.DeepEqual(got.Clusters, want.Clusters) {
+			t.Errorf("%s: Clusters differ from the row-at-a-time reference", name)
+		}
+		if !reflect.DeepEqual(got.GroupOf, want.GroupOf) {
+			t.Errorf("%s: GroupOf differs from the row-at-a-time reference", name)
+		}
+	}
+}
+
+// TestTailGroupMatchesFreshPredict checks the per-launch-configuration vote
+// memo against an unmemoised ensemble: 3dunet_inf capped at 1 000 detailed
+// kernels, every one of its light records.
+func TestTailGroupMatchesFreshPredict(t *testing.T) {
+	const maxDetailed = 1000
+	detailed, w := detailedRecords(t, "MLPerf/3dunet_inf", maxDetailed)
+	sharedMem := make([]int, len(detailed))
+	for i := range sharedMem {
+		k := w.Kernel(i)
+		sharedMem[i] = k.SharedMemPerBlock
+	}
+	groups, groupOf, _, err := clusterDetailed(detailed, Options{}.filled())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(groups) < 2 {
+		t.Fatalf("%d group(s): the ensemble is never consulted", len(groups))
+	}
+	tail, err := TrainTailClassifier(detailed, sharedMem, groupOf, len(groups), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := classify.NewEnsemble(0)
+	if err := fresh.Fit(tail.x, tail.y, len(groups)); err != nil {
+		t.Fatal(err)
+	}
+	for i := maxDetailed; i < w.N; i++ {
+		k := w.Kernel(i)
+		rec, _, err := profiler.Light(gpu.VoltaV100(), &k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := tail.Group(rec), fresh.Predict(profiler.FeaturesOfLight(rec)); got != want {
+			t.Fatalf("launch %d (%s): Group = %d, fresh Predict = %d", i, rec.Name, got, want)
+		}
+	}
+	if n := w.N - maxDetailed; len(tail.votes) == 0 || len(tail.votes) > n/10 {
+		t.Errorf("%d memo entries for %d light records", len(tail.votes), n)
+	}
+}
