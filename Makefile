@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all vet build test race bench bench-all bench-check bench-vet profile-sim profile-select loc ci
+.PHONY: all vet build test race fuzz-smoke bench bench-all bench-check bench-vet profile-sim profile-select profile-warm loc ci
 
 all: build
 
@@ -24,12 +24,24 @@ test:
 # regression tests (singleflight, 64-goroutine stress, fuzz seed corpus)
 # execute under the detector without paying for the full artifact pipeline
 # at ~10x race overhead; core, pks and sampling race only their streaming
-# tests (the speculator's goroutines). `make test` covers the heavy paths
-# (including the parallel-vs-serial determinism golden) natively.
+# tests (the speculator's goroutines) and the selection-artifact tests
+# (core.Select under Evaluate's stage pool). `make test` covers the heavy
+# paths (including the parallel-vs-serial determinism golden) natively.
 race:
 	$(GO) test -race ./internal/parallel/... ./internal/obs/... ./internal/serve/... ./internal/cluster/...
 	$(GO) test -race -short ./internal/experiments/... ./internal/workload/...
-	$(GO) test -race -run 'Stream|Speculator' ./internal/core/... ./internal/pks/... ./internal/sampling/...
+	$(GO) test -race -run 'Stream|Speculator|SelectWarm|Misfit' ./internal/core/... ./internal/pks/... ./internal/sampling/...
+
+# Five seconds of coverage-guided fuzzing per decoder of untrusted or
+# persisted bytes. The seed corpora already run in `make test`; this is the
+# smoke that the targets still build and survive fresh inputs.
+FUZZTIME ?= 5s
+fuzz-smoke:
+	$(GO) test -run NONE -fuzz FuzzDecodeSelection -fuzztime $(FUZZTIME) ./internal/pks
+	$(GO) test -run NONE -fuzz FuzzDecodeOutcome -fuzztime $(FUZZTIME) ./internal/sampling
+	$(GO) test -run NONE -fuzz FuzzLoadWorkloadJSON -fuzztime $(FUZZTIME) ./internal/workload
+	$(GO) test -run NONE -fuzz FuzzStreamEvents -fuzztime $(FUZZTIME) ./internal/workload
+	$(GO) test -run NONE -fuzz FuzzServeRequest -fuzztime $(FUZZTIME) ./internal/serve
 
 # Snapshot the perf trajectory: substrate microbenchmarks at full benchtime
 # (BenchmarkSimTick's allocs/op==0 only means something once setup costs
@@ -120,9 +132,20 @@ profile-select:
 	    -o $(PROFILE_DIR)/pka.test -cpuprofile $(PROFILE_DIR)/select.cpu.prof .
 	$(GO) tool pprof -top -nodecount=10 $(PROFILE_DIR)/pka.test $(PROFILE_DIR)/select.cpu.prof
 
+# Where a warm-path PR starts: the same for the warm_batch study set (eight
+# evaluations over a primed store, a fresh Exec each). The profile covers the
+# whole process, so the cold pass that primes the store is filtered out by
+# the one frame only it has.
+profile-warm:
+	@mkdir -p $(PROFILE_DIR)
+	$(GO) test -run NONE -bench 'WarmSet' -benchtime=300x \
+	    -o $(PROFILE_DIR)/pka.test -cpuprofile $(PROFILE_DIR)/warm.cpu.prof .
+	$(GO) tool pprof -top -nodecount=10 -ignore 'sim\.\(\*Simulator\)\.RunKernel' \
+	    $(PROFILE_DIR)/pka.test $(PROFILE_DIR)/warm.cpu.prof
+
 # Non-test lines under cmd/, internal/ and pka.go — the unit simplification
 # PRs state their acceptance in.
 loc:
 	@find cmd internal pka.go -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
-ci: vet build test race bench-check bench-vet
+ci: vet build test race fuzz-smoke bench-check bench-vet

@@ -1002,6 +1002,43 @@ func BenchmarkSelectSet(b *testing.B) {
 	}
 }
 
+// BenchmarkWarmSet is one pass over the repository benchmark's warm_batch
+// studies: the eight simList evaluations at width 1 over a store a cold pass
+// primed, a fresh Exec per study, so every kernel outcome — and the selection
+// — is a disk read. `make profile-warm` profiles it.
+func BenchmarkWarmSet(b *testing.B) {
+	store, err := artifact.Open(b.TempDir(), artifact.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Close()
+	var ws []*workload.Workload
+	for _, name := range []string{
+		"Rodinia/hots_1024", "Rodinia/lud_i", "DeepBench/gemm_train_4", "Parboil/bfs",
+		"Cutlass/1536x256x512_wgemm", "Rodinia/kmeans_819k", "Rodinia/dwt2d_rgb", "MLPerf/3dunet_inf",
+	} {
+		w := workload.Find(name)
+		if w == nil {
+			b.Fatalf("no workload %s", name)
+		}
+		ws = append(ws, w)
+	}
+	pass := func() {
+		for _, w := range ws {
+			ex := sampling.NewExec(parallel.NewScheduler(1), store)
+			if _, err := core.Evaluate(core.Config{Device: gpu.VoltaV100(), Parallelism: 1, Exec: ex}, w); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	pass() // cold: primes the store
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+}
+
 // BenchmarkRollingDetector measures PKP's per-cycle bookkeeping cost.
 func BenchmarkRollingDetector(b *testing.B) {
 	p := pkp.New(pkp.Options{})

@@ -214,7 +214,7 @@ func batchStudy(cfg core.Config, w *workload.Workload, target float64, jsonOut s
 		fmt.Printf("quirk      %s (the paper excludes this workload from some result columns)\n", w.Quirk)
 	}
 	selSpan := cfg.Obs.StartSpan("pks-select", w.FullName())
-	sel, err := pks.Select(cfg.Device, w, cfg.PKSOptions())
+	sel, err := core.Select(cfg, w)
 	selSpan.End()
 	if err != nil {
 		return err
@@ -290,7 +290,7 @@ func suiteDedupStudy(cfg core.Config, ws []*workload.Workload) error {
 	tab := &report.Table{Columns: []string{"Workload", "Kernels", "PKS K", "PKS err%", "Dedup reps", "Dedup err%"}}
 	var perAppWork int64
 	for a, w := range ws {
-		sel, err := pks.Select(dev, w, cfg.PKSOptions())
+		sel, err := core.Select(cfg, w)
 		if err != nil {
 			return err
 		}

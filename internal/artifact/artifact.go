@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"os"
 	"path/filepath"
@@ -62,8 +63,8 @@ type Stats struct {
 	Misses    uint64 `json:"misses"`
 	Writes    uint64 `json:"writes"`
 	Evictions uint64 `json:"evictions"`
-	// Corrupt counts entries deleted because they failed validation
-	// (bad magic, short read, checksum mismatch). Each is also a miss.
+	// Corrupt counts entries that failed validation: deleted by Get (bad
+	// magic, short read, checksum mismatch) or Rejected. Each is also a miss.
 	Corrupt   uint64 `json:"corrupt"`
 	SizeBytes int64  `json:"size_bytes"`
 	Entries   int64  `json:"entries"`
@@ -72,11 +73,15 @@ type Stats struct {
 // Store is a content-addressed cache directory. All methods are safe for
 // concurrent use; a nil *Store is inert (Get always misses, Put drops).
 type Store struct {
+	*directory
+	hits, misses, writes, evictions, corrupt atomic.Uint64
+}
+
+// directory is what every View of one opened store shares.
+type directory struct {
 	dir      string
 	maxBytes int64
 	lock     *dirLock
-
-	hits, misses, writes, evictions, corrupt atomic.Uint64
 
 	mu      sync.Mutex
 	size    int64 // sum of entry file sizes, best-effort
@@ -97,7 +102,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("artifact: lock file: %w", err)
 	}
-	s := &Store{dir: dir, maxBytes: opts.MaxBytes, lock: lock}
+	s := &Store{directory: &directory{dir: dir, maxBytes: opts.MaxBytes, lock: lock}}
 	if s.maxBytes <= 0 {
 		s.maxBytes = DefaultMaxBytes
 	}
@@ -114,6 +119,17 @@ func (s *Store) Dir() string {
 	return s.dir
 }
 
+// View returns a second handle on s — same directory, lock, size bound and
+// accounting — whose traffic counters start at zero, so one kind of entry
+// can be counted apart from the rest (Exec keeps whole selections apart
+// from kernel outcomes). Close only the store Open returned.
+func (s *Store) View() *Store {
+	if s == nil {
+		return nil
+	}
+	return &Store{directory: s.directory}
+}
+
 // Close releases the store's lock file handle.
 func (s *Store) Close() error {
 	if s == nil || s.lock == nil {
@@ -126,16 +142,34 @@ func (s *Store) Close() error {
 // in. Sections are length-prefixed before hashing so ("ab","c") and
 // ("a","bc") cannot collide.
 func Key(sections ...[]byte) string {
+	h := NewKeyHash()
+	for _, sec := range sections {
+		h.Section(sec)
+	}
+	return h.Sum()
+}
+
+// KeyHash is Key fed one section at a time, for keys over more sections
+// than a caller wants to hold at once; the bytes hashed are Key's.
+type KeyHash struct{ h hash.Hash }
+
+// NewKeyHash starts a key with Version mixed in.
+func NewKeyHash() KeyHash {
 	h := sha256.New()
 	h.Write([]byte(Version))
-	for _, sec := range sections {
-		var n [8]byte
-		binary.LittleEndian.PutUint64(n[:], uint64(len(sec)))
-		h.Write(n[:])
-		h.Write(sec)
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	return KeyHash{h}
 }
+
+// Section hashes one length-prefixed section; sec may be reused afterwards.
+func (k KeyHash) Section(sec []byte) {
+	var n [8]byte
+	binary.LittleEndian.PutUint64(n[:], uint64(len(sec)))
+	k.h.Write(n[:])
+	k.h.Write(sec)
+}
+
+// Sum returns the key of the sections hashed so far.
+func (k KeyHash) Sum() string { return hex.EncodeToString(k.h.Sum(nil)) }
 
 // Get returns the payload stored under key, refreshing its LRU recency.
 // Any validation failure deletes the entry and reports a miss.
@@ -165,6 +199,17 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	s.hits.Add(1)
 	touch(path) // best-effort LRU recency bump
 	return payload, true
+}
+
+// Reject recounts the hit a Get just scored as a corrupt miss: the payload
+// passed the store's checksum but not the caller's decoder (schema drift
+// without a salt bump). The caller recomputes and its Put overwrites it.
+func (s *Store) Reject() {
+	if s != nil {
+		s.hits.Add(^uint64(0))
+		s.misses.Add(1)
+		s.corrupt.Add(1)
+	}
 }
 
 // Put stores payload under key (last write wins) and evicts

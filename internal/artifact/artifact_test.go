@@ -262,3 +262,37 @@ func TestBadKeysRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestViewCountsApart: a view reads and writes the same entries and shares
+// the size accounting, but its traffic lands in its own counters — and a
+// Rejected hit recounts as a corrupt miss on the handle that scored it.
+func TestViewCountsApart(t *testing.T) {
+	s := open(t, t.TempDir(), Options{})
+	v := s.View()
+	key := Key([]byte("via the view"))
+	if err := v.Put(key, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Get(key); !ok || string(got) != "payload" {
+		t.Fatalf("the store does not see the view's entry: %q, %v", got, ok)
+	}
+	if _, ok := v.Get(key); !ok {
+		t.Fatal("the view does not see its own entry")
+	}
+	v.Reject()
+	ss, vs := s.Stats(), v.Stats()
+	if ss.Writes != 0 || ss.Hits != 1 || ss.Misses != 0 || ss.Corrupt != 0 {
+		t.Errorf("store counters %+v, want one hit and nothing else", ss)
+	}
+	if vs.Writes != 1 || vs.Hits != 0 || vs.Misses != 1 || vs.Corrupt != 1 {
+		t.Errorf("view counters %+v, want one write and one corrupt miss", vs)
+	}
+	if ss.Entries != 1 || vs.Entries != 1 || ss.SizeBytes != vs.SizeBytes || ss.SizeBytes == 0 {
+		t.Errorf("size accounting is not shared: store %+v, view %+v", ss, vs)
+	}
+	var none *Store
+	if none.View() != nil {
+		t.Error("a nil store has a non-nil view")
+	}
+	none.Reject()
+}

@@ -292,6 +292,10 @@ func (ro RepOutcomes) Fold(weights []int, launches int) SampledSim {
 // usePKP is set) and projects application-level metrics from the group
 // weights.
 func RunSampled(cfg Config, w *workload.Workload, sel *pks.Selection, usePKP bool) (SampledSim, error) {
+	// sel may come from a stream, a file or the store: check before it indexes w.
+	if err := sel.CheckFor(w.N); err != nil {
+		return SampledSim{}, err
+	}
 	kernels := make([]trace.KernelDesc, len(sel.Groups))
 	weights := make([]int, len(sel.Groups))
 	for i, g := range sel.Groups {
@@ -326,8 +330,8 @@ func Evaluate(cfg Config, w *workload.Workload) (*Evaluation, error) {
 // When sel is non-nil the PKS stage is skipped and sel is used verbatim —
 // the streaming pipeline hands in the selection it reconciled while events
 // were still arriving; because that selection is byte-identical to what
-// pks.Select would have produced, so is the Evaluation. A nil sel is
-// exactly Evaluate.
+// pks.Select would have produced, so is the Evaluation. A selection that
+// does not fit w is an error. A nil sel is exactly Evaluate.
 func EvaluateWithSelection(cfg Config, w *workload.Workload, sel *pks.Selection) (*Evaluation, error) {
 	if w == nil {
 		return nil, errors.New("core: nil workload")
@@ -352,7 +356,7 @@ func EvaluateWithSelection(cfg Config, w *workload.Workload, sel *pks.Selection)
 		pool.Go(func() error {
 			sp := cfg.Obs.StartSpan("pks-select", w.FullName())
 			defer sp.End()
-			sel, selErr = pks.Select(cfg.Device, w, cfg.PKSOptions())
+			sel, selErr = Select(cfg, w)
 			return nil
 		})
 	}

@@ -1,0 +1,294 @@
+package core
+
+import (
+	"hash/fnv"
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+
+	"pka/internal/artifact"
+	"pka/internal/gpu"
+	"pka/internal/obs"
+	"pka/internal/pks"
+	"pka/internal/sampling"
+	"pka/internal/trace"
+	"pka/internal/workload"
+)
+
+func mustFind(t *testing.T, name string) *workload.Workload {
+	t.Helper()
+	w := workload.Find(name)
+	if w == nil {
+		t.Fatalf("workload %s missing", name)
+	}
+	return w
+}
+
+// TestSelectionGolden pins what a primed store holds: the content key and
+// the payload bytes of three selections. A change to selection arithmetic
+// (profiler, linalg, cluster, classify, pks) moves a payload hash; when one
+// is re-recorded the schema salt on the next line must be bumped with it, or
+// old stores keep serving the old selection under the unchanged key.
+func TestSelectionGolden(t *testing.T) {
+	if selectionSchema != "pka-selection-v1" {
+		t.Errorf("selectionSchema = %q: re-record the hashes below under the new salt", selectionSchema)
+	}
+	for _, c := range []struct {
+		name    string
+		opts    pks.Options
+		key     string
+		payload uint64
+	}{
+		{"Rodinia/gauss_208", pks.Options{},
+			"77bd4f4487d9e264bbb65c39b1db023838f87f4c5acd37d74cab733ef9f4dc3a", 0x763a4751dce72f57},
+		{"Polybench/fdtd2d", pks.Options{TargetErrorPct: 0.5},
+			"9d3002b5fce9e8f055b799d2f24815ef9a725b5bff50f8da410bdaddceccf797", 0x22799b3d18c0ba79},
+		{"Rodinia/lud_i", pks.Options{MaxDetailed: 40},
+			"d032ddf8adad444b335ab30b7e50634327719bd2eb65c399f41bc09b358456ed", 0x8098f1bbe9a18077},
+	} {
+		w := mustFind(t, c.name)
+		dev := gpu.VoltaV100()
+		if got := selectionKey(dev, w, c.opts); got != c.key {
+			t.Errorf("%s: key %s, want %s", c.name, got, c.key)
+		}
+		sel, err := pks.Select(dev, w, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write(pks.EncodeSelection(sel))
+		if got := h.Sum64(); got != c.payload {
+			t.Errorf("%s: payload hash %#016x, want %#016x (a selection byte moved: bump selectionSchema)", c.name, got, c.payload)
+		}
+	}
+}
+
+// TestSelectionKeySensitivity: everything a selection is a function of moves
+// the key, and nothing else does.
+func TestSelectionKeySensitivity(t *testing.T) {
+	dev := gpu.VoltaV100()
+	w := mustFind(t, "Polybench/fdtd2d")
+	base := selectionKey(dev, w, pks.Options{})
+
+	// launches returns w with launch i rewritten by edit.
+	launches := func(edit func(i int, k *trace.KernelDesc)) *workload.Workload {
+		c := *w
+		c.Gen = func(i int) trace.KernelDesc {
+			k := w.Gen(i)
+			edit(i, &k)
+			return k
+		}
+		return &c
+	}
+	opt := func(o pks.Options) string { return selectionKey(dev, w, o) }
+	perturb := map[string]string{
+		"target":       opt(pks.Options{TargetErrorPct: 4}),
+		"max-k":        opt(pks.Options{MaxK: 19}),
+		"pca-variance": opt(pks.Options{PCAVarianceTarget: 0.8}),
+		"rep-policy":   opt(pks.Options{Representative: pks.RepClusterCenter}),
+		"disable-pca":  opt(pks.Options{DisablePCA: true}),
+		"budget":       opt(pks.Options{DetailedBudgetSeconds: 3600}),
+		"max-detailed": opt(pks.Options{MaxDetailed: 100}),
+		"sample-max":   opt(pks.Options{ClusterSampleMax: 100}),
+		"seed":         opt(pks.Options{Seed: 1}),
+		"workload-name": selectionKey(dev, func() *workload.Workload {
+			c := *w
+			c.Name += "2"
+			return &c
+		}(), pks.Options{}),
+		"launch-count": selectionKey(dev, func() *workload.Workload {
+			c := *w
+			c.N--
+			return &c
+		}(), pks.Options{}),
+		"one-name": selectionKey(dev, launches(func(i int, k *trace.KernelDesc) {
+			if i == 7 {
+				k.Name += "_v2"
+			}
+		}), pks.Options{}),
+		"one-feature": selectionKey(dev, launches(func(i int, k *trace.KernelDesc) {
+			if i == 7 {
+				k.CoalescingFactor = math.Nextafter(k.CoalescingFactor, 64)
+			}
+		}), pks.Options{}),
+	}
+	// Every device field, found by reflection so a new one cannot be missed.
+	dv := reflect.ValueOf(&dev).Elem()
+	for f := 0; f < dv.NumField(); f++ {
+		d := dev
+		fv := reflect.ValueOf(&d).Elem().Field(f)
+		switch fv.Kind() {
+		case reflect.String:
+			fv.SetString(fv.String() + "x")
+		case reflect.Bool:
+			fv.SetBool(!fv.Bool())
+		case reflect.Float64:
+			fv.SetFloat(fv.Float() * 2)
+		default:
+			fv.SetInt(fv.Int() + 1)
+		}
+		perturb["device."+dv.Type().Field(f).Name] = selectionKey(d, w, pks.Options{})
+	}
+	for name, key := range perturb {
+		if key == base {
+			t.Errorf("perturbing %s did not change the key", name)
+		}
+	}
+
+	// Swapping two different launches is a different workload.
+	a, b := 0, 1
+	for ka := w.Gen(a); b < w.N && reflect.DeepEqual(ka, w.Gen(b)); b++ {
+	}
+	if b == w.N {
+		t.Fatal("workload has one distinct launch; pick another")
+	}
+	swapped := *w
+	swapped.Gen = func(i int) trace.KernelDesc {
+		switch i {
+		case a:
+			return w.Gen(b)
+		case b:
+			return w.Gen(a)
+		}
+		return w.Gen(i)
+	}
+	if selectionKey(dev, &swapped, pks.Options{}) == base {
+		t.Error("swapping two launches did not change the key")
+	}
+
+	// Zero values and the defaults they stand for are one configuration, and
+	// observers are not configuration.
+	explicit := pks.Options{TargetErrorPct: 5, MaxK: 20, PCAVarianceTarget: 0.9,
+		DetailedBudgetSeconds: 7 * 24 * 3600, ClusterSampleMax: 20000}
+	if opt(explicit) != base {
+		t.Error("explicit defaults key differently from zero values")
+	}
+	o := obs.NewObserver()
+	if opt(pks.Options{Audit: o.Audit, Metrics: o.PKSMetrics()}) != base {
+		t.Error("Audit/Metrics entered the key")
+	}
+}
+
+// evalOver is one Evaluate at width 1 on a fresh Exec over store, observed.
+func evalOver(t *testing.T, w *workload.Workload, store *artifact.Store) (*Evaluation, *sampling.Exec, *obs.Observer) {
+	t.Helper()
+	o := obs.NewObserver()
+	ex := sampling.NewExec(nil, store)
+	ev, err := Evaluate(Config{Device: gpu.VoltaV100(), Parallelism: 1, Exec: ex, Obs: o}, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ev, ex, o
+}
+
+// pksRecords is the PKS audit trail without stream positions, which count
+// PKP records too.
+func pksRecords(o *obs.Observer) []obs.AuditRecord {
+	recs := o.Audit.Filter("pks", "")
+	for i := range recs {
+		recs[i].Seq = 0
+	}
+	return recs
+}
+
+// TestSelectWarmMatchesCold is the selection twin of
+// TestCorruptStoreEntryRecomputes: cold and warm evaluations over one store
+// agree to the byte, in results and in the PKS audit trail, and a stored
+// payload that does not fit the request costs a recompute and an overwrite.
+func TestSelectWarmMatchesCold(t *testing.T) {
+	w := mustFind(t, "Rodinia/gauss_208")
+	store, err := artifact.Open(t.TempDir(), artifact.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+
+	cold, coldEx, coldObs := evalOver(t, w, store)
+	if got := coldEx.CacheStats()["selection"]; got != (obs.CacheCounts{Misses: 1}) {
+		t.Errorf("cold selection family %+v, want one miss", got)
+	}
+	// The selection is one more entry in the same directory, written and
+	// counted through the exec's own handle: store's counters stay kernel
+	// outcomes only (bench's artifact.puts == exec.sim_runs reads them).
+	if st, sel := store.Stats(), coldEx.Selections().Stats(); sel.Writes != 1 || st.Writes == 0 || int64(st.Writes)+1 != st.Entries {
+		t.Errorf("cold run: %d outcome writes, %d selection writes, %d entries", st.Writes, sel.Writes, st.Entries)
+	}
+	warm, warmEx, warmObs := evalOver(t, w, store)
+	if got := warmEx.CacheStats()["selection"]; got != (obs.CacheCounts{Hits: 1}) {
+		t.Errorf("warm selection family %+v, want one hit", got)
+	}
+	if !reflect.DeepEqual(warm.Selection, cold.Selection) {
+		t.Errorf("warm selection differs:\n got %+v\nwant %+v", warm.Selection, cold.Selection)
+	}
+	warm.Workload, cold.Workload = nil, nil // holds a func
+	if !reflect.DeepEqual(warm, cold) {
+		t.Errorf("warm evaluation differs:\n got %+v\nwant %+v", warm, cold)
+	}
+	coldRecs, warmRecs := pksRecords(coldObs), pksRecords(warmObs)
+	if len(coldRecs) < 2 || !reflect.DeepEqual(warmRecs, coldRecs) {
+		t.Errorf("PKS audit differs:\n warm %+v\n cold %+v", warmRecs, coldRecs)
+	}
+	cm, wm := coldObs.PKSMetrics(), warmObs.PKSMetrics()
+	if wm.Selections.Value() != 1 || cm.Selections.Value() != 1 || wm.SweepSteps.Value() != 0 || cm.SweepSteps.Value() == 0 {
+		t.Errorf("selections cold/warm %d/%d, sweep steps %d/%d: want 1/1 and n/0",
+			cm.Selections.Value(), wm.Selections.Value(), cm.SweepSteps.Value(), wm.SweepSteps.Value())
+	}
+
+	// Payloads the store's own checksum cannot catch: re-Put under the right
+	// key, validly framed, but not a selection for this request.
+	key := selectionKey(gpu.VoltaV100(), w, pks.Options{})
+	good, ok := store.Get(key)
+	if !ok {
+		t.Fatal("no selection entry under the selection key")
+	}
+	other, err := pks.Select(gpu.VoltaV100(), mustFind(t, "Rodinia/gauss_mat4"), pks.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := *cold.Selection
+	short.TotalKernels--
+	for what, payload := range map[string][]byte{
+		"truncated":           good[:len(good)-3],
+		"wrong-total-kernels": pks.EncodeSelection(&short),
+		"wrong-workload":      pks.EncodeSelection(other),
+		"empty":               {},
+	} {
+		if err := store.Put(key, payload); err != nil {
+			t.Fatal(err)
+		}
+		again, ex, _ := evalOver(t, w, store)
+		if got := ex.CacheStats()["selection"]; got != (obs.CacheCounts{Misses: 1, Corrupt: 1}) {
+			t.Errorf("%s: selection family %+v, want one corrupt miss", what, got)
+		}
+		again.Workload = nil
+		if !reflect.DeepEqual(again, cold) {
+			t.Errorf("%s: recomputed evaluation differs", what)
+		}
+		if now, _ := store.Get(key); !reflect.DeepEqual(now, good) {
+			t.Errorf("%s: the bad entry was not overwritten with the good payload", what)
+		}
+	}
+}
+
+// TestEvaluateRejectsMisfitSelection: a handed-in selection that does not fit
+// the workload is a plain error, not a stage panic inside w.Kernel.
+func TestEvaluateRejectsMisfitSelection(t *testing.T) {
+	w := mustFind(t, "Rodinia/gauss_208")
+	cfg := Config{Device: gpu.VoltaV100(), Parallelism: 1}
+	sel, err := Select(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outOfRange := *sel
+	outOfRange.Groups = append([]pks.Group(nil), sel.Groups...)
+	outOfRange.Groups[0].RepIndex = w.N
+	short := *sel
+	short.TotalKernels--
+	for what, bad := range map[string]*pks.Selection{"rep out of range": &outOfRange, "total kernels": &short} {
+		_, err := EvaluateWithSelection(cfg, w, bad)
+		if err == nil || strings.Contains(err.Error(), "panic") {
+			t.Errorf("%s: err = %v, want a plain selection error", what, err)
+		}
+	}
+}

@@ -143,7 +143,7 @@ func (s *Study) Selection(w *workload.Workload) (*pks.Selection, error) {
 	return s.selections.Do(w.FullName(), func() (*pks.Selection, error) {
 		sp := s.Cfg.Obs.StartSpan("pks-select", w.FullName())
 		defer sp.End()
-		return pks.Select(s.Cfg.Device, w, s.Cfg.PKSOptions())
+		return core.Select(s.Cfg, w)
 	})
 }
 

@@ -87,10 +87,6 @@ type Options struct {
 	// Metrics, when non-nil, receives selection counters and chosen-K /
 	// selection-error histograms.
 	Metrics *obs.PKSMetrics
-
-	// auditSubject labels audit records; Select fills it from the
-	// workload name.
-	auditSubject string
 }
 
 func (o Options) filled() Options {
@@ -167,7 +163,6 @@ type Selection struct {
 // Select runs Principal Kernel Selection for the workload on the device.
 func Select(dev gpu.Device, w *workload.Workload, opts Options) (*Selection, error) {
 	o := opts.filled()
-	o.auditSubject = w.FullName()
 	sel := &Selection{Workload: w.FullName(), Device: dev.Name, TotalKernels: w.N}
 
 	// Pass 1: detailed profiling until the budget (or cap) is exhausted.
@@ -242,26 +237,49 @@ func finishSelection(sel *Selection, detailed []profiler.DetailedRecord, sharedM
 	if repCycles > 0 {
 		sel.SiliconSpeedup = float64(sel.SiliconTotalCycles) / float64(repCycles)
 	}
+	o.Delivered(sel)
+	return sel, nil
+}
+
+// Delivered is the one emitter of a selection's observability: the K-sweep
+// audit trail ("sweep-step" per K tried, then "selected") and the per-
+// selection metrics. Everything it prints is read off the finished
+// Selection, so a selection read back from the artifact store (core.Select)
+// reports exactly what the run that computed it did. SweepSteps is not
+// here: it counts sweeps that ran.
+func (o Options) Delivered(sel *Selection) {
+	o = o.filled()
 	if m := o.Metrics; m != nil {
 		m.Selections.Inc()
 		m.ChosenK.Observe(float64(sel.K))
 		m.ErrorPct.Observe(sel.SelectionErrorPct)
 	}
-	if o.Audit != nil {
-		twoLevel := 0.0
-		if sel.TwoLevel {
-			twoLevel = 1
+	if o.Audit == nil {
+		return
+	}
+	flag := func(b bool) float64 {
+		if b {
+			return 1
 		}
-		o.Audit.Record("pks", "selected", o.auditSubject, 0, map[string]float64{
-			"k":                   float64(sel.K),
-			"target_error_pct":    o.TargetErrorPct,
-			"selection_error_pct": sel.SelectionErrorPct,
-			"detailed_kernels":    float64(sel.DetailedKernels),
-			"total_kernels":       float64(sel.TotalKernels),
-			"two_level":           twoLevel,
+		return 0
+	}
+	for i, errPct := range sel.SweepErrors {
+		o.Audit.Record("pks", "sweep-step", sel.Workload, 0, map[string]float64{
+			"k":                float64(i + 1),
+			"error_pct":        errPct,
+			"target_error_pct": o.TargetErrorPct,
+			"under_target":     flag(errPct <= o.TargetErrorPct),
+			"sampled_kernels":  float64(minInt(sel.DetailedKernels, o.ClusterSampleMax)),
 		})
 	}
-	return sel, nil
+	o.Audit.Record("pks", "selected", sel.Workload, 0, map[string]float64{
+		"k":                   float64(sel.K),
+		"target_error_pct":    o.TargetErrorPct,
+		"selection_error_pct": sel.SelectionErrorPct,
+		"detailed_kernels":    float64(sel.DetailedKernels),
+		"total_kernels":       float64(sel.TotalKernels),
+		"two_level":           flag(sel.TwoLevel),
+	})
 }
 
 // clusterParams lifts the filled options into the clustering core's knobs.
@@ -287,21 +305,7 @@ func clusterDetailed(detailed []profiler.DetailedRecord, o Options) ([]Group, []
 			if m := o.Metrics; m != nil {
 				m.SweepSteps.Inc()
 			}
-			underTarget := errPct <= o.TargetErrorPct
-			if o.Audit != nil {
-				under := 0.0
-				if underTarget {
-					under = 1
-				}
-				o.Audit.Record("pks", "sweep-step", o.auditSubject, 0, map[string]float64{
-					"k":                float64(k),
-					"error_pct":        errPct,
-					"target_error_pct": o.TargetErrorPct,
-					"under_target":     under,
-					"sampled_kernels":  float64(minInt(len(detailed), o.ClusterSampleMax)),
-				})
-			}
-			return errPct, underTarget
+			return errPct, errPct <= o.TargetErrorPct
 		})
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("pks: %w", err)

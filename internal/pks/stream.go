@@ -79,7 +79,7 @@ func (so StreamOptions) filled() StreamOptions {
 // launch order regardless of arrival order. Not safe for concurrent use.
 type Stream struct {
 	dev     gpu.Device
-	o       Options // filled batch options, auditSubject set
+	o       Options // filled batch options
 	so      StreamOptions
 	subject string
 	n       int
@@ -121,7 +121,6 @@ func NewStream(dev gpu.Device, suite, name string, n int, so StreamOptions) (*St
 	}
 	o := so.Select.filled()
 	subject := suite + "/" + name
-	o.auditSubject = subject
 	return &Stream{
 		dev:        dev,
 		o:          o,

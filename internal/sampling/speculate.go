@@ -96,7 +96,7 @@ func (s *Speculator) SpeculateTask(k trace.KernelDesc, task KernelTask) {
 		defer s.wg.Done()
 		s.sem <- struct{}{}
 		defer func() { <-s.sem }()
-		oc, err := s.exec.run(s.dev, k, task, TaskObs{Phase: "spec", Kernel: k.Name}, true)
+		oc, err := s.exec.run(key, s.dev, k, task, TaskObs{Phase: "spec", Kernel: k.Name}, true)
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		if err == nil {

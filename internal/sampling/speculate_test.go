@@ -24,7 +24,7 @@ func TestSpeculatorWarmsWithoutChangingOutcomes(t *testing.T) {
 	// Cold baseline.
 	cold := NewExec(nil, nil)
 	kept, demoted := w.Kernel(0), w.Kernel(2)
-	want, err := cold.runKernel(dev, kept, task, TaskObs{})
+	want, err := cold.RunKernelTask(dev, &kept, task)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestSpeculatorWarmsWithoutChangingOutcomes(t *testing.T) {
 	spec.Wait()
 	spec.Seal()
 
-	got, err := warm.runKernel(dev, kept, task, TaskObs{})
+	got, err := warm.RunKernelTask(dev, &kept, task)
 	if err != nil {
 		t.Fatal(err)
 	}

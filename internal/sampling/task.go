@@ -143,96 +143,87 @@ const taskSchema = "pka-kernel-task-v1"
 // excluded — two launches with identical features are the same work, which
 // is exactly the redundancy the paper's methodology exploits.
 func TaskKey(dev gpu.Device, k *trace.KernelDesc, t KernelTask) string {
-	var buf [8]byte
-	u := func(b *[]byte, v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		*b = append(*b, buf[:]...)
-	}
-	i := func(b *[]byte, v int) { u(b, uint64(int64(v))) }
-	f := func(b *[]byte, v float64) { u(b, math.Float64bits(v)) }
+	return taskKeys(dev, t, []trace.KernelDesc{*k})[0]
+}
 
-	devSec := deviceSection(dev)
-
-	kSec := make([]byte, 0, 200)
-	i(&kSec, k.Grid.X)
-	i(&kSec, k.Grid.Y)
-	i(&kSec, k.Grid.Z)
-	i(&kSec, k.Block.X)
-	i(&kSec, k.Block.Y)
-	i(&kSec, k.Block.Z)
-	i(&kSec, k.RegsPerThread)
-	i(&kSec, k.SharedMemPerBlock)
-	i(&kSec, k.Mix.GlobalLoads)
-	i(&kSec, k.Mix.GlobalStores)
-	i(&kSec, k.Mix.LocalLoads)
-	i(&kSec, k.Mix.SharedLoads)
-	i(&kSec, k.Mix.SharedStores)
-	i(&kSec, k.Mix.GlobalAtomics)
-	i(&kSec, k.Mix.Compute)
-	i(&kSec, k.Mix.TensorOps)
-	f(&kSec, k.CoalescingFactor)
-	u(&kSec, uint64(k.WorkingSetBytes))
-	f(&kSec, k.StridedFraction)
-	f(&kSec, k.DivergenceEff)
-	f(&kSec, k.BlockImbalance)
-	u(&kSec, k.Seed)
-
-	tSec := make([]byte, 0, 48)
-	i(&tSec, int(t.Mode))
-	u(&tSec, uint64(t.MaxCycles))
+// taskKeys derives the TaskKeys of one batch: the device and task sections
+// are built once and every kernel section goes through one reused buffer.
+func taskKeys(dev gpu.Device, t KernelTask, kernels []trace.KernelDesc) []string {
+	devSec := AppendDeviceSection(make([]byte, 0, 256), dev)
+	tSec := appendInt(appendInt(make([]byte, 0, 5*8), int(t.Mode)), int(t.MaxCycles))
 	if t.Mode == ModePKA {
-		f(&tSec, t.PKP.Threshold)
-		i(&tSec, t.PKP.Window)
-		if t.PKP.DisableWaveConstraint {
-			i(&tSec, 1)
-		} else {
-			i(&tSec, 0)
-		}
+		tSec = appendInt(appendFloat(tSec, t.PKP.Threshold), t.PKP.Window)
+		tSec = appendBool(tSec, t.PKP.DisableWaveConstraint)
 	}
-
-	return artifact.Key([]byte(taskSchema), devSec, kSec, tSec)
+	schema, kSec := []byte(taskSchema), make([]byte, 0, 22*8)
+	keys := make([]string, len(kernels))
+	for i := range kernels {
+		kSec = AppendKernelSection(kSec[:0], &kernels[i])
+		keys[i] = artifact.Key(schema, devSec, kSec, tSec)
+	}
+	return keys
 }
 
-// deviceSection serializes every semantic device-configuration field — the
-// device half of TaskKey's content key and of DeviceFingerprint.
-func deviceSection(dev gpu.Device) []byte {
-	var buf [8]byte
-	u := func(b *[]byte, v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		*b = append(*b, buf[:]...)
-	}
-	i := func(b *[]byte, v int) { u(b, uint64(int64(v))) }
-	f := func(b *[]byte, v float64) { u(b, math.Float64bits(v)) }
+// The key sections are little-endian 64-bit words: ints sign-extended,
+// floats as IEEE-754 bits, bools as 0 or 1.
+func appendInt(b []byte, v int) []byte { return binary.LittleEndian.AppendUint64(b, uint64(int64(v))) }
 
-	devSec := []byte(dev.Name + "|" + dev.Generation.String())
-	i(&devSec, dev.NumSMs)
-	i(&devSec, dev.CoreClockMHz)
-	i(&devSec, dev.WarpSize)
-	i(&devSec, dev.MaxWarpsPerSM)
-	i(&devSec, dev.MaxBlocksPerSM)
-	i(&devSec, dev.MaxThreadsPerSM)
-	i(&devSec, dev.RegistersPerSM)
-	i(&devSec, dev.SharedMemPerSM)
-	i(&devSec, dev.SchedulersPerSM)
-	i(&devSec, dev.L1SizeBytes)
-	i(&devSec, dev.L2SizeBytes)
-	i(&devSec, dev.CacheLineBytes)
-	f(&devSec, dev.DRAMBandwidthGBs)
-	i(&devSec, dev.L1LatencyCycles)
-	i(&devSec, dev.L2LatencyCycles)
-	i(&devSec, dev.DRAMLatency)
-	i(&devSec, dev.ALULatencyCycles)
-	i(&devSec, dev.SMemLatency)
-	if dev.HasTensorCores {
-		i(&devSec, 1)
-	} else {
-		i(&devSec, 0)
-	}
-	f(&devSec, dev.ISAScale)
-	return devSec
+func appendFloat(b []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }
 
-// deviceSchema versions DeviceFingerprint; bump it with deviceSection.
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return appendInt(b, 1)
+	}
+	return appendInt(b, 0)
+}
+
+// AppendKernelSection appends every semantic field of one launch — all of
+// KernelDesc but the launch index and the name — as TaskKey hashes it. The
+// selection key (core.Select) hashes the same bytes per launch, plus the
+// name.
+func AppendKernelSection(b []byte, k *trace.KernelDesc) []byte {
+	for _, v := range [...]int{
+		k.Grid.X, k.Grid.Y, k.Grid.Z, k.Block.X, k.Block.Y, k.Block.Z,
+		k.RegsPerThread, k.SharedMemPerBlock,
+		k.Mix.GlobalLoads, k.Mix.GlobalStores, k.Mix.LocalLoads, k.Mix.SharedLoads,
+		k.Mix.SharedStores, k.Mix.GlobalAtomics, k.Mix.Compute, k.Mix.TensorOps,
+	} {
+		b = appendInt(b, v)
+	}
+	b = appendFloat(b, k.CoalescingFactor)
+	b = appendInt(b, int(k.WorkingSetBytes))
+	b = appendFloat(b, k.StridedFraction)
+	b = appendFloat(b, k.DivergenceEff)
+	b = appendFloat(b, k.BlockImbalance)
+	return binary.LittleEndian.AppendUint64(b, k.Seed)
+}
+
+// AppendDeviceSection appends every semantic device-configuration field —
+// the device half of TaskKey, of the selection key and of DeviceFingerprint.
+func AppendDeviceSection(b []byte, dev gpu.Device) []byte {
+	b = append(b, dev.Name...)
+	b = append(b, '|')
+	b = append(b, dev.Generation.String()...)
+	for _, v := range [...]int{
+		dev.NumSMs, dev.CoreClockMHz, dev.WarpSize, dev.MaxWarpsPerSM, dev.MaxBlocksPerSM,
+		dev.MaxThreadsPerSM, dev.RegistersPerSM, dev.SharedMemPerSM, dev.SchedulersPerSM,
+		dev.L1SizeBytes, dev.L2SizeBytes, dev.CacheLineBytes,
+	} {
+		b = appendInt(b, v)
+	}
+	b = appendFloat(b, dev.DRAMBandwidthGBs)
+	for _, v := range [...]int{
+		dev.L1LatencyCycles, dev.L2LatencyCycles, dev.DRAMLatency, dev.ALULatencyCycles, dev.SMemLatency,
+	} {
+		b = appendInt(b, v)
+	}
+	b = appendBool(b, dev.HasTensorCores)
+	return appendFloat(b, dev.ISAScale)
+}
+
+// deviceSchema versions DeviceFingerprint; bump it with AppendDeviceSection.
 const deviceSchema = "pka-device-v1"
 
 // DeviceFingerprint returns a stable content hash of the device
@@ -240,7 +231,7 @@ const deviceSchema = "pka-device-v1"
 // trained against one device records this fingerprint so a predictor can
 // refuse to score tasks for a differently-configured GPU.
 func DeviceFingerprint(dev gpu.Device) string {
-	return artifact.Key([]byte(deviceSchema), deviceSection(dev))
+	return artifact.Key([]byte(deviceSchema), AppendDeviceSection(nil, dev))
 }
 
 // outcomeSize is the fixed on-disk payload size of one KernelOutcome.
@@ -351,7 +342,8 @@ const verifyWorkers = 4
 // calling goroutine.
 type Exec struct {
 	sched  *parallel.Scheduler
-	store  *artifact.Store
+	store  *artifact.Store // kernel outcomes: CacheStats' "artifact" family
+	sels   *artifact.Store // store's View for whole selections: "selection"
 	shard  ShardTier
 	remote RemoteTier
 	pred   Predictor
@@ -365,7 +357,7 @@ type Exec struct {
 // NewExec builds an Exec. Either resource may be nil: a nil scheduler runs
 // tasks inline on the caller, a nil store caches in memory only.
 func NewExec(sched *parallel.Scheduler, store *artifact.Store) *Exec {
-	return &Exec{sched: sched, store: store}
+	return &Exec{sched: sched, store: store, sels: store.View()}
 }
 
 // SetRemote installs (or, with nil, removes) the remote worker tier.
@@ -447,16 +439,27 @@ func (e *Exec) MemStats() (hits, misses uint64) {
 	return e.mem.Stats()
 }
 
+// Selections returns the handle core.Select keeps whole selections under:
+// the exec's store, counted apart from its kernel outcomes (nil without one).
+func (e *Exec) Selections() *artifact.Store {
+	if e == nil {
+		return nil
+	}
+	return e.sels
+}
+
 // CacheStats reports hit/miss counters for every cache tier this exec
-// holds — "kernel_mem", plus "artifact" with a store and "shard" with a
-// counting shard tier — in the shape obs.RegisterCacheStats and
-// -cache-stats want. Every binary takes its families from here.
+// holds — "kernel_mem", plus "artifact" and "selection" with a store and
+// "shard" with a counting shard tier — in the shape obs.RegisterCacheStats
+// and -cache-stats want. Every binary takes its families from here.
 func (e *Exec) CacheStats() map[string]obs.CacheCounts {
 	h, m := e.MemStats()
 	out := map[string]obs.CacheCounts{"kernel_mem": {Hits: h, Misses: m}}
 	if st := e.Store(); st != nil {
 		a := st.Stats()
 		out["artifact"] = obs.CacheCounts{Hits: a.Hits, Misses: a.Misses, Evictions: a.Evictions, Corrupt: a.Corrupt}
+		s := e.sels.Stats()
+		out["selection"] = obs.CacheCounts{Hits: s.Hits, Misses: s.Misses, Corrupt: s.Corrupt}
 	}
 	if e != nil {
 		if c, ok := e.shard.(interface{ CacheCounts() obs.CacheCounts }); ok {
@@ -480,6 +483,12 @@ func (e *Exec) RunKernels(dev gpu.Device, task KernelTask, kernels []trace.Kerne
 	// measured from this point to each task's execution start.
 	submitted := time.Now()
 	cost := func(k trace.KernelDesc) int64 { return k.TotalWarpInstructions(dev) }
+	// Keys are derived here, serially, so the batch shares one device
+	// section and one buffer; a nil exec caches nothing and needs none.
+	var keys []string
+	if e != nil {
+		keys = taskKeys(dev, task, kernels)
+	}
 	return parallel.SchedMap(e.Scheduler(), kernels, cost, func(i int, k trace.KernelDesc) (KernelOutcome, error) {
 		to := tobs(i)
 		if to.Flight != nil {
@@ -490,18 +499,11 @@ func (e *Exec) RunKernels(dev gpu.Device, task KernelTask, kernels []trace.Kerne
 				to.Kernel = k.Name
 			}
 		}
-		return e.runKernel(dev, k, task, to)
+		if e == nil {
+			return simulateKernel(dev, k, task, to)
+		}
+		return e.run(keys[i], dev, k, task, to, true)
 	})
-}
-
-// runKernel computes one outcome through the cache layers: in-memory
-// singleflight → artifact store → owner-shard peer → remote workers →
-// fresh simulator.
-func (e *Exec) runKernel(dev gpu.Device, k trace.KernelDesc, task KernelTask, to TaskObs) (KernelOutcome, error) {
-	if e == nil {
-		return simulateKernel(dev, k, task, to)
-	}
-	return e.run(dev, k, task, to, true)
 }
 
 // RunKernelTask executes one kernel task through the mem-singleflight and
@@ -519,11 +521,13 @@ func (e *Exec) RunKernelTaskObs(dev gpu.Device, k *trace.KernelDesc, task Kernel
 	if e == nil {
 		return simulateKernel(dev, *k, task, to)
 	}
-	return e.run(dev, *k, task, to, false)
+	return e.run(TaskKey(dev, k, task), dev, *k, task, to, false)
 }
 
-func (e *Exec) run(dev gpu.Device, k trace.KernelDesc, task KernelTask, to TaskObs, allowRemote bool) (KernelOutcome, error) {
-	key := TaskKey(dev, &k, task)
+// run resolves the task keyed key: the predictor first, then the ladder
+// (in-memory singleflight → artifact store → owner-shard peer → remote
+// workers → fresh simulator).
+func (e *Exec) run(key string, dev gpu.Device, k trace.KernelDesc, task KernelTask, to TaskObs, allowRemote bool) (KernelOutcome, error) {
 	// observed gates all timing: with no flight recorder and no metrics
 	// bundle the ladder takes no clock readings at all.
 	observed := to.Flight != nil || e.execM != nil
@@ -549,7 +553,7 @@ func (e *Exec) run(dev gpu.Device, k trace.KernelDesc, task KernelTask, to TaskO
 			return oc, nil
 		}
 	}
-	oc, tier, ro, shardPeer, err := e.runLadder(dev, k, task, to, allowRemote)
+	oc, tier, ro, shardPeer, err := e.runLadder(key, dev, k, task, to, allowRemote)
 	if err != nil {
 		return oc, err
 	}
@@ -605,7 +609,7 @@ func (e *Exec) spawnVerify(dev gpu.Device, k trace.KernelDesc, task KernelTask, 
 		defer e.verifyWG.Done()
 		e.verifySem <- struct{}{}
 		defer func() { <-e.verifySem }()
-		actual, _, _, _, err := e.runLadder(dev, k, task, TaskObs{}, true)
+		actual, _, _, _, err := e.runLadder(key, dev, k, task, TaskObs{}, true)
 		if err != nil {
 			return
 		}
@@ -618,8 +622,7 @@ func (e *Exec) spawnVerify(dev gpu.Device, k trace.KernelDesc, task KernelTask, 
 // workers → fresh sim. It takes no clock readings and records nothing —
 // observation is the caller's business — so the verifier can reuse it
 // without perturbing tier accounting.
-func (e *Exec) runLadder(dev gpu.Device, k trace.KernelDesc, task KernelTask, to TaskObs, allowRemote bool) (KernelOutcome, Tier, *RemoteObs, string, error) {
-	key := TaskKey(dev, &k, task)
+func (e *Exec) runLadder(key string, dev gpu.Device, k trace.KernelDesc, task KernelTask, to TaskObs, allowRemote bool) (KernelOutcome, Tier, *RemoteObs, string, error) {
 	// tier and ro are closure-local per caller: the singleflight runs only
 	// the winning caller's closure (on its own goroutine), so waiters keep
 	// the TierMem default — they were indeed served from memory, even

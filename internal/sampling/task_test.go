@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -260,4 +261,24 @@ func TestCorruptStoreEntryRecomputes(t *testing.T) {
 	if again[0] != clean[0] {
 		t.Fatalf("recomputed outcome %+v != clean %+v", again[0], clean[0])
 	}
+}
+
+// FuzzDecodeOutcome: the outcome decoder reads persisted and peer-served
+// bytes; whatever they are it must not panic, and whatever it accepts must
+// re-encode to the input exactly.
+func FuzzDecodeOutcome(f *testing.F) {
+	good := EncodeOutcome(KernelOutcome{ProjCycles: 1 << 40, SimWarpInstrs: 7, ThreadInstrs: 3.25, DRAMUtil: 0.875, Capped: true})
+	f.Add(good)
+	f.Add(good[:outcomeSize-1])
+	f.Add(append(good[:outcomeSize:outcomeSize], 0))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		oc, err := DecodeOutcome(b)
+		if err != nil {
+			return
+		}
+		if got := EncodeOutcome(oc); !bytes.Equal(got, b) {
+			t.Fatalf("decoded %x, re-encoded %x", b, got)
+		}
+	})
 }

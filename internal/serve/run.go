@@ -26,7 +26,7 @@ func Run(exec *sampling.Exec, o *obs.Observer, req *StudyRequest) (*StudyRespons
 
 // RunWithSelection is Run with a precomputed Principal Kernel Selection,
 // as the streaming endpoint produces while events are still arriving. A
-// nil sel falls back to batch pks.Select; because the streaming selection
+// nil sel falls back to core.Select; because the streaming selection
 // is byte-identical to the batch one by construction, the response is
 // byte-identical either way. Full mode ignores sel.
 func RunWithSelection(exec *sampling.Exec, o *obs.Observer, req *StudyRequest, sel *pks.Selection) (*StudyResponse, error) {
@@ -121,7 +121,7 @@ func RunWithSelection(exec *sampling.Exec, o *obs.Observer, req *StudyRequest, s
 	default: // "pks", "pka"
 		if sel == nil {
 			var err error
-			sel, err = pks.Select(req.dev, req.w, cfg.PKSOptions())
+			sel, err = core.Select(cfg, req.w)
 			if err != nil {
 				root.End()
 				return nil, fmt.Errorf("serve: selection for %s: %w", req.w.FullName(), err)

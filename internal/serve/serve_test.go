@@ -12,9 +12,14 @@ import (
 	"testing"
 	"time"
 
+	"pka/internal/artifact"
+	"pka/internal/gpu"
+	"pka/internal/obs"
 	"pka/internal/parallel"
+	"pka/internal/pks"
 	"pka/internal/sampling"
 	"pka/internal/serve"
+	"pka/internal/workload"
 )
 
 // stubResp is what gated stub runners answer with; tests that assert
@@ -287,6 +292,65 @@ func TestServeMatchesBatch(t *testing.T) {
 		if !bytes.Equal(body, want) {
 			t.Errorf("%s:\nserver %s\ndirect %s", doc, body, want)
 		}
+	}
+}
+
+// TestRunSelectionWarmMatchesCold: over one artifact store the first Run
+// computes and persists the selection, the second reads it back, and the
+// two responses — and the uncached reference — are the same bytes.
+func TestRunSelectionWarmMatchesCold(t *testing.T) {
+	store, err := artifact.Open(t.TempDir(), artifact.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	const doc = `{"workload":"Rodinia/bfs4096","mode":"pka","target":2,"silicon":true}`
+	run := func(exec *sampling.Exec) []byte {
+		t.Helper()
+		req, err := serve.DecodeStudyRequest(strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := serve.Run(exec, nil, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	want := run(nil)
+	for i, wantCounts := range []obs.CacheCounts{{Misses: 1}, {Hits: 1}} {
+		exec := sampling.NewExec(parallel.NewScheduler(2), store)
+		if got := run(exec); !bytes.Equal(got, want) {
+			t.Errorf("run %d over the store:\n got %s\nwant %s", i, got, want)
+		}
+		if got := exec.CacheStats()["selection"]; got != wantCounts {
+			t.Errorf("run %d: selection family %+v, want %+v", i, got, wantCounts)
+		}
+	}
+}
+
+// TestRunRejectsMisfitSelection: a handed-in selection for another workload
+// is an error before anything indexes a launch with it.
+func TestRunRejectsMisfitSelection(t *testing.T) {
+	decode := func(doc string) *serve.StudyRequest {
+		t.Helper()
+		req, err := serve.DecodeStudyRequest(strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return req
+	}
+	other, err := pks.Select(gpu.VoltaV100(), workload.Find("Rodinia/bfs4096"), pks.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = serve.RunWithSelection(nil, nil, decode(`{"workload":"Rodinia/gauss_mat4","mode":"pks"}`), other)
+	if err == nil || !strings.Contains(err.Error(), "selection") {
+		t.Errorf("err = %v, want a selection error", err)
 	}
 }
 
