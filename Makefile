@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all vet build test race fuzz-smoke bench bench-all bench-check bench-vet profile-sim profile-select profile-warm loc ci
+.PHONY: all vet build test race fuzz-smoke bench bench-all bench-check bench-vet profile-sim profile-select profile-cold profile-warm loc ci
 
 all: build
 
@@ -24,13 +24,15 @@ test:
 # regression tests (singleflight, 64-goroutine stress, fuzz seed corpus)
 # execute under the detector without paying for the full artifact pipeline
 # at ~10x race overhead; core, pks and sampling race only their streaming
-# tests (the speculator's goroutines) and the selection-artifact tests
-# (core.Select under Evaluate's stage pool). `make test` covers the heavy
-# paths (including the parallel-vs-serial determinism golden) natively.
+# tests (the speculator's goroutines), the selection-artifact tests
+# (core.Select under Evaluate's stage pool) and the rider and bank tests (at
+# scheduler width > 1 a bank is filled and drained from several goroutines).
+# `make test` covers the heavy paths (including the parallel-vs-serial
+# determinism golden) natively.
 race:
 	$(GO) test -race ./internal/parallel/... ./internal/obs/... ./internal/serve/... ./internal/cluster/...
 	$(GO) test -race -short ./internal/experiments/... ./internal/workload/...
-	$(GO) test -race -run 'Stream|Speculator|SelectWarm|Misfit' ./internal/core/... ./internal/pks/... ./internal/sampling/...
+	$(GO) test -race -run 'Stream|Speculat|SelectWarm|Misfit|Riders|Bank' ./internal/core/... ./internal/pks/... ./internal/sampling/...
 
 # Five seconds of coverage-guided fuzzing per decoder of untrusted or
 # persisted bytes. The seed corpora already run in `make test`; this is the
@@ -131,6 +133,15 @@ profile-select:
 	$(GO) test -run NONE -bench 'SelectSet' -benchtime=5x \
 	    -o $(PROFILE_DIR)/pka.test -cpuprofile $(PROFILE_DIR)/select.cpu.prof .
 	$(GO) tool pprof -top -nodecount=10 $(PROFILE_DIR)/pka.test $(PROFILE_DIR)/select.cpu.prof
+
+# Where a cold-study PR starts: the same for the sim_cold study set (eight
+# evaluations, a fresh Exec over a fresh store each) — the simulator, plus
+# whatever a study spends around it.
+profile-cold:
+	@mkdir -p $(PROFILE_DIR)
+	$(GO) test -run NONE -bench 'ColdSet' -benchtime=3x \
+	    -o $(PROFILE_DIR)/pka.test -cpuprofile $(PROFILE_DIR)/cold.cpu.prof .
+	$(GO) tool pprof -top -nodecount=10 $(PROFILE_DIR)/pka.test $(PROFILE_DIR)/cold.cpu.prof
 
 # Where a warm-path PR starts: the same for the warm_batch study set (eight
 # evaluations over a primed store, a fresh Exec each). The profile covers the

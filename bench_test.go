@@ -1002,16 +1002,9 @@ func BenchmarkSelectSet(b *testing.B) {
 	}
 }
 
-// BenchmarkWarmSet is one pass over the repository benchmark's warm_batch
-// studies: the eight simList evaluations at width 1 over a store a cold pass
-// primed, a fresh Exec per study, so every kernel outcome — and the selection
-// — is a disk read. `make profile-warm` profiles it.
-func BenchmarkWarmSet(b *testing.B) {
-	store, err := artifact.Open(b.TempDir(), artifact.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer store.Close()
+// simSet is the repository benchmark's simList: the eight workloads its
+// sim_cold and warm_batch studies evaluate.
+func simSet(b *testing.B) []*workload.Workload {
 	var ws []*workload.Workload
 	for _, name := range []string{
 		"Rodinia/hots_1024", "Rodinia/lud_i", "DeepBench/gemm_train_4", "Parboil/bfs",
@@ -1023,19 +1016,61 @@ func BenchmarkWarmSet(b *testing.B) {
 		}
 		ws = append(ws, w)
 	}
-	pass := func() {
-		for _, w := range ws {
-			ex := sampling.NewExec(parallel.NewScheduler(1), store)
-			if _, err := core.Evaluate(core.Config{Device: gpu.VoltaV100(), Parallelism: 1, Exec: ex}, w); err != nil {
+	return ws
+}
+
+// evaluateSet is one pass over ws the way the repository benchmark runs a
+// study: width 1, a fresh Exec per study, over the primed store — or, with
+// none, over a fresh, empty one per study.
+func evaluateSet(b *testing.B, ws []*workload.Workload, primed *artifact.Store) {
+	for _, w := range ws {
+		store := primed
+		if store == nil {
+			var err error
+			if store, err = artifact.Open(b.TempDir(), artifact.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
+		ex := sampling.NewExec(parallel.NewScheduler(1), store)
+		if _, err := core.Evaluate(core.Config{Device: gpu.VoltaV100(), Parallelism: 1, Exec: ex}, w); err != nil {
+			b.Fatal(err)
+		}
+		if primed == nil {
+			store.Close()
+		}
 	}
-	pass() // cold: primes the store
+}
+
+// BenchmarkColdSet is one pass over the repository benchmark's sim_cold
+// studies: the eight simList evaluations at width 1, a fresh Exec over a
+// fresh, empty store each, so every kernel is simulated — once, with the
+// shorter policies read off the longest one's pass. `make profile-cold`
+// profiles it.
+func BenchmarkColdSet(b *testing.B) {
+	ws := simSet(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pass()
+		evaluateSet(b, ws, nil)
+	}
+}
+
+// BenchmarkWarmSet is one pass over the repository benchmark's warm_batch
+// studies: the eight simList evaluations at width 1 over a store a cold pass
+// primed, a fresh Exec per study, so every kernel outcome — and the selection
+// — is a disk read. `make profile-warm` profiles it.
+func BenchmarkWarmSet(b *testing.B) {
+	store, err := artifact.Open(b.TempDir(), artifact.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Close()
+	ws := simSet(b)
+	evaluateSet(b, ws, store) // cold: primes the store
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		evaluateSet(b, ws, store)
 	}
 }
 

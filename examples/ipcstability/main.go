@@ -12,6 +12,7 @@ import (
 	"log"
 
 	"pka"
+	"pka/internal/pkp"
 	"pka/internal/report"
 )
 
@@ -29,7 +30,11 @@ func main() {
 			log.Fatalf("missing %s", spec.wname)
 		}
 		k := w.Kernel(spec.kernelID)
-		full, err := pka.NewSimulator(dev).RunKernel(&k, pka.SimOptions{TraceEvery: 250})
+		// One pass: the three projectors ride along on the complete run, each
+		// read off at the cycle it would have stopped a run of its own.
+		thresholds := []float64{2.5, 0.25, 0.025}
+		full, projs, err := pkp.Sweep(pka.NewSimulator(dev), &k, 250,
+			pkp.Options{Threshold: thresholds[0]}, pkp.Options{Threshold: thresholds[1]}, pkp.Options{Threshold: thresholds[2]})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -58,16 +63,10 @@ func main() {
 		fmt.Println(chart)
 
 		fmt.Printf("full kernel: %d cycles, %d/%d blocks\n", full.Cycles, full.BlocksCompleted, full.BlocksTotal)
-		for _, s := range []float64{2.5, 0.25, 0.025} {
-			p := pka.NewProjector(pka.ProjectorOptions{Threshold: s})
-			res, err := pka.NewSimulator(dev).RunKernel(&k, pka.SimOptions{Controller: p})
-			if err != nil {
-				log.Fatal(err)
-			}
-			proj := p.Projection(res)
+		for i, proj := range projs {
 			errPct := 100 * abs(float64(proj.Cycles)-float64(full.Cycles)) / float64(full.Cycles)
 			fmt.Printf("  s=%-6g stop@%-8d cycles  projection %-8d  error %5.1f%%  speedup %.1fx\n",
-				s, res.Cycles, proj.Cycles, errPct, float64(full.Cycles)/float64(res.Cycles))
+				thresholds[i], proj.SimulatedCycles, proj.Cycles, errPct, float64(full.Cycles)/float64(proj.SimulatedCycles))
 		}
 		fmt.Println()
 	}

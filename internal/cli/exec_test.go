@@ -120,7 +120,7 @@ func TestBuildWiresTheLadderFromFlags(t *testing.T) {
 		fr := sampling.NewFlightRecorder()
 		if _, err := sess.Exec.RunKernels(dev, tc.task, ks[:1], func(int) sampling.TaskObs {
 			return sampling.TaskObs{Flight: fr, Phase: "t"}
-		}); err != nil {
+		}, nil); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if got := fr.TierCounts(); got[tc.tier] != 1 || fr.Len() != 1 {
@@ -172,7 +172,7 @@ func TestCloseDrainsVerifierBeforeReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Exec.RunKernels(dev, queryTask, ks, nil); err != nil {
+	if _, err := sess.Exec.RunKernels(dev, queryTask, ks, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := sess.Close(); err != nil {

@@ -82,6 +82,10 @@ type Config struct {
 	// tier, worker, queue-wait and service durations — folded in launch
 	// order. Observe-only.
 	Flight *sampling.FlightRecorder
+
+	// bank is EvaluateWithSelection's, for that one evaluation's three
+	// passes (see sampling.Bank).
+	bank *sampling.Bank
 }
 
 // TaskTrace returns the trace/provenance fields every kernel task in this
@@ -221,24 +225,21 @@ type RepOutcomes struct {
 	Capped        bool
 }
 
-// SimulateReps runs every representative once — PKS mode, or PKA mode
-// (with PKP) when usePKP is set — as kernel tasks on cfg.Exec's scheduler
-// (inline and serial when it is nil). Outcomes come back in input order, so
-// folding them performs the same float operations in the same order at any
-// parallelism.
-func SimulateReps(cfg Config, r Reps, usePKP bool) (RepOutcomes, error) {
-	mode := r.Prefix + "pks"
+// pass returns the label, the task spec and the per-kernel observe-only
+// wiring of one pass over r: PKS mode, or PKA mode (with PKP) when usePKP is
+// set. The same RiderPass drives the pass itself and describes it to the
+// evaluation's bank, so a rider's projector audits under its own subject.
+func (r Reps) pass(cfg Config, usePKP bool) (mode string, p sampling.RiderPass) {
+	mode = r.Prefix + "pks"
 	if usePKP {
 		mode = r.Prefix + "pka"
 	}
-	task := sampling.SampledTask(cfg.KernelCapCycles, cfg.PKP, usePKP)
-	span := cfg.Obs.StartSpan("sampled:"+mode, r.Subject)
-	defer span.End()
 	var simObs *obs.SimObs
 	if cfg.Obs != nil {
 		simObs = cfg.Obs.SimObs("sim:" + mode + r.SimTrack)
 	}
-	tobs := func(i int) sampling.TaskObs {
+	p.Task = sampling.SampledTask(cfg.KernelCapCycles, cfg.PKP, usePKP)
+	p.Obs = func(i int) sampling.TaskObs {
 		to := cfg.TaskTrace(mode)
 		to.Sim = simObs
 		to.Index = i
@@ -248,7 +249,19 @@ func SimulateReps(cfg Config, r Reps, usePKP bool) (RepOutcomes, error) {
 		}
 		return to
 	}
-	outs, err := cfg.Exec.RunKernels(cfg.Device, task, r.Kernels, tobs)
+	return mode, p
+}
+
+// SimulateReps runs every representative once — PKS mode, or PKA mode
+// (with PKP) when usePKP is set — as kernel tasks on cfg.Exec's scheduler
+// (inline and serial when it is nil). Outcomes come back in input order, so
+// folding them performs the same float operations in the same order at any
+// parallelism.
+func SimulateReps(cfg Config, r Reps, usePKP bool) (RepOutcomes, error) {
+	mode, p := r.pass(cfg, usePKP)
+	span := cfg.Obs.StartSpan("sampled:"+mode, r.Subject)
+	defer span.End()
+	outs, err := cfg.Exec.RunKernels(cfg.Device, p.Task, r.Kernels, p.Obs, cfg.bank)
 	if err != nil {
 		return RepOutcomes{}, err
 	}
@@ -288,13 +301,12 @@ func (ro RepOutcomes) Fold(weights []int, launches int) SampledSim {
 	return out
 }
 
-// RunSampled simulates one representative kernel per group (with PKP when
-// usePKP is set) and projects application-level metrics from the group
-// weights.
-func RunSampled(cfg Config, w *workload.Workload, sel *pks.Selection, usePKP bool) (SampledSim, error) {
+// workloadReps lists w's own representatives under sel, one per group, with
+// the group populations they stand for.
+func workloadReps(w *workload.Workload, sel *pks.Selection) (Reps, []int, error) {
 	// sel may come from a stream, a file or the store: check before it indexes w.
 	if err := sel.CheckFor(w.N); err != nil {
-		return SampledSim{}, err
+		return Reps{}, nil, err
 	}
 	kernels := make([]trace.KernelDesc, len(sel.Groups))
 	weights := make([]int, len(sel.Groups))
@@ -302,12 +314,27 @@ func RunSampled(cfg Config, w *workload.Workload, sel *pks.Selection, usePKP boo
 		kernels[i] = w.Kernel(g.RepIndex)
 		weights[i] = g.Count()
 	}
-	ro, err := SimulateReps(cfg, Reps{
+	return Reps{
 		Subject:  w.FullName(),
 		SimTrack: ":" + w.FullName(),
 		Kernels:  kernels,
 		Owner:    func(int) string { return w.FullName() },
-	}, usePKP)
+	}, weights, nil
+}
+
+// RunSampled simulates one representative kernel per group (with PKP when
+// usePKP is set) and projects application-level metrics from the group
+// weights.
+func RunSampled(cfg Config, w *workload.Workload, sel *pks.Selection, usePKP bool) (SampledSim, error) {
+	reps, weights, err := workloadReps(w, sel)
+	if err != nil {
+		return SampledSim{}, err
+	}
+	return runSampled(cfg, w, reps, weights, usePKP)
+}
+
+func runSampled(cfg Config, w *workload.Workload, reps Reps, weights []int, usePKP bool) (SampledSim, error) {
+	ro, err := SimulateReps(cfg, reps, usePKP)
 	if err != nil {
 		return SampledSim{}, fmt.Errorf("core: rep kernels of %s: %w", w.FullName(), err)
 	}
@@ -319,9 +346,12 @@ func RunSampled(cfg Config, w *workload.Workload, sel *pks.Selection, usePKP boo
 
 // Evaluate runs the complete pipeline for one workload: silicon ground
 // truth, PKS, full simulation when feasible, and the sampled PKS/PKA
-// simulations with error and speedup accounting. Independent stages run
-// concurrently up to cfg.Parallelism; every stage is self-contained, so
-// the result is identical at any parallelism level.
+// simulations with error and speedup accounting. The silicon walk and the
+// selection run concurrently up to cfg.Parallelism; the three simulation
+// passes run longest policy first, because with an Exec each kernel is
+// simulated once and the shorter policies are read off that pass (see
+// sampling.Bank). Every stage is self-contained, so the result is identical
+// at any parallelism level, with or without an Exec.
 func Evaluate(cfg Config, w *workload.Workload) (*Evaluation, error) {
 	return EvaluateWithSelection(cfg, w, nil)
 }
@@ -333,17 +363,25 @@ func Evaluate(cfg Config, w *workload.Workload) (*Evaluation, error) {
 // pks.Select would have produced, so is the Evaluation. A selection that
 // does not fit w is an error. A nil sel is exactly Evaluate.
 func EvaluateWithSelection(cfg Config, w *workload.Workload, sel *pks.Selection) (*Evaluation, error) {
+	ev, _, err := evaluate(cfg, w, sel)
+	return ev, err
+}
+
+// evaluate is EvaluateWithSelection, also handing back the evaluation's bank
+// (nil without an Exec) for the tests to find empty.
+func evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*Evaluation, *sampling.Bank, error) {
 	if w == nil {
-		return nil, errors.New("core: nil workload")
+		return nil, nil, errors.New("core: nil workload")
 	}
 	ev := &Evaluation{Workload: w}
 
-	// Stage 1: silicon walk, selection, and full simulation share no
-	// state and fan out together.
+	// Stage 1: the silicon walk and the selection share no state. The full
+	// baseline waits for the selection — a millisecond or two wherever full
+	// simulation is feasible at all — to know which launches are
+	// representatives.
 	var (
-		silErr, selErr, fullErr error
-		sil                     silicon.AppResult
-		full                    *sampling.Result
+		silErr, selErr error
+		sil            silicon.AppResult
 	)
 	pool := parallel.NewPool(cfg.Parallelism)
 	pool.Go(func() error {
@@ -360,31 +398,40 @@ func EvaluateWithSelection(cfg Config, w *workload.Workload, sel *pks.Selection)
 			return nil
 		})
 	}
-	pool.Go(func() error {
-		sp := cfg.Obs.StartSpan("full-sim", w.FullName())
-		defer sp.End()
-		var tobs func(i int) sampling.TaskObs
-		if cfg.Flight != nil || cfg.Trace.Valid() {
-			tobs = func(i int) sampling.TaskObs {
-				to := cfg.TaskTrace("full")
-				to.Index = i
-				return to
-			}
-		}
-		full, fullErr = cfg.Exec.FullSimObs(cfg.Device, w, cfg.FullSimBudget, tobs)
-		return nil
-	})
 	if err := pool.Wait(); err != nil {
-		return nil, err // a stage panicked
+		return nil, nil, err // a stage panicked
 	}
 	if silErr != nil {
-		return nil, silErr
+		return nil, nil, silErr
 	}
 	ev.Silicon = sil
 	if selErr != nil {
-		return nil, selErr
+		return nil, nil, selErr
 	}
 	ev.Selection = sel
+	reps, weights, err := workloadReps(w, sel)
+	if err != nil {
+		return nil, nil, err
+	}
+	if cfg.Exec != nil {
+		_, pksPass := reps.pass(cfg, false)
+		_, pkaPass := reps.pass(cfg, true)
+		cfg.bank = sampling.NewBank(cfg.Device, reps.Kernels, pksPass, pkaPass)
+	}
+
+	// Stage 2: the full baseline, carrying the sampled tasks of every launch
+	// whose content is a representative's.
+	fullSpan := cfg.Obs.StartSpan("full-sim", w.FullName())
+	var tobs func(i int) sampling.TaskObs
+	if cfg.Flight != nil || cfg.Trace.Valid() {
+		tobs = func(i int) sampling.TaskObs {
+			to := cfg.TaskTrace("full")
+			to.Index = i
+			return to
+		}
+	}
+	full, fullErr := cfg.Exec.FullSimObs(cfg.Device, w, cfg.FullSimBudget, tobs, cfg.bank)
+	fullSpan.End()
 	switch {
 	case fullErr == nil:
 		ev.Full = full
@@ -394,26 +441,20 @@ func EvaluateWithSelection(cfg Config, w *workload.Workload, sel *pks.Selection)
 		// Projected time only; no error column (the paper's MLPerf rows).
 		ev.FullSimHours = cfg.SimHours(TotalWarpWork(cfg.Device, w))
 	default:
-		return nil, fullErr
+		return nil, nil, fullErr
 	}
 
-	// Stage 2: the PKS and PKA sampled runs both need the selection but
-	// not each other.
-	var pksErr, pkaErr error
-	pool.Go(func() error { ev.PKS, pksErr = RunSampled(cfg, w, sel, false); return nil })
-	pool.Go(func() error { ev.PKA, pkaErr = RunSampled(cfg, w, sel, true); return nil })
-	if err := pool.Wait(); err != nil {
-		return nil, err
+	// Stage 3: the sampled passes, PKS before PKA so that a PKS task that
+	// still has to simulate carries its PKA rider.
+	if ev.PKS, err = runSampled(cfg, w, reps, weights, false); err != nil {
+		return nil, nil, err
 	}
-	if pksErr != nil {
-		return nil, pksErr
-	}
-	if pkaErr != nil {
-		return nil, pkaErr
+	if ev.PKA, err = runSampled(cfg, w, reps, weights, true); err != nil {
+		return nil, nil, err
 	}
 	ev.PKS.Account(cfg.Device, w, sil, ev.Full)
 	ev.PKA.Account(cfg.Device, w, sil, ev.Full)
-	return ev, nil
+	return ev, cfg.bank, nil
 }
 
 // TotalWarpWork returns the workload's full dynamic warp-instruction mass

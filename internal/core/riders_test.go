@@ -1,0 +1,210 @@
+package core
+
+import (
+	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"pka/internal/artifact"
+	"pka/internal/gpu"
+	"pka/internal/obs"
+	"pka/internal/parallel"
+	"pka/internal/sampling"
+	"pka/internal/workload"
+)
+
+// storeFiles reads every entry file under a store directory, by path: the
+// {key → framed payload bytes} set the store holds.
+func storeFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".bin") {
+			return err
+		}
+		raw, err := os.ReadFile(path)
+		files[strings.TrimPrefix(path, dir)] = string(raw)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+func openStore(t *testing.T) (*artifact.Store, string) {
+	t.Helper()
+	dir := t.TempDir()
+	store, err := artifact.Open(dir, artifact.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	return store, dir
+}
+
+// soloPhases leaves in store what the cold pass left before tasks carried
+// riders: the selection, and every full, PKS and PKA task resolved by a run
+// of its own (RunSampled and FullSim have no bank). only, when set, restricts
+// it to one phase, for priming a partly warm store.
+func soloPhases(t *testing.T, cfg Config, w *workload.Workload, store *artifact.Store, only string) {
+	t.Helper()
+	cfg.Exec = sampling.NewExec(nil, store)
+	sel, err := Select(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if only == "" || only == "full" {
+		if _, err := cfg.Exec.FullSim(cfg.Device, w, cfg.FullSimBudget); err != nil && only == "full" {
+			t.Fatal(err)
+		}
+	}
+	for _, phase := range []string{"pks", "pka"} {
+		if only == "" || only == phase {
+			if _, err := RunSampled(cfg, w, sel, phase == "pka"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// pkpTrail is the set of PKP decision records an evaluation logged — their
+// position in the stream aside, which moves with the phase that ran the
+// projector — and its pka_pkp_* counters.
+func pkpTrail(o *obs.Observer) ([]obs.AuditRecord, [4]int64) {
+	recs := o.Audit.Filter("pkp", "")
+	key := func(r obs.AuditRecord) string {
+		return fmt.Sprintf("%s|%s|%d|%v", r.Subject, r.Event, r.Cycle, r.Fields)
+	}
+	for i := range recs {
+		recs[i].Seq = 0
+	}
+	sort.Slice(recs, func(i, j int) bool { return key(recs[i]) < key(recs[j]) })
+	m := o.PKPMetrics()
+	return recs, [4]int64{m.Stops.Value(), m.WaveHolds.Value(), m.StopCycle.Count(), int64(m.StopCycle.Sum())}
+}
+
+// TestEvaluateRidersMatchSolo is the fence around simulating each kernel
+// once: a cold Evaluate whose full baseline carries the sampled tasks as
+// riders returns what resolving every task alone returns, leaves the store
+// holding exactly the same keys and bytes, accounts every task once, and logs
+// the same PKP decisions — at scheduler width 1, 2 and 8, from stores that
+// already hold one of the three phases, and from one that holds them all.
+func TestEvaluateRidersMatchSolo(t *testing.T) {
+	for _, c := range []struct {
+		name, workload string
+		tweak          func(*Config)
+	}{
+		{"irregular", "Rodinia/bfs65536", func(*Config) {}},
+		{"duplicate-launches", "Rodinia/particlefilter", func(*Config) {}},
+		{"full-infeasible", "Rodinia/bfs65536", func(c *Config) { c.FullSimBudget = 1 }},
+		{"capped", "Rodinia/bfs65536", func(c *Config) { c.KernelCapCycles = 4000 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w := mustFind(t, c.workload)
+			base := Config{Device: gpu.VoltaV100(), Parallelism: 1}
+			c.tweak(&base)
+
+			// The reference: no Exec, so every task is a run of its own.
+			refObs := obs.NewObserver()
+			refCfg := base
+			refCfg.Obs = refObs
+			ref, err := Evaluate(refCfg, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.Workload = nil // holds a func
+			refRecs, refCounters := pkpTrail(refObs)
+			if len(refRecs) == 0 {
+				t.Fatal("the reference logged no PKP decisions")
+			}
+			soloStore, soloDir := openStore(t)
+			soloPhases(t, base, w, soloStore, "")
+			want := storeFiles(t, soloDir)
+			tasks := 2 * ref.Selection.K
+			if ref.Full != nil {
+				tasks += w.N
+			}
+
+			check := func(what string, width int, store *artifact.Store, dir string, state string) {
+				t.Helper()
+				cfg := base
+				cfg.Parallelism = width
+				cfg.Exec = sampling.NewExec(parallel.NewScheduler(width), store)
+				cfg.Obs = obs.NewObserver()
+				cfg.Flight = sampling.NewFlightRecorder()
+				before := store.Stats()
+				ev, bank, err := evaluate(cfg, w, nil)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				ev.Workload = nil
+				if !reflect.DeepEqual(ev, ref) {
+					t.Errorf("%s: evaluation differs:\n got %+v\nwant %+v", what, ev, ref)
+				}
+				if got := storeFiles(t, dir); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: store holds %d entries, resolving every task alone leaves %d (or some bytes differ)", what, len(got), len(want))
+				}
+				if bank == nil || bank.Len() != 0 {
+					t.Errorf("%s: %d outcomes left in the bank", what, bank.Len())
+				}
+				tiers, sum := cfg.Flight.TierCounts(), 0
+				for _, n := range tiers {
+					sum += n
+				}
+				if sum != tasks || cfg.Flight.Len() != tasks {
+					t.Errorf("%s: tiers %v sum to %d over %d records, want %d tasks", what, tiers, sum, cfg.Flight.Len(), tasks)
+				}
+				if writes := int(store.Stats().Writes - before.Writes); writes != tiers["sim"] {
+					t.Errorf("%s: %d outcome writes for %d sim-tier tasks", what, writes, tiers["sim"])
+				}
+				if state == "warm" {
+					// An all-hit study reads each distinct outcome once, as it
+					// always did (the selection is counted on its own handle),
+					// and the bank never comes into it.
+					st := store.Stats()
+					if gets := int(st.Hits - before.Hits); gets != len(want)-1 || st.Misses != before.Misses || tiers["disk"]+tiers["mem"] != tasks {
+						t.Errorf("%s: %d hits and %d misses for %d stored outcomes, tiers %v", what, gets, st.Misses-before.Misses, len(want)-1, tiers)
+					}
+				}
+				if state != "cold" {
+					return
+				}
+				if tiers["sim"]+tiers["mem"] != tasks {
+					t.Errorf("%s: cold tiers %v", what, tiers)
+				}
+				// One simulator pass per representative reported to the sampled
+				// tracks, not two: the PKA answer rode on the PKS task's pass
+				// (itself a rider of the full baseline's, when there is one).
+				if passes := cfg.Obs.SimMetrics().Kernels.Value(); passes != int64(ref.Selection.K) || refObs.SimMetrics().Kernels.Value() != 2*passes {
+					t.Errorf("%s: %d simulator passes for %d representatives (%d when every task runs alone)",
+						what, passes, ref.Selection.K, refObs.SimMetrics().Kernels.Value())
+				}
+				recs, counters := pkpTrail(cfg.Obs)
+				if !reflect.DeepEqual(recs, refRecs) || counters != refCounters {
+					t.Errorf("%s: PKP trail differs: %d records %v, want %d records %v", what, len(recs), counters, len(refRecs), refCounters)
+				}
+			}
+			for _, width := range []int{1, 2, 8} {
+				store, dir := openStore(t)
+				check(fmt.Sprintf("cold, width %d", width), width, store, dir, "cold")
+				if width == 2 {
+					check("warm", width, store, dir, "warm")
+				}
+			}
+			for _, phase := range []string{"full", "pks", "pka"} {
+				if phase == "full" && ref.Full == nil {
+					continue
+				}
+				store, dir := openStore(t)
+				soloPhases(t, base, w, store, phase)
+				check("only "+phase+" present", 2, store, dir, "partial")
+			}
+		})
+	}
+}

@@ -123,7 +123,7 @@ func (r *StreamRunner) Push(k trace.KernelDesc) error {
 		if r.fullWork > budget {
 			r.fullStop = true
 		} else {
-			r.spec.SpeculateTask(k, r.fullTask)
+			r.spec.Speculate(k, r.fullTask)
 		}
 	}
 	return nil

@@ -84,21 +84,16 @@ func AblationRepPolicy(s *Study) (*report.Table, error) {
 	})
 }
 
-// AblationPKPThreshold sweeps the stability threshold s across the
-// paper's three values, reporting projection error and speedup per
-// workload (the Figure 5 tradeoff, but aggregated).
-func AblationPKPThreshold(s *Study) (*report.Table, error) {
+// pkpAblation is the table both PKP ablations share: per workload, the most
+// populous group's representative simulated once to completion with one
+// projector per option set riding along, and a cell per projector.
+func pkpAblation(s *Study, tab *report.Table, opts []pkp.Options, cell func(errPct float64, full *sim.KernelResult, proj pkp.Projection) string) (*report.Table, error) {
 	dev := s.SelectionDevice()
-	tab := &report.Table{
-		Title:   "Ablation: PKP stability threshold s (kernel projection error % / speedup)",
-		Columns: []string{"Workload", "s=2.5", "s=0.25", "s=0.025"},
-	}
 	return addRows(s, tab, func(w *workload.Workload) ([]string, error) {
 		sel, err := s.Selection(w)
 		if err != nil {
 			return nil, err
 		}
-		// Use the most populous group's representative as the probe.
 		best := 0
 		for gi, g := range sel.Groups {
 			if g.Count() > sel.Groups[best].Count() {
@@ -106,63 +101,44 @@ func AblationPKPThreshold(s *Study) (*report.Table, error) {
 			}
 		}
 		k := w.Kernel(sel.Groups[best].RepIndex)
-		full, err := sim.New(dev).RunKernel(&k, sim.Options{})
+		full, projs, err := pkp.Sweep(sim.New(dev), &k, 0, opts...)
 		if err != nil {
 			return nil, err
 		}
 		row := []string{w.FullName()}
-		for _, th := range []float64{2.5, 0.25, 0.025} {
-			p := pkp.New(pkp.Options{Threshold: th})
-			res, err := sim.New(dev).RunKernel(&k, sim.Options{Controller: p})
-			if err != nil {
-				return nil, err
-			}
-			proj := p.Projection(res)
-			errPct := stats.AbsPctErr(float64(proj.Cycles), float64(full.Cycles))
-			speedup := float64(full.Cycles) / float64(res.Cycles)
-			row = append(row, fmt.Sprintf("%s%% / %sx", report.F(errPct, 1), report.F(speedup, 1)))
+		for _, proj := range projs {
+			row = append(row, cell(stats.AbsPctErr(float64(proj.Cycles), float64(full.Cycles)), full, proj))
 		}
 		return row, nil
 	})
 }
 
+// AblationPKPThreshold sweeps the stability threshold s across the
+// paper's three values, reporting projection error and speedup per
+// workload (the Figure 5 tradeoff, but aggregated).
+func AblationPKPThreshold(s *Study) (*report.Table, error) {
+	tab := &report.Table{
+		Title:   "Ablation: PKP stability threshold s (kernel projection error % / speedup)",
+		Columns: []string{"Workload", "s=2.5", "s=0.25", "s=0.025"},
+	}
+	return pkpAblation(s, tab, []pkp.Options{{Threshold: 2.5}, {Threshold: 0.25}, {Threshold: 0.025}},
+		func(errPct float64, full *sim.KernelResult, proj pkp.Projection) string {
+			speedup := float64(full.Cycles) / float64(proj.SimulatedCycles)
+			return fmt.Sprintf("%s%% / %sx", report.F(errPct, 1), report.F(speedup, 1))
+		})
+}
+
 // AblationWaveConstraint measures PKP with and without the full-wave
 // requirement, the contention-capture argument of Section 3.2.
 func AblationWaveConstraint(s *Study) (*report.Table, error) {
-	dev := s.SelectionDevice()
 	tab := &report.Table{
 		Title:   "Ablation: PKP wave constraint (projection error % / stop cycle)",
 		Columns: []string{"Workload", "with wave", "without wave"},
 	}
-	return addRows(s, tab, func(w *workload.Workload) ([]string, error) {
-		sel, err := s.Selection(w)
-		if err != nil {
-			return nil, err
-		}
-		best := 0
-		for gi, g := range sel.Groups {
-			if g.Count() > sel.Groups[best].Count() {
-				best = gi
-			}
-		}
-		k := w.Kernel(sel.Groups[best].RepIndex)
-		full, err := sim.New(dev).RunKernel(&k, sim.Options{})
-		if err != nil {
-			return nil, err
-		}
-		row := []string{w.FullName()}
-		for _, disable := range []bool{false, true} {
-			p := pkp.New(pkp.Options{DisableWaveConstraint: disable})
-			res, err := sim.New(dev).RunKernel(&k, sim.Options{Controller: p})
-			if err != nil {
-				return nil, err
-			}
-			proj := p.Projection(res)
-			errPct := stats.AbsPctErr(float64(proj.Cycles), float64(full.Cycles))
-			row = append(row, fmt.Sprintf("%s%% @ %d", report.F(errPct, 1), res.Cycles))
-		}
-		return row, nil
-	})
+	return pkpAblation(s, tab, []pkp.Options{{}, {DisableWaveConstraint: true}},
+		func(errPct float64, _ *sim.KernelResult, proj pkp.Projection) string {
+			return fmt.Sprintf("%s%% @ %d", report.F(errPct, 1), proj.SimulatedCycles)
+		})
 }
 
 // AblationPCA compares selection with PCA ahead of K-Means against raw

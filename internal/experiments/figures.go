@@ -145,7 +145,9 @@ func Figure5(s *Study) ([]*report.Chart, *report.Table, error) {
 	outs, err := parallel.Map(s.Cfg.Parallelism, specs, func(_ int, spec fig5Spec) (specOut, error) {
 		w := workload.Find(spec.wname)
 		k := w.Kernel(spec.kid)
-		full, err := sim.New(dev).RunKernel(&k, sim.Options{TraceEvery: 250})
+		thresholds := []float64{2.5, 0.25, 0.025}
+		full, projs, err := pkp.Sweep(sim.New(dev), &k, 250,
+			pkp.Options{Threshold: thresholds[0]}, pkp.Options{Threshold: thresholds[1]}, pkp.Options{Threshold: thresholds[2]})
 		if err != nil {
 			return specOut{}, err
 		}
@@ -171,19 +173,14 @@ func Figure5(s *Study) ([]*report.Chart, *report.Table, error) {
 			{Name: "DRAM util", Values: dr},
 		}
 		out := specOut{chart: chart}
-		for _, th := range []float64{2.5, 0.25, 0.025} {
-			p := pkp.New(pkp.Options{Threshold: th})
-			res, err := sim.New(dev).RunKernel(&k, sim.Options{Controller: p})
-			if err != nil {
-				return specOut{}, err
-			}
-			proj := p.Projection(res)
-			errPct := stats.AbsPctErr(float64(proj.Cycles), float64(full.Cycles))
-			speedup := float64(full.Cycles) / float64(res.Cycles)
-			out.rows = append(out.rows, []string{spec.label, report.F(th, 3), fmt.Sprint(res.Cycles),
+		for i, th := range thresholds {
+			stop := projs[i].SimulatedCycles
+			errPct := stats.AbsPctErr(float64(projs[i].Cycles), float64(full.Cycles))
+			speedup := float64(full.Cycles) / float64(stop)
+			out.rows = append(out.rows, []string{spec.label, report.F(th, 3), fmt.Sprint(stop),
 				fmt.Sprint(full.Cycles), report.F(errPct, 1), report.F(speedup, 2) + "x"})
 			chart.Notes = append(chart.Notes,
-				fmt.Sprintf("s=%.3f stops at cycle %d (%.0f%% of kernel)", th, res.Cycles, 100*float64(res.Cycles)/float64(full.Cycles)))
+				fmt.Sprintf("s=%.3f stops at cycle %d (%.0f%% of kernel)", th, stop, 100*float64(stop)/float64(full.Cycles)))
 		}
 		return out, nil
 	})

@@ -33,6 +33,7 @@ import (
 	"pka/internal/obs"
 	"pka/internal/sim"
 	"pka/internal/stats"
+	"pka/internal/trace"
 )
 
 // Defaults from the paper: one threshold and one window for all 147
@@ -278,6 +279,30 @@ func (p *Projector) Projection(res *sim.KernelResult) Projection {
 		})
 	}
 	return pr
+}
+
+// Sweep simulates k on s once, to completion, with one Projector per option
+// set riding along as a probe of that pass — Figure 5 drawn literally: the
+// stopping points sit on the complete run's own trace. It returns the
+// complete run (with an IPC trace when traceEvery > 0) and, per option set,
+// the projection from where that Projector would have stopped a run of its
+// own (its SimulatedCycles is the stop cycle).
+func Sweep(s *sim.Simulator, k *trace.KernelDesc, traceEvery int64, opts ...Options) (*sim.KernelResult, []Projection, error) {
+	projectors := make([]*Projector, len(opts))
+	riders := make([]sim.Probe, len(opts))
+	for i, o := range opts {
+		projectors[i] = New(o)
+		riders[i].Controller = projectors[i]
+	}
+	res, err := s.RunProbes(k, sim.Options{TraceEvery: traceEvery, Riders: riders})
+	if err != nil {
+		return nil, nil, err
+	}
+	projs := make([]Projection, len(opts))
+	for i, p := range projectors {
+		projs[i] = p.Projection(res[1+i])
+	}
+	return res[0], projs, nil
 }
 
 // Project converts a simulation result into full-kernel projections

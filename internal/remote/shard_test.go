@@ -218,7 +218,7 @@ func TestShardExecTier(t *testing.T) {
 	// First process: simulate and replicate to the fleet.
 	exec1 := sampling.NewExec(nil, localStore())
 	exec1.SetShard(c)
-	want, err := exec1.RunKernels(dev, task, kernels, nil)
+	want, err := exec1.RunKernels(dev, task, kernels, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestShardExecTier(t *testing.T) {
 	fr := sampling.NewFlightRecorder()
 	got, err := exec2.RunKernels(dev, task, kernels, func(i int) sampling.TaskObs {
 		return sampling.TaskObs{Flight: fr, Phase: "shard", Index: i}
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

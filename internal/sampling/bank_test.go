@@ -1,0 +1,167 @@
+package sampling
+
+import (
+	"testing"
+
+	"pka/internal/artifact"
+	"pka/internal/gpu"
+	"pka/internal/obs"
+	"pka/internal/parallel"
+	"pka/internal/pkp"
+	"pka/internal/trace"
+	"pka/internal/workload"
+)
+
+// TestBankRidersMatchSoloTasks walks a bank through an evaluation's three
+// passes by hand: the full baseline's launches that equal a planned kernel
+// by content — under whatever name, whichever comes first — carry the
+// sampled tasks, each later pass finds its outcomes banked and carries only
+// the passes after its own, every outcome equals the task run alone, and
+// the bank ends empty.
+func TestBankRidersMatchSoloTasks(t *testing.T) {
+	dev := gpu.VoltaV100()
+	w := workload.Find("Rodinia/bfs65536")
+	if w == nil {
+		t.Fatal("study workload missing")
+	}
+	reps := []trace.KernelDesc{w.Kernel(8), w.Kernel(3)}
+	alias := reps[0]
+	alias.Name, alias.ID = "same-content-other-name", 99
+	launches := []trace.KernelDesc{alias, w.Kernel(0), reps[1], reps[0], w.Kernel(5)}
+	full := KernelTask{Mode: ModeFull}
+	pks := SampledTask(0, pkp.Options{}, false)
+	pka := SampledTask(0, pkp.Options{}, true)
+
+	for _, width := range []int{1, 4} {
+		store, err := artifact.Open(t.TempDir(), artifact.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		e := NewExec(parallel.NewScheduler(width), store)
+		o := obs.NewObserver()
+		fr := NewFlightRecorder()
+		wiring := func(phase string) func(int) TaskObs {
+			simObs := o.SimObs("sim:" + phase)
+			return func(i int) TaskObs { return TaskObs{Sim: simObs, Flight: fr, Phase: phase, Index: i} }
+		}
+		bank := NewBank(dev, reps, RiderPass{Task: pks, Obs: wiring("pks")}, RiderPass{Task: pka, Obs: wiring("pka")})
+
+		for _, pass := range []struct {
+			task    KernelTask
+			kernels []trace.KernelDesc
+			tobs    func(int) TaskObs
+			left    int // banked outcomes waiting afterwards
+		}{
+			{full, launches, nil, 4},
+			{pks, reps, wiring("pks"), 2},
+			{pka, reps, wiring("pka"), 0},
+		} {
+			got, err := e.RunKernels(dev, pass.task, pass.kernels, pass.tobs, bank)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := (*Exec)(nil).RunKernels(dev, pass.task, pass.kernels, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("width %d, mode %d, kernel %d: %+v riding, %+v alone", width, pass.task.Mode, i, got[i], want[i])
+				}
+			}
+			if bank.Len() != pass.left {
+				t.Errorf("width %d, after mode %d: %d outcomes banked, want %d", width, pass.task.Mode, bank.Len(), pass.left)
+			}
+		}
+		// Two passes simulated for two planned kernels (reported under the
+		// first rider's track; the other launches have no SimObs), four
+		// sampled tasks accounted at the simulator tier, and one write per
+		// distinct outcome: 4 full + 2 + 2.
+		if n := o.SimMetrics().Kernels.Value(); n != 2 {
+			t.Errorf("width %d: %d simulator passes reported, want 2", width, n)
+		}
+		if tiers := fr.TierCounts(); tiers["sim"] != 4 || fr.Len() != 4 {
+			t.Errorf("width %d: sampled tasks served by %v", width, tiers)
+		}
+		if st := store.Stats(); st.Writes != 8 || st.Entries != 8 {
+			t.Errorf("width %d: %d writes, %d entries, want 8 and 8", width, st.Writes, st.Entries)
+		}
+
+		// Over the now-warm store nothing reaches the simulator, so a second
+		// evaluation's bank is never filled.
+		again := NewBank(dev, reps, RiderPass{Task: pks}, RiderPass{Task: pka})
+		fresh := NewExec(nil, store)
+		for _, task := range []KernelTask{full, pks, pka} {
+			if _, err := fresh.RunKernels(dev, task, reps, nil, again); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := store.Stats(); again.Len() != 0 || st.Writes != 8 {
+			t.Errorf("width %d: warm evaluation banked %d outcomes and made %d writes", width, again.Len(), st.Writes-8)
+		}
+	}
+}
+
+// TestSpeculateWarmsEveryTaskOfAKernel: one Speculate call lands every
+// configured task's outcome under its own key, equal to the task run alone,
+// and scores each key on its own.
+func TestSpeculateWarmsEveryTaskOfAKernel(t *testing.T) {
+	dev := gpu.VoltaV100()
+	k := workload.Find("Rodinia/bfs65536").Kernel(8)
+	tasks := []KernelTask{SampledTask(0, pkp.Options{}, false), SampledTask(0, pkp.Options{}, true)}
+	store, err := artifact.Open(t.TempDir(), artifact.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	e := NewExec(nil, store)
+	spec := NewSpeculator(e, dev, tasks, 2)
+	spec.Speculate(k)
+	spec.Speculate(k, tasks[1]) // already dispatched with the kernel's list
+	spec.Wait()
+	spec.Seal()
+
+	final := map[string]bool{}
+	for _, task := range tasks {
+		key := TaskKey(dev, &k, task)
+		final[key] = true
+		raw, ok := store.Get(key)
+		if !ok {
+			t.Fatalf("mode %d: nothing stored under the task's key", task.Mode)
+		}
+		got, err := DecodeOutcome(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := (*Exec)(nil).RunKernelTask(dev, &k, task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("mode %d: speculated %+v, alone %+v", task.Mode, got, want)
+		}
+	}
+	if st := spec.Resolve(final); st.Launched != 2 || st.Hits != 2 || st.Demoted != 0 {
+		t.Errorf("scorecard %+v, want two launched, two hits", st)
+	}
+	if st := store.Stats(); st.Writes != 2 {
+		t.Errorf("%d writes for two speculated tasks", st.Writes)
+	}
+}
+
+// TestSimPoolKeepsDevicesApart: pooled simulators are handed back only for
+// the device they were built for, and a second device does not evict the
+// first's.
+func TestSimPoolKeepsDevicesApart(t *testing.T) {
+	a, b := gpu.VoltaV100(), gpu.TuringRTX2060()
+	for i := 0; i < 3; i++ {
+		for _, dev := range []gpu.Device{a, b} {
+			s := acquireSim(dev)
+			if s.Device() != dev {
+				t.Fatalf("asked for a %s simulator, got a %s one", dev.Name, s.Device().Name)
+			}
+			releaseSim(s)
+		}
+	}
+}

@@ -64,12 +64,13 @@ func FullSim(dev gpu.Device, w *workload.Workload, budgetWarpInstrs int64) (*Res
 // in launch order — so the result is byte-identical to the serial package
 // function at any scheduler width, warm or cold.
 func (e *Exec) FullSim(dev gpu.Device, w *workload.Workload, budgetWarpInstrs int64) (*Result, error) {
-	return e.FullSimObs(dev, w, budgetWarpInstrs, nil)
+	return e.FullSimObs(dev, w, budgetWarpInstrs, nil, nil)
 }
 
 // FullSimObs is FullSim with per-kernel observe-only wiring (tracing and
-// provenance); a nil tobs is exactly FullSim.
-func (e *Exec) FullSimObs(dev gpu.Device, w *workload.Workload, budgetWarpInstrs int64, tobs func(i int) TaskObs) (*Result, error) {
+// provenance) and the calling evaluation's bank (see RunKernels); with both
+// nil it is exactly FullSim.
+func (e *Exec) FullSimObs(dev gpu.Device, w *workload.Workload, budgetWarpInstrs int64, tobs func(i int) TaskObs, bank *Bank) (*Result, error) {
 	if budgetWarpInstrs <= 0 {
 		budgetWarpInstrs = DefaultFullSimBudget
 	}
@@ -80,7 +81,7 @@ func (e *Exec) FullSimObs(dev gpu.Device, w *workload.Workload, budgetWarpInstrs
 	for i := range kernels {
 		kernels[i] = w.Kernel(i)
 	}
-	outs, err := e.RunKernels(dev, KernelTask{Mode: ModeFull}, kernels, tobs)
+	outs, err := e.RunKernels(dev, KernelTask{Mode: ModeFull}, kernels, tobs, bank)
 	if err != nil {
 		return nil, fmt.Errorf("sampling: full sim of %s: %w", w.FullName(), err)
 	}
@@ -118,10 +119,12 @@ func FirstN(dev gpu.Device, w *workload.Workload, nWarpInstrs int64) (*Result, e
 		ctl := sim.ControllerFunc(func(t *sim.Telemetry) bool {
 			return t.WarpInstrs >= budgetLeft
 		})
-		// Fresh simulator per kernel, matching the kernel-task semantics
+		// Cold simulator per kernel, matching the kernel-task semantics
 		// of every other policy (see task.go), so FirstN with an
 		// exhaustive budget lands exactly on FullSim's numbers.
-		kr, err := sim.New(dev).RunKernel(k, sim.Options{Controller: ctl})
+		s := acquireSim(dev)
+		kr, err := s.RunKernel(k, sim.Options{Controller: ctl})
+		releaseSim(s)
 		if err != nil {
 			return nil, fmt.Errorf("sampling: first-N sim of %s kernel %d: %w", w.FullName(), k.ID, err)
 		}

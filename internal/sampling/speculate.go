@@ -40,7 +40,8 @@ type specEntry struct {
 // SpecStats summarizes how the speculation gamble went, resolved against
 // the final representative set.
 type SpecStats struct {
-	// Launched is the number of (kernel, task) warms dispatched.
+	// Launched is the number of (kernel, task) warms dispatched (a kernel's
+	// tasks share one goroutine and, cold, one simulator pass).
 	Launched int
 	// Hits is how many of the final keys were warmed before Seal.
 	Hits int
@@ -70,42 +71,55 @@ func NewSpeculator(e *Exec, dev gpu.Device, tasks []KernelTask, workers int) *Sp
 	}
 }
 
-// Speculate warms the ladder for kernel k under every configured task
-// spec. Each distinct content key is dispatched at most once per
-// Speculator lifetime.
-func (s *Speculator) Speculate(k trace.KernelDesc) {
-	for _, task := range s.tasks {
-		s.SpeculateTask(k, task)
+// Speculate warms the ladder for kernel k under the given task specs — the
+// configured ones when none are given — on one goroutine, in order, through a
+// bank of their own: the first to reach the simulator carries the rest as
+// riders, so the kernel is simulated once and each later task finds its
+// outcome banked (and persists it under its own key). Each distinct content
+// key is dispatched at most once per Speculator lifetime.
+func (s *Speculator) Speculate(k trace.KernelDesc, tasks ...KernelTask) {
+	if len(tasks) == 0 {
+		tasks = s.tasks
 	}
-}
-
-// SpeculateTask warms the ladder for one explicit (kernel, task) pair.
-func (s *Speculator) SpeculateTask(k trace.KernelDesc, task KernelTask) {
-	key := TaskKey(s.dev, &k, task)
+	var (
+		passes []RiderPass
+		keys   []string
+		ents   []*specEntry
+	)
 	s.mu.Lock()
-	if s.sealed || s.launched[key] != nil {
-		s.mu.Unlock()
+	for _, task := range tasks {
+		key := TaskKey(s.dev, &k, task)
+		if s.sealed || s.launched[key] != nil {
+			continue
+		}
+		ent := &specEntry{}
+		s.launched[key] = ent
+		passes, keys, ents = append(passes, RiderPass{Task: task}), append(keys, key), append(ents, ent)
+	}
+	s.mu.Unlock()
+	if len(ents) == 0 {
 		return
 	}
-	ent := &specEntry{}
-	s.launched[key] = ent
-	s.mu.Unlock()
 
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		s.sem <- struct{}{}
 		defer func() { <-s.sem }()
-		oc, err := s.exec.run(key, s.dev, k, task, TaskObs{Phase: "spec", Kernel: k.Name}, true)
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if err == nil {
+		bank := NewBank(s.dev, []trace.KernelDesc{k}, passes...)
+		for i, ent := range ents {
+			oc, err := s.exec.run(keys[i], s.dev, k, passes[i].Task, TaskObs{Phase: "spec", Kernel: k.Name}, true, bank)
+			if err != nil {
+				continue
+			}
+			s.mu.Lock()
 			// Work is recorded whenever it happened; only the overlap
 			// credit respects the Seal cutoff.
 			ent.warpInstrs = oc.SimWarpInstrs
 			if !s.sealed {
 				ent.done = true
 			}
+			s.mu.Unlock()
 		}
 	}()
 }

@@ -473,8 +473,11 @@ func (e *Exec) CacheStats() map[string]obs.CacheCounts {
 // cache layers and returns the outcomes in input order, so folding them is
 // bit-identical to the serial loop they replace. tobs supplies the
 // observe-only wiring per kernel (nil for none). The scheduler prioritizes
-// by each kernel's dynamic warp-instruction count, longest-first.
-func (e *Exec) RunKernels(dev gpu.Device, task KernelTask, kernels []trace.KernelDesc, tobs func(i int) TaskObs) ([]KernelOutcome, error) {
+// by each kernel's dynamic warp-instruction count, longest-first. bank (nil
+// for none) is the calling evaluation's: a task that reaches the simulator
+// carries the passes bank plans as riders, and one whose outcome an earlier
+// pass banked finds it there. A nil exec simulates every task on its own.
+func (e *Exec) RunKernels(dev gpu.Device, task KernelTask, kernels []trace.KernelDesc, tobs func(i int) TaskObs, bank *Bank) ([]KernelOutcome, error) {
 	noObs := func(int) TaskObs { return TaskObs{} }
 	if tobs == nil {
 		tobs = noObs
@@ -500,9 +503,9 @@ func (e *Exec) RunKernels(dev gpu.Device, task KernelTask, kernels []trace.Kerne
 			}
 		}
 		if e == nil {
-			return simulateKernel(dev, k, task, to)
+			return simulateKernel(dev, k, task, to, nil, "")
 		}
-		return e.run(keys[i], dev, k, task, to, true)
+		return e.run(keys[i], dev, k, task, to, true, bank)
 	})
 }
 
@@ -519,15 +522,15 @@ func (e *Exec) RunKernelTask(dev gpu.Device, k *trace.KernelDesc, task KernelTas
 // (disk, shard peer, or sim, on the worker) actually produced the outcome.
 func (e *Exec) RunKernelTaskObs(dev gpu.Device, k *trace.KernelDesc, task KernelTask, to TaskObs) (KernelOutcome, error) {
 	if e == nil {
-		return simulateKernel(dev, *k, task, to)
+		return simulateKernel(dev, *k, task, to, nil, "")
 	}
-	return e.run(TaskKey(dev, k, task), dev, *k, task, to, false)
+	return e.run(TaskKey(dev, k, task), dev, *k, task, to, false, nil)
 }
 
 // run resolves the task keyed key: the predictor first, then the ladder
 // (in-memory singleflight → artifact store → owner-shard peer → remote
 // workers → fresh simulator).
-func (e *Exec) run(key string, dev gpu.Device, k trace.KernelDesc, task KernelTask, to TaskObs, allowRemote bool) (KernelOutcome, error) {
+func (e *Exec) run(key string, dev gpu.Device, k trace.KernelDesc, task KernelTask, to TaskObs, allowRemote bool, bank *Bank) (KernelOutcome, error) {
 	// observed gates all timing: with no flight recorder and no metrics
 	// bundle the ladder takes no clock readings at all.
 	observed := to.Flight != nil || e.execM != nil
@@ -553,7 +556,7 @@ func (e *Exec) run(key string, dev gpu.Device, k trace.KernelDesc, task KernelTa
 			return oc, nil
 		}
 	}
-	oc, tier, ro, shardPeer, err := e.runLadder(key, dev, k, task, to, allowRemote)
+	oc, tier, ro, shardPeer, err := e.runLadder(key, dev, k, task, to, allowRemote, bank)
 	if err != nil {
 		return oc, err
 	}
@@ -609,7 +612,7 @@ func (e *Exec) spawnVerify(dev gpu.Device, k trace.KernelDesc, task KernelTask, 
 		defer e.verifyWG.Done()
 		e.verifySem <- struct{}{}
 		defer func() { <-e.verifySem }()
-		actual, _, _, _, err := e.runLadder(key, dev, k, task, TaskObs{}, true)
+		actual, _, _, _, err := e.runLadder(key, dev, k, task, TaskObs{}, true, nil)
 		if err != nil {
 			return
 		}
@@ -618,11 +621,12 @@ func (e *Exec) spawnVerify(dev gpu.Device, k trace.KernelDesc, task KernelTask, 
 }
 
 // runLadder resolves one task through the real serving ladder (everything
-// below the predictor): mem singleflight → disk → owner shard → remote
-// workers → fresh sim. It takes no clock readings and records nothing —
-// observation is the caller's business — so the verifier can reuse it
-// without perturbing tier accounting.
-func (e *Exec) runLadder(key string, dev gpu.Device, k trace.KernelDesc, task KernelTask, to TaskObs, allowRemote bool) (KernelOutcome, Tier, *RemoteObs, string, error) {
+// below the predictor): mem singleflight → the evaluation's bank → disk →
+// owner shard → remote workers → fresh sim. The bank is asked before any tier
+// that costs I/O; what it holds is byte for byte what those would serve. It
+// takes no clock readings and records nothing — observation is the caller's
+// business — so the verifier can reuse it without perturbing tier accounting.
+func (e *Exec) runLadder(key string, dev gpu.Device, k trace.KernelDesc, task KernelTask, to TaskObs, allowRemote bool, bank *Bank) (KernelOutcome, Tier, *RemoteObs, string, error) {
 	// tier and ro are closure-local per caller: the singleflight runs only
 	// the winning caller's closure (on its own goroutine), so waiters keep
 	// the TierMem default — they were indeed served from memory, even
@@ -633,6 +637,14 @@ func (e *Exec) runLadder(key string, dev gpu.Device, k trace.KernelDesc, task Ke
 	var shardPeer string
 	observed := to.Flight != nil || e.execM != nil
 	oc, err := e.mem.Do(key, func() (KernelOutcome, error) {
+		if oc, ok := bank.take(key); ok {
+			// An earlier pass of this evaluation read this outcome off its
+			// own run. This task is the one that asked for it, so this task
+			// accounts for the simulation and persists it.
+			tier = TierSim
+			e.persist(key, oc)
+			return oc, nil
+		}
 		if raw, ok := e.store.Get(key); ok {
 			if oc, err := DecodeOutcome(raw); err == nil {
 				tier = TierDisk
@@ -662,81 +674,116 @@ func (e *Exec) runLadder(key string, dev gpu.Device, k trace.KernelDesc, task Ke
 			}
 			if oc, ok := e.remote.ExecTask(key, dev, &k, task, k.TotalWarpInstructions(dev), ro); ok {
 				tier = TierWorker
-				raw := EncodeOutcome(oc)
-				_ = e.store.Put(key, raw) // warm the local disk tier too
-				if e.shard != nil {
-					e.shard.Store(key, raw) // land the outcome on its owner shards
-				}
+				e.persist(key, oc)
 				return oc, nil
 			}
 			// Pool empty, degraded, or the task failed everywhere it was
 			// tried: fall through to the local simulator. Never an error.
 		}
 		tier = TierSim
-		oc, err := simulateKernel(dev, k, task, to)
+		oc, err := simulateKernel(dev, k, task, to, bank, key)
 		if err != nil {
 			return KernelOutcome{}, err
 		}
-		raw := EncodeOutcome(oc)
-		_ = e.store.Put(key, raw) // best-effort persistence
-		if e.shard != nil {
-			e.shard.Store(key, raw)
-		}
+		e.persist(key, oc)
 		return oc, nil
 	})
 	return oc, tier, ro, shardPeer, err
 }
 
-// simPool recycles simulators across kernel tasks. A cold-start simulator
+// persist lands an outcome this process did not read from a cache in the
+// local disk tier and on its owner shards, best-effort.
+func (e *Exec) persist(key string, oc KernelOutcome) {
+	raw := EncodeOutcome(oc)
+	_ = e.store.Put(key, raw)
+	if e.shard != nil {
+		e.shard.Store(key, raw)
+	}
+}
+
+// simPools recycles simulators across kernel tasks, one pool per device so a
+// multi-device study does not rebuild one per task. A cold-start simulator
 // allocates every SM's warp/block/ready arrays plus all L1s and the L2 —
 // ~730 allocations — and the study layer churns through one per task.
-// Entries are stored flushed (cold caches), so acquireSim only has to
-// verify the device matches before reuse.
-var simPool sync.Pool
+// Entries are stored flushed (cold caches).
+var simPools sync.Map // gpu.Device → *sync.Pool of *sim.Simulator
 
-// acquireSim returns a cold simulator for dev: a flushed pooled one when
-// the device matches, a fresh one otherwise.
+// acquireSim returns a cold simulator for dev, pooled when there is one.
 func acquireSim(dev gpu.Device) *sim.Simulator {
-	if s, ok := simPool.Get().(*sim.Simulator); ok && s.Device() == dev {
-		return s
+	if p, ok := simPools.Load(dev); ok {
+		if s, ok := p.(*sync.Pool).Get().(*sim.Simulator); ok {
+			return s
+		}
 	}
-	// Pool miss, or a simulator for a different device (multi-device
-	// studies); the mismatched one is dropped and rebuilt on demand.
 	return sim.New(dev)
 }
 
 // releaseSim flushes s back to the cold state and pools it.
 func releaseSim(s *sim.Simulator) {
 	s.Flush()
-	simPool.Put(s)
+	p, ok := simPools.Load(s.Device())
+	if !ok {
+		p, _ = simPools.LoadOrStore(s.Device(), new(sync.Pool))
+	}
+	p.(*sync.Pool).Put(s)
 }
 
-// simulateKernel runs one kernel task on a cold simulator. Cold matters:
-// starting every kernel from cold caches is what makes the outcome a pure
-// function of the inputs in the key. Simulators are pooled and flushed
-// between tasks, which is observationally identical to sim.New per task
-// (see Simulator.Flush) without re-paying the construction allocations.
-func simulateKernel(dev gpu.Device, k trace.KernelDesc, task KernelTask, to TaskObs) (KernelOutcome, error) {
+// simulateKernel runs the kernel task keyed key on a cold simulator. The
+// passes bank plans for this kernel (none for a nil bank) ride along as
+// further probes of the same pass, and their outcomes — exactly what
+// simulating each alone returns — are banked. Cold matters: starting every
+// kernel from cold caches is what makes the outcome a pure function of the
+// inputs in the key. Simulators are pooled and flushed between tasks, which
+// is observationally identical to sim.New per task (see Simulator.Flush)
+// without re-paying the construction allocations. The pass reports to the
+// first SimObs among the task's and the riders', once, with its final state.
+func simulateKernel(dev gpu.Device, k trace.KernelDesc, task KernelTask, to TaskObs, bank *Bank, key string) (KernelOutcome, error) {
+	riders := bank.riders(task, key)
+	probes := make([]sim.Probe, 1+len(riders))
+	outcomes := make([]func(*sim.KernelResult) KernelOutcome, len(probes))
+	simObs := to.Sim
+	for i := range probes {
+		t, o := task, to
+		if i > 0 {
+			t, o = riders[i-1].task, riders[i-1].obs
+		}
+		var err error
+		if probes[i], outcomes[i], err = probeOf(t, o); err != nil {
+			return KernelOutcome{}, err
+		}
+		if simObs == nil {
+			simObs = o.Sim
+		}
+	}
 	s := acquireSim(dev)
 	defer releaseSim(s)
+	res, err := s.RunProbes(&k, sim.Options{Controller: probes[0].Controller, MaxCycles: probes[0].MaxCycles, Riders: probes[1:], Obs: simObs})
+	if err != nil {
+		return KernelOutcome{}, err
+	}
+	for i, r := range riders {
+		bank.deposit(r.key, outcomes[1+i](res[1+i]))
+	}
+	return outcomes[0](res[0]), nil
+}
+
+// probeOf returns the point of the kernel's trajectory task reads its result
+// at, and how that result becomes the task's outcome.
+func probeOf(task KernelTask, to TaskObs) (sim.Probe, func(*sim.KernelResult) KernelOutcome, error) {
 	switch task.Mode {
 	case ModeFull:
-		res, err := s.RunKernel(&k, sim.Options{Obs: to.Sim})
-		if err != nil {
-			return KernelOutcome{}, err
-		}
-		return KernelOutcome{
-			ProjCycles:    res.Cycles,
-			SimWarpInstrs: res.WarpInstrs,
-			ThreadInstrs:  res.ThreadInstrs,
-			DRAMUtil:      res.DRAMUtil,
+		return sim.Probe{}, func(res *sim.KernelResult) KernelOutcome {
+			return KernelOutcome{
+				ProjCycles:    res.Cycles,
+				SimWarpInstrs: res.WarpInstrs,
+				ThreadInstrs:  res.ThreadInstrs,
+				DRAMUtil:      res.DRAMUtil,
+			}
 		}, nil
 	case ModePKS:
-		res, err := s.RunKernel(&k, sim.Options{MaxCycles: task.MaxCycles, Obs: to.Sim})
-		if err != nil {
-			return KernelOutcome{}, err
-		}
-		return outcomeFromProjection(pkp.Project(res), res, task), nil
+		return sim.Probe{MaxCycles: task.MaxCycles}, func(res *sim.KernelResult) KernelOutcome {
+			return outcomeFromProjection(pkp.Project(res), res, task)
+		}, nil
 	case ModePKA:
 		p := pkp.New(pkp.Options{
 			Threshold:             task.PKP.Threshold,
@@ -746,13 +793,11 @@ func simulateKernel(dev gpu.Device, k trace.KernelDesc, task KernelTask, to Task
 			AuditSubject:          to.AuditSubject,
 			Metrics:               to.PKPMetrics,
 		})
-		res, err := s.RunKernel(&k, sim.Options{Controller: p, MaxCycles: task.MaxCycles, Obs: to.Sim})
-		if err != nil {
-			return KernelOutcome{}, err
-		}
-		return outcomeFromProjection(p.Projection(res), res, task), nil
+		return sim.Probe{Controller: p, MaxCycles: task.MaxCycles}, func(res *sim.KernelResult) KernelOutcome {
+			return outcomeFromProjection(p.Projection(res), res, task)
+		}, nil
 	default:
-		return KernelOutcome{}, fmt.Errorf("sampling: unknown task mode %d", task.Mode)
+		return sim.Probe{}, nil, fmt.Errorf("sampling: unknown task mode %d", task.Mode)
 	}
 }
 

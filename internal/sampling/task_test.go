@@ -161,7 +161,7 @@ func TestExecCacheLayering(t *testing.T) {
 	defer st.Close()
 
 	cold := NewExec(nil, st)
-	a, err := cold.RunKernels(dev, task, kernels, nil)
+	a, err := cold.RunKernels(dev, task, kernels, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,14 +170,14 @@ func TestExecCacheLayering(t *testing.T) {
 	}
 
 	warm := NewExec(nil, st)
-	b, err := warm.RunKernels(dev, task, kernels, nil)
+	b, err := warm.RunKernels(dev, task, kernels, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s := st.Stats(); s.Hits != 1 {
 		t.Fatalf("warm run did not hit the store: %+v", s)
 	}
-	c, err := warm.RunKernels(dev, task, kernels, nil)
+	c, err := warm.RunKernels(dev, task, kernels, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestExecCacheLayering(t *testing.T) {
 	}
 
 	// And a serial, uncached run agrees with all of them.
-	d, err := (*Exec)(nil).RunKernels(dev, task, kernels, nil)
+	d, err := (*Exec)(nil).RunKernels(dev, task, kernels, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,12 +212,12 @@ func TestExecScheduledMatchesSerial(t *testing.T) {
 	}
 	task := KernelTask{Mode: ModePKS, MaxCycles: 50_000}
 
-	serial, err := (*Exec)(nil).RunKernels(dev, task, kernels, nil)
+	serial, err := (*Exec)(nil).RunKernels(dev, task, kernels, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sched := NewExec(parallel.NewScheduler(4), nil)
-	par, err := sched.RunKernels(dev, task, kernels, nil)
+	par, err := sched.RunKernels(dev, task, kernels, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestCorruptStoreEntryRecomputes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	clean, err := NewExec(nil, st).RunKernels(dev, task, []trace.KernelDesc{k}, nil)
+	clean, err := NewExec(nil, st).RunKernels(dev, task, []trace.KernelDesc{k}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestCorruptStoreEntryRecomputes(t *testing.T) {
 	if err := st.Put(key, []byte("schema drifted")); err != nil {
 		t.Fatal(err)
 	}
-	again, err := NewExec(nil, st).RunKernels(dev, task, []trace.KernelDesc{k}, nil)
+	again, err := NewExec(nil, st).RunKernels(dev, task, []trace.KernelDesc{k}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,7 +107,7 @@ func RunWithSelection(exec *sampling.Exec, o *obs.Observer, req *StudyRequest, s
 				}
 			}
 		}
-		full, err := exec.FullSimObs(req.dev, req.w, 0, tobs)
+		full, err := exec.FullSimObs(req.dev, req.w, 0, tobs, nil)
 		if err != nil {
 			root.End()
 			return nil, fmt.Errorf("serve: full sim of %s: %w", req.w.FullName(), err)

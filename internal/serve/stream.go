@@ -236,7 +236,7 @@ func (s *Server) runStream(req *StudyRequest, body io.Reader, progress func(*Str
 	var spec *sampling.Speculator
 	if s.exec != nil {
 		spec = sampling.NewSpeculator(s.exec, req.dev, []sampling.KernelTask{task}, 2)
-		so.Speculate = spec.Speculate
+		so.Speculate = func(k trace.KernelDesc) { spec.Speculate(k) }
 	}
 	stream, err := pks.NewStream(req.dev, h.Suite, h.Name, h.Kernels, so)
 	if err != nil {
@@ -291,7 +291,7 @@ func (s *Server) runStream(req *StudyRequest, body io.Reader, progress func(*Str
 		// Warm the elected reps (duplicates of earlier warms dedupe away),
 		// then mark the reconciliation cutoff.
 		for _, g := range sel.Groups {
-			spec.SpeculateTask(kernels[g.RepIndex], task)
+			spec.Speculate(kernels[g.RepIndex], task)
 			finalKeys[sampling.TaskKey(req.dev, &kernels[g.RepIndex], task)] = true
 		}
 		spec.Seal()

@@ -6,12 +6,18 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
+	"pka/internal/gpu"
 	"pka/internal/obs"
+	"pka/internal/pkp"
+	"pka/internal/pks"
 	"pka/internal/sampling"
 	"pka/internal/serve"
+	"pka/internal/sim"
+	"pka/internal/workload"
 )
 
 func postStudy(t *testing.T, ts *httptest.Server, body string, traceparent string) []byte {
@@ -160,5 +166,83 @@ func TestMalformedTraceparentIgnored(t *testing.T) {
 	garbled := postStudy(t, ts, `{"workload":"Rodinia/gauss_mat4","mode":"pks"}`, "00-zzzz-not-a-trace-01")
 	if !bytes.Equal(plain, garbled) {
 		t.Fatalf("malformed traceparent changed the response:\n%s\nvs\n%s", plain, garbled)
+	}
+}
+
+// TestSingleModeStudyStopsAtPKPStop: a served single-mode request has no
+// other policy to answer, so its tasks carry no riders and a novel "pka"
+// study simulates each representative only as far as PKP lets it — every
+// simulator span ends on the cycle a run under the projector alone ends on,
+// and the spans' work adds up to the response's.
+func TestSingleModeStudyStopsAtPKPStop(t *testing.T) {
+	const name = "Rodinia/bfs65536"
+	o := obs.NewObserver()
+	req, err := serve.DecodeStudyRequest(strings.NewReader(`{"workload":"` + name + `","mode":"pka"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := serve.Run(sampling.NewExec(nil, nil), o, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dev, w := gpu.VoltaV100(), workload.Find(name)
+	sel, err := pks.Select(dev, w, pks.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type stop struct{ cycles, warpInstrs float64 }
+	want := map[stop]int{}
+	truncated := 0
+	for _, g := range sel.Groups {
+		k := w.Kernel(g.RepIndex)
+		res, err := sim.New(dev).RunKernel(&k, sim.Options{Controller: pkp.New(pkp.Options{})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[stop{float64(res.Cycles), float64(res.WarpInstrs)}]++
+		if res.StoppedEarly {
+			truncated++
+		}
+	}
+	if truncated == 0 {
+		t.Fatal("PKP stops none of the representatives early: the test shows nothing")
+	}
+
+	var buf bytes.Buffer
+	if err := o.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string                 `json:"name"`
+			Ph   string                 `json:"ph"`
+			Tid  int                    `json:"tid"`
+			Args map[string]interface{} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	simTid := -1
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "M" && ev.Args["name"] == "sim:pka:"+name {
+			simTid = ev.Tid
+		}
+	}
+	got := map[stop]int{}
+	var work float64
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" && ev.Tid == simTid {
+			s := stop{ev.Args["cycles"].(float64), ev.Args["warp_instrs"].(float64)}
+			got[s]++
+			work += s.warpInstrs
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("simulator spans end at %v, runs under PKP alone end at %v", got, want)
+	}
+	if int64(work) != resp.SimWarpInstrs {
+		t.Errorf("simulator spans add up to %d warp instructions, the response says %d", int64(work), resp.SimWarpInstrs)
 	}
 }

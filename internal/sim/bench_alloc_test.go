@@ -55,19 +55,24 @@ func neverStop() sim.Controller {
 // simulator, observer, and controller, and returns the heap objects the
 // whole run allocated. Per-run setup (SM state, the kernel span, the track
 // metadata) is identical across calls, so differencing two calls isolates
-// the loop's marginal allocations.
-func mallocsForCycles(tb testing.TB, cycles int64) uint64 {
+// the loop's marginal allocations. With riders set the pass carries two
+// more probes — a real projector, free to stop, and a ticking one under a
+// cap the run outlives — so settling a probe mid-run is on the measured path.
+func mallocsForCycles(tb testing.TB, cycles int64, riders bool) uint64 {
 	tb.Helper()
 	k := tickKernel()
 	s := sim.New(gpu.VoltaV100())
 	o := obs.NewObserver()
 	so := o.SimObs("alloc-test")
-	ctrl := neverStop()
+	opts := sim.Options{Controller: neverStop(), MaxCycles: cycles, Obs: so}
+	if riders {
+		opts.Riders = []sim.Probe{{Controller: pkp.New(pkp.Options{})}, {Controller: neverStop(), MaxCycles: cycles / 2}}
+	}
 
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	res, err := s.RunKernel(&k, sim.Options{Controller: ctrl, MaxCycles: cycles, Obs: so})
+	res, err := s.RunKernel(&k, opts)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		tb.Fatal(err)
@@ -85,19 +90,21 @@ func mallocsForCycles(tb testing.TB, cycles int64) uint64 {
 }
 
 // TestSimTickZeroAlloc asserts allocs/op == 0 for the cycle loop with all
-// telemetry hooks installed: growing the run 16x must not allocate a
-// single additional heap object.
+// telemetry hooks installed, as a one-probe run and as a three-probe pass:
+// growing the run 16x must not allocate a single additional heap object.
 func TestSimTickZeroAlloc(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	// A concurrent GC cycle mid-measurement allocates a few runtime-owned
 	// objects that would be misattributed to the loop; the runs below
 	// allocate only KBs of setup, so pausing collection is safe.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	base := mallocsForCycles(t, 8192)
-	big := mallocsForCycles(t, 16*8192)
-	if big > base {
-		t.Fatalf("cycle loop allocates: %d extra heap objects over %d extra cycles (setup baseline %d)",
-			big-base, 15*8192, base)
+	for _, riders := range []bool{false, true} {
+		base := mallocsForCycles(t, 8192, riders)
+		big := mallocsForCycles(t, 16*8192, riders)
+		if big > base {
+			t.Fatalf("cycle loop allocates (riders=%v): %d extra heap objects over %d extra cycles (setup baseline %d)",
+				riders, big-base, 15*8192, base)
+		}
 	}
 }
 

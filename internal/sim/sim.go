@@ -101,14 +101,25 @@ type KernelResult struct {
 	Trace              []IPCSample // populated when Options.TraceEvery > 0
 }
 
-// Options tunes a simulation run.
-type Options struct {
+// Probe is one stopping rule: the point of the kernel's trajectory at which
+// a result is read.
+type Probe struct {
 	// Controller may stop the kernel early; nil runs to completion.
 	Controller Controller
-	// TraceEvery > 0 records an IPCSample every TraceEvery cycles.
-	TraceEvery int64
 	// MaxCycles caps runaway kernels. Zero applies DefaultMaxCycles.
 	MaxCycles int64
+}
+
+// Options tunes a simulation run.
+type Options struct {
+	// Controller and MaxCycles are the run's own Probe, the one whose result
+	// RunKernel returns.
+	Controller Controller
+	MaxCycles  int64
+	// Riders are further probes read off the same pass (see RunProbes).
+	Riders []Probe
+	// TraceEvery > 0 records an IPCSample every TraceEvery cycles.
+	TraceEvery int64
 	// Obs, when non-nil, receives one wall-clock span and one batch of
 	// counter updates per kernel, emitted at kernel end. The cycle loop
 	// itself is never touched, so enabling telemetry cannot perturb
@@ -276,6 +287,29 @@ func blockWorkScale(k *trace.KernelDesc, blockID int) float64 {
 // an error if the kernel fails validation or cannot be scheduled on the
 // device at all.
 func (s *Simulator) RunKernel(k *trace.KernelDesc, opts Options) (*KernelResult, error) {
+	res, err := s.RunProbes(k, opts)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// probeRun is a probe the cycle loop is still watching.
+type probeRun struct {
+	Probe
+	res *KernelResult
+}
+
+// RunProbes is RunKernel reading several results off one pass: result 0 is
+// the run's own probe, result 1+i is opts.Riders[i], and each is exactly what
+// RunKernel would have returned had that probe been the run's only one. That
+// holds because a probe never feeds back: a Controller only observes until
+// it answers true, and a cap is only compared against the clock, so every
+// shorter run is a prefix of the longest. When a probe's controller stops, or
+// the clock reaches its cap, its result is read off the live state and the
+// loop goes on without it until the last probe is settled or the grid
+// retires. All live controllers are handed the same Telemetry.
+func (s *Simulator) RunProbes(k *trace.KernelDesc, opts Options) ([]*KernelResult, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
 	}
@@ -283,9 +317,23 @@ func (s *Simulator) RunKernel(k *trace.KernelDesc, opts Options) (*KernelResult,
 	if occ.BlocksPerSM == 0 {
 		return nil, fmt.Errorf("sim: kernel %q does not fit on %s", k.Name, s.dev.Name)
 	}
-	maxCycles := opts.MaxCycles
-	if maxCycles <= 0 {
-		maxCycles = DefaultMaxCycles
+	probes := append([]Probe{{opts.Controller, opts.MaxCycles}}, opts.Riders...)
+	results := make([]*KernelResult, len(probes))
+	live := make([]probeRun, len(probes))
+	// capAt is the earliest cap among live probes (possibly stale-low after a
+	// controller stop, which only costs one extra look), ticking the number
+	// of live controllers: the two words the loop reads while no probe is due.
+	capAt, ticking := int64(math.MaxInt64), 0
+	for i, p := range probes {
+		if p.MaxCycles <= 0 {
+			p.MaxCycles = DefaultMaxCycles
+		}
+		if p.Controller != nil {
+			ticking++
+		}
+		capAt = min(capAt, p.MaxCycles)
+		results[i] = new(KernelResult)
+		live[i] = probeRun{Probe: p, res: results[i]}
 	}
 	span := opts.Obs.StartKernel(k.Name)
 
@@ -360,7 +408,6 @@ func (s *Simulator) RunKernel(k *trace.KernelDesc, opts Options) (*KernelResult,
 		warpInstrs   int64
 		threadInstrs float64
 		idleGap      int64
-		stopped      bool
 		traceBuf     []IPCSample
 		bucketInstr  float64
 		bucketStart  int64
@@ -389,7 +436,50 @@ func (s *Simulator) RunKernel(k *trace.KernelDesc, opts Options) (*KernelResult,
 	smemLat := int64(s.dev.SMemLatency)
 	schedulers := s.dev.SchedulersPerSM
 
-	for completed < blocksTotal && now < maxCycles {
+	// read settles one probe: its result is the live state at cycle at.
+	last := results[0]
+	read := func(res *KernelResult, at int64, warpInstrs int64, threadInstrs float64, completed int, stopped bool, trace []IPCSample) {
+		*res = KernelResult{
+			Kernel:             k,
+			Cycles:             at,
+			WarpInstrs:         warpInstrs,
+			ExpectedWarpInstrs: k.TotalWarpInstructions(s.dev),
+			ThreadInstrs:       threadInstrs,
+			L2MissRate:         s.l2.MissRate(),
+			DRAMUtil:           s.dram.Utilization(at),
+			BlocksCompleted:    completed,
+			BlocksTotal:        blocksTotal,
+			WaveSize:           wave,
+			StoppedEarly:       stopped || completed < blocksTotal,
+			Trace:              trace[:len(trace):len(trace)],
+		}
+		if at > 0 {
+			res.IPC = threadInstrs / float64(at)
+		}
+		last = res
+	}
+
+	for completed < blocksTotal {
+		if now >= capAt {
+			// Some cap has been reached (an idle jump may have overshot it, as
+			// it would in that probe's own run): settle those, keep the rest.
+			capAt = math.MaxInt64
+			kept := live[:0]
+			for _, p := range live {
+				if now >= p.MaxCycles {
+					read(p.res, now, warpInstrs, threadInstrs, completed, false, traceBuf)
+					if p.Controller != nil {
+						ticking--
+					}
+					continue
+				}
+				capAt = min(capAt, p.MaxCycles)
+				kept = append(kept, p)
+			}
+			if live = kept; len(live) == 0 {
+				break
+			}
+		}
 		issuedCycle := 0
 
 		for i, at := range s.wakeAt {
@@ -518,12 +608,23 @@ func (s *Simulator) RunKernel(k *trace.KernelDesc, opts Options) (*KernelResult,
 			tele.IssuedThisCycle = issuedThreads
 			tele.BlocksCompleted = completed
 			idleGap = 0
-			if opts.Controller != nil && opts.Controller.Tick(&tele) {
-				stopped = true
-				now++
-				break
-			}
 			now++
+			if ticking > 0 {
+				// A controller that answers true is settled on the cycle after
+				// the one it saw and never ticked again.
+				for i := 0; i < len(live); i++ {
+					if c := live[i].Controller; c == nil || !c.Tick(&tele) {
+						continue
+					}
+					read(live[i].res, now, warpInstrs, threadInstrs, completed, true, traceBuf)
+					ticking--
+					live = append(live[:i], live[i+1:]...)
+					i--
+				}
+				if len(live) == 0 {
+					break
+				}
+			}
 		} else {
 			// Nothing ready anywhere: jump to the next event.
 			next := int64(math.MaxInt64)
@@ -551,27 +652,14 @@ func (s *Simulator) RunKernel(k *trace.KernelDesc, opts Options) (*KernelResult,
 		}
 	}
 
-	res := &KernelResult{
-		Kernel:             k,
-		Cycles:             now,
-		WarpInstrs:         warpInstrs,
-		ExpectedWarpInstrs: k.TotalWarpInstructions(s.dev),
-		ThreadInstrs:       threadInstrs,
-		L2MissRate:         s.l2.MissRate(),
-		DRAMUtil:           s.dram.Utilization(now),
-		BlocksCompleted:    completed,
-		BlocksTotal:        blocksTotal,
-		WaveSize:           wave,
-		StoppedEarly:       stopped || completed < blocksTotal,
-		Trace:              traceBuf,
-	}
-	if now > 0 {
-		res.IPC = threadInstrs / float64(now)
+	// The grid retired: every probe still live reads the final state.
+	for _, p := range live {
+		read(p.res, now, warpInstrs, threadInstrs, completed, false, traceBuf)
 	}
 	if opts.Obs != nil {
-		s.reportKernel(opts.Obs, span, res)
+		s.reportKernel(opts.Obs, span, last)
 	}
-	return res, nil
+	return results, nil
 }
 
 // reportKernel emits the per-kernel telemetry batch: the kernel span
