@@ -1,8 +1,10 @@
-# Standard entry points; CI (.github/workflows/ci.yml) runs vet+build+test+race.
+# Standard entry points. `make ci` is what .github/workflows/ci.yml runs before
+# its end-to-end smokes. Performance is measured by the repository benchmark
+# (`bash bench/run.sh`, bounds in BENCHMARK.json), not by a target here.
 
 GO ?= go
 
-.PHONY: all vet build test race fuzz-smoke bench bench-all bench-check bench-vet profile-sim profile-select profile-cold profile-warm loc ci
+.PHONY: all vet build test race fuzz-smoke bench-vet profile-sim profile-select profile-cold profile-warm loc ci
 
 all: build
 
@@ -45,69 +47,6 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzStreamEvents -fuzztime $(FUZZTIME) ./internal/workload
 	$(GO) test -run NONE -fuzz FuzzServeRequest -fuzztime $(FUZZTIME) ./internal/serve
 
-# Snapshot the perf trajectory: substrate microbenchmarks at full benchtime
-# (BenchmarkSimTick's allocs/op==0 only means something once setup costs
-# amortize) plus the study fan-out speedup at one iteration, rendered into
-# a diffable JSON artifact. bench-all is the old full artifact sweep.
-# SimulatorThroughput records two arms: /run (the cycle loop alone, the one
-# bench-check gates) and /new+run (with sim.New on the clock).
-bench:
-	@{ $(GO) test -run NONE -bench 'SimTick' -benchmem ./internal/sim ; \
-	   $(GO) test -run NONE -bench 'CacheAccess' -benchmem ./internal/mem ; \
-	   $(GO) test -run NONE -bench 'SimulatorThroughput|RollingDetector|KMeansSweep|SiliconModel|WorkloadGeneration' -benchmem . ; \
-	   $(GO) test -run NONE -bench 'StudyParallel|StudyKernelSched|StudyCache|StudyPredict|StudyRemote|StudySuiteDedup|StudyStream|Serve' -benchtime=1x . ; } \
-	| $(GO) run ./cmd/benchjson -o BENCH_study.json -baseline BENCH_study.json \
-	    -note "recorded on the 1-CPU reference box: parallel and remote sub-benches (StudyParallel/p=4, StudyRemote/workers=2) are slower than their serial arms there because fan-out only adds overhead without cores to spread across; their speedup gates apply on >= 4 CPUs"
-	@echo wrote BENCH_study.json
-
-bench-all:
-	$(GO) test -bench=. -benchtime=1x .
-
-# Regression smoke: re-run the two hot-path benchmarks and fail if either
-# is more than 25% slower (ns/op) than the committed BENCH_study.json.
-# Short benchtime keeps this cheap enough for CI; the generous tolerance
-# absorbs runner noise while still catching real algorithmic regressions.
-# The second stage gates relative speed within this run: the study must
-# scale (p=4 at least 1.5x faster than p=1, skipped below 4 CPUs), the
-# warm artifact cache must be at least 5x faster than cold, and two
-# loopback worker processes must beat single-process by 1.5x (also
-# skipped below 4 CPUs — worker processes on one core only add RPC
-# overhead). The third stage bounds the serving tier's overhead: the
-# same request batch through the HTTP server (decode, admission,
-# weighted-fair queue, marshaling) may cost at most 3x the serial batch
-# path, tracing-enabled serving may cost at most 1.2x tracing-off, and
-# the open-loop qps arm records client-observed p50/p99. The fourth stage
-# pins the suite-dedup saving itself: per-app PKS must simulate at least
-# 1.3x more warp-instructions than the shared cross-workload selection on
-# the gauss suite — the headline reduction internal/dedup exists for.
-# The fifth stage gates the streaming overlap: at >= 4 CPUs the streaming
-# pipeline must finish at least 1.3x faster than the phase-sequential run
-# of the same study (skipped below 4 CPUs, where there are no spare cores
-# to overlap speculative simulation onto). The sixth stage gates the
-# learned tier-0 predictor: a study served from a trained model must run
-# at least 1.3x faster than the same study fully simulated — no CPU
-# floor, because the win is work elimination rather than parallelism.
-bench-check:
-	@{ $(GO) test -run NONE -bench 'SimulatorThroughput/^run$$' -benchtime=5x . ; \
-	   $(GO) test -run NONE -bench 'KMeansSweep/distinct' -benchtime=5x . ; } \
-	| $(GO) run ./cmd/benchjson -baseline BENCH_study.json \
-	    -check SimulatorThroughput/run,KMeansSweep/distinct -tolerance 25
-	@$(GO) test -run NONE -bench 'StudyParallel/p=|StudyCache/(cold|warm)|StudyRemote/(local|workers)' -benchtime=1x . \
-	| $(GO) run ./cmd/benchjson -o /dev/null \
-	    -check-ratio 'StudyParallel/p=1:StudyParallel/p=4:1.5:4,StudyCache/cold:StudyCache/warm:5,StudyRemote/local:StudyRemote/workers=2:1.5:4'
-	@$(GO) test -run NONE -bench 'Serve/(direct|served|traced|qps)' -benchtime=1x . \
-	| $(GO) run ./cmd/benchjson -o /dev/null \
-	    -check-max-ratio 'Serve/served:Serve/direct:3,Serve/traced:Serve/served:1.2'
-	@$(GO) test -run NONE -bench 'StudySuiteDedup' -benchtime=1x . \
-	| $(GO) run ./cmd/benchjson -o /dev/null \
-	    -check-metric-ratio 'warp-instrs:StudySuiteDedup/perapp:StudySuiteDedup/dedup:1.3'
-	@$(GO) test -run NONE -bench 'StudyStream/(sequential|streaming)' -benchtime=1x . \
-	| $(GO) run ./cmd/benchjson -o /dev/null \
-	    -check-ratio 'StudyStream/sequential:StudyStream/streaming:1.3:4'
-	@$(GO) test -run NONE -bench 'StudyPredict/(nopredict|predict)' -benchtime=1x . \
-	| $(GO) run ./cmd/benchjson -o /dev/null \
-	    -check-ratio 'StudyPredict/nopredict:StudyPredict/predict:1.3'
-
 # bench/ is its own module (pka/bench, `replace pka => ../`), so the root
 # `go build ./... && go test ./...` never compiles it. Vet and test it here
 # so a refactor under internal/ cannot break the benchmark's compile
@@ -146,17 +85,19 @@ profile-cold:
 # Where a warm-path PR starts: the same for the warm_batch study set (eight
 # evaluations over a primed store, a fresh Exec each). The profile covers the
 # whole process, so the cold pass that primes the store is filtered out by
-# the one frame only it has.
+# the one frame only it has: the cycle loop.
 profile-warm:
 	@mkdir -p $(PROFILE_DIR)
 	$(GO) test -run NONE -bench 'WarmSet' -benchtime=300x \
 	    -o $(PROFILE_DIR)/pka.test -cpuprofile $(PROFILE_DIR)/warm.cpu.prof .
-	$(GO) tool pprof -top -nodecount=10 -ignore 'sim\.\(\*Simulator\)\.RunKernel' \
+	$(GO) tool pprof -top -nodecount=10 -ignore 'sim\.\(\*Simulator\)\.RunProbes' \
 	    $(PROFILE_DIR)/pka.test $(PROFILE_DIR)/warm.cpu.prof
 
-# Non-test lines under cmd/, internal/ and pka.go — the unit simplification
-# PRs state their acceptance in.
+# Non-test lines under cmd/, internal/ and the root package — the unit
+# simplification PRs state their acceptance in — then the _test.go lines of
+# the same trees.
 loc:
-	@find cmd internal pka.go -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@find cmd internal *.go -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@find cmd internal *.go -name '*_test.go' | xargs cat | wc -l
 
-ci: vet build test race fuzz-smoke bench-check bench-vet
+ci: vet build test race fuzz-smoke bench-vet

@@ -2,7 +2,6 @@ package core
 
 import (
 	"hash/fnv"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,7 +11,6 @@ import (
 	"pka/internal/obs"
 	"pka/internal/pks"
 	"pka/internal/sampling"
-	"pka/internal/trace"
 	"pka/internal/workload"
 )
 
@@ -25,15 +23,18 @@ func mustFind(t *testing.T, name string) *workload.Workload {
 	return w
 }
 
+// selectionKey is the key Select looks opts' selection of w up under.
+func selectionKey(dev gpu.Device, w *workload.Workload, opts pks.Options) string {
+	return sampling.SelectionKey(dev, w, opts.AppendKey(nil))
+}
+
 // TestSelectionGolden pins what a primed store holds: the content key and
 // the payload bytes of three selections. A change to selection arithmetic
 // (profiler, linalg, cluster, classify, pks) moves a payload hash; when one
-// is re-recorded the schema salt on the next line must be bumped with it, or
-// old stores keep serving the old selection under the unchanged key.
+// is re-recorded the schema salt (sampling's selectionSchema, in every key
+// below) must be bumped with it, or old stores keep serving the old selection
+// under the unchanged key.
 func TestSelectionGolden(t *testing.T) {
-	if selectionSchema != "pka-selection-v1" {
-		t.Errorf("selectionSchema = %q: re-record the hashes below under the new salt", selectionSchema)
-	}
 	for _, c := range []struct {
 		name    string
 		opts    pks.Options
@@ -61,112 +62,6 @@ func TestSelectionGolden(t *testing.T) {
 		if got := h.Sum64(); got != c.payload {
 			t.Errorf("%s: payload hash %#016x, want %#016x (a selection byte moved: bump selectionSchema)", c.name, got, c.payload)
 		}
-	}
-}
-
-// TestSelectionKeySensitivity: everything a selection is a function of moves
-// the key, and nothing else does.
-func TestSelectionKeySensitivity(t *testing.T) {
-	dev := gpu.VoltaV100()
-	w := mustFind(t, "Polybench/fdtd2d")
-	base := selectionKey(dev, w, pks.Options{})
-
-	// launches returns w with launch i rewritten by edit.
-	launches := func(edit func(i int, k *trace.KernelDesc)) *workload.Workload {
-		c := *w
-		c.Gen = func(i int) trace.KernelDesc {
-			k := w.Gen(i)
-			edit(i, &k)
-			return k
-		}
-		return &c
-	}
-	opt := func(o pks.Options) string { return selectionKey(dev, w, o) }
-	perturb := map[string]string{
-		"target":       opt(pks.Options{TargetErrorPct: 4}),
-		"max-k":        opt(pks.Options{MaxK: 19}),
-		"pca-variance": opt(pks.Options{PCAVarianceTarget: 0.8}),
-		"rep-policy":   opt(pks.Options{Representative: pks.RepClusterCenter}),
-		"disable-pca":  opt(pks.Options{DisablePCA: true}),
-		"budget":       opt(pks.Options{DetailedBudgetSeconds: 3600}),
-		"max-detailed": opt(pks.Options{MaxDetailed: 100}),
-		"sample-max":   opt(pks.Options{ClusterSampleMax: 100}),
-		"seed":         opt(pks.Options{Seed: 1}),
-		"workload-name": selectionKey(dev, func() *workload.Workload {
-			c := *w
-			c.Name += "2"
-			return &c
-		}(), pks.Options{}),
-		"launch-count": selectionKey(dev, func() *workload.Workload {
-			c := *w
-			c.N--
-			return &c
-		}(), pks.Options{}),
-		"one-name": selectionKey(dev, launches(func(i int, k *trace.KernelDesc) {
-			if i == 7 {
-				k.Name += "_v2"
-			}
-		}), pks.Options{}),
-		"one-feature": selectionKey(dev, launches(func(i int, k *trace.KernelDesc) {
-			if i == 7 {
-				k.CoalescingFactor = math.Nextafter(k.CoalescingFactor, 64)
-			}
-		}), pks.Options{}),
-	}
-	// Every device field, found by reflection so a new one cannot be missed.
-	dv := reflect.ValueOf(&dev).Elem()
-	for f := 0; f < dv.NumField(); f++ {
-		d := dev
-		fv := reflect.ValueOf(&d).Elem().Field(f)
-		switch fv.Kind() {
-		case reflect.String:
-			fv.SetString(fv.String() + "x")
-		case reflect.Bool:
-			fv.SetBool(!fv.Bool())
-		case reflect.Float64:
-			fv.SetFloat(fv.Float() * 2)
-		default:
-			fv.SetInt(fv.Int() + 1)
-		}
-		perturb["device."+dv.Type().Field(f).Name] = selectionKey(d, w, pks.Options{})
-	}
-	for name, key := range perturb {
-		if key == base {
-			t.Errorf("perturbing %s did not change the key", name)
-		}
-	}
-
-	// Swapping two different launches is a different workload.
-	a, b := 0, 1
-	for ka := w.Gen(a); b < w.N && reflect.DeepEqual(ka, w.Gen(b)); b++ {
-	}
-	if b == w.N {
-		t.Fatal("workload has one distinct launch; pick another")
-	}
-	swapped := *w
-	swapped.Gen = func(i int) trace.KernelDesc {
-		switch i {
-		case a:
-			return w.Gen(b)
-		case b:
-			return w.Gen(a)
-		}
-		return w.Gen(i)
-	}
-	if selectionKey(dev, &swapped, pks.Options{}) == base {
-		t.Error("swapping two launches did not change the key")
-	}
-
-	// Zero values and the defaults they stand for are one configuration, and
-	// observers are not configuration.
-	explicit := pks.Options{TargetErrorPct: 5, MaxK: 20, PCAVarianceTarget: 0.9,
-		DetailedBudgetSeconds: 7 * 24 * 3600, ClusterSampleMax: 20000}
-	if opt(explicit) != base {
-		t.Error("explicit defaults key differently from zero values")
-	}
-	o := obs.NewObserver()
-	if opt(pks.Options{Audit: o.Audit, Metrics: o.PKSMetrics()}) != base {
-		t.Error("Audit/Metrics entered the key")
 	}
 }
 

@@ -8,12 +8,14 @@ import (
 	"sort"
 )
 
-// The artifact store keeps whole Selections (core.Select), where
-// SelectionFile keeps the summary a simulator integration needs. The payload
-// is fixed little-endian 64-bit words in the style of sampling.EncodeOutcome
-// (floats as IEEE-754 bits, strings and slices behind a count, NameCounts in
-// sorted-name order) and carries no version: the content key is salted with
-// the schema. One walk (codec.selection) lays it out for both directions.
+// The artifact store keeps whole Selections (core.Select), and this is the
+// one format the program reads a selection back from; `pka -json` exports a
+// summary for other tools (serialize.go) that nothing here decodes. The
+// payload is fixed little-endian 64-bit words in the style of
+// sampling.EncodeOutcome (floats as IEEE-754 bits, strings and slices behind
+// a count, NameCounts in sorted-name order) and carries no version: the
+// content key is salted with the schema. One walk (codec.selection) lays it
+// out for both directions.
 
 // AppendKey appends every option that can change a byte of a Selection, zero
 // values resolved to their defaults so configurations that mean the same

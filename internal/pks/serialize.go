@@ -2,17 +2,15 @@ package pks
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
-
-	"pka/internal/trace"
 )
 
 // The paper's artifact persists each workload's selection — the number of
 // principal groups, the principal kernel of each group and its weight — so
 // that tracing and simulation can consume it without re-profiling. This
-// file provides the equivalent as a stable JSON document.
+// file provides the equivalent as a stable JSON document, write-only: what
+// the program itself reads back is the artifact store's payload (codec.go).
 
 // SelectionFile is the on-disk form of a Selection: everything a
 // simulator integration needs to replay the sampled workload, without the
@@ -92,68 +90,4 @@ func (s *Selection) SaveJSON(path string) error {
 	}
 	defer f.Close()
 	return s.WriteJSON(f)
-}
-
-// ReadJSON parses a selection file and validates its structure.
-func ReadJSON(r io.Reader) (*SelectionFile, error) {
-	var f SelectionFile
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&f); err != nil {
-		return nil, fmt.Errorf("pks: parsing selection file: %w", err)
-	}
-	if err := f.Validate(); err != nil {
-		return nil, err
-	}
-	return &f, nil
-}
-
-// LoadJSON reads a selection file from disk.
-func LoadJSON(path string) (*SelectionFile, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadJSON(f)
-}
-
-// Validate checks the invariants a consumer relies on.
-func (f *SelectionFile) Validate() error {
-	if f.Version != currentVersion {
-		return fmt.Errorf("pks: unsupported selection file version %d", f.Version)
-	}
-	if f.K != len(f.Groups) {
-		return fmt.Errorf("pks: K=%d but %d groups", f.K, len(f.Groups))
-	}
-	if len(f.Groups) == 0 {
-		return fmt.Errorf("pks: selection file has no groups")
-	}
-	total := 0
-	var weight float64
-	for i, g := range f.Groups {
-		if g.RepKernelID < 0 || g.RepKernelID >= f.TotalKernels {
-			return fmt.Errorf("pks: group %d representative id %d out of range [0,%d)", i, g.RepKernelID, f.TotalKernels)
-		}
-		if g.Count <= 0 {
-			return fmt.Errorf("pks: group %d has population %d", i, g.Count)
-		}
-		total += g.Count
-		weight += g.Weight
-	}
-	if total != f.TotalKernels {
-		return fmt.Errorf("pks: group populations sum to %d, want %d", total, f.TotalKernels)
-	}
-	if weight < 0.999 || weight > 1.001 {
-		return fmt.Errorf("pks: group weights sum to %.4f, want 1", weight)
-	}
-	return nil
-}
-
-// RepresentativeDims returns the representative launch dims of group i as
-// trace types, for reconstructing simulator inputs.
-func (f *SelectionFile) RepresentativeDims(i int) (grid, block trace.Dim3) {
-	g := f.Groups[i]
-	return trace.Dim3{X: g.RepGrid[0], Y: g.RepGrid[1], Z: g.RepGrid[2]},
-		trace.Dim3{X: g.RepBlock[0], Y: g.RepBlock[1], Z: g.RepBlock[2]}
 }

@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"math"
 	"testing"
 
 	"pka/internal/artifact"
@@ -163,5 +164,32 @@ func TestSimPoolKeepsDevicesApart(t *testing.T) {
 			}
 			releaseSim(s)
 		}
+	}
+}
+
+// TestWarmKernelTaskAllocs: the steady-state cost of one kernel task is the
+// simulation itself — a warm task takes a flushed simulator from the pool
+// instead of building one (~570 allocations: every SM's warp, block and ready
+// arrays, all L1s and the L2). The bound is on the cheapest of 20 warm tasks,
+// not their mean: under -race sync.Pool drops a quarter of its Puts by design.
+func TestWarmKernelTaskAllocs(t *testing.T) {
+	w := workload.Find("Rodinia/gauss_208")
+	if w == nil {
+		t.Fatal("study workload missing")
+	}
+	dev, k, task := gpu.VoltaV100(), w.Kernel(0), KernelTask{Mode: ModeFull}
+	var ex *Exec
+	run := func() {
+		if _, err := ex.RunKernelTask(dev, &k, task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the pool
+	allocs := math.Inf(1)
+	for i := 0; i < 20; i++ {
+		allocs = math.Min(allocs, testing.AllocsPerRun(1, run))
+	}
+	if allocs > 32 {
+		t.Errorf("warm kernel task costs %.0f allocs/op, want <= 32: the simulator pool is no longer being reused", allocs)
 	}
 }

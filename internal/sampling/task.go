@@ -23,6 +23,7 @@ import (
 	"pka/internal/pkp"
 	"pka/internal/sim"
 	"pka/internal/trace"
+	"pka/internal/workload"
 )
 
 // TaskMode selects the per-kernel simulation policy.
@@ -149,7 +150,7 @@ func TaskKey(dev gpu.Device, k *trace.KernelDesc, t KernelTask) string {
 // taskKeys derives the TaskKeys of one batch: the device and task sections
 // are built once and every kernel section goes through one reused buffer.
 func taskKeys(dev gpu.Device, t KernelTask, kernels []trace.KernelDesc) []string {
-	devSec := AppendDeviceSection(make([]byte, 0, 256), dev)
+	devSec := appendDeviceSection(make([]byte, 0, 256), dev)
 	tSec := appendInt(appendInt(make([]byte, 0, 5*8), int(t.Mode)), int(t.MaxCycles))
 	if t.Mode == ModePKA {
 		tSec = appendInt(appendFloat(tSec, t.PKP.Threshold), t.PKP.Window)
@@ -158,7 +159,7 @@ func taskKeys(dev gpu.Device, t KernelTask, kernels []trace.KernelDesc) []string
 	schema, kSec := []byte(taskSchema), make([]byte, 0, 22*8)
 	keys := make([]string, len(kernels))
 	for i := range kernels {
-		kSec = AppendKernelSection(kSec[:0], &kernels[i])
+		kSec = appendKernelSection(kSec[:0], &kernels[i])
 		keys[i] = artifact.Key(schema, devSec, kSec, tSec)
 	}
 	return keys
@@ -179,11 +180,10 @@ func appendBool(b []byte, v bool) []byte {
 	return appendInt(b, 0)
 }
 
-// AppendKernelSection appends every semantic field of one launch — all of
-// KernelDesc but the launch index and the name — as TaskKey hashes it. The
-// selection key (core.Select) hashes the same bytes per launch, plus the
-// name.
-func AppendKernelSection(b []byte, k *trace.KernelDesc) []byte {
+// appendKernelSection appends every semantic field of one launch — all of
+// KernelDesc but the launch index and the name — as TaskKey hashes it.
+// SelectionKey hashes the same bytes per launch, plus the name.
+func appendKernelSection(b []byte, k *trace.KernelDesc) []byte {
 	for _, v := range [...]int{
 		k.Grid.X, k.Grid.Y, k.Grid.Z, k.Block.X, k.Block.Y, k.Block.Z,
 		k.RegsPerThread, k.SharedMemPerBlock,
@@ -200,9 +200,9 @@ func AppendKernelSection(b []byte, k *trace.KernelDesc) []byte {
 	return binary.LittleEndian.AppendUint64(b, k.Seed)
 }
 
-// AppendDeviceSection appends every semantic device-configuration field —
+// appendDeviceSection appends every semantic device-configuration field —
 // the device half of TaskKey, of the selection key and of DeviceFingerprint.
-func AppendDeviceSection(b []byte, dev gpu.Device) []byte {
+func appendDeviceSection(b []byte, dev gpu.Device) []byte {
 	b = append(b, dev.Name...)
 	b = append(b, '|')
 	b = append(b, dev.Generation.String()...)
@@ -223,7 +223,7 @@ func AppendDeviceSection(b []byte, dev gpu.Device) []byte {
 	return appendFloat(b, dev.ISAScale)
 }
 
-// deviceSchema versions DeviceFingerprint; bump it with AppendDeviceSection.
+// deviceSchema versions DeviceFingerprint; bump it with appendDeviceSection.
 const deviceSchema = "pka-device-v1"
 
 // DeviceFingerprint returns a stable content hash of the device
@@ -231,7 +231,37 @@ const deviceSchema = "pka-device-v1"
 // trained against one device records this fingerprint so a predictor can
 // refuse to score tasks for a differently-configured GPU.
 func DeviceFingerprint(dev gpu.Device) string {
-	return artifact.Key([]byte(deviceSchema), AppendDeviceSection(nil, dev))
+	return artifact.Key([]byte(deviceSchema), appendDeviceSection(nil, dev))
+}
+
+// selectionSchema salts every selection key with the payload encoding and
+// the selection semantics: bump it whenever profiler, linalg, cluster,
+// classify or pks arithmetic changes a byte of a Selection, or primed stores
+// keep serving the old one. core's TestSelectionGolden pins the keys beside
+// the payload hashes.
+const selectionSchema = "pka-selection-v1"
+
+// SelectionKey derives the content key core.Select stores a workload's
+// Principal Kernel Selection under. It hashes everything a Selection is a
+// function of: the device, the workload's name and launch count, the filled
+// options (optsSection is pks.Options.AppendKey's bytes; this package does
+// not import pks), and every launch in order — TaskKey's kernel section plus
+// the kernel name, which TaskKey rightly omits and a selection cannot (names
+// feed NameCounts and the light-profile classifier). Launches stream through
+// one buffer, so a million-launch workload keys in constant memory.
+func SelectionKey(dev gpu.Device, w *workload.Workload, optsSection []byte) string {
+	h := artifact.NewKeyHash()
+	h.Section([]byte(selectionSchema))
+	buf := appendDeviceSection(make([]byte, 0, 256), dev)
+	h.Section(buf)
+	h.Section([]byte(w.FullName()))
+	h.Section(append(appendInt(buf[:0], w.N), optsSection...))
+	for i := 0; i < w.N; i++ {
+		k := w.Gen(i)
+		buf = append(appendKernelSection(buf[:0], &k), k.Name...)
+		h.Section(buf)
+	}
+	return h.Sum()
 }
 
 // outcomeSize is the fixed on-disk payload size of one KernelOutcome.

@@ -3,12 +3,15 @@ package sampling
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"pka/internal/artifact"
 	"pka/internal/gpu"
+	"pka/internal/obs"
 	"pka/internal/parallel"
 	"pka/internal/pkp"
+	"pka/internal/pks"
 	"pka/internal/trace"
 	"pka/internal/workload"
 )
@@ -98,6 +101,119 @@ func TestTaskKeySensitivity(t *testing.T) {
 	pksB := KernelTask{Mode: ModePKS, MaxCycles: 1, PKP: PKPSpec{Threshold: 0.9, Window: 9}}
 	if TaskKey(dev, &k, pksA) != TaskKey(dev, &k, pksB) {
 		t.Error("PKP spec leaked into a non-PKA key")
+	}
+}
+
+// TestSelectionKeySensitivity: everything a selection is a function of moves
+// the key, and nothing else does.
+func TestSelectionKeySensitivity(t *testing.T) {
+	dev := gpu.VoltaV100()
+	w := workload.Find("Polybench/fdtd2d")
+	if w == nil {
+		t.Fatal("study workload missing")
+	}
+	// The options enter as core.Select passes them: pks.Options.AppendKey's bytes.
+	selectionKey := func(d gpu.Device, of *workload.Workload, o pks.Options) string {
+		return SelectionKey(d, of, o.AppendKey(nil))
+	}
+	base := selectionKey(dev, w, pks.Options{})
+
+	// launches returns w with launch i rewritten by edit.
+	launches := func(edit func(i int, k *trace.KernelDesc)) *workload.Workload {
+		c := *w
+		c.Gen = func(i int) trace.KernelDesc {
+			k := w.Gen(i)
+			edit(i, &k)
+			return k
+		}
+		return &c
+	}
+	opt := func(o pks.Options) string { return selectionKey(dev, w, o) }
+	perturb := map[string]string{
+		"target":       opt(pks.Options{TargetErrorPct: 4}),
+		"max-k":        opt(pks.Options{MaxK: 19}),
+		"pca-variance": opt(pks.Options{PCAVarianceTarget: 0.8}),
+		"rep-policy":   opt(pks.Options{Representative: pks.RepClusterCenter}),
+		"disable-pca":  opt(pks.Options{DisablePCA: true}),
+		"budget":       opt(pks.Options{DetailedBudgetSeconds: 3600}),
+		"max-detailed": opt(pks.Options{MaxDetailed: 100}),
+		"sample-max":   opt(pks.Options{ClusterSampleMax: 100}),
+		"seed":         opt(pks.Options{Seed: 1}),
+		"workload-name": selectionKey(dev, func() *workload.Workload {
+			c := *w
+			c.Name += "2"
+			return &c
+		}(), pks.Options{}),
+		"launch-count": selectionKey(dev, func() *workload.Workload {
+			c := *w
+			c.N--
+			return &c
+		}(), pks.Options{}),
+		"one-name": selectionKey(dev, launches(func(i int, k *trace.KernelDesc) {
+			if i == 7 {
+				k.Name += "_v2"
+			}
+		}), pks.Options{}),
+		"one-feature": selectionKey(dev, launches(func(i int, k *trace.KernelDesc) {
+			if i == 7 {
+				k.CoalescingFactor = math.Nextafter(k.CoalescingFactor, 64)
+			}
+		}), pks.Options{}),
+	}
+	// Every device field, found by reflection so a new one cannot be missed.
+	dv := reflect.ValueOf(&dev).Elem()
+	for f := 0; f < dv.NumField(); f++ {
+		d := dev
+		fv := reflect.ValueOf(&d).Elem().Field(f)
+		switch fv.Kind() {
+		case reflect.String:
+			fv.SetString(fv.String() + "x")
+		case reflect.Bool:
+			fv.SetBool(!fv.Bool())
+		case reflect.Float64:
+			fv.SetFloat(fv.Float() * 2)
+		default:
+			fv.SetInt(fv.Int() + 1)
+		}
+		perturb["device."+dv.Type().Field(f).Name] = selectionKey(d, w, pks.Options{})
+	}
+	for name, key := range perturb {
+		if key == base {
+			t.Errorf("perturbing %s did not change the key", name)
+		}
+	}
+
+	// Swapping two different launches is a different workload.
+	a, b := 0, 1
+	for ka := w.Gen(a); b < w.N && reflect.DeepEqual(ka, w.Gen(b)); b++ {
+	}
+	if b == w.N {
+		t.Fatal("workload has one distinct launch; pick another")
+	}
+	swapped := *w
+	swapped.Gen = func(i int) trace.KernelDesc {
+		switch i {
+		case a:
+			return w.Gen(b)
+		case b:
+			return w.Gen(a)
+		}
+		return w.Gen(i)
+	}
+	if selectionKey(dev, &swapped, pks.Options{}) == base {
+		t.Error("swapping two launches did not change the key")
+	}
+
+	// Zero values and the defaults they stand for are one configuration, and
+	// observers are not configuration.
+	explicit := pks.Options{TargetErrorPct: 5, MaxK: 20, PCAVarianceTarget: 0.9,
+		DetailedBudgetSeconds: 7 * 24 * 3600, ClusterSampleMax: 20000}
+	if opt(explicit) != base {
+		t.Error("explicit defaults key differently from zero values")
+	}
+	o := obs.NewObserver()
+	if opt(pks.Options{Audit: o.Audit, Metrics: o.PKSMetrics()}) != base {
+		t.Error("Audit/Metrics entered the key")
 	}
 }
 
