@@ -27,14 +27,15 @@ test:
 # execute under the detector without paying for the full artifact pipeline
 # at ~10x race overhead; core, pks and sampling race only their streaming
 # tests (the speculator's goroutines), the selection-artifact tests
-# (core.Select under Evaluate's stage pool) and the rider and bank tests (at
-# scheduler width > 1 a bank is filled and drained from several goroutines).
+# (core.Select under Evaluate's stage pool) and the rider, bank and pack tests
+# (at scheduler width > 1 a bank is filled and drained, and a batch's pack
+# read once, from several goroutines).
 # `make test` covers the heavy paths (including the parallel-vs-serial
 # determinism golden) natively.
 race:
 	$(GO) test -race ./internal/parallel/... ./internal/obs/... ./internal/serve/... ./internal/cluster/...
 	$(GO) test -race -short ./internal/experiments/... ./internal/workload/...
-	$(GO) test -race -run 'Stream|Speculat|SelectWarm|Misfit|Riders|Bank' ./internal/core/... ./internal/pks/... ./internal/sampling/...
+	$(GO) test -race -run 'Stream|Speculat|SelectWarm|Misfit|Riders|Bank|Pack' ./internal/core/... ./internal/pks/... ./internal/sampling/...
 
 # Five seconds of coverage-guided fuzzing per decoder of untrusted or
 # persisted bytes. The seed corpora already run in `make test`; this is the
@@ -43,6 +44,8 @@ FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzDecodeSelection -fuzztime $(FUZZTIME) ./internal/pks
 	$(GO) test -run NONE -fuzz FuzzDecodeOutcome -fuzztime $(FUZZTIME) ./internal/sampling
+	$(GO) test -run NONE -fuzz FuzzDecodePack -fuzztime $(FUZZTIME) ./internal/sampling
+	$(GO) test -run NONE -fuzz FuzzDecodeEntry -fuzztime $(FUZZTIME) ./internal/artifact
 	$(GO) test -run NONE -fuzz FuzzLoadWorkloadJSON -fuzztime $(FUZZTIME) ./internal/workload
 	$(GO) test -run NONE -fuzz FuzzStreamEvents -fuzztime $(FUZZTIME) ./internal/workload
 	$(GO) test -run NONE -fuzz FuzzServeRequest -fuzztime $(FUZZTIME) ./internal/serve

@@ -39,7 +39,7 @@ import (
 const Version = "pka-artifact-v1"
 
 // DefaultMaxBytes bounds the store's payload footprint when Options leaves
-// MaxBytes zero: 256 MiB holds tens of millions of kernel outcomes.
+// MaxBytes zero: 256 MiB holds ≈ 5 M kernel outcomes at 49 bytes an entry.
 const DefaultMaxBytes = 256 << 20
 
 // entry layout: magic | uint32 payload length | payload | uint64 FNV-1a.

@@ -126,6 +126,31 @@ func TestCorruptEntriesRecompute(t *testing.T) {
 	}
 }
 
+// FuzzDecodeEntry: the entry decoder reads whatever a shared directory holds;
+// whatever that is it must not panic, and whatever it accepts is exactly the
+// frame encodeEntry writes for the payload it returned.
+func FuzzDecodeEntry(f *testing.F) {
+	good := encodeEntry([]byte("principal kernel"))
+	f.Add(good)
+	f.Add(encodeEntry(nil))
+	f.Add(good[:len(good)-1])
+	f.Add(good[:entryOverhead-1])
+	f.Add(append(bytes.Clone(good), 0))
+	grown := bytes.Clone(good)
+	grown[4]++
+	f.Add(grown)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		payload, err := decodeEntry(raw)
+		if err != nil {
+			return
+		}
+		if got := encodeEntry(payload); !bytes.Equal(got, raw) {
+			t.Fatalf("accepted %x, which frames as %x", raw, got)
+		}
+	})
+}
+
 // TestEvictionPastSizeBound: filling past MaxBytes evicts oldest-first and
 // keeps the newest entries.
 func TestEvictionPastSizeBound(t *testing.T) {

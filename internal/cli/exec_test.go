@@ -101,9 +101,9 @@ func TestBuildWiresTheLadderFromFlags(t *testing.T) {
 	}{
 		{"none", nil, trainTask, []string{"kernel_mem"}, "sim", "kernel_mem"},
 		{"cache-dir", []string{"-cache-dir", t.TempDir(), "-metrics", metrics}, trainTask,
-			[]string{"artifact", "kernel_mem", "selection"}, "sim", "artifact"},
+			[]string{"artifact", "batch", "kernel_mem", "selection"}, "sim", "artifact"},
 		{"cache-dir+shard", []string{"-cache-dir", t.TempDir(), "-shard", worker.URL}, trainTask,
-			[]string{"artifact", "kernel_mem", "selection", "shard"}, "sim", "shard"},
+			[]string{"artifact", "batch", "kernel_mem", "selection", "shard"}, "sim", "shard"},
 		{"workers", []string{"-workers", worker.URL}, trainTask, []string{"kernel_mem"}, "worker", "kernel_mem"},
 		{"predict", []string{"-predict", trainedModel(t, dev, ks), "-predict-conf", "1e-12", "-predict-verify-frac", "0"}, queryTask,
 			[]string{"kernel_mem"}, "predict", ""},

@@ -171,13 +171,18 @@ type SampledSim struct {
 // Account fills in the two columns a sampled run is judged by: cycle error
 // against silicon, and simulated work saved against full simulation — or,
 // when full simulation was infeasible (nil), against the workload's total
-// instruction mass.
+// instruction mass, which costs a walk over every launch.
 func (s *SampledSim) Account(dev gpu.Device, w *workload.Workload, sil silicon.AppResult, full *sampling.Result) {
-	s.ErrorPct = stats.AbsPctErr(float64(s.ProjCycles), float64(sil.Cycles))
-	fullWork := TotalWarpWork(dev, w)
 	if full != nil {
-		fullWork = full.SimWarpInstrs
+		s.account(sil, full.SimWarpInstrs)
+	} else {
+		s.account(sil, TotalWarpWork(dev, w))
 	}
+}
+
+// account is Account against a full-simulation work figure already in hand.
+func (s *SampledSim) account(sil silicon.AppResult, fullWork int64) {
+	s.ErrorPct = stats.AbsPctErr(float64(s.ProjCycles), float64(sil.Cycles))
 	if s.SimWarpInstrs > 0 {
 		s.SpeedupVsFull = float64(fullWork) / float64(s.SimWarpInstrs)
 	}
@@ -432,17 +437,19 @@ func evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*Evaluation
 	}
 	full, fullErr := cfg.Exec.FullSimObs(cfg.Device, w, cfg.FullSimBudget, tobs, cfg.bank)
 	fullSpan.End()
+	var fullWork int64 // what full simulation costs, measured or projected
 	switch {
 	case fullErr == nil:
 		ev.Full = full
 		ev.FullErrorPct = stats.AbsPctErr(float64(full.ProjCycles), float64(sil.Cycles))
-		ev.FullSimHours = cfg.SimHours(full.SimWarpInstrs)
+		fullWork = full.SimWarpInstrs
 	case errors.Is(fullErr, sampling.ErrInfeasible):
 		// Projected time only; no error column (the paper's MLPerf rows).
-		ev.FullSimHours = cfg.SimHours(TotalWarpWork(cfg.Device, w))
+		fullWork = TotalWarpWork(cfg.Device, w)
 	default:
 		return nil, nil, fullErr
 	}
+	ev.FullSimHours = cfg.SimHours(fullWork)
 
 	// Stage 3: the sampled passes, PKS before PKA so that a PKS task that
 	// still has to simulate carries its PKA rider.
@@ -452,8 +459,8 @@ func evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*Evaluation
 	if ev.PKA, err = runSampled(cfg, w, reps, weights, true); err != nil {
 		return nil, nil, err
 	}
-	ev.PKS.Account(cfg.Device, w, sil, ev.Full)
-	ev.PKA.Account(cfg.Device, w, sil, ev.Full)
+	ev.PKS.account(sil, fullWork)
+	ev.PKA.account(sil, fullWork)
 	return ev, cfg.bank, nil
 }
 

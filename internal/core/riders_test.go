@@ -50,8 +50,9 @@ func openStore(t *testing.T) (*artifact.Store, string) {
 
 // soloPhases leaves in store what the cold pass left before tasks carried
 // riders: the selection, and every full, PKS and PKA task resolved by a run
-// of its own (RunSampled and FullSim have no bank). only, when set, restricts
-// it to one phase, for priming a partly warm store.
+// of its own (RunSampled and FullSim have no bank) — and, since each phase is
+// one RunKernels batch here as in the evaluation, the same packs. only, when
+// set, restricts it to one phase, for priming a partly warm store.
 func soloPhases(t *testing.T, cfg Config, w *workload.Workload, store *artifact.Store, only string) {
 	t.Helper()
 	cfg.Exec = sampling.NewExec(nil, store)
@@ -92,9 +93,10 @@ func pkpTrail(o *obs.Observer) ([]obs.AuditRecord, [4]int64) {
 // TestEvaluateRidersMatchSolo is the fence around simulating each kernel
 // once: a cold Evaluate whose full baseline carries the sampled tasks as
 // riders returns what resolving every task alone returns, leaves the store
-// holding exactly the same keys and bytes, accounts every task once, and logs
-// the same PKP decisions — at scheduler width 1, 2 and 8, from stores that
-// already hold one of the three phases, and from one that holds them all.
+// holding exactly the same keys and bytes (per-key entries and packs alike),
+// accounts every task once, and logs the same PKP decisions — at scheduler
+// width 1, 2 and 8, from stores that already hold one of the three phases, and
+// from one that holds them all, which it reads one pack per batch.
 func TestEvaluateRidersMatchSolo(t *testing.T) {
 	for _, c := range []struct {
 		name, workload string
@@ -126,9 +128,18 @@ func TestEvaluateRidersMatchSolo(t *testing.T) {
 			soloStore, soloDir := openStore(t)
 			soloPhases(t, base, w, soloStore, "")
 			want := storeFiles(t, soloDir)
-			tasks := 2 * ref.Selection.K
+			// The RunKernels batches of one evaluation, by size: pks, pka and,
+			// where it is feasible, the full baseline.
+			batches := []int{ref.Selection.K, ref.Selection.K}
 			if ref.Full != nil {
-				tasks += w.N
+				batches = append(batches, w.N)
+			}
+			tasks, packed := 0, 0
+			for _, n := range batches {
+				tasks += n
+				if n >= 2 {
+					packed++
+				}
 			}
 
 			check := func(what string, width int, store *artifact.Store, dir string, state string) {
@@ -164,12 +175,16 @@ func TestEvaluateRidersMatchSolo(t *testing.T) {
 					t.Errorf("%s: %d outcome writes for %d sim-tier tasks", what, writes, tiers["sim"])
 				}
 				if state == "warm" {
-					// An all-hit study reads each distinct outcome once, as it
-					// always did (the selection is counted on its own handle),
+					// An all-hit study reads one pack per batch of two tasks or
+					// more and a per-key entry only for a batch of one (the
+					// selection and the packs are counted on their own handles),
 					// and the bank never comes into it.
-					st := store.Stats()
-					if gets := int(st.Hits - before.Hits); gets != len(want)-1 || st.Misses != before.Misses || tiers["disk"]+tiers["mem"] != tasks {
-						t.Errorf("%s: %d hits and %d misses for %d stored outcomes, tiers %v", what, gets, st.Misses-before.Misses, len(want)-1, tiers)
+					st, packs := store.Stats(), cfg.Exec.CacheStats()["batch"]
+					if gets := int(st.Hits - before.Hits); gets != len(batches)-packed || st.Misses != before.Misses || tiers["disk"]+tiers["mem"] != tasks {
+						t.Errorf("%s: %d per-key hits and %d misses, want %d and 0; tiers %v", what, gets, st.Misses-before.Misses, len(batches)-packed, tiers)
+					}
+					if packs != (obs.CacheCounts{Hits: uint64(packed)}) {
+						t.Errorf("%s: batch family %+v, want %d hits and nothing else", what, packs, packed)
 					}
 				}
 				if state != "cold" {

@@ -103,15 +103,27 @@ func TestSelectWarmMatchesCold(t *testing.T) {
 	if got := coldEx.CacheStats()["selection"]; got != (obs.CacheCounts{Misses: 1}) {
 		t.Errorf("cold selection family %+v, want one miss", got)
 	}
-	// The selection is one more entry in the same directory, written and
-	// counted through the exec's own handle: store's counters stay kernel
-	// outcomes only (bench's artifact.puts == exec.sim_runs reads them).
-	if st, sel := store.Stats(), coldEx.Selections().Stats(); sel.Writes != 1 || st.Writes == 0 || int64(st.Writes)+1 != st.Entries {
+	// The selection and the full baseline's pack (the one-representative
+	// sampled batches have none) are two more entries in the same directory,
+	// written and counted through the exec's own handles: store's counters
+	// stay kernel outcomes only (bench's artifact.puts == exec.sim_runs reads
+	// them).
+	if st, sel := store.Stats(), coldEx.Selections().Stats(); sel.Writes != 1 || st.Writes == 0 || int64(st.Writes)+2 != st.Entries {
 		t.Errorf("cold run: %d outcome writes, %d selection writes, %d entries", st.Writes, sel.Writes, st.Entries)
 	}
+	if got := coldEx.CacheStats()["batch"]; got != (obs.CacheCounts{Misses: 1}) {
+		t.Errorf("cold batch family %+v, want one miss", got)
+	}
+	before := store.Stats()
 	warm, warmEx, warmObs := evalOver(t, w, store)
 	if got := warmEx.CacheStats()["selection"]; got != (obs.CacheCounts{Hits: 1}) {
 		t.Errorf("warm selection family %+v, want one hit", got)
+	}
+	// The 414 launches come out of one pack; only the two batches of one
+	// task read their per-key entries.
+	if st, packs := store.Stats(), warmEx.CacheStats()["batch"]; packs != (obs.CacheCounts{Hits: 1}) || st.Hits-before.Hits != 2 || st.Misses != before.Misses || st.Entries != before.Entries {
+		t.Errorf("warm run: batch family %+v, %d per-key hits, %d misses, %d new entries; want one pack hit, two per-key hits",
+			packs, st.Hits-before.Hits, st.Misses-before.Misses, st.Entries-before.Entries)
 	}
 	if !reflect.DeepEqual(warm.Selection, cold.Selection) {
 		t.Errorf("warm selection differs:\n got %+v\nwant %+v", warm.Selection, cold.Selection)

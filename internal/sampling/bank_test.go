@@ -13,6 +13,20 @@ import (
 	"pka/internal/workload"
 )
 
+// studyLaunches is a five-launch batch over two planned representatives, with
+// one launch that equals a representative by content under another name.
+func studyLaunches(t *testing.T) (launches, reps []trace.KernelDesc) {
+	t.Helper()
+	w := workload.Find("Rodinia/bfs65536")
+	if w == nil {
+		t.Fatal("study workload missing")
+	}
+	reps = []trace.KernelDesc{w.Kernel(8), w.Kernel(3)}
+	alias := reps[0]
+	alias.Name, alias.ID = "same-content-other-name", 99
+	return []trace.KernelDesc{alias, w.Kernel(0), reps[1], reps[0], w.Kernel(5)}, reps
+}
+
 // TestBankRidersMatchSoloTasks walks a bank through an evaluation's three
 // passes by hand: the full baseline's launches that equal a planned kernel
 // by content — under whatever name, whichever comes first — carry the
@@ -21,14 +35,7 @@ import (
 // the bank ends empty.
 func TestBankRidersMatchSoloTasks(t *testing.T) {
 	dev := gpu.VoltaV100()
-	w := workload.Find("Rodinia/bfs65536")
-	if w == nil {
-		t.Fatal("study workload missing")
-	}
-	reps := []trace.KernelDesc{w.Kernel(8), w.Kernel(3)}
-	alias := reps[0]
-	alias.Name, alias.ID = "same-content-other-name", 99
-	launches := []trace.KernelDesc{alias, w.Kernel(0), reps[1], reps[0], w.Kernel(5)}
+	launches, reps := studyLaunches(t)
 	full := KernelTask{Mode: ModeFull}
 	pks := SampledTask(0, pkp.Options{}, false)
 	pka := SampledTask(0, pkp.Options{}, true)
@@ -77,20 +84,22 @@ func TestBankRidersMatchSoloTasks(t *testing.T) {
 		}
 		// Two passes simulated for two planned kernels (reported under the
 		// first rider's track; the other launches have no SimObs), four
-		// sampled tasks accounted at the simulator tier, and one write per
-		// distinct outcome: 4 full + 2 + 2.
+		// sampled tasks accounted at the simulator tier, one write per distinct
+		// outcome — 4 full + 2 + 2 — and, through the exec's own handle, one
+		// pack per batch.
 		if n := o.SimMetrics().Kernels.Value(); n != 2 {
 			t.Errorf("width %d: %d simulator passes reported, want 2", width, n)
 		}
 		if tiers := fr.TierCounts(); tiers["sim"] != 4 || fr.Len() != 4 {
 			t.Errorf("width %d: sampled tasks served by %v", width, tiers)
 		}
-		if st := store.Stats(); st.Writes != 8 || st.Entries != 8 {
-			t.Errorf("width %d: %d writes, %d entries, want 8 and 8", width, st.Writes, st.Entries)
+		if st, packs := store.Stats(), e.packs.Stats(); st.Writes != 8 || packs.Writes != 3 || st.Entries != 11 {
+			t.Errorf("width %d: %d outcome writes, %d pack writes, %d entries, want 8, 3 and 11", width, st.Writes, packs.Writes, st.Entries)
 		}
 
 		// Over the now-warm store nothing reaches the simulator, so a second
-		// evaluation's bank is never filled.
+		// evaluation's bank is never filled. Its full batch is not the first
+		// one's, so that one reads per-key entries and leaves a pack of its own.
 		again := NewBank(dev, reps, RiderPass{Task: pks}, RiderPass{Task: pka})
 		fresh := NewExec(nil, store)
 		for _, task := range []KernelTask{full, pks, pka} {
@@ -98,8 +107,11 @@ func TestBankRidersMatchSoloTasks(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if st := store.Stats(); again.Len() != 0 || st.Writes != 8 {
-			t.Errorf("width %d: warm evaluation banked %d outcomes and made %d writes", width, again.Len(), st.Writes-8)
+		if st := store.Stats(); again.Len() != 0 || st.Writes != 8 || st.Entries != 12 {
+			t.Errorf("width %d: warm evaluation banked %d outcomes, made %d writes and left %d entries", width, again.Len(), st.Writes-8, st.Entries)
+		}
+		if packs := fresh.CacheStats()["batch"]; packs != (obs.CacheCounts{Hits: 2, Misses: 1}) {
+			t.Errorf("width %d: warm evaluation's batch family %+v, want two hits and a miss", width, packs)
 		}
 	}
 }

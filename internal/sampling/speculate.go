@@ -108,7 +108,7 @@ func (s *Speculator) Speculate(k trace.KernelDesc, tasks ...KernelTask) {
 		defer func() { <-s.sem }()
 		bank := NewBank(s.dev, []trace.KernelDesc{k}, passes...)
 		for i, ent := range ents {
-			oc, err := s.exec.run(keys[i], s.dev, k, passes[i].Task, TaskObs{Phase: "spec", Kernel: k.Name}, true, bank)
+			oc, err := s.exec.run(keys[i], s.dev, k, passes[i].Task, TaskObs{Phase: "spec", Kernel: k.Name}, true, bank, nil, 0)
 			if err != nil {
 				continue
 			}

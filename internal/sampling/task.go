@@ -374,6 +374,7 @@ type Exec struct {
 	sched  *parallel.Scheduler
 	store  *artifact.Store // kernel outcomes: CacheStats' "artifact" family
 	sels   *artifact.Store // store's View for whole selections: "selection"
+	packs  *artifact.Store // store's View for whole batches' outcomes: "batch"
 	shard  ShardTier
 	remote RemoteTier
 	pred   Predictor
@@ -387,7 +388,7 @@ type Exec struct {
 // NewExec builds an Exec. Either resource may be nil: a nil scheduler runs
 // tasks inline on the caller, a nil store caches in memory only.
 func NewExec(sched *parallel.Scheduler, store *artifact.Store) *Exec {
-	return &Exec{sched: sched, store: store, sels: store.View()}
+	return &Exec{sched: sched, store: store, sels: store.View(), packs: store.View()}
 }
 
 // SetRemote installs (or, with nil, removes) the remote worker tier.
@@ -479,8 +480,8 @@ func (e *Exec) Selections() *artifact.Store {
 }
 
 // CacheStats reports hit/miss counters for every cache tier this exec
-// holds — "kernel_mem", plus "artifact" and "selection" with a store and
-// "shard" with a counting shard tier — in the shape obs.RegisterCacheStats
+// holds — "kernel_mem", plus "artifact", "batch" and "selection" with a store
+// and "shard" with a counting shard tier — in the shape obs.RegisterCacheStats
 // and -cache-stats want. Every binary takes its families from here.
 func (e *Exec) CacheStats() map[string]obs.CacheCounts {
 	h, m := e.MemStats()
@@ -490,6 +491,8 @@ func (e *Exec) CacheStats() map[string]obs.CacheCounts {
 		out["artifact"] = obs.CacheCounts{Hits: a.Hits, Misses: a.Misses, Evictions: a.Evictions, Corrupt: a.Corrupt}
 		s := e.sels.Stats()
 		out["selection"] = obs.CacheCounts{Hits: s.Hits, Misses: s.Misses, Corrupt: s.Corrupt}
+		b := e.packs.Stats()
+		out["batch"] = obs.CacheCounts{Hits: b.Hits, Misses: b.Misses, Corrupt: b.Corrupt}
 	}
 	if e != nil {
 		if c, ok := e.shard.(interface{ CacheCounts() obs.CacheCounts }); ok {
@@ -506,7 +509,8 @@ func (e *Exec) CacheStats() map[string]obs.CacheCounts {
 // by each kernel's dynamic warp-instruction count, longest-first. bank (nil
 // for none) is the calling evaluation's: a task that reaches the simulator
 // carries the passes bank plans as riders, and one whose outcome an earlier
-// pass banked finds it there. A nil exec simulates every task on its own.
+// pass banked finds it there. With a store, a batch of two tasks or more is
+// also memoised whole (see batch). A nil exec simulates every task on its own.
 func (e *Exec) RunKernels(dev gpu.Device, task KernelTask, kernels []trace.KernelDesc, tobs func(i int) TaskObs, bank *Bank) ([]KernelOutcome, error) {
 	noObs := func(int) TaskObs { return TaskObs{} }
 	if tobs == nil {
@@ -522,7 +526,8 @@ func (e *Exec) RunKernels(dev gpu.Device, task KernelTask, kernels []trace.Kerne
 	if e != nil {
 		keys = taskKeys(dev, task, kernels)
 	}
-	return parallel.SchedMap(e.Scheduler(), kernels, cost, func(i int, k trace.KernelDesc) (KernelOutcome, error) {
+	pack := e.newBatch(keys)
+	outs, err := parallel.SchedMap(e.Scheduler(), kernels, cost, func(i int, k trace.KernelDesc) (KernelOutcome, error) {
 		to := tobs(i)
 		if to.Flight != nil {
 			if to.QueuedAt.IsZero() {
@@ -535,8 +540,12 @@ func (e *Exec) RunKernels(dev gpu.Device, task KernelTask, kernels []trace.Kerne
 		if e == nil {
 			return simulateKernel(dev, k, task, to, nil, "")
 		}
-		return e.run(keys[i], dev, k, task, to, true, bank)
+		return e.run(keys[i], dev, k, task, to, true, bank, pack, i)
 	})
+	if err == nil {
+		pack.save(outs)
+	}
+	return outs, err
 }
 
 // RunKernelTask executes one kernel task through the mem-singleflight and
@@ -554,13 +563,13 @@ func (e *Exec) RunKernelTaskObs(dev gpu.Device, k *trace.KernelDesc, task Kernel
 	if e == nil {
 		return simulateKernel(dev, *k, task, to, nil, "")
 	}
-	return e.run(TaskKey(dev, k, task), dev, *k, task, to, false, nil)
+	return e.run(TaskKey(dev, k, task), dev, *k, task, to, false, nil, nil, 0)
 }
 
-// run resolves the task keyed key: the predictor first, then the ladder
-// (in-memory singleflight → artifact store → owner-shard peer → remote
-// workers → fresh simulator).
-func (e *Exec) run(key string, dev gpu.Device, k trace.KernelDesc, task KernelTask, to TaskObs, allowRemote bool, bank *Bank) (KernelOutcome, error) {
+// run resolves the task keyed key (task i of pack's batch; nil for a lone
+// task): the predictor first, then the ladder (in-memory singleflight →
+// artifact store → owner-shard peer → remote workers → fresh simulator).
+func (e *Exec) run(key string, dev gpu.Device, k trace.KernelDesc, task KernelTask, to TaskObs, allowRemote bool, bank *Bank, pack *batch, i int) (KernelOutcome, error) {
 	// observed gates all timing: with no flight recorder and no metrics
 	// bundle the ladder takes no clock readings at all.
 	observed := to.Flight != nil || e.execM != nil
@@ -586,7 +595,7 @@ func (e *Exec) run(key string, dev gpu.Device, k trace.KernelDesc, task KernelTa
 			return oc, nil
 		}
 	}
-	oc, tier, ro, shardPeer, err := e.runLadder(key, dev, k, task, to, allowRemote, bank)
+	oc, tier, ro, shardPeer, err := e.runLadder(key, dev, k, task, to, allowRemote, bank, pack, i)
 	if err != nil {
 		return oc, err
 	}
@@ -642,7 +651,7 @@ func (e *Exec) spawnVerify(dev gpu.Device, k trace.KernelDesc, task KernelTask, 
 		defer e.verifyWG.Done()
 		e.verifySem <- struct{}{}
 		defer func() { <-e.verifySem }()
-		actual, _, _, _, err := e.runLadder(key, dev, k, task, TaskObs{}, true, nil)
+		actual, _, _, _, err := e.runLadder(key, dev, k, task, TaskObs{}, true, nil, nil, 0)
 		if err != nil {
 			return
 		}
@@ -651,12 +660,13 @@ func (e *Exec) spawnVerify(dev gpu.Device, k trace.KernelDesc, task KernelTask, 
 }
 
 // runLadder resolves one task through the real serving ladder (everything
-// below the predictor): mem singleflight → the evaluation's bank → disk →
-// owner shard → remote workers → fresh sim. The bank is asked before any tier
-// that costs I/O; what it holds is byte for byte what those would serve. It
-// takes no clock readings and records nothing — observation is the caller's
-// business — so the verifier can reuse it without perturbing tier accounting.
-func (e *Exec) runLadder(key string, dev gpu.Device, k trace.KernelDesc, task KernelTask, to TaskObs, allowRemote bool, bank *Bank) (KernelOutcome, Tier, *RemoteObs, string, error) {
+// below the predictor): mem singleflight → the evaluation's bank → disk (the
+// batch's pack, else the key's entry) → owner shard → remote workers → fresh
+// sim. The bank is asked before any tier that costs I/O; what it holds is byte
+// for byte what those would serve. It takes no clock readings and records
+// nothing — observation is the caller's business — so the verifier can reuse
+// it without perturbing tier accounting.
+func (e *Exec) runLadder(key string, dev gpu.Device, k trace.KernelDesc, task KernelTask, to TaskObs, allowRemote bool, bank *Bank, pack *batch, i int) (KernelOutcome, Tier, *RemoteObs, string, error) {
 	// tier and ro are closure-local per caller: the singleflight runs only
 	// the winning caller's closure (on its own goroutine), so waiters keep
 	// the TierMem default — they were indeed served from memory, even
@@ -667,12 +677,19 @@ func (e *Exec) runLadder(key string, dev gpu.Device, k trace.KernelDesc, task Ke
 	var shardPeer string
 	observed := to.Flight != nil || e.execM != nil
 	oc, err := e.mem.Do(key, func() (KernelOutcome, error) {
+		if pack != nil {
+			pack.pastMem.Store(true)
+		}
 		if oc, ok := bank.take(key); ok {
 			// An earlier pass of this evaluation read this outcome off its
 			// own run. This task is the one that asked for it, so this task
 			// accounts for the simulation and persists it.
 			tier = TierSim
 			e.persist(key, oc)
+			return oc, nil
+		}
+		if oc, ok := pack.outcome(i); ok {
+			tier = TierDisk
 			return oc, nil
 		}
 		if raw, ok := e.store.Get(key); ok {
@@ -682,6 +699,7 @@ func (e *Exec) runLadder(key string, dev gpu.Device, k trace.KernelDesc, task Ke
 			}
 			// Undecodable payload under a valid checksum means schema
 			// drift without a version bump; recompute and overwrite.
+			e.store.Reject()
 		}
 		if e.shard != nil {
 			// Owner-shard peer lookup: pure cache reads, so workers use it

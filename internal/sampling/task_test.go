@@ -348,7 +348,8 @@ func TestExecScheduledMatchesSerial(t *testing.T) {
 }
 
 // TestCorruptStoreEntryRecomputes: a corrupted disk entry must be
-// recomputed transparently, yielding the same outcome as the clean run.
+// recomputed transparently, yielding the same outcome as the clean run —
+// and be counted as the corrupt miss it was, not as a hit.
 func TestCorruptStoreEntryRecomputes(t *testing.T) {
 	dev := gpu.VoltaV100()
 	k := testKernel(t)
@@ -370,12 +371,23 @@ func TestCorruptStoreEntryRecomputes(t *testing.T) {
 	if err := st.Put(key, []byte("schema drifted")); err != nil {
 		t.Fatal(err)
 	}
-	again, err := NewExec(nil, st).RunKernels(dev, task, []trace.KernelDesc{k}, nil, nil)
+	before := st.Stats()
+	fr := NewFlightRecorder()
+	again, err := NewExec(nil, st).RunKernels(dev, task, []trace.KernelDesc{k}, func(int) TaskObs {
+		return TaskObs{Flight: fr, Phase: "t"}
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again[0] != clean[0] {
 		t.Fatalf("recomputed outcome %+v != clean %+v", again[0], clean[0])
+	}
+	if now := st.Stats(); now.Hits != before.Hits || now.Corrupt != before.Corrupt+1 || now.Misses != before.Misses+1 || fr.TierCounts()["sim"] != 1 {
+		t.Errorf("drifted entry: stats %+v after %+v, tiers %v; want no hit, one corrupt miss, tier sim", now, before, fr.TierCounts())
+	}
+	raw, ok := st.Get(key)
+	if restored, err := DecodeOutcome(raw); !ok || err != nil || restored != clean[0] {
+		t.Errorf("the recompute's Put did not restore a decodable entry: %+v, %v, %v", restored, ok, err)
 	}
 }
 

@@ -296,16 +296,13 @@ func TestServeMatchesBatch(t *testing.T) {
 }
 
 // TestRunSelectionWarmMatchesCold: over one artifact store the first Run
-// computes and persists the selection, the second reads it back, and the
-// two responses — and the uncached reference — are the same bytes.
+// computes and persists the selection — and, for a study of two
+// representatives or more, its batch's pack — the second reads them back, and
+// the two responses and the uncached reference are the same bytes. An
+// identical request on the same Exec is the mem tier's: it never asks for
+// the pack.
 func TestRunSelectionWarmMatchesCold(t *testing.T) {
-	store, err := artifact.Open(t.TempDir(), artifact.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	const doc = `{"workload":"Rodinia/bfs4096","mode":"pka","target":2,"silicon":true}`
-	run := func(exec *sampling.Exec) []byte {
+	run := func(doc string, exec *sampling.Exec) []byte {
 		t.Helper()
 		req, err := serve.DecodeStudyRequest(strings.NewReader(doc))
 		if err != nil {
@@ -321,14 +318,37 @@ func TestRunSelectionWarmMatchesCold(t *testing.T) {
 		}
 		return body
 	}
-	want := run(nil)
-	for i, wantCounts := range []obs.CacheCounts{{Misses: 1}, {Hits: 1}} {
-		exec := sampling.NewExec(parallel.NewScheduler(2), store)
-		if got := run(exec); !bytes.Equal(got, want) {
-			t.Errorf("run %d over the store:\n got %s\nwant %s", i, got, want)
+	for _, c := range []struct {
+		doc    string
+		packed bool
+	}{
+		{`{"workload":"Rodinia/bfs4096","mode":"pka","target":2,"silicon":true}`, false}, // K = 1
+		{`{"workload":"Rodinia/bfs65536","mode":"pka"}`, true},
+	} {
+		store, err := artifact.Open(t.TempDir(), artifact.Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := exec.CacheStats()["selection"]; got != wantCounts {
-			t.Errorf("run %d: selection family %+v, want %+v", i, got, wantCounts)
+		defer store.Close()
+		want := run(c.doc, nil)
+		for i, wantCounts := range []obs.CacheCounts{{Misses: 1}, {Hits: 1}} {
+			exec := sampling.NewExec(parallel.NewScheduler(2), store)
+			if got := run(c.doc, exec); !bytes.Equal(got, want) {
+				t.Errorf("%s: run %d over the store:\n got %s\nwant %s", c.doc, i, got, want)
+			}
+			if got := exec.CacheStats()["selection"]; got != wantCounts {
+				t.Errorf("%s: run %d: selection family %+v, want %+v", c.doc, i, got, wantCounts)
+			}
+			wantPacks := obs.CacheCounts{}
+			if c.packed {
+				wantPacks = wantCounts
+			}
+			if got := run(c.doc, exec); !bytes.Equal(got, want) {
+				t.Errorf("%s: run %d repeated on its Exec:\n got %s\nwant %s", c.doc, i, got, want)
+			}
+			if got := exec.CacheStats()["batch"]; got != wantPacks {
+				t.Errorf("%s: run %d and its repeat: batch family %+v, want %+v", c.doc, i, got, wantPacks)
+			}
 		}
 	}
 }
