@@ -26,16 +26,16 @@ test:
 # regression tests (singleflight, 64-goroutine stress, fuzz seed corpus)
 # execute under the detector without paying for the full artifact pipeline
 # at ~10x race overhead; core, pks and sampling race only their streaming
-# tests (the speculator's goroutines), the selection-artifact tests
-# (core.Select under Evaluate's stage pool) and the rider, bank and pack tests
-# (at scheduler width > 1 a bank is filled and drained, and a batch's pack
-# read once, from several goroutines).
+# tests (the speculator's goroutines), the selection-artifact tests, the
+# rider, bank and pack tests (at scheduler width > 1 a bank is filled and
+# drained, and a batch's pack read once, from several goroutines) and the
+# scan's (its launches are handed to the scheduler's tasks).
 # `make test` covers the heavy paths (including the parallel-vs-serial
 # determinism golden) natively.
 race:
 	$(GO) test -race ./internal/parallel/... ./internal/obs/... ./internal/serve/... ./internal/cluster/...
 	$(GO) test -race -short ./internal/experiments/... ./internal/workload/...
-	$(GO) test -race -run 'Stream|Speculat|SelectWarm|Misfit|Riders|Bank|Pack' ./internal/core/... ./internal/pks/... ./internal/sampling/...
+	$(GO) test -race -run 'Stream|Speculat|SelectWarm|Misfit|Riders|Bank|Pack|Scan|WalksOnce' ./internal/core/... ./internal/pks/... ./internal/sampling/...
 
 # Five seconds of coverage-guided fuzzing per decoder of untrusted or
 # persisted bytes. The seed corpora already run in `make test`; this is the
@@ -49,6 +49,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzLoadWorkloadJSON -fuzztime $(FUZZTIME) ./internal/workload
 	$(GO) test -run NONE -fuzz FuzzStreamEvents -fuzztime $(FUZZTIME) ./internal/workload
 	$(GO) test -run NONE -fuzz FuzzServeRequest -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run NONE -fuzz FuzzParseTraceparent -fuzztime $(FUZZTIME) ./internal/obs
 
 # bench/ is its own module (pka/bench, `replace pka => ../`), so the root
 # `go build ./... && go test ./...` never compiles it. Vet and test it here

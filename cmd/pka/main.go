@@ -290,7 +290,7 @@ func suiteDedupStudy(cfg core.Config, ws []*workload.Workload) error {
 	tab := &report.Table{Columns: []string{"Workload", "Kernels", "PKS K", "PKS err%", "Dedup reps", "Dedup err%"}}
 	var perAppWork int64
 	for a, w := range ws {
-		sel, err := core.Select(cfg, w)
+		sel, sil, err := core.SelectSilicon(cfg, w)
 		if err != nil {
 			return err
 		}
@@ -299,10 +299,6 @@ func suiteDedupStudy(cfg core.Config, ws []*workload.Workload) error {
 			return err
 		}
 		perAppWork += solo.SimWarpInstrs
-		sil, err := sampling.SiliconTotal(dev, w)
-		if err != nil {
-			return err
-		}
 		soloErr := stats.AbsPctErr(float64(solo.ProjCycles), float64(sil.Cycles))
 		dedupErr := stats.AbsPctErr(float64(run.Apps[a].ProjCycles), float64(sil.Cycles))
 		tab.AddRow(w.FullName(), fmt.Sprint(w.N),

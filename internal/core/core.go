@@ -12,7 +12,6 @@ import (
 
 	"pka/internal/gpu"
 	"pka/internal/obs"
-	"pka/internal/parallel"
 	"pka/internal/pkp"
 	"pka/internal/pks"
 	"pka/internal/sampling"
@@ -45,13 +44,13 @@ type Config struct {
 	// capped kernels are linearly extrapolated and flagged. Zero applies
 	// sim.DefaultMaxCycles.
 	KernelCapCycles int64
-	// Parallelism bounds how many independent pipeline stages or
-	// per-workload artifacts run concurrently (Evaluate's stages here,
-	// the experiment generators' per-workload fan-out in
-	// internal/experiments). Zero means GOMAXPROCS; 1 forces serial
-	// execution. Results are identical at every setting: each unit of
-	// work is self-contained and deterministic, parallelism only changes
-	// wall-clock time.
+	// Parallelism bounds how many per-workload artifacts the experiment
+	// generators in internal/experiments run concurrently. Evaluate does
+	// not read it: one evaluation's stages run in order on the calling
+	// goroutine, and its kernel tasks fan out at Exec's scheduler width.
+	// Zero means GOMAXPROCS; 1 forces serial execution. Results are
+	// identical at every setting: each unit of work is self-contained and
+	// deterministic, parallelism only changes wall-clock time.
 	Parallelism int
 	// Obs, when non-nil, receives pipeline telemetry: a span per
 	// pipeline phase, a span and counter batch per simulated kernel, and
@@ -307,8 +306,9 @@ func (ro RepOutcomes) Fold(weights []int, launches int) SampledSim {
 }
 
 // workloadReps lists w's own representatives under sel, one per group, with
-// the group populations they stand for.
-func workloadReps(w *workload.Workload, sel *pks.Selection) (Reps, []int, error) {
+// the group populations they stand for. launches is w.Kernels() where the
+// caller holds it (an evaluation's scan), nil to generate the representatives.
+func workloadReps(w *workload.Workload, sel *pks.Selection, launches []trace.KernelDesc) (Reps, []int, error) {
 	// sel may come from a stream, a file or the store: check before it indexes w.
 	if err := sel.CheckFor(w.N); err != nil {
 		return Reps{}, nil, err
@@ -316,7 +316,11 @@ func workloadReps(w *workload.Workload, sel *pks.Selection) (Reps, []int, error)
 	kernels := make([]trace.KernelDesc, len(sel.Groups))
 	weights := make([]int, len(sel.Groups))
 	for i, g := range sel.Groups {
-		kernels[i] = w.Kernel(g.RepIndex)
+		if launches != nil {
+			kernels[i] = launches[g.RepIndex]
+		} else {
+			kernels[i] = w.Kernel(g.RepIndex)
+		}
 		weights[i] = g.Count()
 	}
 	return Reps{
@@ -331,7 +335,7 @@ func workloadReps(w *workload.Workload, sel *pks.Selection) (Reps, []int, error)
 // usePKP is set) and projects application-level metrics from the group
 // weights.
 func RunSampled(cfg Config, w *workload.Workload, sel *pks.Selection, usePKP bool) (SampledSim, error) {
-	reps, weights, err := workloadReps(w, sel)
+	reps, weights, err := workloadReps(w, sel, nil)
 	if err != nil {
 		return SampledSim{}, err
 	}
@@ -351,12 +355,12 @@ func runSampled(cfg Config, w *workload.Workload, reps Reps, weights []int, useP
 
 // Evaluate runs the complete pipeline for one workload: silicon ground
 // truth, PKS, full simulation when feasible, and the sampled PKS/PKA
-// simulations with error and speedup accounting. The silicon walk and the
-// selection run concurrently up to cfg.Parallelism; the three simulation
-// passes run longest policy first, because with an Exec each kernel is
-// simulated once and the shorter policies are read off that pass (see
-// sampling.Bank). Every stage is self-contained, so the result is identical
-// at any parallelism level, with or without an Exec.
+// simulations with error and speedup accounting. The workload's launches
+// are walked once (see sampling.ScanLaunches); the three simulation passes
+// run longest policy first, because with an Exec each kernel is simulated
+// once and the shorter policies are read off that pass (see sampling.Bank).
+// Every stage is self-contained, so the result is identical at any scheduler
+// width, with or without an Exec.
 func Evaluate(cfg Config, w *workload.Workload) (*Evaluation, error) {
 	return EvaluateWithSelection(cfg, w, nil)
 }
@@ -380,41 +384,33 @@ func evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*Evaluation
 	}
 	ev := &Evaluation{Workload: w}
 
-	// Stage 1: the silicon walk and the selection share no state. The full
-	// baseline waits for the selection — a millisecond or two wherever full
-	// simulation is feasible at all — to know which launches are
-	// representatives.
-	var (
-		silErr, selErr error
-		sil            silicon.AppResult
-	)
-	pool := parallel.NewPool(cfg.Parallelism)
-	pool.Go(func() error {
-		sp := cfg.Obs.StartSpan("silicon", w.FullName())
-		defer sp.End()
-		sil, silErr = sampling.SiliconTotal(cfg.Device, w)
-		return nil
-	})
+	// Stage 1: one scan of the launches for all the evaluation folds out of
+	// them — silicon total, instruction mass, the launches themselves while
+	// full simulation stays feasible, the selection's key when that comes from
+	// the store — then the selection, both on the calling goroutine: warm they
+	// take microseconds, less than handing them to another goroutine costs.
+	want := sampling.Want{Silicon: true, Keep: true, Budget: cfg.FullSimBudget}
 	if sel == nil {
-		pool.Go(func() error {
-			sp := cfg.Obs.StartSpan("pks-select", w.FullName())
-			defer sp.End()
-			sel, selErr = Select(cfg, w)
-			return nil
-		})
+		want = cfg.keyWant(want)
 	}
-	if err := pool.Wait(); err != nil {
-		return nil, nil, err // a stage panicked
+	sp := cfg.Obs.StartSpan("silicon", w.FullName())
+	sc, err := sampling.ScanLaunches(cfg.Device, w, want)
+	sp.End()
+	if err != nil {
+		return nil, nil, err
 	}
-	if silErr != nil {
-		return nil, nil, silErr
-	}
+	sil := sc.Silicon
 	ev.Silicon = sil
-	if selErr != nil {
-		return nil, nil, selErr
+	if sel == nil {
+		sp := cfg.Obs.StartSpan("pks-select", w.FullName())
+		sel, err = selectKeyed(cfg, w, sc.Key)
+		sp.End()
+		if err != nil {
+			return nil, nil, err
+		}
 	}
 	ev.Selection = sel
-	reps, weights, err := workloadReps(w, sel)
+	reps, weights, err := workloadReps(w, sel, sc.Kernels)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -435,7 +431,7 @@ func evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*Evaluation
 			return to
 		}
 	}
-	full, fullErr := cfg.Exec.FullSimObs(cfg.Device, w, cfg.FullSimBudget, tobs, cfg.bank)
+	full, fullErr := cfg.Exec.FullSimOf(cfg.Device, w.FullName(), sc.Kernels, tobs, cfg.bank)
 	fullSpan.End()
 	var fullWork int64 // what full simulation costs, measured or projected
 	switch {
@@ -445,7 +441,7 @@ func evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*Evaluation
 		fullWork = full.SimWarpInstrs
 	case errors.Is(fullErr, sampling.ErrInfeasible):
 		// Projected time only; no error column (the paper's MLPerf rows).
-		fullWork = TotalWarpWork(cfg.Device, w)
+		fullWork = int64(float64(sc.WarpInstrs) * cfg.Device.ISAScale) // TotalWarpWork, off the scan
 	default:
 		return nil, nil, fullErr
 	}

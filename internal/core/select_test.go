@@ -11,6 +11,7 @@ import (
 	"pka/internal/obs"
 	"pka/internal/pks"
 	"pka/internal/sampling"
+	"pka/internal/trace"
 	"pka/internal/workload"
 )
 
@@ -196,6 +197,46 @@ func TestEvaluateRejectsMisfitSelection(t *testing.T) {
 		_, err := EvaluateWithSelection(cfg, w, bad)
 		if err == nil || strings.Contains(err.Error(), "panic") {
 			t.Errorf("%s: err = %v, want a plain selection error", what, err)
+		}
+	}
+}
+
+// TestWarmStudyWalksOnce counts Workload.Gen calls. A warm evaluation over a
+// primed store generates every launch exactly once where full simulation is
+// feasible — the one scan feeds the key, the silicon total, the instruction
+// mass and the full baseline's launches — and where it is not, once more for
+// each representative at most. A cold one adds only what pks.Select itself
+// generates.
+func TestWarmStudyWalksOnce(t *testing.T) {
+	for _, name := range []string{"Rodinia/lud_i", "MLPerf/3dunet_inf"} {
+		src := mustFind(t, name)
+		var gens int
+		w := *src
+		w.Gen = func(i int) trace.KernelDesc {
+			gens++ // Evaluate on a nil scheduler stays on this goroutine
+			return src.Gen(i)
+		}
+		calls := func(f func()) int {
+			gens = 0
+			f()
+			return gens
+		}
+		selecting := calls(func() {
+			if _, err := pks.Select(gpu.VoltaV100(), &w, pks.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		store, _ := openStore(t)
+		var ev *Evaluation
+		cold := calls(func() { ev, _, _ = evalOver(t, &w, store) })
+		warm := calls(func() { evalOver(t, &w, store) })
+		reps := 0
+		if ev.Full == nil {
+			reps = len(ev.Selection.Groups)
+		}
+		if warm < w.N || warm > w.N+reps || cold > warm+selecting {
+			t.Errorf("%s (%d launches, full feasible: %v): warm evaluation generated %d, want %d to %d; cold %d, want at most %d more (pks.Select's)",
+				name, w.N, ev.Full != nil, warm, w.N, w.N+reps, cold, selecting)
 		}
 	}
 }

@@ -88,3 +88,33 @@ func TestChildKeepsTraceID(t *testing.T) {
 		t.Fatalf("child invalid: %+v", child)
 	}
 }
+
+// FuzzParseTraceparent: the header arrives from any client. Nothing panics;
+// a rejected value yields the zero context; an accepted one is a valid
+// context that renders back to the same header — flags aside, which
+// Traceparent always writes as sampled — and parses to itself again.
+func FuzzParseTraceparent(f *testing.F) {
+	const good = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
+	f.Add(good)
+	f.Add(good[:53] + "00")
+	f.Add(good[:52])
+	f.Add(good + "x")
+	f.Add("00-00000000000000000000000000000000-00f067aa0ba902b7-01")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, s string) {
+		tc, ok := ParseTraceparent(s)
+		if !ok {
+			if tc != (TraceContext{}) {
+				t.Fatalf("rejected %q but returned %+v", s, tc)
+			}
+			return
+		}
+		out := tc.Traceparent()
+		if !tc.Valid() || len(s) != len(out) || out[:53] != s[:53] {
+			t.Fatalf("accepted %q as %+v, which renders %q", s, tc, out)
+		}
+		if back, ok := ParseTraceparent(out); !ok || back != tc {
+			t.Fatalf("%q re-parsed as %+v, %v; want %+v", out, back, ok, tc)
+		}
+	})
+}

@@ -1,11 +1,11 @@
 // Package parallel provides the bounded-concurrency primitives behind the
-// experiment engine: a bounded worker Pool, a deterministic
-// order-preserving Map, and a generic per-key singleflight Cache (see
-// cache.go). The package exists so the 147-workload × 3-device artifact
-// sweep can use every core while keeping rendered output byte-identical to
-// a serial run: Map preserves input order and first-error semantics no
-// matter how the scheduler interleaves workers, and Cache guarantees each
-// expensive artifact is computed exactly once per key.
+// experiment engine: a deterministic order-preserving Map, a longest-first
+// task Scheduler (see scheduler.go), and a generic per-key singleflight
+// Cache (see cache.go). The package exists so the 147-workload × 3-device
+// artifact sweep can use every core while keeping rendered output
+// byte-identical to a serial run: Map preserves input order and first-error
+// semantics no matter how the scheduler interleaves workers, and Cache
+// guarantees each expensive artifact is computed exactly once per key.
 package parallel
 
 import (
@@ -16,8 +16,8 @@ import (
 	"sync/atomic"
 )
 
-// Observer receives worker-occupancy events from every Pool and Map in
-// the process: queue depth (submitted but not running) and active-worker
+// Observer receives worker-occupancy events from every Map and Scheduler
+// in the process: queue depth (submitted but not running) and active-worker
 // transitions. Implementations must be cheap and concurrency-safe; they
 // observe scheduling only and can never influence results.
 type Observer interface {
@@ -145,63 +145,4 @@ func Map[T, R any](workers int, items []T, fn func(i int, item T) (R, error)) ([
 		}
 	}
 	return results, nil
-}
-
-// Pool is a bounded worker pool: at most Size tasks run concurrently, and
-// Wait blocks until every submitted task finishes. The zero value is not
-// usable; construct with NewPool.
-type Pool struct {
-	sem chan struct{}
-	wg  sync.WaitGroup
-
-	mu  sync.Mutex
-	err error // first task error observed, panics included
-}
-
-// NewPool returns a pool running at most Workers(workers) tasks at once.
-func NewPool(workers int) *Pool {
-	return &Pool{sem: make(chan struct{}, Workers(workers))}
-}
-
-// Size returns the pool's concurrency bound.
-func (p *Pool) Size() int { return cap(p.sem) }
-
-// Go submits a task. It blocks until a worker slot is free, then runs the
-// task on its own goroutine; panics are contained as *PanicError.
-func (p *Pool) Go(fn func() error) {
-	obs := observer()
-	if obs != nil {
-		obs.TaskQueued()
-	}
-	p.sem <- struct{}{}
-	if obs != nil {
-		obs.TaskStarted()
-	}
-	p.wg.Add(1)
-	go func() {
-		defer func() {
-			<-p.sem
-			p.wg.Done()
-			if obs != nil {
-				obs.TaskDone()
-			}
-		}()
-		if _, err := protect(func() (struct{}, error) { return struct{}{}, fn() }); err != nil {
-			p.mu.Lock()
-			if p.err == nil {
-				p.err = err
-			}
-			p.mu.Unlock()
-		}
-	}()
-}
-
-// Wait blocks until all submitted tasks finish and returns the first error
-// any of them produced (in completion order, not submission order — use
-// Map when deterministic error selection matters).
-func (p *Pool) Wait() error {
-	p.wg.Wait()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.err
 }

@@ -149,58 +149,6 @@ func TestMapEmptyAndWorkersDefaults(t *testing.T) {
 	}
 }
 
-// TestPoolBounds checks Pool.Go never runs more than Size tasks at once
-// and that Wait drains everything.
-func TestPoolBounds(t *testing.T) {
-	p := NewPool(4)
-	if p.Size() != 4 {
-		t.Fatalf("Size = %d, want 4", p.Size())
-	}
-	var inFlight, peak, ran atomic.Int64
-	for i := 0; i < 50; i++ {
-		p.Go(func() error {
-			n := inFlight.Add(1)
-			for {
-				pk := peak.Load()
-				if n <= pk || peak.CompareAndSwap(pk, n) {
-					break
-				}
-			}
-			time.Sleep(time.Millisecond)
-			inFlight.Add(-1)
-			ran.Add(1)
-			return nil
-		})
-	}
-	if err := p.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if p := peak.Load(); p > 4 {
-		t.Errorf("peak in-flight %d exceeds pool size 4", p)
-	}
-	if ran.Load() != 50 {
-		t.Errorf("ran %d tasks, want 50", ran.Load())
-	}
-}
-
-// TestPoolErrorAndPanic checks Wait reports task failures, panics
-// included.
-func TestPoolErrorAndPanic(t *testing.T) {
-	p := NewPool(2)
-	p.Go(func() error { return nil })
-	p.Go(func() error { return errors.New("task failed") })
-	if err := p.Wait(); err == nil {
-		t.Error("Wait did not surface the task error")
-	}
-	p2 := NewPool(2)
-	p2.Go(func() error { panic("pool boom") })
-	err := p2.Wait()
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PanicError", err)
-	}
-}
-
 // TestCacheStampede is the singleflight stress test: 64 goroutines hit the
 // same cold key and exactly one compute must run.
 func TestCacheStampede(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"context"
 	"sync"
+	"sync/atomic"
 )
 
 // Scheduler is a process-wide bounded work queue that runs submitted tasks
@@ -16,7 +17,8 @@ import (
 //
 // A Scheduler spawns workers on demand up to its width and lets them exit
 // when the queue drains, so an idle Scheduler holds no goroutines and
-// needs no Close. Ties in cost break FIFO (submission order), which keeps
+// needs no Close; a SchedMap caller counts as a worker while it waits (see
+// SchedMap). Ties in cost break FIFO (submission order), which keeps
 // the execution order deterministic for a given submission order. The
 // scheduler only chooses *when* tasks run; callers that need deterministic
 // results merge task outputs by submission index (see SchedMap), so the
@@ -69,17 +71,25 @@ func (s *Scheduler) submit(cost int64, run func()) {
 	}
 	s.mu.Unlock()
 	if spawn {
-		go s.work()
+		go s.work(nil)
 	}
 }
 
-// work drains the queue highest-cost-first and exits when it is empty.
-func (s *Scheduler) work() {
+// work drains the queue highest-cost-first on the calling goroutine, which
+// holds a slot, and gives the slot up when the queue is empty. A SchedMap
+// caller passes the count of its own unsettled tasks and stops at zero too,
+// handing its slot to a fresh worker when other callers' tasks are queued.
+func (s *Scheduler) work(left *atomic.Int64) {
 	for {
 		s.mu.Lock()
 		if s.queue.Len() == 0 {
 			s.running--
 			s.mu.Unlock()
+			return
+		}
+		if left != nil && left.Load() == 0 {
+			s.mu.Unlock()
+			go s.work(nil)
 			return
 		}
 		t := heap.Pop(&s.queue).(schedTask)
@@ -95,9 +105,12 @@ func (s *Scheduler) work() {
 // failure. A nil scheduler (or nil cost) degrades to an inline serial loop
 // in input order — the same results, computed on the calling goroutine.
 //
-// The caller's goroutine blocks until every item finishes; items run on
-// the scheduler's workers, interleaved with tasks from any other SchedMap
-// in flight on the same Scheduler.
+// The caller's goroutine returns once every item has finished, and does not
+// idle meanwhile: a caller that finds a slot free takes it before submitting
+// and works the queue itself until its own items are done. So items run on
+// the caller and on the scheduler's workers, interleaved with any other
+// SchedMap's, never more than width at once, and a lone call at width 1
+// starts no goroutine at all.
 func SchedMap[T, R any](s *Scheduler, items []T, cost func(item T) int64, fn func(i int, item T) (R, error)) ([]R, error) {
 	return SchedMapCtx(context.Background(), s, items, cost, fn)
 }
@@ -105,11 +118,11 @@ func SchedMap[T, R any](s *Scheduler, items []T, cost func(item T) int64, fn fun
 // SchedMapCtx is SchedMap with cancellation: once ctx is done, items that
 // have not started yet are skipped (their slot reports ctx.Err()) while
 // items already running finish normally. The queue always drains — every
-// submitted task settles its WaitGroup slot whether it ran or was skipped —
-// so a cancelled call returns (never deadlocks) with the partial results
-// still in input order: completed items carry real values, skipped ones
-// their zero value. The returned error is the lowest-indexed failure,
-// which for a cancellation mid-run is the first skipped item's ctx.Err().
+// submitted task settles whether it ran or was skipped — so a cancelled
+// call returns (never deadlocks) with the partial results still in input
+// order: completed items carry real values, skipped ones their zero value.
+// The returned error is the lowest-indexed failure, which for a
+// cancellation mid-run is the first skipped item's ctx.Err().
 func SchedMapCtx[T, R any](ctx context.Context, s *Scheduler, items []T, cost func(item T) int64, fn func(i int, item T) (R, error)) ([]R, error) {
 	n := len(items)
 	if n == 0 {
@@ -134,12 +147,22 @@ func SchedMapCtx[T, R any](ctx context.Context, s *Scheduler, items []T, cost fu
 			}
 		}
 	} else {
-		var wg sync.WaitGroup
-		wg.Add(n)
+		var left atomic.Int64 // tasks of this batch not settled yet
+		left.Store(int64(n))
+		done := make(chan struct{})
+		s.mu.Lock()
+		helping := s.running < s.width // a free slot: take it and work the queue here
+		if helping {
+			s.running++
+		}
+		s.mu.Unlock()
 		for i := range items {
-			i := i
 			s.submit(cost(items[i]), func() {
-				defer wg.Done()
+				defer func() {
+					if left.Add(-1) == 0 {
+						close(done)
+					}
+				}()
 				if err := ctx.Err(); err != nil {
 					errs[i] = err
 					return
@@ -147,7 +170,10 @@ func SchedMapCtx[T, R any](ctx context.Context, s *Scheduler, items []T, cost fu
 				results[i], errs[i] = protect(func() (R, error) { return fn(i, items[i]) })
 			})
 		}
-		wg.Wait()
+		if helping {
+			s.work(&left)
+		}
+		<-done
 	}
 	for _, err := range errs {
 		if err != nil {

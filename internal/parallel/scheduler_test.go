@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -46,6 +47,121 @@ func TestSchedMapNilSchedulerInline(t *testing.T) {
 		if v != i {
 			t.Fatalf("inline order %v not input order", order)
 		}
+	}
+}
+
+// TestSchedMapLoneCallerRunsInline: a lone SchedMap at width 1 claims the
+// scheduler's one slot and works its batch off on the calling goroutine,
+// longest first — no worker is spawned, so the append needs no lock (the race
+// detector checks that) — and leaves the scheduler idle.
+func TestSchedMapLoneCallerRunsInline(t *testing.T) {
+	s := NewScheduler(1)
+	costs := []int64{10, 50, 30, 50, 20}
+	var order []int
+	got, err := SchedMap(s, costs, func(c int64) int64 { return c }, func(i int, c int64) (int64, error) {
+		order = append(order, i) // no lock: must be the calling goroutine
+		return c, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{1, 3, 2, 4, 0}; fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("ran in order %v, want %v (longest-first, FIFO ties)", order, want)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(costs) {
+		t.Fatalf("results %v not in input order", got)
+	}
+	if s.running != 0 || s.queue.Len() != 0 { // no lock either: nobody else was started
+		t.Fatalf("lone caller left running=%d queue=%d", s.running, s.queue.Len())
+	}
+}
+
+// TestSchedMapCallersShareWidth: callers that work their own batches off
+// still count against the width — with more concurrent callers than slots,
+// never more than width tasks run at once.
+func TestSchedMapCallersShareWidth(t *testing.T) {
+	const width, callers = 2, 6
+	s := NewScheduler(width)
+	var active, maxSeen atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := SchedMap(s, make([]int, 40), func(int) int64 { return 1 }, func(i, _ int) (struct{}, error) {
+				a := active.Add(1)
+				for m := maxSeen.Load(); a > m && !maxSeen.CompareAndSwap(m, a); m = maxSeen.Load() {
+				}
+				runtime.Gosched() // let the other callers in while this task is counted
+				active.Add(-1)
+				return struct{}{}, nil
+			})
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if m := maxSeen.Load(); m > width {
+		t.Fatalf("observed %d concurrent tasks, width is %d", m, width)
+	}
+}
+
+// TestSchedMapCallerLeavesWhenItsBatchIsDone: a caller working the queue stops
+// at the end of its own batch. Caller A holds the one slot; B's task — cheap,
+// so it sorts behind all of A's, and blocking — is queued while A is mid-batch.
+// A must return without running it (it hands its slot to a fresh worker, which
+// does), and B returns once its task is let go.
+func TestSchedMapCallerLeavesWhenItsBatchIsDone(t *testing.T) {
+	s := NewScheduler(1)
+	const nA = 4
+	gate := make(chan struct{})
+	aStarted, bDone := make(chan struct{}), make(chan error, 1)
+	go func() {
+		<-aStarted
+		_, err := SchedMap(s, []int{0}, func(int) int64 { return 0 }, func(int, int) (struct{}, error) {
+			<-gate
+			return struct{}{}, nil
+		})
+		bDone <- err
+	}()
+	aDone := make(chan error, 1)
+	go func() {
+		_, err := SchedMap(s, make([]int, nA), func(int) int64 { return 1 }, func(i, _ int) (struct{}, error) {
+			if i == 0 { // equal costs run FIFO: A's first task
+				close(aStarted)
+				for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
+					s.mu.Lock()
+					depth := s.queue.Len()
+					s.mu.Unlock()
+					if depth == nA { // A's other tasks and B's
+						break
+					}
+					if time.Now().After(deadline) {
+						return struct{}{}, errors.New("B's task never queued")
+					}
+				}
+			}
+			return struct{}{}, nil
+		})
+		aDone <- err
+	}()
+	select {
+	case err := <-aDone:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("caller A is stuck behind caller B's queued task")
+	}
+	select {
+	case <-bDone:
+		t.Fatal("B returned before its task was released")
+	default:
+	}
+	close(gate)
+	if err := <-bDone; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -64,26 +64,32 @@ func FullSim(dev gpu.Device, w *workload.Workload, budgetWarpInstrs int64) (*Res
 // in launch order — so the result is byte-identical to the serial package
 // function at any scheduler width, warm or cold.
 func (e *Exec) FullSim(dev gpu.Device, w *workload.Workload, budgetWarpInstrs int64) (*Result, error) {
-	return e.FullSimObs(dev, w, budgetWarpInstrs, nil, nil)
+	return e.FullSimObs(dev, w, budgetWarpInstrs, nil)
 }
 
 // FullSimObs is FullSim with per-kernel observe-only wiring (tracing and
-// provenance) and the calling evaluation's bank (see RunKernels); with both
-// nil it is exactly FullSim.
-func (e *Exec) FullSimObs(dev gpu.Device, w *workload.Workload, budgetWarpInstrs int64, tobs func(i int) TaskObs, bank *Bank) (*Result, error) {
+// provenance); with none it is exactly FullSim.
+func (e *Exec) FullSimObs(dev gpu.Device, w *workload.Workload, budgetWarpInstrs int64, tobs func(i int) TaskObs) (*Result, error) {
 	if budgetWarpInstrs <= 0 {
 		budgetWarpInstrs = DefaultFullSimBudget
 	}
-	if w.ApproxWarpInstructions(budgetWarpInstrs) > budgetWarpInstrs {
-		return nil, fmt.Errorf("%w: %s", ErrInfeasible, w.FullName())
+	var kernels []trace.KernelDesc
+	if w.ApproxWarpInstructions(budgetWarpInstrs) <= budgetWarpInstrs {
+		kernels = w.Kernels()
 	}
-	kernels := make([]trace.KernelDesc, w.N)
-	for i := range kernels {
-		kernels[i] = w.Kernel(i)
+	return e.FullSimOf(dev, w.FullName(), kernels, tobs, nil)
+}
+
+// FullSimOf is FullSimObs over the launches of the workload called name
+// already in hand — a Scan's Kernels, nil where that found full simulation
+// infeasible — with the calling evaluation's bank (see RunKernels).
+func (e *Exec) FullSimOf(dev gpu.Device, name string, kernels []trace.KernelDesc, tobs func(i int) TaskObs, bank *Bank) (*Result, error) {
+	if kernels == nil {
+		return nil, fmt.Errorf("%w: %s", ErrInfeasible, name)
 	}
 	outs, err := e.RunKernels(dev, KernelTask{Mode: ModeFull}, kernels, tobs, bank)
 	if err != nil {
-		return nil, fmt.Errorf("sampling: full sim of %s: %w", w.FullName(), err)
+		return nil, fmt.Errorf("sampling: full sim of %s: %w", name, err)
 	}
 	res := &Result{}
 	var threadInstrs, dramWeighted float64
@@ -169,7 +175,9 @@ func finalize(res *Result, threadInstrs, dramWeighted float64, simCycles int64) 
 
 // SiliconTotal executes the workload on the silicon model and returns the
 // application total (kernel cycles plus launch overheads) — the ground
-// truth every simulation error is measured against.
+// truth every simulation error is measured against. It is a scan that asks
+// for the silicon total alone (see ScanLaunches).
 func SiliconTotal(dev gpu.Device, w *workload.Workload) (silicon.AppResult, error) {
-	return silicon.ExecuteAll(dev, w.Iterator())
+	sc, err := ScanLaunches(dev, w, Want{Silicon: true})
+	return sc.Silicon, err
 }

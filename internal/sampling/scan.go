@@ -1,0 +1,89 @@
+package sampling
+
+import (
+	"pka/internal/artifact"
+	"pka/internal/gpu"
+	"pka/internal/silicon"
+	"pka/internal/trace"
+	"pka/internal/workload"
+)
+
+// Want says what one scan of a workload folds out of its launches beside
+// their instruction mass, which every scan sums.
+type Want struct {
+	Key     bool // the selection key, over KeyOpts (pks.Options.AppendKey's bytes)
+	KeyOpts []byte
+	Silicon bool // the silicon total
+	Keep    bool // the launches, while their mass is within Budget (zero: DefaultFullSimBudget)
+	Budget  int64
+}
+
+// Scan is what one walk over a workload's launches found.
+type Scan struct {
+	Key        string             // SelectionKey, when asked for
+	Silicon    silicon.AppResult  // silicon.ExecuteAll over the launches, when asked for
+	WarpInstrs int64              // Workload.ApproxWarpInstructions without a limit
+	Kernels    []trace.KernelDesc // Workload.Kernels(), when asked for; nil once WarpInstrs passed the budget
+}
+
+// keepChunk bounds what a scan allocates for the launches before any has fitted
+// the budget. Workloads it can fit are short and get their slice sized once; a
+// million-launch one grows it by append, up to the prefix that did fit.
+const keepChunk = 256
+
+// ScanLaunches walks w once — one Gen call per launch, into one reused
+// KernelDesc — and folds everything want asks for out of that stream, each fold
+// as its stand-alone walk does it: the key hashes SelectionKey's sections, the
+// silicon total is silicon.ExecuteAll pulling the launches through the scan (so
+// its error names the same launch), the kept launches carry their IDs and are
+// dropped the moment the running mass passes the budget.
+func ScanLaunches(dev gpu.Device, w *workload.Workload, want Want) (sc Scan, err error) {
+	var h artifact.KeyHash
+	var buf []byte
+	if want.Key {
+		h = artifact.NewKeyHash()
+		h.Section([]byte(selectionSchema))
+		buf = appendDeviceSection(make([]byte, 0, 256), dev)
+		h.Section(buf)
+		h.Section([]byte(w.FullName()))
+		h.Section(append(appendInt(buf[:0], w.N), want.KeyOpts...))
+	}
+	budget := want.Budget
+	if budget <= 0 {
+		budget = DefaultFullSimBudget
+	}
+	if want.Keep {
+		sc.Kernels = make([]trace.KernelDesc, 0, min(w.N, keepChunk))
+	}
+	var k trace.KernelDesc
+	i := 0
+	next := func() *trace.KernelDesc {
+		if i >= w.N {
+			return nil
+		}
+		k = w.Gen(i)
+		k.ID = i
+		i++
+		if want.Key {
+			buf = append(appendKernelSection(buf[:0], &k), k.Name...)
+			h.Section(buf)
+		}
+		sc.WarpInstrs += k.VoltaWarpInstructions()
+		if sc.WarpInstrs > budget {
+			sc.Kernels = nil
+		} else if sc.Kernels != nil {
+			sc.Kernels = append(sc.Kernels, k)
+		}
+		return &k
+	}
+	if want.Silicon {
+		sc.Silicon, err = silicon.ExecuteAll(dev, next)
+	} else {
+		for next() != nil {
+		}
+	}
+	if want.Key {
+		sc.Key = h.Sum()
+	}
+	return sc, err
+}

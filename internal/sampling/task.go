@@ -248,20 +248,11 @@ const selectionSchema = "pka-selection-v1"
 // not import pks), and every launch in order — TaskKey's kernel section plus
 // the kernel name, which TaskKey rightly omits and a selection cannot (names
 // feed NameCounts and the light-profile classifier). Launches stream through
-// one buffer, so a million-launch workload keys in constant memory.
+// one buffer, so a million-launch workload keys in constant memory. It is a
+// scan that asks for the key alone (see ScanLaunches).
 func SelectionKey(dev gpu.Device, w *workload.Workload, optsSection []byte) string {
-	h := artifact.NewKeyHash()
-	h.Section([]byte(selectionSchema))
-	buf := appendDeviceSection(make([]byte, 0, 256), dev)
-	h.Section(buf)
-	h.Section([]byte(w.FullName()))
-	h.Section(append(appendInt(buf[:0], w.N), optsSection...))
-	for i := 0; i < w.N; i++ {
-		k := w.Gen(i)
-		buf = append(appendKernelSection(buf[:0], &k), k.Name...)
-		h.Section(buf)
-	}
-	return h.Sum()
+	sc, _ := ScanLaunches(dev, w, Want{Key: true, KeyOpts: optsSection}) // only the silicon fold can fail
+	return sc.Key
 }
 
 // outcomeSize is the fixed on-disk payload size of one KernelOutcome.

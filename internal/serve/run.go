@@ -9,6 +9,7 @@ import (
 	"pka/internal/pkp"
 	"pka/internal/pks"
 	"pka/internal/sampling"
+	"pka/internal/silicon"
 	"pka/internal/stats"
 )
 
@@ -96,6 +97,8 @@ func RunWithSelection(exec *sampling.Exec, o *obs.Observer, req *StudyRequest, s
 		Tracer:   tr,
 		Flight:   flight,
 	}
+	var sil silicon.AppResult
+	silWalked := false // beside the selection
 	switch req.Mode {
 	case "full":
 		var tobs func(i int) sampling.TaskObs
@@ -107,7 +110,7 @@ func RunWithSelection(exec *sampling.Exec, o *obs.Observer, req *StudyRequest, s
 				}
 			}
 		}
-		full, err := exec.FullSimObs(req.dev, req.w, 0, tobs, nil)
+		full, err := exec.FullSimObs(req.dev, req.w, 0, tobs)
 		if err != nil {
 			root.End()
 			return nil, fmt.Errorf("serve: full sim of %s: %w", req.w.FullName(), err)
@@ -121,7 +124,12 @@ func RunWithSelection(exec *sampling.Exec, o *obs.Observer, req *StudyRequest, s
 	default: // "pks", "pka"
 		if sel == nil {
 			var err error
-			sel, err = core.Select(cfg, req.w)
+			if req.Silicon { // one walk for the selection's key and the total
+				sel, sil, err = core.SelectSilicon(cfg, req.w)
+				silWalked = true
+			} else {
+				sel, err = core.Select(cfg, req.w)
+			}
 			if err != nil {
 				root.End()
 				return nil, fmt.Errorf("serve: selection for %s: %w", req.w.FullName(), err)
@@ -142,10 +150,12 @@ func RunWithSelection(exec *sampling.Exec, o *obs.Observer, req *StudyRequest, s
 	}
 	resp.SimHours = cfg.SimHours(resp.SimWarpInstrs)
 	if req.Silicon {
-		sil, err := sampling.SiliconTotal(req.dev, req.w)
-		if err != nil {
-			root.End()
-			return nil, fmt.Errorf("serve: silicon walk of %s: %w", req.w.FullName(), err)
+		if !silWalked {
+			var err error
+			if sil, err = sampling.SiliconTotal(req.dev, req.w); err != nil {
+				root.End()
+				return nil, fmt.Errorf("serve: silicon walk of %s: %w", req.w.FullName(), err)
+			}
 		}
 		resp.SiliconCycles = sil.Cycles
 		resp.ErrorPct = stats.AbsPctErr(float64(resp.ProjCycles), float64(sil.Cycles))

@@ -162,6 +162,12 @@ func (k *KernelDesc) WarpsPerBlock() int { return (k.Block.Count() + 31) / 32 }
 // the launch on the given device generation (per-thread mix × warps, scaled
 // by the generation's ISA representation).
 func (k *KernelDesc) TotalWarpInstructions(dev gpu.Device) int64 {
+	return int64(float64(k.VoltaWarpInstructions()) * dev.ISAScale)
+}
+
+// VoltaWarpInstructions is TotalWarpInstructions before the generation's
+// scaling: the launch's share of a workload's instruction mass.
+func (k *KernelDesc) VoltaWarpInstructions() int64 {
 	warps := int64(k.Grid.Count()) * int64(k.WarpsPerBlock())
-	return int64(float64(warps*int64(k.Mix.Total())) * dev.ISAScale)
+	return warps * int64(k.Mix.Total())
 }

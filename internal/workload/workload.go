@@ -86,8 +86,7 @@ func (w *Workload) ApproxWarpInstructions(limit int64) int64 {
 	var sum int64
 	for i := 0; i < w.N; i++ {
 		k := w.Kernel(i)
-		warps := int64(k.Grid.Count()) * int64(k.WarpsPerBlock())
-		sum += warps * int64(k.Mix.Total())
+		sum += k.VoltaWarpInstructions()
 		if sum > limit {
 			return sum
 		}
