@@ -20,8 +20,11 @@ test:
 # Race-detect the concurrency layer; CI runs this target. internal/parallel,
 # internal/obs (lock-free instruments, concurrent tracer/audit),
 # internal/serve (the serving tier: concurrent admission, weighted-fair
-# queue, fault injection) and internal/cluster (the chunked assignment step
-# and its worker-invariance test) are fast enough to race in full; the
+# queue, fault injection), internal/cluster (the chunked assignment step
+# and its worker-invariance test), internal/artifact (the store's lock and
+# views), internal/predict (the tier's atomics) and internal/dedup are fast
+# enough to race in full (the last three ≈ 1, 1 and 3.5 s of test time
+# under -race on the 2-core box); the
 # experiments and workload suites run with -short so the concurrency
 # regression tests (singleflight, 64-goroutine stress, fuzz seed corpus)
 # execute under the detector without paying for the full artifact pipeline
@@ -29,16 +32,18 @@ test:
 # tests (the speculator's goroutines), the selection-artifact tests, the
 # rider, bank and pack tests (at scheduler width > 1 a bank is filled and
 # drained, and a batch's pack read once, from several goroutines) and the
-# scan's (its launches are handed to the scheduler's tasks).
+# scan's (its launches are handed to the scheduler's tasks) — sampling run
+# whole takes ≈ 100 s under -race, so it stays pattern-selected.
 # `make test` covers the heavy paths (including the parallel-vs-serial
 # determinism golden) natively.
 race:
-	$(GO) test -race ./internal/parallel/... ./internal/obs/... ./internal/serve/... ./internal/cluster/...
+	$(GO) test -race ./internal/parallel/... ./internal/obs/... ./internal/serve/... ./internal/cluster/... \
+	    ./internal/artifact/... ./internal/predict/... ./internal/dedup/...
 	$(GO) test -race -short ./internal/experiments/... ./internal/workload/...
 	$(GO) test -race -run 'Stream|Speculat|SelectWarm|Misfit|Riders|Bank|Pack|Scan|WalksOnce' ./internal/core/... ./internal/pks/... ./internal/sampling/...
 
 # Five seconds of coverage-guided fuzzing per decoder of untrusted or
-# persisted bytes. The seed corpora already run in `make test`; this is the
+# persisted bytes (nine targets). The seed corpora already run in `make test`; this is the
 # smoke that the targets still build and survive fresh inputs.
 FUZZTIME ?= 5s
 fuzz-smoke:
@@ -50,6 +55,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzStreamEvents -fuzztime $(FUZZTIME) ./internal/workload
 	$(GO) test -run NONE -fuzz FuzzServeRequest -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run NONE -fuzz FuzzParseTraceparent -fuzztime $(FUZZTIME) ./internal/obs
+	$(GO) test -run NONE -fuzz FuzzLoadModel -fuzztime $(FUZZTIME) ./internal/predict
 
 # bench/ is its own module (pka/bench, `replace pka => ../`), so the root
 # `go build ./... && go test ./...` never compiles it. Vet and test it here

@@ -506,6 +506,14 @@ func Load(path string) (*Model, error) {
 	}
 	m.outcomes = make([]sampling.KernelOutcome, len(f.Outcomes))
 	for i, oc := range f.Outcomes {
+		// No simulation yields a NaN or infinite count or utilization; a
+		// file that holds one is corrupt, and served exactly it would poison
+		// every fold it reached.
+		for _, bits := range []uint64{oc.ThreadInstrs, oc.DRAMUtil} {
+			if v := math.Float64frombits(bits); math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("predict: model %s outcome %d holds %v", path, i, v)
+			}
+		}
 		m.outcomes[i] = sampling.KernelOutcome{
 			ProjCycles:    oc.ProjCycles,
 			SimWarpInstrs: oc.SimWarpInstrs,

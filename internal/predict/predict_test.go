@@ -1,9 +1,11 @@
 package predict
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -15,7 +17,7 @@ import (
 
 // testSamples builds a training set from a workload's kernels with
 // synthetic-but-consistent outcomes (no simulation needed).
-func testSamples(t *testing.T, dev gpu.Device) []Sample {
+func testSamples(t testing.TB, dev gpu.Device) []Sample {
 	t.Helper()
 	w := workload.Find("Rodinia/gauss_mat4")
 	if w == nil {
@@ -118,6 +120,80 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 				oc1, c1, e1, ok1, oc2, c2, e2, ok2)
 		}
 	}
+}
+
+// FuzzLoadModel: arbitrary bytes on disk never panic Load, and a model that
+// loads survives Save and Load unchanged — equal as a value, and bit-identical
+// in what it predicts for a fixed request on both the exact-key and the
+// regression path.
+func FuzzLoadModel(f *testing.F) {
+	dev := gpu.VoltaV100()
+	samples := testSamples(f, dev)
+	m, err := Train(dev, samples, TrainOptions{Seed: 42})
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Inputs run one at a time per fuzzing process, so one directory serves.
+	dir := f.TempDir()
+	seed := filepath.Join(dir, "model.json")
+	if err := m.Save(seed); err != nil {
+		f.Fatal(err)
+	}
+	raw, err := os.ReadFile(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	for _, n := range []int{0, len(raw) / 3, len(raw) / 2, len(raw) - 2} {
+		f.Add(raw[:n])
+	}
+	// A NaN outcome parses; Load must refuse it (a NaN is not equal to
+	// itself, so it could not survive the round trip below either).
+	var mf modelFile
+	if err := json.Unmarshal(raw, &mf); err != nil {
+		f.Fatal(err)
+	}
+	mf.Outcomes[0].ThreadInstrs = math.Float64bits(math.NaN())
+	nan, err := json.Marshal(mf)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(nan)
+	novel := samples[0].Kernel
+	novel.Grid.X *= 3
+	task := samples[0].Task
+	f.Fuzz(func(t *testing.T, b []byte) {
+		in := filepath.Join(dir, "in.json")
+		if err := os.WriteFile(in, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		first, err := Load(in)
+		if err != nil {
+			return
+		}
+		out := filepath.Join(dir, "out.json")
+		if err := first.Save(out); err != nil {
+			t.Fatalf("a loaded model does not save: %v", err)
+		}
+		second, err := Load(out)
+		if err != nil {
+			t.Fatalf("a saved model does not load: %v", err)
+		}
+		if !reflect.DeepEqual(first, second) {
+			t.Fatal("Save then Load changed the model")
+		}
+		bits := math.Float64bits
+		for _, key := range []string{first.keys[0], ""} {
+			oc1, c1, e1, ok1 := first.Predict(dev, &novel, task, key)
+			oc2, c2, e2, ok2 := second.Predict(dev, &novel, task, key)
+			if ok1 != ok2 || e1 != e2 || bits(c1) != bits(c2) || oc1.ProjCycles != oc2.ProjCycles ||
+				oc1.SimWarpInstrs != oc2.SimWarpInstrs || bits(oc1.ThreadInstrs) != bits(oc2.ThreadInstrs) ||
+				bits(oc1.DRAMUtil) != bits(oc2.DRAMUtil) || oc1.Capped != oc2.Capped || oc1.Truncated != oc2.Truncated {
+				t.Fatalf("key %q: predictions differ after Save then Load: (%+v %v %v %v) vs (%+v %v %v %v)",
+					key, oc1, c1, e1, ok1, oc2, c2, e2, ok2)
+			}
+		}
+	})
 }
 
 func TestLoadRejectsWrongSchema(t *testing.T) {

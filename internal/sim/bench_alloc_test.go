@@ -51,17 +51,16 @@ func neverStop() sim.Controller {
 	})
 }
 
-// mallocsForCycles simulates exactly `cycles` cycles with a fresh
+// mallocsForCycles simulates exactly `cycles` cycles of k with a fresh
 // simulator, observer, and controller, and returns the heap objects the
 // whole run allocated. Per-run setup (SM state, the kernel span, the track
 // metadata) is identical across calls, so differencing two calls isolates
 // the loop's marginal allocations. With riders set the pass carries two
 // more probes — a real projector, free to stop, and a ticking one under a
 // cap the run outlives — so settling a probe mid-run is on the measured path.
-func mallocsForCycles(tb testing.TB, cycles int64, riders bool) uint64 {
+func mallocsForCycles(tb testing.TB, dev gpu.Device, k trace.KernelDesc, cycles int64, riders bool) uint64 {
 	tb.Helper()
-	k := tickKernel()
-	s := sim.New(gpu.VoltaV100())
+	s := sim.New(dev)
 	o := obs.NewObserver()
 	so := o.SimObs("alloc-test")
 	opts := sim.Options{Controller: neverStop(), MaxCycles: cycles, Obs: so}
@@ -90,20 +89,30 @@ func mallocsForCycles(tb testing.TB, cycles int64, riders bool) uint64 {
 }
 
 // TestSimTickZeroAlloc asserts allocs/op == 0 for the cycle loop with all
-// telemetry hooks installed, as a one-probe run and as a three-probe pass:
-// growing the run 16x must not allocate a single additional heap object.
+// telemetry hooks installed, as a one-probe run and as a three-probe pass,
+// on V100 and on the wide SM (multi-word due and warp sets): growing the
+// run 16x must not allocate a single additional heap object.
 func TestSimTickZeroAlloc(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	// A concurrent GC cycle mid-measurement allocates a few runtime-owned
 	// objects that would be misattributed to the loop; the runs below
 	// allocate only KBs of setup, so pausing collection is safe.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for _, riders := range []bool{false, true} {
-		base := mallocsForCycles(t, 8192, riders)
-		big := mallocsForCycles(t, 16*8192, riders)
-		if big > base {
-			t.Fatalf("cycle loop allocates (riders=%v): %d extra heap objects over %d extra cycles (setup baseline %d)",
-				riders, big-base, 15*8192, base)
+	// On the wide SM, 160-thread blocks keep 25 resident per SM, 125 warps:
+	// two-word warp sets (V100's 80 SMs already make the due set two words).
+	wideK := tickKernel()
+	wideK.Block = trace.D1(160)
+	for _, c := range []struct {
+		dev gpu.Device
+		k   trace.KernelDesc
+	}{{gpu.VoltaV100(), tickKernel()}, {sim.WideSM(), wideK}} {
+		for _, riders := range []bool{false, true} {
+			base := mallocsForCycles(t, c.dev, c.k, 8192, riders)
+			big := mallocsForCycles(t, c.dev, c.k, 16*8192, riders)
+			if big > base {
+				t.Fatalf("cycle loop allocates on %s (riders=%v): %d extra heap objects over %d extra cycles (setup baseline %d)",
+					c.dev.Name, riders, big-base, 15*8192, base)
+			}
 		}
 	}
 }

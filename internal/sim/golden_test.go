@@ -87,6 +87,19 @@ type goldenCase struct {
 	want    uint64
 }
 
+// WideSM is a synthetic V100 with twice the warp and thread limits. Every
+// catalogue device holds at most 64 warps per SM, so one ready word and one
+// wheel word per bucket; this one holds up to 128, so a warp set can be two
+// words. Exported for the external tests.
+func WideSM() gpu.Device {
+	d := gpu.VoltaV100()
+	d.Name = "wide-sm"
+	d.NumSMs = 12
+	d.MaxWarpsPerSM = 128
+	d.MaxThreadsPerSM = 4096
+	return d
+}
+
 func goldenCases() []goldenCase {
 	allOps := trace.KernelDesc{
 		Name: "all-ops", Grid: trace.D1(320), Block: trace.D1(192),
@@ -124,15 +137,8 @@ func goldenCases() []goldenCase {
 		CoalescingFactor: 4, WorkingSetBytes: 3*(1<<20) + 128*37, StridedFraction: 0.5,
 		DivergenceEff: 0.93, Seed: 909,
 	}
-	// Every catalogue device holds at most 64 warps per SM, so one ready
-	// word and one wheel word per bucket. This synthetic V100 doubles the
-	// warp and thread limits: 25 resident 5-warp blocks = 125 warps, two
-	// bitset words with a ragged tail.
-	wide := gpu.VoltaV100()
-	wide.Name = "wide-sm"
-	wide.NumSMs = 12
-	wide.MaxWarpsPerSM = 128
-	wide.MaxThreadsPerSM = 4096
+	// 25 resident 5-warp blocks on the wide SM = 125 warps, two bitset
+	// words with a ragged tail.
 	wideMix := allOps
 	wideMix.Name = "wide-mix"
 	wideMix.Grid = trace.D1(700)
@@ -187,35 +193,40 @@ func goldenCases() []goldenCase {
 			// Hash recorded on the linked-list wheel and timestamp-LRU cache,
 			// before the bitset wheel existed: the multi-word path is held
 			// to an implementation that had no such path.
-			name: "wide-sm-two-words", dev: wide,
+			name: "wide-sm-two-words", dev: WideSM(),
 			kernels: []trace.KernelDesc{wideMix, oddWS},
 			want:    0x90ef3c76621c1318,
 		},
 	}
 }
 
+// hash runs the case's kernels back to back through run (one simulator's
+// RunKernel, or refSim's) and folds what they show into one hash.
+func (tc goldenCase) hash(t *testing.T, run func(*trace.KernelDesc, Options) (*KernelResult, error)) uint64 {
+	t.Helper()
+	g := newGoldenHash()
+	for i := range tc.kernels {
+		var opts Options
+		if tc.opts != nil {
+			opts = tc.opts(g)
+		}
+		if opts.Controller == nil {
+			opts.Controller = g.controller(nil)
+		}
+		res, err := run(&tc.kernels[i], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.result(res)
+	}
+	return g.h
+}
+
 func TestGoldenTelemetryHashes(t *testing.T) {
 	for _, tc := range goldenCases() {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			g := newGoldenHash()
-			s := New(tc.dev)
-			for i := range tc.kernels {
-				var opts Options
-				if tc.opts != nil {
-					opts = tc.opts(g)
-				}
-				if opts.Controller == nil {
-					opts.Controller = g.controller(nil)
-				}
-				res, err := s.RunKernel(&tc.kernels[i], opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				g.result(res)
-			}
-			if g.h != tc.want {
-				t.Errorf("telemetry/result hash = %#016x, want %#016x (simulator output changed)", g.h, tc.want)
+			if got := tc.hash(t, New(tc.dev).RunKernel); got != tc.want {
+				t.Errorf("telemetry/result hash = %#016x, want %#016x (simulator output changed)", got, tc.want)
 			}
 		})
 	}

@@ -7,7 +7,6 @@ package sim_test
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -38,44 +37,6 @@ func projector(threshold float64) func() sim.Controller {
 	return func() sim.Controller { return pkp.New(pkp.Options{Threshold: threshold}) }
 }
 
-// sameResult compares every field of two results, floats by their bits.
-func sameResult(a, b *sim.KernelResult) error {
-	bits := math.Float64bits
-	switch {
-	case a.Kernel != b.Kernel:
-		return fmt.Errorf("Kernel %p vs %p", a.Kernel, b.Kernel)
-	case a.Cycles != b.Cycles:
-		return fmt.Errorf("Cycles %d vs %d", a.Cycles, b.Cycles)
-	case a.WarpInstrs != b.WarpInstrs:
-		return fmt.Errorf("WarpInstrs %d vs %d", a.WarpInstrs, b.WarpInstrs)
-	case a.ExpectedWarpInstrs != b.ExpectedWarpInstrs:
-		return fmt.Errorf("ExpectedWarpInstrs %d vs %d", a.ExpectedWarpInstrs, b.ExpectedWarpInstrs)
-	case bits(a.ThreadInstrs) != bits(b.ThreadInstrs):
-		return fmt.Errorf("ThreadInstrs %v vs %v", a.ThreadInstrs, b.ThreadInstrs)
-	case bits(a.IPC) != bits(b.IPC):
-		return fmt.Errorf("IPC %v vs %v", a.IPC, b.IPC)
-	case bits(a.L2MissRate) != bits(b.L2MissRate):
-		return fmt.Errorf("L2MissRate %v vs %v", a.L2MissRate, b.L2MissRate)
-	case bits(a.DRAMUtil) != bits(b.DRAMUtil):
-		return fmt.Errorf("DRAMUtil %v vs %v", a.DRAMUtil, b.DRAMUtil)
-	case a.BlocksCompleted != b.BlocksCompleted:
-		return fmt.Errorf("BlocksCompleted %d vs %d", a.BlocksCompleted, b.BlocksCompleted)
-	case a.BlocksTotal != b.BlocksTotal || a.WaveSize != b.WaveSize:
-		return fmt.Errorf("shape %d/%d vs %d/%d", a.BlocksTotal, a.WaveSize, b.BlocksTotal, b.WaveSize)
-	case a.StoppedEarly != b.StoppedEarly:
-		return fmt.Errorf("StoppedEarly %v vs %v", a.StoppedEarly, b.StoppedEarly)
-	case len(a.Trace) != len(b.Trace):
-		return fmt.Errorf("trace length %d vs %d", len(a.Trace), len(b.Trace))
-	}
-	for i := range a.Trace {
-		x, y := a.Trace[i], b.Trace[i]
-		if x.Cycle != y.Cycle || bits(x.IPC) != bits(y.IPC) || bits(x.L2Miss) != bits(y.L2Miss) || bits(x.DRAMUtil) != bits(y.DRAMUtil) {
-			return fmt.Errorf("trace sample %d: %+v vs %+v", i, x, y)
-		}
-	}
-	return nil
-}
-
 // checkProbes runs probes as one pass (probes[0] the run's own, the rest
 // riders) and each alone, both on fresh simulators, and compares them.
 func checkProbes(t *testing.T, dev gpu.Device, k *trace.KernelDesc, traceEvery int64, probes []probeSpec) {
@@ -99,7 +60,7 @@ func checkProbes(t *testing.T, dev gpu.Device, k *trace.KernelDesc, traceEvery i
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sameResult(got[i], want); err != nil {
+		if err := sim.SameResult(got[i], want); err != nil {
 			t.Errorf("%s on %s, probe %d (%s, cap %d) of %d: probed vs solo: %v", k.Name, dev.Name, i, p.name, p.cap, len(probes), err)
 			continue
 		}
@@ -151,14 +112,9 @@ func probeKernels(rng *rand.Rand, dev gpu.Device) []trace.KernelDesc {
 // and around the retiring cycle, just below, on and above PKP's stop — a
 // projector that never stabilises and two that stop on the same cycle.
 func TestProbesMatchSoloRuns(t *testing.T) {
-	wide := gpu.VoltaV100()
-	wide.Name = "wide-sm"
-	wide.NumSMs = 12
-	wide.MaxWarpsPerSM = 128
-	wide.MaxThreadsPerSM = 4096
 	rng := rand.New(rand.NewSource(18))
 	stops, jumps := 0, 0
-	for _, dev := range []gpu.Device{gpu.VoltaV100(), gpu.TuringRTX2060(), wide} {
+	for _, dev := range []gpu.Device{gpu.VoltaV100(), gpu.TuringRTX2060(), sim.WideSM()} {
 		for _, k := range probeKernels(rng, dev) {
 			k := k
 			// Scout the trajectory: its length, PKP's stop, and a cap that an

@@ -5,46 +5,63 @@ import (
 	"math/bits"
 )
 
-// This file holds the event-driven scheduler's data structures. The cycle
-// loop used to rescan every warp slot of an SM on every active cycle —
-// O(warps) work to find the ≤SchedulersPerSM warps that can actually
-// issue. Instead, each SM now keeps:
+// This file holds the event-driven scheduler's one data structure, a timing
+// wheel over n slots, used at two levels so that finding the few SMs with
+// something to do on a cycle, and in each the ≤SchedulersPerSM warps that
+// can issue, costs no scan over every SM or every warp slot:
 //
-//   - a readySet bitset of warps whose stall has expired (nextReady <= now),
-//     iterated in round-robin index order starting at rrPtr so the issue
-//     order is identical to the old linear scan's,
-//   - a timing wheel of wheelSize readySet-shaped bitsets for near wakes,
-//     so advancing the clock ORs whole buckets into the ready set, and
-//   - a wakeHeap of far sleepers keyed on nextReady.
+//   - each Simulator keeps a wheel over its SMs (Simulator.due): an SM is
+//     ready while it needs a pass, and sleeps until its next event otherwise;
+//   - each SM keeps a wheel over its warp slots (smState.wheel): a warp is
+//     ready while its stall has expired, and sleeps until it does otherwise.
 //
-// The SM's next-event time is the earlier of the wheel's first occupied
-// bucket (one rotate and a trailing-zero count on the occupancy mask) and
-// the heap top; the cycle loop caches it per SM in Simulator.wakeAt. All
-// three are sized once per kernel (each warp occupies at most one heap
-// slot, one wheel bit and one ready bit), so the loop stays allocation-free.
+// A wheel is a readySet bitset of ready slots, wheelSize bucket bitsets of
+// the same shape for near wakes, so advancing the clock ORs whole buckets
+// into the ready set, and a wakeHeap of far sleepers. The next-event time is
+// the earlier of the first occupied bucket (one rotate and a trailing-zero
+// count on the occupancy mask) and the heap top. Everything is sized once
+// per kernel (a slot occupies at most one heap entry, one wheel bit and one
+// ready bit), so the loop stays allocation-free.
+//
+// Both levels are read a word at a time in index order — the due SMs from 0,
+// an SM's ready warps rotated to start at rrPtr (readySet.rotWord) — which is
+// the order the linear scan visited them in (ref_test.go keeps that scan).
 
-// wheelSize is the horizon of the per-SM timing wheel. Stalls shorter than
-// this (ALU, tensor, shared memory, L1/scoreboard — the overwhelming
-// majority of issues) are parked in an O(1) bucket ring instead of the
-// heap; only far wakes (L2 and DRAM round trips) pay the O(log n) heap.
-// It equals the word size so bucket occupancy is one uint64.
+// wheelSize is the wheel's horizon. Stalls shorter than this (ALU, tensor,
+// shared memory, L1/scoreboard — the overwhelming majority of issues, and so
+// of SM wakes) are parked in an O(1) bucket ring instead of the
+// heap; only far wakes (L2 and DRAM round trips) pay the O(log n) heap. It
+// equals the word size so bucket occupancy is one uint64.
 const wheelSize = 64
 
-// reset sizes the SM for a kernel that keeps slots blocks of wpb warps
-// resident and empties every structure, reusing the previous kernel's
-// backing arrays when they are large enough.
-func (sm *smState) reset(slots, wpb int) {
-	nw := slots * wpb
-	words := (nw + 63) / 64
-	sm.warps = zeroed(sm.warps, nw)
-	sm.warpsLeft = zeroed(sm.warpsLeft, slots)
-	sm.ready = zeroed(sm.ready, words)
-	sm.wheel = zeroed(sm.wheel, wheelSize*words)
-	if cap(sm.wake) < nw {
-		sm.wake = make(wakeHeap, 0, nw)
+type wheel struct {
+	ready     readySet
+	far       wakeHeap
+	buckets   []uint64 // wheelSize buckets, each a len(ready)-word bitset
+	occ       uint64   // bit b set = bucket b holds at least one slot
+	lastDrain int64    // cycle up to which buckets have been emptied
+}
+
+// reset sizes the wheel for n slots and empties it, reusing the previous
+// kernel's backing arrays when they are large enough.
+func (w *wheel) reset(n int) {
+	words := (n + 63) / 64
+	w.ready = zeroed(w.ready, words)
+	w.buckets = zeroed(w.buckets, wheelSize*words)
+	if cap(w.far) < n {
+		w.far = make(wakeHeap, 0, n)
 	}
-	sm.wake = sm.wake[:0]
-	sm.wheelOcc, sm.lastDrain, sm.resident, sm.rrPtr = 0, 0, 0, 0
+	w.far = w.far[:0]
+	w.occ, w.lastDrain = 0, 0
+}
+
+// reset sizes the SM for a kernel that keeps slots blocks of wpb warps
+// resident and empties every structure.
+func (sm *smState) reset(slots, wpb int) {
+	sm.warps = zeroed(sm.warps, slots*wpb)
+	sm.warpsLeft = zeroed(sm.warpsLeft, slots)
+	sm.wheel.reset(slots * wpb)
+	sm.resident, sm.rrPtr = 0, 0
 }
 
 // zeroed returns an all-zero slice of length n, in s's array if it fits.
@@ -57,77 +74,77 @@ func zeroed[S ~[]E, E any](s S, n int) S {
 	return s
 }
 
-// sleep parks warp idx until cycle at (> now). Wake order within a cycle
-// is irrelevant — drain moves every due warp to the ready set before any
-// issue decision — so a bucket is a set, not a list.
-func (sm *smState) sleep(at, now int64, idx int32) {
+// sleep parks slot idx until cycle at (> now). Wake order within a cycle
+// is irrelevant — drain moves every due slot to the ready set before any
+// is visited — so a bucket is a set, not a list.
+func (w *wheel) sleep(at, now int64, idx int32) {
 	if at-now < wheelSize {
 		b := int(at & (wheelSize - 1))
-		sm.wheel[b*len(sm.ready)+int(idx>>6)] |= 1 << (uint(idx) & 63)
-		sm.wheelOcc |= 1 << uint(b)
+		w.buckets[b*len(w.ready)+int(idx>>6)] |= 1 << (uint(idx) & 63)
+		w.occ |= 1 << uint(b)
 		return
 	}
-	sm.wake.push(at, idx)
+	w.far.push(at, idx)
 }
 
-// drain moves every warp due at or before now into the ready set. Wheel
+// drain moves every slot due at or before now into the ready set. Bucket
 // entries always satisfy at ∈ (lastDrain, lastDrain+wheelSize) — sleeps
-// only happen while the SM is being processed, i.e. after a drain at the
-// same cycle — so those 63 cycles map to 63 distinct buckets and the due
-// ones are exactly the buckets of (lastDrain, now]: a rotated run of
-// now-lastDrain mask bits, or every bucket after a longer gap.
-func (sm *smState) drain(now int64) {
+// only happen after a drain at the same cycle — so those 63 cycles map to
+// 63 distinct buckets and the due ones are exactly the buckets of
+// (lastDrain, now]: a rotated run of now-lastDrain mask bits, or every
+// bucket after a longer gap.
+func (w *wheel) drain(now int64) {
 	due := ^uint64(0)
-	if n := now - sm.lastDrain; n < wheelSize {
-		due = bits.RotateLeft64(1<<uint(n)-1, int((sm.lastDrain+1)&(wheelSize-1)))
+	if n := now - w.lastDrain; n < wheelSize {
+		due = bits.RotateLeft64(1<<uint(n)-1, int((w.lastDrain+1)&(wheelSize-1)))
 	}
-	due &= sm.wheelOcc
-	sm.wheelOcc &^= due
-	words := len(sm.ready)
+	due &= w.occ
+	w.occ &^= due
+	words := len(w.ready)
 	for ; due != 0; due &= due - 1 {
-		bucket := sm.wheel[bits.TrailingZeros64(due)*words:][:words]
-		for w, m := range bucket {
-			sm.ready[w] |= m
-			bucket[w] = 0
+		bucket := w.buckets[bits.TrailingZeros64(due)*words:][:words]
+		for i, m := range bucket {
+			w.ready[i] |= m
+			bucket[i] = 0
 		}
 	}
-	sm.lastDrain = now
-	for len(sm.wake) > 0 && sm.wake[0].at <= now {
-		sm.ready.set(int(sm.wake.pop().idx))
+	w.lastDrain = now
+	for len(w.far) > 0 && w.far[0].at <= now {
+		w.ready.set(int(w.far.pop().idx))
 	}
 }
 
 // nextWake returns the earliest pending wake time after now, or
-// math.MaxInt64 when no warp is sleeping. It runs right after drain(now),
-// so the wheel holds only cycles now+1 .. now+wheelSize-1: rotating the
+// math.MaxInt64 when no slot is sleeping. It runs right after drain(now),
+// so the buckets hold only cycles now+1 .. now+wheelSize-1: rotating the
 // occupancy mask to put now+1's bucket at bit 0 makes the first occupied
 // bucket's distance a trailing-zero count.
-func (sm *smState) nextWake(now int64) int64 {
+func (w *wheel) nextWake(now int64) int64 {
 	min := int64(math.MaxInt64)
-	if sm.wheelOcc != 0 {
-		rot := bits.RotateLeft64(sm.wheelOcc, -int((now+1)&(wheelSize-1)))
+	if w.occ != 0 {
+		rot := bits.RotateLeft64(w.occ, -int((now+1)&(wheelSize-1)))
 		min = now + 1 + int64(bits.TrailingZeros64(rot))
 	}
-	if len(sm.wake) > 0 && sm.wake[0].at < min {
-		min = sm.wake[0].at
+	if len(w.far) > 0 && w.far[0].at < min {
+		min = w.far[0].at
 	}
 	return min
 }
 
-// wakeEvent schedules one sleeping warp's return to the ready set.
+// wakeEvent schedules one sleeping slot's return to the ready set.
 type wakeEvent struct {
-	at  int64 // cycle at which the warp's nextReady elapses
-	idx int32 // warp slot index within the SM
+	at  int64 // cycle at which the slot is due
+	idx int32 // slot index
 }
 
 // wakeHeap is a binary min-heap on wakeEvent.at. Wake order among equal
-// cycles is irrelevant: all warps with at <= now are drained into the
-// ready set before any issue decision, and issue order is governed by the
-// ready set's index order alone.
+// cycles is irrelevant: all slots with at <= now are drained into the
+// ready set before any is visited, and visiting order is the ready set's
+// index order alone.
 type wakeHeap []wakeEvent
 
-// push inserts an event. The backing array is pre-sized to the SM's warp
-// count (a warp has at most one pending wake), so append never grows it.
+// push inserts an event. The backing array is pre-sized to the slot count
+// (a slot has at most one pending wake), so append never grows it.
 func (h *wakeHeap) push(at int64, idx int32) {
 	q := append(*h, wakeEvent{at: at, idx: idx})
 	i := len(q) - 1
@@ -169,13 +186,13 @@ func (h *wakeHeap) pop() wakeEvent {
 	return top
 }
 
-// readySet is a bitset over an SM's warp slots.
+// readySet is a bitset over a wheel's slots.
 type readySet []uint64
 
 func (r readySet) set(i int)   { r[i>>6] |= 1 << (uint(i) & 63) }
 func (r readySet) clear(i int) { r[i>>6] &^= 1 << (uint(i) & 63) }
 
-// any reports whether any warp is ready.
+// any reports whether any slot is ready.
 func (r readySet) any() bool {
 	for _, w := range r {
 		if w != 0 {
@@ -185,29 +202,24 @@ func (r readySet) any() bool {
 	return false
 }
 
-// next returns the lowest set bit in [from, limit), or -1. The cycle loop
-// calls it with [rrPtr, n) then [0, rrPtr) to reproduce the round-robin
-// scan order of the original implementation exactly.
-func (r readySet) next(from, limit int) int {
-	if from >= limit {
-		return -1
+// rotWord returns step k of the walk over r rotated to start at from, as
+// the index of the word's bit 0 and the word's ready bits on that step.
+// Steps 0..len(r) visit from's word masked to bits >= from, the words after
+// it wrapping around, and from's word masked to bits < from, so walking
+// each step's bits upward yields the ready slots of [from, n) then [0,
+// from): the round-robin order of the linear scan. A caller that only
+// clears bits it has already yielded may read r as it goes.
+func (r readySet) rotWord(from, k int) (base int, m uint64) {
+	wi := from>>6 + k
+	if wi >= len(r) {
+		wi -= len(r)
 	}
-	wi := from >> 6
-	last := (limit - 1) >> 6
-	w := r[wi] >> (uint(from) & 63) << (uint(from) & 63)
-	for {
-		if wi == last {
-			if rem := uint(limit) & 63; rem != 0 {
-				w &= 1<<rem - 1
-			}
-		}
-		if w != 0 {
-			return wi<<6 + bits.TrailingZeros64(w)
-		}
-		wi++
-		if wi > last {
-			return -1
-		}
-		w = r[wi]
+	m = r[wi]
+	switch sh := uint(from) & 63; k {
+	case 0:
+		m = m >> sh << sh
+	case len(r):
+		m &= 1<<sh - 1
 	}
+	return wi << 6, m
 }

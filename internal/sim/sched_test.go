@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"testing"
 
 	"pka/internal/stats"
@@ -10,10 +12,60 @@ import (
 // readyWarps lists the set bits of the SM's ready set.
 func readyWarps(sm *smState) []int {
 	var out []int
-	for i := sm.ready.next(0, len(sm.warps)); i >= 0; i = sm.ready.next(i+1, len(sm.warps)) {
-		out = append(out, i)
+	for wi, m := range sm.ready {
+		for ; m != 0; m &= m - 1 {
+			out = append(out, wi<<6+bits.TrailingZeros64(m))
+		}
 	}
 	return out
+}
+
+// walk is the cycle loop's issue walk over r: the ready slots in
+// round-robin order from rrPtr, at most budget of them, clearing each one
+// it yields as the loop does.
+func walk(r readySet, rrPtr, budget int) []int {
+	var out []int
+	for k := 0; k <= len(r) && budget > 0; k++ {
+		base, m := r.rotWord(rrPtr, k)
+		for ; m != 0 && budget > 0; m &= m - 1 {
+			idx := base + bits.TrailingZeros64(m)
+			r.clear(idx)
+			out = append(out, idx)
+			budget--
+		}
+	}
+	return out
+}
+
+// TestReadyWalkOrder pins the walk to the linear scan's order: the ready
+// indices of [rrPtr, n) then [0, rrPtr), cut off at the budget, for every
+// rrPtr on one-word, full-word, ragged two-word and three-word sets.
+func TestReadyWalkOrder(t *testing.T) {
+	rng := stats.NewRNG(25)
+	for _, n := range []int{5, 64, 125, 130} {
+		for _, density := range []int{0, 1, 8, 32, 56, 64} { // ready in 64ths
+			for rrPtr := 0; rrPtr < n; rrPtr++ {
+				r := make(readySet, (n+63)/64)
+				for i := 0; i < n; i++ {
+					if rng.Intn(64) < density {
+						r.set(i)
+					}
+				}
+				var order []int
+				for j := 0; j < n; j++ {
+					if idx := (rrPtr + j) % n; r[idx>>6]>>(uint(idx)&63)&1 == 1 {
+						order = append(order, idx)
+					}
+				}
+				for budget := 1; budget <= 5; budget++ {
+					want := order[:min(budget, len(order))]
+					if got := walk(append(readySet(nil), r...), rrPtr, budget); !slices.Equal(got, want) {
+						t.Fatalf("n=%d rrPtr=%d budget=%d: walk %v, want %v", n, rrPtr, budget, got, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 func wantReady(t *testing.T, sm *smState, want ...int) {
@@ -38,12 +90,12 @@ func TestWheelHorizonBoundary(t *testing.T) {
 	const now = 1000
 	sm.drain(now)
 	sm.sleep(now+wheelSize-1, now, 3)
-	if sm.wheelOcc == 0 || len(sm.wake) != 0 {
-		t.Fatalf("wake at now+wheelSize-1: wheelOcc=%#x heap=%d, want it in the wheel", sm.wheelOcc, len(sm.wake))
+	if sm.occ == 0 || len(sm.far) != 0 {
+		t.Fatalf("wake at now+wheelSize-1: occ=%#x heap=%d, want it in the wheel", sm.occ, len(sm.far))
 	}
 	sm.sleep(now+wheelSize, now, 5)
-	if len(sm.wake) != 1 {
-		t.Fatalf("wake at now+wheelSize: heap holds %d, want it in the heap", len(sm.wake))
+	if len(sm.far) != 1 {
+		t.Fatalf("wake at now+wheelSize: heap holds %d, want it in the heap", len(sm.far))
 	}
 	if got := sm.nextWake(now); got != now+wheelSize-1 {
 		t.Fatalf("nextWake = %d, want %d", got, now+wheelSize-1)
@@ -75,10 +127,10 @@ func TestWheelDrainAfterLongJump(t *testing.T) {
 	sm.sleep(now+5000, now, 128)
 	sm.drain(now + 3*wheelSize + 9)
 	wantReady(t, &sm, 0, 64, 129)
-	if sm.wheelOcc != 0 {
-		t.Fatalf("wheelOcc = %#x after a full drain", sm.wheelOcc)
+	if sm.occ != 0 {
+		t.Fatalf("occ = %#x after a full drain", sm.occ)
 	}
-	for i, w := range sm.wheel {
+	for i, w := range sm.buckets {
 		if w != 0 {
 			t.Fatalf("wheel word %d = %#x after a full drain", i, w)
 		}
@@ -110,21 +162,22 @@ func TestWheelTwoDrainsOneCycle(t *testing.T) {
 	}
 }
 
-// TestWheelMatchesWakeTable runs the scheduler against the obvious model —
-// a table of each warp's wake cycle — under random stalls on both sides of
-// the wheel horizon and random clock advances, some longer than a
-// revolution, on one-word and multi-word SMs.
+// TestWheelMatchesWakeTable runs the wheel against the obvious model — a
+// table of each slot's wake cycle — under random stalls on both sides of
+// the horizon and random clock advances, some longer than a revolution, at
+// warp-level sizes (one- to four-word SMs) and device-level ones (the SM
+// counts of the catalogue devices and a 130-SM variant).
 func TestWheelMatchesWakeTable(t *testing.T) {
-	for _, nw := range []int{5, 64, 125, 200} {
-		var sm smState
-		sm.reset(1, nw)
+	for _, nw := range []int{5, 64, 125, 200, 30, 46, 80, 130} {
+		var w wheel
+		w.reset(nw)
 		rng := stats.NewRNG(uint64(nw))
 		wakeAt := make([]int64, nw) // 0 = ready or never slept
 		var now int64
-		sm.drain(now)
+		w.drain(now)
 		for i := 0; i < nw; i++ {
 			wakeAt[i] = now + 20
-			sm.sleep(now+20, now, int32(i))
+			w.sleep(now+20, now, int32(i))
 		}
 		for step := 0; step < 20000; step++ {
 			switch r := rng.Intn(20); {
@@ -135,24 +188,23 @@ func TestWheelMatchesWakeTable(t *testing.T) {
 			default:
 				now += int64(rng.Intn(wheelSize))
 			}
-			sm.drain(now)
+			w.drain(now)
 			next := int64(math.MaxInt64)
 			for i, at := range wakeAt {
-				isReady := sm.ready[i>>6]>>(uint(i)&63)&1 == 1
+				isReady := w.ready[i>>6]>>(uint(i)&63)&1 == 1
 				if isReady != (at <= now) {
-					t.Fatalf("nw=%d step %d cycle %d: warp %d ready=%v, wakes at %d", nw, step, now, i, isReady, at)
+					t.Fatalf("nw=%d step %d cycle %d: slot %d ready=%v, wakes at %d", nw, step, now, i, isReady, at)
 				}
 				if at > now && at < next {
 					next = at
 				}
 			}
-			if got := sm.nextWake(now); got != next {
+			if got := w.nextWake(now); got != next {
 				t.Fatalf("nw=%d step %d cycle %d: nextWake = %d, want %d", nw, step, now, got, next)
 			}
-			// Issue up to four ready warps, each stalling for a latency
-			// drawn around the horizon.
-			for n, idx := 0, sm.ready.next(0, nw); n < 4 && idx >= 0; n, idx = n+1, sm.ready.next(idx+1, nw) {
-				sm.ready.clear(idx)
+			// Issue up to four ready slots from a moving rrPtr, each
+			// stalling for a latency drawn around the horizon.
+			for _, idx := range walk(w.ready, step%nw, 4) {
 				lat := int64(1 + rng.Intn(8))
 				switch rng.Intn(4) {
 				case 0:
@@ -161,7 +213,7 @@ func TestWheelMatchesWakeTable(t *testing.T) {
 					lat = int64(100 + rng.Intn(500))
 				}
 				wakeAt[idx] = now + lat
-				sm.sleep(now+lat, now, int32(idx))
+				w.sleep(now+lat, now, int32(idx))
 			}
 		}
 	}

@@ -139,11 +139,10 @@ type Simulator struct {
 	dram *mem.DRAM
 	l1   []*mem.Cache
 	sms  []smState
-	// wakeAt[i] is the cycle SM i next needs a pass — its earliest pending
-	// event, or math.MaxInt64 while it has no resident block. It is the only
-	// word the cycle loop and the idle jump read for an SM that is not due,
-	// so skipping one costs 8 bytes of a dense array, not an smState.
-	wakeAt []int64
+	// due is the wheel over SMs (see sched.go): SM i is ready while it needs
+	// a pass, asleep until its earliest pending event otherwise, and in
+	// neither while it has no resident block.
+	due wheel
 }
 
 type warpSlot struct {
@@ -158,19 +157,13 @@ type warpSlot struct {
 }
 
 type smState struct {
+	// wheel is the SM's warp scheduler (see sched.go): ready holds warps
+	// whose stall has expired; the rest sleep until it does.
+	wheel
 	warps     []warpSlot
 	warpsLeft []int // per block slot: warps of the resident block still running
 	resident  int   // live blocks
 	rrPtr     int
-	// Event-driven scheduler state (see sched.go): ready holds warps whose
-	// stall has expired; sleeping warps sit either in the timing wheel
-	// (wakes within wheelSize cycles — ALU, shared-memory, cache-hit
-	// stalls) or in the wake heap (far wakes: DRAM and L2 round trips).
-	ready     readySet
-	wake      wakeHeap
-	wheel     []uint64 // wheelSize buckets, each a len(ready)-word warp bitset
-	wheelOcc  uint64   // bit b set = bucket b holds at least one warp
-	lastDrain int64    // cycle up to which wheel buckets have been emptied
 }
 
 // runCtx holds the per-kernel constants of the cycle loop, precomputed
@@ -191,12 +184,11 @@ type runCtx struct {
 // New creates a simulator for the given device.
 func New(dev gpu.Device) *Simulator {
 	s := &Simulator{
-		dev:    dev,
-		l2:     mem.NewCache(dev.L2SizeBytes, 16, dev.CacheLineBytes),
-		dram:   mem.NewDRAM(dev.BytesPerCycle(), dev.DRAMLatency),
-		l1:     make([]*mem.Cache, dev.NumSMs),
-		sms:    make([]smState, dev.NumSMs),
-		wakeAt: make([]int64, dev.NumSMs),
+		dev:  dev,
+		l2:   mem.NewCache(dev.L2SizeBytes, 16, dev.CacheLineBytes),
+		dram: mem.NewDRAM(dev.BytesPerCycle(), dev.DRAMLatency),
+		l1:   make([]*mem.Cache, dev.NumSMs),
+		sms:  make([]smState, dev.NumSMs),
 	}
 	for i := range s.l1 {
 		s.l1[i] = mem.NewCache(dev.L1SizeBytes, 8, dev.CacheLineBytes)
@@ -363,8 +355,8 @@ func (s *Simulator) RunProbes(k *trace.KernelDesc, opts Options) ([]*KernelResul
 	numSMs := s.dev.NumSMs
 	for i := range s.sms {
 		s.sms[i].reset(occ.BlocksPerSM, wpb)
-		s.wakeAt[i] = math.MaxInt64
 	}
+	s.due.reset(numSMs)
 
 	nextBlock := 0
 	completed := 0
@@ -392,7 +384,7 @@ func (s *Simulator) RunProbes(k *trace.KernelDesc, opts Options) ([]*KernelResul
 			}
 			sm.sleep(now+20, now, int32(idx))
 		}
-		s.wakeAt[smIdx] = now
+		s.due.ready.set(smIdx)
 	}
 
 	// Fill the initial wave breadth-first across SMs, the way the hardware
@@ -482,118 +474,109 @@ func (s *Simulator) RunProbes(k *trace.KernelDesc, opts Options) ([]*KernelResul
 		}
 		issuedCycle := 0
 
-		for i, at := range s.wakeAt {
-			if at > now {
-				continue
-			}
-			sm := &s.sms[i]
-			// Wake every warp whose stall expires at or before now: O(1)
-			// per wake, once per issued instruction over the whole run —
-			// not once per warp per cycle.
-			sm.drain(now)
-			l1 := s.l1[i]
-			issueBudget := schedulers
-			dispatched := false
-			// deadMin carries the post-issue nextReady of warps that retire
-			// on this cycle: the linear-scan implementation min-folded that
-			// value into minReady before noticing the warp had finished, so
-			// the SM gets one extra (no-op) pass that advances rrPtr. Issue
-			// order depends on rrPtr, so this quirk is load-bearing.
-			deadMin := int64(math.MaxInt64)
-			n := len(sm.warps)
-			// Issue in round-robin order: ready warps in [rrPtr, n), then
-			// [0, rrPtr) — the exact order of the original full scan.
-			pos, limit := sm.rrPtr, n
-			for seg := 0; seg < 2; seg++ {
-				for issueBudget > 0 {
-					idx := sm.ready.next(pos, limit)
-					if idx < 0 {
-						break
-					}
-					pos = idx + 1
-					w := &sm.warps[idx]
-					sm.ready.clear(idx)
-					issueBudget--
-					issuedCycle++
-					op := pattern[w.patPos]
-					w.patPos++
-					if w.patPos == patLen {
-						w.patPos = 0
-					}
-					switch op {
-					case opCompute:
-						w.nextReady = now + aluLat
-					case opTensor:
-						w.nextReady = now + aluLat*2
-					case opSharedLoad, opSharedStore:
-						w.nextReady = now + smemLat
-					case opAtomic:
-						done := s.memAccess(l1, w, now, 1, &rc, false)
-						w.nextReady = done + 16 // serialization penalty
-					default: // global/local loads & stores
-						strided := float64(w.nextUint()>>11) < rc.stridedThresh && op != opLocalLoad
-						done := s.memAccess(l1, w, now, nSectors, &rc, strided)
-						if op == opGlobalStore {
-							// Stores retire through the write queue without
-							// stalling the warp.
-							w.nextReady = now + 1
-						} else if w.pending <= now {
-							// Scoreboard with two outstanding loads per warp:
-							// the first miss does not block issue, the second
-							// stalls until the older one returns.
-							w.pending = done
-							w.nextReady = now + 1
-						} else {
-							w.nextReady = w.pending
-							w.pending = done
+		// Visit every SM due at or before now in index order, the linear
+		// scan's order (it matters: SMs share the L2 and the DRAM pipe). A
+		// pass changes no due bit but its own SM's, so each word is read once.
+		s.due.drain(now)
+		for dw, due := range s.due.ready {
+			for ; due != 0; due &= due - 1 {
+				i := dw<<6 + bits.TrailingZeros64(due)
+				sm := &s.sms[i]
+				// Wake every warp whose stall expires at or before now: O(1)
+				// per wake, once per issued instruction over the whole run —
+				// not once per warp per cycle.
+				sm.drain(now)
+				l1 := s.l1[i]
+				issueBudget := schedulers
+				dispatched := false
+				// deadMin carries the post-issue nextReady of warps that retire
+				// on this cycle: the linear-scan implementation min-folded that
+				// value into minReady before noticing the warp had finished, so
+				// the SM gets one extra (no-op) pass that advances rrPtr. Issue
+				// order depends on rrPtr, so this quirk is load-bearing.
+				deadMin := int64(math.MaxInt64)
+				// Issue in round-robin order: ready warps in [rrPtr, n), then
+				// [0, rrPtr) — the exact order of the original full scan.
+				for k := 0; k <= len(sm.ready) && issueBudget > 0; k++ {
+					base, ready := sm.ready.rotWord(sm.rrPtr, k)
+					for ; ready != 0 && issueBudget > 0; ready &= ready - 1 {
+						idx := base + bits.TrailingZeros64(ready)
+						w := &sm.warps[idx]
+						sm.ready.clear(idx)
+						issueBudget--
+						issuedCycle++
+						op := pattern[w.patPos]
+						w.patPos++
+						if w.patPos == patLen {
+							w.patPos = 0
+						}
+						switch op {
+						case opCompute:
+							w.nextReady = now + aluLat
+						case opTensor:
+							w.nextReady = now + aluLat*2
+						case opSharedLoad, opSharedStore:
+							w.nextReady = now + smemLat
+						case opAtomic:
+							done := s.memAccess(l1, w, now, 1, &rc, false)
+							w.nextReady = done + 16 // serialization penalty
+						default: // global/local loads & stores
+							strided := float64(w.nextUint()>>11) < rc.stridedThresh && op != opLocalLoad
+							done := s.memAccess(l1, w, now, nSectors, &rc, strided)
+							if op == opGlobalStore {
+								// Stores retire through the write queue without
+								// stalling the warp.
+								w.nextReady = now + 1
+							} else if w.pending <= now {
+								// Scoreboard with two outstanding loads per warp:
+								// the first miss does not block issue, the second
+								// stalls until the older one returns.
+								w.pending = done
+								w.nextReady = now + 1
+							} else {
+								w.nextReady = w.pending
+								w.pending = done
+							}
+						}
+						w.instrLeft--
+						if w.instrLeft != 0 {
+							// Still live: sleep until the stall expires
+							// (nextReady > now always holds here).
+							sm.sleep(w.nextReady, now, int32(idx))
+							continue
+						}
+						if w.nextReady < deadMin {
+							deadMin = w.nextReady
+						}
+						sm.warpsLeft[w.blockSlot]--
+						if sm.warpsLeft[w.blockSlot] == 0 {
+							sm.resident--
+							completed++
+							if nextBlock < blocksTotal {
+								dispatch(i, int(w.blockSlot), now)
+								dispatched = true
+							}
 						}
 					}
-					w.instrLeft--
-					if w.instrLeft != 0 {
-						// Still live: sleep until the stall expires
-						// (nextReady > now always holds here).
-						sm.sleep(w.nextReady, now, int32(idx))
-						continue
-					}
-					if w.nextReady < deadMin {
-						deadMin = w.nextReady
-					}
-					sm.warpsLeft[w.blockSlot]--
-					if sm.warpsLeft[w.blockSlot] == 0 {
-						sm.resident--
-						completed++
-						if nextBlock < blocksTotal {
-							dispatch(i, int(w.blockSlot), now)
-							dispatched = true
-						}
-					}
 				}
-				if issueBudget == 0 {
-					break
+				sm.rrPtr++
+				if sm.rrPtr >= len(sm.warps) {
+					sm.rrPtr = 0
 				}
-				pos, limit = 0, sm.rrPtr
-			}
-			sm.rrPtr++
-			if sm.rrPtr >= n {
-				sm.rrPtr = 0
-			}
-			switch {
-			case sm.resident == 0:
-				s.wakeAt[i] = math.MaxInt64
-			case dispatched || sm.ready.any():
-				// A fresh block or an unserved ready warp: revisit next
-				// cycle (matches the linear scan's newMin <= now cases).
-				s.wakeAt[i] = now
-			default:
-				// Finite: a resident block has a live warp, and a live warp
-				// that is not ready is asleep in the wheel or the heap.
-				newMin := deadMin
-				if wk := sm.nextWake(now); wk < newMin {
-					newMin = wk
+				switch {
+				case sm.resident == 0:
+					s.due.ready.clear(i)
+				case dispatched || sm.ready.any():
+					// A fresh block or an unserved ready warp: stay due for the
+					// next cycle (the linear scan's newMin <= now cases).
+				default:
+					// Finite: a resident block has a live warp, and a live warp
+					// that is not ready is asleep in the wheel or the heap.
+					s.due.ready.clear(i)
+					s.due.sleep(min(deadMin, sm.nextWake(now)), now, int32(i))
 				}
-				s.wakeAt[i] = newMin
+				warpInstrs += int64(schedulers - issueBudget)
 			}
-			warpInstrs += int64(schedulers - issueBudget)
 		}
 
 		issuedThreads := float64(issuedCycle) * threadsPer
@@ -626,16 +609,10 @@ func (s *Simulator) RunProbes(k *trace.KernelDesc, opts Options) ([]*KernelResul
 				}
 			}
 		} else {
-			// Nothing ready anywhere: jump to the next event.
-			next := int64(math.MaxInt64)
-			for _, at := range s.wakeAt {
-				if at < next {
-					next = at
-				}
-			}
-			if next == math.MaxInt64 || next <= now {
-				next = now + 1
-			}
+			// Nothing issued, so no SM stayed due: jump to the first SM wake
+			// (finite while a block is resident, and one is until the grid
+			// retires).
+			next := s.due.nextWake(now)
 			idleGap += next - now
 			now = next
 		}
