@@ -28,12 +28,16 @@ test:
 # experiments and workload suites run with -short so the concurrency
 # regression tests (singleflight, 64-goroutine stress, fuzz seed corpus)
 # execute under the detector without paying for the full artifact pipeline
-# at ~10x race overhead; core, pks and sampling race only their streaming
-# tests (the speculator's goroutines), the selection-artifact tests, the
-# rider, bank and pack tests (at scheduler width > 1 a bank is filled and
-# drained, and a batch's pack read once, from several goroutines) and the
-# scan's (its launches are handed to the scheduler's tasks) — sampling run
-# whole takes ≈ 100 s under -race, so it stays pattern-selected.
+# at ~10x race overhead (experiments without -short costs ≈ 560 s under
+# -race on the 2-core box; its -short run still includes the study cost pin,
+# TestStudySimulatesLikeEvaluate); core, pks and sampling race only their
+# streaming tests (the speculator's goroutines), the selection-artifact
+# tests, the rider, bank and pack tests (at scheduler width > 1 a bank is
+# filled and drained, and a batch's pack read once, from several goroutines),
+# the scan's (its launches are handed to the scheduler's tasks) and the
+# evaluator's walk count over every plan (WalksOnce) — sampling run whole
+# takes ≈ 100 s under -race and core whole ≈ 61 s, over the 60 s a whole
+# package may cost here, so both stay pattern-selected.
 # `make test` covers the heavy paths (including the parallel-vs-serial
 # determinism golden) natively.
 race:

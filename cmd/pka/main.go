@@ -205,25 +205,27 @@ func main() {
 	}
 }
 
-// batchStudy runs the default mode: select, print the selection, and —
-// unless selOnly — evaluate with that same selection and print the
-// simulation block.
+// batchStudy runs the default mode: one evaluation, then the selection
+// block and the simulation block — or, with selOnly, the selection alone.
 func batchStudy(cfg core.Config, w *workload.Workload, target float64, jsonOut string, selOnly bool) error {
 	fmt.Printf("workload   %s (%d kernels) on %s\n", w.FullName(), w.N, cfg.Device.Name)
 	if w.Quirk != "" {
 		fmt.Printf("quirk      %s (the paper excludes this workload from some result columns)\n", w.Quirk)
 	}
-	selSpan := cfg.Obs.StartSpan("pks-select", w.FullName())
-	sel, err := core.Select(cfg, w)
-	selSpan.End()
+	if selOnly {
+		selSpan := cfg.Obs.StartSpan("pks-select", w.FullName())
+		sel, err := core.Select(cfg, w)
+		selSpan.End()
+		if err != nil {
+			return err
+		}
+		return printSelection(sel, target, jsonOut)
+	}
+	ev, err := core.Evaluate(cfg, w)
 	if err != nil {
 		return err
 	}
-	if err := printSelection(sel, target, jsonOut); err != nil || selOnly {
-		return err
-	}
-	ev, err := core.EvaluateWithSelection(cfg, w, sel)
-	if err != nil {
+	if err := printSelection(ev.Selection, target, jsonOut); err != nil {
 		return err
 	}
 	printSimulation(ev)
@@ -288,21 +290,17 @@ func suiteDedupStudy(cfg core.Config, ws []*workload.Workload) error {
 	// Per-app baseline: each workload's own PKS selection and sampled run,
 	// the "before" column of every number below.
 	tab := &report.Table{Columns: []string{"Workload", "Kernels", "PKS K", "PKS err%", "Dedup reps", "Dedup err%"}}
+	solo := core.Plan{Passes: []sampling.TaskMode{sampling.ModePKS}, Silicon: true}
 	var perAppWork int64
 	for a, w := range ws {
-		sel, sil, err := core.SelectSilicon(cfg, w)
+		ev, err := solo.Evaluate(cfg, w, nil)
 		if err != nil {
 			return err
 		}
-		solo, err := core.RunSampled(cfg, w, sel, false)
-		if err != nil {
-			return err
-		}
-		perAppWork += solo.SimWarpInstrs
-		soloErr := stats.AbsPctErr(float64(solo.ProjCycles), float64(sil.Cycles))
-		dedupErr := stats.AbsPctErr(float64(run.Apps[a].ProjCycles), float64(sil.Cycles))
+		perAppWork += ev.PKS.SimWarpInstrs
+		dedupErr := stats.AbsPctErr(float64(run.Apps[a].ProjCycles), float64(ev.Silicon.Cycles))
 		tab.AddRow(w.FullName(), fmt.Sprint(w.N),
-			fmt.Sprint(sel.K), fmt.Sprintf("%.2f", soloErr),
+			fmt.Sprint(ev.Selection.K), fmt.Sprintf("%.2f", ev.PKS.ErrorPct),
 			fmt.Sprint(suite.Apps[a].ActiveReps), fmt.Sprintf("%.2f", dedupErr))
 	}
 	fmt.Println()

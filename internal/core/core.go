@@ -9,6 +9,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"pka/internal/gpu"
 	"pka/internal/obs"
@@ -82,8 +83,8 @@ type Config struct {
 	// order. Observe-only.
 	Flight *sampling.FlightRecorder
 
-	// bank is EvaluateWithSelection's, for that one evaluation's three
-	// passes (see sampling.Bank).
+	// bank is Plan.Evaluate's, for that one evaluation's passes (see
+	// sampling.Bank).
 	bank *sampling.Bank
 }
 
@@ -167,27 +168,8 @@ type SampledSim struct {
 	Capped bool
 }
 
-// Account fills in the two columns a sampled run is judged by: cycle error
-// against silicon, and simulated work saved against full simulation — or,
-// when full simulation was infeasible (nil), against the workload's total
-// instruction mass, which costs a walk over every launch.
-func (s *SampledSim) Account(dev gpu.Device, w *workload.Workload, sil silicon.AppResult, full *sampling.Result) {
-	if full != nil {
-		s.account(sil, full.SimWarpInstrs)
-	} else {
-		s.account(sil, TotalWarpWork(dev, w))
-	}
-}
-
-// account is Account against a full-simulation work figure already in hand.
-func (s *SampledSim) account(sil silicon.AppResult, fullWork int64) {
-	s.ErrorPct = stats.AbsPctErr(float64(s.ProjCycles), float64(sil.Cycles))
-	if s.SimWarpInstrs > 0 {
-		s.SpeedupVsFull = float64(fullWork) / float64(s.SimWarpInstrs)
-	}
-}
-
-// Evaluation bundles everything Table 4 reports for one workload.
+// Evaluation bundles everything Table 4 reports for one workload — all of
+// it under Evaluate's plan, and what its plan computed under Plan.Evaluate's.
 type Evaluation struct {
 	Workload  *workload.Workload
 	Silicon   silicon.AppResult
@@ -204,6 +186,24 @@ type Evaluation struct {
 	PKS SampledSim // selection only
 	PKA SampledSim // selection + projection
 }
+
+// Plan is what one evaluation computes: the passes it makes, each named by
+// the kernel-task policy it runs (sampling.ModeFull, ModePKS, ModePKA), and
+// whether it takes the workload's silicon total, which the error columns
+// are measured against. The passes run longest policy first whatever their
+// order here.
+type Plan struct {
+	Passes  []sampling.TaskMode
+	Silicon bool
+}
+
+// CompletePlan is Evaluate's plan, the paper's Table 4 row: every pass, and
+// the silicon total.
+func CompletePlan() Plan {
+	return Plan{Passes: []sampling.TaskMode{sampling.ModeFull, sampling.ModePKS, sampling.ModePKA}, Silicon: true}
+}
+
+func (p Plan) has(m sampling.TaskMode) bool { return slices.Contains(p.Passes, m) }
 
 // Reps names one pass over a set of representative kernels: one workload's
 // own groups, or a suite's shared cross-workload ones.
@@ -333,130 +333,166 @@ func workloadReps(w *workload.Workload, sel *pks.Selection, launches []trace.Ker
 
 // RunSampled simulates one representative kernel per group (with PKP when
 // usePKP is set) and projects application-level metrics from the group
-// weights.
+// weights: the one-pass plan, with sel handed in.
 func RunSampled(cfg Config, w *workload.Workload, sel *pks.Selection, usePKP bool) (SampledSim, error) {
-	reps, weights, err := workloadReps(w, sel, nil)
+	mode := sampling.ModePKS
+	if usePKP {
+		mode = sampling.ModePKA
+	}
+	ev, err := Plan{Passes: []sampling.TaskMode{mode}}.Evaluate(cfg, w, sel)
 	if err != nil {
 		return SampledSim{}, err
 	}
-	return runSampled(cfg, w, reps, weights, usePKP)
-}
-
-func runSampled(cfg Config, w *workload.Workload, reps Reps, weights []int, usePKP bool) (SampledSim, error) {
-	ro, err := SimulateReps(cfg, reps, usePKP)
-	if err != nil {
-		return SampledSim{}, fmt.Errorf("core: rep kernels of %s: %w", w.FullName(), err)
+	if usePKP {
+		return ev.PKA, nil
 	}
-	out := ro.Fold(weights, w.N)
-	out.SimWarpInstrs = ro.SimWarpInstrs
-	out.SimHours = cfg.SimHours(ro.SimWarpInstrs)
-	return out, nil
+	return ev.PKS, nil
 }
 
 // Evaluate runs the complete pipeline for one workload: silicon ground
 // truth, PKS, full simulation when feasible, and the sampled PKS/PKA
-// simulations with error and speedup accounting. The workload's launches
-// are walked once (see sampling.ScanLaunches); the three simulation passes
-// run longest policy first, because with an Exec each kernel is simulated
-// once and the shorter policies are read off that pass (see sampling.Bank).
-// Every stage is self-contained, so the result is identical at any scheduler
-// width, with or without an Exec.
+// simulations with error and speedup accounting — CompletePlan, with the
+// selection resolved as Select resolves it.
 func Evaluate(cfg Config, w *workload.Workload) (*Evaluation, error) {
-	return EvaluateWithSelection(cfg, w, nil)
+	return CompletePlan().Evaluate(cfg, w, nil)
 }
 
-// EvaluateWithSelection is Evaluate with an optional precomputed selection.
-// When sel is non-nil the PKS stage is skipped and sel is used verbatim —
-// the streaming pipeline hands in the selection it reconciled while events
-// were still arriving; because that selection is byte-identical to what
-// pks.Select would have produced, so is the Evaluation. A selection that
-// does not fit w is an error. A nil sel is exactly Evaluate.
-func EvaluateWithSelection(cfg Config, w *workload.Workload, sel *pks.Selection) (*Evaluation, error) {
-	ev, _, err := evaluate(cfg, w, sel)
+// Evaluate runs the plan on one workload; every study surface calls it. sel,
+// when non-nil, is used verbatim by the sampled passes (a stream's selection,
+// or a study's Volta selection on another device); nil resolves it as Select
+// does. A selection that does not fit w is an error.
+//
+// The launches are walked at most once (sampling.ScanLaunches), and only for
+// what the plan folds out of them: the silicon total, the selection's store
+// key, the full baseline's launches. A lone full pass without silicon stops
+// that walk at the budget. Infeasible full simulation leaves Full nil, its
+// hours projected from the instruction mass — or, with no other pass planned,
+// is the ErrInfeasible error. With an Exec and two passes or more the passes
+// share a bank (sampling.Bank), so each kernel is simulated once; a lone pass
+// carries no riders and stops where its own policy stops. Only what the plan
+// computed is filled in: error columns need silicon, speedups and
+// full-simulation hours the full pass. The result is identical at any
+// scheduler width, with or without an Exec.
+func (p Plan) Evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*Evaluation, error) {
+	ev, _, err := p.evaluate(cfg, w, sel)
 	return ev, err
 }
 
-// evaluate is EvaluateWithSelection, also handing back the evaluation's bank
-// (nil without an Exec) for the tests to find empty.
-func evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*Evaluation, *sampling.Bank, error) {
+// evaluate is Evaluate, also handing back the evaluation's bank (nil without
+// one) for the tests to find empty.
+func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*Evaluation, *sampling.Bank, error) {
 	if w == nil {
 		return nil, nil, errors.New("core: nil workload")
 	}
 	ev := &Evaluation{Workload: w}
+	var usePKPs []bool // the sampled passes, PKS before PKA
+	if p.has(sampling.ModePKS) {
+		usePKPs = append(usePKPs, false)
+	}
+	if p.has(sampling.ModePKA) {
+		usePKPs = append(usePKPs, true)
+	}
+	full, sampled := p.has(sampling.ModeFull), len(usePKPs) > 0
 
-	// Stage 1: one scan of the launches for all the evaluation folds out of
-	// them — silicon total, instruction mass, the launches themselves while
+	// Stage 1: at most one scan of the launches, for what the plan folds out
+	// of them — silicon total, instruction mass, the launches themselves while
 	// full simulation stays feasible, the selection's key when that comes from
 	// the store — then the selection, both on the calling goroutine: warm they
 	// take microseconds, less than handing them to another goroutine costs.
-	want := sampling.Want{Silicon: true, Keep: true, Budget: cfg.FullSimBudget}
-	if sel == nil {
-		want = cfg.keyWant(want)
+	want := sampling.Want{Silicon: p.Silicon, Keep: full, Budget: cfg.FullSimBudget, Bounded: full && !sampled && !p.Silicon}
+	if sampled && sel == nil && cfg.Exec.Selections() != nil { // selectKeyed will look the key up
+		want.Key, want.KeyOpts = true, cfg.PKSOptions().AppendKey(nil)
 	}
-	sp := cfg.Obs.StartSpan("silicon", w.FullName())
-	sc, err := sampling.ScanLaunches(cfg.Device, w, want)
-	sp.End()
-	if err != nil {
-		return nil, nil, err
-	}
-	sil := sc.Silicon
-	ev.Silicon = sil
-	if sel == nil {
-		sp := cfg.Obs.StartSpan("pks-select", w.FullName())
-		sel, err = selectKeyed(cfg, w, sc.Key)
+	var sc sampling.Scan
+	if want.Silicon || want.Keep || want.Key {
+		sp := cfg.Obs.StartSpan("silicon", w.FullName())
+		var err error
+		sc, err = sampling.ScanLaunches(cfg.Device, w, want)
 		sp.End()
 		if err != nil {
 			return nil, nil, err
 		}
 	}
-	ev.Selection = sel
-	reps, weights, err := workloadReps(w, sel, sc.Kernels)
-	if err != nil {
-		return nil, nil, err
+	ev.Silicon = sc.Silicon
+	var (
+		reps    Reps
+		weights []int
+	)
+	if sampled {
+		var err error
+		if sel == nil {
+			sp := cfg.Obs.StartSpan("pks-select", w.FullName())
+			sel, err = selectKeyed(cfg, w, sc.Key)
+			sp.End()
+			if err != nil {
+				return nil, nil, err
+			}
+		}
+		ev.Selection = sel
+		if reps, weights, err = workloadReps(w, sel, sc.Kernels); err != nil {
+			return nil, nil, err
+		}
 	}
-	if cfg.Exec != nil {
-		_, pksPass := reps.pass(cfg, false)
-		_, pkaPass := reps.pass(cfg, true)
-		cfg.bank = sampling.NewBank(cfg.Device, reps.Kernels, pksPass, pkaPass)
+	if cfg.Exec != nil && (full && sampled || len(usePKPs) == 2) { // two passes or more
+		riders := make([]sampling.RiderPass, len(usePKPs))
+		for i, usePKP := range usePKPs {
+			_, riders[i] = reps.pass(cfg, usePKP)
+		}
+		cfg.bank = sampling.NewBank(cfg.Device, reps.Kernels, riders...)
 	}
 
 	// Stage 2: the full baseline, carrying the sampled tasks of every launch
 	// whose content is a representative's.
-	fullSpan := cfg.Obs.StartSpan("full-sim", w.FullName())
-	var tobs func(i int) sampling.TaskObs
-	if cfg.Flight != nil || cfg.Trace.Valid() {
-		tobs = func(i int) sampling.TaskObs {
-			to := cfg.TaskTrace("full")
-			to.Index = i
-			return to
-		}
-	}
-	full, fullErr := cfg.Exec.FullSimOf(cfg.Device, w.FullName(), sc.Kernels, tobs, cfg.bank)
-	fullSpan.End()
 	var fullWork int64 // what full simulation costs, measured or projected
-	switch {
-	case fullErr == nil:
-		ev.Full = full
-		ev.FullErrorPct = stats.AbsPctErr(float64(full.ProjCycles), float64(sil.Cycles))
-		fullWork = full.SimWarpInstrs
-	case errors.Is(fullErr, sampling.ErrInfeasible):
-		// Projected time only; no error column (the paper's MLPerf rows).
-		fullWork = int64(float64(sc.WarpInstrs) * cfg.Device.ISAScale) // TotalWarpWork, off the scan
-	default:
-		return nil, nil, fullErr
+	if full {
+		fullSpan := cfg.Obs.StartSpan("full-sim", w.FullName())
+		var tobs func(i int) sampling.TaskObs
+		if cfg.Flight != nil || cfg.Trace.Valid() {
+			tobs = func(i int) sampling.TaskObs {
+				to := cfg.TaskTrace("full")
+				to.Index = i
+				return to
+			}
+		}
+		res, err := cfg.Exec.FullSimOf(cfg.Device, w.FullName(), sc.Kernels, tobs, cfg.bank)
+		fullSpan.End()
+		switch {
+		case err == nil:
+			ev.Full = res
+			if p.Silicon {
+				ev.FullErrorPct = stats.AbsPctErr(float64(res.ProjCycles), float64(sc.Silicon.Cycles))
+			}
+			fullWork = res.SimWarpInstrs
+		case errors.Is(err, sampling.ErrInfeasible) && sampled:
+			// Projected time only; no error column (the paper's MLPerf rows).
+			fullWork = int64(float64(sc.WarpInstrs) * cfg.Device.ISAScale) // TotalWarpWork, off the scan
+		default:
+			return nil, nil, err
+		}
+		ev.FullSimHours = cfg.SimHours(fullWork)
 	}
-	ev.FullSimHours = cfg.SimHours(fullWork)
 
 	// Stage 3: the sampled passes, PKS before PKA so that a PKS task that
 	// still has to simulate carries its PKA rider.
-	if ev.PKS, err = runSampled(cfg, w, reps, weights, false); err != nil {
-		return nil, nil, err
+	for _, usePKP := range usePKPs {
+		out := &ev.PKS
+		if usePKP {
+			out = &ev.PKA
+		}
+		ro, err := SimulateReps(cfg, reps, usePKP)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: rep kernels of %s: %w", w.FullName(), err)
+		}
+		*out = ro.Fold(weights, w.N)
+		out.SimWarpInstrs = ro.SimWarpInstrs
+		out.SimHours = cfg.SimHours(ro.SimWarpInstrs)
+		if p.Silicon {
+			out.ErrorPct = stats.AbsPctErr(float64(out.ProjCycles), float64(sc.Silicon.Cycles))
+		}
+		if full && out.SimWarpInstrs > 0 {
+			out.SpeedupVsFull = float64(fullWork) / float64(out.SimWarpInstrs)
+		}
 	}
-	if ev.PKA, err = runSampled(cfg, w, reps, weights, true); err != nil {
-		return nil, nil, err
-	}
-	ev.PKS.account(sil, fullWork)
-	ev.PKA.account(sil, fullWork)
 	return ev, cfg.bank, nil
 }
 

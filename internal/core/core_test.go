@@ -5,10 +5,16 @@ import (
 
 	"pka/internal/gpu"
 	"pka/internal/pks"
+	"pka/internal/sampling"
 	"pka/internal/workload"
 )
 
 func cfg() Config { return Config{Device: gpu.VoltaV100()} }
+
+// evaluate is the complete plan's evaluation with its bank.
+func evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*Evaluation, *sampling.Bank, error) {
+	return CompletePlan().evaluate(cfg, w, sel)
+}
 
 func TestEvaluateGaussian(t *testing.T) {
 	w := workload.Find("Rodinia/gauss_208")

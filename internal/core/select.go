@@ -3,7 +3,6 @@ package core
 import (
 	"pka/internal/pks"
 	"pka/internal/sampling"
-	"pka/internal/silicon"
 	"pka/internal/workload"
 )
 
@@ -17,28 +16,8 @@ func Select(cfg Config, w *workload.Workload) (*pks.Selection, error) {
 	return selectKeyed(cfg, w, "")
 }
 
-// SelectSilicon is Select plus the workload's silicon total, the selection's
-// key and the total folded out of one walk over the launches.
-func SelectSilicon(cfg Config, w *workload.Workload) (*pks.Selection, silicon.AppResult, error) {
-	sc, err := sampling.ScanLaunches(cfg.Device, w, cfg.keyWant(sampling.Want{Silicon: true}))
-	if err != nil {
-		return nil, silicon.AppResult{}, err
-	}
-	sel, err := selectKeyed(cfg, w, sc.Key)
-	return sel, sc.Silicon, err
-}
-
-// keyWant returns want asking for the selection key too, when Select would
-// look one up: with a store to look in.
-func (c Config) keyWant(want sampling.Want) sampling.Want {
-	if c.Exec.Selections() != nil {
-		want.Key, want.KeyOpts = true, c.PKSOptions().AppendKey(nil)
-	}
-	return want
-}
-
 // selectKeyed is Select with the workload's selection key already derived by
-// a scan that had other uses for the walk (keyWant); "" derives it here.
+// a scan that had other uses for the walk; "" derives it here.
 func selectKeyed(cfg Config, w *workload.Workload, key string) (*pks.Selection, error) {
 	opts, store := cfg.PKSOptions(), cfg.Exec.Selections()
 	if store == nil {

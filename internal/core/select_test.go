@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"hash/fnv"
 	"reflect"
 	"strings"
@@ -194,7 +195,7 @@ func TestEvaluateRejectsMisfitSelection(t *testing.T) {
 	short := *sel
 	short.TotalKernels--
 	for what, bad := range map[string]*pks.Selection{"rep out of range": &outOfRange, "total kernels": &short} {
-		_, err := EvaluateWithSelection(cfg, w, bad)
+		_, err := CompletePlan().Evaluate(cfg, w, bad)
 		if err == nil || strings.Contains(err.Error(), "panic") {
 			t.Errorf("%s: err = %v, want a plain selection error", what, err)
 		}
@@ -206,7 +207,8 @@ func TestEvaluateRejectsMisfitSelection(t *testing.T) {
 // feasible — the one scan feeds the key, the silicon total, the instruction
 // mass and the full baseline's launches — and where it is not, once more for
 // each representative at most. A cold one adds only what pks.Select itself
-// generates.
+// generates. The one-pass plans, with and without silicon, are held to the
+// same walk.
 func TestWarmStudyWalksOnce(t *testing.T) {
 	for _, name := range []string{"Rodinia/lud_i", "MLPerf/3dunet_inf"} {
 		src := mustFind(t, name)
@@ -237,6 +239,33 @@ func TestWarmStudyWalksOnce(t *testing.T) {
 		if warm < w.N || warm > w.N+reps || cold > warm+selecting {
 			t.Errorf("%s (%d launches, full feasible: %v): warm evaluation generated %d, want %d to %d; cold %d, want at most %d more (pks.Select's)",
 				name, w.N, ev.Full != nil, warm, w.N, w.N+reps, cold, selecting)
+		}
+
+		// The one-pass plans the study service and pka's suite-dedup baseline
+		// issue walk at most once as well, and generate the representatives
+		// only where the walk kept no launches; a lone full pass without
+		// silicon stops at the budget.
+		for _, mode := range []sampling.TaskMode{sampling.ModePKA, sampling.ModePKS, sampling.ModeFull} {
+			for _, silicon := range []bool{false, true} {
+				plan := Plan{Passes: []sampling.TaskMode{mode}, Silicon: silicon}
+				var err error
+				got := calls(func() {
+					_, err = plan.Evaluate(Config{Device: gpu.VoltaV100(), Exec: sampling.NewExec(nil, store)}, &w, nil)
+				})
+				if infeasible := mode == sampling.ModeFull && ev.Full == nil; infeasible != errors.Is(err, sampling.ErrInfeasible) || !infeasible && err != nil {
+					t.Fatalf("%s, plan %+v: %v", name, plan, err)
+				}
+				most := w.N
+				if mode != sampling.ModeFull {
+					most += len(ev.Selection.Groups)
+				}
+				if mode == sampling.ModeFull && !silicon && ev.Full == nil {
+					most = w.N - 1
+				}
+				if got > most {
+					t.Errorf("%s, plan %+v: generated %d launches, want at most %d", name, plan, got, most)
+				}
+			}
 		}
 	}
 }

@@ -4,9 +4,10 @@
 // are dispatched speculatively down the Exec ladder while later events are
 // still being profiled. Finish reconciles: the stream's Finalize produces
 // a selection byte-identical to batch pks.Select, the speculative warms
-// are scored, and EvaluateWithSelection folds outcomes in launch order —
-// every cache hit on a speculative warm is pure wall-clock overlap, and a
-// rep demoted by a late cluster revision cost only the work it simulated.
+// are scored, and the complete plan's evaluation folds outcomes in launch
+// order — every cache hit on a speculative warm is pure wall-clock overlap,
+// and a rep demoted by a late cluster revision cost only the work it
+// simulated.
 package core
 
 import (
@@ -75,8 +76,9 @@ func NewStreamRunner(cfg Config, suite, name string, n int, opts StreamOptions) 
 		fullTask: sampling.KernelTask{Mode: sampling.ModeFull},
 	}
 
-	// The speculative task specs must be byte-for-byte the tasks RunSampled
-	// will fold, or the content keys won't match and warming buys nothing.
+	// The speculative task specs must be byte-for-byte the tasks the sampled
+	// passes will fold, or the content keys won't match and warming buys
+	// nothing.
 	r.tasks = []sampling.KernelTask{
 		sampling.SampledTask(cfg.KernelCapCycles, cfg.PKP, false),
 		sampling.SampledTask(cfg.KernelCapCycles, cfg.PKP, true),
@@ -118,8 +120,7 @@ func (r *StreamRunner) Push(k trace.KernelDesc) error {
 		if budget <= 0 {
 			budget = sampling.DefaultFullSimBudget
 		}
-		warps := int64(k.Grid.Count()) * int64(k.WarpsPerBlock())
-		r.fullWork += warps * int64(k.Mix.Total())
+		r.fullWork += k.VoltaWarpInstructions()
 		if r.fullWork > budget {
 			r.fullStop = true
 		} else {
@@ -164,7 +165,7 @@ func (r *StreamRunner) Finish() (*StreamResult, error) {
 		r.spec.Seal()
 	}
 
-	ev, err := EvaluateWithSelection(r.cfg, w, sel)
+	ev, err := CompletePlan().Evaluate(r.cfg, w, sel)
 	if err != nil {
 		return nil, err
 	}

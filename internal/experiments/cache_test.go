@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"pka/internal/artifact"
+	"pka/internal/core"
+	"pka/internal/gpu"
+	"pka/internal/obs"
 	"pka/internal/parallel"
 	"pka/internal/sampling"
 )
@@ -77,5 +80,42 @@ func TestCacheDeterminism(t *testing.T) {
 	}
 	if _, ok := cs["kernel_mem"]; !ok {
 		t.Error("CacheStats misses the kernel_mem family")
+	}
+}
+
+// TestStudySimulatesLikeEvaluate pins what a study's Table 4 costs the
+// simulator: over a store-backed Exec it makes exactly as many passes
+// (counted on the sampled tracks, SimMetrics().Kernels) as core.Evaluate makes
+// on the same workloads over a fresh Exec each. The full, PKS and PKA columns
+// come out of one evaluation, so each principal kernel is simulated once
+// whether full simulation is feasible or (at a budget of one warp
+// instruction) not; a study that ran its PKS and PKA passes apart would count
+// each representative twice.
+func TestStudySimulatesLikeEvaluate(t *testing.T) {
+	ws := tinyStudy(1).Workloads()[:2] // gauss_208 + bfs65536
+	for _, budget := range []int64{0, 1} {
+		ref := obs.NewObserver()
+		for _, w := range ws {
+			cfg := core.Config{Device: gpu.VoltaV100(), FullSimBudget: budget, Obs: ref, Exec: sampling.NewExec(nil, nil)}
+			if _, err := core.Evaluate(cfg, w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := artifact.Open(t.TempDir(), artifact.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		s := tinyStudy(1)
+		s.SetWorkloads(ws)
+		s.Cfg.FullSimBudget = budget
+		s.Cfg.Obs = obs.NewObserver()
+		s.Cfg.Exec = sampling.NewExec(parallel.NewScheduler(1), st)
+		if _, err := Table4(s); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := s.Cfg.Obs.SimMetrics().Kernels.Value(), ref.SimMetrics().Kernels.Value(); got != want {
+			t.Errorf("budget %d: Table 4 made %d simulator passes, core.Evaluate %d", budget, got, want)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"pka/internal/core"
 	"pka/internal/gpu"
 	"pka/internal/parallel"
 	"pka/internal/pkp"
@@ -206,7 +207,7 @@ func Figure6(s *Study) (*report.Chart, *report.Table, error) {
 	}
 	rows, err := parallel.Map(s.Cfg.Parallelism, s.Workloads(),
 		func(_ int, w *workload.Workload) (row, error) {
-			full := s.Cfg.SimHours(int64(float64(w.ApproxWarpInstructions(1<<62)) * dev.ISAScale))
+			full := s.Cfg.SimHours(core.TotalWarpWork(dev, w))
 			pksSim, err := s.Sampled(dev, w, false)
 			if err != nil {
 				return row{}, err

@@ -7,7 +7,7 @@
 // case studies), plus the ablations DESIGN.md calls out.
 //
 // A Study memoizes every expensive artifact — silicon walks, PKS
-// selections, full simulations, sampled simulations, baselines — keyed by
+// selections, evaluations (full, PKS and PKA simulation), baselines — keyed by
 // device and workload in per-key singleflight caches, so the figures share
 // work when generated together and generators can fan per-workload
 // computation out across a bounded worker pool (Cfg.Parallelism; see
@@ -51,11 +51,12 @@ type Study struct {
 	selections parallel.Cache[string, *pks.Selection]
 	crossGen   parallel.Cache[string, pks.CrossGenResult]
 	siliconRes parallel.Cache[string, silicon.AppResult]
-	fullSims   parallel.Cache[string, *sampling.Result] // nil value = infeasible
-	sampled    parallel.Cache[string, core.SampledSim]
-	firstNs    parallel.Cache[string, *sampling.Result]
-	tbSels     parallel.Cache[string, *tbpoint.Selection] // nil value = too large
-	tbSims     parallel.Cache[string, tbSimEntry]
+	// evaluations holds one complete core evaluation per (device, workload),
+	// with the Volta selection: Full and Sampled read their fields off it.
+	evaluations parallel.Cache[string, *core.Evaluation]
+	firstNs     parallel.Cache[string, *sampling.Result]
+	tbSels      parallel.Cache[string, *tbpoint.Selection] // nil value = too large
+	tbSims      parallel.Cache[string, tbSimEntry]
 }
 
 // tbSimEntry carries TBPointSim's (result, feasible) pair through the
@@ -125,8 +126,7 @@ func (s *Study) CacheStats() map[string]obs.CacheCounts {
 	add("selections", s.selections.Stats)
 	add("crossgen", s.crossGen.Stats)
 	add("silicon", s.siliconRes.Stats)
-	add("full_sims", s.fullSims.Stats)
-	add("sampled", s.sampled.Stats)
+	add("evaluations", s.evaluations.Stats)
 	add("first_ns", s.firstNs.Stats)
 	add("tbpoint_selections", s.tbSels.Stats)
 	add("tbpoint_sims", s.tbSims.Stats)
@@ -167,51 +167,45 @@ func (s *Study) Silicon(dev gpu.Device, w *workload.Workload) (silicon.AppResult
 	})
 }
 
-// Full returns the (cached) full-simulation result on the device, or nil
-// when the workload is infeasible to simulate fully.
-func (s *Study) Full(dev gpu.Device, w *workload.Workload) (*sampling.Result, error) {
-	return s.fullSims.Do(key(dev, w), func() (*sampling.Result, error) {
-		sp := s.Cfg.Obs.StartSpan("full-sim", key(dev, w))
-		defer sp.End()
-		r, err := s.Exec().FullSim(dev, w, s.Cfg.FullSimBudget)
-		if err != nil && !errors.Is(err, sampling.ErrInfeasible) {
-			return nil, err
-		}
-		return r, nil // nil when infeasible
-	})
-}
-
-// Sampled runs (cached) PKS- or PKA-sampled simulation on the device using
-// the Volta selection, with the error computed against that device's
-// silicon.
-func (s *Study) Sampled(dev gpu.Device, w *workload.Workload, usePKP bool) (core.SampledSim, error) {
-	k := key(dev, w)
-	if usePKP {
-		k += "|pkp"
-	}
-	return s.sampled.Do(k, func() (core.SampledSim, error) {
+// evaluation returns the (cached) complete evaluation of the workload on the
+// device with the Volta selection: one scan, and each principal kernel
+// simulated once for the full, PKS and PKA passes, with errors against that
+// device's silicon.
+func (s *Study) evaluation(dev gpu.Device, w *workload.Workload) (*core.Evaluation, error) {
+	return s.evaluations.Do(key(dev, w), func() (*core.Evaluation, error) {
 		sel, err := s.Selection(w)
 		if err != nil {
-			return core.SampledSim{}, err
+			return nil, err
 		}
 		cfg := s.Cfg
 		cfg.Device = dev
 		cfg.Exec = s.Exec()
-		r, err := core.RunSampled(cfg, w, sel, usePKP)
-		if err != nil {
-			return core.SampledSim{}, err
-		}
-		sil, err := s.Silicon(dev, w)
-		if err != nil {
-			return core.SampledSim{}, err
-		}
-		full, err := s.Full(dev, w)
-		if err != nil {
-			return core.SampledSim{}, err
-		}
-		r.Account(dev, w, sil, full)
-		return r, nil
+		return core.CompletePlan().Evaluate(cfg, w, sel)
 	})
+}
+
+// Full returns the (cached) full-simulation result on the device, or nil
+// when the workload is infeasible to simulate fully.
+func (s *Study) Full(dev gpu.Device, w *workload.Workload) (*sampling.Result, error) {
+	ev, err := s.evaluation(dev, w)
+	if err != nil {
+		return nil, err
+	}
+	return ev.Full, nil
+}
+
+// Sampled returns the (cached) PKS- or PKA-sampled simulation on the device
+// using the Volta selection, with the error computed against that device's
+// silicon.
+func (s *Study) Sampled(dev gpu.Device, w *workload.Workload, usePKP bool) (core.SampledSim, error) {
+	ev, err := s.evaluation(dev, w)
+	if err != nil {
+		return core.SampledSim{}, err
+	}
+	if usePKP {
+		return ev.PKA, nil
+	}
+	return ev.PKS, nil
 }
 
 // FirstN runs (cached) the first-N-instructions baseline on the device.

@@ -219,32 +219,18 @@ func table4For(s *Study, w *workload.Workload, turing, ampere gpu.Device) (table
 		r.noSim = true
 		return r, nil
 	}
-	dev := s.SelectionDevice()
-	sil, err := s.Silicon(dev, w)
+	ev, err := s.evaluation(s.SelectionDevice(), w)
 	if err != nil {
 		return r, err
 	}
-	full, err := s.Full(dev, w)
-	if err != nil {
-		return r, err
-	}
-	if full == nil {
+	if ev.Full == nil {
 		r.noFullSim = true
 	} else {
-		r.simErr = stats.AbsPctErr(float64(full.ProjCycles), float64(sil.Cycles))
-		r.dramFull = full.DRAMUtil
+		r.simErr, r.dramFull = ev.FullErrorPct, ev.Full.DRAMUtil
 	}
-	pksSim, err := s.Sampled(dev, w, false)
-	if err != nil {
-		return r, err
-	}
-	pkaSim, err := s.Sampled(dev, w, true)
-	if err != nil {
-		return r, err
-	}
-	r.pksErr, r.pksHours, r.pksSU = pksSim.ErrorPct, pksSim.SimHours, pksSim.SpeedupVsFull
-	r.pkaErr, r.pkaHours, r.pkaSU = pkaSim.ErrorPct, pkaSim.SimHours, pkaSim.SpeedupVsFull
-	r.dramPKA = pkaSim.DRAMUtil
+	r.pksErr, r.pksHours, r.pksSU = ev.PKS.ErrorPct, ev.PKS.SimHours, ev.PKS.SpeedupVsFull
+	r.pkaErr, r.pkaHours, r.pkaSU = ev.PKA.ErrorPct, ev.PKA.SimHours, ev.PKA.SpeedupVsFull
+	r.dramPKA = ev.PKA.DRAMUtil
 	return r, nil
 }
 

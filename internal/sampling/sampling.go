@@ -62,27 +62,17 @@ func FullSim(dev gpu.Device, w *workload.Workload, budgetWarpInstrs int64) (*Res
 // FullSim simulates every kernel of the workload as independent kernel
 // tasks on the exec's scheduler and cache layers, then folds the outcomes
 // in launch order — so the result is byte-identical to the serial package
-// function at any scheduler width, warm or cold.
+// function at any scheduler width, warm or cold. Its launches come from one
+// bounded scan, which stops at the budget where the workload passes it.
 func (e *Exec) FullSim(dev gpu.Device, w *workload.Workload, budgetWarpInstrs int64) (*Result, error) {
-	return e.FullSimObs(dev, w, budgetWarpInstrs, nil)
+	sc, _ := ScanLaunches(dev, w, Want{Keep: true, Budget: budgetWarpInstrs, Bounded: true}) // only the silicon fold can fail
+	return e.FullSimOf(dev, w.FullName(), sc.Kernels, nil, nil)
 }
 
-// FullSimObs is FullSim with per-kernel observe-only wiring (tracing and
-// provenance); with none it is exactly FullSim.
-func (e *Exec) FullSimObs(dev gpu.Device, w *workload.Workload, budgetWarpInstrs int64, tobs func(i int) TaskObs) (*Result, error) {
-	if budgetWarpInstrs <= 0 {
-		budgetWarpInstrs = DefaultFullSimBudget
-	}
-	var kernels []trace.KernelDesc
-	if w.ApproxWarpInstructions(budgetWarpInstrs) <= budgetWarpInstrs {
-		kernels = w.Kernels()
-	}
-	return e.FullSimOf(dev, w.FullName(), kernels, tobs, nil)
-}
-
-// FullSimOf is FullSimObs over the launches of the workload called name
-// already in hand — a Scan's Kernels, nil where that found full simulation
-// infeasible — with the calling evaluation's bank (see RunKernels).
+// FullSimOf is FullSim over the launches of the workload called name already
+// in hand — a Scan's Kernels, nil where that found full simulation
+// infeasible — with per-kernel observe-only wiring (tracing and provenance;
+// nil for none) and the calling evaluation's bank (see RunKernels).
 func (e *Exec) FullSimOf(dev gpu.Device, name string, kernels []trace.KernelDesc, tobs func(i int) TaskObs, bank *Bank) (*Result, error) {
 	if kernels == nil {
 		return nil, fmt.Errorf("%w: %s", ErrInfeasible, name)

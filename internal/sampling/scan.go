@@ -16,13 +16,17 @@ type Want struct {
 	Silicon bool // the silicon total
 	Keep    bool // the launches, while their mass is within Budget (zero: DefaultFullSimBudget)
 	Budget  int64
+	// Bounded stops the walk once the mass passes Budget, as
+	// Workload.ApproxWarpInstructions(Budget) does. The key and the silicon
+	// total need every launch: ask for neither with it.
+	Bounded bool
 }
 
 // Scan is what one walk over a workload's launches found.
 type Scan struct {
 	Key        string             // SelectionKey, when asked for
 	Silicon    silicon.AppResult  // silicon.ExecuteAll over the launches, when asked for
-	WarpInstrs int64              // Workload.ApproxWarpInstructions without a limit
+	WarpInstrs int64              // Workload.ApproxWarpInstructions without a limit (with Budget's, when Bounded)
 	Kernels    []trace.KernelDesc // Workload.Kernels(), when asked for; nil once WarpInstrs passed the budget
 }
 
@@ -79,7 +83,7 @@ func ScanLaunches(dev gpu.Device, w *workload.Workload, want Want) (sc Scan, err
 	if want.Silicon {
 		sc.Silicon, err = silicon.ExecuteAll(dev, next)
 	} else {
-		for next() != nil {
+		for next() != nil && !(want.Bounded && sc.WarpInstrs > budget) {
 		}
 	}
 	if want.Key {

@@ -9,8 +9,6 @@ import (
 	"pka/internal/pkp"
 	"pka/internal/pks"
 	"pka/internal/sampling"
-	"pka/internal/silicon"
-	"pka/internal/stats"
 )
 
 // Run executes one validated study request on the given Exec ladder and
@@ -25,11 +23,15 @@ func Run(exec *sampling.Exec, o *obs.Observer, req *StudyRequest) (*StudyRespons
 	return RunWithSelection(exec, o, req, nil)
 }
 
+// studyModes maps a request's mode to the one pass its study plan makes.
+var studyModes = map[string]sampling.TaskMode{"full": sampling.ModeFull, "pks": sampling.ModePKS, "pka": sampling.ModePKA}
+
 // RunWithSelection is Run with a precomputed Principal Kernel Selection,
 // as the streaming endpoint produces while events are still arriving. A
-// nil sel falls back to core.Select; because the streaming selection
-// is byte-identical to the batch one by construction, the response is
-// byte-identical either way. Full mode ignores sel.
+// nil sel is resolved as core.Select resolves it; because the streaming
+// selection is byte-identical to the batch one by construction, the
+// response is byte-identical either way. Full mode ignores sel. Every mode is
+// one core.Plan evaluation: its one pass, and silicon when the request asks.
 func RunWithSelection(exec *sampling.Exec, o *obs.Observer, req *StudyRequest, sel *pks.Selection) (*StudyResponse, error) {
 	if req.w == nil {
 		// Direct callers may build requests without going through
@@ -97,69 +99,36 @@ func RunWithSelection(exec *sampling.Exec, o *obs.Observer, req *StudyRequest, s
 		Tracer:   tr,
 		Flight:   flight,
 	}
-	var sil silicon.AppResult
-	silWalked := false // beside the selection
-	switch req.Mode {
-	case "full":
-		var tobs func(i int) sampling.TaskObs
-		if flight != nil {
-			tobs = func(i int) sampling.TaskObs {
-				return sampling.TaskObs{
-					Flight: flight, Phase: "full", Index: i,
-					Tracer: tr, Trace: tc, IDs: ids,
-				}
-			}
-		}
-		full, err := exec.FullSimObs(req.dev, req.w, 0, tobs)
-		if err != nil {
-			root.End()
-			return nil, fmt.Errorf("serve: full sim of %s: %w", req.w.FullName(), err)
-		}
+	ev, err := core.Plan{Passes: []sampling.TaskMode{studyModes[req.Mode]}, Silicon: req.Silicon}.Evaluate(cfg, req.w, sel)
+	if err != nil {
+		root.End()
+		return nil, fmt.Errorf("serve: %s study of %s: %w", req.Mode, req.w.FullName(), err)
+	}
+	if full := ev.Full; full != nil {
 		resp.Kernels = full.KernelsSimulated
 		resp.ProjCycles = full.ProjCycles
 		resp.SimWarpInstrs = full.SimWarpInstrs
 		resp.IPC = full.IPC
 		resp.DRAMUtil = full.DRAMUtil
+		resp.SimHours = ev.FullSimHours
 		resp.Truncated = full.Truncated
-	default: // "pks", "pka"
-		if sel == nil {
-			var err error
-			if req.Silicon { // one walk for the selection's key and the total
-				sel, sil, err = core.SelectSilicon(cfg, req.w)
-				silWalked = true
-			} else {
-				sel, err = core.Select(cfg, req.w)
-			}
-			if err != nil {
-				root.End()
-				return nil, fmt.Errorf("serve: selection for %s: %w", req.w.FullName(), err)
-			}
+		resp.ErrorPct = ev.FullErrorPct
+	} else {
+		ss := ev.PKS
+		if req.Mode == "pka" {
+			ss = ev.PKA
 		}
-		ss, err := core.RunSampled(cfg, req.w, sel, req.Mode == "pka")
-		if err != nil {
-			root.End()
-			return nil, err
-		}
-		resp.K = sel.K
-		resp.Kernels = len(sel.Groups)
+		resp.K = ev.Selection.K
+		resp.Kernels = len(ev.Selection.Groups)
 		resp.ProjCycles = ss.ProjCycles
 		resp.SimWarpInstrs = ss.SimWarpInstrs
 		resp.IPC = ss.IPC
 		resp.DRAMUtil = ss.DRAMUtil
+		resp.SimHours = ss.SimHours
 		resp.Capped = ss.Capped
+		resp.ErrorPct = ss.ErrorPct
 	}
-	resp.SimHours = cfg.SimHours(resp.SimWarpInstrs)
-	if req.Silicon {
-		if !silWalked {
-			var err error
-			if sil, err = sampling.SiliconTotal(req.dev, req.w); err != nil {
-				root.End()
-				return nil, fmt.Errorf("serve: silicon walk of %s: %w", req.w.FullName(), err)
-			}
-		}
-		resp.SiliconCycles = sil.Cycles
-		resp.ErrorPct = stats.AbsPctErr(float64(resp.ProjCycles), float64(sil.Cycles))
-	}
+	resp.SiliconCycles = ev.Silicon.Cycles
 	if req.Provenance {
 		resp.Provenance = &ProvenanceBlock{
 			TraceID: tc.TraceID,

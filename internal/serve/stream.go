@@ -13,7 +13,6 @@ import (
 	"pka/internal/pkp"
 	"pka/internal/pks"
 	"pka/internal/sampling"
-	"pka/internal/sim"
 	"pka/internal/trace"
 	"pka/internal/workload"
 )
@@ -219,16 +218,10 @@ func (s *Server) runStream(req *StudyRequest, body io.Reader, progress func(*Str
 		return nil, err
 	}
 
-	// The speculative task spec must be byte-for-byte what RunSampled will
-	// fold for this mode, or the content keys won't match and warming buys
-	// nothing.
-	task := sampling.KernelTask{Mode: sampling.ModePKS, MaxCycles: sim.DefaultMaxCycles}
-	if req.Mode == "pka" {
-		task = sampling.KernelTask{
-			Mode: sampling.ModePKA, MaxCycles: sim.DefaultMaxCycles,
-			PKP: sampling.NewPKPSpec(pkp.Options{Threshold: req.Threshold, Window: req.Window}),
-		}
-	}
+	// The speculative task spec must be byte-for-byte what the study's
+	// sampled pass will fold, or the content keys won't match and warming
+	// buys nothing.
+	task := sampling.SampledTask(0, pkp.Options{Threshold: req.Threshold, Window: req.Window}, req.Mode == "pka")
 	so := pks.StreamOptions{Select: pks.Options{TargetErrorPct: req.TargetErrorPct, MaxK: req.MaxK}}
 	if s.o != nil {
 		so.Metrics = s.o.StreamMetrics()
