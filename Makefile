@@ -34,8 +34,10 @@ test:
 # streaming tests (the speculator's goroutines), the selection-artifact
 # tests, the rider, bank and pack tests (at scheduler width > 1 a bank is
 # filled and drained, and a batch's pack read once, from several goroutines),
-# the scan's (its launches are handed to the scheduler's tasks) and the
-# evaluator's walk count over every plan (WalksOnce) — sampling run whole
+# the scan's (its launches are handed to the scheduler's tasks, and its memo
+# is read and filled from every study of a shared workload), the evaluator's
+# walk count over every plan (WalksOnce) and two studies of one catalogue
+# workload at once (ShareOneWorkload) — sampling run whole
 # takes ≈ 100 s under -race and core whole ≈ 61 s, over the 60 s a whole
 # package may cost here, so both stay pattern-selected.
 # `make test` covers the heavy paths (including the parallel-vs-serial
@@ -44,7 +46,7 @@ race:
 	$(GO) test -race ./internal/parallel/... ./internal/obs/... ./internal/serve/... ./internal/cluster/... \
 	    ./internal/artifact/... ./internal/predict/... ./internal/dedup/...
 	$(GO) test -race -short ./internal/experiments/... ./internal/workload/...
-	$(GO) test -race -run 'Stream|Speculat|SelectWarm|Misfit|Riders|Bank|Pack|Scan|WalksOnce' ./internal/core/... ./internal/pks/... ./internal/sampling/...
+	$(GO) test -race -run 'Stream|Speculat|SelectWarm|Misfit|Riders|Bank|Pack|Scan|WalksOnce|ShareOneWorkload' ./internal/core/... ./internal/pks/... ./internal/sampling/...
 
 # Five seconds of coverage-guided fuzzing per decoder of untrusted or
 # persisted bytes (nine targets). The seed corpora already run in `make test`; this is the

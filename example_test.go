@@ -9,17 +9,14 @@ import (
 // ExampleSelect shows Principal Kernel Selection collapsing a repetitive
 // launch stream into one weighted representative.
 func ExampleSelect() {
-	app := &pka.Workload{
-		Suite: "docs", Name: "repeated-gemm", N: 25,
-		Gen: func(i int) pka.KernelDesc {
-			return pka.KernelDesc{
-				Name: "sgemm", Grid: pka.D2(8, 8), Block: pka.D1(256),
-				Mix:              pka.InstrMix{Compute: 200, GlobalLoads: 8, SharedLoads: 16},
-				CoalescingFactor: 4, WorkingSetBytes: 8 << 20, StridedFraction: 0.95,
-				DivergenceEff: 1, Seed: uint64(i) + 1,
-			}
-		},
-	}
+	app := pka.NewWorkload("docs", "repeated-gemm", 25, func(i int) pka.KernelDesc {
+		return pka.KernelDesc{
+			Name: "sgemm", Grid: pka.D2(8, 8), Block: pka.D1(256),
+			Mix:              pka.InstrMix{Compute: 200, GlobalLoads: 8, SharedLoads: 16},
+			CoalescingFactor: 4, WorkingSetBytes: 8 << 20, StridedFraction: 0.95,
+			DivergenceEff: 1, Seed: uint64(i) + 1,
+		}
+	})
 	sel, err := pka.Select(pka.VoltaV100(), app, pka.SelectOptions{})
 	if err != nil {
 		fmt.Println(err)

@@ -35,27 +35,22 @@ func main() {
 
 	// --- Part 2: your own application. Describe each kernel launch (grid,
 	// block, instruction mix, memory behaviour) and PKA does the rest.
-	myApp := &pka.Workload{
-		Suite: "example",
-		Name:  "alternating-pipeline",
-		N:     60,
-		Gen: func(i int) pka.KernelDesc {
-			if i%3 == 2 { // every third launch is a bandwidth-bound reduce
-				return pka.KernelDesc{
-					Name: "reduce_pass", Grid: pka.D1(512), Block: pka.D1(256),
-					Mix:              pka.InstrMix{Compute: 12, GlobalLoads: 24, GlobalStores: 1},
-					CoalescingFactor: 4, WorkingSetBytes: 512 << 20,
-					StridedFraction: 0.4, DivergenceEff: 1, Seed: uint64(i),
-				}
-			}
+	myApp := pka.NewWorkload("example", "alternating-pipeline", 60, func(i int) pka.KernelDesc {
+		if i%3 == 2 { // every third launch is a bandwidth-bound reduce
 			return pka.KernelDesc{
-				Name: "map_pass", Grid: pka.D1(640), Block: pka.D1(256),
-				Mix:              pka.InstrMix{Compute: 150, GlobalLoads: 4, GlobalStores: 1},
-				CoalescingFactor: 4, WorkingSetBytes: 8 << 20,
-				StridedFraction: 0.95, DivergenceEff: 1, Seed: uint64(i),
+				Name: "reduce_pass", Grid: pka.D1(512), Block: pka.D1(256),
+				Mix:              pka.InstrMix{Compute: 12, GlobalLoads: 24, GlobalStores: 1},
+				CoalescingFactor: 4, WorkingSetBytes: 512 << 20,
+				StridedFraction: 0.4, DivergenceEff: 1, Seed: uint64(i),
 			}
-		},
-	}
+		}
+		return pka.KernelDesc{
+			Name: "map_pass", Grid: pka.D1(640), Block: pka.D1(256),
+			Mix:              pka.InstrMix{Compute: 150, GlobalLoads: 4, GlobalStores: 1},
+			CoalescingFactor: 4, WorkingSetBytes: 8 << 20,
+			StridedFraction: 0.95, DivergenceEff: 1, Seed: uint64(i),
+		}
+	})
 	sel, err := pka.Select(pka.VoltaV100(), myApp, pka.SelectOptions{})
 	if err != nil {
 		log.Fatal(err)

@@ -307,7 +307,8 @@ func (ro RepOutcomes) Fold(weights []int, launches int) SampledSim {
 
 // workloadReps lists w's own representatives under sel, one per group, with
 // the group populations they stand for. launches is w.Kernels() where the
-// caller holds it (an evaluation's scan), nil to generate the representatives.
+// caller holds it (an evaluation's scan, shared and only read: the
+// representatives are copies), nil to generate the representatives.
 func workloadReps(w *workload.Workload, sel *pks.Selection, launches []trace.KernelDesc) (Reps, []int, error) {
 	// sel may come from a stream, a file or the store: check before it indexes w.
 	if err := sel.CheckFor(w.N); err != nil {
@@ -362,7 +363,9 @@ func Evaluate(cfg Config, w *workload.Workload) (*Evaluation, error) {
 // or a study's Volta selection on another device); nil resolves it as Select
 // does. A selection that does not fit w is an error.
 //
-// The launches are walked at most once (sampling.ScanLaunches), and only for
+// The launches are walked at most once (sampling.ScanLaunches, which the
+// workload remembers: a second study of it on the same device and plan walks
+// none), and only for
 // what the plan folds out of them: the silicon total, the selection's store
 // key, the full baseline's launches. A lone full pass without silicon stops
 // that walk at the budget. Infeasible full simulation leaves Full nil, its

@@ -202,21 +202,23 @@ func TestEvaluateRejectsMisfitSelection(t *testing.T) {
 	}
 }
 
-// TestWarmStudyWalksOnce counts Workload.Gen calls. A warm evaluation over a
-// primed store generates every launch exactly once where full simulation is
-// feasible — the one scan feeds the key, the silicon total, the instruction
-// mass and the full baseline's launches — and where it is not, once more for
-// each representative at most. A cold one adds only what pks.Select itself
-// generates. The one-pass plans, with and without silicon, are held to the
-// same walk.
+// TestWarmStudyWalksOnce counts generated launches. A workload's first warm
+// evaluation over a primed store generates every launch exactly once where
+// full simulation is feasible — the one scan feeds the key, the silicon total,
+// the instruction mass and the full baseline's launches — and once more for
+// each representative where it is not. Its second generates none but those
+// representatives: the workload remembers its scan. A cold one adds only what
+// pks.Select itself generates. The one-pass plans, with and without silicon,
+// are held to the same walk.
 func TestWarmStudyWalksOnce(t *testing.T) {
 	for _, name := range []string{"Rodinia/lud_i", "MLPerf/3dunet_inf"} {
 		src := mustFind(t, name)
 		var gens int
-		w := *src
-		w.Gen = func(i int) trace.KernelDesc {
-			gens++ // Evaluate on a nil scheduler stays on this goroutine
-			return src.Gen(i)
+		counted := func() *workload.Workload { // src's launches, nothing remembered
+			return workload.New(src.Suite, src.Name, src.N, func(i int) trace.KernelDesc {
+				gens++ // Evaluate on a nil scheduler stays on this goroutine
+				return src.Kernel(i)
+			})
 		}
 		calls := func(f func()) int {
 			gens = 0
@@ -224,21 +226,23 @@ func TestWarmStudyWalksOnce(t *testing.T) {
 			return gens
 		}
 		selecting := calls(func() {
-			if _, err := pks.Select(gpu.VoltaV100(), &w, pks.Options{}); err != nil {
+			if _, err := pks.Select(gpu.VoltaV100(), counted(), pks.Options{}); err != nil {
 				t.Fatal(err)
 			}
 		})
 		store, _ := openStore(t)
 		var ev *Evaluation
-		cold := calls(func() { ev, _, _ = evalOver(t, &w, store) })
-		warm := calls(func() { evalOver(t, &w, store) })
+		cold := calls(func() { ev, _, _ = evalOver(t, counted(), store) })
+		w := counted()
+		warm := calls(func() { evalOver(t, w, store) })
+		again := calls(func() { evalOver(t, w, store) })
 		reps := 0
 		if ev.Full == nil {
 			reps = len(ev.Selection.Groups)
 		}
-		if warm < w.N || warm > w.N+reps || cold > warm+selecting {
-			t.Errorf("%s (%d launches, full feasible: %v): warm evaluation generated %d, want %d to %d; cold %d, want at most %d more (pks.Select's)",
-				name, w.N, ev.Full != nil, warm, w.N, w.N+reps, cold, selecting)
+		if warm != w.N+reps || again > reps || cold > warm+selecting {
+			t.Errorf("%s (%d launches, full feasible: %v): warm evaluations generated %d then %d, want %d then at most %d; cold %d, want at most %d more (pks.Select's)",
+				name, w.N, ev.Full != nil, warm, again, w.N+reps, reps, cold, selecting)
 		}
 
 		// The one-pass plans the study service and pka's suite-dedup baseline
@@ -250,7 +254,7 @@ func TestWarmStudyWalksOnce(t *testing.T) {
 				plan := Plan{Passes: []sampling.TaskMode{mode}, Silicon: silicon}
 				var err error
 				got := calls(func() {
-					_, err = plan.Evaluate(Config{Device: gpu.VoltaV100(), Exec: sampling.NewExec(nil, store)}, &w, nil)
+					_, err = plan.Evaluate(Config{Device: gpu.VoltaV100(), Exec: sampling.NewExec(nil, store)}, counted(), nil)
 				})
 				if infeasible := mode == sampling.ModeFull && ev.Full == nil; infeasible != errors.Is(err, sampling.ErrInfeasible) || !infeasible && err != nil {
 					t.Fatalf("%s, plan %+v: %v", name, plan, err)
@@ -265,6 +269,43 @@ func TestWarmStudyWalksOnce(t *testing.T) {
 				if got > most {
 					t.Errorf("%s, plan %+v: generated %d launches, want at most %d", name, plan, got, most)
 				}
+			}
+		}
+	}
+}
+
+// TestConcurrentStudiesShareOneWorkload evaluates one catalogue workload from
+// two goroutines over one Exec, as the study service's runners do: each
+// scans, remembers and reads the workload's memo while the other does, and
+// every evaluation, cold or warm, is the same. make race runs it.
+func TestConcurrentStudiesShareOneWorkload(t *testing.T) {
+	w := mustFind(t, "Rodinia/gauss_s16")
+	store, _ := openStore(t)
+	cfg := Config{Device: gpu.VoltaV100(), Exec: sampling.NewExec(nil, store)}
+	var evs [2][2]*Evaluation
+	var errs [2]error
+	done := make(chan int)
+	for g := range evs {
+		go func() {
+			defer func() { done <- g }()
+			for i := range evs[g] {
+				if evs[g][i], errs[g] = Evaluate(cfg, w); errs[g] != nil {
+					return
+				}
+			}
+		}()
+	}
+	<-done
+	<-done
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("goroutine %d: %v", g, err)
+		}
+	}
+	for g := range evs {
+		for i := range evs[g] {
+			if !reflect.DeepEqual(evs[g][i], evs[0][0]) {
+				t.Errorf("evaluation %d of goroutine %d differs from the first:\n%+v\n%+v", i, g, evs[g][i], evs[0][0])
 			}
 		}
 	}

@@ -164,7 +164,7 @@ func testKernelRequest(t *testing.T) ([]byte, string) {
 		t.Fatal("missing study workload")
 	}
 	dev := gpu.VoltaV100()
-	k := w.Gen(0)
+	k := w.Kernel(0)
 	task := sampling.KernelTask{Mode: sampling.ModeFull}
 	key := sampling.TaskKey(dev, &k, task)
 	body, err := json.Marshal(remote.ExecRequest{Key: key, Device: dev, Kernel: k, Task: task})
@@ -212,7 +212,7 @@ func TestServerExecServes(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := workload.Find("Rodinia/gauss_mat4")
-	k := w.Gen(0)
+	k := w.Kernel(0)
 	want, err := (*sampling.Exec)(nil).RunKernelTask(gpu.VoltaV100(), &k, sampling.KernelTask{Mode: sampling.ModeFull})
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestDispatcherEmptyPool(t *testing.T) {
 	o := obs.NewObserver()
 	d := remote.NewDispatcher(remote.DispatcherOptions{Metrics: o.RemoteMetrics()})
 	w := workload.Find("Rodinia/gauss_mat4")
-	k := w.Gen(0)
+	k := w.Kernel(0)
 	dev := gpu.VoltaV100()
 	task := sampling.KernelTask{Mode: sampling.ModeFull}
 	if _, ok := d.ExecTask(sampling.TaskKey(dev, &k, task), dev, &k, task, 1, nil); ok {
@@ -248,7 +248,7 @@ func TestDispatcherMalformedResponse(t *testing.T) {
 	o := obs.NewObserver()
 	d := remote.NewDispatcher(remote.DispatcherOptions{Workers: []string{ts.URL}, Metrics: o.RemoteMetrics()})
 	w := workload.Find("Rodinia/gauss_mat4")
-	k := w.Gen(0)
+	k := w.Kernel(0)
 	dev := gpu.VoltaV100()
 	task := sampling.KernelTask{Mode: sampling.ModeFull}
 	if _, ok := d.ExecTask(sampling.TaskKey(dev, &k, task), dev, &k, task, 1, nil); ok {
@@ -272,7 +272,7 @@ func TestDispatcherBusyDoesNotTripBreaker(t *testing.T) {
 	o := obs.NewObserver()
 	d := remote.NewDispatcher(remote.DispatcherOptions{Workers: []string{ts.URL}, BreakAfter: 2, Metrics: o.RemoteMetrics()})
 	w := workload.Find("Rodinia/gauss_mat4")
-	k := w.Gen(0)
+	k := w.Kernel(0)
 	dev := gpu.VoltaV100()
 	task := sampling.KernelTask{Mode: sampling.ModeFull}
 	key := sampling.TaskKey(dev, &k, task)
@@ -305,7 +305,7 @@ func TestDispatcherBreaker(t *testing.T) {
 		Metrics:    o.RemoteMetrics(),
 	})
 	w := workload.Find("Rodinia/gauss_mat4")
-	k := w.Gen(0)
+	k := w.Kernel(0)
 	dev := gpu.VoltaV100()
 	task := sampling.KernelTask{Mode: sampling.ModeFull}
 	key := sampling.TaskKey(dev, &k, task)
@@ -363,7 +363,7 @@ func TestDispatcherHedgeWins(t *testing.T) {
 		Metrics:    o.RemoteMetrics(),
 	})
 	w := workload.Find("Rodinia/gauss_mat4")
-	k := w.Gen(0)
+	k := w.Kernel(0)
 	dev := gpu.VoltaV100()
 	task := sampling.KernelTask{Mode: sampling.ModeFull}
 	oc, ok := d.ExecTask(sampling.TaskKey(dev, &k, task), dev, &k, task, 1, nil)

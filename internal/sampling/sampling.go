@@ -71,8 +71,9 @@ func (e *Exec) FullSim(dev gpu.Device, w *workload.Workload, budgetWarpInstrs in
 
 // FullSimOf is FullSim over the launches of the workload called name already
 // in hand — a Scan's Kernels, nil where that found full simulation
-// infeasible — with per-kernel observe-only wiring (tracing and provenance;
-// nil for none) and the calling evaluation's bank (see RunKernels).
+// infeasible; read, never written, as a remembered scan's are shared — with
+// per-kernel observe-only wiring (tracing and provenance; nil for none) and
+// the calling evaluation's bank (see RunKernels).
 func (e *Exec) FullSimOf(dev gpu.Device, name string, kernels []trace.KernelDesc, tobs func(i int) TaskObs, bank *Bank) (*Result, error) {
 	if kernels == nil {
 		return nil, fmt.Errorf("%w: %s", ErrInfeasible, name)

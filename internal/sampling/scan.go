@@ -1,6 +1,9 @@
 package sampling
 
 import (
+	"encoding/binary"
+	"slices"
+
 	"pka/internal/artifact"
 	"pka/internal/gpu"
 	"pka/internal/silicon"
@@ -35,13 +38,41 @@ type Scan struct {
 // million-launch one grows it by append, up to the prefix that did fit.
 const keepChunk = 256
 
-// ScanLaunches walks w once — one Gen call per launch, into one reused
+// ScanLaunches returns what one walk over w's launches folds out for want,
+// remembered on w (workload.Workload.Recall): a workload scanned before for the
+// same device and want is not walked again. The memo key is the device
+// section, every Want field and — through Recall — w's launch count and full
+// name; the launch generator is fixed when w is built, so a hit is the walk's
+// answer bit for bit. A failed scan is not remembered. The Scan, Kernels
+// included, is shared by every caller that asks the same question: read it,
+// never write it.
+func ScanLaunches(dev gpu.Device, w *workload.Workload, want Want) (Scan, error) {
+	what := []byte("sampling.scan")
+	for _, b := range [...]bool{want.Key, want.Silicon, want.Keep, want.Bounded} {
+		what = appendBool(what, b)
+	}
+	what = binary.LittleEndian.AppendUint64(what, uint64(want.Budget))
+	what = append(appendInt(what, len(want.KeyOpts)), want.KeyOpts...)
+	key := string(appendDeviceSection(what, dev))
+	if sc, ok := w.Recall(key); ok {
+		return sc.(Scan), nil
+	}
+	sc, err := scanLaunches(dev, w, want)
+	if err != nil {
+		return Scan{}, err
+	}
+	sc.Kernels = slices.Clip(sc.Kernels) // a caller's append copies, never writes the shared array
+	w.Remember(key, sc)
+	return sc, nil
+}
+
+// scanLaunches walks w once — one generated launch at a time, into one reused
 // KernelDesc — and folds everything want asks for out of that stream, each fold
 // as its stand-alone walk does it: the key hashes SelectionKey's sections, the
 // silicon total is silicon.ExecuteAll pulling the launches through the scan (so
 // its error names the same launch), the kept launches carry their IDs and are
 // dropped the moment the running mass passes the budget.
-func ScanLaunches(dev gpu.Device, w *workload.Workload, want Want) (sc Scan, err error) {
+func scanLaunches(dev gpu.Device, w *workload.Workload, want Want) (sc Scan, err error) {
 	var h artifact.KeyHash
 	var buf []byte
 	if want.Key {
@@ -65,8 +96,7 @@ func ScanLaunches(dev gpu.Device, w *workload.Workload, want Want) (sc Scan, err
 		if i >= w.N {
 			return nil
 		}
-		k = w.Gen(i)
-		k.ID = i
+		k = w.Kernel(i)
 		i++
 		if want.Key {
 			buf = append(appendKernelSection(buf[:0], &k), k.Name...)

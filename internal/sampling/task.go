@@ -502,6 +502,7 @@ func (e *Exec) CacheStats() map[string]obs.CacheCounts {
 // carries the passes bank plans as riders, and one whose outcome an earlier
 // pass banked finds it there. With a store, a batch of two tasks or more is
 // also memoised whole (see batch). A nil exec simulates every task on its own.
+// kernels is only read (it may be a remembered Scan's, see ScanLaunches).
 func (e *Exec) RunKernels(dev gpu.Device, task KernelTask, kernels []trace.KernelDesc, tobs func(i int) TaskObs, bank *Bank) ([]KernelOutcome, error) {
 	noObs := func(int) TaskObs { return TaskObs{} }
 	if tobs == nil {

@@ -120,13 +120,11 @@ func TestSelectionKeySensitivity(t *testing.T) {
 
 	// launches returns w with launch i rewritten by edit.
 	launches := func(edit func(i int, k *trace.KernelDesc)) *workload.Workload {
-		c := *w
-		c.Gen = func(i int) trace.KernelDesc {
-			k := w.Gen(i)
+		return workload.New(w.Suite, w.Name, w.N, func(i int) trace.KernelDesc {
+			k := w.Kernel(i)
 			edit(i, &k)
 			return k
-		}
-		return &c
+		})
 	}
 	opt := func(o pks.Options) string { return selectionKey(dev, w, o) }
 	perturb := map[string]string{
@@ -184,23 +182,27 @@ func TestSelectionKeySensitivity(t *testing.T) {
 	}
 
 	// Swapping two different launches is a different workload.
+	launch := func(i int) trace.KernelDesc { // launch i, its ID left to the accessors
+		k := w.Kernel(i)
+		k.ID = 0
+		return k
+	}
 	a, b := 0, 1
-	for ka := w.Gen(a); b < w.N && reflect.DeepEqual(ka, w.Gen(b)); b++ {
+	for ka := launch(a); b < w.N && reflect.DeepEqual(ka, launch(b)); b++ {
 	}
 	if b == w.N {
 		t.Fatal("workload has one distinct launch; pick another")
 	}
-	swapped := *w
-	swapped.Gen = func(i int) trace.KernelDesc {
+	swapped := workload.New(w.Suite, w.Name, w.N, func(i int) trace.KernelDesc {
 		switch i {
 		case a:
-			return w.Gen(b)
+			return launch(b)
 		case b:
-			return w.Gen(a)
+			return launch(a)
 		}
-		return w.Gen(i)
-	}
-	if selectionKey(dev, &swapped, pks.Options{}) == base {
+		return launch(i)
+	})
+	if selectionKey(dev, swapped, pks.Options{}) == base {
 		t.Error("swapping two launches did not change the key")
 	}
 

@@ -24,10 +24,10 @@ var cutlassShapes = [10][3]int{
 	{1536, 256, 512},
 }
 
-// Cutlass returns the 20 CUTLASS perf workloads: 10 SGEMM inputs and 10
+// cutlass returns the 20 CUTLASS perf workloads: 10 SGEMM inputs and 10
 // tensor-core WGEMM inputs. Each launches the same GEMM seven times
 // (warmup + timed repetitions), matching Table 3's "kernel 0, count 7".
-func Cutlass() []*Workload {
+func cutlass() []*Workload {
 	const suite = "Cutlass"
 	var out []*Workload
 	for _, tensor := range []bool{false, true} {
@@ -41,16 +41,11 @@ func Cutlass() []*Workload {
 			m, n, kk := shape[0], shape[1], shape[2]
 			name := fmt.Sprintf("%dx%dx%d_%s", m, n, kk, variant)
 			useTensor := tensor
-			out = append(out, &Workload{
-				Suite: suite,
-				Name:  name,
-				N:     7,
-				Gen: func(i int) trace.KernelDesc {
-					k := gemmKernel(kname, m, n, kk, useTensor)
-					k.Seed = seedOf(name, uint64(i))
-					return k
-				},
-			})
+			out = append(out, New(suite, name, 7, func(i int) trace.KernelDesc {
+				k := gemmKernel(kname, m, n, kk, useTensor)
+				k.Seed = seedOf(name, uint64(i))
+				return k
+			}))
 		}
 	}
 	return out

@@ -6,12 +6,12 @@ import (
 	"pka/internal/trace"
 )
 
-// DeepBench returns Baidu DeepBench: isolated, hand-tuned deep-learning
+// deepBench returns Baidu DeepBench: isolated, hand-tuned deep-learning
 // primitives — convolution, GEMM, and RNN benches — in inference and
 // training flavours, with and without tensor cores. These launch few,
 // targeted kernels, so PKS speedups are muted (1-7x) compared to the
 // kernel-storm suites; their value in the study is exactly that contrast.
-func DeepBench() []*Workload {
+func deepBench() []*Workload {
 	const suite = "DeepBench"
 	var out []*Workload
 
@@ -142,20 +142,15 @@ func rnnBenchWorkload(suite string, idx int, s [3]int, train, tensor bool) *Work
 	if train {
 		n *= 2 // forward + backward passes
 	}
-	return &Workload{
-		Suite: suite,
-		Name:  name,
-		N:     n,
-		Gen: func(i int) trace.KernelDesc {
-			step := i / perStep
-			if i%perStep == 0 {
-				k := rnnCellKernel("volta_sgemm_rnn_cell", hidden, batch, tensor)
-				k.Seed = seedOf(name+"cell", uint64(step))
-				return k
-			}
-			k := elementwiseKernel("pointwise_gates", hidden*batch*4, 12)
-			k.Seed = seedOf(name+"gates", uint64(step))
+	return New(suite, name, n, func(i int) trace.KernelDesc {
+		step := i / perStep
+		if i%perStep == 0 {
+			k := rnnCellKernel("volta_sgemm_rnn_cell", hidden, batch, tensor)
+			k.Seed = seedOf(name+"cell", uint64(step))
 			return k
-		},
-	}
+		}
+		k := elementwiseKernel("pointwise_gates", hidden*batch*4, 12)
+		k.Seed = seedOf(name+"gates", uint64(step))
+		return k
+	})
 }

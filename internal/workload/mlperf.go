@@ -10,10 +10,10 @@ import "pka/internal/trace"
 // scale used for every measured number.
 const MLPerfScale = 5
 
-// MLPerf returns the seven reference-implementation workloads studied:
+// mlperf returns the seven reference-implementation workloads studied:
 // three ResNet-50 inference batch sizes, SSD training, GNMT training, BERT
 // offline inference, and 3D-Unet inference.
-func MLPerf() []*Workload {
+func mlperf() []*Workload {
 	return []*Workload{
 		mlperfFromTemplate("bert_offline_inf", bertIteration(), 3_500_000/MLPerfScale),
 		mlperfFromTemplate("ssd_training", ssdIteration(), 5_300_000/MLPerfScale),
@@ -33,16 +33,11 @@ func mlperfFromTemplate(name string, template []trace.KernelDesc, n int) *Worklo
 	if n < len(template) {
 		n = len(template)
 	}
-	return &Workload{
-		Suite: "MLPerf",
-		Name:  name,
-		N:     n,
-		Gen: func(i int) trace.KernelDesc {
-			k := template[i%len(template)]
-			k.Seed ^= uint64(i) * 0x9E3779B97F4A7C15
-			return k
-		},
-	}
+	return New("MLPerf", name, n, func(i int) trace.KernelDesc {
+		k := template[i%len(template)]
+		k.Seed ^= uint64(i) * 0x9E3779B97F4A7C15
+		return k
+	})
 }
 
 // resnetIteration builds one inference iteration of ResNet-50 at the given

@@ -2,9 +2,9 @@ package workload
 
 import "pka/internal/trace"
 
-// Parboil returns the Parboil suite: scientific/throughput kernels with a
+// parboil returns the Parboil suite: scientific/throughput kernels with a
 // mix of single-launch and heavily iterated applications.
-func Parboil() []*Workload {
+func parboil() []*Workload {
 	const suite = "Parboil"
 	var out []*Workload
 
@@ -72,25 +72,19 @@ func Parboil() []*Workload {
 	}))
 
 	// spmv: the same jds_kernel launched 50 times.
-	out = append(out, &Workload{
-		Suite: suite, Name: "spmv", N: 50,
-		Gen: func(i int) trace.KernelDesc {
-			k := spmvKernel("spmv_jds", 146689, 3977139)
-			k.Seed = seedOf("parboil-spmv", uint64(i))
-			return k
-		},
-	})
+	out = append(out, New(suite, "spmv", 50, func(i int) trace.KernelDesc {
+		k := spmvKernel("spmv_jds", 146689, 3977139)
+		k.Seed = seedOf("parboil-spmv", uint64(i))
+		return k
+	}))
 
 	// stencil: 7-point 3D Jacobi iterated 100 times.
-	out = append(out, &Workload{
-		Suite: suite, Name: "stencil", N: 100,
-		Gen: func(i int) trace.KernelDesc {
-			k := stencilKernel("block2D_hybrid_coarsen_x", 512, 512, 7)
-			k.WorkingSetBytes = 512 * 512 * 64 * 4
-			k.Seed = seedOf("parboil-stencil", uint64(i))
-			return k
-		},
-	})
+	out = append(out, New(suite, "stencil", 100, func(i int) trace.KernelDesc {
+		k := stencilKernel("block2D_hybrid_coarsen_x", 512, 512, 7)
+		k.WorkingSetBytes = 512 * 512 * 64 * 4
+		k.Seed = seedOf("parboil-stencil", uint64(i))
+		return k
+	}))
 
 	return out
 }

@@ -2,11 +2,11 @@ package workload
 
 import "pka/internal/trace"
 
-// Polybench returns the PolyBench/GPU suite: dense linear-algebra and
+// polybench returns the PolyBench/GPU suite: dense linear-algebra and
 // stencil codes, including the very long single-kernel apps (correlation,
 // covariance, syr2k) whose simulation the paper reports in days, and the
 // kernel-storm apps (fdtd2d, gramschmidt) where PKS wins 500-700x.
-func Polybench() []*Workload {
+func polybench() []*Workload {
 	const suite = "Polybench"
 	var out []*Workload
 
@@ -27,14 +27,11 @@ func Polybench() []*Workload {
 	}))
 
 	// 3dconvolution: one z-slice kernel per plane.
-	out = append(out, &Workload{
-		Suite: suite, Name: "3dconvolution", N: 254,
-		Gen: func(i int) trace.KernelDesc {
-			k := stencilKernel("convolution3D_kernel", 128, 128, 27)
-			k.Seed = seedOf("poly-3dconv", uint64(i))
-			return k
-		},
-	})
+	out = append(out, New(suite, "3dconvolution", 254, func(i int) trace.KernelDesc {
+		k := stencilKernel("convolution3D_kernel", 128, 128, 27)
+		k.Seed = seedOf("poly-3dconv", uint64(i))
+		return k
+	}))
 
 	// atax / bicg / mvt: paired matrix-vector products.
 	out = append(out, fixedSeq(suite, "atax", []trace.KernelDesc{
@@ -67,28 +64,25 @@ func Polybench() []*Workload {
 	// fdtd2d: 3 kernels per timestep, 500 steps. Two of the kernels are
 	// near-identical field updates (they cluster together), the third is
 	// distinct — Table 3 reports groups of 1000 and 500.
-	out = append(out, &Workload{
-		Suite: suite, Name: "fdtd2d", N: 1500,
-		Gen: func(i int) trace.KernelDesc {
-			step := i / 3
-			var k trace.KernelDesc
-			switch i % 3 {
-			case 0:
-				k = stencilKernel("fdtd_step1_kernel", 192, 192, 3)
-			case 1:
-				k = stencilKernel("fdtd_step2_kernel", 192, 192, 3)
-			default:
-				// The third field update does the curl accumulation: far
-				// more arithmetic and neighbour traffic than steps 1-2,
-				// which is why it forms its own PKS group (Table 3).
-				k = stencilKernel("fdtd_step3_kernel", 192, 192, 9)
-				k.Mix.Compute += 150
-				k.Mix.GlobalLoads += 6
-			}
-			k.Seed = seedOf("poly-fdtd"+k.Name, uint64(step))
-			return k
-		},
-	})
+	out = append(out, New(suite, "fdtd2d", 1500, func(i int) trace.KernelDesc {
+		step := i / 3
+		var k trace.KernelDesc
+		switch i % 3 {
+		case 0:
+			k = stencilKernel("fdtd_step1_kernel", 192, 192, 3)
+		case 1:
+			k = stencilKernel("fdtd_step2_kernel", 192, 192, 3)
+		default:
+			// The third field update does the curl accumulation: far
+			// more arithmetic and neighbour traffic than steps 1-2,
+			// which is why it forms its own PKS group (Table 3).
+			k = stencilKernel("fdtd_step3_kernel", 192, 192, 9)
+			k.Mix.Compute += 150
+			k.Mix.GlobalLoads += 6
+		}
+		k.Seed = seedOf("poly-fdtd"+k.Name, uint64(step))
+		return k
+	}))
 
 	// gemm / gesummv / syrk / syr2k: single launches; syr2k is the
 	// 50-day-simulation monster that PKP alone rescues.
@@ -107,27 +101,24 @@ func Polybench() []*Workload {
 
 	// gramschmidt: 3 kernels per column over 2048 columns; the column
 	// vector shrinks, so instances spread across ~6 natural size groups.
-	out = append(out, &Workload{
-		Suite: suite, Name: "gramschmidt", N: 3 * 2048,
-		Gen: func(i int) trace.KernelDesc {
-			col := i / 3
-			remaining := 2048 - col
-			if remaining < 16 {
-				remaining = 16
-			}
-			var k trace.KernelDesc
-			switch i % 3 {
-			case 0:
-				k = reductionKernel("gramschmidt_kernel1", remaining*8)
-			case 1:
-				k = elementwiseKernel("gramschmidt_kernel2", remaining*8, 8)
-			default:
-				k = matvecKernel("gramschmidt_kernel3", remaining)
-			}
-			k.Seed = seedOf("poly-gs"+k.Name, uint64(col))
-			return k
-		},
-	})
+	out = append(out, New(suite, "gramschmidt", 3*2048, func(i int) trace.KernelDesc {
+		col := i / 3
+		remaining := 2048 - col
+		if remaining < 16 {
+			remaining = 16
+		}
+		var k trace.KernelDesc
+		switch i % 3 {
+		case 0:
+			k = reductionKernel("gramschmidt_kernel1", remaining*8)
+		case 1:
+			k = elementwiseKernel("gramschmidt_kernel2", remaining*8, 8)
+		default:
+			k = matvecKernel("gramschmidt_kernel3", remaining)
+		}
+		k.Seed = seedOf("poly-gs"+k.Name, uint64(col))
+		return k
+	}))
 
 	return out
 }

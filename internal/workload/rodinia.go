@@ -4,19 +4,14 @@ import "pka/internal/trace"
 
 // fixedSeq builds a workload from a fully materialized kernel sequence.
 func fixedSeq(suite, name string, seq []trace.KernelDesc) *Workload {
-	return &Workload{
-		Suite: suite,
-		Name:  name,
-		N:     len(seq),
-		Gen:   func(i int) trace.KernelDesc { return seq[i] },
-	}
+	return New(suite, name, len(seq), func(i int) trace.KernelDesc { return seq[i] })
 }
 
-// Rodinia returns the Rodinia 3.1 suite: short-running kernels sized so
+// rodinia returns the Rodinia 3.1 suite: short-running kernels sized so
 // that full simulation completes, plus the heavily multi-kernel apps
 // (gaussian, nw, srad, streamcluster) that make Principal Kernel Selection
 // shine at 100-700x.
-func Rodinia() []*Workload {
+func rodinia() []*Workload {
 	const suite = "Rodinia"
 	var out []*Workload
 
@@ -165,21 +160,16 @@ func gaussianWorkload(suite, name string, n int) *Workload {
 	if iters < 1 {
 		iters = 1
 	}
-	return &Workload{
-		Suite: suite,
-		Name:  name,
-		N:     2 * iters,
-		Gen: func(i int) trace.KernelDesc {
-			if i%2 == 0 {
-				k := elementwiseKernel("Fan1", n, 6)
-				k.Seed = seedOf(name+"fan1", uint64(i))
-				return k
-			}
-			k := stencilKernel("Fan2", n, n, 2)
-			k.Seed = seedOf(name+"fan2", uint64(i))
+	return New(suite, name, 2*iters, func(i int) trace.KernelDesc {
+		if i%2 == 0 {
+			k := elementwiseKernel("Fan1", n, 6)
+			k.Seed = seedOf(name+"fan1", uint64(i))
 			return k
-		},
-	}
+		}
+		k := stencilKernel("Fan2", n, n, 2)
+		k.Seed = seedOf(name+"fan2", uint64(i))
+		return k
+	})
 }
 
 func hybridsortWorkload(suite, name string, n, passes int) *Workload {
@@ -240,33 +230,28 @@ func nbodyKernel(name string, boxes int) trace.KernelDesc {
 func ludWorkload(suite, name string, n int) *Workload {
 	const tile = 16
 	steps := n / tile
-	return &Workload{
-		Suite: suite,
-		Name:  name,
-		N:     3 * steps,
-		Gen: func(i int) trace.KernelDesc {
-			step := i / 3
-			active := n - step*tile
-			if active < tile {
-				active = tile
-			}
-			switch i % 3 {
-			case 0:
-				k := reductionKernel("lud_diagonal", tile*tile)
-				k.Grid = trace.D1(1)
-				k.Seed = seedOf(name+"diag", uint64(step))
-				return k
-			case 1:
-				k := stencilKernel("lud_perimeter", active, tile, 4)
-				k.Seed = seedOf(name+"perim", uint64(step))
-				return k
-			default:
-				k := gemmKernel("lud_internal", active, active, tile, false)
-				k.Seed = seedOf(name+"internal", uint64(step))
-				return k
-			}
-		},
-	}
+	return New(suite, name, 3*steps, func(i int) trace.KernelDesc {
+		step := i / 3
+		active := n - step*tile
+		if active < tile {
+			active = tile
+		}
+		switch i % 3 {
+		case 0:
+			k := reductionKernel("lud_diagonal", tile*tile)
+			k.Grid = trace.D1(1)
+			k.Seed = seedOf(name+"diag", uint64(step))
+			return k
+		case 1:
+			k := stencilKernel("lud_perimeter", active, tile, 4)
+			k.Seed = seedOf(name+"perim", uint64(step))
+			return k
+		default:
+			k := gemmKernel("lud_internal", active, active, tile, false)
+			k.Seed = seedOf(name+"internal", uint64(step))
+			return k
+		}
+	})
 }
 
 func odeSolver(name string, workloads int) trace.KernelDesc {
@@ -279,77 +264,62 @@ func odeSolver(name string, workloads int) trace.KernelDesc {
 func nwWorkload(suite, name string, n int) *Workload {
 	const tile = 16
 	diags := n / tile
-	return &Workload{
-		Suite: suite,
-		Name:  name,
-		N:     2 * diags,
-		Gen: func(i int) trace.KernelDesc {
-			d := i / 2
-			width := d + 1
-			if d >= diags/2 {
-				width = diags - d
-			}
-			if width < 1 {
-				width = 1
-			}
-			kname := "needle_cuda_shared_1"
-			if i%2 == 1 {
-				kname = "needle_cuda_shared_2"
-			}
-			k := trace.KernelDesc{
-				Name:              kname,
-				Grid:              trace.D1(width),
-				Block:             trace.D1(tile),
-				RegsPerThread:     24,
-				SharedMemPerBlock: (tile + 1) * (tile + 1) * 4 * 2,
-				Mix: trace.InstrMix{
-					GlobalLoads: 3, GlobalStores: 2,
-					SharedLoads: 3 * tile, SharedStores: tile,
-					Compute: 6 * tile,
-				},
-				CoalescingFactor: 6,
-				WorkingSetBytes:  int64(n) * int64(n) * 4,
-				StridedFraction:  0.8,
-				DivergenceEff:    0.9,
-				Seed:             seedOf(name+kname, uint64(d)),
-			}
-			return k
-		},
-	}
+	return New(suite, name, 2*diags, func(i int) trace.KernelDesc {
+		d := i / 2
+		width := d + 1
+		if d >= diags/2 {
+			width = diags - d
+		}
+		if width < 1 {
+			width = 1
+		}
+		kname := "needle_cuda_shared_1"
+		if i%2 == 1 {
+			kname = "needle_cuda_shared_2"
+		}
+		k := trace.KernelDesc{
+			Name:              kname,
+			Grid:              trace.D1(width),
+			Block:             trace.D1(tile),
+			RegsPerThread:     24,
+			SharedMemPerBlock: (tile + 1) * (tile + 1) * 4 * 2,
+			Mix: trace.InstrMix{
+				GlobalLoads: 3, GlobalStores: 2,
+				SharedLoads: 3 * tile, SharedStores: tile,
+				Compute: 6 * tile,
+			},
+			CoalescingFactor: 6,
+			WorkingSetBytes:  int64(n) * int64(n) * 4,
+			StridedFraction:  0.8,
+			DivergenceEff:    0.9,
+			Seed:             seedOf(name+kname, uint64(d)),
+		}
+		return k
+	})
 }
 
 func scWorkload(suite, name string, points, launches int) *Workload {
-	return &Workload{
-		Suite: suite,
-		Name:  name,
-		N:     launches,
-		Gen: func(i int) trace.KernelDesc {
-			k := matvecKernel("kernel_compute_cost", 256)
-			k.Grid = trace.D1((points + 511) / 512)
-			k.Block = trace.D1(512)
-			k.WorkingSetBytes = int64(points) * 72
-			k.DivergenceEff = 0.75
-			k.Seed = seedOf(name, uint64(i))
-			return k
-		},
-	}
+	return New(suite, name, launches, func(i int) trace.KernelDesc {
+		k := matvecKernel("kernel_compute_cost", 256)
+		k.Grid = trace.D1((points + 511) / 512)
+		k.Block = trace.D1(512)
+		k.WorkingSetBytes = int64(points) * 72
+		k.DivergenceEff = 0.75
+		k.Seed = seedOf(name, uint64(i))
+		return k
+	})
 }
 
 func sradWorkload(suite, name string, rows, cols, iters int) *Workload {
-	return &Workload{
-		Suite: suite,
-		Name:  name,
-		N:     2 * iters,
-		Gen: func(i int) trace.KernelDesc {
-			kname := "srad_cuda_1"
-			if i%2 == 1 {
-				kname = "srad_cuda_2"
-			}
-			k := stencilKernel(kname, rows, cols, 4)
-			k.Seed = seedOf(name+kname, uint64(i/2))
-			return k
-		},
-	}
+	return New(suite, name, 2*iters, func(i int) trace.KernelDesc {
+		kname := "srad_cuda_1"
+		if i%2 == 1 {
+			kname = "srad_cuda_2"
+		}
+		k := stencilKernel(kname, rows, cols, 4)
+		k.Seed = seedOf(name+kname, uint64(i/2))
+		return k
+	})
 }
 
 func pfilterWorkload(suite, name string, frames int) *Workload {

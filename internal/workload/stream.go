@@ -308,8 +308,8 @@ func FromKernels(suite, name string, kernels []trace.KernelDesc) (*Workload, err
 	if name == "" {
 		name = "stream"
 	}
-	w := &Workload{Suite: suite, Name: name, N: len(kernels), Gen: func(i int) trace.KernelDesc {
+	w := New(suite, name, len(kernels), func(i int) trace.KernelDesc {
 		return kernels[i]
-	}}
+	})
 	return w, nil
 }

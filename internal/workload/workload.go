@@ -13,20 +13,22 @@ package workload
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"pka/internal/trace"
 )
 
 // Workload is one benchmark application: a named, deterministic stream of
-// kernel launches.
+// kernel launches. Build one with New, which fixes its launch generator for
+// life; that is what lets it remember answers derived from its launches (see
+// Recall). A workload from All, BySuite or Find is shared by every caller:
+// copy the struct to vary a field, never assign to the shared one.
 type Workload struct {
 	Suite string
 	Name  string
 	// N is the number of kernel launches.
 	N int
-	// Gen produces the i-th kernel (0 <= i < N). Implementations need not
-	// set ID; the accessors stamp it.
-	Gen func(i int) trace.KernelDesc
 	// Quirk marks workloads whose profiling and tracing runs launch
 	// mismatched kernel sequences on real systems, which the paper
 	// excludes from some result columns ("*" cells in Table 4):
@@ -38,6 +40,61 @@ type Workload struct {
 	//	"cudnn-autotune-tc"    — DeepBench conv training (TensorCore): same
 	//	                         effect on Turing/Ampere silicon runs
 	Quirk string
+
+	gen  func(i int) trace.KernelDesc
+	memo *memo // shared by struct copies, hence keyed by N, Suite and Name too
+}
+
+// New returns the workload suite/name of n launches, launch i produced by
+// gen(i) for 0 <= i < n; gen need not set ID, the accessors stamp it. It
+// panics on n < 0 or a nil gen, which indicate a harness bug.
+func New(suite, name string, n int, gen func(i int) trace.KernelDesc) *Workload {
+	if n < 0 || gen == nil {
+		panic(fmt.Sprintf("workload %s/%s: New needs n >= 0 (got %d) and a generator (nil: %v)", suite, name, n, gen == nil))
+	}
+	return &Workload{Suite: suite, Name: name, N: n, gen: gen, memo: &memo{}}
+}
+
+// memoCap bounds a workload's memo. When it is full it is dropped whole, the
+// simulator's pattern-cache policy: that costs the next caller of each
+// evicted entry one walk and cannot change an answer, because an entry is a
+// pure function of its key and the generator.
+const memoCap = 16
+
+type memoKey struct {
+	suite, name string
+	n           int
+	what        string
+}
+
+type memo struct {
+	sync.Mutex
+	m map[memoKey]any
+}
+
+// Recall returns what Remember last stored on w under what, if the memo still
+// holds it. The entry is keyed by what together with w's Suite, Name and N,
+// so a struct copy that changes one of them — copies share the memo — never
+// sees the original's entries; the generator, fixed by New, cannot differ
+// between the two. Safe for concurrent use.
+func (w *Workload) Recall(what string) (any, bool) {
+	w.memo.Lock()
+	defer w.memo.Unlock()
+	v, ok := w.memo.m[memoKey{w.Suite, w.Name, w.N, what}]
+	return v, ok
+}
+
+// Remember stores v on w under what (see Recall). v must be a pure function of
+// what and w's launches, and is handed out shared by every later Recall, so
+// it must never be mutated once stored. Callers name their entries after
+// their package ("sampling.scan…"); this package's own is "mass".
+func (w *Workload) Remember(what string, v any) {
+	w.memo.Lock()
+	defer w.memo.Unlock()
+	if w.memo.m == nil || len(w.memo.m) >= memoCap {
+		w.memo.m = make(map[memoKey]any)
+	}
+	w.memo.m[memoKey{w.Suite, w.Name, w.N, what}] = v
 }
 
 // FullName returns "suite/name".
@@ -49,7 +106,7 @@ func (w *Workload) Kernel(i int) trace.KernelDesc {
 	if i < 0 || i >= w.N {
 		panic(fmt.Sprintf("workload %s: kernel index %d out of range [0,%d)", w.FullName(), i, w.N))
 	}
-	k := w.Gen(i)
+	k := w.gen(i)
 	k.ID = i
 	return k
 }
@@ -81,8 +138,13 @@ func (w *Workload) Kernels() []trace.KernelDesc {
 // ApproxWarpInstructions sums Volta-ISA warp instructions across launches,
 // stopping once the sum exceeds limit (returning limit+1 semantics: any
 // value > limit means "at least this big"). Use it to decide full-
-// simulation feasibility without walking millions of kernels.
+// simulation feasibility without walking millions of kernels. A walk that
+// reaches the last launch remembers the total, so a later call whose limit
+// admits it walks nothing.
 func (w *Workload) ApproxWarpInstructions(limit int64) int64 {
+	if v, ok := w.Recall("mass"); ok && v.(int64) <= limit {
+		return v.(int64)
+	}
 	var sum int64
 	for i := 0; i < w.N; i++ {
 		k := w.Kernel(i)
@@ -91,6 +153,7 @@ func (w *Workload) ApproxWarpInstructions(limit int64) int64 {
 			return sum
 		}
 	}
+	w.Remember("mass", sum)
 	return sum
 }
 
@@ -110,49 +173,43 @@ func (w *Workload) Validate(maxKernels int) error {
 	return nil
 }
 
+// catalogue is the study set, built on first use and shared from then on, so
+// All, BySuite and Find hand every caller the same *Workload for a name and
+// what one study remembers on it serves the next.
+var catalogue = sync.OnceValue(func() (c studySet) {
+	for _, suite := range [...]func() []*Workload{rodinia, parboil, polybench, cutlass, deepBench, mlperf} {
+		c.all = append(c.all, suite()...)
+	}
+	c.byName = make(map[string]*Workload, len(c.all))
+	for _, w := range c.all {
+		c.byName[w.FullName()] = w
+	}
+	return c
+})
+
+type studySet struct {
+	all    []*Workload
+	byName map[string]*Workload
+}
+
 // All returns every workload in the study, grouped suite by suite in the
 // order the paper's Table 4 lists them. The slice is freshly allocated;
 // callers may reorder it.
-func All() []*Workload {
-	var out []*Workload
-	out = append(out, Rodinia()...)
-	out = append(out, Parboil()...)
-	out = append(out, Polybench()...)
-	out = append(out, Cutlass()...)
-	out = append(out, DeepBench()...)
-	out = append(out, MLPerf()...)
-	return out
-}
+func All() []*Workload { return slices.Clone(catalogue().all) }
 
 // BySuite returns the workloads of one suite ("Rodinia", "Parboil",
 // "Polybench", "Cutlass", "DeepBench", "MLPerf"), or nil for an unknown
 // suite name.
 func BySuite(suite string) []*Workload {
-	switch suite {
-	case "Rodinia":
-		return Rodinia()
-	case "Parboil":
-		return Parboil()
-	case "Polybench":
-		return Polybench()
-	case "Cutlass":
-		return Cutlass()
-	case "DeepBench":
-		return DeepBench()
-	case "MLPerf":
-		return MLPerf()
-	default:
-		return nil
+	var out []*Workload
+	for _, w := range catalogue().all {
+		if w.Suite == suite {
+			out = append(out, w)
+		}
 	}
+	return out
 }
 
 // Find returns the workload with the given full name ("suite/name"), or
 // nil if absent.
-func Find(fullName string) *Workload {
-	for _, w := range All() {
-		if w.FullName() == fullName {
-			return w
-		}
-	}
-	return nil
-}
+func Find(fullName string) *Workload { return catalogue().byName[fullName] }

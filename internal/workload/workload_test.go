@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pka/internal/gpu"
+	"pka/internal/trace"
 )
 
 func TestStudyHas147Workloads(t *testing.T) {
@@ -241,5 +242,67 @@ func TestKernelsMaterialization(t *testing.T) {
 		if err := k.Validate(); err != nil {
 			t.Error(err)
 		}
+	}
+}
+
+// TestFindReusesCatalogue: the catalogue is built once, so Find is a lookup
+// that hands every caller the same workload and allocates nothing.
+func TestFindReusesCatalogue(t *testing.T) {
+	a, b := Find("Rodinia/gauss_208"), Find("Rodinia/gauss_208")
+	if a == nil || a != b || All()[0] != All()[0] || BySuite("Rodinia")[0] != All()[0] {
+		t.Fatal("catalogue lookups return different workloads for one name")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Find("MLPerf/ssd_training") }); allocs > 1 {
+		t.Errorf("Find allocates %.0f times per call, want at most 1", allocs)
+	}
+}
+
+// TestNewRejectsMisuse: a negative launch count or a missing generator is a
+// harness bug, and New panics on it as Kernel does on an out-of-range index.
+func TestNewRejectsMisuse(t *testing.T) {
+	gen := func(int) trace.KernelDesc { return trace.KernelDesc{} }
+	for name, build := range map[string]func(){
+		"negative n": func() { New("s", "w", -1, gen) },
+		"nil gen":    func() { New("s", "w", 1, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: New did not panic", name)
+				}
+			}()
+			build()
+		}()
+	}
+	if w := New("s", "w", 0, gen); w.N != 0 || w.Kernels() == nil {
+		t.Error("an empty workload is valid")
+	}
+}
+
+// TestApproxWarpInstructionsRemembersTotal: a walk that reaches the last
+// launch remembers the total; a later call reads it when its limit admits the
+// total and walks as before when not.
+func TestApproxWarpInstructionsRemembersTotal(t *testing.T) {
+	src := Find("Polybench/fdtd2d")
+	gens := 0
+	w := New(src.Suite, src.Name, src.N, func(i int) trace.KernelDesc {
+		gens++
+		return src.Kernel(i)
+	})
+	total := w.ApproxWarpInstructions(1 << 62)
+	if gens != w.N || total != src.ApproxWarpInstructions(1<<62) {
+		t.Fatalf("first walk generated %d of %d launches, total %d", gens, w.N, total)
+	}
+	gens = 0
+	if got := w.ApproxWarpInstructions(total); got != total || gens != 0 {
+		t.Errorf("second call: %d after %d launches, want %d after none", got, gens, total)
+	}
+	if got := w.ApproxWarpInstructions(total - 1); got <= total-1 || gens == 0 {
+		t.Errorf("call under the total: %d after %d launches, want a walk past the limit", got, gens)
+	}
+	shorter, last := *w, src.Kernel(src.N-1)
+	shorter.N--
+	if got, want := shorter.ApproxWarpInstructions(1<<62), total-last.VoltaWarpInstructions(); got != want {
+		t.Errorf("copy one launch shorter: total %d, want %d", got, want)
 	}
 }

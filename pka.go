@@ -157,6 +157,14 @@ func WorkloadsBySuite(suite string) []*Workload { return workload.BySuite(suite)
 // FindWorkload returns the workload named "suite/name", or nil.
 func FindWorkload(fullName string) *Workload { return workload.Find(fullName) }
 
+// NewWorkload returns your own application as a workload: suite/name, n
+// launches, launch i described by gen(i). gen must be deterministic; it is
+// fixed for the workload's life, which lets the workload remember what its
+// launches add up to between studies.
+func NewWorkload(suite, name string, n int, gen func(i int) KernelDesc) *Workload {
+	return workload.New(suite, name, n, gen)
+}
+
 // LoadWorkloadJSON reads a user-defined workload document from disk (see
 // internal/workload's JSON schema: a list of kernel launches with
 // optional repeat counts).

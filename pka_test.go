@@ -47,10 +47,7 @@ func TestPublicAPICustomWorkload(t *testing.T) {
 		}
 		kernels = append(kernels, k)
 	}
-	w := &Workload{
-		Suite: "user", Name: "custom", N: len(kernels),
-		Gen: func(i int) KernelDesc { return kernels[i] },
-	}
+	w := NewWorkload("user", "custom", len(kernels), func(i int) KernelDesc { return kernels[i] })
 	sel, err := Select(VoltaV100(), w, SelectOptions{})
 	if err != nil {
 		t.Fatal(err)
