@@ -49,7 +49,7 @@ race:
 	$(GO) test -race -run 'Stream|Speculat|SelectWarm|Misfit|Riders|Bank|Pack|Scan|WalksOnce|ShareOneWorkload' ./internal/core/... ./internal/pks/... ./internal/sampling/...
 
 # Five seconds of coverage-guided fuzzing per decoder of untrusted or
-# persisted bytes (nine targets). The seed corpora already run in `make test`; this is the
+# persisted bytes (ten targets). The seed corpora already run in `make test`; this is the
 # smoke that the targets still build and survive fresh inputs.
 FUZZTIME ?= 5s
 fuzz-smoke:
@@ -60,6 +60,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzLoadWorkloadJSON -fuzztime $(FUZZTIME) ./internal/workload
 	$(GO) test -run NONE -fuzz FuzzStreamEvents -fuzztime $(FUZZTIME) ./internal/workload
 	$(GO) test -run NONE -fuzz FuzzServeRequest -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run NONE -fuzz FuzzStreamRequest -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run NONE -fuzz FuzzParseTraceparent -fuzztime $(FUZZTIME) ./internal/obs
 	$(GO) test -run NONE -fuzz FuzzLoadModel -fuzztime $(FUZZTIME) ./internal/predict
 

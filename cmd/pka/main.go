@@ -387,27 +387,7 @@ func streamStudy(cfg core.Config, path string, target float64, jsonOut string) e
 	if reg := workload.Find(h.Suite + "/" + h.Name); reg != nil && reg.Quirk != "" {
 		fmt.Printf("quirk      %s (the paper excludes this workload from some result columns)\n", reg.Quirk)
 	}
-
-	r, err := core.NewStreamRunner(cfg, h.Suite, h.Name, h.Kernels, core.StreamOptions{})
-	if err != nil {
-		return err
-	}
-	for {
-		k, err := dec.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if err := r.Push(k); err != nil {
-			return err
-		}
-	}
-	if n := dec.Missing(); n > 0 {
-		return fmt.Errorf("event stream ended with %d of %d launches missing", n, h.Kernels)
-	}
-	res, err := r.Finish()
+	res, err := core.RunEvents(cfg, core.CompletePlan(), dec, nil)
 	if err != nil {
 		return err
 	}

@@ -205,6 +205,18 @@ func CompletePlan() Plan {
 
 func (p Plan) has(m sampling.TaskMode) bool { return slices.Contains(p.Passes, m) }
 
+// sampled lists the plan's sampled passes by their usePKP, PKS before PKA.
+func (p Plan) sampled() []bool {
+	var usePKPs []bool
+	if p.has(sampling.ModePKS) {
+		usePKPs = append(usePKPs, false)
+	}
+	if p.has(sampling.ModePKA) {
+		usePKPs = append(usePKPs, true)
+	}
+	return usePKPs
+}
+
 // Reps names one pass over a set of representative kernels: one workload's
 // own groups, or a suite's shared cross-workload ones.
 type Reps struct {
@@ -388,13 +400,7 @@ func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*E
 		return nil, nil, errors.New("core: nil workload")
 	}
 	ev := &Evaluation{Workload: w}
-	var usePKPs []bool // the sampled passes, PKS before PKA
-	if p.has(sampling.ModePKS) {
-		usePKPs = append(usePKPs, false)
-	}
-	if p.has(sampling.ModePKA) {
-		usePKPs = append(usePKPs, true)
-	}
+	usePKPs := p.sampled()
 	full, sampled := p.has(sampling.ModeFull), len(usePKPs) > 0
 
 	// Stage 1: at most one scan of the launches, for what the plan folds out

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"pka/internal/obs"
 	"pka/internal/parallel"
+	"pka/internal/pks"
 	"pka/internal/sampling"
 	"pka/internal/stats"
 	"pka/internal/workload"
@@ -69,19 +73,19 @@ func TestStreamDeterminism(t *testing.T) {
 			label string
 			par   int
 			shuf  int
-			opts  StreamOptions
+			opts  pks.StreamOptions
 		}{
-			{"in-order/p=1", 1, 0, StreamOptions{}},
-			{"in-order/p=4", 4, 0, StreamOptions{}},
-			{"shuffled/p=4", 4, 16, StreamOptions{Window: 32}},
-			{"misprediction/p=4", 4, 16, StreamOptions{Window: 32, MinDetailed: 8, ResweepEvery: 8}},
+			{"in-order/p=1", 1, 0, pks.StreamOptions{}},
+			{"in-order/p=4", 4, 0, pks.StreamOptions{}},
+			{"shuffled/p=4", 4, 16, pks.StreamOptions{Window: 32}},
+			{"misprediction/p=4", 4, 16, pks.StreamOptions{Window: 32, MinDetailed: 8, ResweepEvery: 8}},
 		}
 		for _, arm := range arms {
 			c := cfg()
 			c.Parallelism = arm.par
 			c.Exec = sampling.NewExec(parallel.NewScheduler(arm.par), nil)
 			c.Obs = obs.NewObserver()
-			r, err := NewStreamRunner(c, w.Suite, w.Name, w.N, arm.opts)
+			r, err := newStreamRunner(c, CompletePlan(), w.Suite, w.Name, w.N, arm.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,7 +138,7 @@ func TestRunStreamSpeculationPaysOff(t *testing.T) {
 	w := workload.Find("Rodinia/gauss_208")
 	c := cfg()
 	c.Exec = sampling.NewExec(parallel.NewScheduler(2), nil)
-	res, err := RunStream(c, w, StreamOptions{MinDetailed: 8})
+	res, err := runStream(c, CompletePlan(), w, pks.StreamOptions{MinDetailed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,4 +160,96 @@ func TestRunStreamSpeculationPaysOff(t *testing.T) {
 	if hit := res.Spec.Launched - res.Spec.Demoted; hit == 0 {
 		t.Errorf("every one of %d warms was demoted; expected the full-sim and rep warms to match final keys", res.Spec.Launched)
 	}
+}
+
+// TestStreamWarmsFollowPlan: the plan decides what a stream warms — its
+// sampled passes' tasks (PKS before PKA) for likely representatives, and
+// every launch's full-simulation task only when it plans a full pass — and
+// the streamed evaluation is the plan's batch one.
+func TestStreamWarmsFollowPlan(t *testing.T) {
+	w := workload.Find("Rodinia/gauss_208")
+	c := cfg()
+	c.Exec = sampling.NewExec(parallel.NewScheduler(2), nil)
+	pksTask := sampling.SampledTask(c.KernelCapCycles, c.PKP, false)
+	pkaTask := sampling.SampledTask(c.KernelCapCycles, c.PKP, true)
+	pksOnly := []sampling.TaskMode{sampling.ModePKS}
+	for _, tc := range []struct {
+		label string
+		plan  Plan
+		tasks []sampling.KernelTask
+		full  bool
+	}{
+		{"pks", Plan{Passes: pksOnly}, []sampling.KernelTask{pksTask}, false},
+		{"pka", Plan{Passes: []sampling.TaskMode{sampling.ModePKA}}, []sampling.KernelTask{pkaTask}, false},
+		{"pks+silicon", Plan{Passes: pksOnly, Silicon: true}, []sampling.KernelTask{pksTask}, false},
+		{"complete", CompletePlan(), []sampling.KernelTask{pksTask, pkaTask}, true},
+	} {
+		r, err := NewStreamRunner(c, tc.plan, w.Suite, w.Name, w.N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(r.tasks, tc.tasks) || r.warmFull != tc.full {
+			t.Errorf("%s: warms tasks %+v, full %v; want %+v, full %v", tc.label, r.tasks, r.warmFull, tc.tasks, tc.full)
+		}
+		for i := 0; i < w.N; i++ {
+			if err := r.Push(w.Kernel(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := r.Finish()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.label, err)
+		}
+		want, err := tc.plan.Evaluate(cfg(), w, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameEvaluation(t, tc.label, res.Evaluation, want)
+		if res.Spec.Launched == 0 {
+			t.Errorf("%s: nothing warmed despite an Exec", tc.label)
+		}
+	}
+}
+
+// TestStreamFailureWaitsForWarms: a stream that fails after the advisory
+// warm-up has speculative simulations in flight, and every exit waits them
+// out — a broken event line in RunEvents, and Finish on a stream that ended
+// early.
+func TestStreamFailureWaitsForWarms(t *testing.T) {
+	w := workload.Find("Rodinia/srad_v1")
+	var events bytes.Buffer
+	if err := workload.WriteEvents(&events, w); err != nil {
+		t.Fatal(err)
+	}
+	c := cfg()
+	c.Exec = sampling.NewExec(parallel.NewScheduler(2), nil)
+	speculating := func(label string) {
+		t.Helper()
+		buf := make([]byte, 1<<20)
+		if dump := string(buf[:runtime.Stack(buf, true)]); strings.Contains(dump, "sampling.(*Speculator)") {
+			t.Errorf("%s: a speculative warm outlived the stream:\n%s", label, dump)
+		}
+	}
+
+	// The header, 64 launches (past the 32-record warm-up), a broken event.
+	lines := bytes.SplitAfter(events.Bytes(), []byte("\n"))
+	broken := append(bytes.Join(lines[:1+64], nil), "{\"launch\":\n"...)
+	if _, err := RunEvents(c, CompletePlan(), workload.NewEventDecoder(bytes.NewReader(broken)), nil); err == nil {
+		t.Fatal("a broken event stream evaluated")
+	}
+	speculating("broken event")
+
+	r, err := NewStreamRunner(c, CompletePlan(), w.Suite, w.Name, w.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		if err := r.Push(w.Kernel(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := r.Finish(); err == nil {
+		t.Fatal("an incomplete stream finished")
+	}
+	speculating("early finish")
 }

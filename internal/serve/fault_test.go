@@ -35,6 +35,9 @@ func faultWorker(mode *atomic.Int32) *httptest.Server {
 		case workerBusy:
 			http.Error(w, "worker at capacity", http.StatusTooManyRequests)
 		case workerHang:
+			// Reading the body to its end is what lets the server notice the
+			// client hanging up, and cancel the context.
+			io.Copy(io.Discard, r.Body) //nolint:errcheck
 			<-r.Context().Done()
 		default:
 			h.ServeHTTP(w, r)
@@ -63,6 +66,7 @@ func TestServeFaultInjection(t *testing.T) {
 	var dyingMode, faultyMode atomic.Int32
 	dying := faultWorker(&dyingMode)
 	faulty := faultWorker(&faultyMode)
+	defer faulty.Close()
 
 	observer := obs.NewObserver()
 	rm := observer.RemoteMetrics()

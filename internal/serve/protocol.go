@@ -241,9 +241,6 @@ func (r *StudyRequest) Validate() error {
 			return fmt.Errorf("serve: inline workload: %w", err)
 		}
 		r.w = w
-	case r.w != nil:
-		// Already resolved — stream requests get their workload from the
-		// event stream, not the request line.
 	default:
 		return errors.New("serve: request names no workload")
 	}

@@ -18,21 +18,9 @@ import (
 // serving tier queue, reorder, and retry without changing results. The
 // observer only adds telemetry, and tracing/provenance only append fields
 // after the study results — every study field is byte-identical with them
-// on or off.
+// on or off. Every mode is one core.Plan evaluation: its one pass, and
+// silicon when the request asks.
 func Run(exec *sampling.Exec, o *obs.Observer, req *StudyRequest) (*StudyResponse, error) {
-	return RunWithSelection(exec, o, req, nil)
-}
-
-// studyModes maps a request's mode to the one pass its study plan makes.
-var studyModes = map[string]sampling.TaskMode{"full": sampling.ModeFull, "pks": sampling.ModePKS, "pka": sampling.ModePKA}
-
-// RunWithSelection is Run with a precomputed Principal Kernel Selection,
-// as the streaming endpoint produces while events are still arriving. A
-// nil sel is resolved as core.Select resolves it; because the streaming
-// selection is byte-identical to the batch one by construction, the
-// response is byte-identical either way. Full mode ignores sel. Every mode is
-// one core.Plan evaluation: its one pass, and silicon when the request asks.
-func RunWithSelection(exec *sampling.Exec, o *obs.Observer, req *StudyRequest, sel *pks.Selection) (*StudyResponse, error) {
 	if req.w == nil {
 		// Direct callers may build requests without going through
 		// DecodeStudyRequest.
@@ -40,70 +28,92 @@ func RunWithSelection(exec *sampling.Exec, o *obs.Observer, req *StudyRequest, s
 			return nil, err
 		}
 	}
-	// Tracing turns on when the client shipped a traceparent or asked in
-	// the body; either way the request gets its own tracer so the merged
-	// trace holds only this study's spans. Provenance recording turns on
-	// with tracing (the root span reports tier counts), on request, or when
-	// the server injected a recorder for its debug report.
+	st := newStudy(exec, o, req, req.w.FullName())
+	ev, err := st.plan.Evaluate(st.cfg, req.w, nil)
+	return st.respond(ev, err)
+}
+
+// studyModes maps a request's mode to the one pass its study plan makes.
+var studyModes = map[string]sampling.TaskMode{"full": sampling.ModeFull, "pks": sampling.ModePKS, "pka": sampling.ModePKA}
+
+// study is one request's evaluation, set up for /v1/study and /v1/stream
+// alike: the plan its mode names, and the core.Config it runs under, with
+// the observer, tracing and flight recorder wired once.
+type study struct {
+	req  *StudyRequest
+	name string // the workload's full name
+	plan core.Plan
+	cfg  core.Config
+	root *obs.Span // the trace's root span, nil when untraced
+}
+
+// newStudy sets up req's evaluation of the workload named name. Tracing
+// turns on when the client shipped a traceparent or asked in the body;
+// either way the request gets its own tracer so the merged trace holds only
+// this study's spans. Provenance recording turns on with tracing (the root
+// span reports tier counts), on request, or when the server injected a
+// recorder for its debug report.
+func newStudy(exec *sampling.Exec, o *obs.Observer, req *StudyRequest, name string) *study {
+	st := &study{
+		req:  req,
+		name: name,
+		plan: core.Plan{Passes: []sampling.TaskMode{studyModes[req.Mode]}, Silicon: req.Silicon},
+		cfg: core.Config{
+			Device:   req.dev,
+			PKS:      pks.Options{TargetErrorPct: req.TargetErrorPct, MaxK: req.MaxK},
+			PKP:      pkp.Options{Threshold: req.Threshold, Window: req.Window},
+			Obs:      o,
+			Exec:     exec,
+			TraceIDs: req.ids,
+			Flight:   req.flight,
+		},
+	}
 	traced := req.Trace || req.parent.Valid()
-	flight := req.flight
-	if flight == nil && (traced || req.Provenance) {
-		flight = sampling.NewFlightRecorder()
+	if st.cfg.Flight == nil && (traced || req.Provenance) {
+		st.cfg.Flight = sampling.NewFlightRecorder()
 	}
-	ids := req.ids
-	if ids == nil && traced {
-		ids = obs.NewIDGen(0)
+	if !traced {
+		return st
 	}
-	var (
-		tr   *obs.Tracer
-		root *obs.Span
-		tc   obs.TraceContext
-	)
-	if traced {
-		tr = obs.NewTracer()
-		tr.SetProcessName("pkaserve")
-		if o != nil && o.Metrics != nil {
-			tr.SetDropCounter(o.Metrics.Counter(
-				"pka_trace_dropped_total", "trace events discarded at the tracer memory cap"))
-		}
-		if req.parent.Valid() {
-			tc = req.parent.Child(ids)
-		} else {
-			tc = ids.NewTrace()
-		}
-		args := []obs.Arg{
-			{Key: "trace_id", Val: tc.TraceID},
-			{Key: "span_id", Val: tc.SpanID},
-		}
-		if req.parent.Valid() {
-			args = append(args, obs.Arg{Key: "parent_id", Val: req.parent.SpanID})
-		}
-		args = append(args,
-			obs.Arg{Key: "tenant", Val: req.Tenant},
-			obs.Arg{Key: "mode", Val: req.Mode})
-		root = tr.Track("serve").Start("study "+req.w.FullName(), args...)
+	if st.cfg.TraceIDs == nil {
+		st.cfg.TraceIDs = obs.NewIDGen(0)
 	}
-	resp := &StudyResponse{
-		Workload: req.w.FullName(),
-		Device:   req.Device,
-		Mode:     req.Mode,
+	tr := obs.NewTracer()
+	tr.SetProcessName("pkaserve")
+	if o != nil && o.Metrics != nil {
+		tr.SetDropCounter(o.Metrics.Counter(
+			"pka_trace_dropped_total", "trace events discarded at the tracer memory cap"))
 	}
-	cfg := core.Config{
-		Device:   req.dev,
-		PKS:      pks.Options{TargetErrorPct: req.TargetErrorPct, MaxK: req.MaxK},
-		PKP:      pkp.Options{Threshold: req.Threshold, Window: req.Window},
-		Obs:      o,
-		Exec:     exec,
-		Trace:    tc,
-		TraceIDs: ids,
-		Tracer:   tr,
-		Flight:   flight,
+	var tc obs.TraceContext
+	if req.parent.Valid() {
+		tc = req.parent.Child(st.cfg.TraceIDs)
+	} else {
+		tc = st.cfg.TraceIDs.NewTrace()
 	}
-	ev, err := core.Plan{Passes: []sampling.TaskMode{studyModes[req.Mode]}, Silicon: req.Silicon}.Evaluate(cfg, req.w, sel)
+	args := []obs.Arg{
+		{Key: "trace_id", Val: tc.TraceID},
+		{Key: "span_id", Val: tc.SpanID},
+	}
+	if req.parent.Valid() {
+		args = append(args, obs.Arg{Key: "parent_id", Val: req.parent.SpanID})
+	}
+	args = append(args,
+		obs.Arg{Key: "tenant", Val: req.Tenant},
+		obs.Arg{Key: "mode", Val: req.Mode})
+	st.cfg.Trace, st.cfg.Tracer = tc, tr
+	st.root = tr.Track("serve").Start("study "+name, args...)
+	return st
+}
+
+// respond maps the study's evaluation, or the error that ended it, to the
+// response, closing the root span.
+func (st *study) respond(ev *core.Evaluation, err error) (*StudyResponse, error) {
+	req := st.req
 	if err != nil {
-		root.End()
-		return nil, fmt.Errorf("serve: %s study of %s: %w", req.Mode, req.w.FullName(), err)
+		st.root.End()
+		return nil, fmt.Errorf("serve: %s study of %s: %w", req.Mode, st.name, err)
 	}
+	resp := &StudyResponse{Workload: st.name, Device: req.Device, Mode: req.Mode}
 	if full := ev.Full; full != nil {
 		resp.Kernels = full.KernelsSimulated
 		resp.ProjCycles = full.ProjCycles
@@ -129,19 +139,19 @@ func RunWithSelection(exec *sampling.Exec, o *obs.Observer, req *StudyRequest, s
 		resp.ErrorPct = ss.ErrorPct
 	}
 	resp.SiliconCycles = ev.Silicon.Cycles
-	if req.Provenance {
+	if flight := st.cfg.Flight; req.Provenance {
 		resp.Provenance = &ProvenanceBlock{
-			TraceID: tc.TraceID,
+			TraceID: st.cfg.Trace.TraceID,
 			Kernels: flight.Len(),
 			Tiers:   flight.TierCounts(),
 			Workers: flight.WorkerCounts(),
 			Entries: flight.Entries(),
 		}
 	}
-	if traced {
-		root.Arg("kernels", resp.Kernels).End()
+	if st.root != nil {
+		st.root.Arg("kernels", resp.Kernels).End()
 		var buf bytes.Buffer
-		if err := tr.WriteChromeTrace(&buf); err != nil {
+		if err := st.cfg.Tracer.WriteChromeTrace(&buf); err != nil {
 			return nil, fmt.Errorf("serve: rendering trace: %w", err)
 		}
 		resp.Trace = buf.Bytes()

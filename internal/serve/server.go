@@ -205,23 +205,32 @@ func (s *Server) work() {
 		s.rec.Observe(p.req.Tenant, queued, total, p.err != nil)
 		s.m.QueueWait.Observe(queued.Seconds())
 		s.m.Latency.Observe(total.Seconds())
-
-		s.mu.Lock()
-		s.inflight--
-		if p.err != nil {
-			s.failed++
-		} else {
-			s.completed++
-		}
-		s.m.InFlight.Set(float64(s.inflight))
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		if p.err != nil {
-			s.m.Errors.Inc()
-		} else {
-			s.m.Completed.Inc()
-		}
+		s.finish(p.err != nil, false)
 		close(p.done)
+	}
+}
+
+// finish settles the counters of one request that ran — and releases its
+// slot when it was a stream; the broadcast wakes any drain waiting on
+// in-flight work.
+func (s *Server) finish(failed, stream bool) {
+	s.mu.Lock()
+	if stream {
+		s.streams--
+	}
+	s.inflight--
+	if failed {
+		s.failed++
+	} else {
+		s.completed++
+	}
+	s.m.InFlight.Set(float64(s.inflight))
+	s.cond.Broadcast()
+	s.mu.Unlock()
+	if failed {
+		s.m.Errors.Inc()
+	} else {
+		s.m.Completed.Inc()
 	}
 }
 

@@ -9,11 +9,8 @@ import (
 	"io"
 	"net/http"
 
+	"pka/internal/core"
 	"pka/internal/obs"
-	"pka/internal/pkp"
-	"pka/internal/pks"
-	"pka/internal/sampling"
-	"pka/internal/trace"
 	"pka/internal/workload"
 )
 
@@ -123,27 +120,6 @@ func (s *Server) admitStream() error {
 	return nil
 }
 
-// finishStream releases the slot and settles the request counters; the
-// broadcast wakes any drain waiting on in-flight work.
-func (s *Server) finishStream(failed bool) {
-	s.mu.Lock()
-	s.streams--
-	s.inflight--
-	if failed {
-		s.failed++
-	} else {
-		s.completed++
-	}
-	s.m.InFlight.Set(float64(s.inflight))
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	if failed {
-		s.m.Errors.Inc()
-	} else {
-		s.m.Completed.Inc()
-	}
-}
-
 // handleStream implements POST StreamPath.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -197,7 +173,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	total := s.now().Sub(started)
 	s.rec.Observe(req.Tenant, 0, total, err != nil)
 	s.m.Latency.Observe(total.Seconds())
-	s.finishStream(err != nil)
+	s.finish(err != nil, true)
 	if err != nil {
 		// The status line already went out 200; the error travels in-band,
 		// the NDJSON convention for mid-stream failure.
@@ -207,109 +183,34 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	_ = enc.Encode(resp)
 }
 
-// runStream drives one streaming study: decode events, feed the streaming
-// selector (which speculatively warms likely representatives through the
-// Exec ladder), then reconcile and run the sampled fold on the finalized
-// selection.
+// runStream drives one streaming study: core's streaming runner, under the
+// config and plan /v1/study builds for the same request, profiles and
+// clusters the events as they arrive and warms likely representatives
+// through the Exec ladder; the finished evaluation maps to the response
+// /v1/study would return.
 func (s *Server) runStream(req *StudyRequest, body io.Reader, progress func(*StreamProgress)) (*StudyResponse, error) {
 	dec := workload.NewEventDecoder(body)
 	h, err := dec.Header()
 	if err != nil {
 		return nil, err
 	}
-
-	// The speculative task spec must be byte-for-byte what the study's
-	// sampled pass will fold, or the content keys won't match and warming
-	// buys nothing.
-	task := sampling.SampledTask(0, pkp.Options{Threshold: req.Threshold, Window: req.Window}, req.Mode == "pka")
-	so := pks.StreamOptions{Select: pks.Options{TargetErrorPct: req.TargetErrorPct, MaxK: req.MaxK}}
-	if s.o != nil {
-		so.Metrics = s.o.StreamMetrics()
-	}
-	var spec *sampling.Speculator
-	if s.exec != nil {
-		spec = sampling.NewSpeculator(s.exec, req.dev, []sampling.KernelTask{task}, 2)
-		so.Speculate = func(k trace.KernelDesc) { spec.Speculate(k) }
-	}
-	stream, err := pks.NewStream(req.dev, h.Suite, h.Name, h.Kernels, so)
+	st := newStudy(s.exec, s.o, req, h.Suite+"/"+h.Name)
+	// Progress waits for the intake to end: for HTTP/1.x, writing any
+	// response byte may stop further reads of the request body, so nothing
+	// goes on the wire until the event stream is fully consumed. The lines
+	// then flush before the reconciliation fold — which is where the
+	// wall-clock goes — so the client still sees the intake history well
+	// ahead of the final response.
+	res, err := core.RunEvents(st.cfg, st.plan, dec, func(revs []core.Revision) {
+		for _, rv := range revs {
+			progress(&StreamProgress{Events: rv.Events, Detailed: rv.Detailed, Resweeps: rv.Resweeps})
+		}
+	})
 	if err != nil {
-		return nil, err
+		return st.respond(nil, err)
 	}
-
-	// Intake. Progress is buffered here rather than written: for HTTP/1.x,
-	// writing any response byte may stop further reads of the request body,
-	// so nothing goes on the wire until the event stream is fully consumed.
-	// The buffered lines then flush before the reconciliation fold — which
-	// is where the wall-clock goes — so the client still sees the intake
-	// history well ahead of the final response.
-	var pending []*StreamProgress
-	kernels := make([]trace.KernelDesc, h.Kernels)
-	events, lastResweeps := 0, 0
-	for {
-		k, err := dec.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := stream.Push(k); err != nil {
-			return nil, err
-		}
-		kernels[k.ID] = k
-		events++
-		if rs := stream.Resweeps(); rs != lastResweeps {
-			lastResweeps = rs
-			pending = append(pending, &StreamProgress{Events: events, Detailed: stream.DetailedSoFar(), Resweeps: rs})
-		}
-	}
-	if n := dec.Missing(); n > 0 {
-		return nil, fmt.Errorf("serve: event stream ended with %d of %d launches missing", n, h.Kernels)
-	}
-	for _, p := range pending {
-		progress(p)
-	}
-	sel, err := stream.Finalize()
-	if err != nil {
-		return nil, err
-	}
-	wl, err := workload.FromKernels(h.Suite, h.Name, kernels)
-	if err != nil {
-		return nil, err
-	}
-	req.w = wl
-
-	finalKeys := map[string]bool{}
-	if spec != nil {
-		// Warm the elected reps (duplicates of earlier warms dedupe away),
-		// then mark the reconciliation cutoff.
-		for _, g := range sel.Groups {
-			spec.Speculate(kernels[g.RepIndex], task)
-			finalKeys[sampling.TaskKey(req.dev, &kernels[g.RepIndex], task)] = true
-		}
-		spec.Seal()
-	}
-	resp, err := RunWithSelection(s.exec, s.o, req, sel)
-	if err != nil {
-		return nil, err
-	}
-	final := &StreamProgress{Events: events, Detailed: stream.DetailedSoFar(), Resweeps: stream.Resweeps()}
-	if spec != nil {
-		spec.Wait()
-		st := spec.Resolve(finalKeys)
-		final.Speculated = st.Launched
-		final.Hits = st.Hits
-		final.Demoted = st.Demoted
-		final.WastedWarpInstrs = st.WastedWarpInstrs
-		if s.o != nil {
-			if m := s.o.StreamMetrics(); m != nil {
-				m.Speculated.Add(int64(st.Launched))
-				m.SpecHits.Add(int64(st.Hits))
-				m.SpecWastedInstr.Add(st.WastedWarpInstrs)
-				m.OverlapFraction.Set(st.OverlapFraction)
-			}
-		}
-	}
-	progress(final)
-	return resp, nil
+	sc := res.Spec
+	progress(&StreamProgress{Events: res.Workload.N, Detailed: res.Selection.DetailedKernels, Resweeps: res.Resweeps,
+		Speculated: sc.Launched, Hits: sc.Hits, Demoted: sc.Demoted, WastedWarpInstrs: sc.WastedWarpInstrs})
+	return st.respond(res.Evaluation, nil)
 }

@@ -6,9 +6,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
+	"pka/internal/obs"
 	"pka/internal/parallel"
 	"pka/internal/sampling"
 	"pka/internal/serve"
@@ -42,57 +45,60 @@ func TestStreamEndpointMatchesStudy(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	study, err := http.Post(ts.URL+serve.StudyPath, "application/json",
-		strings.NewReader(`{"workload":"Rodinia/gauss_208","silicon":true}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := io.ReadAll(study.Body)
-	study.Body.Close()
-	if study.StatusCode != http.StatusOK {
-		t.Fatalf("study: %d %s", study.StatusCode, want)
-	}
+	// The default mode, pka, and pks: each streams under its own plan.
+	for _, mode := range []string{"", `,"mode":"pks"`} {
+		study, err := http.Post(ts.URL+serve.StudyPath, "application/json",
+			strings.NewReader(`{"workload":"Rodinia/gauss_208","silicon":true`+mode+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := io.ReadAll(study.Body)
+		study.Body.Close()
+		if study.StatusCode != http.StatusOK {
+			t.Fatalf("%s study: %d %s", mode, study.StatusCode, want)
+		}
 
-	resp, err := http.Post(ts.URL+serve.StreamPath, "application/x-ndjson",
-		streamBody(t, `{"silicon":true}`, "Rodinia/gauss_208"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("stream: %d %s", resp.StatusCode, body)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Errorf("content type %q", ct)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.Split(bytes.TrimRight(body, "\n"), []byte("\n"))
-	if len(lines) < 2 {
-		t.Fatalf("expected progress lines before the response, got %d line(s): %s", len(lines), body)
-	}
-	var sawSpec bool
-	for _, ln := range lines[:len(lines)-1] {
-		var pl serve.StreamLine
-		if err := json.Unmarshal(ln, &pl); err != nil || pl.Progress == nil {
-			t.Fatalf("non-progress line before the final response: %s (err %v)", ln, err)
+		resp, err := http.Post(ts.URL+serve.StreamPath, "application/x-ndjson",
+			streamBody(t, `{"silicon":true`+mode+`}`, "Rodinia/gauss_208"))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if pl.Error != "" {
-			t.Fatalf("stream errored: %s", pl.Error)
+		if resp.StatusCode != http.StatusOK {
+			body, _ := io.ReadAll(resp.Body)
+			t.Fatalf("%s stream: %d %s", mode, resp.StatusCode, body)
 		}
-		if pl.Progress.Speculated > 0 {
-			sawSpec = true
+		if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+			t.Errorf("content type %q", ct)
 		}
-	}
-	if !sawSpec {
-		t.Error("final progress line reports no speculative warms despite an Exec")
-	}
-	got := append(lines[len(lines)-1], '\n')
-	if !bytes.Equal(got, want) {
-		t.Errorf("final stream line differs from the study response:\ngot:  %s\nwant: %s", got, want)
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := bytes.Split(bytes.TrimRight(body, "\n"), []byte("\n"))
+		if len(lines) < 2 {
+			t.Fatalf("expected progress lines before the response, got %d line(s): %s", len(lines), body)
+		}
+		var sawSpec bool
+		for _, ln := range lines[:len(lines)-1] {
+			var pl serve.StreamLine
+			if err := json.Unmarshal(ln, &pl); err != nil || pl.Progress == nil {
+				t.Fatalf("non-progress line before the final response: %s (err %v)", ln, err)
+			}
+			if pl.Error != "" {
+				t.Fatalf("stream errored: %s", pl.Error)
+			}
+			if pl.Progress.Speculated > 0 {
+				sawSpec = true
+			}
+		}
+		if !sawSpec {
+			t.Errorf("%s: final progress line reports no speculative warms despite an Exec", mode)
+		}
+		got := append(lines[len(lines)-1], '\n')
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: final stream line differs from the study response:\ngot:  %s\nwant: %s", mode, got, want)
+		}
 	}
 }
 
@@ -156,5 +162,82 @@ func TestStreamEndpointRejects(t *testing.T) {
 	pl = serve.StreamLine{}
 	if err := json.Unmarshal(bytes.TrimSpace(body), &pl); err != nil || !strings.Contains(pl.Error, "missing") {
 		t.Errorf("truncated stream: expected a missing-launches error, got %s", body)
+	}
+}
+
+// TestStreamFailureWaitsForWarms: a stream that breaks after the advisory
+// warm-up has speculative simulations in flight, and none of them outlives
+// the stream — by the time its in-band error line is out, its slot is
+// released and every warm is done, so a client breaking streams cannot
+// drive background simulation past the stream width cap.
+func TestStreamFailureWaitsForWarms(t *testing.T) {
+	srv := serve.New(serve.Options{Exec: sampling.NewExec(parallel.NewScheduler(2), nil)})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// The request line, the header, 64 launches (past the 32-record
+	// warm-up), then a broken event.
+	lines := bytes.SplitAfter(streamBody(t, "{}", "Rodinia/srad_v1").Bytes(), []byte("\n"))
+	body := append(bytes.Join(lines[:2+64], nil), "{\"launch\":\n"...)
+	resp, err := http.Post(ts.URL+serve.StreamPath, "application/x-ndjson", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var pl serve.StreamLine
+	if err := json.Unmarshal(bytes.TrimSpace(out), &pl); err != nil || pl.Error == "" {
+		t.Fatalf("expected one in-band error line, got %s", out)
+	}
+	buf := make([]byte, 1<<20)
+	dump := string(buf[:runtime.Stack(buf, true)])
+	if n := strings.Count(dump, "sampling.(*Speculator)"); n > 0 {
+		t.Errorf("%d speculator frame(s) alive after the error line:\n%s", n, dump)
+	}
+}
+
+// TestStreamReportsSelectionTelemetry: a streamed selection reaches the
+// server's observer the way a studied one does — one
+// pka_pks_selections_total and the same pks audit trail each.
+func TestStreamReportsSelectionTelemetry(t *testing.T) {
+	o := obs.NewObserver()
+	srv := serve.New(serve.Options{Exec: sampling.NewExec(parallel.NewScheduler(2), nil), Obs: o})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	pksAudit := func() []obs.AuditRecord {
+		recs := o.Audit.Filter("pks", "")
+		for i := range recs {
+			recs[i].Seq = 0
+		}
+		return recs
+	}
+	post := func(path string, body io.Reader) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", path, resp.StatusCode)
+		}
+	}
+	selections := o.PKSMetrics().Selections
+	post(serve.StudyPath, strings.NewReader(`{"workload":"Rodinia/gauss_208"}`))
+	if n := selections.Value(); n != 1 {
+		t.Fatalf("study: pka_pks_selections_total = %d, want 1", n)
+	}
+	studied := pksAudit()
+	if len(studied) == 0 {
+		t.Fatal("study left no pks audit records")
+	}
+	post(serve.StreamPath, streamBody(t, "{}", "Rodinia/gauss_208"))
+	if n := selections.Value(); n != 2 {
+		t.Errorf("study + stream: pka_pks_selections_total = %d, want 2", n)
+	}
+	if streamed := pksAudit()[len(studied):]; !reflect.DeepEqual(streamed, studied) {
+		t.Errorf("stream's pks audit differs from the study's:\ngot:  %+v\nwant: %+v", streamed, studied)
 	}
 }
