@@ -31,8 +31,8 @@ test:
 # at ~10x race overhead (experiments without -short costs ≈ 560 s under
 # -race on the 2-core box; its -short run still includes the study cost pin,
 # TestStudySimulatesLikeEvaluate); core, pks and sampling race only their
-# streaming tests (the speculator's goroutines), the selection-artifact
-# tests, the rider, bank and pack tests (at scheduler width > 1 a bank is
+# streaming tests (a stream's evaluation at scheduler width > 1), the
+# selection-artifact tests, the rider, bank and pack tests (at scheduler width > 1 a bank is
 # filled and drained, and a batch's pack read once, from several goroutines),
 # the scan's (its launches are handed to the scheduler's tasks, and its memo
 # is read and filled from every study of a shared workload), the evaluator's
@@ -46,7 +46,7 @@ race:
 	$(GO) test -race ./internal/parallel/... ./internal/obs/... ./internal/serve/... ./internal/cluster/... \
 	    ./internal/artifact/... ./internal/predict/... ./internal/dedup/...
 	$(GO) test -race -short ./internal/experiments/... ./internal/workload/...
-	$(GO) test -race -run 'Stream|Speculat|SelectWarm|Misfit|Riders|Bank|Pack|Scan|WalksOnce|ShareOneWorkload' ./internal/core/... ./internal/pks/... ./internal/sampling/...
+	$(GO) test -race -run 'Stream|SelectWarm|Misfit|Riders|Bank|Pack|Scan|WalksOnce|ShareOneWorkload' ./internal/core/... ./internal/pks/... ./internal/sampling/...
 
 # Five seconds of coverage-guided fuzzing per decoder of untrusted or
 # persisted bytes (ten targets). The seed corpora already run in `make test`; this is the

@@ -14,10 +14,9 @@
 //	pka -stream ev.ndjson                             # replay it, streaming
 //
 // -stream runs the streaming pipeline: kernel launch events are read as
-// NDJSON (one per line, '-' = stdin), profiling and advisory clustering
-// run as events arrive, and likely representatives are simulated
-// speculatively before the stream ends. The printed study is byte-identical
-// to the batch run on the same workload.
+// NDJSON (one per line, '-' = stdin) and profiled as they arrive, and the
+// study is evaluated once the stream ends. The printed study is
+// byte-identical to the batch run on the same workload.
 package main
 
 import (
@@ -363,11 +362,9 @@ func printSimulation(ev *core.Evaluation) {
 }
 
 // streamStudy runs the -stream mode: decode the NDJSON event stream, push
-// every launch through the streaming runner (profiling, advisory
-// clustering, and speculative simulation overlap event arrival), then
-// reconcile and print the study through the exact same rendering as the
-// batch path. The speculation scorecard goes to stderr so stdout diffs
-// clean against the batch run.
+// every launch through the streaming pipeline (profiling overlaps event
+// arrival), then evaluate and print the study through the exact same
+// rendering as the batch path.
 func streamStudy(cfg core.Config, path string, target float64, jsonOut string) error {
 	var rd io.Reader = os.Stdin
 	if path != "-" {
@@ -387,16 +384,14 @@ func streamStudy(cfg core.Config, path string, target float64, jsonOut string) e
 	if reg := workload.Find(h.Suite + "/" + h.Name); reg != nil && reg.Quirk != "" {
 		fmt.Printf("quirk      %s (the paper excludes this workload from some result columns)\n", reg.Quirk)
 	}
-	res, err := core.RunEvents(cfg, core.CompletePlan(), dec, nil)
+	ev, err := core.RunEvents(cfg, core.CompletePlan(), dec, nil)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "stream: %d cluster revision(s), %d speculative warm(s): %d hit, %d demoted, overlap %.0f%%\n",
-		res.Resweeps, res.Spec.Launched, res.Spec.Hits, res.Spec.Demoted, res.Spec.OverlapFraction*100)
-	if err := printSelection(res.Selection, target, jsonOut); err != nil {
+	if err := printSelection(ev.Selection, target, jsonOut); err != nil {
 		return err
 	}
-	printSimulation(res.Evaluation)
+	printSimulation(ev)
 	return nil
 }
 

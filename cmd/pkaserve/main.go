@@ -17,11 +17,11 @@
 //
 // /v1/stream is the progressive form of /v1/study: the body is NDJSON — a
 // study-request line (no workload field), then a kernel-event stream as
-// written by `pka -emit-events`. The server profiles, clusters, and
-// speculatively simulates likely representatives while events arrive,
-// answers progress lines as it goes, and ends with a line byte-identical
-// to the /v1/study response for the same workload and parameters. Streams
-// bypass the fair queue but respect drain and the -study-workers cap.
+// written by `pka -emit-events`. The server profiles events as they
+// arrive, answers one progress line when the intake ends, and ends with a
+// line byte-identical to the /v1/study response for the same workload and
+// parameters. Streams bypass the fair queue but respect drain and the
+// -study-workers cap.
 package main
 
 import (

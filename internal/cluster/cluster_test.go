@@ -231,3 +231,44 @@ func TestAgglomerativeSinglePoint(t *testing.T) {
 		t.Errorf("single point: assign=%v k=%d err=%v", assign, k, err)
 	}
 }
+
+// TestNearestCenterAllocFree pins the nearest-centre assignment at zero
+// allocations per call, on both the flat fast path (results from KMeans)
+// and the row fallback (hand-built results).
+func TestNearestCenterAllocFree(t *testing.T) {
+	pts, _ := threeBlobs(30, 7)
+	res, err := KMeans(pts, 3, KMeansOptions{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	manual := &KMeansResult{K: res.K, Centers: res.Centers}
+	p := []float64{1.5, -2.5}
+	if got, want := res.NearestCenter(p), manual.NearestCenter(p); got != want {
+		t.Fatalf("flat path picked %d, row path %d", got, want)
+	}
+	for name, r := range map[string]*KMeansResult{"flat": res, "rows": manual} {
+		if allocs := testing.AllocsPerRun(100, func() { r.NearestCenter(p) }); allocs != 0 {
+			t.Errorf("%s NearestCenter allocates %.0f per call, want 0", name, allocs)
+		}
+	}
+}
+
+// BenchmarkNearestCenter measures the cost of one nearest-center lookup at a
+// PKS-typical K and dimensionality.
+func BenchmarkNearestCenter(b *testing.B) {
+	rng := stats.NewRNG(21)
+	pts := make([][]float64, 4096)
+	for i := range pts {
+		pts[i] = []float64{rng.NormFloat64() * 5, rng.NormFloat64() * 5, rng.NormFloat64() * 5}
+	}
+	res, err := KMeans(pts, 16, KMeansOptions{Seed: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := []float64{0.5, -1.5, 2.5}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res.NearestCenter(p)
+	}
+}

@@ -27,9 +27,8 @@ type KMeansResult struct {
 	// flat is the contiguous backing array behind Centers when the result
 	// came out of KMeans (Centers[c] == flat[c*dim:(c+1)*dim]). It lets
 	// NearestCenter walk the centers with one bounds check per coordinate
-	// instead of a slice-header load per center — the per-event hot path of
-	// the streaming layer. Hand-built results leave it nil and fall back to
-	// the row walk.
+	// instead of a slice-header load per center. Hand-built results leave it
+	// nil and fall back to the row walk.
 	flat []float64
 }
 
@@ -536,10 +535,9 @@ func pickWeighted(d2 []float64, rowOf []int32, target float64) int {
 }
 
 // NearestCenter returns the index of the center closest to p. It performs
-// no allocations: the streaming layer calls it once per kernel event, so
-// its cost must stay at "K small dot products". Results produced by KMeans
-// take the flat-backing fast path; hand-built results fall back to walking
-// the center rows, with identical tie-breaking (lowest index wins).
+// no allocations. Results produced by KMeans take the flat-backing fast
+// path; hand-built results fall back to walking the center rows, with
+// identical tie-breaking (lowest index wins).
 func (r *KMeansResult) NearestCenter(p []float64) int {
 	if flat := r.flat; flat != nil {
 		dim := len(p)

@@ -306,8 +306,7 @@ func drawPoints(rng *stats.RNG, n, distinct, dim int) [][]float64 {
 // field. The cases cover what interning could get wrong: every duplicate
 // ratio from one row to all-distinct, rows equal up to the sign of zero,
 // k above the distinct count (each pass then repairs, several clusters at
-// once, and the run ends on a repair with rows split across centers), and
-// a Dataset grown by Append between fits.
+// once, and the run ends on a repair with rows split across centers).
 func TestKMeansMatchesPerPointReference(t *testing.T) {
 	rng := stats.NewRNG(20211018)
 	sizes := []int{1, 2, 3, 7, 40, 333, 1500, 5000}
@@ -327,26 +326,12 @@ func TestKMeansMatchesPerPointReference(t *testing.T) {
 		opts := KMeansOptions{Seed: rng.Uint64(), Workers: []int{1, 2, 8}[trial%3]}
 		name := fmt.Sprintf("trial %d (n=%d distinct=%d dim=%d k=%d workers=%d)", trial, n, distinct, dim, k, opts.Workers)
 
-		// Grow the Dataset in two steps with a fit between them, as the
-		// streaming layer does.
-		half := (n + 1) / 2
-		ds, err := NewDataset(pts[:half])
+		ds, err := NewDataset(pts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got, err := ds.KMeans(k, opts)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if d := firstDivergence(got, refKMeans(pts[:half], k, opts)); d != "" {
-			t.Fatalf("%s, first half: %s", name, d)
-		}
-		for _, p := range pts[half:] {
-			if err := ds.Append(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got, err = ds.KMeans(k, opts); err != nil {
 			t.Fatal(err)
 		}
 		want := refKMeans(pts, k, opts)

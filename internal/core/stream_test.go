@@ -3,21 +3,19 @@ package core
 import (
 	"bytes"
 	"reflect"
-	"runtime"
-	"strings"
 	"testing"
 
 	"pka/internal/obs"
 	"pka/internal/parallel"
-	"pka/internal/pks"
 	"pka/internal/sampling"
 	"pka/internal/stats"
 	"pka/internal/workload"
 )
 
 // sameEvaluation compares two evaluations field by field, skipping the
-// Workload pointer (the streamed run rebuilds its workload from events, so
-// the generator closures differ while every kernel they serve is equal).
+// Workload pointer (an event stream's run rebuilds its workload from the
+// events, so the generator closures differ while every kernel they serve is
+// equal).
 func sameEvaluation(t *testing.T, label string, got, want *Evaluation) {
 	t.Helper()
 	if got.Silicon != want.Silicon {
@@ -50,11 +48,30 @@ func pksAudit(o *obs.Observer) []obs.AuditRecord {
 	return recs
 }
 
+// shuffledEvents writes w as an event stream whose launches arrive shuffled
+// within consecutive blocks of the given size.
+func shuffledEvents(t *testing.T, w *workload.Workload, block int) *bytes.Buffer {
+	t.Helper()
+	var in bytes.Buffer
+	if err := workload.WriteEvents(&in, w); err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(in.Bytes(), []byte("\n"))
+	events := lines[1 : 1+w.N]
+	rng := stats.NewRNG(13)
+	for base := 0; base < w.N; base += block {
+		end := min(base+block, w.N)
+		for i := end - 1; i > base; i-- {
+			j := base + rng.Intn(i-base+1)
+			events[i], events[j] = events[j], events[i]
+		}
+	}
+	return bytes.NewBuffer(bytes.Join(lines, nil))
+}
+
 // TestStreamDeterminism pins the tentpole invariant: the streaming
-// pipeline's output is byte-identical to batch Evaluate at any
-// parallelism, across event arrival orders within the launch window, and
-// under forced speculative misprediction (advisory cluster revisions every
-// few events) — speculation and overlap are pure wall-clock effects.
+// pipeline's output is byte-identical to batch Evaluate at any parallelism
+// and across event arrival orders within the reorder window.
 func TestStreamDeterminism(t *testing.T) {
 	for _, name := range []string{"Rodinia/gauss_208", "Rodinia/hots_512"} {
 		w := workload.Find(name)
@@ -69,187 +86,122 @@ func TestStreamDeterminism(t *testing.T) {
 		}
 		wantAudit := pksAudit(batch.Obs)
 
-		arms := []struct {
+		for _, arm := range []struct {
 			label string
 			par   int
 			shuf  int
-			opts  pks.StreamOptions
 		}{
-			{"in-order/p=1", 1, 0, pks.StreamOptions{}},
-			{"in-order/p=4", 4, 0, pks.StreamOptions{}},
-			{"shuffled/p=4", 4, 16, pks.StreamOptions{Window: 32}},
-			{"misprediction/p=4", 4, 16, pks.StreamOptions{Window: 32, MinDetailed: 8, ResweepEvery: 8}},
-		}
-		for _, arm := range arms {
+			{"in-order/p=1", 1, 0},
+			{"in-order/p=4", 4, 0},
+			{"shuffled/p=4", 4, 16},
+		} {
 			c := cfg()
 			c.Parallelism = arm.par
 			c.Exec = sampling.NewExec(parallel.NewScheduler(arm.par), nil)
 			c.Obs = obs.NewObserver()
-			r, err := newStreamRunner(c, CompletePlan(), w.Suite, w.Name, w.N, arm.opts)
-			if err != nil {
-				t.Fatal(err)
+			var got *Evaluation
+			if arm.shuf > 0 {
+				got, err = RunEvents(c, CompletePlan(), workload.NewEventDecoder(shuffledEvents(t, w, arm.shuf)), nil)
+			} else {
+				got, err = RunStream(c, CompletePlan(), w)
 			}
-			order := make([]int, w.N)
-			for i := range order {
-				order[i] = i
-			}
-			if arm.shuf > 1 {
-				rng := stats.NewRNG(13)
-				for base := 0; base < w.N; base += arm.shuf {
-					end := base + arm.shuf
-					if end > w.N {
-						end = w.N
-					}
-					for i := end - 1; i > base; i-- {
-						j := base + rng.Intn(i-base+1)
-						order[i], order[j] = order[j], order[i]
-					}
-				}
-			}
-			for _, i := range order {
-				if err := r.Push(w.Kernel(i)); err != nil {
-					t.Fatalf("%s/%s: push %d: %v", name, arm.label, i, err)
-				}
-			}
-			res, err := r.Finish()
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, arm.label, err)
 			}
-			sameEvaluation(t, name+"/"+arm.label, res.Evaluation, want)
+			sameEvaluation(t, name+"/"+arm.label, got, want)
 			// One selection per study on either path, so the decision trail
-			// agrees record for record — the advisory half audits nothing.
+			// agrees record for record.
 			if got := pksAudit(c.Obs); !reflect.DeepEqual(got, wantAudit) {
 				t.Errorf("%s/%s: pks audit differs from batch:\ngot:  %+v\nwant: %+v", name, arm.label, got, wantAudit)
 			}
-			// hots_512 is a single-kernel app: the advisory clustering never
-			// warms up, so only the multi-kernel workload asserts revisions.
-			if arm.label == "misprediction/p=4" && w.N > 8 && res.Resweeps < 2 {
-				t.Errorf("%s: misprediction arm revised clusters only %d times", name, res.Resweeps)
-			}
 		}
 	}
 }
 
-// TestRunStreamSpeculationPaysOff checks the speculation scorecard: with a
-// warm-capable Exec, the final representatives' sampled tasks should have
-// been warmed before reconciliation (overlap fraction 1 on an in-order
-// stream of a small app), and the evaluation still matches batch.
-func TestRunStreamSpeculationPaysOff(t *testing.T) {
-	w := workload.Find("Rodinia/gauss_208")
-	c := cfg()
-	c.Exec = sampling.NewExec(parallel.NewScheduler(2), nil)
-	res, err := runStream(c, CompletePlan(), w, pks.StreamOptions{MinDetailed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Evaluate(cfg(), w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameEvaluation(t, "speculative", res.Evaluation, want)
-	if res.Spec.Launched == 0 {
-		t.Fatal("no speculation happened despite a warm-capable Exec")
-	}
-	// How much of the warm queue drains before reconciliation is a pure
-	// timing question (this box's profiler is analytic-fast), so the
-	// overlap fraction is only pinned to its range; what must hold is the
-	// accounting: some warms were for keys the fold consumed.
-	if res.Spec.OverlapFraction < 0 || res.Spec.OverlapFraction > 1 {
-		t.Errorf("overlap fraction %v outside [0,1]", res.Spec.OverlapFraction)
-	}
-	if hit := res.Spec.Launched - res.Spec.Demoted; hit == 0 {
-		t.Errorf("every one of %d warms was demoted; expected the full-sim and rep warms to match final keys", res.Spec.Launched)
-	}
-}
-
-// TestStreamWarmsFollowPlan: the plan decides what a stream warms — its
-// sampled passes' tasks (PKS before PKA) for likely representatives, and
-// every launch's full-simulation task only when it plans a full pass — and
-// the streamed evaluation is the plan's batch one.
+// TestStreamWarmsFollowPlan: the plan alone decides what an event stream
+// simulates — a stream warms nothing of its own, so under each plan
+// RunEvents resolves as many simulator tasks as the plan's batch Evaluate,
+// reports every event and the batch selection's detailed count to intake,
+// and returns the plan's batch evaluation.
 func TestStreamWarmsFollowPlan(t *testing.T) {
 	w := workload.Find("Rodinia/gauss_208")
-	c := cfg()
-	c.Exec = sampling.NewExec(parallel.NewScheduler(2), nil)
-	pksTask := sampling.SampledTask(c.KernelCapCycles, c.PKP, false)
-	pkaTask := sampling.SampledTask(c.KernelCapCycles, c.PKP, true)
-	pksOnly := []sampling.TaskMode{sampling.ModePKS}
-	for _, tc := range []struct {
-		label string
-		plan  Plan
-		tasks []sampling.KernelTask
-		full  bool
-	}{
-		{"pks", Plan{Passes: pksOnly}, []sampling.KernelTask{pksTask}, false},
-		{"pka", Plan{Passes: []sampling.TaskMode{sampling.ModePKA}}, []sampling.KernelTask{pkaTask}, false},
-		{"pks+silicon", Plan{Passes: pksOnly, Silicon: true}, []sampling.KernelTask{pksTask}, false},
-		{"complete", CompletePlan(), []sampling.KernelTask{pksTask, pkaTask}, true},
-	} {
-		r, err := NewStreamRunner(c, tc.plan, w.Suite, w.Name, w.N)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(r.tasks, tc.tasks) || r.warmFull != tc.full {
-			t.Errorf("%s: warms tasks %+v, full %v; want %+v, full %v", tc.label, r.tasks, r.warmFull, tc.tasks, tc.full)
-		}
-		for i := 0; i < w.N; i++ {
-			if err := r.Push(w.Kernel(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		res, err := r.Finish()
-		if err != nil {
-			t.Fatalf("%s: %v", tc.label, err)
-		}
-		want, err := tc.plan.Evaluate(cfg(), w, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameEvaluation(t, tc.label, res.Evaluation, want)
-		if res.Spec.Launched == 0 {
-			t.Errorf("%s: nothing warmed despite an Exec", tc.label)
-		}
-	}
-}
-
-// TestStreamFailureWaitsForWarms: a stream that fails after the advisory
-// warm-up has speculative simulations in flight, and every exit waits them
-// out — a broken event line in RunEvents, and Finish on a stream that ended
-// early.
-func TestStreamFailureWaitsForWarms(t *testing.T) {
-	w := workload.Find("Rodinia/srad_v1")
 	var events bytes.Buffer
 	if err := workload.WriteEvents(&events, w); err != nil {
 		t.Fatal(err)
 	}
-	c := cfg()
-	c.Exec = sampling.NewExec(parallel.NewScheduler(2), nil)
-	speculating := func(label string) {
-		t.Helper()
-		buf := make([]byte, 1<<20)
-		if dump := string(buf[:runtime.Stack(buf, true)]); strings.Contains(dump, "sampling.(*Speculator)") {
-			t.Errorf("%s: a speculative warm outlived the stream:\n%s", label, dump)
+	pksOnly := []sampling.TaskMode{sampling.ModePKS}
+	for _, tc := range []struct {
+		label string
+		plan  Plan
+	}{
+		{"pks", Plan{Passes: pksOnly}},
+		{"pka", Plan{Passes: []sampling.TaskMode{sampling.ModePKA}}},
+		{"pks+silicon", Plan{Passes: pksOnly, Silicon: true}},
+		{"complete", CompletePlan()},
+	} {
+		run := func(eval func(Config) (*Evaluation, error)) (*Evaluation, int64) {
+			t.Helper()
+			c := cfg()
+			c.Exec = sampling.NewExec(parallel.NewScheduler(2), nil)
+			m := obs.NewObserver().ExecMetrics()
+			c.Exec.SetMetrics(m)
+			ev, err := eval(c)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.label, err)
+			}
+			return ev, m.Tasks[sampling.TierSim].Value()
+		}
+		want, wantSim := run(func(c Config) (*Evaluation, error) { return tc.plan.Evaluate(c, w, nil) })
+		gotEvents, gotDetailed := -1, -1
+		got, gotSim := run(func(c Config) (*Evaluation, error) {
+			dec := workload.NewEventDecoder(bytes.NewReader(events.Bytes()))
+			return RunEvents(c, tc.plan, dec, func(events, detailed int) { gotEvents, gotDetailed = events, detailed })
+		})
+		if gotSim != wantSim {
+			t.Errorf("%s: the stream resolved %d simulator tasks, Evaluate %d", tc.label, gotSim, wantSim)
+		}
+		if gotEvents != w.N || gotDetailed != want.Selection.DetailedKernels {
+			t.Errorf("%s: intake saw %d events, %d detailed; want %d, %d", tc.label, gotEvents, gotDetailed, w.N, want.Selection.DetailedKernels)
+		}
+		sameEvaluation(t, tc.label, got, want)
+	}
+}
+
+// TestStreamSimulatesLikeEvaluate: a streamed study resolves exactly the
+// simulator tasks the plan's batch evaluation does — no warm a batch study
+// would not make, in particular no full-simulation task of a workload whose
+// full simulation is infeasible — and returns the same Evaluation.
+func TestStreamSimulatesLikeEvaluate(t *testing.T) {
+	pkaOnly := Plan{Passes: []sampling.TaskMode{sampling.ModePKA}}
+	for _, name := range []string{"Rodinia/gauss_208", "MLPerf/3dunet_inf"} {
+		w := workload.Find(name)
+		if w == nil {
+			t.Fatalf("workload %s not registered", name)
+		}
+		for _, tc := range []struct {
+			label string
+			plan  Plan
+		}{{"complete", CompletePlan()}, {"pka", pkaOnly}} {
+			run := func(eval func(Config) (*Evaluation, error)) (*Evaluation, int64) {
+				t.Helper()
+				c := cfg()
+				c.Exec = sampling.NewExec(parallel.NewScheduler(2), nil)
+				m := obs.NewObserver().ExecMetrics()
+				c.Exec.SetMetrics(m)
+				ev, err := eval(c)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", name, tc.label, err)
+				}
+				return ev, m.Tasks[sampling.TierSim].Value()
+			}
+			want, wantSim := run(func(c Config) (*Evaluation, error) { return tc.plan.Evaluate(c, w, nil) })
+			got, gotSim := run(func(c Config) (*Evaluation, error) { return RunStream(c, tc.plan, w) })
+			if gotSim != wantSim {
+				t.Errorf("%s/%s: the stream resolved %d simulator tasks, Evaluate %d", name, tc.label, gotSim, wantSim)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: streamed evaluation differs from Evaluate:\ngot:  %+v\nwant: %+v", name, tc.label, got, want)
+			}
 		}
 	}
-
-	// The header, 64 launches (past the 32-record warm-up), a broken event.
-	lines := bytes.SplitAfter(events.Bytes(), []byte("\n"))
-	broken := append(bytes.Join(lines[:1+64], nil), "{\"launch\":\n"...)
-	if _, err := RunEvents(c, CompletePlan(), workload.NewEventDecoder(bytes.NewReader(broken)), nil); err == nil {
-		t.Fatal("a broken event stream evaluated")
-	}
-	speculating("broken event")
-
-	r, err := NewStreamRunner(c, CompletePlan(), w.Suite, w.Name, w.N)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		if err := r.Push(w.Kernel(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := r.Finish(); err == nil {
-		t.Fatal("an incomplete stream finished")
-	}
-	speculating("early finish")
 }

@@ -477,17 +477,9 @@ func (o *Observer) DedupMetrics() *DedupMetrics {
 }
 
 // StreamMetrics is the streaming-PKS pipeline's metric family: how many
-// kernel events flowed through, how often the advisory clustering forced a
-// re-sweep, and how the speculation gamble paid off — hits are
-// representative simulations already warm at reconciliation, wasted
-// warp-instrs are work spent on reps a later cluster revision demoted.
+// kernel events flowed through it.
 type StreamMetrics struct {
-	Events          *Counter
-	Resweeps        *Counter
-	Speculated      *Counter
-	SpecHits        *Counter
-	SpecWastedInstr *Counter
-	OverlapFraction *Gauge
+	Events *Counter
 }
 
 // StreamMetrics lazily builds (and then reuses) the streaming bundle.
@@ -498,12 +490,7 @@ func (o *Observer) StreamMetrics() *StreamMetrics {
 	if o.stream == nil {
 		r := o.Metrics
 		o.stream = &StreamMetrics{
-			Events:          r.Counter("pka_stream_events_total", "kernel launch events consumed by the streaming pipeline"),
-			Resweeps:        r.Counter("pka_stream_resweeps_total", "advisory K re-sweeps triggered by estimate degradation"),
-			Speculated:      r.Counter("pka_stream_speculated_total", "speculative warms dispatched down the exec ladder"),
-			SpecHits:        r.Counter("pka_stream_spec_hits_total", "final representatives whose simulation was speculatively warmed"),
-			SpecWastedInstr: r.Counter("pka_stream_spec_wasted_warp_instrs_total", "warp instructions simulated for reps later demoted by a cluster revision"),
-			OverlapFraction: r.Gauge("pka_stream_overlap_fraction", "fraction of final representative work completed before reconciliation began"),
+			Events: r.Counter("pka_stream_events_total", "kernel launch events consumed by the streaming pipeline"),
 		}
 	}
 	return o.stream

@@ -13,10 +13,9 @@ import (
 )
 
 // This file is the one statement of the paper's clustering procedure.
-// Per-workload PKS, suite-level dedup and the streaming pipeline's advisory
-// warm-up all cluster through ClusterRecords; they differ only in the
-// records they hand in, the score that stops the sweep, and what they build
-// from the returned groups.
+// Per-workload PKS and suite-level dedup both cluster through
+// ClusterRecords; they differ only in the records they hand in, the score
+// that stops the sweep, and what they build from the returned groups.
 
 // Cluster is one non-empty cluster of a fitted clustering, expressed in
 // record indices (the caller's numbering, not sample positions).
@@ -56,23 +55,6 @@ type Clustering struct {
 	GroupOf []int
 	// SweepErrors is the score at each K tried (index 0 is K=1).
 	SweepErrors []float64
-
-	// Best and Data are the chosen fit and the dataset it was fitted on;
-	// the streaming pipeline keeps appending to Data and seeds its online
-	// learner from Best.
-	Best *cluster.KMeansResult
-	Data *cluster.Dataset
-
-	pca *linalg.PCA
-}
-
-// Project maps one Table-2 feature vector into the clustering's space.
-func (c *Clustering) Project(features []float64) ([]float64, error) {
-	row := ScaleFeatures(nil, features)
-	if c.pca == nil {
-		return row, nil
-	}
-	return c.pca.TransformRow(row)
 }
 
 // ClusterRecords clusters detailed records on their Table-2 vectors:
@@ -96,20 +78,19 @@ func ClusterRecords(recs []profiler.DetailedRecord, p ClusterParams, elect Elect
 	for r, idx := range sample {
 		copy(feat.Row(r), scaled.Row(int(vecOf[idx])))
 	}
-	out := &Clustering{}
 	points := make([][]float64, len(sample))
-	space := scaled // row v is what Project makes of vecs[v]
+	space := scaled // row v is vecs[v] in cluster space
 	if p.DisablePCA {
 		std := feat.Standardize()
 		for r := range points {
 			points[r] = std.Row(r)
 		}
 	} else {
-		var err error
-		if out.pca, err = linalg.FitPCA(feat, p.PCAVariance, 2); err != nil {
+		pca, err := linalg.FitPCA(feat, p.PCAVariance, 2)
+		if err != nil {
 			return nil, fmt.Errorf("PCA: %w", err)
 		}
-		if space, err = out.pca.Transform(scaled); err != nil {
+		if space, err = pca.Transform(scaled); err != nil {
 			return nil, err
 		}
 		for r, idx := range sample {
@@ -118,19 +99,24 @@ func ClusterRecords(recs []profiler.DetailedRecord, p ClusterParams, elect Elect
 	}
 	// One Dataset for the whole K-sweep: every fit after the first reuses
 	// the interned points and the Lloyd scratch buffers.
-	var err error
-	if out.Data, err = cluster.NewDataset(points); err != nil {
+	ds, err := cluster.NewDataset(points)
+	if err != nil {
 		return nil, fmt.Errorf("kmeans dataset: %w", err)
 	}
-	out.Best, out.Clusters, out.SweepErrors, err = sweepClusters(out.Data, points, sample, p, elect, score)
+	best, sweep, err := ds.Sweep(minInt(p.MaxK, ds.N()),
+		func(k int) uint64 { return p.Seed + uint64(k) },
+		func(k int, res *cluster.KMeansResult) (float64, bool) {
+			return score(k, electClusters(res, points, sample, elect))
+		})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("kmeans sweep: %w", err)
 	}
+	out := &Clustering{Clusters: electClusters(best, points, sample, elect), SweepErrors: sweep}
 	if len(out.Clusters) == 0 {
 		return nil, errors.New("clustering produced no groups")
 	}
 
-	groupOfCluster := make([]int, out.Best.K)
+	groupOfCluster := make([]int, best.K)
 	for g, cl := range out.Clusters {
 		groupOfCluster[cl.ID] = g
 	}
@@ -144,13 +130,13 @@ func ClusterRecords(recs []profiler.DetailedRecord, p ClusterParams, elect Elect
 	pos := 0
 	for i := range out.GroupOf {
 		if pos < len(sample) && sample[pos] == i {
-			out.GroupOf[i] = groupOfCluster[out.Best.Assignment[pos]]
+			out.GroupOf[i] = groupOfCluster[best.Assignment[pos]]
 			pos++
 			continue
 		}
 		v := vecOf[i]
 		if nearest[v] < 0 {
-			nearest[v] = groupOfCluster[out.Best.NearestCenter(space.Row(int(v)))]
+			nearest[v] = groupOfCluster[best.NearestCenter(space.Row(int(v)))]
 		}
 		out.GroupOf[i] = nearest[v]
 	}
@@ -178,27 +164,12 @@ func internFeatures(recs []profiler.DetailedRecord) (vecOf []int32, vecs [][]flo
 	return vecOf, vecs
 }
 
-// sweepClusters runs the K sweep over ds and returns the chosen fit, its
-// elected clusters and the per-K score trace. points and sample translate
-// dataset positions for elect and into record indices; both are nil when
-// positions already are record indices and elect is nil.
-func sweepClusters(ds *cluster.Dataset, points [][]float64, sample []int, p ClusterParams, elect ElectFunc, score ScoreFunc) (*cluster.KMeansResult, []Cluster, []float64, error) {
-	best, sweep, err := ds.Sweep(minInt(p.MaxK, ds.N()),
-		func(k int) uint64 { return p.Seed + uint64(k) },
-		func(k int, res *cluster.KMeansResult) (float64, bool) {
-			return score(k, electClusters(res, points, sample, elect))
-		})
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("kmeans sweep: %w", err)
-	}
-	return best, electClusters(best, points, sample, elect), sweep, nil
-}
-
 // electClusters lists res's non-empty clusters with one representative
 // each: elect's choice, or the first chronological member (the lowest
-// position, since samples are taken in record order). Members are bucketed
-// in one counting pass over the assignment, every cluster's slice a window
-// of one array.
+// position, since samples are taken in record order). elect sees dataset
+// positions, which index points; sample maps them to record indices. Members
+// are bucketed in one counting pass over the assignment, every cluster's
+// slice a window of one array.
 func electClusters(res *cluster.KMeansResult, points [][]float64, sample []int, elect ElectFunc) []Cluster {
 	end := make([]int, res.K) // where cluster c's window has been filled up to
 	for c := 1; c < res.K; c++ {
@@ -219,11 +190,9 @@ func electClusters(res *cluster.KMeansResult, points [][]float64, sample []int, 
 		if elect != nil {
 			rep = elect(points, res, c, members)
 		}
-		if sample != nil {
-			rep = sample[rep]
-			for i, m := range members {
-				members[i] = sample[m]
-			}
+		rep = sample[rep]
+		for i, m := range members {
+			members[i] = sample[m]
 		}
 		out = append(out, Cluster{ID: c, Rep: rep, Members: members})
 	}

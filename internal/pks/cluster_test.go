@@ -24,16 +24,16 @@ func refClusterRecords(recs []profiler.DetailedRecord, p ClusterParams, elect El
 	for r, idx := range sample {
 		ScaleFeatures(feat.Row(r), recs[idx].Features)
 	}
-	out := &Clustering{}
 	proj := feat
+	var pca *linalg.PCA
 	if p.DisablePCA {
 		proj = feat.Standardize()
 	} else {
 		var err error
-		if out.pca, err = linalg.FitPCA(feat, p.PCAVariance, 2); err != nil {
+		if pca, err = linalg.FitPCA(feat, p.PCAVariance, 2); err != nil {
 			return nil, err
 		}
-		if proj, err = out.pca.Transform(feat); err != nil {
+		if proj, err = pca.Transform(feat); err != nil {
 			return nil, err
 		}
 	}
@@ -63,15 +63,15 @@ func refClusterRecords(recs []profiler.DetailedRecord, p ClusterParams, elect El
 		}
 		return cs
 	}
-	out.Best, out.SweepErrors, err = ds.Sweep(minInt(p.MaxK, ds.N()),
+	best, sweep, err := ds.Sweep(minInt(p.MaxK, ds.N()),
 		func(k int) uint64 { return p.Seed + uint64(k) },
 		func(k int, res *cluster.KMeansResult) (float64, bool) { return score(k, clustersOf(res)) })
 	if err != nil {
 		return nil, err
 	}
-	out.Clusters = clustersOf(out.Best)
+	out := &Clustering{Clusters: clustersOf(best), SweepErrors: sweep}
 
-	groupOfCluster := make([]int, out.Best.K)
+	groupOfCluster := make([]int, best.K)
 	for g, cl := range out.Clusters {
 		groupOfCluster[cl.ID] = g
 	}
@@ -79,15 +79,18 @@ func refClusterRecords(recs []profiler.DetailedRecord, p ClusterParams, elect El
 	pos := 0
 	for i := range out.GroupOf {
 		if pos < len(sample) && sample[pos] == i {
-			out.GroupOf[i] = groupOfCluster[out.Best.Assignment[pos]]
+			out.GroupOf[i] = groupOfCluster[best.Assignment[pos]]
 			pos++
 			continue
 		}
-		pt, err := out.Project(recs[i].Features)
-		if err != nil {
-			return nil, err
+		pt := ScaleFeatures(nil, recs[i].Features)
+		if pca != nil {
+			var err error
+			if pt, err = pca.TransformRow(pt); err != nil {
+				return nil, err
+			}
 		}
-		out.GroupOf[i] = groupOfCluster[out.Best.NearestCenter(pt)]
+		out.GroupOf[i] = groupOfCluster[best.NearestCenter(pt)]
 	}
 	return out, nil
 }

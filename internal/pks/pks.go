@@ -471,7 +471,7 @@ func ScaleFeature(v float64, featureIdx int) float64 {
 // ScaleFeatures scales one full Table-2 feature row with ScaleFeature,
 // writing into dst when it already has the right length and allocating
 // otherwise. Every consumer that builds a cluster-space row — per-app
-// PKS, the streaming pipeline, suite-level dedup — goes through this one
+// PKS, suite-level dedup, the predictor — goes through this one
 // helper, so the feature spaces stay identical by construction.
 func ScaleFeatures(dst, src []float64) []float64 {
 	if len(dst) != len(src) {

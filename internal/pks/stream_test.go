@@ -6,7 +6,6 @@ import (
 
 	"pka/internal/gpu"
 	"pka/internal/stats"
-	"pka/internal/trace"
 	"pka/internal/workload"
 )
 
@@ -39,9 +38,9 @@ func pushAll(t *testing.T, s *Stream, w *workload.Workload, shuffle int, seed ui
 }
 
 // TestStreamMatchesSelect pins the reconciliation invariant at the
-// selection layer: whatever arrival order the stream saw and however often
-// the advisory clustering revised itself, Finalize returns a Selection
-// deeply equal to batch Select — including the two-level classifier path.
+// selection layer: whatever arrival order the stream saw within its
+// window, Finalize returns a Selection deeply equal to batch Select —
+// including the two-level classifier path.
 func TestStreamMatchesSelect(t *testing.T) {
 	dev := gpu.VoltaV100()
 	cases := []struct {
@@ -65,18 +64,12 @@ func TestStreamMatchesSelect(t *testing.T) {
 		arrivals := []struct {
 			name    string
 			shuffle int
-			so      StreamOptions
 		}{
-			{"in-order", 0, StreamOptions{Select: tc.opts}},
-			{"shuffled-window", 32, StreamOptions{Select: tc.opts, Window: 64}},
-			// A tight re-sweep cadence forces advisory revisions
-			// (speculative mispredictions) throughout the stream.
-			{"forced-revisions", 16, StreamOptions{Select: tc.opts, Window: 64, MinDetailed: 8, ResweepEvery: 16}},
+			{"in-order", 0},
+			{"shuffled-window", 32},
 		}
 		for _, a := range arrivals {
-			var speculated []int
-			a.so.Speculate = func(k trace.KernelDesc) { speculated = append(speculated, k.ID) }
-			s, err := NewStream(dev, w.Suite, w.Name, w.N, a.so)
+			s, err := NewStream(dev, w.Suite, w.Name, w.N, StreamOptions{Select: tc.opts})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,14 +82,6 @@ func TestStreamMatchesSelect(t *testing.T) {
 				t.Errorf("%s/%s: streamed selection differs from batch\ngot:  %+v\nwant: %+v",
 					tc.workload, a.name, got, want)
 			}
-			if a.name == "forced-revisions" {
-				if s.Resweeps() < 2 {
-					t.Errorf("%s: forced-revision arm re-swept only %d times", tc.workload, s.Resweeps())
-				}
-				if len(speculated) == 0 {
-					t.Errorf("%s: forced-revision arm never speculated", tc.workload)
-				}
-			}
 		}
 	}
 }
@@ -107,7 +92,7 @@ func TestStreamMatchesSelect(t *testing.T) {
 func TestStreamRejectsBadEvents(t *testing.T) {
 	dev := gpu.VoltaV100()
 	w := workload.Find("Rodinia/gauss_208")
-	s, err := NewStream(dev, w.Suite, w.Name, w.N, StreamOptions{Window: 4})
+	s, err := NewStream(dev, w.Suite, w.Name, w.N, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +109,11 @@ func TestStreamRejectsBadEvents(t *testing.T) {
 		t.Fatal("poisoned stream finalized")
 	}
 
-	s2, _ := NewStream(dev, w.Suite, w.Name, w.N, StreamOptions{Window: 4})
-	if err := s2.Push(w.Kernel(10)); err == nil {
+	// A stream long enough that the first launch past the window is in range.
+	s2, _ := NewStream(dev, w.Suite, w.Name, streamWindow+1, StreamOptions{})
+	k := w.Kernel(0)
+	k.ID = streamWindow
+	if err := s2.Push(k); err == nil {
 		t.Fatal("event beyond reorder window accepted")
 	}
 	s3, _ := NewStream(dev, w.Suite, w.Name, w.N, StreamOptions{})

@@ -116,53 +116,6 @@ func TestBankRidersMatchSoloTasks(t *testing.T) {
 	}
 }
 
-// TestSpeculateWarmsEveryTaskOfAKernel: one Speculate call lands every
-// configured task's outcome under its own key, equal to the task run alone,
-// and scores each key on its own.
-func TestSpeculateWarmsEveryTaskOfAKernel(t *testing.T) {
-	dev := gpu.VoltaV100()
-	k := workload.Find("Rodinia/bfs65536").Kernel(8)
-	tasks := []KernelTask{SampledTask(0, pkp.Options{}, false), SampledTask(0, pkp.Options{}, true)}
-	store, err := artifact.Open(t.TempDir(), artifact.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	e := NewExec(nil, store)
-	spec := NewSpeculator(e, dev, tasks, 2)
-	spec.Speculate(k)
-	spec.Speculate(k, tasks[1]) // already dispatched with the kernel's list
-	spec.Wait()
-	spec.Seal()
-
-	final := map[string]bool{}
-	for _, task := range tasks {
-		key := TaskKey(dev, &k, task)
-		final[key] = true
-		raw, ok := store.Get(key)
-		if !ok {
-			t.Fatalf("mode %d: nothing stored under the task's key", task.Mode)
-		}
-		got, err := DecodeOutcome(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := (*Exec)(nil).RunKernelTask(dev, &k, task)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("mode %d: speculated %+v, alone %+v", task.Mode, got, want)
-		}
-	}
-	if st := spec.Resolve(final); st.Launched != 2 || st.Hits != 2 || st.Demoted != 0 {
-		t.Errorf("scorecard %+v, want two launched, two hits", st)
-	}
-	if st := store.Stats(); st.Writes != 2 {
-		t.Errorf("%d writes for two speculated tasks", st.Writes)
-	}
-}
-
 // TestSimPoolKeepsDevicesApart: pooled simulators are handed back only for
 // the device they were built for, and a second device does not evict the
 // first's.

@@ -76,9 +76,9 @@ type KernelTask struct {
 
 // SampledTask is the task spec a sampled run issues for each representative:
 // PKS mode, or PKA mode when usePKP is set, under the cycle cap (zero applies
-// sim.DefaultMaxCycles). The fold, the streaming pipeline's speculative
-// warms and the predictor's training scan all take it from here, because
-// content keys only match when the specs agree byte for byte.
+// sim.DefaultMaxCycles). The fold and the predictor's training scan both
+// take it from here, because content keys only match when the specs agree
+// byte for byte.
 func SampledTask(capCycles int64, o pkp.Options, usePKP bool) KernelTask {
 	if capCycles <= 0 {
 		capCycles = sim.DefaultMaxCycles

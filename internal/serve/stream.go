@@ -16,30 +16,19 @@ import (
 
 // The streaming endpoint is the serving tier's face of streaming PKS: the
 // client POSTs a study request line followed by a kernel-event stream, and
-// the server profiles, clusters, and speculatively simulates while the
-// events are still arriving on the wire. The response is NDJSON —
-// StreamLine progress while events are consumed, then one final line that
-// is byte-identical to what StudyPath returns for the same workload and
-// parameters, because the streamed selection is byte-identical to batch
-// pks.Select and the fold reads the same content-keyed ladder.
+// the server profiles the events as they arrive on the wire. The response
+// is NDJSON — one StreamLine of progress once the events are consumed, then
+// one final line that is byte-identical to what StudyPath returns for the
+// same workload and parameters, because the streamed selection is
+// byte-identical to batch pks.Select and the same plan evaluates it.
 
-// StreamProgress is the payload of one progress line: how far the intake
-// has gotten and, on the final progress line, the speculation scorecard.
+// StreamProgress is the payload of the progress line: how far the intake
+// got.
 type StreamProgress struct {
-	// Events is the number of launch events consumed so far.
+	// Events is the number of launch events consumed.
 	Events int `json:"events"`
-	// Detailed is the number of kernels profiled in detail so far.
+	// Detailed is the number of kernels profiled in detail.
 	Detailed int `json:"detailed"`
-	// Resweeps counts advisory cluster revisions so far.
-	Resweeps int `json:"resweeps"`
-	// Speculated, Hits, Demoted, and WastedWarpInstrs appear on the final
-	// progress line: warms dispatched, final keys warmed before the
-	// reconciliation cutoff, warms the final selection discarded, and the
-	// simulation work those discards burned.
-	Speculated       int   `json:"speculated,omitempty"`
-	Hits             int   `json:"hits,omitempty"`
-	Demoted          int   `json:"demoted,omitempty"`
-	WastedWarpInstrs int64 `json:"wasted_warp_instrs,omitempty"`
 }
 
 // StreamLine is one non-final NDJSON line of a StreamPath response.
@@ -183,10 +172,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	_ = enc.Encode(resp)
 }
 
-// runStream drives one streaming study: core's streaming runner, under the
-// config and plan /v1/study builds for the same request, profiles and
-// clusters the events as they arrive and warms likely representatives
-// through the Exec ladder; the finished evaluation maps to the response
+// runStream drives one streaming study: core's streaming pipeline, under
+// the config and plan /v1/study builds for the same request, profiles the
+// events as they arrive; the finished evaluation maps to the response
 // /v1/study would return.
 func (s *Server) runStream(req *StudyRequest, body io.Reader, progress func(*StreamProgress)) (*StudyResponse, error) {
 	dec := workload.NewEventDecoder(body)
@@ -197,20 +185,12 @@ func (s *Server) runStream(req *StudyRequest, body io.Reader, progress func(*Str
 	st := newStudy(s.exec, s.o, req, h.Suite+"/"+h.Name)
 	// Progress waits for the intake to end: for HTTP/1.x, writing any
 	// response byte may stop further reads of the request body, so nothing
-	// goes on the wire until the event stream is fully consumed. The lines
-	// then flush before the reconciliation fold — which is where the
-	// wall-clock goes — so the client still sees the intake history well
-	// ahead of the final response.
-	res, err := core.RunEvents(st.cfg, st.plan, dec, func(revs []core.Revision) {
-		for _, rv := range revs {
-			progress(&StreamProgress{Events: rv.Events, Detailed: rv.Detailed, Resweeps: rv.Resweeps})
-		}
+	// goes on the wire until the event stream is fully consumed. The line
+	// then flushes before the plan's passes — which is where the wall-clock
+	// goes — so the client learns the intake is done well ahead of the final
+	// response.
+	ev, err := core.RunEvents(st.cfg, st.plan, dec, func(events, detailed int) {
+		progress(&StreamProgress{Events: events, Detailed: detailed})
 	})
-	if err != nil {
-		return st.respond(nil, err)
-	}
-	sc := res.Spec
-	progress(&StreamProgress{Events: res.Workload.N, Detailed: res.Selection.DetailedKernels, Resweeps: res.Resweeps,
-		Speculated: sc.Launched, Hits: sc.Hits, Demoted: sc.Demoted, WastedWarpInstrs: sc.WastedWarpInstrs})
-	return st.respond(res.Evaluation, nil)
+	return st.respond(ev, err)
 }

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -36,8 +35,8 @@ func streamBody(t *testing.T, reqLine string, wname string) *bytes.Buffer {
 
 // TestStreamEndpointMatchesStudy pins the progressive endpoint's core
 // promise: the final NDJSON line is byte-identical to the StudyPath
-// response for the same workload and parameters, with at least one
-// progress line ahead of it.
+// response for the same workload and parameters, with one progress line
+// ahead of it that accounts for the whole intake.
 func TestStreamEndpointMatchesStudy(t *testing.T) {
 	srv := serve.New(serve.Options{
 		Exec: sampling.NewExec(parallel.NewScheduler(2), nil),
@@ -76,26 +75,18 @@ func TestStreamEndpointMatchesStudy(t *testing.T) {
 			t.Fatal(err)
 		}
 		lines := bytes.Split(bytes.TrimRight(body, "\n"), []byte("\n"))
-		if len(lines) < 2 {
-			t.Fatalf("expected progress lines before the response, got %d line(s): %s", len(lines), body)
+		if len(lines) != 2 {
+			t.Fatalf("expected one progress line before the response, got %d line(s): %s", len(lines), body)
 		}
-		var sawSpec bool
-		for _, ln := range lines[:len(lines)-1] {
-			var pl serve.StreamLine
-			if err := json.Unmarshal(ln, &pl); err != nil || pl.Progress == nil {
-				t.Fatalf("non-progress line before the final response: %s (err %v)", ln, err)
-			}
-			if pl.Error != "" {
-				t.Fatalf("stream errored: %s", pl.Error)
-			}
-			if pl.Progress.Speculated > 0 {
-				sawSpec = true
-			}
+		var pl serve.StreamLine
+		if err := json.Unmarshal(lines[0], &pl); err != nil || pl.Progress == nil {
+			t.Fatalf("non-progress line before the final response: %s (err %v)", lines[0], err)
 		}
-		if !sawSpec {
-			t.Errorf("%s: final progress line reports no speculative warms despite an Exec", mode)
+		// gauss_208 fits the detailed-profiling budget whole.
+		if n := workload.Find("Rodinia/gauss_208").N; *pl.Progress != (serve.StreamProgress{Events: n, Detailed: n}) {
+			t.Errorf("%s: progress %+v, want %d events all detailed", mode, *pl.Progress, n)
 		}
-		got := append(lines[len(lines)-1], '\n')
+		got := append(lines[1], '\n')
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: final stream line differs from the study response:\ngot:  %s\nwant: %s", mode, got, want)
 		}
@@ -163,36 +154,15 @@ func TestStreamEndpointRejects(t *testing.T) {
 	if err := json.Unmarshal(bytes.TrimSpace(body), &pl); err != nil || !strings.Contains(pl.Error, "missing") {
 		t.Errorf("truncated stream: expected a missing-launches error, got %s", body)
 	}
-}
 
-// TestStreamFailureWaitsForWarms: a stream that breaks after the advisory
-// warm-up has speculative simulations in flight, and none of them outlives
-// the stream — by the time its in-band error line is out, its slot is
-// released and every warm is done, so a client breaking streams cannot
-// drive background simulation past the stream width cap.
-func TestStreamFailureWaitsForWarms(t *testing.T) {
-	srv := serve.New(serve.Options{Exec: sampling.NewExec(parallel.NewScheduler(2), nil)})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	// The request line, the header, 64 launches (past the 32-record
-	// warm-up), then a broken event.
-	lines := bytes.SplitAfter(streamBody(t, "{}", "Rodinia/srad_v1").Bytes(), []byte("\n"))
-	body := append(bytes.Join(lines[:2+64], nil), "{\"launch\":\n"...)
-	resp, err := http.Post(ts.URL+serve.StreamPath, "application/x-ndjson", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, _ := io.ReadAll(resp.Body)
+	// So must one whose events break off mid-line.
+	broken := append(bytes.Join(lines[:3], []byte("\n")), "\n{\"launch\":\n"...)
+	resp = post(bytes.NewReader(broken))
+	body, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
-	var pl serve.StreamLine
-	if err := json.Unmarshal(bytes.TrimSpace(out), &pl); err != nil || pl.Error == "" {
-		t.Fatalf("expected one in-band error line, got %s", out)
-	}
-	buf := make([]byte, 1<<20)
-	dump := string(buf[:runtime.Stack(buf, true)])
-	if n := strings.Count(dump, "sampling.(*Speculator)"); n > 0 {
-		t.Errorf("%d speculator frame(s) alive after the error line:\n%s", n, dump)
+	pl = serve.StreamLine{}
+	if err := json.Unmarshal(bytes.TrimSpace(body), &pl); err != nil || !strings.Contains(pl.Error, "event line") {
+		t.Errorf("broken event: expected an event-line error, got %s", body)
 	}
 }
 
