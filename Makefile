@@ -22,8 +22,9 @@ test:
 # internal/serve (the serving tier: concurrent admission, weighted-fair
 # queue, fault injection), internal/cluster (the chunked assignment step
 # and its worker-invariance test), internal/artifact (the store's lock and
-# views), internal/predict (the tier's atomics) and internal/dedup are fast
-# enough to race in full (the last three ≈ 1, 1 and 3.5 s of test time
+# views), internal/predict (the tier's atomics), internal/dedup and
+# internal/classify (the ensemble fits its members concurrently) are fast
+# enough to race in full (the last four ≈ 1, 1, 3.5 and 4 s of test time
 # under -race on the 2-core box); the
 # experiments and workload suites run with -short so the concurrency
 # regression tests (singleflight, 64-goroutine stress, fuzz seed corpus)
@@ -39,13 +40,16 @@ test:
 # walk count over every plan (WalksOnce) and two studies of one catalogue
 # workload at once (ShareOneWorkload) — sampling run whole
 # takes ≈ 100 s under -race and core whole ≈ 61 s, over the 60 s a whole
-# package may cost here, so both stay pattern-selected.
+# package may cost here, so both stay pattern-selected. pks also races its
+# two-level tests (the holdout probe fits beside the tail's ensemble and the
+# light pass; ≈ 11 s), with -short so the 45 s gnmt_training walk stays out.
 # `make test` covers the heavy paths (including the parallel-vs-serial
 # determinism golden) natively.
 race:
 	$(GO) test -race ./internal/parallel/... ./internal/obs/... ./internal/serve/... ./internal/cluster/... \
-	    ./internal/artifact/... ./internal/predict/... ./internal/dedup/...
+	    ./internal/artifact/... ./internal/predict/... ./internal/dedup/... ./internal/classify/...
 	$(GO) test -race -short ./internal/experiments/... ./internal/workload/...
+	$(GO) test -race -short -run 'TwoLevel|MaxDetailed|Tail' ./internal/pks/...
 	$(GO) test -race -run 'Stream|SelectWarm|Misfit|Riders|Bank|Pack|Scan|WalksOnce|ShareOneWorkload' ./internal/core/... ./internal/pks/... ./internal/sampling/...
 
 # Five seconds of coverage-guided fuzzing per decoder of untrusted or

@@ -9,8 +9,7 @@ package classify
 import (
 	"errors"
 	"math"
-
-	"pka/internal/stats"
+	"sync"
 )
 
 // Classifier is a multiclass model over dense feature vectors.
@@ -81,13 +80,30 @@ func NewEnsemble(seed uint64) *Ensemble {
 // Name implements Classifier.
 func (e *Ensemble) Name() string { return "ensemble(sgd,gnb,mlp)" }
 
-// Fit trains every member on the same data.
+// Fit trains every member on the same data, each on its own goroutine. A
+// member owns its RNG, scaler and scaled copy and only reads X and y, so
+// each fit is bit-identical to fitting it alone. All are joined; the first
+// error (or panic, re-raised here) in member order wins.
 func (e *Ensemble) Fit(X [][]float64, y []int, numClasses int) error {
 	if len(e.Members) == 0 {
 		return errors.New("classify: ensemble has no members")
 	}
-	for _, m := range e.Members {
-		if err := m.Fit(X, y, numClasses); err != nil {
+	errs := make([]error, len(e.Members))
+	panics := make([]any, len(e.Members))
+	var wg sync.WaitGroup
+	for i, m := range e.Members {
+		wg.Add(1)
+		go func() {
+			defer func() { panics[i] = recover(); wg.Done() }()
+			errs[i] = m.Fit(X, y, numClasses)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if panics[i] != nil {
+			panic(panics[i])
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -130,6 +146,3 @@ func Accuracy(m Classifier, X [][]float64, y []int) float64 {
 	}
 	return float64(correct) / float64(len(X))
 }
-
-// shuffledIndices returns a deterministic permutation for epoch shuffling.
-func shuffledIndices(n int, rng *stats.RNG) []int { return rng.Perm(n) }

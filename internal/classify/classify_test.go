@@ -1,6 +1,8 @@
 package classify
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"pka/internal/stats"
@@ -158,6 +160,123 @@ type fixed int
 func (f fixed) Fit([][]float64, []int, int) error { return nil }
 func (f fixed) Predict([]float64) int             { return int(f) }
 func (f fixed) Name() string                      { return "fixed" }
+
+// sameBits reports whether two matrices are equal float bit for float bit.
+func sameBits(a, b [][]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if math.Float64bits(a[i][j]) != math.Float64bits(b[i][j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestEnsembleFitMatchesSerialMembers: the ensemble's concurrent fit leaves
+// every member exactly as fitting it alone does — the SGD and MLP weights
+// and the Naive Bayes means, variances and priors to the float bit, and the
+// same Predict on every training row.
+func TestEnsembleFitMatchesSerialMembers(t *testing.T) {
+	for _, seed := range []uint64{0, 7} {
+		X, y := gaussianDataset(80, seed+1)
+		e := NewEnsemble(seed)
+		if err := e.Fit(X, y, 3); err != nil {
+			t.Fatal(err)
+		}
+		sgd, gnb, mlp := NewSGD(seed), NewGaussianNB(), NewMLP(seed+1)
+		for _, m := range []Classifier{sgd, gnb, mlp} {
+			if err := m.Fit(X, y, 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		es, eg, em := e.Members[0].(*SGD), e.Members[1].(*GaussianNB), e.Members[2].(*MLP)
+		for what, pair := range map[string][2][][]float64{
+			"sgd weights":   {es.weights, sgd.weights},
+			"sgd scaler":    {{es.scaler.Mean, es.scaler.Scale}, {sgd.scaler.Mean, sgd.scaler.Scale}},
+			"gnb means":     {eg.means, gnb.means},
+			"gnb variances": {eg.variances, gnb.variances},
+			"gnb priors":    {{eg.priors}, {gnb.priors}},
+			"mlp w1":        {em.w1, mlp.w1},
+			"mlp w2":        {em.w2, mlp.w2},
+			"mlp biases":    {{em.b1, em.b2}, {mlp.b1, mlp.b2}},
+			"mlp scaler":    {{em.scaler.Mean, em.scaler.Scale}, {mlp.scaler.Mean, mlp.scaler.Scale}},
+		} {
+			if !sameBits(pair[0], pair[1]) {
+				t.Errorf("seed %d: %s differ from the member fitted alone", seed, what)
+			}
+		}
+		alone := &Ensemble{Members: []Classifier{sgd, gnb, mlp}}
+		for i, x := range X {
+			if got, want := e.Predict(x), alone.Predict(x); got != want {
+				t.Fatalf("seed %d, row %d: Predict = %d, members fitted alone vote %d", seed, i, got, want)
+			}
+			for m := range e.Members {
+				if got, want := e.Members[m].Predict(x), alone.Members[m].Predict(x); got != want {
+					t.Fatalf("seed %d, row %d: %s Predict = %d, fitted alone %d", seed, i, e.Members[m].Name(), got, want)
+				}
+			}
+		}
+	}
+}
+
+// stubFit is an ensemble member whose Fit waits for wait (when non-nil),
+// closes done (when non-nil), then fails with err or panics with boom.
+type stubFit struct {
+	fixed
+	err        error
+	boom       any
+	wait, done chan struct{}
+}
+
+func (s stubFit) Fit([][]float64, []int, int) error {
+	if s.wait != nil {
+		<-s.wait
+	}
+	if s.done != nil {
+		defer close(s.done)
+	}
+	if s.boom != nil {
+		panic(s.boom)
+	}
+	return s.err
+}
+
+// TestEnsembleFitErrorInMemberOrder: whichever member's goroutine finishes
+// first, Fit returns the error of the first failing member in member order,
+// and re-raises a member's panic on the caller's goroutine.
+func TestEnsembleFitErrorInMemberOrder(t *testing.T) {
+	X, y := [][]float64{{1}}, []int{0}
+	first, second := errors.New("first member"), errors.New("second member")
+	// The second member fails and returns before the first one starts.
+	secondDone := make(chan struct{})
+	e := &Ensemble{Members: []Classifier{
+		fixed(0),
+		stubFit{err: first, wait: secondDone},
+		stubFit{err: second, done: secondDone},
+	}}
+	if err := e.Fit(X, y, 1); err != first {
+		t.Errorf("Fit = %v, want the first failing member's %v", err, first)
+	}
+
+	// A panic ahead of an error is re-raised; an error ahead of a panic wins.
+	panicked := func(e *Ensemble) (v any, err error) {
+		defer func() { v = recover() }()
+		return nil, e.Fit(X, y, 1)
+	}
+	if v, _ := panicked(&Ensemble{Members: []Classifier{stubFit{boom: "fit bug"}, stubFit{err: second}}}); v != "fit bug" {
+		t.Errorf("recovered %v, want the member's panic", v)
+	}
+	if v, err := panicked(&Ensemble{Members: []Classifier{stubFit{err: first}, stubFit{boom: "fit bug"}}}); v != nil || err != first {
+		t.Errorf("recovered %v, err %v; want no panic and %v", v, err, first)
+	}
+}
 
 func TestAccuracyEmpty(t *testing.T) {
 	if got := Accuracy(fixed(0), nil, nil); got != 0 {

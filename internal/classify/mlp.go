@@ -63,10 +63,12 @@ func (m *MLP) Fit(X [][]float64, y []int, numClasses int) error {
 	hidden := make([]float64, m.Hidden)
 	probs := make([]float64, numClasses)
 	dHidden := make([]float64, m.Hidden)
+	order := make([]int, len(scaled))
 
 	for epoch := 0; epoch < m.Epochs; epoch++ {
 		lr := m.LearningRate / (1 + 0.02*float64(epoch))
-		for _, i := range shuffledIndices(len(scaled), rng) {
+		rng.PermInto(order)
+		for _, i := range order {
 			x := scaled[i]
 			m.forward(x, hidden, probs)
 

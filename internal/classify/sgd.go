@@ -48,9 +48,11 @@ func (s *SGD) Fit(X [][]float64, y []int, numClasses int) error {
 
 	rng := stats.NewRNG(s.seed ^ 0x5D6D)
 	probs := make([]float64, numClasses)
+	order := make([]int, len(scaled))
 	for epoch := 0; epoch < s.Epochs; epoch++ {
 		lr := s.LearningRate / (1 + 0.05*float64(epoch))
-		for _, i := range shuffledIndices(len(scaled), rng) {
+		rng.PermInto(order)
+		for _, i := range order {
 			x := scaled[i]
 			s.softmax(x, probs)
 			for c := 0; c < numClasses; c++ {

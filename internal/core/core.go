@@ -49,9 +49,10 @@ type Config struct {
 	// generators in internal/experiments run concurrently. Evaluate does
 	// not read it: one evaluation's stages run in order on the calling
 	// goroutine, and its kernel tasks fan out at Exec's scheduler width.
-	// Zero means GOMAXPROCS; 1 forces serial execution. Results are
-	// identical at every setting: each unit of work is self-contained and
-	// deterministic, parallelism only changes wall-clock time.
+	// Zero means GOMAXPROCS; 1 runs them one at a time. Selection's K-Means
+	// assignment and classifier fits use GOMAXPROCS whatever it is. Results
+	// are identical at every setting: each unit of work is self-contained
+	// and deterministic, parallelism only changes wall-clock time.
 	Parallelism int
 	// Obs, when non-nil, receives pipeline telemetry: a span per
 	// pipeline phase, a span and counter batch per simulated kernel, and

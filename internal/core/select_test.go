@@ -31,7 +31,7 @@ func selectionKey(dev gpu.Device, w *workload.Workload, opts pks.Options) string
 }
 
 // TestSelectionGolden pins what a primed store holds: the content key and
-// the payload bytes of three selections. A change to selection arithmetic
+// the payload bytes of five selections, two of them two-level. A change to selection arithmetic
 // (profiler, linalg, cluster, classify, pks) moves a payload hash; when one
 // is re-recorded the schema salt (sampling's selectionSchema, in every key
 // below) must be bumped with it, or old stores keep serving the old selection
@@ -49,6 +49,13 @@ func TestSelectionGolden(t *testing.T) {
 			"9d3002b5fce9e8f055b799d2f24815ef9a725b5bff50f8da410bdaddceccf797", 0x22799b3d18c0ba79},
 		{"Rodinia/lud_i", pks.Options{MaxDetailed: 40},
 			"d032ddf8adad444b335ab30b7e50634327719bd2eb65c399f41bc09b358456ed", 0x8098f1bbe9a18077},
+		// Two-level (K = 13 and K = 2): the payload carries ClassifierAccuracy
+		// and every group's MappedCount, so these two pin the tail ensemble
+		// and its holdout probe.
+		{"MLPerf/3dunet_inf", pks.Options{MaxDetailed: 1000},
+			"c78b3e7b047bc93600d1705335c274fc40aa9ad6dd516d5b250dae00a193a3a0", 0xba8acc24066af408},
+		{"Polybench/fdtd2d", pks.Options{MaxDetailed: 1000},
+			"2eb780d66e3db8fb1f8e0dd27297c07cbf1c766ba565c84243d671e684e7db66", 0x88bb4b5e29961e46},
 	} {
 		w := mustFind(t, c.name)
 		dev := gpu.VoltaV100()

@@ -231,6 +231,16 @@ type TailClassifier struct {
 // massively redundant (the same layer kernels repeat thousands of times),
 // so the training set is capped by strided sampling.
 func TrainTailClassifier(recs []profiler.DetailedRecord, sharedMem, groupOf []int, numClasses int, seed uint64) (*TailClassifier, error) {
+	t := newTailClassifier(recs, sharedMem, groupOf, numClasses, seed)
+	if err := t.fit(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// newTailClassifier builds the training set, unfitted: HoldoutAccuracy only
+// reads it, so a selection can start its probe before fit.
+func newTailClassifier(recs []profiler.DetailedRecord, sharedMem, groupOf []int, numClasses int, seed uint64) *TailClassifier {
 	const classifierTrainMax = 20000
 	idx := SampleIndices(len(recs), classifierTrainMax)
 	t := &TailClassifier{x: make([][]float64, len(idx)), y: make([]int, len(idx)), classes: numClasses, seed: seed}
@@ -238,14 +248,19 @@ func TrainTailClassifier(recs []profiler.DetailedRecord, sharedMem, groupOf []in
 		t.x[i] = profiler.FeaturesOfDetailed(recs[r], sharedMem[r])
 		t.y[i] = groupOf[r]
 	}
-	if numClasses > 1 {
-		t.ens = classify.NewEnsemble(seed)
+	return t
+}
+
+// fit trains the ensemble Group votes with; a single group needs none.
+func (t *TailClassifier) fit() error {
+	if t.classes > 1 {
+		t.ens = classify.NewEnsemble(t.seed)
 		t.votes = map[profiler.LightRecord]int{}
-		if err := t.ens.Fit(t.x, t.y, numClasses); err != nil {
-			return nil, fmt.Errorf("classifier training: %w", err)
+		if err := t.ens.Fit(t.x, t.y, t.classes); err != nil {
+			return fmt.Errorf("classifier training: %w", err)
 		}
 	}
-	return t, nil
+	return nil
 }
 
 // Group returns the group a lightly-profiled kernel maps onto.

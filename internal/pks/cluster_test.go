@@ -1,8 +1,10 @@
 package pks
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"pka/internal/classify"
@@ -205,5 +207,40 @@ func TestTailGroupMatchesFreshPredict(t *testing.T) {
 	}
 	if n := w.N - maxDetailed; len(tail.votes) == 0 || len(tail.votes) > n/10 {
 		t.Errorf("%d memo entries for %d light records", len(tail.votes), n)
+	}
+}
+
+// TestTailLightErrorJoinsProbe: a light source that fails at the first tail
+// kernel fails the selection with its error, and the holdout probe started
+// beside the tail's fit has been joined by the time finishSelection returns —
+// its accuracy is already written over the default 1 (3dunet_inf's probe
+// scores below that; make race would flag a late write), and the goroutine
+// count settles back.
+func TestTailLightErrorJoinsProbe(t *testing.T) {
+	const maxDetailed = 1000
+	dev := gpu.VoltaV100()
+	detailed, w := detailedRecords(t, "MLPerf/3dunet_inf", maxDetailed)
+	sharedMem := make([]int, len(detailed))
+	for i := range sharedMem {
+		k := w.Kernel(i)
+		sharedMem[i] = k.SharedMemPerBlock
+	}
+
+	before := runtime.NumGoroutine()
+	down := errors.New("light source down")
+	var calls []int
+	sel := &Selection{Workload: w.FullName(), Device: dev.Name, TotalKernels: w.N}
+	_, err := finishSelection(sel, detailed, sharedMem, Options{}.filled(), func(i int) (profiler.LightRecord, float64, error) {
+		calls = append(calls, i)
+		return profiler.LightRecord{}, 0, down
+	})
+	if !errors.Is(err, down) || !reflect.DeepEqual(calls, []int{maxDetailed}) {
+		t.Fatalf("err %v after light calls %v, want %v after one call for kernel %d", err, calls, down, maxDetailed)
+	}
+	if acc := sel.ClassifierAccuracy; acc <= 0 || acc >= 1 {
+		t.Errorf("accuracy on return %v, want the probe's score in (0, 1)", acc)
+	}
+	if n, dump := settledGoroutines(before); n > before {
+		t.Errorf("%d goroutine(s) before the selection, %d after:\n%s", before, n, dump)
 	}
 }

@@ -359,16 +359,36 @@ func (o Options) elector() ElectFunc {
 // the classifier ensemble on the detailed prefix, then pull the remaining
 // kernels' light profiles from the source and map each onto a group. It
 // also extends the ground-truth cycle total over the full app.
-func mapLightKernels(sel *Selection, detailed []profiler.DetailedRecord, sharedMem []int, assignment []int, o Options, light lightSource) error {
-	tail, err := TrainTailClassifier(detailed, sharedMem, assignment, len(sel.Groups), o.Seed)
-	if err != nil {
-		return fmt.Errorf("pks: %w", err)
-	}
+//
+// The holdout probe fits its own ensemble on its own goroutine, beside the
+// tail's fit and the light pass, and is joined before any return (a panic
+// in it is re-raised here); its error is returned if nothing failed first.
+func mapLightKernels(sel *Selection, detailed []profiler.DetailedRecord, sharedMem []int, assignment []int, o Options, light lightSource) (err error) {
+	tail := newTailClassifier(detailed, sharedMem, assignment, len(sel.Groups), o.Seed)
 	sel.ClassifierAccuracy = 1
 	if len(detailed) >= 10 && len(sel.Groups) > 1 {
-		if sel.ClassifierAccuracy, err = tail.HoldoutAccuracy(); err != nil {
-			return fmt.Errorf("pks: %w", err)
-		}
+		var accuracy float64
+		var probeErr error
+		var probePanic any
+		probed := make(chan struct{})
+		go func() {
+			defer close(probed)
+			defer func() { probePanic = recover() }()
+			accuracy, probeErr = tail.HoldoutAccuracy()
+		}()
+		defer func() {
+			<-probed
+			if probePanic != nil {
+				panic(probePanic)
+			}
+			sel.ClassifierAccuracy = accuracy
+			if err == nil && probeErr != nil {
+				err = fmt.Errorf("pks: %w", probeErr)
+			}
+		}()
+	}
+	if err := tail.fit(); err != nil {
+		return fmt.Errorf("pks: %w", err)
 	}
 
 	for i := sel.DetailedKernels; i < sel.TotalKernels; i++ {

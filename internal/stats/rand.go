@@ -59,14 +59,21 @@ func (r *RNG) ExpFloat64() float64 {
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
+	r.PermInto(p)
 	return p
+}
+
+// PermInto overwrites dst with the permutation Perm(len(dst)) would return,
+// drawing the same values, without allocating: a loop that shuffles every
+// epoch reuses one buffer.
+func (r *RNG) PermInto(dst []int) {
+	for i := range dst {
+		dst[i] = i
+	}
+	for i := len(dst) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		dst[i], dst[j] = dst[j], dst[i]
+	}
 }
 
 // Fork derives an independent generator from this one. Forked streams are

@@ -312,6 +312,44 @@ func TestRNGPerm(t *testing.T) {
 	}
 }
 
+// refPerm is Perm as first written, allocating its result: the reference
+// PermInto and Perm are held to.
+func refPerm(r *RNG, n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	for i := n - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
+	return p
+}
+
+// TestPermIntoMatchesPerm: over seeds and lengths 0–5 000, PermInto into one
+// reused, dirty buffer and Perm give refPerm's permutation and leave the
+// generator where refPerm leaves it.
+func TestPermIntoMatchesPerm(t *testing.T) {
+	buf := make([]int, 5000)
+	for _, seed := range []uint64{0, 1, 0x5D6D, 0xAB1E ^ 43} {
+		ref, into, perm := NewRNG(seed), NewRNG(seed), NewRNG(seed)
+		for n := 0; n <= 5000; n += 1 + n/8 {
+			want := refPerm(ref, n)
+			dst := buf[:n]
+			into.PermInto(dst)
+			got := perm.Perm(n)
+			for i := range want {
+				if dst[i] != want[i] || got[i] != want[i] {
+					t.Fatalf("seed %#x, n %d, index %d: PermInto %d, Perm %d, want %d", seed, n, i, dst[i], got[i], want[i])
+				}
+			}
+		}
+		if a, b, c := ref.Uint64(), into.Uint64(), perm.Uint64(); a != b || a != c {
+			t.Fatalf("seed %#x: generators diverged after the sweep", seed)
+		}
+	}
+}
+
 func TestRNGFork(t *testing.T) {
 	r := NewRNG(1)
 	f1 := r.Fork()
