@@ -14,9 +14,10 @@
 //	pka -stream ev.ndjson                             # replay it, streaming
 //
 // -stream runs the streaming pipeline: kernel launch events are read as
-// NDJSON (one per line, '-' = stdin) and profiled as they arrive, and the
-// study is evaluated once the stream ends. The printed study is
-// byte-identical to the batch run on the same workload.
+// NDJSON (one per line, in any order, '-' = stdin), the workload they
+// describe is rebuilt once the stream ends, and the study is selected and
+// evaluated as the batch one is, through the same selection store. The
+// printed study is byte-identical to the batch run on the same workload.
 package main
 
 import (
@@ -361,10 +362,9 @@ func printSimulation(ev *core.Evaluation) {
 	fmt.Printf("  PKA projected DRAM    %.1f%%\n", ev.PKA.DRAMUtil*100)
 }
 
-// streamStudy runs the -stream mode: decode the NDJSON event stream, push
-// every launch through the streaming pipeline (profiling overlaps event
-// arrival), then evaluate and print the study through the exact same
-// rendering as the batch path.
+// streamStudy runs the -stream mode: decode the NDJSON event stream into
+// its workload, select and evaluate it through the streaming pipeline, and
+// print the study through the exact same rendering as the batch path.
 func streamStudy(cfg core.Config, path string, target float64, jsonOut string) error {
 	var rd io.Reader = os.Stdin
 	if path != "-" {

@@ -2,7 +2,11 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"pka/internal/obs"
@@ -48,30 +52,40 @@ func pksAudit(o *obs.Observer) []obs.AuditRecord {
 	return recs
 }
 
-// shuffledEvents writes w as an event stream whose launches arrive shuffled
-// within consecutive blocks of the given size.
-func shuffledEvents(t *testing.T, w *workload.Workload, block int) *bytes.Buffer {
+// eventStream writes w as an event stream whose event lines (the header
+// stays first) pass through edit; nil keeps them in launch order.
+func eventStream(t *testing.T, w *workload.Workload, edit func(events [][]byte) [][]byte) *workload.EventDecoder {
 	t.Helper()
 	var in bytes.Buffer
 	if err := workload.WriteEvents(&in, w); err != nil {
 		t.Fatal(err)
 	}
-	lines := bytes.SplitAfter(in.Bytes(), []byte("\n"))
-	events := lines[1 : 1+w.N]
-	rng := stats.NewRNG(13)
-	for base := 0; base < w.N; base += block {
-		end := min(base+block, w.N)
-		for i := end - 1; i > base; i-- {
-			j := base + rng.Intn(i-base+1)
-			events[i], events[j] = events[j], events[i]
-		}
+	if edit == nil {
+		return workload.NewEventDecoder(&in)
 	}
-	return bytes.NewBuffer(bytes.Join(lines, nil))
+	lines := bytes.SplitAfter(in.Bytes(), []byte("\n"))
+	events := edit(slices.Clone(lines[1 : 1+w.N]))
+	return workload.NewEventDecoder(io.MultiReader(bytes.NewReader(lines[0]), bytes.NewReader(bytes.Join(events, nil))))
+}
+
+// shuffledWithin shuffles events within consecutive blocks of the given size.
+func shuffledWithin(block int) func([][]byte) [][]byte {
+	return func(events [][]byte) [][]byte {
+		rng := stats.NewRNG(13)
+		for base := 0; base < len(events); base += block {
+			end := min(base+block, len(events))
+			for i := end - 1; i > base; i-- {
+				j := base + rng.Intn(i-base+1)
+				events[i], events[j] = events[j], events[i]
+			}
+		}
+		return events
+	}
 }
 
 // TestStreamDeterminism pins the tentpole invariant: the streaming
 // pipeline's output is byte-identical to batch Evaluate at any parallelism
-// and across event arrival orders within the reorder window.
+// and across event arrival orders.
 func TestStreamDeterminism(t *testing.T) {
 	for _, name := range []string{"Rodinia/gauss_208", "Rodinia/hots_512"} {
 		w := workload.Find(name)
@@ -99,12 +113,11 @@ func TestStreamDeterminism(t *testing.T) {
 			c.Parallelism = arm.par
 			c.Exec = sampling.NewExec(parallel.NewScheduler(arm.par), nil)
 			c.Obs = obs.NewObserver()
-			var got *Evaluation
+			var edit func([][]byte) [][]byte
 			if arm.shuf > 0 {
-				got, err = RunEvents(c, CompletePlan(), workload.NewEventDecoder(shuffledEvents(t, w, arm.shuf)), nil)
-			} else {
-				got, err = RunStream(c, CompletePlan(), w)
+				edit = shuffledWithin(arm.shuf)
 			}
+			got, err := RunEvents(c, CompletePlan(), eventStream(t, w, edit), nil)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, arm.label, err)
 			}
@@ -114,6 +127,49 @@ func TestStreamDeterminism(t *testing.T) {
 			if got := pksAudit(c.Obs); !reflect.DeepEqual(got, wantAudit) {
 				t.Errorf("%s/%s: pks audit differs from batch:\ngot:  %+v\nwant: %+v", name, arm.label, got, wantAudit)
 			}
+		}
+	}
+}
+
+// TestStreamAcceptsReversedEvents: arrival order is free. fdtd2d's 1 500
+// events, last launch first, select exactly what the batch study selects,
+// and every event is counted.
+func TestStreamAcceptsReversedEvents(t *testing.T) {
+	w := mustFind(t, "Polybench/fdtd2d")
+	plan := Plan{Passes: []sampling.TaskMode{sampling.ModePKA}}
+	want, err := plan.Evaluate(cfg(), w, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cfg()
+	c.Obs = obs.NewObserver()
+	reversed := func(events [][]byte) [][]byte { slices.Reverse(events); return events }
+	got, err := RunEvents(c, plan, eventStream(t, w, reversed), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Selection, want.Selection) {
+		t.Errorf("reversed stream's selection differs from batch:\ngot:  %+v\nwant: %+v", got.Selection, want.Selection)
+	}
+	if n := c.Obs.StreamMetrics().Events.Value(); n != int64(w.N) {
+		t.Errorf("pka_stream_events_total = %d, want %d", n, w.N)
+	}
+}
+
+// TestStreamRejectsBadEvents: a stream that repeats a launch or leaves one
+// out is an error, not a study.
+func TestStreamRejectsBadEvents(t *testing.T) {
+	w := mustFind(t, "Rodinia/gauss_208")
+	for _, tc := range []struct {
+		label, want string
+		edit        func([][]byte) [][]byte
+	}{
+		{"duplicate launch", "duplicate launch 0", func(ev [][]byte) [][]byte { return append(ev[:1:1], ev...) }},
+		{"missing launch", fmt.Sprintf("1 of %d launches missing", w.N), func(ev [][]byte) [][]byte { return ev[1:] }},
+	} {
+		_, err := RunEvents(cfg(), CompletePlan(), eventStream(t, w, tc.edit), nil)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err %v, want one containing %q", tc.label, err, tc.want)
 		}
 	}
 }
@@ -192,10 +248,11 @@ func TestStreamSimulatesLikeEvaluate(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s: %v", name, tc.label, err)
 				}
+				ev.Workload = nil // the stream's is rebuilt from its events
 				return ev, m.Tasks[sampling.TierSim].Value()
 			}
 			want, wantSim := run(func(c Config) (*Evaluation, error) { return tc.plan.Evaluate(c, w, nil) })
-			got, gotSim := run(func(c Config) (*Evaluation, error) { return RunStream(c, tc.plan, w) })
+			got, gotSim := run(func(c Config) (*Evaluation, error) { return RunEvents(c, tc.plan, eventStream(t, w, nil), nil) })
 			if gotSim != wantSim {
 				t.Errorf("%s/%s: the stream resolved %d simulator tasks, Evaluate %d", name, tc.label, gotSim, wantSim)
 			}

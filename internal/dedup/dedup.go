@@ -196,23 +196,16 @@ func Select(dev gpu.Device, ws []*workload.Workload, opts Options) (*Suite, erro
 		app.Workload = w.FullName()
 		app.TotalKernels = w.N
 		suite.TotalKernels += w.N
-		budget := o.DetailedBudgetSeconds
-		next := w.Iterator()
-		for k := next(); k != nil; k = next() {
-			rec, cost, err := profiler.Detailed(dev, k)
-			if err != nil {
-				return nil, fmt.Errorf("dedup: detailed profiling %s: %w", app.Workload, err)
-			}
+		err := pks.ProfileDetailed(dev, w, o.DetailedBudgetSeconds, o.MaxDetailedPerApp, func(rec profiler.DetailedRecord, sharedMem int, cost float64) {
 			pl.recs = append(pl.recs, rec)
-			pl.sharedMem = append(pl.sharedMem, k.SharedMemPerBlock)
+			pl.sharedMem = append(pl.sharedMem, sharedMem)
 			pl.app = append(pl.app, a)
 			app.DetailedKernels++
 			app.SiliconTotalCycles += rec.Cycles
 			suite.ProfilingSeconds += cost
-			budget -= cost
-			if budget <= 0 || (o.MaxDetailedPerApp > 0 && app.DetailedKernels >= o.MaxDetailedPerApp) {
-				break
-			}
+		})
+		if err != nil {
+			return nil, fmt.Errorf("dedup: detailed profiling %s: %w", app.Workload, err)
 		}
 		if app.DetailedKernels == 0 {
 			return nil, fmt.Errorf("dedup: workload %s has no kernels", app.Workload)

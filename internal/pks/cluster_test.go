@@ -1,10 +1,11 @@
 package pks
 
 import (
-	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"pka/internal/classify"
@@ -210,32 +211,38 @@ func TestTailGroupMatchesFreshPredict(t *testing.T) {
 	}
 }
 
-// TestTailLightErrorJoinsProbe: a light source that fails at the first tail
+// TestTailLightErrorJoinsProbe: light profiling that fails at the first tail
 // kernel fails the selection with its error, and the holdout probe started
 // beside the tail's fit has been joined by the time finishSelection returns —
 // its accuracy is already written over the default 1 (3dunet_inf's probe
 // scores below that; make race would flag a late write), and the goroutine
-// count settles back.
+// count settles back. The failure is the silicon model's: a copy of
+// 3dunet_inf whose first tail launch has a 2048-thread block.
 func TestTailLightErrorJoinsProbe(t *testing.T) {
 	const maxDetailed = 1000
 	dev := gpu.VoltaV100()
-	detailed, w := detailedRecords(t, "MLPerf/3dunet_inf", maxDetailed)
-	sharedMem := make([]int, len(detailed))
-	for i := range sharedMem {
-		k := w.Kernel(i)
-		sharedMem[i] = k.SharedMemPerBlock
+	src := workload.Find("MLPerf/3dunet_inf")
+	w := workload.New(src.Suite, src.Name, src.N, func(i int) trace.KernelDesc {
+		k := src.Kernel(i)
+		if i == maxDetailed {
+			k.Block.X = 2048
+		}
+		return k
+	})
+	var detailed []profiler.DetailedRecord
+	var sharedMem []int
+	if err := ProfileDetailed(dev, w, math.Inf(1), maxDetailed, func(rec profiler.DetailedRecord, smem int, _ float64) {
+		detailed = append(detailed, rec)
+		sharedMem = append(sharedMem, smem)
+	}); err != nil {
+		t.Fatal(err)
 	}
 
 	before := runtime.NumGoroutine()
-	down := errors.New("light source down")
-	var calls []int
 	sel := &Selection{Workload: w.FullName(), Device: dev.Name, TotalKernels: w.N}
-	_, err := finishSelection(sel, detailed, sharedMem, Options{}.filled(), func(i int) (profiler.LightRecord, float64, error) {
-		calls = append(calls, i)
-		return profiler.LightRecord{}, 0, down
-	})
-	if !errors.Is(err, down) || !reflect.DeepEqual(calls, []int{maxDetailed}) {
-		t.Fatalf("err %v after light calls %v, want %v after one call for kernel %d", err, calls, down, maxDetailed)
+	_, err := finishSelection(dev, w, sel, detailed, sharedMem, Options{}.filled())
+	if want := fmt.Sprintf("light profiling kernel %d: trace: kernel", maxDetailed); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err %v, want the silicon model's refusal of kernel %d (%q)", err, maxDetailed, want)
 	}
 	if acc := sel.ClassifierAccuracy; acc <= 0 || acc >= 1 {
 		t.Errorf("accuracy on return %v, want the probe's score in (0, 1)", acc)

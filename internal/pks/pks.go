@@ -168,39 +168,46 @@ func Select(dev gpu.Device, w *workload.Workload, opts Options) (*Selection, err
 	// Pass 1: detailed profiling until the budget (or cap) is exhausted.
 	detailed := make([]profiler.DetailedRecord, 0, minInt(w.N, 4096))
 	sharedMem := make([]int, 0, minInt(w.N, 4096))
+	err := ProfileDetailed(dev, w, o.DetailedBudgetSeconds, o.MaxDetailed, func(rec profiler.DetailedRecord, smem int, cost float64) {
+		detailed = append(detailed, rec)
+		sharedMem = append(sharedMem, smem)
+		sel.ProfilingSeconds += cost
+	})
+	if err != nil {
+		return nil, fmt.Errorf("pks: detailed profiling: %w", err)
+	}
+	return finishSelection(dev, w, sel, detailed, sharedMem, o)
+}
+
+// ProfileDetailed is the detailed-profiling pass of one workload: its
+// launches in order, each profiled in detail and handed to add with its
+// shared memory per block and modeled cost, until the cost spent reaches
+// budgetSeconds or maxDetailed records are made (0 = budget only). Callers
+// add each cost to their own running total as it arrives, so the float sum
+// keeps launch order. Per-app PKS and suite dedup (once per app) share it.
+func ProfileDetailed(dev gpu.Device, w *workload.Workload, budgetSeconds float64, maxDetailed int, add func(rec profiler.DetailedRecord, sharedMem int, cost float64)) error {
+	n := 0
 	next := w.Iterator()
-	budget := o.DetailedBudgetSeconds
 	for k := next(); k != nil; k = next() {
 		rec, cost, err := profiler.Detailed(dev, k)
 		if err != nil {
-			return nil, fmt.Errorf("pks: detailed profiling: %w", err)
+			return err
 		}
-		detailed = append(detailed, rec)
-		sharedMem = append(sharedMem, k.SharedMemPerBlock)
-		sel.ProfilingSeconds += cost
-		budget -= cost
-		if budget <= 0 || (o.MaxDetailed > 0 && len(detailed) >= o.MaxDetailed) {
+		add(rec, k.SharedMemPerBlock, cost)
+		n++
+		budgetSeconds -= cost
+		if budgetSeconds <= 0 || (maxDetailed > 0 && n >= maxDetailed) {
 			break
 		}
 	}
-	return finishSelection(sel, detailed, sharedMem, o, func(i int) (profiler.LightRecord, float64, error) {
-		k := w.Kernel(i)
-		return profiler.Light(dev, &k)
-	})
+	return nil
 }
-
-// lightSource yields the light profile of kernel launch i. Batch selection
-// profiles live from the workload; the streaming path replays records it
-// buffered while events arrived. Both feed the identical arithmetic in
-// finishSelection, which is what keeps streaming output byte-identical to
-// batch.
-type lightSource func(i int) (profiler.LightRecord, float64, error)
 
 // finishSelection runs everything downstream of the detailed-profiling
 // pass: the PCA + K-Means sweep, two-level classifier mapping over the
-// light records, and the final projection accounting, metrics, and audit
-// trail. It is shared verbatim by Select and Stream.Finalize.
-func finishSelection(sel *Selection, detailed []profiler.DetailedRecord, sharedMem []int, o Options, light lightSource) (*Selection, error) {
+// light profiles of w's remaining launches on dev, and the final projection
+// accounting, metrics, and audit trail.
+func finishSelection(dev gpu.Device, w *workload.Workload, sel *Selection, detailed []profiler.DetailedRecord, sharedMem []int, o Options) (*Selection, error) {
 	if len(detailed) == 0 {
 		return nil, errors.New("pks: workload has no kernels")
 	}
@@ -223,7 +230,7 @@ func finishSelection(sel *Selection, detailed []profiler.DetailedRecord, sharedM
 	// ...and pass 2 (two-level only) light-profiles, maps, and accounts
 	// for the rest.
 	if sel.TwoLevel {
-		if err := mapLightKernels(sel, detailed, sharedMem, assignment, o, light); err != nil {
+		if err := mapLightKernels(dev, w, sel, detailed, sharedMem, assignment, o); err != nil {
 			return nil, err
 		}
 	}
@@ -356,14 +363,14 @@ func (o Options) elector() ElectFunc {
 }
 
 // mapLightKernels performs the second pass of two-level profiling: train
-// the classifier ensemble on the detailed prefix, then pull the remaining
-// kernels' light profiles from the source and map each onto a group. It
-// also extends the ground-truth cycle total over the full app.
+// the classifier ensemble on the detailed prefix, then light-profile w's
+// remaining launches on dev and map each onto a group. It also extends the
+// ground-truth cycle total over the full app.
 //
 // The holdout probe fits its own ensemble on its own goroutine, beside the
 // tail's fit and the light pass, and is joined before any return (a panic
 // in it is re-raised here); its error is returned if nothing failed first.
-func mapLightKernels(sel *Selection, detailed []profiler.DetailedRecord, sharedMem []int, assignment []int, o Options, light lightSource) (err error) {
+func mapLightKernels(dev gpu.Device, w *workload.Workload, sel *Selection, detailed []profiler.DetailedRecord, sharedMem []int, assignment []int, o Options) (err error) {
 	tail := newTailClassifier(detailed, sharedMem, assignment, len(sel.Groups), o.Seed)
 	sel.ClassifierAccuracy = 1
 	if len(detailed) >= 10 && len(sel.Groups) > 1 {
@@ -392,7 +399,8 @@ func mapLightKernels(sel *Selection, detailed []profiler.DetailedRecord, sharedM
 	}
 
 	for i := sel.DetailedKernels; i < sel.TotalKernels; i++ {
-		rec, cost, err := light(i)
+		k := w.Kernel(i)
+		rec, cost, err := profiler.Light(dev, &k)
 		if err != nil {
 			return fmt.Errorf("pks: light profiling kernel %d: %w", i, err)
 		}

@@ -16,11 +16,12 @@ import (
 
 // The streaming endpoint is the serving tier's face of streaming PKS: the
 // client POSTs a study request line followed by a kernel-event stream, and
-// the server profiles the events as they arrive on the wire. The response
-// is NDJSON — one StreamLine of progress once the events are consumed, then
-// one final line that is byte-identical to what StudyPath returns for the
-// same workload and parameters, because the streamed selection is
-// byte-identical to batch pks.Select and the same plan evaluates it.
+// the server decodes the events into the workload they describe. The
+// response is NDJSON — one StreamLine of progress once the events are
+// consumed and the selection is resolved, then one final line that is
+// byte-identical to what StudyPath returns for the same workload and
+// parameters, because the stream selects through the same selection store
+// under the same key and the same plan evaluates it.
 
 // StreamProgress is the payload of the progress line: how far the intake
 // got.
@@ -173,8 +174,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // runStream drives one streaming study: core's streaming pipeline, under
-// the config and plan /v1/study builds for the same request, profiles the
-// events as they arrive; the finished evaluation maps to the response
+// the config and plan /v1/study builds for the same request, decodes and
+// evaluates the events; the finished evaluation maps to the response
 // /v1/study would return.
 func (s *Server) runStream(req *StudyRequest, body io.Reader, progress func(*StreamProgress)) (*StudyResponse, error) {
 	dec := workload.NewEventDecoder(body)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"pka/internal/artifact"
 	"pka/internal/obs"
 	"pka/internal/parallel"
 	"pka/internal/sampling"
@@ -90,6 +91,50 @@ func TestStreamEndpointMatchesStudy(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: final stream line differs from the study response:\ngot:  %s\nwant: %s", mode, got, want)
 		}
+	}
+}
+
+// TestStreamReadsStudySelection: a stream selects the way a study does,
+// through the selection store under a key over every launch, so after a
+// /v1/study of a workload a /v1/stream of its events reads the study's
+// selection — one more selection hit, no K sweep — and still ends in the
+// study's bytes.
+func TestStreamReadsStudySelection(t *testing.T) {
+	store, err := artifact.Open(t.TempDir(), artifact.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	exec := sampling.NewExec(parallel.NewScheduler(2), store)
+	o := obs.NewObserver()
+	ts := httptest.NewServer(serve.New(serve.Options{Exec: exec, Obs: o}).Handler())
+	defer ts.Close()
+
+	post := func(path string, body io.Reader) []byte {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, err %v: %s", path, resp.StatusCode, err, out)
+		}
+		return out
+	}
+	want := post(serve.StudyPath, strings.NewReader(`{"workload":"Rodinia/gauss_208"}`))
+	hits, steps := exec.CacheStats()["selection"].Hits, o.PKSMetrics().SweepSteps.Value()
+	body := post(serve.StreamPath, streamBody(t, "{}", "Rodinia/gauss_208"))
+	if got := exec.CacheStats()["selection"].Hits; got != hits+1 {
+		t.Errorf("selection hits %d after the stream, want %d", got, hits+1)
+	}
+	if got := o.PKSMetrics().SweepSteps.Value(); got != steps {
+		t.Errorf("pka_pks_sweep_steps_total moved %d -> %d: the stream swept K again", steps, got)
+	}
+	lines := bytes.SplitAfter(bytes.TrimRight(body, "\n"), []byte("\n"))
+	if got := append(lines[len(lines)-1], '\n'); !bytes.Equal(got, want) {
+		t.Errorf("final stream line differs from the study response:\ngot:  %s\nwant: %s", got, want)
 	}
 }
 

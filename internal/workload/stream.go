@@ -171,8 +171,7 @@ func WriteEvents(w io.Writer, wl *Workload) error {
 // assumptions as the JSON workload loader: bounded line length, unknown
 // fields rejected, trailing garbage rejected, every kernel validated, and
 // duplicate or out-of-range launch IDs refused. Events may arrive in any
-// order within the producer's reorder window; the decoder only guarantees
-// each launch ID appears exactly once.
+// order; the decoder only guarantees each launch ID appears exactly once.
 type EventDecoder struct {
 	sc     *bufio.Scanner
 	header *StreamHeader
