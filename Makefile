@@ -22,10 +22,10 @@ test:
 # internal/serve (the serving tier: concurrent admission, weighted-fair
 # queue, fault injection), internal/cluster (the chunked assignment step
 # and its worker-invariance test), internal/artifact (the store's lock and
-# views), internal/predict (the tier's atomics), internal/dedup and
-# internal/classify (the ensemble fits its members concurrently) are fast
-# enough to race in full (the last four ≈ 1, 1, 3.5 and 4 s of test time
-# under -race on the 2-core box); the
+# views), internal/remote (the hedging dispatcher, breaker and fleet-cache
+# ring), internal/dedup and internal/classify (the ensemble fits its members
+# concurrently) are fast enough to race in full (the last four ≈ 2, 2, 3.5
+# and 4 s of test time under -race on the 2-core box); the
 # experiments and workload suites run with -short so the concurrency
 # regression tests (singleflight, 64-goroutine stress, fuzz seed corpus)
 # execute under the detector without paying for the full artifact pipeline
@@ -47,7 +47,7 @@ test:
 # determinism golden) natively.
 race:
 	$(GO) test -race ./internal/parallel/... ./internal/obs/... ./internal/serve/... ./internal/cluster/... \
-	    ./internal/artifact/... ./internal/predict/... ./internal/dedup/... ./internal/classify/...
+	    ./internal/artifact/... ./internal/remote/... ./internal/dedup/... ./internal/classify/...
 	$(GO) test -race -short ./internal/experiments/... ./internal/workload/...
 	$(GO) test -race -short -run 'TwoLevel|MaxDetailed|Tail' ./internal/pks/...
 	$(GO) test -race -run 'Stream|SelectWarm|Misfit|Riders|Bank|Pack|Scan|WalksOnce|ShareOneWorkload' ./internal/core/... ./internal/pks/... ./internal/sampling/...
@@ -66,7 +66,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzServeRequest -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run NONE -fuzz FuzzStreamRequest -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run NONE -fuzz FuzzParseTraceparent -fuzztime $(FUZZTIME) ./internal/obs
-	$(GO) test -run NONE -fuzz FuzzLoadModel -fuzztime $(FUZZTIME) ./internal/predict
+	$(GO) test -run NONE -fuzz FuzzExecRequest -fuzztime $(FUZZTIME) ./internal/remote
 
 # bench/ is its own module (pka/bench, `replace pka => ../`), so the root
 # `go build ./... && go test ./...` never compiles it. Vet and test it here

@@ -33,7 +33,6 @@ import (
 	"pka/internal/obs"
 	"pka/internal/pkp"
 	"pka/internal/pks"
-	"pka/internal/predict"
 	"pka/internal/report"
 	"pka/internal/sampling"
 	"pka/internal/stats"
@@ -63,16 +62,13 @@ func main() {
 	execFlags.Obs.Register(nil)
 	execFlags.Cache.Register(nil)
 	execFlags.Remote.Register(nil)
-	execFlags.Predict.Register(nil)
 	flag.Parse()
 
 	// -stream brings its own workload (the event header names it) and is a
 	// single-app pipeline, so the batch workload selectors and the
 	// multi-app dedup study are incoherent alongside it. -suite-dedup brings
 	// its own workload list and prints its own report, so the single-app
-	// selectors and outputs are too. -predict-train is an offline mode of
-	// its own: it mines the artifact cache and exits, so it can't serve a
-	// model or run any study alongside.
+	// selectors and outputs are too.
 	if err := cli.FlagConflicts(nil,
 		[2]string{"stream", "suite-dedup"},
 		[2]string{"stream", "w"},
@@ -83,11 +79,6 @@ func main() {
 		[2]string{"suite-dedup", "workload-file"},
 		[2]string{"suite-dedup", "selection-only"},
 		[2]string{"suite-dedup", "json"},
-		[2]string{"predict-train", "predict"},
-		[2]string{"predict-train", "stream"},
-		[2]string{"predict-train", "suite-dedup"},
-		[2]string{"predict-train", "selection-only"},
-		[2]string{"predict-train", "emit-events"},
 	); err != nil {
 		fatal(err)
 	}
@@ -128,8 +119,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-	case execFlags.Predict.Train != "":
-		// Training without a workload selector scans the whole study set.
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -180,15 +169,7 @@ func main() {
 
 	// Every mode leaves through the one epilogue below: provenance when a
 	// study simulated anything, then the session's Close.
-	simulated := true
 	switch {
-	case execFlags.Predict.Train != "":
-		simulated = false
-		ws := workload.All()
-		if w != nil {
-			ws = []*workload.Workload{w}
-		}
-		err = execFlags.Predict.TrainAndSave(dev, sess.Store, ws, predict.ScanOptions{PKP: cfg.PKP})
 	case *stream != "":
 		err = streamStudy(cfg, *stream, *target, *jsonOut)
 	case *suiteDed != "":
@@ -197,10 +178,9 @@ func main() {
 			err = suiteDedupStudy(cfg, ws)
 		}
 	default:
-		simulated = !*selOnly
 		err = batchStudy(cfg, w, *target, *jsonOut, *selOnly)
 	}
-	if err == nil && simulated {
+	if err == nil && !*selOnly {
 		err = writeProvenance(cfg.Flight, *explain, *flightF)
 	}
 	if cerr := sess.Close(); err == nil {

@@ -54,12 +54,7 @@ func main() {
 	execFl.Obs.Register(nil)
 	execFl.Cache.Register(nil)
 	execFl.Remote.Register(nil)
-	execFl.Predict.Register(nil)
 	flag.Parse()
-
-	if execFl.Predict.Train != "" {
-		fatal(fmt.Errorf("-predict-train is an offline pka mode; the service only serves with -predict"))
-	}
 
 	weights, err := cli.ParseWeights(*tenants)
 	if err != nil {

@@ -1,7 +1,7 @@
 // Package cli carries the plumbing the commands share: device and workload
-// resolution for the common flag spellings, the telemetry, cache, remote
-// and predictor flag bundles, and the one place an Exec ladder is assembled
-// from them (ExecFlags.Build) and torn down again (Session.Close). Keeping
+// resolution for the common flag spellings, the telemetry, cache and remote
+// flag bundles, and the one place an Exec ladder is assembled from them
+// (ExecFlags.Build) and torn down again (Session.Close). Keeping
 // this here means every binary exposes identical observability surfaces and
 // an identically wired ladder without duplicating the glue.
 package cli
@@ -23,7 +23,6 @@ import (
 	"pka/internal/gpu"
 	"pka/internal/obs"
 	"pka/internal/parallel"
-	"pka/internal/predict"
 	"pka/internal/remote"
 	"pka/internal/sampling"
 	"pka/internal/workload"
@@ -319,14 +318,13 @@ type RemoteFlags struct {
 	shard      *remote.ShardClient
 }
 
-// ExecFlags bundles the four flag groups an Exec ladder is assembled from.
+// ExecFlags bundles the three flag groups an Exec ladder is assembled from.
 // A command registers the groups it exposes; a group it leaves unregistered
 // keeps its zero value, which builds nothing.
 type ExecFlags struct {
-	Obs     ObsFlags
-	Cache   CacheFlags
-	Remote  RemoteFlags
-	Predict PredictFlags
+	Obs    ObsFlags
+	Cache  CacheFlags
+	Remote RemoteFlags
 }
 
 // Session is an assembled Exec ladder with everything it opened.
@@ -362,9 +360,9 @@ func (s *Session) families() map[string]obs.CacheCounts {
 }
 
 // Build assembles the ladder the flags describe — scheduler of width par,
-// artifact store, fleet shard, worker dispatcher, predictor tier, per-tier
-// metrics — and registers its cache counters with the observer. It is the
-// only wiring of these pieces outside tests and the worker daemon.
+// artifact store, fleet shard, worker dispatcher, per-tier metrics — and
+// registers its cache counters with the observer. It is the only wiring of
+// these pieces outside tests and the worker daemon.
 func (f *ExecFlags) Build(par int) (*Session, error) {
 	observer, err := f.Obs.Start()
 	if err != nil {
@@ -376,9 +374,6 @@ func (f *ExecFlags) Build(par int) (*Session, error) {
 	}
 	exec := sampling.NewExec(parallel.NewScheduler(par), store)
 	dispatcher, err := f.Remote.Start(store, observer)
-	if err == nil {
-		err = f.Predict.Start(exec, observer)
-	}
 	if err != nil {
 		store.Close() //nolint:errcheck // nothing written yet
 		return nil, err
@@ -394,21 +389,16 @@ func (f *ExecFlags) Build(par int) (*Session, error) {
 	return &Session{Observer: observer, Store: store, Exec: exec, fl: f}, nil
 }
 
-// Close tears the session down in dependency order: drain the predictor's
-// async verifier (it still simulates and writes the caches), write the
-// predictor report, write the telemetry artifacts, write -cache-stats, and
-// close the store. Every step runs even if an earlier one failed; the first
-// error is returned. Closing twice, or a session that opened nothing, is a
-// no-op.
+// Close tears the session down in dependency order: write the telemetry
+// artifacts, write -cache-stats, and close the store. Every step runs even if
+// an earlier one failed; the first error is returned. Closing twice, or a
+// session that opened nothing, is a no-op.
 func (s *Session) Close() error {
 	if s.closed {
 		return nil
 	}
 	s.closed = true
-	err := s.fl.Predict.Finish(s.Exec)
-	if e := s.fl.Obs.Finish(); err == nil {
-		err = e
-	}
+	err := s.fl.Obs.Finish()
 	if e := s.fl.Cache.Finish(s.families); err == nil {
 		err = e
 	}
@@ -489,116 +479,6 @@ func (f *RemoteFlags) Start(store *artifact.Store, o *obs.Observer) (*remote.Dis
 // Dispatcher returns the dispatcher Start built (nil without -workers).
 func (f *RemoteFlags) Dispatcher() *remote.Dispatcher { return f.dispatcher }
 
-// PredictFlags is the learned-predictor flag bundle both CLIs register.
-// -predict loads a trained model artifact and installs it as the Exec
-// ladder's opt-in tier 0: kernels the model answers confidently skip
-// simulation entirely, everything else falls through to the exact ladder.
-// -predict-train mines the artifact cache (-cache-dir) for accumulated
-// outcomes, fits a model, writes the versioned artifact, and exits.
-// Without -predict the tier does not exist and output is byte-identical
-// to earlier builds; with it, an async verifier re-simulates a sampled
-// fraction of served predictions and auto-disables the tier when the
-// observed error exceeds -predict-err-bound.
-type PredictFlags struct {
-	Model      string  // model artifact to serve from; empty disables the tier
-	Train      string  // train a model from the artifact cache into this path, then exit
-	Conf       float64 // minimum confidence to serve a non-exact prediction
-	VerifyFrac float64 // fraction of served predictions to re-simulate (0 = none)
-	VerifySeed uint64  // seed for the deterministic verify sampler
-	ErrBound   float64 // mean relative cycle error that auto-disables the tier
-	MinVerify  int     // verifications required before the bound is enforced
-	Seed       uint64  // training seed (-predict-train)
-	Report     string  // accuracy/coverage report path ("-" for stdout)
-
-	tier *predict.Tier
-}
-
-// Register installs the predictor flags on the flag set (the default set
-// when fs is nil).
-func (f *PredictFlags) Register(fs *flag.FlagSet) {
-	if fs == nil {
-		fs = flag.CommandLine
-	}
-	fs.StringVar(&f.Model, "predict", "", "serve kernel outcomes from this trained predictor model as Exec ladder tier 0 (see -predict-train)")
-	fs.StringVar(&f.Train, "predict-train", "", "train a predictor model from the -cache-dir artifact store, write it to this path, and exit")
-	fs.Float64Var(&f.Conf, "predict-conf", predict.DefaultMinConfidence, "minimum model confidence to serve a non-exact prediction (>1 = exact training keys only)")
-	fs.Float64Var(&f.VerifyFrac, "predict-verify-frac", predict.DefaultVerifyFrac, "fraction of served predictions re-simulated by the async verifier (0 disables verification)")
-	fs.Uint64Var(&f.VerifySeed, "predict-verify-seed", 0, "seed for the deterministic per-key verify sampler")
-	fs.Float64Var(&f.ErrBound, "predict-err-bound", predict.DefaultErrorBound, "mean relative projected-cycle error over verified predictions that auto-disables the tier")
-	fs.IntVar(&f.MinVerify, "predict-min-verify", predict.DefaultMinVerified, "verifications required before -predict-err-bound is enforced")
-	fs.Uint64Var(&f.Seed, "predict-seed", 0, "training seed for -predict-train (same store + seed = identical model)")
-	fs.StringVar(&f.Report, "predict-report", "", "write the predictor accuracy/coverage report to this file (\"-\" for stdout)")
-}
-
-// Active reports whether -predict was given.
-func (f *PredictFlags) Active() bool { return f.Model != "" }
-
-// Start loads the model named by -predict and installs the serving tier
-// on the exec. A no-op without -predict, so the default ladder is exactly
-// the pre-predictor one.
-func (f *PredictFlags) Start(exec *sampling.Exec, o *obs.Observer) error {
-	if f.Model == "" {
-		return nil
-	}
-	model, err := predict.Load(f.Model)
-	if err != nil {
-		return err
-	}
-	vf := f.VerifyFrac
-	if vf <= 0 {
-		vf = -1 // NewTier treats negative as "no verification"
-	}
-	opts := predict.TierOptions{
-		MinConfidence:  f.Conf,
-		VerifyFraction: vf,
-		VerifySeed:     f.VerifySeed,
-		ErrorBound:     f.ErrBound,
-		MinVerified:    f.MinVerify,
-	}
-	if o != nil {
-		opts.Metrics = o.PredictorMetrics()
-	}
-	f.tier = predict.NewTier(model, opts)
-	exec.SetPredictor(f.tier)
-	fmt.Fprintf(os.Stderr, "predictor: serving from %s (%d training keys, device %s)\n",
-		f.Model, model.Rows(), model.DeviceName())
-	return nil
-}
-
-// TrainAndSave runs the -predict-train mode: mine the store for training
-// samples over the workloads' task specs, fit a model, and persist it.
-func (f *PredictFlags) TrainAndSave(dev gpu.Device, store *artifact.Store, ws []*workload.Workload, scan predict.ScanOptions) error {
-	if store == nil {
-		return fmt.Errorf("predict-train: needs -cache-dir (the model is trained from the artifact store)")
-	}
-	samples, sum := predict.ScanStore(dev, store, ws, scan)
-	fmt.Printf("predictor training scan: %d workloads, %d kernels, %d keys probed, %d outcomes found\n",
-		sum.Workloads, sum.Kernels, sum.Probed, sum.Hits)
-	model, err := predict.Train(dev, samples, predict.TrainOptions{Seed: f.Seed})
-	if err != nil {
-		return err
-	}
-	if err := model.Save(f.Train); err != nil {
-		return err
-	}
-	fmt.Printf("predictor model written to %s (%d training rows, in-sample rel err %.4f)\n",
-		f.Train, model.Rows(), model.FitError())
-	return nil
-}
-
-// Finish drains the exec's async verifier and writes the -predict-report.
-// Safe to call when the tier was never installed.
-func (f *PredictFlags) Finish(exec *sampling.Exec) error {
-	if f.tier == nil {
-		return nil
-	}
-	exec.DrainVerify()
-	if f.Report == "" {
-		return nil
-	}
-	return WriteOutput(f.Report, f.tier.WriteReport)
-}
-
 // splitURLs splits a comma-separated URL list, dropping blanks.
 func splitURLs(csv string) []string {
 	var urls []string
@@ -611,7 +491,7 @@ func splitURLs(csv string) []string {
 }
 
 // WriteOutput renders to the file at path, or to stdout when path is "-" —
-// the spelling -cache-stats, -predict-report and -emit-events share.
+// the spelling -cache-stats and -emit-events share.
 func WriteOutput(path string, render func(w io.Writer) error) error {
 	if path == "-" {
 		return render(os.Stdout)

@@ -2,7 +2,6 @@ package cli
 
 import (
 	"flag"
-	"fmt"
 	"io"
 	"net/http/httptest"
 	"os"
@@ -13,19 +12,14 @@ import (
 	"testing"
 
 	"pka/internal/gpu"
-	"pka/internal/predict"
 	"pka/internal/remote"
 	"pka/internal/sampling"
 	"pka/internal/trace"
 	"pka/internal/workload"
 )
 
-// trainTask is the spec the test model is trained under; queryTask is one
-// it never saw, so serving it is a regression (non-exact) prediction.
-var (
-	trainTask = sampling.KernelTask{Mode: sampling.ModePKS, MaxCycles: 1 << 22}
-	queryTask = sampling.KernelTask{Mode: sampling.ModePKS, MaxCycles: 1 << 21}
-)
+// task is the spec every case resolves its cold kernel under.
+var task = sampling.KernelTask{Mode: sampling.ModePKS, MaxCycles: 1 << 22}
 
 func studyKernels(t *testing.T) []trace.KernelDesc {
 	t.Helper()
@@ -40,29 +34,6 @@ func studyKernels(t *testing.T) []trace.KernelDesc {
 	return ks
 }
 
-// trainedModel simulates the study kernels under trainTask, trains a
-// predictor on the outcomes and returns the saved model's path.
-func trainedModel(t *testing.T, dev gpu.Device, ks []trace.KernelDesc) string {
-	t.Helper()
-	var samples []predict.Sample
-	for i := range ks {
-		oc, err := (*sampling.Exec)(nil).RunKernelTask(dev, &ks[i], trainTask)
-		if err != nil {
-			t.Fatal(err)
-		}
-		samples = append(samples, predict.Sample{Key: sampling.TaskKey(dev, &ks[i], trainTask), Kernel: ks[i], Task: trainTask, Outcome: oc})
-	}
-	model, err := predict.Train(dev, samples, predict.TrainOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "model.json")
-	if err := model.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
 // parse registers every bundle on a private flag set, as pka and pkaserve
 // do on the default one, and parses args.
 func parse(t *testing.T, args ...string) *ExecFlags {
@@ -73,7 +44,6 @@ func parse(t *testing.T, args ...string) *ExecFlags {
 	fl.Obs.Register(fs)
 	fl.Cache.Register(fs)
 	fl.Remote.Register(fs)
-	fl.Predict.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
@@ -94,19 +64,16 @@ func TestBuildWiresTheLadderFromFlags(t *testing.T) {
 	cases := []struct {
 		name     string
 		args     []string
-		task     sampling.KernelTask
 		families []string
 		tier     string
 		missed   string // family that must have seen the cold lookup
 	}{
-		{"none", nil, trainTask, []string{"kernel_mem"}, "sim", "kernel_mem"},
-		{"cache-dir", []string{"-cache-dir", t.TempDir(), "-metrics", metrics}, trainTask,
+		{"none", nil, []string{"kernel_mem"}, "sim", "kernel_mem"},
+		{"cache-dir", []string{"-cache-dir", t.TempDir(), "-metrics", metrics},
 			[]string{"artifact", "batch", "kernel_mem", "selection"}, "sim", "artifact"},
-		{"cache-dir+shard", []string{"-cache-dir", t.TempDir(), "-shard", worker.URL}, trainTask,
+		{"cache-dir+shard", []string{"-cache-dir", t.TempDir(), "-shard", worker.URL},
 			[]string{"artifact", "batch", "kernel_mem", "selection", "shard"}, "sim", "shard"},
-		{"workers", []string{"-workers", worker.URL}, trainTask, []string{"kernel_mem"}, "worker", "kernel_mem"},
-		{"predict", []string{"-predict", trainedModel(t, dev, ks), "-predict-conf", "1e-12", "-predict-verify-frac", "0"}, queryTask,
-			[]string{"kernel_mem"}, "predict", ""},
+		{"workers", []string{"-workers", worker.URL}, []string{"kernel_mem"}, "worker", "kernel_mem"},
 	}
 	for _, tc := range cases {
 		fl := parse(t, tc.args...)
@@ -118,7 +85,7 @@ func TestBuildWiresTheLadderFromFlags(t *testing.T) {
 			t.Errorf("%s: store %v on session, %v on exec", tc.name, sess.Store, sess.Exec.Store())
 		}
 		fr := sampling.NewFlightRecorder()
-		if _, err := sess.Exec.RunKernels(dev, tc.task, ks[:1], func(int) sampling.TaskObs {
+		if _, err := sess.Exec.RunKernels(dev, task, ks[:1], func(int) sampling.TaskObs {
 			return sampling.TaskObs{Flight: fr, Phase: "t"}
 		}, nil); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -135,7 +102,7 @@ func TestBuildWiresTheLadderFromFlags(t *testing.T) {
 		if !reflect.DeepEqual(families, tc.families) {
 			t.Errorf("%s: cache families %v, want %v", tc.name, families, tc.families)
 		}
-		if tc.missed != "" && stats[tc.missed].Misses == 0 {
+		if stats[tc.missed].Misses == 0 {
 			t.Errorf("%s: the %s tier never saw the cold lookup: %+v", tc.name, tc.missed, stats)
 		}
 		for i := 0; i < 2; i++ {
@@ -155,38 +122,5 @@ func TestBuildWiresTheLadderFromFlags(t *testing.T) {
 		if !strings.Contains(string(prom), want) {
 			t.Errorf("metrics exposition lacks %q", want)
 		}
-	}
-}
-
-// Close drains the async verifier before it writes the predictor report —
-// on every exit, since every exit is the same Close. With verify-all, a
-// report written before the drain would count fewer verifications than
-// predictions served.
-func TestCloseDrainsVerifierBeforeReport(t *testing.T) {
-	dev := gpu.VoltaV100()
-	ks := studyKernels(t)
-	report := filepath.Join(t.TempDir(), "report.txt")
-	fl := parse(t, "-predict", trainedModel(t, dev, ks), "-predict-conf", "1e-12",
-		"-predict-verify-frac", "1", "-predict-min-verify", "1000000", "-predict-report", report)
-	sess, err := fl.Build(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Exec.RunKernels(dev, queryTask, ks, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Close(); err != nil {
-		t.Fatal(err)
-	}
-	served := fl.Predict.tier.Stats().Served
-	if served == 0 {
-		t.Fatal("predictor served nothing; the test exercises no verifier")
-	}
-	got, err := os.ReadFile(report)
-	if err != nil {
-		t.Fatalf("Close wrote no predictor report: %v", err)
-	}
-	if want := fmt.Sprintf("verified: %d re-simulated", served); !strings.Contains(string(got), want) {
-		t.Errorf("report written before the verifier drained: want %q in\n%s", want, got)
 	}
 }

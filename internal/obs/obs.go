@@ -36,7 +36,6 @@ type Observer struct {
 	shard  *ShardMetrics
 	dedup  *DedupMetrics
 	stream *StreamMetrics
-	pred   *PredictorMetrics
 
 	cacheMu    sync.Mutex
 	cacheSrcs  []func() map[string]CacheCounts
@@ -62,7 +61,6 @@ func NewObserverAt(now func() time.Time) *Observer {
 	o.ShardMetrics()
 	o.DedupMetrics()
 	o.StreamMetrics()
-	o.PredictorMetrics()
 	// Span loss at the tracer's memory cap lands in the exposition instead
 	// of vanishing silently.
 	o.Tracer.SetDropCounter(o.Metrics.Counter(
@@ -360,18 +358,18 @@ func (o *Observer) ServeMetrics() *ServeMetrics {
 
 // ExecTierNames names the Exec ladder's serving tiers in ladder order;
 // index i is the tier with numeric value i in internal/sampling.
-var ExecTierNames = [6]string{"predict", "mem", "disk", "shard", "worker", "sim"}
+var ExecTierNames = [5]string{"mem", "disk", "shard", "worker", "sim"}
 
 // ExecMetrics is the Exec ladder's tier-attribution family: for each of
-// the six serving tiers (learned predictor, mem singleflight, disk
-// artifact store, owner-shard peer, remote worker, fresh simulation), how
-// many kernel tasks it satisfied and the service-latency distribution.
+// the five serving tiers (mem singleflight, disk artifact store,
+// owner-shard peer, remote worker, fresh simulation), how many kernel
+// tasks it satisfied and the service-latency distribution.
 // The registry has no label support, so each tier is its own
 // counter/histogram pair; summed across tiers the counters equal the
 // study's kernel-launch count.
 type ExecMetrics struct {
-	Tasks   [6]*Counter
-	Latency [6]*Histogram
+	Tasks   [len(ExecTierNames)]*Counter
+	Latency [len(ExecTierNames)]*Histogram
 }
 
 // ExecMetrics lazily builds (and then reuses) the Exec-ladder bundle.
@@ -394,7 +392,7 @@ func (o *Observer) ExecMetrics() *ExecMetrics {
 	return o.exec
 }
 
-// Observe records one kernel task served by tier (0..5) in sec seconds.
+// Observe records one kernel task served by tier (0..4) in sec seconds.
 // Nil-safe; out-of-range tiers are ignored.
 func (m *ExecMetrics) Observe(tier int, sec float64) {
 	if m == nil || tier < 0 || tier >= len(m.Tasks) {
@@ -494,49 +492,6 @@ func (o *Observer) StreamMetrics() *StreamMetrics {
 		}
 	}
 	return o.stream
-}
-
-// PredictorMetrics is the tier-0 learned predictor's metric family: the
-// gate funnel (requests → served, with low-confidence and stale-model
-// fall-throughs), the asynchronous verifier's sampled re-simulations and
-// their observed relative error, and the auto-disable trip. Served plus
-// the fall-through counters equals Requests; Served also equals the
-// pka_exec_tier_predict_total counter, because a served prediction IS the
-// predict tier satisfying a task. Verifier re-simulations are deliberately
-// absent from the pka_exec_tier_* family so tier counts keep summing to
-// the launch count.
-type PredictorMetrics struct {
-	Requests     *Counter
-	Served       *Counter
-	LowConf      *Counter
-	ModelMiss    *Counter
-	Verified     *Counter
-	AutoDisabled *Counter
-	Confidence   *Histogram
-	VerifyRelErr *Histogram
-}
-
-// PredictorMetrics lazily builds (and then reuses) the predictor bundle.
-func (o *Observer) PredictorMetrics() *PredictorMetrics {
-	if o == nil || o.Metrics == nil {
-		return nil
-	}
-	if o.pred == nil {
-		r := o.Metrics
-		o.pred = &PredictorMetrics{
-			Requests:     r.Counter("pka_predictor_requests_total", "kernel tasks offered to the predictor tier"),
-			Served:       r.Counter("pka_predictor_served_total", "kernel tasks answered by the predictor (confidence above the gate)"),
-			LowConf:      r.Counter("pka_predictor_lowconf_total", "tasks that fell through the gate on low confidence"),
-			ModelMiss:    r.Counter("pka_predictor_model_miss_total", "tasks the model could not score (device mismatch or tier disabled)"),
-			Verified:     r.Counter("pka_predictor_verified_total", "served predictions re-simulated by the async verifier"),
-			AutoDisabled: r.Counter("pka_predictor_auto_disabled_total", "times the tier disabled itself on observed error above the bound"),
-			Confidence: r.Histogram("pka_predictor_confidence", "per-task predictor confidence at the gate",
-				[]float64{0.5, 0.8, 0.9, 0.95, 0.99, 0.999}),
-			VerifyRelErr: r.Histogram("pka_predictor_verify_rel_error", "relative projected-cycle error of verified predictions",
-				[]float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25}),
-		}
-	}
-	return o.pred
 }
 
 // RemoteWorkerStats is one worker's dispatcher-side state, published

@@ -516,8 +516,9 @@ func SampleIndices(n, max int) []int {
 // count-type features are compressed with log1p, ratio-type ones (index 10,
 // divergence efficiency) pass through. It writes into dst when it already
 // has the right length and allocates otherwise. Every consumer that builds a
-// cluster-space row — PKS and the predictor — goes through this one helper,
-// so the feature spaces stay identical by construction.
+// cluster-space row — PKS and the benchmark's replay of its layers — goes
+// through this one helper, so the feature spaces stay identical by
+// construction.
 func ScaleFeatures(dst, src []float64) []float64 {
 	if len(dst) != len(src) {
 		dst = make([]float64, len(src))

@@ -157,7 +157,7 @@ func TestRemoteDeterminism(t *testing.T) {
 		m.Hedges.Value(), m.BreakerOpens.Value(), m.FallbackLocal.Value())
 }
 
-func testKernelRequest(t *testing.T) ([]byte, string) {
+func testKernelRequest(t testing.TB) ([]byte, string) {
 	t.Helper()
 	w := workload.Find("Rodinia/gauss_mat4")
 	if w == nil {

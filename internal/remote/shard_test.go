@@ -159,15 +159,18 @@ func TestShardRingHealth(t *testing.T) {
 	key := testKey("health-roundtrip")
 	payload := sampling.EncodeOutcome(sampling.KernelOutcome{ProjCycles: 5})
 	req, _ := http.NewRequest(http.MethodPut, ts.URL+remote.CachePathPrefix+key, bytes.NewReader(payload))
-	if resp, err := http.DefaultClient.Do(req); err != nil || resp.StatusCode != http.StatusNoContent {
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil || resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("peer PUT: %v %v", resp, err)
 	}
-	if resp, err := http.Get(ts.URL + remote.CachePathPrefix + key); err != nil || resp.StatusCode != http.StatusOK {
+	resp.Body.Close()
+	if resp, err = http.Get(ts.URL + remote.CachePathPrefix + key); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("peer GET: %v %v", resp, err)
 	}
+	resp.Body.Close()
 
 	var h remote.Health
-	resp, err := http.Get(ts.URL + remote.HealthPath)
+	resp, err = http.Get(ts.URL + remote.HealthPath)
 	if err != nil {
 		t.Fatal(err)
 	}

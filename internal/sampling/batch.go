@@ -25,14 +25,14 @@ type batch struct {
 	// bank could not serve: a batch the mem tier serves whole never asks.
 	once    sync.Once
 	outs    []KernelOutcome // the pack, decoded; nil when the store has none
-	pastMem atomic.Bool     // a task got past the mem tier (runLadder sets it)
+	pastMem atomic.Bool     // a task got past the mem tier (run sets it)
 }
 
 // newBatch returns the pack handle of the batch with these task keys, or nil
-// where nothing is packed: without a store, for a single task (its per-key
-// entry again), and under a predictor (predictions must reach no cache).
+// where nothing is packed: without a store, and for a single task (its
+// per-key entry again).
 func (e *Exec) newBatch(keys []string) *batch {
-	if e == nil || e.packs == nil || e.pred != nil || len(keys) < 2 {
+	if e == nil || e.packs == nil || len(keys) < 2 {
 		return nil
 	}
 	return &batch{packs: e.packs, keys: keys}

@@ -176,18 +176,8 @@ func TestPackCorruptFallsBack(t *testing.T) {
 	}
 }
 
-// servesOne predicts one key and declines every other.
-type servesOne struct{ key string }
-
-func (p servesOne) Predict(_ gpu.Device, _ *trace.KernelDesc, _ KernelTask, key string) (KernelOutcome, bool, bool) {
-	return KernelOutcome{ProjCycles: 1}, false, key == p.key
-}
-
-func (servesOne) Verified(string, KernelOutcome, KernelOutcome) {}
-
 // TestPackSkipped: a batch of one task has no pack (it would be its per-key
-// entry again), and an Exec with a predictor neither reads nor writes one —
-// the batch's outcomes may hold predictions, which no cache may ever see.
+// entry again).
 func TestPackSkipped(t *testing.T) {
 	s := newPackStudy(t, 4)
 	for _, e := range []*Exec{NewExec(parallel.NewScheduler(s.width), s.store), NewExec(nil, s.store)} { // cold, then warm
@@ -197,25 +187,6 @@ func TestPackSkipped(t *testing.T) {
 	}
 	if st := s.store.Stats(); st.Entries != 1 || st.Hits != 1 {
 		t.Errorf("a batch of one left %d entries and scored %d per-key hits, want 1 and 1", st.Entries, st.Hits)
-	}
-
-	for i := 0; i < 2; i++ {
-		e := NewExec(parallel.NewScheduler(s.width), s.store)
-		e.SetPredictor(servesOne{key: s.keys[1]})
-		outs, _, _ := s.run(e)
-		if outs[1] != (KernelOutcome{ProjCycles: 1}) {
-			t.Fatalf("the predictor did not serve its task: %+v", outs[1])
-		}
-		if packs := e.packs.Stats(); packs.Hits+packs.Misses+packs.Writes != 0 {
-			t.Errorf("run %d under a predictor touched the pack: %+v", i, packs)
-		}
-	}
-	// The three outcomes the ladder resolved, beside the first batch's one.
-	if st := s.store.Stats(); st.Entries != 3 {
-		t.Errorf("%d entries after the predictor runs, want 3 per-key entries and no pack", st.Entries)
-	}
-	if _, err := os.Stat(s.packPath()); !os.IsNotExist(err) {
-		t.Errorf("a pack exists after the predictor runs: %v", err)
 	}
 }
 

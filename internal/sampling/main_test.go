@@ -1,0 +1,9 @@
+package sampling
+
+import (
+	"testing"
+
+	"pka/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

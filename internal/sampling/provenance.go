@@ -1,6 +1,6 @@
 // Per-kernel execution provenance: the study "flight recorder". Every
 // kernel task the Exec ladder resolves gets one ProvEntry — which tier
-// served it (learned predictor, mem singleflight, disk artifact store,
+// served it (mem singleflight, disk artifact store,
 // owner-shard peer, remote worker, fresh sim), which peer, how long it
 // queued and how long service took, and
 // any hedge/retry/breaker events along the way. Entries fold
@@ -27,14 +27,13 @@ import (
 // values index obs.ExecMetrics and match obs.ExecTierNames.
 type Tier uint8
 
-// The six serving tiers, in ladder order.
+// The five serving tiers, in ladder order.
 const (
-	TierPredict Tier = iota // tier-0 learned predictor (confidence-gated, opt-in)
-	TierMem                 // in-memory singleflight (or waited on another caller's compute)
-	TierDisk                // content-addressed artifact store
-	TierShard               // owner-shard peer in the sharded fleet cache
-	TierWorker              // remote pkad worker
-	TierSim                 // fresh local simulation
+	TierMem    Tier = iota // in-memory singleflight (or waited on another caller's compute)
+	TierDisk               // content-addressed artifact store
+	TierShard              // owner-shard peer in the sharded fleet cache
+	TierWorker             // remote pkad worker
+	TierSim                // fresh local simulation
 )
 
 // String names the tier; unknown values render as "tier<N>".
@@ -214,7 +213,7 @@ func (fr *FlightRecorder) WriteReport(w io.Writer) error {
 			workers[e.Worker]++
 		}
 	}
-	for t := TierPredict; t <= TierSim; t++ {
+	for t := TierMem; t <= TierSim; t++ {
 		a := tiers[t]
 		if a == nil {
 			a = &agg{}

@@ -6,6 +6,7 @@ import (
 
 	"pka/internal/artifact"
 	"pka/internal/gpu"
+	"pka/internal/obs"
 )
 
 func TestFlightRecorderDeterministicFold(t *testing.T) {
@@ -46,6 +47,25 @@ func TestFlightRecorderDeterministicFold(t *testing.T) {
 	}
 }
 
+// TestTierNamesRoundTrip: flight NDJSON and pkad responses carry tiers by
+// name, so every tier needs a name of its own, and the name must decode back
+// to the same tier.
+func TestTierNamesRoundTrip(t *testing.T) {
+	if len(obs.ExecTierNames) != int(TierSim)+1 {
+		t.Fatalf("%d tier names for %d tiers", len(obs.ExecTierNames), int(TierSim)+1)
+	}
+	for tier := TierMem; tier <= TierSim; tier++ {
+		raw, err := tier.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Tier
+		if err := got.UnmarshalJSON(raw); err != nil || got != tier {
+			t.Errorf("tier %d: %s decodes to %d (%v)", tier, raw, got, err)
+		}
+	}
+}
+
 func TestFlightReportGolden(t *testing.T) {
 	fr := NewFlightRecorder()
 	fr.Record(ProvEntry{Phase: "full", Index: 0, Tier: TierSim,
@@ -59,7 +79,6 @@ func TestFlightReportGolden(t *testing.T) {
 	}
 	want := strings.Join([]string{
 		"execution provenance: 2 kernel launches",
-		"  tier predict      0 launches  wait           0s  service           0s",
 		"  tier mem          0 launches  wait           0s  service           0s",
 		"  tier disk         0 launches  wait           0s  service           0s",
 		"  tier shard        0 launches  wait           0s  service           0s",

@@ -76,9 +76,8 @@ type KernelTask struct {
 
 // SampledTask is the task spec a sampled run issues for each representative:
 // PKS mode, or PKA mode when usePKP is set, under the cycle cap (zero applies
-// sim.DefaultMaxCycles). The fold and the predictor's training scan both
-// take it from here, because content keys only match when the specs agree
-// byte for byte.
+// sim.DefaultMaxCycles). Every sampled pass takes it from here, because
+// content keys only match when the specs agree byte for byte.
 func SampledTask(capCycles int64, o pkp.Options, usePKP bool) KernelTask {
 	if capCycles <= 0 {
 		capCycles = sim.DefaultMaxCycles
@@ -201,7 +200,7 @@ func appendKernelSection(b []byte, k *trace.KernelDesc) []byte {
 }
 
 // appendDeviceSection appends every semantic device-configuration field —
-// the device half of TaskKey, of the selection key and of DeviceFingerprint.
+// the device half of TaskKey and of the selection key.
 func appendDeviceSection(b []byte, dev gpu.Device) []byte {
 	b = append(b, dev.Name...)
 	b = append(b, '|')
@@ -221,17 +220,6 @@ func appendDeviceSection(b []byte, dev gpu.Device) []byte {
 	}
 	b = appendBool(b, dev.HasTensorCores)
 	return appendFloat(b, dev.ISAScale)
-}
-
-// deviceSchema versions DeviceFingerprint; bump it with appendDeviceSection.
-const deviceSchema = "pka-device-v1"
-
-// DeviceFingerprint returns a stable content hash of the device
-// configuration — the device half of every TaskKey. A model artifact
-// trained against one device records this fingerprint so a predictor can
-// refuse to score tasks for a differently-configured GPU.
-func DeviceFingerprint(dev gpu.Device) string {
-	return artifact.Key([]byte(deviceSchema), appendDeviceSection(nil, dev))
 }
 
 // selectionSchema salts every selection key with the payload encoding and
@@ -328,38 +316,12 @@ type ShardTier interface {
 	Store(key string, payload []byte)
 }
 
-// Predictor is the opt-in tier 0 of the Exec ladder: a learned model that
-// maps (device, kernel features, task spec) to a KernelOutcome without
-// simulating anything. Predict must be a pure function of its inputs and
-// the predictor's configuration — the same task must predict identically
-// however many times and on whatever goroutine it is asked — because a
-// served prediction bypasses every cache and duplicate launches re-predict
-// independently. ok=false means "fall through to the real ladder" (low
-// confidence, unknown device, or the tier disabled itself); verify=true
-// asks the Exec to re-simulate this served prediction asynchronously down
-// the real ladder and report the ground truth back through Verified, which
-// must be safe for concurrent use.
-//
-// Implementations must never store predicted outcomes anywhere the real
-// ladder reads (and Exec never does): predictions are approximations, and
-// the mem/disk/shard caches hold exact simulation results only.
-type Predictor interface {
-	Predict(dev gpu.Device, k *trace.KernelDesc, task KernelTask, key string) (oc KernelOutcome, verify bool, ok bool)
-	Verified(key string, predicted, actual KernelOutcome)
-}
-
-// verifyWorkers bounds concurrently running async verification
-// re-simulations so a high -predict-verify-frac cannot starve the study's
-// own tasks.
-const verifyWorkers = 4
-
 // Exec bundles the execution resources one study run shares across all of
 // its kernel tasks: the global scheduler, the persistent artifact store,
-// an in-memory singleflight outcome cache layered above it, optional
+// an in-memory singleflight outcome cache layered above it, and optional
 // sharded-fleet-cache and remote worker tiers between the disk cache and
-// local simulation, and an optional learned-predictor tier above
-// everything. A nil *Exec is valid and degrades every entry point to the
-// serial, uncached behaviour — one fresh simulator per kernel on the
+// local simulation. A nil *Exec is valid and degrades every entry point to
+// the serial, uncached behaviour — one fresh simulator per kernel on the
 // calling goroutine.
 type Exec struct {
 	sched  *parallel.Scheduler
@@ -368,12 +330,8 @@ type Exec struct {
 	packs  *artifact.Store // store's View for whole batches' outcomes: "batch"
 	shard  ShardTier
 	remote RemoteTier
-	pred   Predictor
 	mem    parallel.Cache[string, KernelOutcome]
 	execM  *obs.ExecMetrics
-
-	verifyWG  sync.WaitGroup
-	verifySem chan struct{}
 }
 
 // NewExec builds an Exec. Either resource may be nil: a nil scheduler runs
@@ -399,33 +357,6 @@ func (e *Exec) SetRemote(r RemoteTier) {
 func (e *Exec) SetShard(s ShardTier) {
 	if e != nil {
 		e.shard = s
-	}
-}
-
-// SetPredictor installs (or, with nil, removes) the learned-predictor
-// tier. Unlike every other tier, the predictor can change results: a
-// served prediction is a model output, not a simulation. The contract
-// that keeps studies reproducible is weaker but still firm — Predict is
-// pure, so a study's output is byte-identical at any parallelism and any
-// cache state for a fixed model and gate; it just isn't the simulated
-// output unless the prediction was exact.
-func (e *Exec) SetPredictor(p Predictor) {
-	if e == nil {
-		return
-	}
-	e.pred = p
-	if p != nil && e.verifySem == nil {
-		e.verifySem = make(chan struct{}, verifyWorkers)
-	}
-}
-
-// DrainVerify blocks until every asynchronous prediction verification
-// spawned so far has finished. Call it before reading the predictor's
-// online error estimate at end of run; without a predictor it returns
-// immediately.
-func (e *Exec) DrainVerify() {
-	if e != nil {
-		e.verifyWG.Wait()
 	}
 }
 
@@ -559,8 +490,10 @@ func (e *Exec) RunKernelTaskObs(dev gpu.Device, k *trace.KernelDesc, task Kernel
 }
 
 // run resolves the task keyed key (task i of pack's batch; nil for a lone
-// task): the predictor first, then the ladder (in-memory singleflight →
-// artifact store → owner-shard peer → remote workers → fresh simulator).
+// task) through the ladder: mem singleflight → the evaluation's bank → disk
+// (the batch's pack, else the key's entry) → owner shard → remote workers →
+// fresh sim. The bank is asked before any tier that costs I/O; what it holds
+// is byte for byte what those would serve.
 func (e *Exec) run(key string, dev gpu.Device, k trace.KernelDesc, task KernelTask, to TaskObs, allowRemote bool, bank *Bank, pack *batch, i int) (KernelOutcome, error) {
 	// observed gates all timing: with no flight recorder and no metrics
 	// bundle the ladder takes no clock readings at all.
@@ -569,96 +502,6 @@ func (e *Exec) run(key string, dev gpu.Device, k trace.KernelDesc, task KernelTa
 	if observed {
 		start = time.Now()
 	}
-	// Tier 0: the learned predictor, consulted before any cache. A served
-	// prediction bypasses the singleflight entirely — Predict is pure, so
-	// duplicate launches re-predict identically without coordination — and
-	// is never written to any cache, which is what keeps the mem/disk/shard
-	// tiers holding exact simulation results only.
-	if p := e.pred; p != nil {
-		if oc, verify, ok := p.Predict(dev, &k, task, key); ok {
-			if verify {
-				e.spawnVerify(dev, k, task, key, oc, p)
-			}
-			if observed {
-				end := time.Now()
-				e.execM.Observe(int(TierPredict), end.Sub(start).Seconds())
-				e.record(to, key, TierPredict, start, end, nil, "")
-			}
-			return oc, nil
-		}
-	}
-	oc, tier, ro, shardPeer, err := e.runLadder(key, dev, k, task, to, allowRemote, bank, pack, i)
-	if err != nil {
-		return oc, err
-	}
-	if observed {
-		end := time.Now()
-		e.execM.Observe(int(tier), end.Sub(start).Seconds())
-		e.record(to, key, tier, start, end, ro, shardPeer)
-	}
-	return oc, nil
-}
-
-// record appends one provenance entry for a task served at tier. No-op
-// without a flight recorder.
-func (e *Exec) record(to TaskObs, key string, tier Tier, start, end time.Time, ro *RemoteObs, shardPeer string) {
-	if to.Flight == nil {
-		return
-	}
-	entry := ProvEntry{
-		Phase:     to.Phase,
-		Index:     to.Index,
-		Kernel:    to.Kernel,
-		Key:       key,
-		Tier:      tier,
-		ServiceNs: end.Sub(start).Nanoseconds(),
-	}
-	if !to.QueuedAt.IsZero() {
-		if wait := start.Sub(to.QueuedAt); wait > 0 {
-			entry.WaitNs = wait.Nanoseconds()
-		}
-	}
-	if ro != nil {
-		entry.Worker = ro.Worker
-		entry.Hedges = ro.Hedges
-		entry.Retries = ro.Retries
-		entry.BreakerSkips = ro.BreakerSkips
-	}
-	if tier == TierShard {
-		entry.Worker = shardPeer
-	}
-	to.Flight.Record(entry)
-}
-
-// spawnVerify re-simulates a served prediction down the real ladder on a
-// bounded background worker and reports the exact outcome back to the
-// predictor. Verification runs are deliberately unobserved — no exec-tier
-// metrics, no provenance — so per-tier counts keep summing exactly to the
-// launch count; they do warm the mem and disk caches with the exact
-// outcome, which is pure gain. Failures are dropped: verification is an
-// accuracy estimate, never a correctness dependency.
-func (e *Exec) spawnVerify(dev gpu.Device, k trace.KernelDesc, task KernelTask, key string, predicted KernelOutcome, p Predictor) {
-	e.verifyWG.Add(1)
-	go func() {
-		defer e.verifyWG.Done()
-		e.verifySem <- struct{}{}
-		defer func() { <-e.verifySem }()
-		actual, _, _, _, err := e.runLadder(key, dev, k, task, TaskObs{}, true, nil, nil, 0)
-		if err != nil {
-			return
-		}
-		p.Verified(key, predicted, actual)
-	}()
-}
-
-// runLadder resolves one task through the real serving ladder (everything
-// below the predictor): mem singleflight → the evaluation's bank → disk (the
-// batch's pack, else the key's entry) → owner shard → remote workers → fresh
-// sim. The bank is asked before any tier that costs I/O; what it holds is byte
-// for byte what those would serve. It takes no clock readings and records
-// nothing — observation is the caller's business — so the verifier can reuse
-// it without perturbing tier accounting.
-func (e *Exec) runLadder(key string, dev gpu.Device, k trace.KernelDesc, task KernelTask, to TaskObs, allowRemote bool, bank *Bank, pack *batch, i int) (KernelOutcome, Tier, *RemoteObs, string, error) {
 	// tier and ro are closure-local per caller: the singleflight runs only
 	// the winning caller's closure (on its own goroutine), so waiters keep
 	// the TierMem default — they were indeed served from memory, even
@@ -667,7 +510,6 @@ func (e *Exec) runLadder(key string, dev gpu.Device, k trace.KernelDesc, task Ke
 	tier := TierMem
 	var ro *RemoteObs
 	var shardPeer string
-	observed := to.Flight != nil || e.execM != nil
 	oc, err := e.mem.Do(key, func() (KernelOutcome, error) {
 		if pack != nil {
 			pack.pastMem.Store(true)
@@ -728,7 +570,46 @@ func (e *Exec) runLadder(key string, dev gpu.Device, k trace.KernelDesc, task Ke
 		e.persist(key, oc)
 		return oc, nil
 	})
-	return oc, tier, ro, shardPeer, err
+	if err != nil {
+		return oc, err
+	}
+	if observed {
+		end := time.Now()
+		e.execM.Observe(int(tier), end.Sub(start).Seconds())
+		e.record(to, key, tier, start, end, ro, shardPeer)
+	}
+	return oc, nil
+}
+
+// record appends one provenance entry for a task served at tier. No-op
+// without a flight recorder.
+func (e *Exec) record(to TaskObs, key string, tier Tier, start, end time.Time, ro *RemoteObs, shardPeer string) {
+	if to.Flight == nil {
+		return
+	}
+	entry := ProvEntry{
+		Phase:     to.Phase,
+		Index:     to.Index,
+		Kernel:    to.Kernel,
+		Key:       key,
+		Tier:      tier,
+		ServiceNs: end.Sub(start).Nanoseconds(),
+	}
+	if !to.QueuedAt.IsZero() {
+		if wait := start.Sub(to.QueuedAt); wait > 0 {
+			entry.WaitNs = wait.Nanoseconds()
+		}
+	}
+	if ro != nil {
+		entry.Worker = ro.Worker
+		entry.Hedges = ro.Hedges
+		entry.Retries = ro.Retries
+		entry.BreakerSkips = ro.BreakerSkips
+	}
+	if tier == TierShard {
+		entry.Worker = shardPeer
+	}
+	to.Flight.Record(entry)
 }
 
 // persist lands an outcome this process did not read from a cache in the

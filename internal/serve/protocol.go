@@ -180,8 +180,8 @@ type ProvenanceBlock struct {
 	TraceID string `json:"trace_id,omitempty"`
 	// Kernels is the number of kernel launches recorded.
 	Kernels int `json:"kernels"`
-	// Tiers counts launches per serving tier (predict, mem, disk, shard,
-	// worker, sim).
+	// Tiers counts launches per serving tier (mem, disk, shard, worker,
+	// sim).
 	Tiers map[string]int `json:"tiers"`
 	// Workers counts launches per remote worker (absent when none).
 	Workers map[string]int `json:"workers,omitempty"`
