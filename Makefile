@@ -22,8 +22,8 @@ test:
 # internal/serve (the serving tier: concurrent admission, weighted-fair
 # queue, fault injection), internal/cluster (the chunked assignment step
 # and its worker-invariance test), internal/artifact (the store's lock and
-# views), internal/remote (the hedging dispatcher, breaker and fleet-cache
-# ring), internal/dedup and internal/classify (the ensemble fits its members
+# views), internal/remote (the shard client's eviction and rebalance, the
+# cache peer and a study through a three-member ring), internal/dedup and internal/classify (the ensemble fits its members
 # concurrently) are fast enough to race in full (the last four ≈ 2, 2, 3.5
 # and 4 s of test time under -race on the 2-core box); the
 # experiments and workload suites run with -short so the concurrency
@@ -66,7 +66,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzServeRequest -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run NONE -fuzz FuzzStreamRequest -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run NONE -fuzz FuzzParseTraceparent -fuzztime $(FUZZTIME) ./internal/obs
-	$(GO) test -run NONE -fuzz FuzzExecRequest -fuzztime $(FUZZTIME) ./internal/remote
+	$(GO) test -run NONE -fuzz FuzzCacheRequest -fuzztime $(FUZZTIME) ./internal/remote
 
 # bench/ is its own module (pka/bench, `replace pka => ../`), so the root
 # `go build ./... && go test ./...` never compiles it. Vet and test it here

@@ -30,7 +30,6 @@ import (
 	"pka/internal/cli"
 	"pka/internal/core"
 	"pka/internal/dedup"
-	"pka/internal/obs"
 	"pka/internal/pkp"
 	"pka/internal/pks"
 	"pka/internal/report"
@@ -61,7 +60,7 @@ func main() {
 	)
 	execFlags.Obs.Register(nil)
 	execFlags.Cache.Register(nil)
-	execFlags.Remote.Register(nil)
+	execFlags.Shard.Register(nil)
 	flag.Parse()
 
 	// -stream brings its own workload (the event header names it) and is a
@@ -142,9 +141,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if d := execFlags.Remote.Dispatcher(); d != nil {
-		fmt.Fprintf(os.Stderr, "dispatching kernel tasks to %d worker(s)\n", d.Workers())
-	}
 
 	cfg := core.Config{
 		Device:      dev,
@@ -158,12 +154,7 @@ func main() {
 		cfg.Flight = sampling.NewFlightRecorder()
 	}
 	if execFlags.Obs.Trace != "" {
-		// A Chrome-trace run is a traced run: give the study a root trace
-		// context so remote workers' spans link back under one trace ID and
-		// merge into the written trace, with this process as its own track.
-		ids := obs.NewIDGen(0)
-		cfg.Trace = ids.NewTrace()
-		cfg.TraceIDs = ids
+		// The written trace names this process.
 		sess.Observer.Tracer.SetProcessName("pka")
 	}
 

@@ -1,17 +1,19 @@
-// Command pkad is the PKA kernel-task worker daemon: it serves the
-// internal/remote exec protocol so pka/pkaexp studies can scale their
-// simulation work out across machines. Each request is one kernel task —
-// a pure function of (device, kernel features, task spec) — so a worker
-// holds no study state at all; it just burns cycles and, when -cache-dir
-// points at a (possibly shared) directory, persists every outcome in the
-// same content-addressed artifact store the clients use.
+// Command pkad is a PKA fleet-cache peer: it serves its artifact store over
+// the internal/remote cache protocol so pka/pkaexp/pkaserve studies started
+// with -shard can read outcomes another process already simulated instead
+// of simulating them again. A peer holds no study state and executes
+// nothing; it keeps the content-addressed entries clients replicate to it
+// (GET/PUT /v1/cache/<key>) and reports its cache and ring membership on
+// /v1/health.
 //
-// Typical fleet member:
+// Typical ring member:
 //
-//	pkad -serve 0.0.0.0:9377 -worker-cap 8 -cache-dir /shared/pka-cache
+//	pkad -serve 0.0.0.0:9377 -cache-dir /var/pka-cache \
+//	  -ring http://a:9377,http://b:9377,http://c:9377 -ring-self http://a:9377
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -26,29 +28,30 @@ import (
 	"pka/internal/cli"
 	"pka/internal/obs"
 	"pka/internal/remote"
-	"pka/internal/sampling"
 )
 
 func main() {
 	var (
-		serve    = flag.String("serve", "127.0.0.1:9377", "host:port to serve kernel-task execution on")
-		cap      = flag.Int("worker-cap", 4, "maximum tasks executing concurrently; extra requests are rejected 429 for the dispatcher to place elsewhere")
-		quiet    = flag.Bool("quiet", false, "suppress the per-request access log on stderr")
-		name     = flag.String("name", "", "worker name reported in traces, health, and shipped spans (default pkad)")
-		ring     = flag.String("ring", "", "comma-separated fleet member URLs forming the consistent-hash cache ring (peer cache sharding; include this worker)")
-		ringSelf = flag.String("ring-self", "", "this worker's own URL on the -ring (skipped on peer lookups; reported in /v1/health)")
+		serve    = flag.String("serve", "127.0.0.1:9377", "host:port to serve the peer cache on")
+		name     = flag.String("name", "", "peer name reported in health (default pkad)")
+		ring     = flag.String("ring", "", "comma-separated fleet member URLs forming the consistent-hash cache ring (include this peer)")
+		ringSelf = flag.String("ring-self", "", "this peer's own URL on the -ring (reported in /v1/health)")
 	)
 	var cacheFl cli.CacheFlags
 	cacheFl.Register(nil)
 	flag.Parse()
 
-	if err := run(*serve, *cap, *quiet, *name, *ring, *ringSelf, &cacheFl); err != nil {
+	if err := run(*serve, *name, *ring, *ringSelf, &cacheFl); err != nil {
 		fmt.Fprintln(os.Stderr, "pkad:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, capacity int, quiet bool, name, ringCSV, ringSelf string, cacheFl *cli.CacheFlags) error {
+func run(addr, name, ringCSV, ringSelf string, cacheFl *cli.CacheFlags) error {
+	// A peer without a store would answer every GET and PUT 404.
+	if cacheFl.Dir == "" {
+		return errors.New("-cache-dir is required: a cache peer serves its artifact store")
+	}
 	store, err := cacheFl.Open()
 	if err != nil {
 		return err
@@ -56,23 +59,17 @@ func run(addr string, capacity int, quiet bool, name, ringCSV, ringSelf string, 
 	logger := log.New(os.Stderr, "pkad ", log.LstdFlags|log.Lmicroseconds)
 
 	// The daemon is always observed — /metrics is part of its API — with
-	// build identity and per-tier exec attribution in the exposition.
+	// build identity and the store's counters in the exposition.
 	observer := obs.NewObserver()
 	observer.RegisterBuildInfo()
+	observer.RegisterCacheStats(func() map[string]obs.CacheCounts {
+		a := store.Stats()
+		return map[string]obs.CacheCounts{"artifact": {Hits: a.Hits, Misses: a.Misses, Evictions: a.Evictions, Corrupt: a.Corrupt}}
+	})
 
-	// The worker-side Exec layers mem-singleflight and the disk store over
-	// the local simulator but never a remote tier: workers execute, they do
-	// not forward (see sampling.Exec.RunKernelTask).
-	exec := sampling.NewExec(nil, store)
-	exec.SetMetrics(observer.ExecMetrics())
-
-	// When the fleet runs with per-worker (private) cache dirs, the ring
-	// makes the fleet's caches one sharded store: this worker answers peer
-	// GET/PUTs for the key ranges it owns and reads its peers' shards
-	// before simulating. Peer lookups are pure cache reads, so the
-	// no-forwarding invariant (workers never dispatch work) holds.
-	var shard *remote.ShardClient
-	var fleetRing *artifact.Ring
+	srv := remote.NewServer(store)
+	srv.Name = name
+	srv.Obs = observer
 	if ringCSV != "" {
 		var members []string
 		for _, u := range strings.Split(ringCSV, ",") {
@@ -80,39 +77,20 @@ func run(addr string, capacity int, quiet bool, name, ringCSV, ringSelf string, 
 				members = append(members, u)
 			}
 		}
-		fleetRing = artifact.NewRing(members, 0, 0)
+		fleetRing := artifact.NewRing(members, artifact.DefaultVNodes, artifact.DefaultReplicas)
 		if fleetRing == nil {
 			return fmt.Errorf("-ring: no member URLs in %q", ringCSV)
 		}
-		shard = remote.NewShardClient(remote.ShardOptions{
-			Peers:   members,
-			Self:    ringSelf,
-			Metrics: observer.ShardMetrics(),
-			Logf:    logger.Printf,
-		})
-		if shard != nil {
-			exec.SetShard(shard)
-		}
+		srv.SetRing(fleetRing, ringSelf)
 		logger.Printf("cache ring: %d member(s), replication %d, self %q",
 			len(fleetRing.Members()), fleetRing.Replicas(), ringSelf)
-	}
-
-	observer.RegisterCacheStats(exec.CacheStats)
-	srv := remote.NewServer(exec, capacity)
-	srv.Name = name
-	srv.Obs = observer
-	if fleetRing != nil {
-		srv.SetRing(fleetRing, ringSelf)
-	}
-	if !quiet {
-		srv.Logf = logger.Printf
 	}
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	logger.Printf("serving kernel tasks on http://%s (capacity %d, cache %q)", ln.Addr(), capacity, cacheFl.Dir)
+	logger.Printf("serving the peer cache on http://%s (cache %q)", ln.Addr(), cacheFl.Dir)
 
 	errc := make(chan error, 1)
 	go func() { errc <- http.Serve(ln, srv.Handler()) }()

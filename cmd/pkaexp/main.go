@@ -135,7 +135,7 @@ func main() {
 	)
 	execFl.Obs.Register(nil)
 	execFl.Cache.Register(nil)
-	execFl.Remote.Register(nil)
+	execFl.Shard.Register(nil)
 	flag.Parse()
 
 	gens := generators()
@@ -163,9 +163,6 @@ func main() {
 	sess, err := execFl.Build(*par)
 	if err != nil {
 		fatal(err)
-	}
-	if d := execFl.Remote.Dispatcher(); d != nil {
-		fmt.Fprintf(os.Stderr, "dispatching kernel tasks to %d worker(s)\n", d.Workers())
 	}
 	s := experiments.New()
 	s.Cfg.Parallelism = *par

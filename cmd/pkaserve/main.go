@@ -1,14 +1,14 @@
 // Command pkaserve runs the PKA study engine as a long-running service:
 // clients POST study requests, the server admits them through a bounded
 // weighted-fair queue, executes them on the shared Exec ladder (memory →
-// disk cache → pkad workers → fresh simulation), and answers with the
+// disk cache → pkad cache peers → fresh simulation), and answers with the
 // same bytes the batch pka CLI would print for the same inputs.
 //
 // Usage:
 //
 //	pkaserve                                       # loopback on :9380
 //	pkaserve -addr :9380 -study-workers 4 -queue-depth 128
-//	pkaserve -cache-dir /var/pka -workers http://gpu1:9377,http://gpu2:9377
+//	pkaserve -cache-dir /var/pka -shard http://gpu1:9377,http://gpu2:9377
 //	pkaserve -tenants prod=3,batch=1               # prod drains 3:1 under load
 //
 // Endpoints: POST /v1/study, POST /v1/stream, GET /v1/latency (?text=1),
@@ -53,7 +53,7 @@ func main() {
 	)
 	execFl.Obs.Register(nil)
 	execFl.Cache.Register(nil)
-	execFl.Remote.Register(nil)
+	execFl.Shard.Register(nil)
 	flag.Parse()
 
 	weights, err := cli.ParseWeights(*tenants)
@@ -69,9 +69,6 @@ func main() {
 	sess, err := execFl.Build(*par)
 	if err != nil {
 		fatal(err)
-	}
-	if d := execFl.Remote.Dispatcher(); d != nil && !*quiet {
-		fmt.Fprintf(os.Stderr, "dispatching kernel tasks to %d worker(s)\n", d.Workers())
 	}
 
 	srv := serve.New(serve.Options{

@@ -295,17 +295,25 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// path maps a hex key to its sharded file path. Keys are validated so a
-// hostile key cannot escape the store directory.
-func (s *Store) path(key string) (string, error) {
+// CheckKey reports whether key is a valid store key: 4 to 128 lowercase
+// hex characters, so a hostile key cannot escape the store directory.
+func CheckKey(key string) error {
 	if len(key) < 4 || len(key) > 128 {
-		return "", fmt.Errorf("artifact: bad key length %d", len(key))
+		return fmt.Errorf("artifact: bad key length %d", len(key))
 	}
 	for i := 0; i < len(key); i++ {
 		c := key[i]
 		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return "", fmt.Errorf("artifact: key %q is not lowercase hex", key)
+			return fmt.Errorf("artifact: key %q is not lowercase hex", key)
 		}
+	}
+	return nil
+}
+
+// path maps a valid key to its sharded file path.
+func (s *Store) path(key string) (string, error) {
+	if err := CheckKey(key); err != nil {
+		return "", err
 	}
 	return filepath.Join(s.dir, key[:2], key+".bin"), nil
 }

@@ -1,10 +1,10 @@
-// Consistent-hash ring for the sharded fleet cache. Every pkad worker
-// and every dispatching client builds the same ring from the same member
+// Consistent-hash ring for the sharded fleet cache. Every pkad peer
+// and every -shard client builds the same ring from the same member
 // list, so "who owns this content key" is answered locally — no
 // directory service, no coordination. Placement is a pure function of
 // the sorted member list: restarts, differently-ordered flag values, and
 // independent processes all agree on ownership, which is what lets a
-// worker answer peer GETs for exactly the keys the clients will ask it
+// peer answer GETs for exactly the keys the clients will ask it
 // for. Virtual nodes smooth the per-member load; replication ≥2 keeps a
 // key reachable when its primary owner dies.
 package artifact

@@ -1,5 +1,5 @@
 // Package cli carries the plumbing the commands share: device and workload
-// resolution for the common flag spellings, the telemetry, cache and remote
+// resolution for the common flag spellings, the telemetry, cache and shard
 // flag bundles, and the one place an Exec ladder is assembled from them
 // (ExecFlags.Build) and torn down again (Session.Close). Keeping
 // this here means every binary exposes identical observability surfaces and
@@ -17,7 +17,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"strings"
-	"time"
 
 	"pka/internal/artifact"
 	"pka/internal/gpu"
@@ -187,7 +186,6 @@ func debugMux(o *obs.Observer) *http.ServeMux {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		o.SyncCacheStats()
-		o.SyncRemoteStats()
 		o.Metrics.WritePrometheus(w) //nolint:errcheck // client went away
 	})
 	return mux
@@ -201,7 +199,6 @@ func (f *ObsFlags) Finish() error {
 		return nil
 	}
 	o.SyncCacheStats()
-	o.SyncRemoteStats()
 	if f.Trace != "" {
 		if err := WriteFile(f.Trace, o.WriteChromeTrace); err != nil {
 			return fmt.Errorf("trace: %w", err)
@@ -290,41 +287,13 @@ func (f *CacheFlags) Finish(families func() map[string]obs.CacheCounts) error {
 	return nil
 }
 
-// RemoteFlags is the scale-out flag bundle both CLIs register: -workers
-// points the study's Exec ladder at a pool of pkad workers, -serve runs an
-// in-process worker alongside the study (handy for loopback smoke tests
-// and for donating this machine's spare capacity to a fleet sharing one
-// cache directory), and -hedge-after / -worker-cap tune the dispatcher.
-// -shard adds the sharded fleet-cache tier on top: outcomes replicate to
-// their consistent-hash owners across the fleet and the Exec ladder asks
-// the owner shard before dispatching. Like the artifact cache, the remote
-// and shard tiers only change where cycles are spent: output stays
-// byte-identical with or without them.
-type RemoteFlags struct {
-	Workers    string        // comma-separated worker base URLs; empty disables the remote tier
-	Serve      string        // host:port to serve an in-process worker on; empty disables
-	HedgeAfter time.Duration // hedge-delay floor
-	WorkerCap  int           // per-worker in-flight bound (dispatch) and serve capacity
-
-	// Shard enables the sharded fleet-cache tier: the listed pkad URLs
-	// form a consistent-hash ring over which cached kernel outcomes are
-	// content-addressed, and the Exec ladder asks a key's owner shard
-	// before dispatching work (mem → disk → shard → workers → sim).
-	Shard         string // comma-separated ring member URLs; empty disables
-	ShardReplicas int    // ring replication factor (0 = artifact.DefaultReplicas)
-	ShardVNodes   int    // virtual nodes per member (0 = artifact.DefaultVNodes)
-
-	dispatcher *remote.Dispatcher
-	shard      *remote.ShardClient
-}
-
 // ExecFlags bundles the three flag groups an Exec ladder is assembled from.
 // A command registers the groups it exposes; a group it leaves unregistered
 // keeps its zero value, which builds nothing.
 type ExecFlags struct {
-	Obs    ObsFlags
-	Cache  CacheFlags
-	Remote RemoteFlags
+	Obs   ObsFlags
+	Cache CacheFlags
+	Shard ShardFlags
 }
 
 // Session is an assembled Exec ladder with everything it opened.
@@ -360,9 +329,9 @@ func (s *Session) families() map[string]obs.CacheCounts {
 }
 
 // Build assembles the ladder the flags describe — scheduler of width par,
-// artifact store, fleet shard, worker dispatcher, per-tier metrics — and
+// artifact store, fleet shard, per-tier metrics — and
 // registers its cache counters with the observer. It is the only wiring of
-// these pieces outside tests and the worker daemon.
+// these pieces outside tests.
 func (f *ExecFlags) Build(par int) (*Session, error) {
 	observer, err := f.Obs.Start()
 	if err != nil {
@@ -373,16 +342,13 @@ func (f *ExecFlags) Build(par int) (*Session, error) {
 		return nil, err
 	}
 	exec := sampling.NewExec(parallel.NewScheduler(par), store)
-	dispatcher, err := f.Remote.Start(store, observer)
+	shard, err := f.Shard.Start(observer)
 	if err != nil {
 		store.Close() //nolint:errcheck // nothing written yet
 		return nil, err
 	}
-	if dispatcher != nil {
-		exec.SetRemote(dispatcher)
-	}
-	if f.Remote.shard != nil {
-		exec.SetShard(f.Remote.shard)
+	if shard != nil {
+		exec.SetShard(shard)
 	}
 	exec.SetMetrics(observer.ExecMetrics())
 	observer.RegisterCacheStats(exec.CacheStats)
@@ -405,79 +371,49 @@ func (s *Session) Close() error {
 	return err
 }
 
-// Register installs the remote flags on the flag set (the default set when
+// ShardFlags is the fleet-cache flag bundle: -shard joins the study's Exec
+// ladder to a ring of pkad cache peers. Outcomes replicate to their
+// consistent-hash owners, and the ladder asks a key's owners after the
+// local disk and before simulating (mem → disk → shard → sim). The ring is
+// the one every `pkad -ring` builds (artifact.DefaultReplicas owners per
+// key, artifact.DefaultVNodes virtual nodes per member). Like the artifact
+// cache, the shard tier only changes where outcomes come from: output
+// stays byte-identical with or without it.
+type ShardFlags struct {
+	Peers string // comma-separated ring member URLs; empty disables
+}
+
+// Register installs the shard flag on the flag set (the default set when
 // fs is nil).
-func (f *RemoteFlags) Register(fs *flag.FlagSet) {
+func (f *ShardFlags) Register(fs *flag.FlagSet) {
 	if fs == nil {
 		fs = flag.CommandLine
 	}
-	fs.StringVar(&f.Workers, "workers", "", "comma-separated pkad worker URLs to dispatch kernel tasks to (e.g. http://host:9377,http://host2:9377)")
-	fs.StringVar(&f.Serve, "serve", "", "also serve kernel-task execution as a pkad worker on this host:port")
-	fs.DurationVar(&f.HedgeAfter, "hedge-after", 100*time.Millisecond, "hedge a slow worker RPC onto a second worker after max(this, observed p95 latency)")
-	fs.IntVar(&f.WorkerCap, "worker-cap", 4, "bound on concurrent tasks per worker (both dispatching and serving)")
-	fs.StringVar(&f.Shard, "shard", "", "comma-separated pkad URLs forming the consistent-hash fleet-cache ring (usually the same list as -workers)")
-	fs.IntVar(&f.ShardReplicas, "shard-replicas", 0, "fleet-cache ring replication factor (0 = default 2)")
-	fs.IntVar(&f.ShardVNodes, "shard-vnodes", 0, "virtual nodes per fleet-cache ring member (0 = default 128)")
+	fs.StringVar(&f.Peers, "shard", "", "comma-separated pkad URLs forming the consistent-hash fleet-cache ring")
 }
 
-// Start wires the remote tier up. When -serve is set it starts an
-// in-process worker whose Exec shares the given artifact store but has no
-// remote tier of its own (workers never forward work, so fleets cannot
-// loop). When -workers is set it builds the hedging dispatcher, registers
-// its per-worker stats with the observer, and returns it for the ladder's
-// remote tier; otherwise it returns nil. -shard builds the fleet-cache
-// client alongside.
-func (f *RemoteFlags) Start(store *artifact.Store, o *obs.Observer) (*remote.Dispatcher, error) {
-	if f.Serve != "" {
-		srv := remote.NewServer(sampling.NewExec(nil, store), f.WorkerCap)
-		srv.Obs = o
-		ln, err := net.Listen("tcp", f.Serve)
-		if err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		go http.Serve(ln, srv.Handler()) //nolint:errcheck // lives until process exit
-		fmt.Fprintf(os.Stderr, "worker serving kernel tasks on http://%s%s (capacity %d)\n", ln.Addr(), remote.ExecPath, f.WorkerCap)
-	}
-	if f.Shard != "" {
-		peers := splitURLs(f.Shard)
-		if len(peers) == 0 {
-			return nil, fmt.Errorf("-shard: no ring member URLs in %q", f.Shard)
-		}
-		f.shard = remote.NewShardClient(remote.ShardOptions{
-			Peers:    peers,
-			Replicas: f.ShardReplicas,
-			VNodes:   f.ShardVNodes,
-			Metrics:  o.ShardMetrics(),
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			},
-		})
-		if f.shard != nil {
-			ring := f.shard.Ring()
-			fmt.Fprintf(os.Stderr, "fleet cache sharded over %d peer(s), replication %d\n",
-				len(ring.Members()), ring.Replicas())
-		}
-	}
-	if f.Workers == "" {
+// Start builds the fleet-cache client -shard names, reporting to the
+// observer's shard metrics; it returns nil without -shard.
+func (f *ShardFlags) Start(o *obs.Observer) (*remote.ShardClient, error) {
+	if f.Peers == "" {
 		return nil, nil
 	}
-	urls := splitURLs(f.Workers)
-	if len(urls) == 0 {
-		return nil, fmt.Errorf("-workers: no worker URLs in %q", f.Workers)
+	peers := splitURLs(f.Peers)
+	if len(peers) == 0 {
+		return nil, fmt.Errorf("-shard: no ring member URLs in %q", f.Peers)
 	}
-	d := remote.NewDispatcher(remote.DispatcherOptions{
-		Workers:      urls,
-		CapPerWorker: f.WorkerCap,
-		HedgeAfter:   f.HedgeAfter,
-		Metrics:      o.RemoteMetrics(),
+	c := remote.NewShardClient(remote.ShardOptions{
+		Peers:   peers,
+		Metrics: o.ShardMetrics(),
+		Logf: func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, format+"\n", args...)
+		},
 	})
-	o.RegisterRemoteStats(d.Stats)
-	f.dispatcher = d
-	return d, nil
+	ring := c.Ring()
+	fmt.Fprintf(os.Stderr, "fleet cache sharded over %d peer(s), replication %d\n",
+		len(ring.Members()), ring.Replicas())
+	return c, nil
 }
-
-// Dispatcher returns the dispatcher Start built (nil without -workers).
-func (f *RemoteFlags) Dispatcher() *remote.Dispatcher { return f.dispatcher }
 
 // splitURLs splits a comma-separated URL list, dropping blanks.
 func splitURLs(csv string) []string {

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"pka/internal/artifact"
 	"pka/internal/gpu"
 	"pka/internal/remote"
 	"pka/internal/sampling"
@@ -43,7 +44,7 @@ func parse(t *testing.T, args ...string) *ExecFlags {
 	fl := &ExecFlags{}
 	fl.Obs.Register(fs)
 	fl.Cache.Register(fs)
-	fl.Remote.Register(fs)
+	fl.Shard.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +58,13 @@ func parse(t *testing.T, args ...string) *ExecFlags {
 func TestBuildWiresTheLadderFromFlags(t *testing.T) {
 	dev := gpu.VoltaV100()
 	ks := studyKernels(t)
-	worker := httptest.NewServer(remote.NewServer(sampling.NewExec(nil, nil), 4).Handler())
-	defer worker.Close()
+	peerStore, err := artifact.Open(t.TempDir(), artifact.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peerStore.Close()
+	peer := httptest.NewServer(remote.NewServer(peerStore).Handler())
+	defer peer.Close()
 	metrics := filepath.Join(t.TempDir(), "m.prom")
 
 	cases := []struct {
@@ -71,9 +77,8 @@ func TestBuildWiresTheLadderFromFlags(t *testing.T) {
 		{"none", nil, []string{"kernel_mem"}, "sim", "kernel_mem"},
 		{"cache-dir", []string{"-cache-dir", t.TempDir(), "-metrics", metrics},
 			[]string{"artifact", "batch", "kernel_mem", "selection"}, "sim", "artifact"},
-		{"cache-dir+shard", []string{"-cache-dir", t.TempDir(), "-shard", worker.URL},
+		{"cache-dir+shard", []string{"-cache-dir", t.TempDir(), "-shard", peer.URL},
 			[]string{"artifact", "batch", "kernel_mem", "selection", "shard"}, "sim", "shard"},
-		{"workers", []string{"-workers", worker.URL}, []string{"kernel_mem"}, "worker", "kernel_mem"},
 	}
 	for _, tc := range cases {
 		fl := parse(t, tc.args...)

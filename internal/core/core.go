@@ -62,46 +62,21 @@ type Config struct {
 	Obs *obs.Observer
 	// Exec, when non-nil, runs every per-kernel simulation as a task on
 	// its kernel-granular scheduler and resolves outcomes through its
-	// tier ladder: the in-memory singleflight cache, then the persistent
-	// content-addressed artifact store, then (when configured) a remote
-	// worker pool, then a fresh local simulation. Results are
-	// byte-identical with or without it — and at any tier mix — because
-	// task outcomes are pure and merged back in kernel-launch order.
+	// tier ladder: the in-memory singleflight cache, the evaluation's
+	// bank, the persistent content-addressed artifact store, then (when
+	// configured) the sharded fleet cache, then a fresh local simulation.
+	// Results are byte-identical with or without it — and at any tier mix
+	// — because task outcomes are pure and merged back in kernel-launch
+	// order.
 	Exec *sampling.Exec
-	// Trace is the distributed-tracing context this evaluation belongs to;
-	// with a valid context (and an observer tracer) kernel tasks propagate
-	// it through the remote tier so worker spans link back under one trace
-	// ID. TraceIDs generates child span IDs (nil falls back to the
-	// dispatcher's own generator). Observe-only.
-	Trace    obs.TraceContext
-	TraceIDs *obs.IDGen
-	// Tracer, when non-nil, overrides Obs.Tracer as the destination for
-	// kernel-task trace spans. The serving tier sets a per-request tracer
-	// here so each study's merged cross-process trace contains only its own
-	// spans while metrics keep flowing to the shared observer.
-	Tracer *obs.Tracer
 	// Flight, when non-nil, records one provenance entry per kernel task —
-	// tier, worker, queue-wait and service durations — folded in launch
-	// order. Observe-only.
+	// tier, shard peer, queue-wait and service durations — folded in
+	// launch order. Observe-only.
 	Flight *sampling.FlightRecorder
 
 	// bank is Plan.Evaluate's, for that one evaluation's passes (see
 	// sampling.Bank).
 	bank *sampling.Bank
-}
-
-// TaskTrace returns the trace/provenance fields every kernel task in this
-// evaluation shares; phase labels the study phase: "full", "pks", "pka", or
-// "dedup-pks" / "dedup-pka" for RunSegments' shared representatives.
-func (c Config) TaskTrace(phase string) sampling.TaskObs {
-	to := sampling.TaskObs{Flight: c.Flight, Phase: phase}
-	to.Tracer = c.Tracer
-	if to.Tracer == nil && c.Obs != nil {
-		to.Tracer = c.Obs.Tracer
-	}
-	to.Trace = c.Trace
-	to.IDs = c.TraceIDs
-	return to
 }
 
 // PKSOptions returns cfg.PKS with the observer's audit stream and metric
@@ -248,9 +223,7 @@ func (r reps) pass(cfg Config, usePKP bool) (mode string, p sampling.RiderPass) 
 	}
 	p.Task = sampling.SampledTask(cfg.KernelCapCycles, cfg.PKP, usePKP)
 	p.Obs = func(i int) sampling.TaskObs {
-		to := cfg.TaskTrace(mode)
-		to.Sim = simObs
-		to.Index = i
+		to := sampling.TaskObs{Flight: cfg.Flight, Phase: mode, Sim: simObs, Index: i}
 		if usePKP {
 			po := cfg.PKPOptions(r.Owner(i) + "/" + r.Kernels[i].Name)
 			to.Audit, to.AuditSubject, to.PKPMetrics = po.Audit, po.AuditSubject, po.Metrics
@@ -477,11 +450,9 @@ func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*E
 	if full {
 		fullSpan := cfg.Obs.StartSpan("full-sim", w.FullName())
 		var tobs func(i int) sampling.TaskObs
-		if cfg.Flight != nil || cfg.Trace.Valid() {
+		if cfg.Flight != nil {
 			tobs = func(i int) sampling.TaskObs {
-				to := cfg.TaskTrace("full")
-				to.Index = i
-				return to
+				return sampling.TaskObs{Flight: cfg.Flight, Phase: "full", Index: i}
 			}
 		}
 		res, err := cfg.Exec.FullSimOf(cfg.Device, w.FullName(), sc.Kernels, tobs, cfg.bank)

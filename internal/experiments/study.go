@@ -99,7 +99,7 @@ func (s *Study) SelectionDevice() gpu.Device { return s.Cfg.Device }
 // Exec returns the kernel-task executor every generator shares, so kernel
 // simulations land on one bounded scheduler (longest task first) and share
 // one outcome cache. It is Cfg.Exec when the caller assembled a ladder
-// (artifact store, shard, workers, ...); otherwise a scheduler-only
+// (artifact store, shard, ...); otherwise a scheduler-only
 // executor of width Cfg.Parallelism, built on first call.
 func (s *Study) Exec() *sampling.Exec {
 	if s.Cfg.Exec != nil {

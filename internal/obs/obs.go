@@ -30,16 +30,14 @@ type Observer struct {
 	pkp    *PKPMetrics
 	pks    *PKSMetrics
 	pool   *PoolMetrics
-	remote *RemoteMetrics
 	serve  *ServeMetrics
 	exec   *ExecMetrics
 	shard  *ShardMetrics
 	dedup  *DedupMetrics
 	stream *StreamMetrics
 
-	cacheMu    sync.Mutex
-	cacheSrcs  []func() map[string]CacheCounts
-	remoteSrcs []func() []RemoteWorkerStats
+	cacheMu   sync.Mutex
+	cacheSrcs []func() map[string]CacheCounts
 }
 
 // NewObserver returns an Observer with all three facets enabled on the
@@ -55,7 +53,6 @@ func NewObserverAt(now func() time.Time) *Observer {
 	o.PKPMetrics()
 	o.PKSMetrics()
 	o.PoolMetrics()
-	o.RemoteMetrics()
 	o.ServeMetrics()
 	o.ExecMetrics()
 	o.ShardMetrics()
@@ -271,48 +268,6 @@ func (m *PoolMetrics) TaskDone() {
 	m.Tasks.Add(1)
 }
 
-// RemoteMetrics is the scale-out dispatcher's metric family: every RPC it
-// issues, every hedge it launches, every breaker it trips, and — the one
-// number that must stay zero for results to be trusted — how many tasks it
-// quietly ran locally because the pool could not serve them. All fields
-// are nil-safe instruments, so a zero-value bundle records nothing.
-type RemoteMetrics struct {
-	RPCs          *Counter
-	RPCSuccess    *Counter
-	RPCFailures   *Counter
-	Busy          *Counter
-	Hedges        *Counter
-	HedgeWins     *Counter
-	BreakerOpens  *Counter
-	Tasks         *Counter
-	FallbackLocal *Counter
-	RPCLatency    *Histogram
-}
-
-// RemoteMetrics lazily builds (and then reuses) the dispatcher bundle.
-func (o *Observer) RemoteMetrics() *RemoteMetrics {
-	if o == nil || o.Metrics == nil {
-		return nil
-	}
-	if o.remote == nil {
-		r := o.Metrics
-		o.remote = &RemoteMetrics{
-			RPCs:          r.Counter("pka_remote_rpc_total", "task-execution RPCs issued to workers (hedges included)"),
-			RPCSuccess:    r.Counter("pka_remote_rpc_success_total", "RPCs that returned a valid outcome"),
-			RPCFailures:   r.Counter("pka_remote_rpc_failures_total", "RPCs that failed (transport, timeout, 5xx, malformed response)"),
-			Busy:          r.Counter("pka_remote_busy_total", "RPCs rejected by a worker at capacity (transient, not a failure)"),
-			Hedges:        r.Counter("pka_remote_hedges_total", "hedged duplicate RPCs launched after the latency quantile"),
-			HedgeWins:     r.Counter("pka_remote_hedge_wins_total", "tasks whose hedge finished before the primary"),
-			BreakerOpens:  r.Counter("pka_remote_breaker_opens_total", "per-worker circuit-breaker open transitions"),
-			Tasks:         r.Counter("pka_remote_tasks_total", "kernel tasks satisfied by the remote tier"),
-			FallbackLocal: r.Counter("pka_remote_fallback_local_total", "tasks that fell back to local simulation"),
-			RPCLatency: r.Histogram("pka_remote_rpc_latency_seconds", "successful RPC round-trip latency",
-				[]float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10}),
-		}
-	}
-	return o.remote
-}
-
 // ServeMetrics is the study server's metric family: the admission
 // funnel (accepted → completed, with invalid/rejected/drain-rejected
 // spill paths), point-in-time occupancy, and the two latency
@@ -358,11 +313,11 @@ func (o *Observer) ServeMetrics() *ServeMetrics {
 
 // ExecTierNames names the Exec ladder's serving tiers in ladder order;
 // index i is the tier with numeric value i in internal/sampling.
-var ExecTierNames = [5]string{"mem", "disk", "shard", "worker", "sim"}
+var ExecTierNames = [4]string{"mem", "disk", "shard", "sim"}
 
 // ExecMetrics is the Exec ladder's tier-attribution family: for each of
-// the five serving tiers (mem singleflight, disk artifact store,
-// owner-shard peer, remote worker, fresh simulation), how many kernel
+// the four serving tiers (mem singleflight, disk artifact store,
+// owner-shard peer, fresh simulation), how many kernel
 // tasks it satisfied and the service-latency distribution.
 // The registry has no label support, so each tier is its own
 // counter/histogram pair; summed across tiers the counters equal the
@@ -431,7 +386,7 @@ func (o *Observer) ShardMetrics() *ShardMetrics {
 			PeerMisses: r.Counter("pka_shard_peer_misses_total", "lookups no owner shard held"),
 			PeerErrors: r.Counter("pka_shard_peer_errors_total", "peer GETs that failed in transport"),
 			Puts:       r.Counter("pka_shard_puts_total", "outcome replications written to owner shards"),
-			PutErrors:  r.Counter("pka_shard_put_errors_total", "peer PUTs that failed in transport"),
+			PutErrors:  r.Counter("pka_shard_put_errors_total", "peer PUTs that failed in transport or were refused"),
 			Rebalances: r.Counter("pka_shard_rebalance_total", "ring rebalances after evicting an unreachable shard"),
 			LookupLatency: r.Histogram("pka_shard_lookup_latency_seconds", "peer-lookup round-trip latency",
 				[]float64{0.0005, 0.001, 0.005, 0.025, 0.1, 0.5, 2.5}),
@@ -492,75 +447,6 @@ func (o *Observer) StreamMetrics() *StreamMetrics {
 		}
 	}
 	return o.stream
-}
-
-// RemoteWorkerStats is one worker's dispatcher-side state, published
-// through RegisterRemoteStats the same pull-on-exposition way cache
-// counters are.
-type RemoteWorkerStats struct {
-	URL         string `json:"url"`
-	InFlight    int    `json:"in_flight"`
-	PendingCost int64  `json:"pending_cost"`
-	Sent        uint64 `json:"sent"`
-	Failures    uint64 `json:"failures"`
-	Busy        uint64 `json:"busy"`
-	BreakerOpen bool   `json:"breaker_open"`
-}
-
-// RegisterRemoteStats installs a source of per-worker dispatcher state,
-// polled by SyncRemoteStats. The registry has no label support, so each
-// worker lands under an index-suffixed gauge family.
-func (o *Observer) RegisterRemoteStats(src func() []RemoteWorkerStats) {
-	if o == nil || o.Metrics == nil || src == nil {
-		return
-	}
-	o.cacheMu.Lock()
-	o.remoteSrcs = append(o.remoteSrcs, src)
-	o.cacheMu.Unlock()
-}
-
-// SyncRemoteStats polls every registered per-worker source and copies the
-// state into pka_remote_worker<i>_* gauges. Like SyncCacheStats, call it
-// just before rendering an exposition.
-func (o *Observer) SyncRemoteStats() {
-	if o == nil || o.Metrics == nil {
-		return
-	}
-	o.cacheMu.Lock()
-	srcs := append([]func() []RemoteWorkerStats(nil), o.remoteSrcs...)
-	o.cacheMu.Unlock()
-	r := o.Metrics
-	for _, src := range srcs {
-		for i, w := range src() {
-			p := "pka_remote_worker" + itoa(i)
-			r.Gauge(p+"_in_flight", "requests in flight to worker "+w.URL).Set(float64(w.InFlight))
-			r.Gauge(p+"_pending_cost", "outstanding warp-instruction cost at worker "+w.URL).Set(float64(w.PendingCost))
-			r.Gauge(p+"_sent", "RPCs sent to worker "+w.URL).Set(float64(w.Sent))
-			r.Gauge(p+"_failures", "RPC failures at worker "+w.URL).Set(float64(w.Failures))
-			r.Gauge(p+"_busy", "busy rejections from worker "+w.URL).Set(float64(w.Busy))
-			open := 0.0
-			if w.BreakerOpen {
-				open = 1
-			}
-			r.Gauge(p+"_breaker_open", "1 while worker "+w.URL+"'s circuit breaker is open").Set(open)
-		}
-	}
-}
-
-// itoa is strconv.Itoa for the small non-negative ints used in gauge
-// names, avoiding a strconv import in this file.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }
 
 // --- Cache statistics -----------------------------------------------------

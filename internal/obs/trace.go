@@ -21,11 +21,10 @@ import (
 var maxTraceEvents = 1 << 22
 
 // Arg is one key/value annotation on a span or instant event. Values must
-// be JSON-marshalable (numbers, strings, bools). The tags are the wire
-// form used when spans ship between processes (see export.go).
+// be JSON-marshalable (numbers, strings, bools).
 type Arg struct {
-	Key string      `json:"k"`
-	Val interface{} `json:"v"`
+	Key string
+	Val interface{}
 }
 
 type traceEvent struct {
@@ -49,7 +48,6 @@ type Tracer struct {
 	dropped  int64
 	dropCtr  *Counter
 	procName string
-	foreign  map[string]*ProcessTrace
 }
 
 // NewTracer returns a tracer on the real clock.
@@ -99,9 +97,9 @@ func (t *Tracer) SetDropCounter(c *Counter) {
 	t.mu.Unlock()
 }
 
-// SetProcessName names this tracer's own process in merged multi-process
-// output. Without it (and without any merged foreign processes) the
-// exported trace stays in the legacy single-process form.
+// SetProcessName names this tracer's process in the exported trace (a
+// process_name metadata event on pid 1). Without it the trace stays in the
+// legacy single-process form.
 func (t *Tracer) SetProcessName(name string) {
 	if t == nil {
 		return
@@ -220,13 +218,6 @@ func writeArgs(w io.Writer, args []Arg) error {
 	return err
 }
 
-// pidEvent is one event ready for rendering: a traceEvent assigned to a
-// Chrome trace process.
-type pidEvent struct {
-	pid int64
-	ev  traceEvent
-}
-
 func sortEvents(events []traceEvent) {
 	sort.SliceStable(events, func(i, j int) bool {
 		if events[i].tid != events[j].tid {
@@ -241,12 +232,10 @@ func sortEvents(events []traceEvent) {
 
 // WriteChromeTrace renders the collected events (plus any extra instant
 // events the caller merges in, e.g. audit records) as a Chrome trace_event
-// JSON object. Local events are sorted by (tid, ts, name) for a stable
-// layout. When foreign processes have been merged in with AddProcess (or a
-// process name was set), each process renders under its own pid with
-// process_name metadata and per-process tracks, timestamps rebased onto
-// this tracer's epoch; and when any events were dropped at the memory cap,
-// a trace_dropped metadata note records the count.
+// JSON object. Events are sorted by (tid, ts, name) for a stable layout.
+// A process name set with SetProcessName opens the trace as process_name
+// metadata; and when any events were dropped at the memory cap, a
+// trace_dropped metadata note records the count.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	if t == nil {
 		_, err := io.WriteString(w, `{"traceEvents":[]}`)
@@ -254,76 +243,27 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	}
 	t.mu.Lock()
 	events := append([]traceEvent(nil), t.events...)
-	procName := t.procName
-	foreignNames := sortedProcessNames(t.foreign)
-	foreign := make([]ProcessTrace, 0, len(foreignNames))
-	totalDropped := t.dropped
-	for _, n := range foreignNames {
-		foreign = append(foreign, *t.foreign[n])
-		totalDropped += t.foreign[n].Dropped
-	}
-	t0micros := t.t0.UnixMicro()
+	procName, dropped := t.procName, t.dropped
 	t.mu.Unlock()
 
 	sortEvents(events)
-	multi := procName != "" || len(foreign) > 0
-
-	out := make([]pidEvent, 0, len(events)+16)
-	if multi {
-		localName := procName
-		if localName == "" {
-			localName = "client"
-		}
-		out = append(out, pidEvent{pid: 1, ev: traceEvent{
+	if procName != "" {
+		events = append([]traceEvent{{
 			name: "process_name", ph: "M",
-			args: []Arg{{Key: "name", Val: localName}},
-		}})
+			args: []Arg{{Key: "name", Val: procName}},
+		}}, events...)
 	}
-	for _, ev := range events {
-		out = append(out, pidEvent{pid: 1, ev: ev})
-	}
-	for i, pt := range foreign {
-		pid := int64(i + 2)
-		out = append(out, pidEvent{pid: pid, ev: traceEvent{
-			name: "process_name", ph: "M",
-			args: []Arg{{Key: "name", Val: pt.Process}},
-		}})
-		// Tracks get per-process tids in order of first appearance.
-		tids := map[string]int64{}
-		evs := make([]traceEvent, 0, len(pt.Events))
-		var meta []traceEvent
-		for _, rec := range pt.Events {
-			tid, ok := tids[rec.Track]
-			if !ok {
-				tid = int64(len(tids) + 1)
-				tids[rec.Track] = tid
-				meta = append(meta, traceEvent{
-					name: "thread_name", ph: "M", tid: tid,
-					args: []Arg{{Key: "name", Val: rec.Track}},
-				})
-			}
-			evs = append(evs, traceEvent{
-				name: rec.Name, ph: rec.Ph, ts: rec.Ts - t0micros,
-				dur: rec.Dur, tid: tid, args: rec.Args,
-			})
-		}
-		sortEvents(evs)
-		for _, ev := range append(meta, evs...) {
-			out = append(out, pidEvent{pid: pid, ev: ev})
-		}
-	}
-	if totalDropped > 0 {
-		out = append(out, pidEvent{pid: 1, ev: traceEvent{
+	if dropped > 0 {
+		events = append(events, traceEvent{
 			name: "trace_dropped", ph: "M",
-			args: []Arg{{Key: "dropped", Val: totalDropped}},
-		}})
+			args: []Arg{{Key: "dropped", Val: dropped}},
+		})
 	}
 
 	if _, err := io.WriteString(w, `{"displayTimeUnit":"ms","traceEvents":[`); err != nil {
 		return err
 	}
-	for i, pe := range out {
-		ev := pe.ev
+	for i, ev := range events {
 		if i > 0 {
 			if _, err := io.WriteString(w, ","); err != nil {
 				return err
@@ -336,7 +276,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if _, err := fmt.Fprintf(w, `{"name":%s,"ph":%q,"pid":%d,"tid":%d`, name, ev.ph, pe.pid, ev.tid); err != nil {
+		if _, err := fmt.Fprintf(w, `{"name":%s,"ph":%q,"pid":1,"tid":%d`, name, ev.ph, ev.tid); err != nil {
 			return err
 		}
 		if ev.ph != "M" {

@@ -57,6 +57,91 @@ func TestChromeTraceGolden(t *testing.T) {
 	}
 }
 
+type chromeEvent struct {
+	Name string                 `json:"name"`
+	Ph   string                 `json:"ph"`
+	Pid  int64                  `json:"pid"`
+	Tid  int64                  `json:"tid"`
+	Ts   int64                  `json:"ts"`
+	Args map[string]interface{} `json:"args"`
+}
+
+func parseChrome(t *testing.T, b []byte) []chromeEvent {
+	t.Helper()
+	var doc struct {
+		TraceEvents []chromeEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v\n%s", err, b)
+	}
+	return doc.TraceEvents
+}
+
+// TestLegacySingleProcessUnchanged pins that a tracer without a process
+// name still renders the exact historical output: no process_name
+// metadata, everything on pid 1.
+func TestLegacySingleProcessUnchanged(t *testing.T) {
+	tr := NewTracerAt(stepClock(100 * time.Microsecond))
+	tr.Track("phase").Start("build").End()
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range parseChrome(t, buf.Bytes()) {
+		if ev.Name == "process_name" || ev.Name == "trace_dropped" {
+			t.Fatalf("single-process trace grew %q metadata", ev.Name)
+		}
+		if ev.Pid != 1 {
+			t.Fatalf("single-process event on pid %d", ev.Pid)
+		}
+	}
+	tr.SetProcessName("pka")
+	buf.Reset()
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if evs := parseChrome(t, buf.Bytes()); evs[0].Name != "process_name" || evs[0].Args["name"] != "pka" || evs[0].Pid != 1 {
+		t.Fatalf("named trace opens with %+v, want pid 1's process_name pka", evs[0])
+	}
+}
+
+// TestDropAccounting pins the silent-loss fix: events past the memory cap
+// increment the registered counter and surface as trace_dropped metadata.
+func TestDropAccounting(t *testing.T) {
+	old := maxTraceEvents
+	maxTraceEvents = 3
+	defer func() { maxTraceEvents = old }()
+	tr := NewTracerAt(stepClock(time.Microsecond))
+	ctr := NewRegistry().Counter("pka_trace_dropped_total", "t")
+	tr.SetDropCounter(ctr)
+	tr.Track("x").Instant("kept")      // thread_name meta + event: 2 of 3
+	tr.Track("x").Instant("also kept") // 3 of 3: at the cap now
+	tr.Track("x").Instant("overflow")
+	tr.Track("x").Start("span").End()
+	if got := ctr.Value(); got != 2 {
+		t.Fatalf("drop counter = %d, want 2", got)
+	}
+	if got := tr.Dropped(); got != 2 {
+		t.Fatalf("Dropped() = %d, want 2", got)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	foundDropped := false
+	for _, ev := range parseChrome(t, buf.Bytes()) {
+		if ev.Name == "trace_dropped" {
+			foundDropped = true
+			if n := ev.Args["dropped"].(float64); int64(n) != 2 {
+				t.Fatalf("trace_dropped = %v, want 2", n)
+			}
+		}
+	}
+	if !foundDropped {
+		t.Fatal("no trace_dropped metadata in trace with drops")
+	}
+}
+
 // TestObserverTraceMergesAudit pins that WriteChromeTrace renders audit
 // records as instants on per-component audit tracks, fields sorted by key.
 func TestObserverTraceMergesAudit(t *testing.T) {

@@ -1,9 +1,9 @@
 // Cross-process trace identity: a W3C trace-context style traceparent
-// header carries (trace ID, parent span ID) from the serve tier through
-// the dispatcher to every pkad worker, so spans recorded in separate
-// processes can be stitched into one tree. IDs come from an IDGen that is
-// crypto-seeded in production and deterministically seeded in golden
-// tests — the ID scheme itself never influences execution, only labeling.
+// header carries (trace ID, parent span ID) from an HTTP client into the
+// serve tier, so the study's spans join the client's trace. IDs come from
+// an IDGen that is crypto-seeded in production and deterministically
+// seeded in golden tests — the ID scheme itself never influences
+// execution, only labeling.
 package obs
 
 import (

@@ -1,110 +1,57 @@
-// Package remote is the PKA study engine's scale-out execution tier: a
-// worker daemon (cmd/pkad) that serves kernel-task execution over a
-// minimal HTTP/JSON protocol, and a client-side Dispatcher that plugs into
-// the sampling.Exec ladder between the disk artifact cache and the fresh
+// Package remote is the PKA fleet's sharded outcome cache: a cache-peer
+// daemon (cmd/pkad) that serves its artifact store over a minimal HTTP
+// protocol, and a client-side ShardClient that plugs into the
+// sampling.Exec ladder between the local disk artifact cache and the fresh
 // local simulator.
 //
 // The protocol leans entirely on the purity property the task layer
 // established: a task outcome is a function of (device, kernel features,
 // task spec) and nothing else, and the content key fixes the encoding
-// version. That makes the tier free to be sloppy about delivery — requests
-// can be hedged, duplicated, retried on another worker, or abandoned to
-// the local simulator — without ever changing a study's results. Workers
-// persist outcomes in the same content-addressed artifact store the client
-// uses (same SHA-256 keys, same 33-byte payload), so a fleet pointed at a
-// shared directory warms one cache.
+// version. That makes the tier free to be sloppy about delivery — a PUT
+// can be lost, repeated or raced by another process — without ever
+// changing a study's results. Peers keep the same content-addressed
+// entries the client's own store does (same SHA-256 keys, same 33-byte
+// payload).
 //
-// When workers have private disks instead, the sharded fleet cache makes
-// them behave like one: a consistent-hash ring (artifact.Ring) assigns
-// every content key a small owner set among the workers, clients and
-// workers replicate outcomes to the owners over CachePathPrefix, and the
-// ShardClient answers "who owns this key" locally and peer-GETs owners
-// (primary first, then replicas) before the Exec ladder falls back to
-// dispatching or simulating.
+// A consistent-hash ring (artifact.Ring) assigns every content key a small
+// owner set among the peers; clients replicate outcomes to the owners over
+// CachePathPrefix, and the ShardClient answers "who owns this key" locally
+// and peer-GETs owners (primary first, then replicas) before the Exec
+// ladder falls back to simulating.
 package remote
 
 import (
-	"fmt"
-
-	"pka/internal/gpu"
 	"pka/internal/obs"
-	"pka/internal/sampling"
-	"pka/internal/trace"
 )
 
 // Protocol endpoints and limits.
 const (
-	// ExecPath executes one kernel task (POST, JSON body).
-	ExecPath = "/v1/exec"
-	// HealthPath reports worker occupancy and cache statistics (GET).
+	// HealthPath reports the peer's cache and ring statistics (GET).
 	HealthPath = "/v1/health"
-	// SpansPath drains the worker's parked span buffer (GET) — spans from
-	// requests whose response never reached the client (hedged losers,
-	// cancelled RPCs) wait here instead of vanishing.
-	SpansPath = "/debug/spans"
-	// MetricsPath serves the worker's Prometheus exposition (GET) when the
+	// MetricsPath serves the peer's Prometheus exposition (GET) when the
 	// daemon runs with an observer.
 	MetricsPath = "/metrics"
 	// CachePathPrefix serves the sharded fleet cache's peer traffic. GET
 	// /v1/cache/<key> returns the raw artifact payload stored under the
-	// content key (404 on miss); PUT stores the request body under it.
-	// Both are pure cache operations — a peer GET can never trigger
-	// execution on the serving worker, which is what makes the shard tier
-	// loop-free by construction.
+	// content key (404 on miss); PUT stores the request body under it. A
+	// key that is not 4–128 lowercase-hex characters is a 400. Both are
+	// pure cache operations: a peer never executes anything.
 	CachePathPrefix = "/v1/cache/"
-	// TraceparentHeader carries the W3C-style trace context on exec
-	// requests; absent or malformed means "not traced".
-	TraceparentHeader = "traceparent"
-	// MaxRequestBytes bounds an exec request body. A kernel descriptor plus
-	// device config is a few hundred bytes; anything near the limit is
-	// garbage, not a bigger kernel.
-	MaxRequestBytes = 1 << 20
 	// MaxCachePayloadBytes bounds a peer cache PUT body. Kernel outcomes
 	// are 33 bytes; the slack leaves room for payload growth without a
 	// protocol change.
 	MaxCachePayloadBytes = 1 << 12
 )
 
-// ExecRequest asks a worker to execute one kernel task. Key is the
-// client-computed content key; the worker recomputes it from the decoded
-// fields and rejects on mismatch, which turns silent schema drift between
-// client and worker builds into an immediate, observable error instead of
-// a poisoned shared cache.
-type ExecRequest struct {
-	Key    string              `json:"key"`
-	Device gpu.Device          `json:"device"`
-	Kernel trace.KernelDesc    `json:"kernel"`
-	Task   sampling.KernelTask `json:"task"`
-}
-
-// ExecResponse carries one task outcome back. Outcome is the
-// sampling.EncodeOutcome payload (base64 inside JSON), the exact bytes the
-// artifact store holds under the request key. On traced requests the
-// worker also ships the spans it recorded (timestamps in wall-clock
-// microseconds) so the client can merge them into one cross-process
-// trace; untraced requests leave the span fields empty and the response
-// bytes unchanged.
-type ExecResponse struct {
-	Outcome      []byte            `json:"outcome"`
-	Process      string            `json:"process,omitempty"`
-	Spans        []obs.EventRecord `json:"spans,omitempty"`
-	SpansDropped int64             `json:"spans_dropped,omitempty"`
-}
-
-// Health is the worker's self-report.
+// Health is the peer's self-report.
 type Health struct {
-	Capacity    int           `json:"capacity"`
-	InFlight    int           `json:"in_flight"`
-	Served      uint64        `json:"served"`
-	BusyRejects uint64        `json:"busy_rejects"`
-	Failed      uint64        `json:"failed"`
-	Cache       CacheHealth   `json:"cache"`
-	Ring        *RingHealth   `json:"ring,omitempty"`
-	Process     string        `json:"process,omitempty"`
-	Build       obs.BuildInfo `json:"build"`
+	Cache   CacheHealth   `json:"cache"`
+	Ring    *RingHealth   `json:"ring,omitempty"`
+	Process string        `json:"process,omitempty"`
+	Build   obs.BuildInfo `json:"build"`
 }
 
-// RingHealth is the worker's view of its shard-ring membership: how much
+// RingHealth is the peer's view of its shard-ring membership: how much
 // of the key space it primarily owns, which peers replicate that range,
 // and how much peer cache traffic it has served. Present only when the
 // daemon runs with -ring.
@@ -117,22 +64,10 @@ type RingHealth struct {
 	PeerPuts      uint64   `json:"peer_puts"`
 }
 
-// CacheHealth is the worker-local artifact store's counters (zero when the
-// worker runs without a store).
+// CacheHealth is the peer's artifact store counters.
 type CacheHealth struct {
 	Hits    uint64 `json:"hits"`
 	Misses  uint64 `json:"misses"`
 	Writes  uint64 `json:"writes"`
 	Entries int64  `json:"entries"`
-}
-
-// Validate checks an ExecRequest for the errors worth a distinct message.
-func (r *ExecRequest) Validate() error {
-	if r.Key == "" {
-		return fmt.Errorf("remote: request missing key")
-	}
-	if want := sampling.TaskKey(r.Device, &r.Kernel, r.Task); want != r.Key {
-		return fmt.Errorf("remote: key mismatch (client %s, worker derives %s): client and worker builds disagree on task semantics", r.Key, want)
-	}
-	return nil
 }

@@ -5,225 +5,83 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"pka/internal/artifact"
 	"pka/internal/obs"
-	"pka/internal/sampling"
 )
 
-// maxParkedSpans bounds the worker's parked-span ring: spans whose
-// response never reached the client wait here for a /debug/spans drain;
-// beyond the cap the oldest are dropped and counted.
-const maxParkedSpans = 1 << 12
-
-// Server executes kernel tasks on behalf of remote dispatchers. It wraps a
-// worker-side sampling.Exec — which layers the mem-singleflight and disk
-// artifact tiers over the local simulator but deliberately never a remote
-// tier of its own (see Exec.RunKernelTask), so a misconfigured fleet
-// cannot forward requests in a loop.
-//
-// Admission is a plain semaphore: at most capacity tasks execute at once,
-// and requests beyond that are rejected immediately with 429 rather than
-// queued. Dispatchers treat 429 as "place it somewhere else", which keeps
-// the queueing (and its placement intelligence) on the client where the
-// cost estimates live.
+// Server is one cache peer: it serves an artifact store to the ring's
+// clients (GET/PUT under CachePathPrefix), reports its health and, with an
+// observer, its metrics. It never executes anything — peers exchanging
+// cache entries cannot create work for each other, only save it.
 type Server struct {
-	exec *sampling.Exec
-	cap  int
-	sem  chan struct{}
+	store *artifact.Store
 
-	served atomic.Uint64
-	busy   atomic.Uint64
-	failed atomic.Uint64
-
-	// Shard-ring membership (nil/"" when the daemon runs unsharded): the
-	// ring this worker believes it is part of, its own member name on it,
-	// and the peer cache traffic it has served.
+	// Shard-ring membership (nil/"" when the daemon runs without -ring):
+	// the ring this peer believes it is part of, its own member name on
+	// it, and the peer cache traffic it has served.
 	ring     *artifact.Ring
 	ringSelf string
 	peerGets atomic.Uint64
 	peerPuts atomic.Uint64
 
-	ids *obs.IDGen
-
-	spanMu      sync.Mutex
-	parked      []obs.EventRecord
-	parkDropped int64
-
-	// Logf, when set, receives one line per exec request (access log).
-	Logf func(format string, args ...any)
-	// Name identifies this worker process in traces, health, and span
-	// shipping (default "pkad").
+	// Name identifies this peer in health reports (default "pkad").
 	Name string
 	// Obs, when set, serves the daemon's Prometheus exposition on
 	// MetricsPath.
 	Obs *obs.Observer
 }
 
-// NewServer builds a worker around exec with the given concurrent-task
-// capacity (minimum 1).
-func NewServer(exec *sampling.Exec, capacity int) *Server {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Server{exec: exec, cap: capacity, sem: make(chan struct{}, capacity), ids: obs.NewIDGen(0)}
-}
+// NewServer builds a cache peer over store. A nil store answers every
+// cache request 404.
+func NewServer(store *artifact.Store) *Server { return &Server{store: store} }
 
-// SetRing declares this worker a member of a shard ring under the given
+// SetRing declares this peer a member of a shard ring under the given
 // member name; /v1/health then reports its owned key-range fraction and
-// replica peers. The ring only describes membership — the worker answers
-// peer GET/PUT for any valid key regardless, because consistent hashing
-// is advisory placement, not an ACL, and a client mid-rebalance may ask
-// a former owner.
+// replica peers. The ring only describes membership — the peer answers
+// GET/PUT for any valid key regardless, because consistent hashing is
+// advisory placement, not an ACL, and a client mid-rebalance may ask a
+// former owner.
 func (s *Server) SetRing(ring *artifact.Ring, self string) {
 	s.ring = ring
 	s.ringSelf = self
 }
 
-// SetIDGen replaces the span-ID generator — tests install a seeded one
-// for deterministic IDs.
-func (s *Server) SetIDGen(g *obs.IDGen) {
-	if g != nil {
-		s.ids = g
-	}
-}
-
-func (s *Server) name() string {
-	if s.Name != "" {
-		return s.Name
-	}
-	return "pkad"
-}
-
-// Handler returns the worker's HTTP mux.
+// Handler returns the peer's HTTP handler. It routes on the raw path, so a
+// cache key is judged as sent and never redirected to a cleaned path.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc(ExecPath, s.handleExec)
-	mux.HandleFunc(CachePathPrefix, s.handleCache)
-	mux.HandleFunc(HealthPath, s.handleHealth)
-	mux.HandleFunc(SpansPath, s.handleSpans)
-	mux.HandleFunc(MetricsPath, s.handleMetrics)
-	return mux
-}
-
-func (s *Server) logf(format string, args ...any) {
-	if s.Logf != nil {
-		s.Logf(format, args...)
-	}
-}
-
-func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	select {
-	case s.sem <- struct{}{}:
-		defer func() { <-s.sem }()
-	default:
-		s.busy.Add(1)
-		s.logf("busy reject (capacity %d)", s.cap)
-		http.Error(w, "worker at capacity", http.StatusTooManyRequests)
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, MaxRequestBytes+1))
-	if err != nil || len(body) > MaxRequestBytes {
-		s.failed.Add(1)
-		http.Error(w, "unreadable or oversized body", http.StatusBadRequest)
-		return
-	}
-	var req ExecRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		s.failed.Add(1)
-		s.logf("bad request: %v", err)
-		http.Error(w, "malformed request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if err := req.Validate(); err != nil {
-		s.failed.Add(1)
-		s.logf("rejected request: %v", err)
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	// A valid traceparent turns on per-request tracing: spans land in a
-	// request-local tracer and ship back inside the response. Tracing is
-	// observe-only — the execution path is identical either way.
-	var (
-		tr     *obs.Tracer
-		span   *obs.Span
-		flight *sampling.FlightRecorder
-		to     sampling.TaskObs
-	)
-	parent, traced := obs.ParseTraceparent(r.Header.Get(TraceparentHeader))
-	if traced {
-		tr = obs.NewTracer()
-		flight = sampling.NewFlightRecorder()
-		to = sampling.TaskObs{
-			Flight: flight,
-			Sim:    &obs.SimObs{Track: tr.Track("sim")},
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch p := r.URL.Path; {
+		case strings.HasPrefix(p, CachePathPrefix):
+			s.handleCache(w, r)
+		case p == HealthPath:
+			s.handleHealth(w, r)
+		case p == MetricsPath:
+			s.handleMetrics(w, r)
+		default:
+			http.NotFound(w, r)
 		}
-		span = tr.Track("task").Start("exec "+req.Kernel.Name,
-			obs.Arg{Key: "trace_id", Val: parent.TraceID},
-			obs.Arg{Key: "parent_id", Val: parent.SpanID},
-			obs.Arg{Key: "span_id", Val: s.ids.SpanID()},
-			obs.Arg{Key: "key", Val: req.Key[:12]},
-			obs.Arg{Key: "mode", Val: int(req.Task.Mode)},
-		)
-	}
-	oc, err := s.exec.RunKernelTaskObs(req.Device, &req.Kernel, req.Task, to)
-	if err != nil {
-		span.End()
-		s.failed.Add(1)
-		s.logf("task %s failed: %v", req.Key[:12], err)
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	resp := ExecResponse{Outcome: sampling.EncodeOutcome(oc)}
-	if traced {
-		tier := sampling.TierSim
-		if es := flight.Entries(); len(es) > 0 {
-			tier = es[0].Tier
-		}
-		span.Arg("tier", tier.String()).End()
-		pt := tr.ExportProcess(s.name())
-		resp.Process = pt.Process
-		resp.Spans = pt.Events
-		resp.SpansDropped = pt.Dropped
-	}
-	s.served.Add(1)
-	s.logf("served %s kernel=%q mode=%d", req.Key[:12], req.Kernel.Name, req.Task.Mode)
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil || r.Context().Err() != nil {
-		// The client never saw this response — a hedged loser's cancelled
-		// RPC, usually. Park the spans for a /debug/spans drain instead of
-		// losing that side of the race.
-		if traced {
-			s.parkSpans(resp.Spans, resp.SpansDropped)
-		}
-	}
+	})
 }
 
 // handleCache serves the sharded fleet cache's peer traffic straight from
-// the worker's artifact store: GET returns the payload under a content
-// key, PUT stores one. No execution ever happens here — peers exchanging
-// cache entries cannot create work for each other, only save it.
+// the artifact store: GET returns the payload under a content key, PUT
+// stores one.
 func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
-	store := s.exec.Store()
-	if store == nil {
-		http.Error(w, "worker has no artifact store", http.StatusNotFound)
+	if s.store == nil {
+		http.Error(w, "peer has no artifact store", http.StatusNotFound)
 		return
 	}
 	key := strings.TrimPrefix(r.URL.Path, CachePathPrefix)
-	if key == "" || strings.ContainsRune(key, '/') {
+	if artifact.CheckKey(key) != nil {
 		http.Error(w, "bad cache key", http.StatusBadRequest)
 		return
 	}
 	switch r.Method {
 	case http.MethodGet:
 		s.peerGets.Add(1)
-		raw, ok := store.Get(key)
+		raw, ok := s.store.Get(key)
 		if !ok {
 			http.NotFound(w, r)
 			return
@@ -236,7 +94,7 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "unreadable, empty, or oversized payload", http.StatusBadRequest)
 			return
 		}
-		if err := store.Put(key, body); err != nil {
+		if err := s.store.Put(key, body); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -245,37 +103,6 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	default:
 		http.Error(w, "GET or PUT only", http.StatusMethodNotAllowed)
 	}
-}
-
-// parkSpans buffers spans whose response did not reach the client.
-func (s *Server) parkSpans(events []obs.EventRecord, dropped int64) {
-	s.spanMu.Lock()
-	defer s.spanMu.Unlock()
-	s.parkDropped += dropped
-	for _, ev := range events {
-		if len(s.parked) >= maxParkedSpans {
-			// Drop the oldest: recent spans are the ones a live drain wants.
-			copy(s.parked, s.parked[1:])
-			s.parked = s.parked[:len(s.parked)-1]
-			s.parkDropped++
-		}
-		s.parked = append(s.parked, ev)
-	}
-}
-
-// handleSpans drains the parked-span buffer as a ProcessTrace, so a
-// client can collect the spans of requests whose responses it cancelled.
-func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
-	s.spanMu.Lock()
-	pt := obs.ProcessTrace{Process: s.name(), Events: s.parked, Dropped: s.parkDropped}
-	s.parked = nil
-	s.parkDropped = 0
-	s.spanMu.Unlock()
-	if pt.Events == nil {
-		pt.Events = []obs.EventRecord{}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(pt)
 }
 
 // handleMetrics serves the daemon observer's Prometheus exposition; 404
@@ -291,17 +118,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	h := Health{
-		Capacity:    s.cap,
-		InFlight:    len(s.sem),
-		Served:      s.served.Load(),
-		BusyRejects: s.busy.Load(),
-		Failed:      s.failed.Load(),
-		Process:     s.name(),
-		Build:       obs.Build(),
+	h := Health{Process: s.Name, Build: obs.Build()}
+	if h.Process == "" {
+		h.Process = "pkad"
 	}
-	if st := s.exec.Store(); st != nil {
-		cs := st.Stats()
+	if s.store != nil {
+		cs := s.store.Stats()
 		h.Cache = CacheHealth{Hits: cs.Hits, Misses: cs.Misses, Writes: cs.Writes, Entries: cs.Entries}
 	}
 	if s.ring != nil {

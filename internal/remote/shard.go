@@ -25,17 +25,9 @@ const (
 
 // ShardOptions configures a ShardClient.
 type ShardOptions struct {
-	// Peers are the fleet's worker base URLs — the ring members. Order
+	// Peers are the fleet's pkad base URLs — the ring members. Order
 	// does not matter; placement is a pure function of the set.
 	Peers []string
-	// Self, when non-empty, names this process's own URL on the ring. The
-	// client skips Self on lookups and stores (its payloads already live
-	// in the local artifact store, which the Exec ladder checks first).
-	Self string
-	// Replicas and VNodes parameterize the ring (defaults
-	// artifact.DefaultReplicas / artifact.DefaultVNodes).
-	Replicas int
-	VNodes   int
 	// Timeout bounds one peer RPC (default DefaultShardTimeout).
 	Timeout time.Duration
 	// EvictAfter is the consecutive-failure eviction threshold (default
@@ -50,12 +42,12 @@ type ShardOptions struct {
 }
 
 // ShardClient implements sampling.ShardTier over the pkad fleet: it
-// builds the same consistent-hash ring every ring-aware worker builds,
+// builds the same consistent-hash ring every ring-aware peer builds,
 // answers "who owns this key" locally, and does peer GET/PUT against the
 // owner set. Failure handling is availability-first: a peer that keeps
 // failing transport is evicted and the ring rebalanced (counted in
 // pka_shard_rebalance_total), after which its key range resolves to the
-// surviving replicas — the property the kill-one-worker smoke pins.
+// surviving replicas — the property the kill-one-peer smoke pins.
 // Lookup misses and peer failures are never errors; the Exec ladder just
 // falls through to the next tier.
 type ShardClient struct {
@@ -70,16 +62,13 @@ type ShardClient struct {
 	misses atomic.Uint64
 }
 
-// NewShardClient builds a shard client over the given fleet. Returns nil
-// when no peers remain after dropping Self, matching the nil-safe
-// ShardTier wiring in sampling.Exec.
+// NewShardClient builds a shard client over the given fleet, on the ring
+// every `pkad -ring` builds: artifact.DefaultVNodes virtual nodes per
+// member, artifact.DefaultReplicas owners per key. Returns nil without
+// peers, matching the nil-safe ShardTier wiring in sampling.Exec.
 func NewShardClient(opts ShardOptions) *ShardClient {
-	ring := artifact.NewRing(opts.Peers, opts.VNodes, opts.Replicas)
+	ring := artifact.NewRing(opts.Peers, artifact.DefaultVNodes, artifact.DefaultReplicas)
 	if ring == nil {
-		return nil
-	}
-	if m := ring.Members(); len(m) == 1 && m[0] == opts.Self {
-		// A ring of only ourselves has nobody to ask.
 		return nil
 	}
 	if opts.Timeout <= 0 {
@@ -114,24 +103,6 @@ func (c *ShardClient) CacheCounts() obs.CacheCounts {
 		return obs.CacheCounts{}
 	}
 	return obs.CacheCounts{Hits: c.hits.Load(), Misses: c.misses.Load()}
-}
-
-// owners snapshots the current owner list for key, excluding Self.
-func (c *ShardClient) owners(key string) []string {
-	c.mu.Lock()
-	ring := c.ring
-	c.mu.Unlock()
-	owners := ring.Owners(key)
-	if c.opts.Self == "" {
-		return owners
-	}
-	out := owners[:0]
-	for _, o := range owners {
-		if o != c.opts.Self {
-			out = append(out, o)
-		}
-	}
-	return out
 }
 
 // noteOK resets a peer's consecutive-failure count after any successful
@@ -177,7 +148,7 @@ func (c *ShardClient) Lookup(key string) (payload []byte, peer string, ok bool) 
 	m := c.opts.Metrics
 	m.Lookups.Inc()
 	start := time.Now()
-	for _, owner := range c.owners(key) {
+	for _, owner := range c.Ring().Owners(key) {
 		raw, status, err := c.get(owner, key)
 		if err != nil {
 			m.PeerErrors.Inc()
@@ -203,19 +174,26 @@ func (c *ShardClient) Lookup(key string) (payload []byte, peer string, ok bool) 
 // Store implements sampling.ShardTier: best-effort replication of the
 // payload to every owner of key. Idempotent (owners may already hold the
 // bytes) and never an error — a failed PUT only costs a future peer hit.
+// A transport failure counts toward the owner's eviction; a refusal (a
+// non-2xx answer: no store, a rejected payload) is a put error but not a
+// failure of the peer, which answered.
 func (c *ShardClient) Store(key string, payload []byte) {
 	if c == nil || len(payload) == 0 {
 		return
 	}
 	m := c.opts.Metrics
-	for _, owner := range c.owners(key) {
-		if err := c.put(owner, key, payload); err != nil {
+	for _, owner := range c.Ring().Owners(key) {
+		status, err := c.put(owner, key, payload)
+		switch {
+		case err != nil:
 			m.PutErrors.Inc()
 			c.noteFailure(owner)
-			continue
+		case status/100 != 2:
+			m.PutErrors.Inc()
+		default:
+			c.noteOK(owner)
+			m.Puts.Inc()
 		}
-		c.noteOK(owner)
-		m.Puts.Inc()
 	}
 }
 
@@ -244,20 +222,20 @@ func (c *ShardClient) get(peer, key string) ([]byte, int, error) {
 	return raw, resp.StatusCode, nil
 }
 
-func (c *ShardClient) put(peer, key string, payload []byte) error {
+func (c *ShardClient) put(peer, key string, payload []byte) (int, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.opts.Timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPut, peer+CachePathPrefix+key, bytes.NewReader(payload))
 	if err != nil {
-		return err
+		return 0, err
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, MaxCachePayloadBytes))
 	resp.Body.Close()
-	return nil
+	return resp.StatusCode, nil
 }
 
 // errTruncated marks a peer response that exceeded the payload bound.

@@ -3,6 +3,7 @@ package remote_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -10,8 +11,10 @@ import (
 	"testing"
 
 	"pka/internal/artifact"
+	"pka/internal/core"
 	"pka/internal/gpu"
 	"pka/internal/obs"
+	"pka/internal/parallel"
 	"pka/internal/remote"
 	"pka/internal/sampling"
 	"pka/internal/workload"
@@ -22,7 +25,20 @@ func testKey(s string) string {
 	return artifact.Key([]byte(s))
 }
 
-// shardFleet builds n ring workers over private stores plus a client
+// peer spins up one in-process pkad-equivalent over a private store.
+func peer(t *testing.T) (*httptest.Server, *artifact.Store) {
+	t.Helper()
+	st, err := artifact.Open(t.TempDir(), artifact.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	ts := httptest.NewServer(remote.NewServer(st).Handler())
+	t.Cleanup(ts.Close)
+	return ts, st
+}
+
+// shardFleet builds n ring peers over private stores plus a client
 // spanning them.
 func shardFleet(t *testing.T, n int, opts remote.ShardOptions) ([]*httptest.Server, []*artifact.Store, *remote.ShardClient) {
 	t.Helper()
@@ -30,7 +46,7 @@ func shardFleet(t *testing.T, n int, opts remote.ShardOptions) ([]*httptest.Serv
 	stores := make([]*artifact.Store, n)
 	urls := make([]string, n)
 	for i := range servers {
-		servers[i], stores[i] = worker(t, t.TempDir(), nil)
+		servers[i], stores[i] = peer(t)
 		urls[i] = servers[i].URL
 	}
 	opts.Peers = urls
@@ -142,7 +158,7 @@ func TestShardEvictionRebalance(t *testing.T) {
 	}
 }
 
-// The worker's health report must expose ring membership: owned
+// The peer's health report must expose ring membership: owned
 // fraction, replica peers, and peer traffic counters.
 func TestShardRingHealth(t *testing.T) {
 	st, err := artifact.Open(t.TempDir(), artifact.Options{})
@@ -150,7 +166,7 @@ func TestShardRingHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	srv := remote.NewServer(sampling.NewExec(nil, st), 2)
+	srv := remote.NewServer(st)
 	members := []string{"http://a:9377", "http://b:9377", "http://c:9377"}
 	srv.SetRing(artifact.NewRing(members, 0, 0), members[0])
 	ts := httptest.NewServer(srv.Handler())
@@ -245,12 +261,139 @@ func TestShardExecTier(t *testing.T) {
 	if counts["shard"] == 0 {
 		t.Fatalf("no kernels served from the shard tier: %v", counts)
 	}
-	if counts["sim"] != 0 || counts["worker"] != 0 {
+	if counts["sim"] != 0 {
 		t.Fatalf("fleet-cached kernels were re-executed: %v", counts)
 	}
 	for _, e := range fr.Entries() {
 		if e.Tier == sampling.TierShard && e.Worker == "" {
 			t.Error("shard-served entry missing the serving peer")
 		}
+	}
+}
+
+// failFirst fails the first n round trips at the transport and passes the
+// rest through. Sequential use only.
+type failFirst struct{ n int }
+
+func (f *failFirst) RoundTrip(r *http.Request) (*http.Response, error) {
+	if f.n > 0 {
+		f.n--
+		return nil, errors.New("connection refused")
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// A peer that answers a PUT with a refusal (here: no store, so 404) has not
+// stored the payload: that is a put error, not a replication, and since the
+// peer answered it neither counts toward its eviction nor clears the
+// transport failures it already has.
+func TestShardRefusedPutIsAnError(t *testing.T) {
+	storeless := httptest.NewServer(remote.NewServer(nil).Handler())
+	defer storeless.Close()
+	o := obs.NewObserver()
+	tr := &failFirst{n: 1}
+	c := remote.NewShardClient(remote.ShardOptions{
+		Peers:      []string{storeless.URL},
+		EvictAfter: 2,
+		Metrics:    o.ShardMetrics(),
+		Client:     &http.Client{Transport: tr},
+	})
+	payload := sampling.EncodeOutcome(sampling.KernelOutcome{ProjCycles: 1})
+	m := o.ShardMetrics()
+
+	c.Store(testKey("refused-1"), payload) // transport failure: 1 of 2
+	c.Store(testKey("refused-2"), payload) // 404
+	if m.Puts.Value() != 0 || m.PutErrors.Value() != 2 {
+		t.Fatalf("after a transport failure and a refusal: %d puts, %d put errors; want 0 and 2",
+			m.Puts.Value(), m.PutErrors.Value())
+	}
+	if got := len(c.Ring().Members()); got != 1 {
+		t.Fatalf("a refusing peer was evicted: %d members left", got)
+	}
+	tr.n = 1
+	c.Store(testKey("refused-3"), payload) // transport failure: 2 of 2
+	if m.Rebalances.Value() != 1 || len(c.Ring().Members()) != 0 {
+		t.Errorf("the refusal reset the peer's failure count: %d rebalances, members %v",
+			m.Rebalances.Value(), c.Ring().Members())
+	}
+}
+
+// evalRender is an evaluation's results as bytes, its workload pointer left
+// out.
+func evalRender(t *testing.T, ev *core.Evaluation) string {
+	t.Helper()
+	cp := *ev
+	cp.Workload = nil
+	b, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestShardStudyDeterminism is the study-level fence of the shard tier: a
+// whole evaluation through a three-member ring of private-store peers
+// renders byte-identical to the serial run; a second process with an empty
+// local store gets every outcome from the ring, simulating nothing; and with
+// the primary owner of one of its keys killed a third process still renders
+// the same bytes, evicting the dead member.
+func TestShardStudyDeterminism(t *testing.T) {
+	w := workload.Find("Rodinia/gauss_mat4")
+	if w == nil {
+		t.Fatal("missing workload")
+	}
+	dev := gpu.VoltaV100()
+	serialEv, err := core.Evaluate(core.Config{Device: dev, Parallelism: 1}, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := evalRender(t, serialEv)
+
+	servers, _, c := shardFleet(t, 3, remote.ShardOptions{})
+	urls := c.Ring().Members()
+	study := func(what string, opts remote.ShardOptions) *sampling.FlightRecorder {
+		t.Helper()
+		st, err := artifact.Open(t.TempDir(), artifact.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		exec := sampling.NewExec(parallel.NewScheduler(2), st)
+		opts.Peers = urls
+		exec.SetShard(remote.NewShardClient(opts))
+		fr := sampling.NewFlightRecorder()
+		ev, err := core.Evaluate(core.Config{Device: dev, Exec: exec, Flight: fr}, w)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got := evalRender(t, ev); got != serial {
+			t.Fatalf("%s renders differently from the serial run:\n%s\nvs\n%s", what, got, serial)
+		}
+		return fr
+	}
+
+	study("cold study", remote.ShardOptions{})
+
+	fr := study("warm study", remote.ShardOptions{})
+	keys := map[string]bool{}
+	for _, e := range fr.Entries() {
+		keys[e.Key] = true
+	}
+	counts := fr.TierCounts()
+	if counts["shard"] != len(keys) || counts["shard"]+counts["mem"] != fr.Len() {
+		t.Fatalf("warm study over an empty store: tiers %v for %d launches of %d keys, want one shard read per key and nothing else",
+			counts, fr.Len(), len(keys))
+	}
+
+	dead := c.Ring().Owner(fr.Entries()[0].Key)
+	for _, s := range servers {
+		if s.URL == dead {
+			s.Close()
+		}
+	}
+	m := obs.NewObserver().ShardMetrics()
+	study("study with a dead member", remote.ShardOptions{EvictAfter: 1, Metrics: m})
+	if m.Rebalances.Value() < 1 {
+		t.Errorf("the dead member was never evicted: %d rebalances", m.Rebalances.Value())
 	}
 }

@@ -143,9 +143,8 @@ func TestWarmKernelTaskAllocs(t *testing.T) {
 		t.Fatal("study workload missing")
 	}
 	dev, k, task := gpu.VoltaV100(), w.Kernel(0), KernelTask{Mode: ModeFull}
-	var ex *Exec
 	run := func() {
-		if _, err := ex.RunKernelTask(dev, &k, task); err != nil {
+		if _, err := simulateKernel(dev, k, task, TaskObs{}, nil, ""); err != nil {
 			t.Fatal(err)
 		}
 	}

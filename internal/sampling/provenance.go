@@ -1,15 +1,13 @@
 // Per-kernel execution provenance: the study "flight recorder". Every
 // kernel task the Exec ladder resolves gets one ProvEntry — which tier
-// served it (mem singleflight, disk artifact store,
-// owner-shard peer, remote worker, fresh sim), which peer, how long it
-// queued and how long service took, and
-// any hedge/retry/breaker events along the way. Entries fold
-// deterministically in launch order regardless of execution
+// served it (mem singleflight, disk artifact store, owner-shard peer,
+// fresh sim), which peer, how long it queued and how long service took.
+// Entries fold deterministically in launch order regardless of execution
 // interleaving, so the recorder is a faithful account of *where* each
 // outcome came from while the outcomes themselves stay byte-identical.
 // The paper's accounting argument — you can show exactly which kernels
 // were simulated, which were projected, and at what cost — extends here
-// across process boundaries.
+// to outcomes other processes computed.
 package sampling
 
 import (
@@ -27,13 +25,12 @@ import (
 // values index obs.ExecMetrics and match obs.ExecTierNames.
 type Tier uint8
 
-// The five serving tiers, in ladder order.
+// The four serving tiers, in ladder order.
 const (
-	TierMem    Tier = iota // in-memory singleflight (or waited on another caller's compute)
-	TierDisk               // content-addressed artifact store
-	TierShard              // owner-shard peer in the sharded fleet cache
-	TierWorker             // remote pkad worker
-	TierSim                // fresh local simulation
+	TierMem   Tier = iota // in-memory singleflight (or waited on another caller's compute)
+	TierDisk              // content-addressed artifact store
+	TierShard             // owner-shard peer in the sharded fleet cache
+	TierSim               // fresh local simulation
 )
 
 // String names the tier; unknown values render as "tier<N>".
@@ -82,20 +79,13 @@ type ProvEntry struct {
 	Key string `json:"key"`
 	// Tier is the ladder level that produced the outcome.
 	Tier Tier `json:"tier"`
-	// Worker identifies the remote peer that served the task: the pkad
-	// worker that executed it (TierWorker) or the shard that held its
-	// cached outcome (TierShard).
+	// Worker identifies the shard peer that held the task's cached
+	// outcome (TierShard only).
 	Worker string `json:"worker,omitempty"`
 	// WaitNs is time from scheduler submission to execution start;
 	// ServiceNs is execution time in the ladder.
 	WaitNs    int64 `json:"wait_ns"`
 	ServiceNs int64 `json:"service_ns"`
-	// Remote-path event counts: hedged duplicate RPCs launched, extra
-	// placement waves after failures, and workers skipped on an open
-	// breaker while placing this task.
-	Hedges       int `json:"hedges,omitempty"`
-	Retries      int `json:"retries,omitempty"`
-	BreakerSkips int `json:"breaker_skips,omitempty"`
 }
 
 // FlightRecorder accumulates provenance entries for one study run. Safe
@@ -156,7 +146,7 @@ func (fr *FlightRecorder) TierCounts() map[string]int {
 	return counts
 }
 
-// WorkerCounts returns how many entries each remote worker served.
+// WorkerCounts returns how many entries each shard peer served.
 func (fr *FlightRecorder) WorkerCounts() map[string]int {
 	counts := map[string]int{}
 	for _, e := range fr.Entries() {
@@ -172,9 +162,9 @@ func (fr *FlightRecorder) WorkerCounts() map[string]int {
 func (fr *FlightRecorder) WriteNDJSON(w io.Writer) error {
 	for _, e := range fr.Entries() {
 		if _, err := fmt.Fprintf(w,
-			`{"phase":%q,"index":%d,"kernel":%q,"key":%q,"tier":%q,"worker":%q,"wait_ns":%d,"service_ns":%d,"hedges":%d,"retries":%d,"breaker_skips":%d}`+"\n",
+			`{"phase":%q,"index":%d,"kernel":%q,"key":%q,"tier":%q,"worker":%q,"wait_ns":%d,"service_ns":%d}`+"\n",
 			e.Phase, e.Index, e.Kernel, e.Key, e.Tier.String(), e.Worker,
-			e.WaitNs, e.ServiceNs, e.Hedges, e.Retries, e.BreakerSkips); err != nil {
+			e.WaitNs, e.ServiceNs); err != nil {
 			return err
 		}
 	}
@@ -182,18 +172,16 @@ func (fr *FlightRecorder) WriteNDJSON(w io.Writer) error {
 }
 
 // WriteReport renders the human-readable tier-attribution report: per-tier
-// kernel counts with wait/service time totals, per-worker counts, and the
-// remote-path event totals. Byte-deterministic for a given set of entries.
+// kernel counts with wait/service time totals and per-peer counts.
+// Byte-deterministic for a given set of entries.
 func (fr *FlightRecorder) WriteReport(w io.Writer) error {
 	entries := fr.Entries()
 	if _, err := fmt.Fprintf(w, "execution provenance: %d kernel launches\n", len(entries)); err != nil {
 		return err
 	}
 	type agg struct {
-		n               int
-		waitNs, svcNs   int64
-		hedges, retries int
-		breakerSkips    int
+		n             int
+		waitNs, svcNs int64
 	}
 	tiers := map[Tier]*agg{}
 	workers := map[string]int{}
@@ -206,9 +194,6 @@ func (fr *FlightRecorder) WriteReport(w io.Writer) error {
 		a.n++
 		a.waitNs += e.WaitNs
 		a.svcNs += e.ServiceNs
-		a.hedges += e.Hedges
-		a.retries += e.Retries
-		a.breakerSkips += e.BreakerSkips
 		if e.Worker != "" {
 			workers[e.Worker]++
 		}
@@ -235,33 +220,5 @@ func (fr *FlightRecorder) WriteReport(w io.Writer) error {
 			return err
 		}
 	}
-	var hedges, retries, skips int
-	for _, a := range tiers {
-		hedges += a.hedges
-		retries += a.retries
-		skips += a.breakerSkips
-	}
-	if hedges+retries+skips > 0 {
-		if _, err := fmt.Fprintf(w, "  remote events: %d hedges, %d retries, %d breaker skips\n",
-			hedges, retries, skips); err != nil {
-			return err
-		}
-	}
 	return nil
-}
-
-// RemoteObs is the observe-only context the Exec ladder hands the remote
-// tier for one task: the trace context to propagate, the tracer to merge
-// worker spans into, and — filled in by the tier — the identity of the
-// worker that served the task plus the hedge/retry/breaker event counts
-// accumulated while placing it. It never influences placement or results.
-type RemoteObs struct {
-	Trace  obs.TraceContext
-	Tracer *obs.Tracer
-	IDs    *obs.IDGen
-
-	Worker       string
-	Hedges       int
-	Retries      int
-	BreakerSkips int
 }

@@ -7,6 +7,7 @@ import (
 	"pka/internal/artifact"
 	"pka/internal/gpu"
 	"pka/internal/obs"
+	"pka/internal/trace"
 )
 
 func TestFlightRecorderDeterministicFold(t *testing.T) {
@@ -15,7 +16,7 @@ func TestFlightRecorderDeterministicFold(t *testing.T) {
 	fr.Record(ProvEntry{Phase: "pks", Index: 1, Tier: TierSim})
 	fr.Record(ProvEntry{Phase: "full", Index: 2, Tier: TierDisk})
 	fr.Record(ProvEntry{Phase: "full", Index: 0, Tier: TierSim})
-	fr.Record(ProvEntry{Phase: "pks", Index: 0, Tier: TierWorker, Worker: "http://w1"})
+	fr.Record(ProvEntry{Phase: "pks", Index: 0, Tier: TierShard, Worker: "http://w1"})
 
 	es := fr.Entries()
 	want := []struct {
@@ -39,7 +40,7 @@ func TestFlightRecorderDeterministicFold(t *testing.T) {
 	if sum != fr.Len() {
 		t.Fatalf("tier counts sum %d != %d launches", sum, fr.Len())
 	}
-	if tiers["sim"] != 2 || tiers["disk"] != 1 || tiers["worker"] != 1 {
+	if tiers["sim"] != 2 || tiers["disk"] != 1 || tiers["shard"] != 1 {
 		t.Fatalf("tier counts %v", tiers)
 	}
 	if wc := fr.WorkerCounts(); wc["http://w1"] != 1 {
@@ -47,8 +48,8 @@ func TestFlightRecorderDeterministicFold(t *testing.T) {
 	}
 }
 
-// TestTierNamesRoundTrip: flight NDJSON and pkad responses carry tiers by
-// name, so every tier needs a name of its own, and the name must decode back
+// TestTierNamesRoundTrip: flight NDJSON and /v1/study provenance carry
+// tiers by name, so every tier needs a name of its own, and the name must decode back
 // to the same tier.
 func TestTierNamesRoundTrip(t *testing.T) {
 	if len(obs.ExecTierNames) != int(TierSim)+1 {
@@ -70,8 +71,8 @@ func TestFlightReportGolden(t *testing.T) {
 	fr := NewFlightRecorder()
 	fr.Record(ProvEntry{Phase: "full", Index: 0, Tier: TierSim,
 		WaitNs: 1_000_000, ServiceNs: 2_000_000})
-	fr.Record(ProvEntry{Phase: "pks", Index: 0, Tier: TierWorker,
-		Worker: "http://w1", ServiceNs: 3_000_000, Hedges: 1})
+	fr.Record(ProvEntry{Phase: "pks", Index: 0, Tier: TierShard,
+		Worker: "http://w1", ServiceNs: 3_000_000})
 
 	var sb strings.Builder
 	if err := fr.WriteReport(&sb); err != nil {
@@ -81,11 +82,9 @@ func TestFlightReportGolden(t *testing.T) {
 		"execution provenance: 2 kernel launches",
 		"  tier mem          0 launches  wait           0s  service           0s",
 		"  tier disk         0 launches  wait           0s  service           0s",
-		"  tier shard        0 launches  wait           0s  service           0s",
-		"  tier worker       1 launches  wait           0s  service          3ms",
+		"  tier shard        1 launches  wait           0s  service          3ms",
 		"  tier sim          1 launches  wait          1ms  service          2ms",
 		"  worker http://w1 served 1",
-		"  remote events: 1 hedges, 0 retries, 0 breaker skips",
 	}, "\n") + "\n"
 	if got := sb.String(); got != want {
 		t.Errorf("report mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
@@ -99,7 +98,7 @@ func TestFlightReportGolden(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("NDJSON has %d lines, want 2", len(lines))
 	}
-	if !strings.Contains(lines[0], `"tier":"sim"`) || !strings.Contains(lines[1], `"tier":"worker"`) {
+	if !strings.Contains(lines[0], `"tier":"sim"`) || !strings.Contains(lines[1], `"tier":"shard"`) {
 		t.Fatalf("NDJSON order/tiers wrong:\n%s", nd.String())
 	}
 }
@@ -118,22 +117,20 @@ func TestExecTierAttribution(t *testing.T) {
 	k := testKernel(t)
 	task := KernelTask{Mode: ModeFull}
 
-	exec := NewExec(nil, store)
 	fr := NewFlightRecorder()
-	base, err := exec.RunKernelTaskObs(dev, &k, task, TaskObs{Flight: fr, Phase: "t", Index: 0, Kernel: k.Name})
-	if err != nil {
-		t.Fatal(err)
+	run := func(ex *Exec, index int) KernelOutcome {
+		outs, err := ex.RunKernels(dev, task, []trace.KernelDesc{k}, func(int) TaskObs {
+			return TaskObs{Flight: fr, Phase: "t", Index: index}
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outs[0]
 	}
-	if _, err := exec.RunKernelTaskObs(dev, &k, task, TaskObs{Flight: fr, Phase: "t", Index: 1}); err != nil {
-		t.Fatal(err)
-	}
-
-	cold := NewExec(nil, store)
-	oc, err := cold.RunKernelTaskObs(dev, &k, task, TaskObs{Flight: fr, Phase: "t", Index: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oc != base {
+	exec := NewExec(nil, store)
+	base := run(exec, 0)
+	run(exec, 1)
+	if oc := run(NewExec(nil, store), 2); oc != base {
 		t.Fatalf("disk-served outcome differs: %+v vs %+v", oc, base)
 	}
 

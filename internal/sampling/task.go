@@ -114,13 +114,6 @@ type TaskObs struct {
 	AuditSubject string
 	PKPMetrics   *obs.PKPMetrics
 
-	// Distributed-tracing context: the trace this task belongs to, the
-	// tracer to record spans (and merge worker spans) into, and the ID
-	// generator for child span IDs. All optional and observe-only.
-	Trace  obs.TraceContext
-	Tracer *obs.Tracer
-	IDs    *obs.IDGen
-
 	// Provenance: when Flight is set, the ladder records one ProvEntry per
 	// task under (Phase, Index) with the launch's Kernel name. QueuedAt
 	// marks scheduler submission so queue wait can be attributed; RunKernels
@@ -247,9 +240,9 @@ func SelectionKey(dev gpu.Device, w *workload.Workload, optsSection []byte) stri
 const outcomeSize = 8 + 8 + 8 + 8 + 1
 
 // EncodeOutcome serializes an outcome exactly (floats as IEEE-754 bits).
-// The encoding doubles as the disk-cache payload and the remote-worker
-// wire format, so a worker's artifact store and the client's are
-// interchangeable byte-for-byte.
+// The encoding doubles as the disk-cache payload and the shard peers' wire
+// format, so a peer's artifact store and the client's are interchangeable
+// byte-for-byte.
 func EncodeOutcome(oc KernelOutcome) []byte {
 	b := make([]byte, outcomeSize)
 	binary.LittleEndian.PutUint64(b[0:], uint64(oc.ProjCycles))
@@ -282,29 +275,13 @@ func DecodeOutcome(b []byte) (KernelOutcome, error) {
 	}, nil
 }
 
-// RemoteTier executes one kernel task on a remote worker pool. It sits
-// between the disk artifact cache and the fresh-local-sim fallback in the
-// Exec ladder. Implementations must be safe for concurrent use and must
-// never surface transport or worker failures to the study: ok=false means
-// "could not obtain the outcome remotely, run it locally", whatever the
-// reason. cost is the kernel's dynamic warp-instruction count — the same
-// estimate the scheduler prioritizes by — and seeds least-loaded placement.
-// ro is the observe-only trace/provenance context (nil when nothing
-// observes); implementations propagate ro.Trace to workers, merge shipped
-// spans into ro.Tracer, and report the serving worker plus
-// hedge/retry/breaker counts back into it.
-type RemoteTier interface {
-	ExecTask(key string, dev gpu.Device, k *trace.KernelDesc, task KernelTask, cost int64, ro *RemoteObs) (KernelOutcome, bool)
-}
-
 // ShardTier is the fleet's sharded outcome cache: a consistent-hash ring
-// over the pkad workers where each content key has a small owner set
+// over the pkad peers where each content key has a small owner set
 // holding its cached payload. It sits between the local disk cache and
-// the remote worker tier in the Exec ladder — a peer GET is far cheaper
-// than re-simulating, and cheaper than a worker dispatch too, because it
-// never executes anything. Implementations must be safe for concurrent
-// use and must never surface transport failures: ok=false means "no
-// reachable owner holds the key", whatever the reason.
+// the simulator in the Exec ladder — a peer GET is far cheaper than
+// re-simulating. Implementations must be safe for concurrent use and must
+// never surface transport failures: ok=false means "no reachable owner
+// holds the key", whatever the reason.
 type ShardTier interface {
 	// Lookup fetches the payload cached under key from the key's owner
 	// shard, falling back through its replicas. peer names the shard that
@@ -318,20 +295,19 @@ type ShardTier interface {
 
 // Exec bundles the execution resources one study run shares across all of
 // its kernel tasks: the global scheduler, the persistent artifact store,
-// an in-memory singleflight outcome cache layered above it, and optional
-// sharded-fleet-cache and remote worker tiers between the disk cache and
-// local simulation. A nil *Exec is valid and degrades every entry point to
+// an in-memory singleflight outcome cache layered above it, and an
+// optional sharded fleet cache between the disk cache and local
+// simulation. A nil *Exec is valid and degrades every entry point to
 // the serial, uncached behaviour — one fresh simulator per kernel on the
 // calling goroutine.
 type Exec struct {
-	sched  *parallel.Scheduler
-	store  *artifact.Store // kernel outcomes: CacheStats' "artifact" family
-	sels   *artifact.Store // store's View for whole selections: "selection"
-	packs  *artifact.Store // store's View for whole batches' outcomes: "batch"
-	shard  ShardTier
-	remote RemoteTier
-	mem    parallel.Cache[string, KernelOutcome]
-	execM  *obs.ExecMetrics
+	sched *parallel.Scheduler
+	store *artifact.Store // kernel outcomes: CacheStats' "artifact" family
+	sels  *artifact.Store // store's View for whole selections: "selection"
+	packs *artifact.Store // store's View for whole batches' outcomes: "batch"
+	shard ShardTier
+	mem   parallel.Cache[string, KernelOutcome]
+	execM *obs.ExecMetrics
 }
 
 // NewExec builds an Exec. Either resource may be nil: a nil scheduler runs
@@ -340,20 +316,11 @@ func NewExec(sched *parallel.Scheduler, store *artifact.Store) *Exec {
 	return &Exec{sched: sched, store: store, sels: store.View(), packs: store.View()}
 }
 
-// SetRemote installs (or, with nil, removes) the remote worker tier.
-// Because outcomes are pure functions of the content key and the fold is
-// in launch order, adding or removing a remote tier can never change a
-// study's results — only where the simulation cycles are spent.
-func (e *Exec) SetRemote(r RemoteTier) {
-	if e != nil {
-		e.remote = r
-	}
-}
-
 // SetShard installs (or, with nil, removes) the sharded fleet-cache tier.
-// Like the remote tier, it can only move where bytes come from, never
-// what they are: payloads are validated by DecodeOutcome and anything
-// unexpected falls through the ladder as a miss.
+// Because outcomes are pure functions of the content key and the fold is
+// in launch order, it can only move where bytes come from, never what they
+// are: payloads are validated by DecodeOutcome and anything unexpected
+// falls through the ladder as a miss.
 func (e *Exec) SetShard(s ShardTier) {
 	if e != nil {
 		e.shard = s
@@ -463,7 +430,7 @@ func (e *Exec) RunKernels(dev gpu.Device, task KernelTask, kernels []trace.Kerne
 		if e == nil {
 			return simulateKernel(dev, k, task, to, nil, "")
 		}
-		return e.run(keys[i], dev, k, task, to, true, bank, pack, i)
+		return e.run(keys[i], dev, k, task, to, bank, pack, i)
 	})
 	if err == nil {
 		pack.save(outs)
@@ -471,30 +438,12 @@ func (e *Exec) RunKernels(dev gpu.Device, task KernelTask, kernels []trace.Kerne
 	return outs, err
 }
 
-// RunKernelTask executes one kernel task through the mem-singleflight and
-// disk tiers but never the remote tier — it is the worker-side entry
-// point, and skipping the remote hop is what keeps a misconfigured fleet
-// (workers pointed at each other) from looping requests forever.
-func (e *Exec) RunKernelTask(dev gpu.Device, k *trace.KernelDesc, task KernelTask) (KernelOutcome, error) {
-	return e.RunKernelTaskObs(dev, k, task, TaskObs{})
-}
-
-// RunKernelTaskObs is RunKernelTask with observe-only wiring — the worker
-// daemon passes a flight recorder so its response can say which tier
-// (disk, shard peer, or sim, on the worker) actually produced the outcome.
-func (e *Exec) RunKernelTaskObs(dev gpu.Device, k *trace.KernelDesc, task KernelTask, to TaskObs) (KernelOutcome, error) {
-	if e == nil {
-		return simulateKernel(dev, *k, task, to, nil, "")
-	}
-	return e.run(TaskKey(dev, k, task), dev, *k, task, to, false, nil, nil, 0)
-}
-
 // run resolves the task keyed key (task i of pack's batch; nil for a lone
 // task) through the ladder: mem singleflight → the evaluation's bank → disk
-// (the batch's pack, else the key's entry) → owner shard → remote workers →
-// fresh sim. The bank is asked before any tier that costs I/O; what it holds
-// is byte for byte what those would serve.
-func (e *Exec) run(key string, dev gpu.Device, k trace.KernelDesc, task KernelTask, to TaskObs, allowRemote bool, bank *Bank, pack *batch, i int) (KernelOutcome, error) {
+// (the batch's pack, else the key's entry) → owner shard → fresh sim. The
+// bank is asked before any tier that costs I/O; what it holds is byte for
+// byte what those would serve.
+func (e *Exec) run(key string, dev gpu.Device, k trace.KernelDesc, task KernelTask, to TaskObs, bank *Bank, pack *batch, i int) (KernelOutcome, error) {
 	// observed gates all timing: with no flight recorder and no metrics
 	// bundle the ladder takes no clock readings at all.
 	observed := to.Flight != nil || e.execM != nil
@@ -502,13 +451,12 @@ func (e *Exec) run(key string, dev gpu.Device, k trace.KernelDesc, task KernelTa
 	if observed {
 		start = time.Now()
 	}
-	// tier and ro are closure-local per caller: the singleflight runs only
+	// tier is closure-local per caller: the singleflight runs only
 	// the winning caller's closure (on its own goroutine), so waiters keep
 	// the TierMem default — they were indeed served from memory, even
 	// though the tier split for duplicate keys depends on scheduling. The
 	// per-tier counts always sum to the launch count either way.
 	tier := TierMem
-	var ro *RemoteObs
 	var shardPeer string
 	oc, err := e.mem.Do(key, func() (KernelOutcome, error) {
 		if pack != nil {
@@ -536,9 +484,6 @@ func (e *Exec) run(key string, dev gpu.Device, k trace.KernelDesc, task KernelTa
 			e.store.Reject()
 		}
 		if e.shard != nil {
-			// Owner-shard peer lookup: pure cache reads, so workers use it
-			// too (a peer GET can never trigger further dispatch, unlike
-			// the remote tier below).
 			if raw, peer, ok := e.shard.Lookup(key); ok {
 				if oc, err := DecodeOutcome(raw); err == nil {
 					tier = TierShard
@@ -549,18 +494,6 @@ func (e *Exec) run(key string, dev gpu.Device, k trace.KernelDesc, task KernelTa
 				// A peer served bytes the current schema can't decode:
 				// treat as a miss and recompute.
 			}
-		}
-		if allowRemote && e.remote != nil {
-			if to.Tracer != nil || observed {
-				ro = &RemoteObs{Trace: to.Trace, Tracer: to.Tracer, IDs: to.IDs}
-			}
-			if oc, ok := e.remote.ExecTask(key, dev, &k, task, k.TotalWarpInstructions(dev), ro); ok {
-				tier = TierWorker
-				e.persist(key, oc)
-				return oc, nil
-			}
-			// Pool empty, degraded, or the task failed everywhere it was
-			// tried: fall through to the local simulator. Never an error.
 		}
 		tier = TierSim
 		oc, err := simulateKernel(dev, k, task, to, bank, key)
@@ -576,14 +509,14 @@ func (e *Exec) run(key string, dev gpu.Device, k trace.KernelDesc, task KernelTa
 	if observed {
 		end := time.Now()
 		e.execM.Observe(int(tier), end.Sub(start).Seconds())
-		e.record(to, key, tier, start, end, ro, shardPeer)
+		e.record(to, key, tier, start, end, shardPeer)
 	}
 	return oc, nil
 }
 
 // record appends one provenance entry for a task served at tier. No-op
 // without a flight recorder.
-func (e *Exec) record(to TaskObs, key string, tier Tier, start, end time.Time, ro *RemoteObs, shardPeer string) {
+func (e *Exec) record(to TaskObs, key string, tier Tier, start, end time.Time, shardPeer string) {
 	if to.Flight == nil {
 		return
 	}
@@ -593,21 +526,13 @@ func (e *Exec) record(to TaskObs, key string, tier Tier, start, end time.Time, r
 		Kernel:    to.Kernel,
 		Key:       key,
 		Tier:      tier,
+		Worker:    shardPeer,
 		ServiceNs: end.Sub(start).Nanoseconds(),
 	}
 	if !to.QueuedAt.IsZero() {
 		if wait := start.Sub(to.QueuedAt); wait > 0 {
 			entry.WaitNs = wait.Nanoseconds()
 		}
-	}
-	if ro != nil {
-		entry.Worker = ro.Worker
-		entry.Hedges = ro.Hedges
-		entry.Retries = ro.Retries
-		entry.BreakerSkips = ro.BreakerSkips
-	}
-	if tier == TierShard {
-		entry.Worker = shardPeer
 	}
 	to.Flight.Record(entry)
 }

@@ -1,9 +1,8 @@
 // Package serve is the PKA study engine's request tier: a long-running
 // HTTP/JSON service that accepts concurrent study requests, admits them
 // through a bounded weighted-fair queue, executes them on the shared
-// sampling.Exec ladder (mem singleflight → disk artifact store → remote
-// workers → fresh simulation), and reports per-request latency
-// percentiles.
+// sampling.Exec ladder (mem singleflight → disk artifact store → fleet
+// shard → fresh simulation), and reports per-request latency percentiles.
 //
 // The tier inherits the purity property the task layer established: a
 // study outcome is a function of (device, workload, study parameters) and
@@ -53,7 +52,7 @@ const (
 	TraceparentHeader = "traceparent"
 	// MaxStudyRequestBytes bounds a study request body. A request naming
 	// a built-in workload is under a kilobyte; the limit leaves room for
-	// a large inline workload document, matching the remote tier's cap.
+	// a large inline workload document.
 	MaxStudyRequestBytes = 1 << 20
 )
 
@@ -104,11 +103,11 @@ type StudyRequest struct {
 	Silicon bool `json:"silicon,omitempty"`
 	// Trace turns on distributed tracing for this request even without a
 	// traceparent header (the server starts a fresh root trace) and attaches
-	// the merged cross-process Chrome trace to the response. Observe-only:
+	// the study's Chrome trace to the response. Observe-only:
 	// every other response field is byte-identical either way.
 	Trace bool `json:"trace,omitempty"`
 	// Provenance attaches the per-kernel execution provenance block — which
-	// tier served each kernel launch, from which worker, at what cost — to
+	// tier served each kernel launch, from which shard peer, at what cost — to
 	// the response. Observe-only, like Trace.
 	Provenance bool `json:"provenance,omitempty"`
 
@@ -180,10 +179,9 @@ type ProvenanceBlock struct {
 	TraceID string `json:"trace_id,omitempty"`
 	// Kernels is the number of kernel launches recorded.
 	Kernels int `json:"kernels"`
-	// Tiers counts launches per serving tier (mem, disk, shard, worker,
-	// sim).
+	// Tiers counts launches per serving tier (mem, disk, shard, sim).
 	Tiers map[string]int `json:"tiers"`
-	// Workers counts launches per remote worker (absent when none).
+	// Workers counts launches per shard peer (absent when none).
 	Workers map[string]int `json:"workers,omitempty"`
 	// Entries is the full flight-recorder content in (phase, launch index)
 	// order.

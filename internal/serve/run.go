@@ -14,7 +14,7 @@ import (
 // Run executes one validated study request on the given Exec ladder and
 // returns its response. It is a pure function of the request's study
 // parameters: any exec (nil for serial uncached, or any mix of mem/disk/
-// remote tiers) yields byte-identical responses, which is what lets the
+// shard tiers) yields byte-identical responses, which is what lets the
 // serving tier queue, reorder, and retry without changing results. The
 // observer only adds telemetry, and tracing/provenance only append fields
 // after the study results — every study field is byte-identical with them
@@ -44,13 +44,17 @@ type study struct {
 	name string // the workload's full name
 	plan core.Plan
 	cfg  core.Config
-	root *obs.Span // the trace's root span, nil when untraced
+	// The request's own tracer, its root span and its trace ID; nil, nil
+	// and "" when untraced.
+	tracer  *obs.Tracer
+	root    *obs.Span
+	traceID string
 }
 
 // newStudy sets up req's evaluation of the workload named name. Tracing
 // turns on when the client shipped a traceparent or asked in the body;
-// either way the request gets its own tracer so the merged trace holds only
-// this study's spans. Provenance recording turns on with tracing (the root
+// either way the request gets its own tracer so its trace holds only this
+// study's spans. Provenance recording turns on with tracing (the root
 // span reports tier counts), on request, or when the server injected a
 // recorder for its debug report.
 func newStudy(exec *sampling.Exec, o *obs.Observer, req *StudyRequest, name string) *study {
@@ -59,13 +63,12 @@ func newStudy(exec *sampling.Exec, o *obs.Observer, req *StudyRequest, name stri
 		name: name,
 		plan: core.Plan{Passes: []sampling.TaskMode{studyModes[req.Mode]}, Silicon: req.Silicon},
 		cfg: core.Config{
-			Device:   req.dev,
-			PKS:      pks.Options{TargetErrorPct: req.TargetErrorPct, MaxK: req.MaxK},
-			PKP:      pkp.Options{Threshold: req.Threshold, Window: req.Window},
-			Obs:      o,
-			Exec:     exec,
-			TraceIDs: req.ids,
-			Flight:   req.flight,
+			Device: req.dev,
+			PKS:    pks.Options{TargetErrorPct: req.TargetErrorPct, MaxK: req.MaxK},
+			PKP:    pkp.Options{Threshold: req.Threshold, Window: req.Window},
+			Obs:    o,
+			Exec:   exec,
+			Flight: req.flight,
 		},
 	}
 	traced := req.Trace || req.parent.Valid()
@@ -75,8 +78,9 @@ func newStudy(exec *sampling.Exec, o *obs.Observer, req *StudyRequest, name stri
 	if !traced {
 		return st
 	}
-	if st.cfg.TraceIDs == nil {
-		st.cfg.TraceIDs = obs.NewIDGen(0)
+	ids := req.ids
+	if ids == nil {
+		ids = obs.NewIDGen(0)
 	}
 	tr := obs.NewTracer()
 	tr.SetProcessName("pkaserve")
@@ -86,9 +90,9 @@ func newStudy(exec *sampling.Exec, o *obs.Observer, req *StudyRequest, name stri
 	}
 	var tc obs.TraceContext
 	if req.parent.Valid() {
-		tc = req.parent.Child(st.cfg.TraceIDs)
+		tc = req.parent.Child(ids)
 	} else {
-		tc = st.cfg.TraceIDs.NewTrace()
+		tc = ids.NewTrace()
 	}
 	args := []obs.Arg{
 		{Key: "trace_id", Val: tc.TraceID},
@@ -100,7 +104,7 @@ func newStudy(exec *sampling.Exec, o *obs.Observer, req *StudyRequest, name stri
 	args = append(args,
 		obs.Arg{Key: "tenant", Val: req.Tenant},
 		obs.Arg{Key: "mode", Val: req.Mode})
-	st.cfg.Trace, st.cfg.Tracer = tc, tr
+	st.tracer, st.traceID = tr, tc.TraceID
 	st.root = tr.Track("serve").Start("study "+name, args...)
 	return st
 }
@@ -141,7 +145,7 @@ func (st *study) respond(ev *core.Evaluation, err error) (*StudyResponse, error)
 	resp.SiliconCycles = ev.Silicon.Cycles
 	if flight := st.cfg.Flight; req.Provenance {
 		resp.Provenance = &ProvenanceBlock{
-			TraceID: st.cfg.Trace.TraceID,
+			TraceID: st.traceID,
 			Kernels: flight.Len(),
 			Tiers:   flight.TierCounts(),
 			Workers: flight.WorkerCounts(),
@@ -151,7 +155,7 @@ func (st *study) respond(ev *core.Evaluation, err error) (*StudyResponse, error)
 	if st.root != nil {
 		st.root.Arg("kernels", resp.Kernels).End()
 		var buf bytes.Buffer
-		if err := st.cfg.Tracer.WriteChromeTrace(&buf); err != nil {
+		if err := st.tracer.WriteChromeTrace(&buf); err != nil {
 			return nil, fmt.Errorf("serve: rendering trace: %w", err)
 		}
 		resp.Trace = buf.Bytes()

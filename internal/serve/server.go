@@ -444,7 +444,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.o.SyncCacheStats()
-	s.o.SyncRemoteStats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	_ = s.o.Metrics.WritePrometheus(w)
 }
