@@ -32,7 +32,7 @@ test:
 # at ~10x race overhead (experiments without -short costs ≈ 560 s under
 # -race on the 2-core box; its -short run still includes the study cost pin,
 # TestStudySimulatesLikeEvaluate); core, pks and sampling race only their
-# streaming tests (a stream's evaluation at scheduler width > 1), the
+# event-stream tests (a loaded stream's evaluation at scheduler width > 1), the
 # selection-artifact tests, the rider, bank and pack tests (at scheduler width > 1 a bank is
 # filled and drained, and a batch's pack read once, from several goroutines),
 # the scan's (its launches are handed to the scheduler's tasks, and its memo

@@ -11,13 +11,12 @@
 //	pka -w MLPerf/ssd_training -device turing -selection-only
 //	pka -w Rodinia/gauss_208 -trace t.json -metrics m.prom -audit a.ndjson
 //	pka -w Rodinia/gauss_208 -emit-events ev.ndjson   # record an event stream
-//	pka -stream ev.ndjson                             # replay it, streaming
+//	pka -workload-file ev.ndjson                      # study it
 //
-// -stream runs the streaming pipeline: kernel launch events are read as
-// NDJSON (one per line, in any order, '-' = stdin), the workload they
-// describe is rebuilt once the stream ends, and the study is selected and
-// evaluated as the batch one is, through the same selection store. The
-// printed study is byte-identical to the batch run on the same workload.
+// -workload-file reads either workload format: a JSON document, or an
+// NDJSON kernel-event stream as -emit-events writes it (events in any
+// order; '-' = stdin). A study of a workload's event stream prints what the
+// study of the workload itself does, byte for byte.
 package main
 
 import (
@@ -49,13 +48,12 @@ func main() {
 		selOnly   = flag.Bool("selection-only", false, "stop after Principal Kernel Selection")
 		maxK      = flag.Int("maxk", 20, "K-Means sweep bound")
 		jsonOut   = flag.String("json", "", "write the selection (groups, representatives, weights) to this JSON file")
-		wfile     = flag.String("workload-file", "", "analyze a user-defined workload from a JSON document instead of -w")
+		wfile     = flag.String("workload-file", "", "analyze a workload from a file instead of -w: a JSON document or an NDJSON kernel-event stream ('-' = stdin)")
 		par       = flag.Int("p", 0, "parallelism: concurrent pipeline stages (0 = GOMAXPROCS, 1 = serial)")
 		explain   = flag.Bool("explain", false, "print the per-tier execution provenance report (which ladder tier served each kernel launch) after the study")
 		flightF   = flag.String("flight", "", "write the per-kernel execution provenance (flight recorder) as NDJSON to this file")
 		suiteDed  = flag.String("suite-dedup", "", "run a suite-level dedup study over this comma-separated workload list: cluster all apps in one shared PCA space, simulate one representative per cross-workload group, and report per-app errors plus the warp-instruction savings vs per-app PKS")
-		stream    = flag.String("stream", "", "read NDJSON kernel launch events from this file ('-' = stdin) and run the streaming pipeline; output matches the batch run byte for byte")
-		emitEv    = flag.String("emit-events", "", "with -w or -workload-file: write the workload as an NDJSON kernel-event stream to this file ('-' = stdout) and exit")
+		emitEv    = flag.String("emit-events", "", "with -w or -workload-file (either format): write the workload as an NDJSON kernel-event stream to this file ('-' = stdout) and exit")
 		execFlags cli.ExecFlags
 	)
 	execFlags.Obs.Register(nil)
@@ -63,17 +61,9 @@ func main() {
 	execFlags.Shard.Register(nil)
 	flag.Parse()
 
-	// -stream brings its own workload (the event header names it) and is a
-	// single-app pipeline, so the batch workload selectors and the
-	// multi-app dedup study are incoherent alongside it. -suite-dedup brings
-	// its own workload list and prints its own report, so the single-app
-	// selectors and outputs are too.
+	// -suite-dedup brings its own workload list and prints its own report,
+	// so the single-app selectors and outputs are incoherent alongside it.
 	if err := cli.FlagConflicts(nil,
-		[2]string{"stream", "suite-dedup"},
-		[2]string{"stream", "w"},
-		[2]string{"stream", "workload-file"},
-		[2]string{"stream", "emit-events"},
-		[2]string{"stream", "selection-only"},
 		[2]string{"suite-dedup", "w"},
 		[2]string{"suite-dedup", "workload-file"},
 		[2]string{"suite-dedup", "selection-only"},
@@ -104,8 +94,6 @@ func main() {
 	switch {
 	case *suiteDed != "":
 		// Suite-dedup mode resolves its own workload list below.
-	case *stream != "":
-		// Streaming mode learns its workload from the event header below.
 	case *wfile != "":
 		var err error
 		w, err = workload.LoadJSON(*wfile)
@@ -161,8 +149,6 @@ func main() {
 	// Every mode leaves through the one epilogue below: provenance when a
 	// study simulated anything, then the session's Close.
 	switch {
-	case *stream != "":
-		err = streamStudy(cfg, *stream, *target, *jsonOut)
 	case *suiteDed != "":
 		var ws []*workload.Workload
 		if ws, err = cli.Workloads(*suiteDed); err == nil {
@@ -284,9 +270,7 @@ func suiteDedupStudy(cfg core.Config, ws []*workload.Workload) error {
 	return nil
 }
 
-// printSelection renders the Principal Kernel Selection block. Both the
-// batch and streaming paths go through it, so a streamed study's stdout
-// stays byte-identical to the batch run.
+// printSelection renders the Principal Kernel Selection block.
 func printSelection(sel *pks.Selection, target float64, jsonOut string) error {
 	fmt.Printf("\nPrincipal Kernel Selection\n")
 	fmt.Printf("  groups (K)            %d\n", sel.K)
@@ -312,8 +296,7 @@ func printSelection(sel *pks.Selection, target float64, jsonOut string) error {
 	return nil
 }
 
-// printSimulation renders the sampled-simulation block, shared between the
-// batch and streaming paths.
+// printSimulation renders the sampled-simulation block.
 func printSimulation(ev *core.Evaluation) {
 	fmt.Printf("simulation (modeled Accel-Sim rate %.0f warp-instr/s)\n", core.DefaultSimRate)
 	if ev.Full != nil {
@@ -327,39 +310,6 @@ func printSimulation(ev *core.Evaluation) {
 	fmt.Printf("  PKA (PKS+PKP)         %s (%.1fx), error %.1f%%\n",
 		report.Hours(ev.PKA.SimHours), ev.PKA.SpeedupVsFull, ev.PKA.ErrorPct)
 	fmt.Printf("  PKA projected DRAM    %.1f%%\n", ev.PKA.DRAMUtil*100)
-}
-
-// streamStudy runs the -stream mode: decode the NDJSON event stream into
-// its workload, select and evaluate it through the streaming pipeline, and
-// print the study through the exact same rendering as the batch path.
-func streamStudy(cfg core.Config, path string, target float64, jsonOut string) error {
-	var rd io.Reader = os.Stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		rd = f
-	}
-	dec := workload.NewEventDecoder(rd)
-	h, err := dec.Header()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("workload   %s/%s (%d kernels) on %s\n", h.Suite, h.Name, h.Kernels, cfg.Device.Name)
-	if reg := workload.Find(h.Suite + "/" + h.Name); reg != nil && reg.Quirk != "" {
-		fmt.Printf("quirk      %s (the paper excludes this workload from some result columns)\n", reg.Quirk)
-	}
-	ev, err := core.RunEvents(cfg, core.CompletePlan(), dec, nil)
-	if err != nil {
-		return err
-	}
-	if err := printSelection(ev.Selection, target, jsonOut); err != nil {
-		return err
-	}
-	printSimulation(ev)
-	return nil
 }
 
 // emitEventStream writes the workload as an NDJSON kernel-event stream.

@@ -15,13 +15,12 @@
 // GET /v1/health, GET /metrics. SIGINT/SIGTERM drains gracefully: queued
 // studies finish, new ones get 503.
 //
-// /v1/stream is the progressive form of /v1/study: the body is NDJSON — a
-// study-request line (no workload field), then a kernel-event stream as
-// written by `pka -emit-events`. The server profiles events as they
-// arrive, answers one progress line when the intake ends, and ends with a
-// line byte-identical to the /v1/study response for the same workload and
-// parameters. Streams bypass the fair queue but respect drain and the
-// -study-workers cap.
+// /v1/stream is /v1/study with the workload sent as a kernel-event stream:
+// the body is NDJSON — a study-request line (no workload field), then the
+// events as written by `pka -emit-events`. The server reads the events
+// whole into their workload and queues the study like any other; the
+// response and its status are the /v1/study ones for the same workload and
+// parameters.
 package main
 
 import (

@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"strconv"
 	"strings"
 
 	"pka/internal/artifact"
@@ -72,7 +73,7 @@ func Workloads(csv string) ([]*workload.Workload, error) {
 // FlagConflicts rejects incompatible flag combinations after parsing: each
 // pair names two flags that must not both be set on the command line. It
 // returns a single clear error naming the first conflicting pair, so
-// mutually exclusive modes (-stream with -suite-dedup, say) fail at flag
+// mutually exclusive modes (-suite-dedup with -w, say) fail at flag
 // validation instead of somewhere deep in the pipeline. A nil fs checks
 // the default flag set.
 func FlagConflicts(fs *flag.FlagSet, pairs ...[2]string) error {
@@ -102,8 +103,8 @@ func ParseWeights(csv string) (map[string]int, error) {
 		if !ok || name == "" {
 			return nil, fmt.Errorf("tenant weight %q: want name=weight", pair)
 		}
-		var w int
-		if _, err := fmt.Sscanf(val, "%d", &w); err != nil || w < 1 {
+		w, err := strconv.Atoi(strings.TrimSpace(val))
+		if err != nil || w < 1 {
 			return nil, fmt.Errorf("tenant weight %q: weight must be a positive integer", pair)
 		}
 		out[name] = w

@@ -3,6 +3,7 @@ package cli
 import (
 	"flag"
 	"io"
+	"maps"
 	"strings"
 	"testing"
 )
@@ -11,7 +12,7 @@ func conflictSet(t *testing.T, args ...string) *flag.FlagSet {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	fs.String("stream", "", "")
+	fs.String("workload-file", "", "")
 	fs.Bool("suite-dedup", false, "")
 	fs.String("w", "", "")
 	if err := fs.Parse(args); err != nil {
@@ -21,22 +22,22 @@ func conflictSet(t *testing.T, args ...string) *flag.FlagSet {
 }
 
 func TestFlagConflicts(t *testing.T) {
-	pair := [2]string{"stream", "suite-dedup"}
+	pair := [2]string{"workload-file", "suite-dedup"}
 
 	// Both set: one clear error naming both flags.
-	fs := conflictSet(t, "-stream", "events.ndjson", "-suite-dedup")
+	fs := conflictSet(t, "-workload-file", "events.ndjson", "-suite-dedup")
 	err := FlagConflicts(fs, pair)
 	if err == nil {
 		t.Fatal("conflicting flags accepted")
 	}
-	if !strings.Contains(err.Error(), "-stream") || !strings.Contains(err.Error(), "-suite-dedup") {
+	if !strings.Contains(err.Error(), "-workload-file") || !strings.Contains(err.Error(), "-suite-dedup") {
 		t.Errorf("error %q does not name both flags", err)
 	}
 
 	// Either alone is fine, as is neither; a set flag at its default value
 	// still counts as set (the user typed it).
 	for _, args := range [][]string{
-		{"-stream", "events.ndjson"},
+		{"-workload-file", "events.ndjson"},
 		{"-suite-dedup"},
 		{"-w", "Rodinia/gauss_208"},
 		{},
@@ -48,9 +49,37 @@ func TestFlagConflicts(t *testing.T) {
 	}
 
 	// Multiple pairs: the first conflicting pair wins.
-	fs = conflictSet(t, "-stream", "x", "-suite-dedup", "-w", "a/b")
-	err = FlagConflicts(fs, [2]string{"w", "stream"}, pair)
+	fs = conflictSet(t, "-workload-file", "x", "-suite-dedup", "-w", "a/b")
+	err = FlagConflicts(fs, [2]string{"w", "workload-file"}, pair)
 	if err == nil || !strings.Contains(err.Error(), "-w") {
 		t.Errorf("expected the first pair's error, got %v", err)
+	}
+}
+
+func TestParseWeights(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want map[string]int // nil: an error
+	}{
+		{"", map[string]int{}},
+		{"prod=3, batch=1", map[string]int{"prod": 3, "batch": 1}},
+		{"prod= 3 ", map[string]int{"prod": 3}},
+		{"prod=3x", nil},
+		{"prod=3.5", nil},
+		{"prod=0", nil},
+		{"prod=-1", nil},
+		{"prod", nil},
+		{"=3", nil},
+		{"prod=3,batch", nil},
+	} {
+		got, err := ParseWeights(tc.in)
+		switch {
+		case tc.want == nil && err == nil:
+			t.Errorf("%q: accepted as %v", tc.in, got)
+		case tc.want != nil && err != nil:
+			t.Errorf("%q: %v", tc.in, err)
+		case tc.want != nil && !maps.Equal(got, tc.want):
+			t.Errorf("%q: got %v, want %v", tc.in, got, tc.want)
+		}
 	}
 }

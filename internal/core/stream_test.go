@@ -2,11 +2,8 @@ package core
 
 import (
 	"bytes"
-	"fmt"
-	"io"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 
 	"pka/internal/obs"
@@ -17,9 +14,8 @@ import (
 )
 
 // sameEvaluation compares two evaluations field by field, skipping the
-// Workload pointer (an event stream's run rebuilds its workload from the
-// events, so the generator closures differ while every kernel they serve is
-// equal).
+// Workload pointer (a workload loaded from events is rebuilt from them, so
+// the generator closures differ while every kernel they serve is equal).
 func sameEvaluation(t *testing.T, label string, got, want *Evaluation) {
 	t.Helper()
 	if got.Silicon != want.Silicon {
@@ -52,21 +48,29 @@ func pksAudit(o *obs.Observer) []obs.AuditRecord {
 	return recs
 }
 
-// eventStream writes w as an event stream whose event lines (the header
-// stays first) pass through edit; nil keeps them in launch order.
-func eventStream(t *testing.T, w *workload.Workload, edit func(events [][]byte) [][]byte) *workload.EventDecoder {
+// loadEvents writes w as an event stream whose event lines (the header
+// stays first) pass through edit — nil keeps them in launch order — and
+// loads the workload back from it, as pka -workload-file and /v1/stream do.
+func loadEvents(t *testing.T, w *workload.Workload, edit func(events [][]byte) [][]byte) *workload.Workload {
 	t.Helper()
 	var in bytes.Buffer
 	if err := workload.WriteEvents(&in, w); err != nil {
 		t.Fatal(err)
 	}
-	if edit == nil {
-		return workload.NewEventDecoder(&in)
-	}
 	lines := bytes.SplitAfter(in.Bytes(), []byte("\n"))
-	events := edit(slices.Clone(lines[1 : 1+w.N]))
-	return workload.NewEventDecoder(io.MultiReader(bytes.NewReader(lines[0]), bytes.NewReader(bytes.Join(events, nil))))
+	events := lines[1 : 1+w.N]
+	if edit != nil {
+		events = edit(slices.Clone(events))
+	}
+	got, err := workload.Load(bytes.NewReader(bytes.Join(append(lines[:1:1], events...), nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
 }
+
+// reversed puts the events last launch first.
+func reversed(events [][]byte) [][]byte { slices.Reverse(events); return events }
 
 // shuffledWithin shuffles events within consecutive blocks of the given size.
 func shuffledWithin(block int) func([][]byte) [][]byte {
@@ -83,9 +87,9 @@ func shuffledWithin(block int) func([][]byte) [][]byte {
 	}
 }
 
-// TestStreamDeterminism pins the tentpole invariant: the streaming
-// pipeline's output is byte-identical to batch Evaluate at any parallelism
-// and across event arrival orders.
+// TestStreamDeterminism: a workload loaded from its event stream evaluates
+// exactly as the catalogue workload does, at any parallelism and across
+// event arrival orders.
 func TestStreamDeterminism(t *testing.T) {
 	for _, name := range []string{"Rodinia/gauss_208", "Rodinia/hots_512"} {
 		w := workload.Find(name)
@@ -117,12 +121,12 @@ func TestStreamDeterminism(t *testing.T) {
 			if arm.shuf > 0 {
 				edit = shuffledWithin(arm.shuf)
 			}
-			got, err := RunEvents(c, CompletePlan(), eventStream(t, w, edit), nil)
+			got, err := Evaluate(c, loadEvents(t, w, edit))
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, arm.label, err)
 			}
 			sameEvaluation(t, name+"/"+arm.label, got, want)
-			// One selection per study on either path, so the decision trail
+			// One selection per study either way, so the decision trail
 			// agrees record for record.
 			if got := pksAudit(c.Obs); !reflect.DeepEqual(got, wantAudit) {
 				t.Errorf("%s/%s: pks audit differs from batch:\ngot:  %+v\nwant: %+v", name, arm.label, got, wantAudit)
@@ -131,60 +135,13 @@ func TestStreamDeterminism(t *testing.T) {
 	}
 }
 
-// TestStreamAcceptsReversedEvents: arrival order is free. fdtd2d's 1 500
-// events, last launch first, select exactly what the batch study selects,
-// and every event is counted.
-func TestStreamAcceptsReversedEvents(t *testing.T) {
-	w := mustFind(t, "Polybench/fdtd2d")
-	plan := Plan{Passes: []sampling.TaskMode{sampling.ModePKA}}
-	want, err := plan.Evaluate(cfg(), w, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := cfg()
-	c.Obs = obs.NewObserver()
-	reversed := func(events [][]byte) [][]byte { slices.Reverse(events); return events }
-	got, err := RunEvents(c, plan, eventStream(t, w, reversed), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Selection, want.Selection) {
-		t.Errorf("reversed stream's selection differs from batch:\ngot:  %+v\nwant: %+v", got.Selection, want.Selection)
-	}
-	if n := c.Obs.StreamMetrics().Events.Value(); n != int64(w.N) {
-		t.Errorf("pka_stream_events_total = %d, want %d", n, w.N)
-	}
-}
-
-// TestStreamRejectsBadEvents: a stream that repeats a launch or leaves one
-// out is an error, not a study.
-func TestStreamRejectsBadEvents(t *testing.T) {
-	w := mustFind(t, "Rodinia/gauss_208")
-	for _, tc := range []struct {
-		label, want string
-		edit        func([][]byte) [][]byte
-	}{
-		{"duplicate launch", "duplicate launch 0", func(ev [][]byte) [][]byte { return append(ev[:1:1], ev...) }},
-		{"missing launch", fmt.Sprintf("1 of %d launches missing", w.N), func(ev [][]byte) [][]byte { return ev[1:] }},
-	} {
-		_, err := RunEvents(cfg(), CompletePlan(), eventStream(t, w, tc.edit), nil)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err %v, want one containing %q", tc.label, err, tc.want)
-		}
-	}
-}
-
-// TestStreamWarmsFollowPlan: the plan alone decides what an event stream
-// simulates — a stream warms nothing of its own, so under each plan
-// RunEvents resolves as many simulator tasks as the plan's batch Evaluate,
-// reports every event and the batch selection's detailed count to intake,
-// and returns the plan's batch evaluation.
+// TestStreamWarmsFollowPlan: the plan alone decides what a workload loaded
+// from events simulates — it warms nothing of its own, so under each plan,
+// with its events in order or reversed, its evaluation resolves as many
+// simulator tasks as the catalogue workload's and returns the same
+// Evaluation.
 func TestStreamWarmsFollowPlan(t *testing.T) {
 	w := workload.Find("Rodinia/gauss_208")
-	var events bytes.Buffer
-	if err := workload.WriteEvents(&events, w); err != nil {
-		t.Fatal(err)
-	}
 	pksOnly := []sampling.TaskMode{sampling.ModePKS}
 	for _, tc := range []struct {
 		label string
@@ -195,38 +152,42 @@ func TestStreamWarmsFollowPlan(t *testing.T) {
 		{"pks+silicon", Plan{Passes: pksOnly, Silicon: true}},
 		{"complete", CompletePlan()},
 	} {
-		run := func(eval func(Config) (*Evaluation, error)) (*Evaluation, int64) {
-			t.Helper()
-			c := cfg()
-			c.Exec = sampling.NewExec(parallel.NewScheduler(2), nil)
-			m := obs.NewObserver().ExecMetrics()
-			c.Exec.SetMetrics(m)
-			ev, err := eval(c)
-			if err != nil {
-				t.Fatalf("%s: %v", tc.label, err)
+		want, wantSim := countSim(t, tc.label, tc.plan, w)
+		for _, order := range []struct {
+			label string
+			edit  func([][]byte) [][]byte
+		}{{"in order", nil}, {"reversed", reversed}} {
+			got, gotSim := countSim(t, tc.label, tc.plan, loadEvents(t, w, order.edit))
+			if gotSim != wantSim {
+				t.Errorf("%s/%s: the loaded stream resolved %d simulator tasks, the catalogue workload %d", tc.label, order.label, gotSim, wantSim)
 			}
-			return ev, m.Tasks[sampling.TierSim].Value()
+			sameEvaluation(t, tc.label+"/"+order.label, got, want)
 		}
-		want, wantSim := run(func(c Config) (*Evaluation, error) { return tc.plan.Evaluate(c, w, nil) })
-		gotEvents, gotDetailed := -1, -1
-		got, gotSim := run(func(c Config) (*Evaluation, error) {
-			dec := workload.NewEventDecoder(bytes.NewReader(events.Bytes()))
-			return RunEvents(c, tc.plan, dec, func(events, detailed int) { gotEvents, gotDetailed = events, detailed })
-		})
-		if gotSim != wantSim {
-			t.Errorf("%s: the stream resolved %d simulator tasks, Evaluate %d", tc.label, gotSim, wantSim)
-		}
-		if gotEvents != w.N || gotDetailed != want.Selection.DetailedKernels {
-			t.Errorf("%s: intake saw %d events, %d detailed; want %d, %d", tc.label, gotEvents, gotDetailed, w.N, want.Selection.DetailedKernels)
-		}
-		sameEvaluation(t, tc.label, got, want)
 	}
 }
 
-// TestStreamSimulatesLikeEvaluate: a streamed study resolves exactly the
-// simulator tasks the plan's batch evaluation does — no warm a batch study
-// would not make, in particular no full-simulation task of a workload whose
-// full simulation is infeasible — and returns the same Evaluation.
+// countSim evaluates w under plan on a fresh two-wide Exec and returns the
+// evaluation, its Workload cleared, with the number of tasks the simulator
+// tier resolved.
+func countSim(t *testing.T, label string, plan Plan, w *workload.Workload) (*Evaluation, int64) {
+	t.Helper()
+	c := cfg()
+	c.Exec = sampling.NewExec(parallel.NewScheduler(2), nil)
+	m := obs.NewObserver().ExecMetrics()
+	c.Exec.SetMetrics(m)
+	ev, err := plan.Evaluate(c, w, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	ev.Workload = nil // a loaded stream's is rebuilt from its events
+	return ev, m.Tasks[sampling.TierSim].Value()
+}
+
+// TestStreamSimulatesLikeEvaluate: a study of a workload loaded from its
+// events, in order or reversed, resolves exactly the simulator tasks the
+// catalogue workload's does — no warm a study of it would not make, in
+// particular no full-simulation task of a workload whose full simulation is
+// infeasible — and returns the same Evaluation.
 func TestStreamSimulatesLikeEvaluate(t *testing.T) {
 	pkaOnly := Plan{Passes: []sampling.TaskMode{sampling.ModePKA}}
 	for _, name := range []string{"Rodinia/gauss_208", "MLPerf/3dunet_inf"} {
@@ -238,26 +199,16 @@ func TestStreamSimulatesLikeEvaluate(t *testing.T) {
 			label string
 			plan  Plan
 		}{{"complete", CompletePlan()}, {"pka", pkaOnly}} {
-			run := func(eval func(Config) (*Evaluation, error)) (*Evaluation, int64) {
-				t.Helper()
-				c := cfg()
-				c.Exec = sampling.NewExec(parallel.NewScheduler(2), nil)
-				m := obs.NewObserver().ExecMetrics()
-				c.Exec.SetMetrics(m)
-				ev, err := eval(c)
-				if err != nil {
-					t.Fatalf("%s/%s: %v", name, tc.label, err)
+			label := name + "/" + tc.label
+			want, wantSim := countSim(t, label, tc.plan, w)
+			for _, edit := range []func([][]byte) [][]byte{nil, reversed} {
+				got, gotSim := countSim(t, label, tc.plan, loadEvents(t, w, edit))
+				if gotSim != wantSim {
+					t.Errorf("%s (reversed %v): the loaded stream resolved %d simulator tasks, the catalogue workload %d", label, edit != nil, gotSim, wantSim)
 				}
-				ev.Workload = nil // the stream's is rebuilt from its events
-				return ev, m.Tasks[sampling.TierSim].Value()
-			}
-			want, wantSim := run(func(c Config) (*Evaluation, error) { return tc.plan.Evaluate(c, w, nil) })
-			got, gotSim := run(func(c Config) (*Evaluation, error) { return RunEvents(c, tc.plan, eventStream(t, w, nil), nil) })
-			if gotSim != wantSim {
-				t.Errorf("%s/%s: the stream resolved %d simulator tasks, Evaluate %d", name, tc.label, gotSim, wantSim)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s/%s: streamed evaluation differs from Evaluate:\ngot:  %+v\nwant: %+v", name, tc.label, got, want)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s (reversed %v): evaluation differs:\ngot:  %+v\nwant: %+v", label, edit != nil, got, want)
+				}
 			}
 		}
 	}

@@ -26,15 +26,14 @@ type Observer struct {
 	Tracer  *Tracer
 	Audit   *Audit
 
-	sim    *SimMetrics
-	pkp    *PKPMetrics
-	pks    *PKSMetrics
-	pool   *PoolMetrics
-	serve  *ServeMetrics
-	exec   *ExecMetrics
-	shard  *ShardMetrics
-	dedup  *DedupMetrics
-	stream *StreamMetrics
+	sim   *SimMetrics
+	pkp   *PKPMetrics
+	pks   *PKSMetrics
+	pool  *PoolMetrics
+	serve *ServeMetrics
+	exec  *ExecMetrics
+	shard *ShardMetrics
+	dedup *DedupMetrics
 
 	cacheMu   sync.Mutex
 	cacheSrcs []func() map[string]CacheCounts
@@ -57,7 +56,6 @@ func NewObserverAt(now func() time.Time) *Observer {
 	o.ExecMetrics()
 	o.ShardMetrics()
 	o.DedupMetrics()
-	o.StreamMetrics()
 	// Span loss at the tracer's memory cap lands in the exposition instead
 	// of vanishing silently.
 	o.Tracer.SetDropCounter(o.Metrics.Counter(
@@ -427,26 +425,6 @@ func (o *Observer) DedupMetrics() *DedupMetrics {
 		}
 	}
 	return o.dedup
-}
-
-// StreamMetrics is the streaming-PKS pipeline's metric family: how many
-// kernel events flowed through it.
-type StreamMetrics struct {
-	Events *Counter
-}
-
-// StreamMetrics lazily builds (and then reuses) the streaming bundle.
-func (o *Observer) StreamMetrics() *StreamMetrics {
-	if o == nil || o.Metrics == nil {
-		return nil
-	}
-	if o.stream == nil {
-		r := o.Metrics
-		o.stream = &StreamMetrics{
-			Events: r.Counter("pka_stream_events_total", "kernel launch events consumed by the streaming pipeline"),
-		}
-	}
-	return o.stream
 }
 
 // --- Cache statistics -----------------------------------------------------

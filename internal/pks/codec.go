@@ -36,7 +36,7 @@ func (o Options) AppendKey(b []byte) []byte {
 
 // CheckFor reports why s cannot stand for a workload of n launches: the
 // guard between a selection that was not just computed here — decoded from
-// the store, handed in by a stream or a caller — and w.Kernel(RepIndex).
+// the store or handed in by a caller — and w.Kernel(RepIndex).
 func (s *Selection) CheckFor(n int) error {
 	if s.TotalKernels != n {
 		return fmt.Errorf("pks: selection of %s covers %d launches, not %d", s.Workload, s.TotalKernels, n)

@@ -30,11 +30,10 @@ import (
 const (
 	// StudyPath runs one study request (POST, JSON body).
 	StudyPath = "/v1/study"
-	// StreamPath runs one streaming study (POST, NDJSON body): a study
-	// request line, then a kernel-event stream in the workload event
-	// format. The response is NDJSON too — progress lines while events are
-	// consumed, then a final line byte-identical to the StudyPath response
-	// for the same workload and parameters.
+	// StreamPath runs one study of a workload sent as a kernel-event
+	// stream (POST, NDJSON body): a study request line naming no workload,
+	// then the events in the workload event format. The response and its
+	// status are StudyPath's for the same workload and parameters.
 	StreamPath = "/v1/stream"
 	// LatencyPath reports the rolling latency percentiles (GET; ?text=1
 	// for the human-readable report).
@@ -111,7 +110,8 @@ type StudyRequest struct {
 	// the response. Observe-only, like Trace.
 	Provenance bool `json:"provenance,omitempty"`
 
-	// Resolved by Validate.
+	// Resolved by Validate, or for a StreamPath request by its event
+	// stream.
 	w   *workload.Workload
 	dev gpu.Device
 
@@ -241,23 +241,6 @@ func (r *StudyRequest) Validate() error {
 		r.w = w
 	default:
 		return errors.New("serve: request names no workload")
-	}
-	return nil
-}
-
-// validateStream validates a StreamPath request line: the same parameter
-// checks as Validate, except the workload comes from the event stream
-// that follows — naming one in the request line is an error — and full
-// mode is rejected (it has no selection to compute incrementally).
-func (r *StudyRequest) validateStream() error {
-	if r.Workload != "" || len(r.WorkloadJSON) > 0 {
-		return errors.New("serve: stream request names a workload; the event-stream header does that")
-	}
-	if err := r.validateParams(); err != nil {
-		return err
-	}
-	if r.Mode == "full" {
-		return errors.New("serve: stream endpoint supports modes pks and pka")
 	}
 	return nil
 }

@@ -28,7 +28,7 @@ func Run(exec *sampling.Exec, o *obs.Observer, req *StudyRequest) (*StudyRespons
 			return nil, err
 		}
 	}
-	st := newStudy(exec, o, req, req.w.FullName())
+	st := newStudy(exec, o, req)
 	ev, err := st.plan.Evaluate(st.cfg, req.w, nil)
 	return st.respond(ev, err)
 }
@@ -36,9 +36,9 @@ func Run(exec *sampling.Exec, o *obs.Observer, req *StudyRequest) (*StudyRespons
 // studyModes maps a request's mode to the one pass its study plan makes.
 var studyModes = map[string]sampling.TaskMode{"full": sampling.ModeFull, "pks": sampling.ModePKS, "pka": sampling.ModePKA}
 
-// study is one request's evaluation, set up for /v1/study and /v1/stream
-// alike: the plan its mode names, and the core.Config it runs under, with
-// the observer, tracing and flight recorder wired once.
+// study is one request's evaluation: the plan its mode names, and the
+// core.Config it runs under, with the observer, tracing and flight recorder
+// wired once.
 type study struct {
 	req  *StudyRequest
 	name string // the workload's full name
@@ -51,16 +51,16 @@ type study struct {
 	traceID string
 }
 
-// newStudy sets up req's evaluation of the workload named name. Tracing
+// newStudy sets up req's evaluation of its resolved workload. Tracing
 // turns on when the client shipped a traceparent or asked in the body;
 // either way the request gets its own tracer so its trace holds only this
 // study's spans. Provenance recording turns on with tracing (the root
 // span reports tier counts), on request, or when the server injected a
 // recorder for its debug report.
-func newStudy(exec *sampling.Exec, o *obs.Observer, req *StudyRequest, name string) *study {
+func newStudy(exec *sampling.Exec, o *obs.Observer, req *StudyRequest) *study {
 	st := &study{
 		req:  req,
-		name: name,
+		name: req.w.FullName(),
 		plan: core.Plan{Passes: []sampling.TaskMode{studyModes[req.Mode]}, Silicon: req.Silicon},
 		cfg: core.Config{
 			Device: req.dev,
@@ -105,7 +105,7 @@ func newStudy(exec *sampling.Exec, o *obs.Observer, req *StudyRequest, name stri
 		obs.Arg{Key: "tenant", Val: req.Tenant},
 		obs.Arg{Key: "mode", Val: req.Mode})
 	st.tracer, st.traceID = tr, tc.TraceID
-	st.root = tr.Track("serve").Start("study "+name, args...)
+	st.root = tr.Track("serve").Start("study "+st.name, args...)
 	return st
 }
 

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -158,10 +159,16 @@ func TestBackpressure(t *testing.T) {
 	if _, err := srv.Do(&serve.StudyRequest{Tenant: "t"}); err != serve.ErrQueueFull {
 		t.Errorf("overflow submission: got %v, want ErrQueueFull", err)
 	}
+	// A stream queues like a study, so the full queue turns it away too.
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if status, body := postBody(t, ts.URL, serve.StreamPath, streamBody(t, "{}", "Rodinia/gauss_mat4")); status != http.StatusTooManyRequests {
+		t.Errorf("overflow stream: status %d, want 429: %s", status, body)
+	}
 	close(release)
 	wg.Wait()
 	h := srv.Health()
-	if h.Completed != 2 || h.Rejected != 1 {
+	if h.Completed != 2 || h.Rejected != 2 {
 		t.Errorf("health after run: %+v", h)
 	}
 }
@@ -226,12 +233,11 @@ func TestDrain(t *testing.T) {
 // TestRunnerPanicIsContained pins that a panicking study poisons only its
 // own request.
 func TestRunnerPanicIsContained(t *testing.T) {
-	calls := 0
+	var calls atomic.Int64
 	srv := serve.New(serve.Options{
 		Workers: 1,
 		Runner: func(*serve.StudyRequest) (*serve.StudyResponse, error) {
-			calls++
-			if calls == 1 {
+			if calls.Add(1) == 1 {
 				panic("poisoned request")
 			}
 			return stubResp, nil
@@ -242,6 +248,16 @@ func TestRunnerPanicIsContained(t *testing.T) {
 	}
 	if _, err := srv.Do(&serve.StudyRequest{Tenant: "t"}); err != nil {
 		t.Fatalf("request after panic failed: %v", err)
+	}
+	// A stream runs on the same runner: its panic is a 500 for it alone.
+	calls.Store(0)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if status, body := postBody(t, ts.URL, serve.StreamPath, streamBody(t, "{}", "Rodinia/gauss_mat4")); status != http.StatusInternalServerError || !strings.Contains(string(body), "panic") {
+		t.Errorf("poisoned stream: status %d %s, want a 500 panic error", status, body)
+	}
+	if status, body := postBody(t, ts.URL, serve.StreamPath, streamBody(t, "{}", "Rodinia/gauss_mat4")); status != http.StatusOK {
+		t.Errorf("stream after panic: status %d %s, want 200", status, body)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -97,8 +98,7 @@ type Server struct {
 	cond     *sync.Cond
 	q        *fairQueue
 	running  int // runner goroutines alive
-	inflight int // requests executing (queued studies and streams)
-	streams  int // streaming studies in flight, capped at width
+	inflight int // requests executing
 	draining bool
 
 	// Plain counters mirror the metric bundle so Health works without an
@@ -205,19 +205,15 @@ func (s *Server) work() {
 		s.rec.Observe(p.req.Tenant, queued, total, p.err != nil)
 		s.m.QueueWait.Observe(queued.Seconds())
 		s.m.Latency.Observe(total.Seconds())
-		s.finish(p.err != nil, false)
+		s.finish(p.err != nil)
 		close(p.done)
 	}
 }
 
-// finish settles the counters of one request that ran — and releases its
-// slot when it was a stream; the broadcast wakes any drain waiting on
-// in-flight work.
-func (s *Server) finish(failed, stream bool) {
+// finish settles the counters of one request that ran; the broadcast wakes
+// any drain waiting on in-flight work.
+func (s *Server) finish(failed bool) {
 	s.mu.Lock()
-	if stream {
-		s.streams--
-	}
 	s.inflight--
 	if failed {
 		s.failed++
@@ -347,8 +343,8 @@ func (s *Server) Health() ServeHealth {
 	}
 }
 
-// Handler returns the server's HTTP mux: POST /v1/study, GET /v1/latency,
-// GET /v1/health, GET /metrics.
+// Handler returns the server's HTTP mux: POST /v1/study and /v1/stream,
+// GET /v1/latency, /v1/health, /v1/debug/provenance and /metrics.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(StudyPath, s.handleStudy)
@@ -361,11 +357,22 @@ func (s *Server) Handler() http.Handler {
 }
 
 func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
+	s.serveStudy(w, r, DecodeStudyRequest)
+}
+
+func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
+	s.serveStudy(w, r, decodeStream)
+}
+
+// serveStudy is both study endpoints: the body, read by decode, is one
+// validated request that goes through Do, and the outcome maps to the
+// response and its status.
+func (s *Server) serveStudy(w http.ResponseWriter, r *http.Request, decode func(io.Reader) (*StudyRequest, error)) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	req, err := DecodeStudyRequest(r.Body)
+	req, err := decode(r.Body)
 	if err != nil {
 		s.mu.Lock()
 		s.invalid++

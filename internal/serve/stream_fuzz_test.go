@@ -15,7 +15,7 @@ const streamFuzzCap = 512
 
 // FuzzStreamRequest fuzzes StreamPath's request line: the capped line
 // reader and the stream-request decoder behind it. Any input either errors
-// or yields a request that names no workload, runs a sampled mode, and
+// or yields a request that names no workload, runs a known mode, and
 // decodes back to itself from its own encoding.
 func FuzzStreamRequest(f *testing.F) {
 	for _, s := range []string{
@@ -26,7 +26,7 @@ func FuzzStreamRequest(f *testing.F) {
 		// Structural junk, trailing data, an over-cap line.
 		"", "\n", "{", "[]", "null", "{}{}", "{} x", `{"unknown":1}`,
 		strings.Repeat(" ", 2*streamFuzzCap) + "{}\n",
-		// Workloads belong to the event header; full mode has no selection.
+		// Workloads belong to the event header; full mode is a mode like any.
 		`{"workload":"Rodinia/gauss_mat4"}`,
 		`{"workload_json":{"name":"x","kernels":[]}}`,
 		`{"workload_json":null}`,
@@ -52,7 +52,7 @@ func FuzzStreamRequest(f *testing.F) {
 		if req.Workload != "" || len(req.WorkloadJSON) > 0 || req.w != nil {
 			t.Fatalf("accepted a stream request naming a workload: %s", line)
 		}
-		if req.Mode != "pks" && req.Mode != "pka" {
+		if _, ok := studyModes[req.Mode]; !ok {
 			t.Fatalf("accepted mode %q", req.Mode)
 		}
 		enc, err := json.Marshal(req)

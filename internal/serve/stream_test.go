@@ -2,12 +2,12 @@ package serve_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"pka/internal/artifact"
@@ -34,10 +34,25 @@ func streamBody(t *testing.T, reqLine string, wname string) *bytes.Buffer {
 	return &buf
 }
 
-// TestStreamEndpointMatchesStudy pins the progressive endpoint's core
-// promise: the final NDJSON line is byte-identical to the StudyPath
-// response for the same workload and parameters, with one progress line
-// ahead of it that accounts for the whole intake.
+// postBody POSTs body to url+path and returns the status and whole
+// response body.
+func postBody(t *testing.T, url, path string, body io.Reader) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url+path, "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, out
+}
+
+// TestStreamEndpointMatchesStudy pins the endpoint's promise: its whole
+// response — status, content type and body — is the StudyPath response for
+// the same workload and parameters, in every mode.
 func TestStreamEndpointMatchesStudy(t *testing.T) {
 	srv := serve.New(serve.Options{
 		Exec: sampling.NewExec(parallel.NewScheduler(2), nil),
@@ -45,8 +60,7 @@ func TestStreamEndpointMatchesStudy(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// The default mode, pka, and pks: each streams under its own plan.
-	for _, mode := range []string{"", `,"mode":"pks"`} {
+	for _, mode := range []string{"", `,"mode":"pks"`, `,"mode":"full"`} {
 		study, err := http.Post(ts.URL+serve.StudyPath, "application/json",
 			strings.NewReader(`{"workload":"Rodinia/gauss_208","silicon":true`+mode+`}`))
 		if err != nil {
@@ -63,34 +77,52 @@ func TestStreamEndpointMatchesStudy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.StatusCode != http.StatusOK {
-			body, _ := io.ReadAll(resp.Body)
-			t.Fatalf("%s stream: %d %s", mode, resp.StatusCode, body)
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-			t.Errorf("content type %q", ct)
-		}
-		body, err := io.ReadAll(resp.Body)
+		got, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		lines := bytes.Split(bytes.TrimRight(body, "\n"), []byte("\n"))
-		if len(lines) != 2 {
-			t.Fatalf("expected one progress line before the response, got %d line(s): %s", len(lines), body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s stream: %d %s", mode, resp.StatusCode, got)
 		}
-		var pl serve.StreamLine
-		if err := json.Unmarshal(lines[0], &pl); err != nil || pl.Progress == nil {
-			t.Fatalf("non-progress line before the final response: %s (err %v)", lines[0], err)
+		if ct, want := resp.Header.Get("Content-Type"), study.Header.Get("Content-Type"); ct != want {
+			t.Errorf("%s: content type %q, the study's %q", mode, ct, want)
 		}
-		// gauss_208 fits the detailed-profiling budget whole.
-		if n := workload.Find("Rodinia/gauss_208").N; *pl.Progress != (serve.StreamProgress{Events: n, Detailed: n}) {
-			t.Errorf("%s: progress %+v, want %d events all detailed", mode, *pl.Progress, n)
-		}
-		got := append(lines[1], '\n')
 		if !bytes.Equal(got, want) {
-			t.Errorf("%s: final stream line differs from the study response:\ngot:  %s\nwant: %s", mode, got, want)
+			t.Errorf("%s: stream response differs from the study response:\ngot:  %s\nwant: %s", mode, got, want)
 		}
+	}
+}
+
+// TestStreamUsesRunner: a stream is served like a study, through the
+// server's runner — once per POST — and so through its fair queue and panic
+// isolation.
+func TestStreamUsesRunner(t *testing.T) {
+	var calls atomic.Int64
+	var last atomic.Pointer[serve.StudyRequest]
+	srv := serve.New(serve.Options{
+		Runner: func(req *serve.StudyRequest) (*serve.StudyResponse, error) {
+			calls.Add(1)
+			last.Store(req)
+			return stubResp, nil
+		},
+	})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for i := 1; i <= 2; i++ {
+		status, body := postBody(t, ts.URL, serve.StreamPath, streamBody(t, `{"tenant":"prod","mode":"pks"}`, "Rodinia/gauss_mat4"))
+		if status != http.StatusOK {
+			t.Fatalf("POST %d: status %d: %s", i, status, body)
+		}
+		if n := calls.Load(); n != int64(i) {
+			t.Fatalf("after %d POSTs the runner ran %d times", i, n)
+		}
+	}
+	if got := last.Load(); got.Tenant != "prod" || got.Mode != "pks" {
+		t.Errorf("runner saw tenant %q mode %q, want prod pks", got.Tenant, got.Mode)
+	}
+	if h := srv.Health(); h.Requests != 2 || h.Completed != 2 {
+		t.Errorf("health after two streams: %+v", h)
 	}
 }
 
@@ -112,14 +144,9 @@ func TestStreamReadsStudySelection(t *testing.T) {
 
 	post := func(path string, body io.Reader) []byte {
 		t.Helper()
-		resp, err := http.Post(ts.URL+path, "application/json", body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		out, err := io.ReadAll(resp.Body)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d, err %v: %s", path, resp.StatusCode, err, out)
+		status, out := postBody(t, ts.URL, path, body)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", path, status, out)
 		}
 		return out
 	}
@@ -132,82 +159,49 @@ func TestStreamReadsStudySelection(t *testing.T) {
 	if got := o.PKSMetrics().SweepSteps.Value(); got != steps {
 		t.Errorf("pka_pks_sweep_steps_total moved %d -> %d: the stream swept K again", steps, got)
 	}
-	lines := bytes.SplitAfter(bytes.TrimRight(body, "\n"), []byte("\n"))
-	if got := append(lines[len(lines)-1], '\n'); !bytes.Equal(got, want) {
-		t.Errorf("final stream line differs from the study response:\ngot:  %s\nwant: %s", got, want)
+	if !bytes.Equal(body, want) {
+		t.Errorf("stream response differs from the study response:\ngot:  %s\nwant: %s", body, want)
 	}
 }
 
 // TestStreamEndpointRejects covers the door: bad request lines, workloads
-// named in the request line, full mode, and corrupt event streams.
+// named in the request line and corrupt event streams are 400s, counted as
+// invalid; a request line that sets any mode, full included, is accepted.
 func TestStreamEndpointRejects(t *testing.T) {
-	srv := serve.New(serve.Options{})
+	srv := serve.New(serve.Options{Exec: sampling.NewExec(parallel.NewScheduler(2), nil)})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	post := func(body io.Reader) *http.Response {
-		t.Helper()
-		resp, err := http.Post(ts.URL+serve.StreamPath, "application/x-ndjson", body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-
-	// Request-line rejections are plain HTTP 400s.
-	for _, line := range []string{
-		``,
-		`{`,
-		`{"workload":"Rodinia/gauss_mat4"}`,
-		`{"mode":"full"}`,
-		`{"unknown":1}`,
-	} {
-		resp := post(strings.NewReader(line + "\n"))
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("request line %q: status %d, want 400", line, resp.StatusCode)
-		}
-	}
-
-	// Event-stream failures arrive in-band: 200, then an error line.
-	resp := post(strings.NewReader("{}\n" + `{"stream":"wrong-schema","kernels":1}` + "\n"))
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("in-band failure changed the status: %d", resp.StatusCode)
-	}
-	var pl serve.StreamLine
-	if err := json.Unmarshal(bytes.TrimSpace(body), &pl); err != nil || pl.Error == "" {
-		t.Errorf("expected an in-band error line, got %s", body)
-	}
-
-	// A truncated event stream (header promises more launches than arrive)
-	// must fail rather than report a partial study.
 	w := workload.Find("Rodinia/gauss_mat4")
-	var buf bytes.Buffer
-	buf.WriteString("{}\n")
-	if err := workload.WriteEvents(&buf, w); err != nil {
+	var events bytes.Buffer
+	if err := workload.WriteEvents(&events, w); err != nil {
 		t.Fatal(err)
 	}
-	lines := bytes.Split(bytes.TrimRight(buf.Bytes(), "\n"), []byte("\n"))
-	truncated := bytes.Join(lines[:len(lines)-1], []byte("\n"))
-	resp = post(bytes.NewReader(append(truncated, '\n')))
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	pl = serve.StreamLine{}
-	if err := json.Unmarshal(bytes.TrimSpace(body), &pl); err != nil || !strings.Contains(pl.Error, "missing") {
-		t.Errorf("truncated stream: expected a missing-launches error, got %s", body)
+	lines := bytes.SplitAfter(events.Bytes(), []byte("\n"))
+	bad := map[string]string{
+		"empty body":       "",
+		"broken line":      "{\n",
+		"names a workload": `{"workload":"Rodinia/gauss_mat4"}` + "\n" + events.String(),
+		"unknown field":    `{"unknown":1}` + "\n" + events.String(),
+		"no events":        "{}\n",
+		"wrong schema":     "{}\n" + `{"stream":"wrong-schema","kernels":1}` + "\n",
+		// The header promises more launches than arrive.
+		"truncated": "{}\n" + string(bytes.Join(lines[:len(lines)-2], nil)),
+		// An event breaks off mid-line.
+		"broken event": "{}\n" + string(bytes.Join(lines[:3], nil)) + "{\"launch\":\n",
 	}
-
-	// So must one whose events break off mid-line.
-	broken := append(bytes.Join(lines[:3], []byte("\n")), "\n{\"launch\":\n"...)
-	resp = post(bytes.NewReader(broken))
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	pl = serve.StreamLine{}
-	if err := json.Unmarshal(bytes.TrimSpace(body), &pl); err != nil || !strings.Contains(pl.Error, "event line") {
-		t.Errorf("broken event: expected an event-line error, got %s", body)
+	for label, body := range bad {
+		if status, out := postBody(t, ts.URL, serve.StreamPath, strings.NewReader(body)); status != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400: %s", label, status, out)
+		}
+	}
+	if h := srv.Health(); h.Invalid != int64(len(bad)) || h.Requests != 0 {
+		t.Errorf("health after %d bad streams: %+v", len(bad), h)
+	}
+	for _, line := range []string{`{}`, `{"mode":"full"}`, `{"mode":"pks","device":"turing"}`} {
+		if status, out := postBody(t, ts.URL, serve.StreamPath, strings.NewReader(line+"\n"+events.String())); status != http.StatusOK {
+			t.Errorf("request line %s: status %d, want 200: %s", line, status, out)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -127,54 +129,47 @@ func FromJSON(r io.Reader) (*Workload, error) {
 	return w, nil
 }
 
-// LoadJSON reads a workload document from disk.
+// Load reads a workload in either file format. A first line that is an
+// event-stream header (a JSON object with a "stream" key) makes the input
+// a kernel-event stream, read by ReadEvents; anything else is a workload
+// document, read by FromJSON.
+func Load(r io.Reader) (*Workload, error) {
+	br := bufio.NewReader(r)
+	var first []byte // the first line that is not blank, cut at br's buffer size
+	for {
+		line, err := br.ReadSlice('\n')
+		if err != nil || len(bytes.TrimSpace(line)) > 0 {
+			first = bytes.Clone(line) // the slice is br's, reused by its next read
+			break
+		}
+	}
+	rest := io.MultiReader(bytes.NewReader(first), br)
+	var probe struct {
+		Stream string `json:"stream"`
+	}
+	if json.Unmarshal(first, &probe) == nil && probe.Stream != "" {
+		return ReadEvents(rest)
+	}
+	return FromJSON(rest)
+}
+
+// LoadJSON reads a workload file in either format (see Load); "-" reads
+// standard input.
 func LoadJSON(path string) (*Workload, error) {
+	if path == "-" {
+		return Load(os.Stdin)
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return FromJSON(f)
+	return Load(f)
 }
 
 func (kj *KernelJSON) toKernel(doc string, idx int) (trace.KernelDesc, error) {
 	if kj.Name == "" {
 		return trace.KernelDesc{}, fmt.Errorf("workload: kernel %d of %q has no name", idx, doc)
-	}
-	// Bounds trace.Validate does not cover: dimension and count sanity
-	// for documents arriving from outside the curated study set.
-	for d, v := range kj.Grid {
-		if v < 0 {
-			return trace.KernelDesc{}, fmt.Errorf("workload: kernel %d of %q has negative grid dim %d", idx, doc, v)
-		}
-		max := maxGridYZ
-		if d == 0 {
-			max = maxGridX
-		}
-		if v > max {
-			return trace.KernelDesc{}, fmt.Errorf("workload: kernel %d of %q grid dim %d exceeds %d", idx, doc, v, max)
-		}
-	}
-	if blocks := int64(max64(kj.Grid[0], 1)) * int64(max64(kj.Grid[1], 1)) * int64(max64(kj.Grid[2], 1)); blocks > maxGridX {
-		return trace.KernelDesc{}, fmt.Errorf("workload: kernel %d of %q launches %d blocks (max %d)", idx, doc, blocks, maxGridX)
-	}
-	for _, v := range kj.Block {
-		if v < 0 {
-			return trace.KernelDesc{}, fmt.Errorf("workload: kernel %d of %q has negative block dim %d", idx, doc, v)
-		}
-	}
-	for name, v := range map[string]int{
-		"global_loads": kj.Mix.GlobalLoads, "global_stores": kj.Mix.GlobalStores,
-		"local_loads": kj.Mix.LocalLoads, "shared_loads": kj.Mix.SharedLoads,
-		"shared_stores": kj.Mix.SharedStores, "global_atomics": kj.Mix.GlobalAtomics,
-		"compute": kj.Mix.Compute, "tensor_ops": kj.Mix.TensorOps,
-	} {
-		if v < 0 {
-			return trace.KernelDesc{}, fmt.Errorf("workload: kernel %d of %q has negative mix count %s=%d", idx, doc, name, v)
-		}
-	}
-	if kj.RegsPerThread < 0 || kj.SharedMemPerBlock < 0 || kj.WorkingSetBytes < 0 {
-		return trace.KernelDesc{}, fmt.Errorf("workload: kernel %d of %q has negative resource usage", idx, doc)
 	}
 	k := trace.KernelDesc{
 		Name:              kj.Name,
@@ -223,15 +218,28 @@ func (kj *KernelJSON) toKernel(doc string, idx int) (trace.KernelDesc, error) {
 	if k.WorkingSetBytes == 0 {
 		k.WorkingSetBytes = 1 << 20
 	}
-	if err := k.Validate(); err != nil {
+	if err := checkLaunch(&k); err != nil {
 		return trace.KernelDesc{}, fmt.Errorf("workload: kernel %d of %q: %w", idx, doc, err)
 	}
 	return k, nil
 }
 
-func max64(v, lo int) int {
-	if v > lo {
-		return v
+// checkLaunch holds a launch from outside the catalogue — a document entry
+// or an event — to what the substrates can run: CUDA's grid limits, no
+// negative instruction-mix count or resource, and trace's Validate.
+func checkLaunch(k *trace.KernelDesc) error {
+	if k.Grid.X > maxGridX || k.Grid.Y > maxGridYZ || k.Grid.Z > maxGridYZ {
+		return fmt.Errorf("kernel %q grid %v exceeds launch limits", k.Name, k.Grid)
 	}
-	return lo
+	if blocks := int64(max(k.Grid.X, 1)) * int64(max(k.Grid.Y, 1)) * int64(max(k.Grid.Z, 1)); blocks > maxGridX {
+		return fmt.Errorf("kernel %q launches %d blocks (max %d)", k.Name, blocks, maxGridX)
+	}
+	m := k.Mix
+	if min(m.GlobalLoads, m.GlobalStores, m.LocalLoads, m.SharedLoads, m.SharedStores, m.GlobalAtomics, m.Compute, m.TensorOps) < 0 {
+		return fmt.Errorf("kernel %q has a negative instruction-mix count", k.Name)
+	}
+	if k.RegsPerThread < 0 || k.SharedMemPerBlock < 0 || k.WorkingSetBytes < 0 {
+		return fmt.Errorf("kernel %q has negative resource usage", k.Name)
+	}
+	return k.Validate()
 }

@@ -2,23 +2,22 @@ package workload
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 
 	"pka/internal/trace"
 )
 
-// NDJSON kernel-event streams are the wire format of streaming PKS: one
-// header line naming the workload, then one event line per kernel launch.
-// Unlike the generator-style workload documents in jsonio.go, events carry
-// the *exact* KernelDesc of each launch — every field the content key and
-// the simulator read — so a stream written by WriteEvents and replayed
-// through an EventDecoder reproduces the original workload byte for byte,
-// which is what lets `pka -stream` promise output identical to the batch
-// run.
+// An NDJSON kernel-event stream is the second file format of a workload:
+// one header line naming the workload, then one event line per kernel
+// launch, in any order. Unlike the generator-style documents in jsonio.go,
+// events carry the *exact* KernelDesc of each launch — every field the
+// content key and the simulator read — so a stream written by WriteEvents
+// and read back by ReadEvents (or Load) is the original workload launch for
+// launch, and a study of it prints what the study of the original does.
 //
 //	{"stream":"pka-kernel-events-v1","suite":"Rodinia","name":"gauss_208","kernels":208}
 //	{"launch":0,"kernel":{"name":"fan1","grid":[1,1,1],"block":[208,1,1],...,"seed":1234}}
@@ -28,12 +27,12 @@ import (
 // layout changes meaning.
 const StreamSchema = "pka-kernel-events-v1"
 
-// MaxEventBytes bounds one NDJSON line. A kernel event is a few hundred
+// maxEventBytes bounds one NDJSON line. A kernel event is a few hundred
 // bytes; anything near the cap is hostile or corrupt.
-const MaxEventBytes = 1 << 20
+const maxEventBytes = 1 << 20
 
-// StreamHeader is the first line of an event stream.
-type StreamHeader struct {
+// streamHeader is the first line of an event stream.
+type streamHeader struct {
 	Stream  string `json:"stream"`
 	Suite   string `json:"suite"`
 	Name    string `json:"name"`
@@ -119,29 +118,7 @@ func (w *kernelWire) toDesc(launch int) (trace.KernelDesc, error) {
 		Compute:       w.Mix.Compute,
 		TensorOps:     w.Mix.TensorOps,
 	}
-	// The same structural bounds the JSON workload loader enforces: a
-	// hostile event must not construct a launch the substrates would choke
-	// on. Validate covers blocks, mixes, and the ratio fields; the grid
-	// caps mirror CUDA's launch limits.
-	if k.Grid.X > maxGridX || k.Grid.Y > maxGridYZ || k.Grid.Z > maxGridYZ {
-		return k, fmt.Errorf("kernel %q grid %v exceeds launch limits", k.Name, k.Grid)
-	}
-	if blocks := int64(max64(k.Grid.X, 1)) * int64(max64(k.Grid.Y, 1)) * int64(max64(k.Grid.Z, 1)); blocks > maxGridX {
-		return k, fmt.Errorf("kernel %q launches %d blocks (max %d)", k.Name, blocks, maxGridX)
-	}
-	for _, m := range []int{k.Mix.GlobalLoads, k.Mix.GlobalStores, k.Mix.LocalLoads,
-		k.Mix.SharedLoads, k.Mix.SharedStores, k.Mix.GlobalAtomics, k.Mix.Compute, k.Mix.TensorOps} {
-		if m < 0 {
-			return k, fmt.Errorf("kernel %q has a negative instruction-mix count", k.Name)
-		}
-	}
-	if k.RegsPerThread < 0 || k.SharedMemPerBlock < 0 || k.WorkingSetBytes < 0 {
-		return k, fmt.Errorf("kernel %q has negative resource usage", k.Name)
-	}
-	if err := k.Validate(); err != nil {
-		return k, err
-	}
-	return k, nil
+	return k, checkLaunch(&k)
 }
 
 // eventWire is one event line.
@@ -155,7 +132,7 @@ type eventWire struct {
 func WriteEvents(w io.Writer, wl *Workload) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	if err := enc.Encode(StreamHeader{Stream: StreamSchema, Suite: wl.Suite, Name: wl.Name, Kernels: wl.N}); err != nil {
+	if err := enc.Encode(streamHeader{Stream: StreamSchema, Suite: wl.Suite, Name: wl.Name, Kernels: wl.N}); err != nil {
 		return err
 	}
 	for i := 0; i < wl.N; i++ {
@@ -167,31 +144,109 @@ func WriteEvents(w io.Writer, wl *Workload) error {
 	return bw.Flush()
 }
 
-// EventDecoder reads an NDJSON kernel-event stream with the same hostility
-// assumptions as the JSON workload loader: bounded line length, unknown
-// fields rejected, trailing garbage rejected, every kernel validated, and
-// duplicate or out-of-range launch IDs refused. Events may arrive in any
-// order; the decoder only guarantees each launch ID appears exactly once.
-type EventDecoder struct {
-	sc     *bufio.Scanner
-	header *StreamHeader
-	seen   []bool
-	got    int
-	line   int
-}
-
-// NewEventDecoder wraps r. Call Header first (or let Next do it), then
-// Next until io.EOF.
-func NewEventDecoder(r io.Reader) *EventDecoder {
+// ReadEvents reads a whole kernel-event stream into the workload it
+// describes, with the hostility assumptions of the JSON loader: bounded line
+// length, unknown fields and trailing data rejected, every launch checked,
+// and a launch ID out of range, repeated or never delivered refused. Events
+// may arrive in any order. Memory grows with the events that arrive, never
+// with what the header promises. A header naming a catalogue workload gives
+// the result that workload's Quirk.
+func ReadEvents(r io.Reader) (*Workload, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), MaxEventBytes)
-	return &EventDecoder{sc: sc}
+	sc.Buffer(make([]byte, 64*1024), maxEventBytes)
+	line := 0
+	next := func() ([]byte, error) {
+		for sc.Scan() {
+			line++
+			if b := sc.Bytes(); len(bytes.TrimSpace(b)) > 0 {
+				return b, nil
+			}
+		}
+		if err := sc.Err(); errors.Is(err, bufio.ErrTooLong) {
+			return nil, fmt.Errorf("workload: event line %d exceeds %d bytes", line+1, maxEventBytes)
+		} else if err != nil {
+			return nil, err
+		}
+		return nil, io.EOF
+	}
+
+	b, err := next()
+	if err == io.EOF {
+		return nil, errors.New("workload: event stream is empty")
+	}
+	if err != nil {
+		return nil, err
+	}
+	var h streamHeader
+	if err := decodeStrict(b, &h); err != nil {
+		return nil, fmt.Errorf("workload: event-stream header: %w", err)
+	}
+	if h.Stream != StreamSchema {
+		return nil, fmt.Errorf("workload: unsupported event stream %q (want %q)", h.Stream, StreamSchema)
+	}
+	if h.Kernels < 1 || h.Kernels > MaxJSONKernels {
+		return nil, fmt.Errorf("workload: event stream declares %d kernels (limit %d)", h.Kernels, MaxJSONKernels)
+	}
+	if h.Name == "" {
+		h.Name = "stream"
+	}
+	if h.Suite == "" {
+		h.Suite = "user"
+	}
+
+	var kernels []trace.KernelDesc // in arrival order
+	var seen []uint64              // bit i: launch i arrived
+	for {
+		b, err := next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		var ev eventWire
+		if err := decodeStrict(b, &ev); err != nil {
+			return nil, fmt.Errorf("workload: event line %d: %w", line, err)
+		}
+		if ev.Launch < 0 || ev.Launch >= h.Kernels {
+			return nil, fmt.Errorf("workload: event line %d: launch %d outside [0,%d)", line, ev.Launch, h.Kernels)
+		}
+		word, bit := ev.Launch/64, uint64(1)<<(ev.Launch%64)
+		if word >= len(seen) {
+			seen = append(seen, make([]uint64, word+1-len(seen))...)
+		}
+		if seen[word]&bit != 0 {
+			return nil, fmt.Errorf("workload: event line %d: duplicate launch %d", line, ev.Launch)
+		}
+		k, err := ev.Kernel.toDesc(ev.Launch)
+		if err != nil {
+			return nil, fmt.Errorf("workload: event line %d: %w", line, err)
+		}
+		seen[word] |= bit
+		kernels = append(kernels, k)
+	}
+	if n := h.Kernels - len(kernels); n > 0 {
+		return nil, fmt.Errorf("workload: event stream ended with %d of %d launches missing", n, h.Kernels)
+	}
+	// Every launch arrived exactly once, so the IDs are a permutation of
+	// [0,N): put each where it belongs.
+	for i := range kernels {
+		for kernels[i].ID != i {
+			j := kernels[i].ID
+			kernels[i], kernels[j] = kernels[j], kernels[i]
+		}
+	}
+	w := fixedSeq(h.Suite, h.Name, kernels)
+	if reg := Find(w.FullName()); reg != nil {
+		w.Quirk = reg.Quirk
+	}
+	return w, nil
 }
 
 // decodeStrict unmarshals one line rejecting unknown fields and trailing
 // data.
 func decodeStrict(line []byte, v any) error {
-	dec := json.NewDecoder(strings.NewReader(string(line)))
+	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
@@ -200,115 +255,4 @@ func decodeStrict(line []byte, v any) error {
 		return errors.New("trailing data after JSON value")
 	}
 	return nil
-}
-
-// Header parses (and caches) the stream header.
-func (d *EventDecoder) Header() (StreamHeader, error) {
-	if d.header != nil {
-		return *d.header, nil
-	}
-	line, err := d.nextLine()
-	if err != nil {
-		if err == io.EOF {
-			err = errors.New("workload: event stream is empty")
-		}
-		return StreamHeader{}, err
-	}
-	var h StreamHeader
-	if err := decodeStrict(line, &h); err != nil {
-		return StreamHeader{}, fmt.Errorf("workload: event-stream header: %w", err)
-	}
-	if h.Stream != StreamSchema {
-		return StreamHeader{}, fmt.Errorf("workload: unsupported event stream %q (want %q)", h.Stream, StreamSchema)
-	}
-	if h.Kernels < 1 || h.Kernels > MaxJSONKernels {
-		return StreamHeader{}, fmt.Errorf("workload: event stream declares %d kernels (limit %d)", h.Kernels, MaxJSONKernels)
-	}
-	if h.Name == "" {
-		h.Name = "stream"
-	}
-	if h.Suite == "" {
-		h.Suite = "user"
-	}
-	d.header = &h
-	d.seen = make([]bool, h.Kernels)
-	return h, nil
-}
-
-func (d *EventDecoder) nextLine() ([]byte, error) {
-	for d.sc.Scan() {
-		d.line++
-		line := d.sc.Bytes()
-		if len(strings.TrimSpace(string(line))) == 0 {
-			continue
-		}
-		return line, nil
-	}
-	if err := d.sc.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			return nil, fmt.Errorf("workload: event line %d exceeds %d bytes", d.line+1, MaxEventBytes)
-		}
-		return nil, err
-	}
-	return nil, io.EOF
-}
-
-// Next returns the next kernel event. The returned desc has ID set to the
-// launch index. At end of stream it returns io.EOF; any events the header
-// promised but the stream never delivered surface from Missing.
-func (d *EventDecoder) Next() (trace.KernelDesc, error) {
-	if d.header == nil {
-		if _, err := d.Header(); err != nil {
-			return trace.KernelDesc{}, err
-		}
-	}
-	line, err := d.nextLine()
-	if err != nil {
-		return trace.KernelDesc{}, err
-	}
-	var ev eventWire
-	if err := decodeStrict(line, &ev); err != nil {
-		return trace.KernelDesc{}, fmt.Errorf("workload: event line %d: %w", d.line, err)
-	}
-	if ev.Launch < 0 || ev.Launch >= d.header.Kernels {
-		return trace.KernelDesc{}, fmt.Errorf("workload: event line %d: launch %d outside [0,%d)", d.line, ev.Launch, d.header.Kernels)
-	}
-	if d.seen[ev.Launch] {
-		return trace.KernelDesc{}, fmt.Errorf("workload: event line %d: duplicate launch %d", d.line, ev.Launch)
-	}
-	k, err := ev.Kernel.toDesc(ev.Launch)
-	if err != nil {
-		return trace.KernelDesc{}, fmt.Errorf("workload: event line %d: %w", d.line, err)
-	}
-	d.seen[ev.Launch] = true
-	d.got++
-	return k, nil
-}
-
-// Missing returns how many launches the header declared but the stream
-// never delivered. Zero after a complete stream.
-func (d *EventDecoder) Missing() int {
-	if d.header == nil {
-		return 0
-	}
-	return d.header.Kernels - d.got
-}
-
-// FromKernels builds a workload over an explicit launch list — the
-// materialized form an event stream decodes into. The slice is aliased,
-// not copied; callers must not mutate it afterwards.
-func FromKernels(suite, name string, kernels []trace.KernelDesc) (*Workload, error) {
-	if len(kernels) == 0 {
-		return nil, errors.New("workload: no kernels")
-	}
-	if suite == "" {
-		suite = "user"
-	}
-	if name == "" {
-		name = "stream"
-	}
-	w := New(suite, name, len(kernels), func(i int) trace.KernelDesc {
-		return kernels[i]
-	})
-	return w, nil
 }

@@ -2,11 +2,11 @@ package workload
 
 import (
 	"bytes"
-	"io"
+	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
-
-	"pka/internal/trace"
 )
 
 const streamHeaderSeed = `{"stream":"pka-kernel-events-v1","suite":"mine","name":"pipe","kernels":2}`
@@ -48,54 +48,37 @@ var streamSeeds = []string{
 	"", "{", "[]\n", "\n\n\n",
 }
 
-// drainStream decodes an entire stream, returning the kernels accepted
-// before the first error (io.EOF excluded).
-func drainStream(t *testing.T, data []byte) (StreamHeader, int, error) {
+// loadStream reads data through the workload loader and checks what it
+// accepts: a bounded launch count, and every launch valid and stamped with
+// its index.
+func loadStream(t *testing.T, data []byte) (*Workload, error) {
 	t.Helper()
-	d := NewEventDecoder(bytes.NewReader(data))
-	h, err := d.Header()
+	w, err := Load(bytes.NewReader(data))
 	if err != nil {
-		return h, 0, err
+		return nil, err
 	}
-	n := 0
-	for {
-		k, err := d.Next()
-		if err == io.EOF {
-			return h, n, nil
-		}
-		if err != nil {
-			return h, n, err
-		}
-		// Every accepted event must already satisfy the trace validator and
-		// carry its launch index as ID.
+	if w.N < 1 || w.N > MaxJSONKernels {
+		t.Fatalf("accepted workload with out-of-bounds kernel count %d", w.N)
+	}
+	for i := 0; i < w.N; i++ {
+		k := w.Kernel(i)
 		if err := k.Validate(); err != nil {
-			t.Fatalf("accepted event fails validation: %v", err)
+			t.Fatalf("accepted launch %d fails validation: %v", i, err)
 		}
-		if k.ID < 0 || k.ID >= h.Kernels {
-			t.Fatalf("accepted event with out-of-range launch %d", k.ID)
-		}
-		n++
 	}
+	return w, nil
 }
 
-// FuzzStreamEvents fuzzes the NDJSON kernel-event decoder: any byte input
-// must either decode into bounded, fully-validated events or return an
-// error — mirroring the FuzzLoadWorkloadJSON hardening contract.
+// FuzzStreamEvents fuzzes the NDJSON kernel-event decoder behind the
+// workload loader's sniffing: any byte input must either load into a
+// bounded, fully-validated workload or return an error — mirroring the
+// FuzzLoadWorkloadJSON hardening contract.
 func FuzzStreamEvents(f *testing.F) {
 	for _, s := range streamSeeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, n, err := drainStream(t, data)
-		if err != nil {
-			return
-		}
-		if h.Kernels < 1 || h.Kernels > MaxJSONKernels {
-			t.Fatalf("accepted header with out-of-bounds kernel count %d", h.Kernels)
-		}
-		if n > h.Kernels {
-			t.Fatalf("decoded %d events from a stream declaring %d", n, h.Kernels)
-		}
+		_, _ = loadStream(t, data)
 	})
 }
 
@@ -103,13 +86,13 @@ func FuzzStreamEvents(f *testing.F) {
 // error.
 func TestStreamSeedCorpus(t *testing.T) {
 	for i, s := range streamSeeds {
-		h, n, err := drainStream(t, []byte(s))
+		w, err := loadStream(t, []byte(s))
 		if i == 0 {
 			if err != nil {
 				t.Fatalf("valid seed rejected: %v", err)
 			}
-			if n != 2 || h.Suite != "mine" || h.Name != "pipe" {
-				t.Fatalf("valid seed decoded as %s/%s with %d events", h.Suite, h.Name, n)
+			if w.N != 2 || w.Suite != "mine" || w.Name != "pipe" {
+				t.Fatalf("valid seed decoded as %s/%s with %d events", w.Suite, w.Name, w.N)
 			}
 			continue
 		}
@@ -120,8 +103,8 @@ func TestStreamSeedCorpus(t *testing.T) {
 }
 
 // TestStreamRoundTrip pins the core streaming invariant: WriteEvents
-// followed by a full decode reproduces every KernelDesc exactly, so a
-// replayed stream is indistinguishable from the generator workload.
+// followed by Load reproduces every KernelDesc exactly, so a replayed
+// stream is indistinguishable from the generator workload.
 func TestStreamRoundTrip(t *testing.T) {
 	src := Find("Rodinia/gauss_208")
 	if src == nil {
@@ -131,41 +114,123 @@ func TestStreamRoundTrip(t *testing.T) {
 	if err := WriteEvents(&buf, src); err != nil {
 		t.Fatal(err)
 	}
-	d := NewEventDecoder(bytes.NewReader(buf.Bytes()))
-	h, err := d.Header()
+	w, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Suite != src.Suite || h.Name != src.Name || h.Kernels != src.N {
-		t.Fatalf("header %+v does not match workload %s (N=%d)", h, src.FullName(), src.N)
+	if w.Suite != src.Suite || w.Name != src.Name || w.N != src.N || w.Quirk != src.Quirk {
+		t.Fatalf("loaded %s (N=%d, quirk %q), want %s (N=%d, quirk %q)", w.FullName(), w.N, w.Quirk, src.FullName(), src.N, src.Quirk)
 	}
-	descs := make([]trace.KernelDesc, h.Kernels)
-	for {
-		k, err := d.Next()
-		if err == io.EOF {
-			break
+	for i := 0; i < w.N; i++ {
+		if got, want := w.Kernel(i), src.Kernel(i); got != want {
+			t.Fatalf("launch %d round-tripped as %+v, want %+v", i, got, want)
 		}
+	}
+}
+
+// events returns w's event stream with its event lines (the header stays
+// first) passed through edit.
+func events(t *testing.T, w *Workload, edit func(events [][]byte) [][]byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteEvents(&buf, w); err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(buf.Bytes(), []byte("\n"))
+	return bytes.Join(append(lines[:1:1], edit(slices.Clone(lines[1:1+w.N]))...), nil)
+}
+
+// TestStreamAcceptsReversedEvents: arrival order is free. fdtd2d's 1 500
+// events, last launch first, load as the workload itself; so does a
+// catalogue workload with a quirk, which the loaded one keeps.
+func TestStreamAcceptsReversedEvents(t *testing.T) {
+	reversed := func(ev [][]byte) [][]byte { slices.Reverse(ev); return ev }
+	for _, name := range []string{"Polybench/fdtd2d", "Rodinia/myocyte"} {
+		src := Find(name)
+		w, err := Load(bytes.NewReader(events(t, src, reversed)))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		descs[k.ID] = k
-	}
-	if d.Missing() != 0 {
-		t.Fatalf("%d launches missing after full stream", d.Missing())
-	}
-	for i, k := range descs {
-		if want := src.Kernel(i); k != want {
-			t.Fatalf("launch %d round-tripped as %+v, want %+v", i, k, want)
+		if w.FullName() != name || w.N != src.N || w.Quirk != src.Quirk {
+			t.Fatalf("%s: loaded %s (N=%d, quirk %q)", name, w.FullName(), w.N, w.Quirk)
+		}
+		for i := 0; i < w.N; i++ {
+			if got, want := w.Kernel(i), src.Kernel(i); got != want {
+				t.Fatalf("%s: launch %d loaded as %+v, want %+v", name, i, got, want)
+			}
 		}
 	}
-	// And the reconstructed workload serves identical kernels by index.
-	rebuilt, err := FromKernels(h.Suite, h.Name, descs)
+}
+
+// TestStreamRejectsBadEvents: a stream that repeats a launch or leaves one
+// out is an error, not a workload.
+func TestStreamRejectsBadEvents(t *testing.T) {
+	w := Find("Rodinia/gauss_208")
+	for _, tc := range []struct {
+		label, want string
+		edit        func([][]byte) [][]byte
+	}{
+		{"duplicate launch", "duplicate launch 0", func(ev [][]byte) [][]byte { return append(ev[:1:1], ev...) }},
+		{"missing launch", fmt.Sprintf("1 of %d launches missing", w.N), func(ev [][]byte) [][]byte { return ev[1:] }},
+		{"missing last launch", fmt.Sprintf("1 of %d launches missing", w.N), func(ev [][]byte) [][]byte { return ev[:len(ev)-1] }},
+	} {
+		_, err := Load(bytes.NewReader(events(t, w, tc.edit)))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err %v, want one containing %q", tc.label, err, tc.want)
+		}
+	}
+}
+
+// TestStreamHeaderAllocatesNothing: what a header promises costs nothing
+// until the events arrive. A header declaring the most launches a stream may
+// have, with no events behind it, errors without allocating for them.
+func TestStreamHeaderAllocatesNothing(t *testing.T) {
+	header := fmt.Sprintf(`{"stream":%q,"suite":"a","name":"b","kernels":%d}`, StreamSchema, MaxJSONKernels) + "\n"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Load(strings.NewReader(header))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "launches missing") {
+		t.Fatalf("header-only stream: err %v, want a missing-launches error", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<20 {
+		t.Errorf("header-only stream allocated %d bytes, want < 8 MiB", got)
+	}
+}
+
+// TestLoadSniffsFormat: Load reads a document and an event stream alike,
+// blank lines ahead of either, and a document whose first line is too long
+// to be a header.
+func TestLoadSniffsFormat(t *testing.T) {
+	doc, err := FromJSON(strings.NewReader(validDoc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < rebuilt.N; i++ {
-		if got, want := rebuilt.Kernel(i), src.Kernel(i); got != want {
-			t.Fatalf("rebuilt kernel %d differs", i)
+	var ev bytes.Buffer
+	if err := WriteEvents(&ev, doc); err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Replace(validDoc, "{", "{"+strings.Repeat(" ", 8192), 1)
+	for label, in := range map[string]string{
+		"document":          validDoc,
+		"one-line document": strings.ReplaceAll(validDoc, "\n", ""),
+		"long first line":   strings.ReplaceAll(long, "\n", ""),
+		"events":            ev.String(),
+		"blank lines":       "\n \n" + ev.String(),
+	} {
+		w, err := Load(strings.NewReader(in))
+		if err != nil {
+			t.Errorf("%s: %v", label, err)
+			continue
+		}
+		if w.FullName() != doc.FullName() || w.N != doc.N {
+			t.Errorf("%s: loaded %s (N=%d), want %s (N=%d)", label, w.FullName(), w.N, doc.FullName(), doc.N)
+			continue
+		}
+		for i := 0; i < w.N; i++ {
+			if got, want := w.Kernel(i), doc.Kernel(i); got != want {
+				t.Fatalf("%s: launch %d loaded as %+v, want %+v", label, i, got, want)
+			}
 		}
 	}
 }
