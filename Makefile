@@ -33,7 +33,7 @@ test:
 # -race on the 2-core box; its -short run still includes the study cost pin,
 # TestStudySimulatesLikeEvaluate); core, pks and sampling race only their
 # event-stream tests (a loaded stream's evaluation at scheduler width > 1), the
-# selection-artifact tests, the rider, bank and pack tests (at scheduler width > 1 a bank is
+# selection-artifact tests, the rider, bank, baseline-plan and pack tests (at scheduler width > 1 a bank is
 # filled and drained, and a batch's pack read once, from several goroutines),
 # the scan's (its launches are handed to the scheduler's tasks, and its memo
 # is read and filled from every study of a shared workload), the evaluator's
@@ -50,7 +50,7 @@ race:
 	    ./internal/artifact/... ./internal/remote/... ./internal/dedup/... ./internal/classify/...
 	$(GO) test -race -short ./internal/experiments/... ./internal/workload/...
 	$(GO) test -race -short -run 'TwoLevel|MaxDetailed|Tail' ./internal/pks/...
-	$(GO) test -race -run 'Stream|SelectWarm|Misfit|Riders|Bank|Pack|Scan|WalksOnce|ShareOneWorkload' ./internal/core/... ./internal/pks/... ./internal/sampling/...
+	$(GO) test -race -run 'Stream|SelectWarm|Misfit|Riders|Bank|Baseline|Pack|Scan|WalksOnce|ShareOneWorkload' ./internal/core/... ./internal/pks/... ./internal/sampling/...
 
 # Five seconds of coverage-guided fuzzing per decoder of untrusted or
 # persisted bytes (ten targets). The seed corpora already run in `make test`; this is the

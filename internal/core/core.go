@@ -19,6 +19,7 @@ import (
 	"pka/internal/sampling"
 	"pka/internal/silicon"
 	"pka/internal/stats"
+	"pka/internal/tbpoint"
 	"pka/internal/trace"
 	"pka/internal/workload"
 )
@@ -162,16 +163,22 @@ type Evaluation struct {
 
 	PKS SampledSim // selection only
 	PKA SampledSim // selection + projection
+
+	// OneB and TBPoint are the paper's §5.1 baselines, zero unless planned.
+	OneB    SampledSim
+	TBPoint SampledSim
 }
 
 // Plan is what one evaluation computes: the passes it makes, each named by
-// the kernel-task policy it runs (sampling.ModeFull, ModePKS, ModePKA), and
-// whether it takes the workload's silicon total, which the error columns
-// are measured against. The passes run longest policy first whatever their
-// order here.
+// the kernel-task policy it runs (sampling.ModeFull, ModePKS, ModePKA, and
+// the baselines: ModeFirstN over sampling.DefaultFirstN warp instructions
+// and ModeBlocks over TBPoint's representatives), and whether it takes the
+// workload's silicon total, which the error columns are measured against.
+// The passes run full, 1B, TBPoint, PKS, PKA, whatever their order here.
 type Plan struct {
 	Passes  []sampling.TaskMode
 	Silicon bool
+	TBPoint *tbpoint.Selection
 }
 
 // CompletePlan is Evaluate's plan, the paper's Table 4 row: every pass, and
@@ -208,43 +215,57 @@ type reps struct {
 	Owner func(i int) string
 }
 
-// pass returns the label, the task spec and the per-kernel observe-only
-// wiring of one pass over r: PKS mode, or PKA mode (with PKP) when usePKP is
-// set. The same RiderPass drives the pass itself and describes it to the
-// evaluation's bank, so a rider's projector audits under its own subject.
-func (r reps) pass(cfg Config, usePKP bool) (mode string, p sampling.RiderPass) {
-	mode = r.Prefix + "pks"
-	if usePKP {
-		mode = r.Prefix + "pka"
-	}
+// pass returns the pass over r under task, labelled phase, its SimObs on the
+// "sim:"+phase+r.SimTrack track. The same RiderPass drives the pass and
+// describes it to the evaluation's bank, so a rider's projector audits under
+// its own subject.
+func (r reps) pass(cfg Config, phase string, task sampling.KernelTask) sampling.RiderPass {
 	var simObs *obs.SimObs
 	if cfg.Obs != nil {
-		simObs = cfg.Obs.SimObs("sim:" + mode + r.SimTrack)
+		simObs = cfg.Obs.SimObs("sim:" + phase + r.SimTrack)
 	}
-	p.Task = sampling.SampledTask(cfg.KernelCapCycles, cfg.PKP, usePKP)
-	p.Obs = func(i int) sampling.TaskObs {
-		to := sampling.TaskObs{Flight: cfg.Flight, Phase: mode, Sim: simObs, Index: i}
-		if usePKP {
+	return sampling.RiderPass{Task: task, Kernels: r.Kernels, Obs: func(i int) sampling.TaskObs {
+		to := sampling.TaskObs{Flight: cfg.Flight, Phase: phase, Sim: simObs, Index: i}
+		if task.Mode == sampling.ModePKA {
 			po := cfg.PKPOptions(r.Owner(i) + "/" + r.Kernels[i].Name)
 			to.Audit, to.AuditSubject, to.PKPMetrics = po.Audit, po.AuditSubject, po.Metrics
 		}
 		return to
-	}
-	return mode, p
+	}}
 }
 
-// samplePass is stage 3, one sampled pass: every representative of r run
-// once — PKS mode, or PKA mode (with PKP) when usePKP is set — as kernel tasks
-// on cfg.Exec's scheduler (inline and serial when it is nil), then folded once
-// per selection whose groups they stand for, in input order, so the float
+// sampled returns the phase label and the pass of PKS mode over r, or PKA
+// mode (with PKP) when usePKP is set.
+func (r reps) sampled(cfg Config, usePKP bool) (string, sampling.RiderPass) {
+	phase := r.Prefix + "pks"
+	if usePKP {
+		phase = r.Prefix + "pka"
+	}
+	return phase, r.pass(cfg, phase, sampling.SampledTask(cfg.KernelCapCycles, cfg.PKP, usePKP))
+}
+
+// populations says what one application's projection weights
+// representatives by: representative i stands for pop(i) of its launches.
+type populations struct {
+	pop      func(i int) int
+	launches int
+}
+
+// pksPopulations weights representatives by sel's groups.
+func pksPopulations(sel *pks.Selection) populations {
+	return populations{func(i int) int { return sel.Groups[i].Count() }, sel.TotalKernels}
+}
+
+// samplePass is one sampled pass, labelled phase and subject: p over every
+// representative once, as kernel tasks on cfg.Exec's scheduler (inline and
+// serial when it is nil), folded per application in input order, so the float
 // operations are the same at any parallelism. total is the pass's simulated
-// work (each representative once), its hours and whether any hit the runaway
-// guard; the folds carry no simulated work, which may belong to no one app.
-func samplePass(cfg Config, r reps, usePKP bool, sels []*pks.Selection) (total SampledSim, folds []SampledSim, err error) {
-	mode, p := r.pass(cfg, usePKP)
-	span := cfg.Obs.StartSpan("sampled:"+mode, r.Subject)
+// work, hours and runaway-guard flag; the folds carry no simulated work,
+// which may belong to no one app.
+func samplePass(cfg Config, phase, subject string, p sampling.RiderPass, apps []populations) (total SampledSim, folds []SampledSim, err error) {
+	span := cfg.Obs.StartSpan("sampled:"+phase, subject)
 	defer span.End()
-	outs, err := cfg.Exec.RunKernels(cfg.Device, p.Task, r.Kernels, p.Obs, cfg.bank)
+	outs, err := cfg.Exec.RunKernels(cfg.Device, p.Task, p.Kernels, p.Obs, cfg.bank)
 	if err != nil {
 		return total, nil, err
 	}
@@ -253,23 +274,23 @@ func samplePass(cfg Config, r reps, usePKP bool, sels []*pks.Selection) (total S
 		total.Capped = total.Capped || oc.Capped
 	}
 	total.SimHours = cfg.SimHours(total.SimWarpInstrs)
-	folds = make([]SampledSim, len(sels))
-	for i, sel := range sels {
-		folds[i] = fold(outs, sel)
+	folds = make([]SampledSim, len(apps))
+	for i, app := range apps {
+		folds[i] = fold(outs, app)
 	}
 	return total, folds, nil
 }
 
 // fold projects one application's metrics from the outcomes: representative
-// i stands for the population of sel's group i, and every one of the app's
-// launches pays the launch overhead. Representatives the app does not use
+// i stands for app.pop(i) launches, and every one of the app's launches
+// pays the launch overhead. Representatives the app does not use
 // (population 0) contribute nothing, not even their Capped flag.
-func fold(outs []sampling.KernelOutcome, sel *pks.Selection) SampledSim {
+func fold(outs []sampling.KernelOutcome, app populations) SampledSim {
 	var out SampledSim
 	var kernelCycles int64
 	var threadInstrs, dramWeighted float64
 	for i, oc := range outs {
-		weight := int64(sel.Groups[i].Count())
+		weight := int64(app.pop(i))
 		if weight == 0 {
 			continue
 		}
@@ -278,7 +299,7 @@ func fold(outs []sampling.KernelOutcome, sel *pks.Selection) SampledSim {
 		threadInstrs += oc.ThreadInstrs * float64(weight)
 		dramWeighted += oc.DRAMUtil * float64(oc.ProjCycles*weight)
 	}
-	out.ProjCycles = kernelCycles + int64(sel.TotalKernels)*silicon.KernelLaunchOverheadCycles
+	out.ProjCycles = kernelCycles + int64(app.launches)*silicon.KernelLaunchOverheadCycles
 	if kernelCycles > 0 {
 		out.IPC = threadInstrs / float64(kernelCycles)
 		out.DRAMUtil = dramWeighted / float64(kernelCycles)
@@ -310,35 +331,41 @@ func RunSegments(cfg Config, ws []*workload.Workload, seg *pks.Segments, usePKP 
 	for g, a := range seg.Owner {
 		r.Kernels[g] = ws[a].Kernel(seg.Sels[a].Groups[g].RepIndex)
 	}
-	if total, apps, err = samplePass(cfg, r, usePKP, seg.Sels); err != nil {
+	pops := make([]populations, len(seg.Sels))
+	for a, sel := range seg.Sels {
+		pops[a] = pksPopulations(sel)
+	}
+	phase, p := r.sampled(cfg, usePKP)
+	if total, apps, err = samplePass(cfg, phase, r.Subject, p, pops); err != nil {
 		return total, nil, fmt.Errorf("core: shared representatives of %s: %w", r.Subject, err)
 	}
 	return total, apps, nil
 }
 
-// workloadReps lists w's own representatives under sel, one per group.
-// launches is w.Kernels() where the caller holds it (an evaluation's scan,
-// shared and only read: the representatives are copies), nil to generate
-// the representatives.
-func workloadReps(w *workload.Workload, sel *pks.Selection, launches []trace.KernelDesc) (reps, error) {
-	// sel may come from a stream, a file or the store: check before it indexes w.
-	if err := sel.CheckFor(w.N); err != nil {
-		return reps{}, err
-	}
-	kernels := make([]trace.KernelDesc, len(sel.Groups))
-	for i, g := range sel.Groups {
+// workloadReps lists w's n representatives of one selection, representative
+// i being launch rep(i). launches is w.Kernels() where the caller holds it
+// (an evaluation's scan, shared and only read: the representatives are
+// copies), nil to generate the representatives.
+func workloadReps(w *workload.Workload, n int, rep func(i int) int, launches []trace.KernelDesc) reps {
+	kernels := make([]trace.KernelDesc, n)
+	for i := range kernels {
 		if launches != nil {
-			kernels[i] = launches[g.RepIndex]
+			kernels[i] = launches[rep(i)]
 		} else {
-			kernels[i] = w.Kernel(g.RepIndex)
+			kernels[i] = w.Kernel(rep(i))
 		}
 	}
+	return ownReps(w, kernels)
+}
+
+// ownReps names a pass over kernels, all of them w's own launches.
+func ownReps(w *workload.Workload, kernels []trace.KernelDesc) reps {
 	return reps{
 		Subject:  w.FullName(),
 		SimTrack: ":" + w.FullName(),
 		Kernels:  kernels,
 		Owner:    func(int) string { return w.FullName() },
-	}, nil
+	}
 }
 
 // RunSampled simulates one representative kernel per group (with PKP when
@@ -399,18 +426,19 @@ func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*E
 	ev := &Evaluation{Workload: w}
 	usePKPs := p.sampled()
 	full, sampled := p.has(sampling.ModeFull), len(usePKPs) > 0
+	oneB, tb := p.has(sampling.ModeFirstN), p.has(sampling.ModeBlocks)
 
 	// Stage 1: at most one scan of the launches, for what the plan folds out
-	// of them — silicon total, instruction mass, the launches themselves while
-	// full simulation stays feasible, the selection's key when that comes from
-	// the store — then the selection, both on the calling goroutine: warm they
-	// take microseconds, less than handing them to another goroutine costs.
-	want := sampling.Want{Silicon: p.Silicon, Keep: full, Budget: cfg.FullSimBudget, Bounded: full && !sampled && !p.Silicon}
+	// of them — silicon total, instruction mass (whole, for 1B), the launches
+	// themselves while full simulation stays feasible, the selection's key
+	// when that comes from the store — then the selection, both on the
+	// calling goroutine: warm they take microseconds, less than a handoff.
+	want := sampling.Want{Silicon: p.Silicon, Keep: full, Budget: cfg.FullSimBudget, Bounded: full && !sampled && !p.Silicon && !oneB}
 	if sampled && sel == nil && cfg.Exec.Selections() != nil { // selectKeyed will look the key up
 		want.Key, want.KeyOpts = true, cfg.PKSOptions().AppendKey(nil)
 	}
 	var sc sampling.Scan
-	if want.Silicon || want.Keep || want.Key {
+	if want.Silicon || want.Keep || want.Key || oneB {
 		sp := cfg.Obs.StartSpan("silicon", w.FullName())
 		var err error
 		sc, err = sampling.ScanLaunches(cfg.Device, w, want)
@@ -420,7 +448,23 @@ func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*E
 		}
 	}
 	ev.Silicon = sc.Silicon
-	var rs reps
+
+	// The passes over representatives in the order they run — TBPoint's, then
+	// PKS before PKA, so a PKS task that simulates carries its PKA rider.
+	type repPass struct {
+		phase string
+		p     sampling.RiderPass
+		app   populations
+		out   *SampledSim
+	}
+	var passes []repPass
+	if tb {
+		g := p.TBPoint.Groups
+		r := workloadReps(w, len(g), func(i int) int { return g[i].RepIndex }, sc.Kernels)
+		task := sampling.BlocksTask(cfg.KernelCapCycles, p.TBPoint.BlockFraction)
+		app := populations{func(i int) int { return g[i].Count }, w.N}
+		passes = append(passes, repPass{"tbpoint", r.pass(cfg, "tbpoint", task), app, &ev.TBPoint})
+	}
 	if sampled {
 		var err error
 		if sel == nil {
@@ -432,20 +476,41 @@ func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*E
 			}
 		}
 		ev.Selection = sel
-		if rs, err = workloadReps(w, sel, sc.Kernels); err != nil {
+		// sel may come from a stream, a file or the store: check before it indexes w.
+		if err := sel.CheckFor(w.N); err != nil {
 			return nil, nil, err
 		}
-	}
-	if cfg.Exec != nil && (full && sampled || len(usePKPs) == 2) { // two passes or more
-		riders := make([]sampling.RiderPass, len(usePKPs))
-		for i, usePKP := range usePKPs {
-			_, riders[i] = rs.pass(cfg, usePKP)
+		r := workloadReps(w, len(sel.Groups), func(i int) int { return sel.Groups[i].RepIndex }, sc.Kernels)
+		for _, usePKP := range usePKPs {
+			phase, rp := r.sampled(cfg, usePKP)
+			out := &ev.PKS
+			if usePKP {
+				out = &ev.PKA
+			}
+			passes = append(passes, repPass{phase, rp, pksPopulations(sel), out})
 		}
-		cfg.bank = sampling.NewBank(cfg.Device, rs.Kernels, riders...)
+	}
+	var firstN sampling.FirstNPlan
+	var whole, cut sampling.RiderPass
+	var riders []sampling.RiderPass // every pass that may ride another, in order
+	if oneB {
+		firstN = sampling.PlanFirstN(cfg.Device, w, sc.Kernels, 0)
+		whole = ownReps(w, firstN.Whole).pass(cfg, "1b", sampling.KernelTask{Mode: sampling.ModeFull})
+		cut = ownReps(w, firstN.Cut).pass(cfg, "1b-cut", firstN.Task)
+		if len(firstN.Cut) > 0 {
+			riders = append(riders, cut)
+		}
+	}
+	for _, rp := range passes {
+		riders = append(riders, rp.p)
+	}
+	// Two passes or more share a bank (1B's whole launches count as one).
+	if hosts := full || len(firstN.Whole) > 0; cfg.Exec != nil && len(riders) > 0 && (hosts || len(riders) > 1) {
+		cfg.bank = sampling.NewBank(cfg.Device, riders...)
 	}
 
-	// Stage 2: the full baseline, carrying the sampled tasks of every launch
-	// whose content is a representative's.
+	// Stage 2: the full baseline, carrying every planned task of every launch
+	// whose content is a planned launch's.
 	var fullWork int64 // what full simulation costs, measured or projected
 	if full {
 		fullSpan := cfg.Obs.StartSpan("full-sim", w.FullName())
@@ -464,7 +529,7 @@ func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*E
 				ev.FullErrorPct = stats.AbsPctErr(float64(res.ProjCycles), float64(sc.Silicon.Cycles))
 			}
 			fullWork = res.SimWarpInstrs
-		case errors.Is(err, sampling.ErrInfeasible) && sampled:
+		case errors.Is(err, sampling.ErrInfeasible) && (sampled || oneB || tb):
 			// Projected time only; no error column (the paper's MLPerf rows).
 			fullWork = int64(float64(sc.WarpInstrs) * cfg.Device.ISAScale) // TotalWarpWork, off the scan
 		default:
@@ -472,26 +537,39 @@ func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*E
 		}
 		ev.FullSimHours = cfg.SimHours(fullWork)
 	}
-
-	// Stage 3: the sampled passes, PKS before PKA so that a PKS task that
-	// still has to simulate carries its PKA rider.
-	for _, usePKP := range usePKPs {
-		out := &ev.PKS
-		if usePKP {
-			out = &ev.PKA
-		}
-		total, folds, err := samplePass(cfg, rs, usePKP, []*pks.Selection{sel})
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: rep kernels of %s: %w", w.FullName(), err)
-		}
-		*out = folds[0]
-		out.SimWarpInstrs, out.SimHours = total.SimWarpInstrs, total.SimHours
+	// account fills in what every policy reports beside its projection.
+	account := func(out *SampledSim) {
+		out.SimHours = cfg.SimHours(out.SimWarpInstrs)
 		if p.Silicon {
 			out.ErrorPct = stats.AbsPctErr(float64(out.ProjCycles), float64(sc.Silicon.Cycles))
 		}
 		if full && out.SimWarpInstrs > 0 {
 			out.SpeedupVsFull = float64(fullWork) / float64(out.SimWarpInstrs)
 		}
+	}
+
+	// Stage 3: 1B — its whole launches (the full baseline's own tasks, served
+	// from memory where that ran) and the launch it cuts.
+	if oneB {
+		sp := cfg.Obs.StartSpan("first-n", w.FullName())
+		res, err := cfg.Exec.FirstNOf(cfg.Device, w.FullName(), firstN, int64(float64(sc.WarpInstrs)*cfg.Device.ISAScale), whole.Obs, cut.Obs, cfg.bank)
+		sp.End()
+		if err != nil {
+			return nil, nil, err
+		}
+		ev.OneB = SampledSim{ProjCycles: res.ProjCycles, SimWarpInstrs: res.SimWarpInstrs, IPC: res.IPC, DRAMUtil: res.DRAMUtil}
+		account(&ev.OneB)
+	}
+
+	// Stage 4: the passes over representatives.
+	for _, rp := range passes {
+		total, folds, err := samplePass(cfg, rp.phase, w.FullName(), rp.p, []populations{rp.app})
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: rep kernels of %s: %w", w.FullName(), err)
+		}
+		*rp.out = folds[0]
+		rp.out.SimWarpInstrs = total.SimWarpInstrs
+		account(rp.out)
 	}
 	return ev, cfg.bank, nil
 }

@@ -9,14 +9,15 @@ import (
 	"pka/internal/gpu"
 	"pka/internal/obs"
 	"pka/internal/parallel"
+	"pka/internal/report"
 	"pka/internal/sampling"
 )
 
 // TestCacheDeterminism is the artifact-cache golden test: a serial
 // uncached study, a cold cached parallel study, and a warm cached parallel
 // study (same directory, fresh Study so every in-memory cache starts
-// empty) must render byte-identical figures, and the warm run must
-// actually be served from disk.
+// empty) must render byte-identical figures — Figures 7 and 8's baselines
+// included — and the warm run must actually be served from disk.
 func TestCacheDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the artifact pipeline three times")
@@ -34,6 +35,14 @@ func TestCacheDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		sb.WriteString(tab4.String())
+		for _, fig := range []func(*Study) (*report.Chart, *report.Table, error){Figure7, Figure8} {
+			c, tab, err := fig(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sb.WriteString(c.String())
+			sb.WriteString(tab.String())
+		}
 		return sb.String()
 	}
 	cached := func(dir string) (*Study, *artifact.Store) {

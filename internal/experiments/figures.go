@@ -208,15 +208,11 @@ func Figure6(s *Study) (*report.Chart, *report.Table, error) {
 	rows, err := parallel.Map(s.Cfg.Parallelism, s.Workloads(),
 		func(_ int, w *workload.Workload) (row, error) {
 			full := s.Cfg.SimHours(core.TotalWarpWork(dev, w))
-			pksSim, err := s.Sampled(dev, w, false)
+			ev, err := s.evaluation(dev, w)
 			if err != nil {
 				return row{}, err
 			}
-			pkaSim, err := s.Sampled(dev, w, true)
-			if err != nil {
-				return row{}, err
-			}
-			return row{full, pksSim.SimHours, pkaSim.SimHours}, nil
+			return row{full, ev.PKS.SimHours, ev.PKA.SimHours}, nil
 		})
 	if err != nil {
 		return nil, nil, err
@@ -267,31 +263,15 @@ func Figure7(s *Study) (*report.Chart, *report.Table, error) {
 	}
 	perW, err := parallel.Map(s.Cfg.Parallelism, s.ComparableSet(),
 		func(_ int, w *workload.Workload) (speedups, error) {
-			full, err := s.Full(dev, w)
-			if err != nil || full == nil {
+			ev, err := s.Baselines(dev, w)
+			if err != nil || ev.Full == nil {
 				return speedups{}, err
 			}
-			pka, err := s.Sampled(dev, w, true)
-			if err != nil {
-				return speedups{}, err
-			}
-			tb, ok, err := s.TBPointSim(w)
-			if err != nil {
-				return speedups{}, err
-			}
-			oneB, err := s.FirstN(dev, w)
-			if err != nil {
-				return speedups{}, err
-			}
-			if pka.SimWarpInstrs == 0 || oneB.SimWarpInstrs == 0 || !ok || tb.SimWarpInstrs == 0 {
+			pka, tb, oneB := ev.PKA, ev.TBPoint, ev.OneB
+			if pka.SimWarpInstrs == 0 || oneB.SimWarpInstrs == 0 || tb.SimWarpInstrs == 0 {
 				return speedups{}, nil
 			}
-			return speedups{
-				pka:  float64(full.SimWarpInstrs) / float64(pka.SimWarpInstrs),
-				tb:   float64(full.SimWarpInstrs) / float64(tb.SimWarpInstrs),
-				oneB: float64(full.SimWarpInstrs) / float64(oneB.SimWarpInstrs),
-				ok:   true,
-			}, nil
+			return speedups{pka: pka.SpeedupVsFull, tb: tb.SpeedupVsFull, oneB: oneB.SpeedupVsFull, ok: true}, nil
 		})
 	if err != nil {
 		return nil, nil, err
@@ -339,37 +319,11 @@ func Figure8(s *Study) (*report.Chart, *report.Table, error) {
 	}
 	perW, err := parallel.Map(s.Cfg.Parallelism, s.ComparableSet(),
 		func(_ int, w *workload.Workload) (errRow, error) {
-			full, err := s.Full(dev, w)
-			if err != nil || full == nil {
+			ev, err := s.Baselines(dev, w)
+			if err != nil || ev.Full == nil || ev.TBPoint.SimWarpInstrs == 0 {
 				return errRow{}, err
 			}
-			sil, err := s.Silicon(dev, w)
-			if err != nil {
-				return errRow{}, err
-			}
-			pka, err := s.Sampled(dev, w, true)
-			if err != nil {
-				return errRow{}, err
-			}
-			tb, ok, err := s.TBPointSim(w)
-			if err != nil {
-				return errRow{}, err
-			}
-			if !ok {
-				return errRow{}, nil
-			}
-			oneB, err := s.FirstN(dev, w)
-			if err != nil {
-				return errRow{}, err
-			}
-			ref := float64(sil.Cycles)
-			return errRow{
-				full: stats.AbsPctErr(float64(full.ProjCycles), ref),
-				oneB: stats.AbsPctErr(float64(oneB.ProjCycles), ref),
-				pka:  pka.ErrorPct,
-				tb:   stats.AbsPctErr(float64(tb.ProjCycles), ref),
-				ok:   true,
-			}, nil
+			return errRow{full: ev.FullErrorPct, oneB: ev.OneB.ErrorPct, pka: ev.PKA.ErrorPct, tb: ev.TBPoint.ErrorPct, ok: true}, nil
 		})
 	if err != nil {
 		return nil, nil, err
@@ -411,12 +365,12 @@ func Figure8(s *Study) (*report.Chart, *report.Table, error) {
 	}
 	tab := &report.Table{
 		Title:   "Figure 8 mean absolute errors",
-		Columns: []string{"Method", "Mean error %"},
+		Columns: []string{"Method", "Mean error %", "Median error %"},
 	}
-	tab.AddRow("FullSim", report.F(stats.Mean(fullE), 2))
-	tab.AddRow("1B", report.F(stats.Mean(oneBE), 2))
-	tab.AddRow("PKA", report.F(stats.Mean(pkaE), 2))
-	tab.AddRow("TBPoint", report.F(stats.Mean(tbE), 2))
+	tab.AddRow("FullSim", report.F(stats.Mean(fullE), 2), report.F(stats.Median(fullE), 2))
+	tab.AddRow("1B", report.F(stats.Mean(oneBE), 2), report.F(stats.Median(oneBE), 2))
+	tab.AddRow("PKA", report.F(stats.Mean(pkaE), 2), report.F(stats.Median(pkaE), 2))
+	tab.AddRow("TBPoint", report.F(stats.Mean(tbE), 2), report.F(stats.Median(tbE), 2))
 	tab.Notes = append(tab.Notes, "paper: FullSim 26.7%, 1B 144.1%, PKA 31.1%, TBPoint 27.2% — 1B should be the outlier")
 	return chart, tab, nil
 }
@@ -461,51 +415,22 @@ func relativeStudy(s *Study, alt gpu.Device, title, note string, excludeMLPerf b
 	}
 	perW, err := parallel.Map(s.Cfg.Parallelism, eligible,
 		func(_ int, w *workload.Workload) (relRow, error) {
-			silBase, err := s.Silicon(base, w)
+			evBase, err := s.Baselines(base, w)
 			if err != nil {
 				return relRow{}, err
 			}
-			silAlt, err := s.Silicon(alt, w)
+			evAlt, err := s.Baselines(alt, w)
 			if err != nil {
 				return relRow{}, err
 			}
-			secBase := float64(silBase.Cycles) / (float64(base.CoreClockMHz) * 1e6)
-			secAlt := float64(silAlt.Cycles) / (float64(alt.CoreClockMHz) * 1e6)
-			r := relRow{sil: secAlt / secBase}
-
-			pkaBase, err := s.Sampled(base, w, true)
-			if err != nil {
-				return relRow{}, err
-			}
-			pkaAlt, err := s.Sampled(alt, w, true)
-			if err != nil {
-				return relRow{}, err
-			}
-			r.pka = cyclesToSec(pkaAlt.ProjCycles, alt) / cyclesToSec(pkaBase.ProjCycles, base)
-
+			r := relRow{sil: cyclesToSec(evAlt.Silicon.Cycles, alt) / cyclesToSec(evBase.Silicon.Cycles, base)}
+			r.pka = cyclesToSec(evAlt.PKA.ProjCycles, alt) / cyclesToSec(evBase.PKA.ProjCycles, base)
 			if w.Suite != "MLPerf" {
-				oneBBase, err := s.FirstN(base, w)
-				if err != nil {
-					return relRow{}, err
-				}
-				oneBAlt, err := s.FirstN(alt, w)
-				if err != nil {
-					return relRow{}, err
-				}
-				r.oneB = cyclesToSec(oneBAlt.ProjCycles, alt) / cyclesToSec(oneBBase.ProjCycles, base)
+				r.oneB = cyclesToSec(evAlt.OneB.ProjCycles, alt) / cyclesToSec(evBase.OneB.ProjCycles, base)
 			}
-
-			fullBase, err := s.Full(base, w)
-			if err != nil {
-				return relRow{}, err
-			}
-			fullAlt, err := s.Full(alt, w)
-			if err != nil {
-				return relRow{}, err
-			}
-			if fullBase != nil && fullAlt != nil {
+			if evBase.Full != nil && evAlt.Full != nil {
 				r.comparable = true
-				r.full = cyclesToSec(fullAlt.ProjCycles, alt) / cyclesToSec(fullBase.ProjCycles, base)
+				r.full = cyclesToSec(evAlt.Full.ProjCycles, alt) / cyclesToSec(evBase.Full.ProjCycles, base)
 			}
 			return r, nil
 		})

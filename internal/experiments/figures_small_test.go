@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"pka/internal/sampling"
 )
 
 // The remaining figure generators, exercised end-to-end on the small
@@ -52,19 +55,24 @@ func TestFigure7And8SmallSet(t *testing.T) {
 	if len(tab8.Rows) != 4 {
 		t.Errorf("figure 8 table rows = %d", len(tab8.Rows))
 	}
-	// The 1B baseline's mean error must exceed full simulation's — the
-	// paper's central criticism of the practice.
-	var fullME, oneBME string
-	for _, r := range tab8.Rows {
-		switch r[0] {
-		case "FullSim":
-			fullME = r[1]
-		case "1B":
-			oneBME = r[1]
+	// 1B with a budget that covers an app simulates all of it, so there
+	// its error is full simulation's, bit for bit.
+	covered := 0
+	for _, w := range s.ComparableSet() {
+		if p := sampling.PlanFirstN(s.SelectionDevice(), w, nil, 0); len(p.Whole) != w.N {
+			continue
+		}
+		covered++
+		ev, err := s.Baselines(s.SelectionDevice(), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(ev.OneB.ErrorPct) != math.Float64bits(ev.FullErrorPct) || ev.OneB.ProjCycles != ev.Full.ProjCycles {
+			t.Errorf("%s: 1B covers the app but errs %v%% against full simulation's %v%%", w.FullName(), ev.OneB.ErrorPct, ev.FullErrorPct)
 		}
 	}
-	if fullME == "" || oneBME == "" {
-		t.Fatalf("figure 8 rows malformed: %+v", tab8.Rows)
+	if covered == 0 {
+		t.Error("no comparable app fits the 1B budget whole")
 	}
 }
 

@@ -6,8 +6,9 @@
 // (the full per-application results), and Figures 9-10 (relative-accuracy
 // case studies), plus the ablations DESIGN.md calls out.
 //
-// A Study memoizes every expensive artifact — silicon walks, PKS
-// selections, evaluations (full, PKS and PKA simulation), baselines — keyed by
+// A Study memoizes every expensive artifact — silicon walks, PKS and
+// TBPoint selections, evaluations (full, PKS and PKA simulation, and the
+// 1B and TBPoint baselines riding the full pass) — keyed by
 // device and workload in per-key singleflight caches, so the figures share
 // work when generated together and generators can fan per-workload
 // computation out across a bounded worker pool (Cfg.Parallelism; see
@@ -51,19 +52,11 @@ type Study struct {
 	selections parallel.Cache[string, *pks.Selection]
 	crossGen   parallel.Cache[string, pks.CrossGenResult]
 	siliconRes parallel.Cache[string, silicon.AppResult]
-	// evaluations holds one complete core evaluation per (device, workload),
-	// with the Volta selection: Full and Sampled read their fields off it.
+	// evaluations holds the core evaluations per (device, workload), with the
+	// Volta selection: a complete one, which Full and Sampled read their
+	// fields off, and one with the baselines, which Baselines returns.
 	evaluations parallel.Cache[string, *core.Evaluation]
-	firstNs     parallel.Cache[string, *sampling.Result]
 	tbSels      parallel.Cache[string, *tbpoint.Selection] // nil value = too large
-	tbSims      parallel.Cache[string, tbSimEntry]
-}
-
-// tbSimEntry carries TBPointSim's (result, feasible) pair through the
-// cache.
-type tbSimEntry struct {
-	res tbpoint.SimResult
-	ok  bool
 }
 
 // New returns a Study with the paper's configuration: selection on a
@@ -127,9 +120,7 @@ func (s *Study) CacheStats() map[string]obs.CacheCounts {
 	add("crossgen", s.crossGen.Stats)
 	add("silicon", s.siliconRes.Stats)
 	add("evaluations", s.evaluations.Stats)
-	add("first_ns", s.firstNs.Stats)
 	add("tbpoint_selections", s.tbSels.Stats)
-	add("tbpoint_sims", s.tbSims.Stats)
 	for family, c := range s.Exec().CacheStats() {
 		out[family] = c
 	}
@@ -173,48 +164,43 @@ func (s *Study) Silicon(dev gpu.Device, w *workload.Workload) (silicon.AppResult
 // device's silicon.
 func (s *Study) evaluation(dev gpu.Device, w *workload.Workload) (*core.Evaluation, error) {
 	return s.evaluations.Do(key(dev, w), func() (*core.Evaluation, error) {
-		sel, err := s.Selection(w)
-		if err != nil {
-			return nil, err
-		}
-		cfg := s.Cfg
-		cfg.Device = dev
-		cfg.Exec = s.Exec()
-		return core.CompletePlan().Evaluate(cfg, w, sel)
+		return s.evaluate(dev, w, core.CompletePlan())
 	})
 }
 
-// Full returns the (cached) full-simulation result on the device, or nil
-// when the workload is infeasible to simulate fully.
-func (s *Study) Full(dev gpu.Device, w *workload.Workload) (*sampling.Result, error) {
-	ev, err := s.evaluation(dev, w)
+// Baselines returns the (cached) evaluation Figures 7–10 read: outside
+// MLPerf, the complete one plus 1B and, on the selection device, TBPoint
+// within its scaling wall. Their tasks ride the full pass.
+func (s *Study) Baselines(dev gpu.Device, w *workload.Workload) (*core.Evaluation, error) {
+	if w.Suite == "MLPerf" {
+		return s.evaluation(dev, w)
+	}
+	return s.evaluations.Do(key(dev, w)+"|baselines", func() (*core.Evaluation, error) {
+		plan := core.CompletePlan()
+		plan.Passes = append(plan.Passes, sampling.ModeFirstN)
+		if dev == s.SelectionDevice() {
+			tb, err := s.TBPoint(w)
+			if err != nil {
+				return nil, err
+			}
+			if tb != nil {
+				plan.Passes, plan.TBPoint = append(plan.Passes, sampling.ModeBlocks), tb
+			}
+		}
+		return s.evaluate(dev, w, plan)
+	})
+}
+
+// evaluate runs plan on the workload on the device with the Volta selection.
+func (s *Study) evaluate(dev gpu.Device, w *workload.Workload, plan core.Plan) (*core.Evaluation, error) {
+	sel, err := s.Selection(w)
 	if err != nil {
 		return nil, err
 	}
-	return ev.Full, nil
-}
-
-// Sampled returns the (cached) PKS- or PKA-sampled simulation on the device
-// using the Volta selection, with the error computed against that device's
-// silicon.
-func (s *Study) Sampled(dev gpu.Device, w *workload.Workload, usePKP bool) (core.SampledSim, error) {
-	ev, err := s.evaluation(dev, w)
-	if err != nil {
-		return core.SampledSim{}, err
-	}
-	if usePKP {
-		return ev.PKA, nil
-	}
-	return ev.PKS, nil
-}
-
-// FirstN runs (cached) the first-N-instructions baseline on the device.
-func (s *Study) FirstN(dev gpu.Device, w *workload.Workload) (*sampling.Result, error) {
-	return s.firstNs.Do(key(dev, w), func() (*sampling.Result, error) {
-		sp := s.Cfg.Obs.StartSpan("first-n", key(dev, w))
-		defer sp.End()
-		return sampling.FirstN(dev, w, 0)
-	})
+	cfg := s.Cfg
+	cfg.Device = dev
+	cfg.Exec = s.Exec()
+	return plan.Evaluate(cfg, w, sel)
 }
 
 // TBPoint returns the (cached) TBPoint selection on the Volta, or nil when
@@ -229,30 +215,6 @@ func (s *Study) TBPoint(w *workload.Workload) (*tbpoint.Selection, error) {
 		}
 		return r, nil
 	})
-}
-
-// TBPointSim returns the (cached) simulation of the TBPoint selection.
-func (s *Study) TBPointSim(w *workload.Workload) (tbpoint.SimResult, bool, error) {
-	e, err := s.tbSims.Do(w.FullName(), func() (tbSimEntry, error) {
-		sel, err := s.TBPoint(w)
-		if err != nil {
-			return tbSimEntry{}, err
-		}
-		if sel == nil {
-			return tbSimEntry{}, nil
-		}
-		sp := s.Cfg.Obs.StartSpan("tbpoint-sim", w.FullName())
-		defer sp.End()
-		r, err := tbpoint.Simulate(s.Cfg.Device, w, sel, s.Cfg.KernelCapCycles)
-		if err != nil {
-			return tbSimEntry{}, err
-		}
-		return tbSimEntry{res: r, ok: true}, nil
-	})
-	if err != nil {
-		return tbpoint.SimResult{}, false, err
-	}
-	return e.res, e.ok, nil
 }
 
 // ComparableSet returns the workloads eligible for the Figure 7/8

@@ -8,42 +8,48 @@ import (
 	"pka/internal/trace"
 )
 
-// RiderPass is one pass an evaluation will make over a Bank's kernels: the
-// task spec it will issue, and the observe-only wiring its task for kernel i
-// will carry (nil for none).
+// RiderPass is one pass an evaluation will make: the task spec it will issue,
+// the launches it will issue it for, and the observe-only wiring its task for
+// launch i will carry (nil for none).
 type RiderPass struct {
-	Task KernelTask
-	Obs  func(i int) TaskObs
+	Task    KernelTask
+	Kernels []trace.KernelDesc
+	Obs     func(i int) TaskObs
 }
 
 // Bank lets one evaluation simulate each kernel once however many policies
-// it asks about. A ModePKA run is a prefix of the ModePKS run of the same
-// kernel, which is a prefix of its ModeFull run, so the first task to reach
-// the simulator tier carries the evaluation's later passes over that kernel
-// as riders (sim.RunProbes) and their outcomes wait here. A rider's own task
+// it asks about. Every policy's run of a kernel is a prefix of its ModeFull
+// run, and sim.RunProbes reads any set of them off one pass, so the first
+// task to reach the simulator tier carries the evaluation's later passes over
+// that kernel as riders and their outcomes wait here. A rider's own task
 // later runs the ladder under its own key, finds its answer banked, is
 // accounted TierSim and does the persisting — so every outcome is still
 // written once, by the task that asked for it.
 //
-// Passes are listed longest policy first and resolved in that order: a task
-// carries only the passes listed after its own (all of them when its own is
-// not listed, as the full baseline's is not), so over a partly warm store no
-// pass runs further than the outcomes still missing need. Riders are matched
-// by content — the launch's key under the running task equals a kernel's —
-// so whichever duplicate launch the scheduler reaches first does the pass.
+// Passes are resolved in the order listed: a task carries only the passes
+// listed after its own (all of them when its own is not listed, as the full
+// baseline's is not), so over a partly warm store no pass runs further than
+// the outcomes still missing need. Riders are matched by content — a pass's
+// launch whose key under that pass's task equals the running kernel's — so
+// whichever duplicate launch the scheduler reaches first does the pass.
 //
 // A Bank dies with its evaluation; an entry is left behind only when the
 // rider's own task was served by the mem tier of a shared Exec. A nil *Bank
 // is valid and carries nothing.
 type Bank struct {
-	dev     gpu.Device
-	kernels []trace.KernelDesc
-	passes  []RiderPass
+	dev    gpu.Device
+	passes []RiderPass
 
 	mu sync.Mutex
 	// Both tables are made on first need: an all-hit study needs neither.
-	keys   map[KernelTask][]string // the kernels' TaskKeys under one task spec
+	keys   map[passKeys][]string
 	banked map[string]KernelOutcome
+}
+
+// passKeys names the TaskKeys of one pass's launches under one task spec.
+type passKeys struct {
+	task KernelTask
+	pass int
 }
 
 // rider is one task riding along on another's simulator pass.
@@ -53,9 +59,9 @@ type rider struct {
 	obs  TaskObs
 }
 
-// NewBank plans an evaluation's passes over kernels, longest policy first.
-func NewBank(dev gpu.Device, kernels []trace.KernelDesc, passes ...RiderPass) *Bank {
-	return &Bank{dev: dev, kernels: kernels, passes: passes}
+// NewBank plans an evaluation's passes, in the order they will run.
+func NewBank(dev gpu.Device, passes ...RiderPass) *Bank {
+	return &Bank{dev: dev, passes: passes}
 }
 
 // Len reports how many banked outcomes have not been asked for yet.
@@ -68,15 +74,16 @@ func (b *Bank) Len() int {
 	return len(b.banked)
 }
 
-// keysUnder returns the kernels' TaskKeys under task. Callers hold mu.
-func (b *Bank) keysUnder(task KernelTask) []string {
-	keys, ok := b.keys[task]
+// keysUnder returns pass p's launches' TaskKeys under task. Callers hold mu.
+func (b *Bank) keysUnder(task KernelTask, p int) []string {
+	pk := passKeys{task, p}
+	keys, ok := b.keys[pk]
 	if !ok {
 		if b.keys == nil {
-			b.keys = map[KernelTask][]string{}
+			b.keys = map[passKeys][]string{}
 		}
-		keys = taskKeys(b.dev, task, b.kernels)
-		b.keys[task] = keys
+		keys = taskKeys(b.dev, task, b.passes[p].Kernels)
+		b.keys[pk] = keys
 	}
 	return keys
 }
@@ -87,23 +94,22 @@ func (b *Bank) riders(task KernelTask, key string) []rider {
 		return nil
 	}
 	from := 1 + slices.IndexFunc(b.passes, func(p RiderPass) bool { return p.Task == task })
-	if from == len(b.passes) {
-		return nil
-	}
-	b.mu.Lock()
-	i := slices.Index(b.keysUnder(task), key) // the first kernel of equal content
 	var out []rider
-	if i >= 0 {
-		for _, p := range b.passes[from:] {
-			out = append(out, rider{key: b.keysUnder(p.Task)[i], task: p.Task})
+	for p := from; p < len(b.passes); p++ {
+		pass, r := b.passes[p], rider{task: b.passes[p].Task}
+		b.mu.Lock()
+		i := slices.Index(b.keysUnder(task, p), key) // the first launch of equal content
+		if i >= 0 {
+			r.key = b.keysUnder(pass.Task, p)[i]
 		}
-	}
-	b.mu.Unlock()
-	// The wiring is the caller's code: run it outside the lock.
-	for r := range out {
-		if obs := b.passes[from+r].Obs; obs != nil {
-			out[r].obs = obs(i)
+		b.mu.Unlock()
+		if i < 0 {
+			continue
 		}
+		if pass.Obs != nil { // the caller's code: run it outside the lock
+			r.obs = pass.Obs(i)
+		}
+		out = append(out, r)
 	}
 	return out
 }

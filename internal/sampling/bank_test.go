@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -27,18 +28,23 @@ func studyLaunches(t *testing.T) (launches, reps []trace.KernelDesc) {
 	return []trace.KernelDesc{alias, w.Kernel(0), reps[1], reps[0], w.Kernel(5)}, reps
 }
 
-// TestBankRidersMatchSoloTasks walks a bank through an evaluation's three
-// passes by hand: the full baseline's launches that equal a planned kernel
-// by content — under whatever name, whichever comes first — carry the
-// sampled tasks, each later pass finds its outcomes banked and carries only
-// the passes after its own, every outcome equals the task run alone, and
-// the bank ends empty.
+// TestBankRidersMatchSoloTasks walks a bank through an evaluation's passes by
+// hand, each pass naming its own launches: the full baseline's launches that
+// equal a planned launch by content — under whatever name, whichever comes
+// first — carry the PKS, PKA and TBPoint (ModeBlocks) tasks of the
+// representatives and the first-N (ModeFirstN) task of a launch outside them,
+// each later pass finds its outcomes banked and carries only the passes after
+// its own, every outcome equals the task run alone on float bits, and the
+// bank ends empty.
 func TestBankRidersMatchSoloTasks(t *testing.T) {
 	dev := gpu.VoltaV100()
 	launches, reps := studyLaunches(t)
+	cut := launches[4:] // no representative's content
 	full := KernelTask{Mode: ModeFull}
 	pks := SampledTask(0, pkp.Options{}, false)
 	pka := SampledTask(0, pkp.Options{}, true)
+	blocks := BlocksTask(0, 0.5)
+	firstN := KernelTask{Mode: ModeFirstN, WarpBudget: cut[0].TotalWarpInstructions(dev) / 3}
 
 	for _, width := range []int{1, 4} {
 		store, err := artifact.Open(t.TempDir(), artifact.Options{})
@@ -53,7 +59,11 @@ func TestBankRidersMatchSoloTasks(t *testing.T) {
 			simObs := o.SimObs("sim:" + phase)
 			return func(i int) TaskObs { return TaskObs{Sim: simObs, Flight: fr, Phase: phase, Index: i} }
 		}
-		bank := NewBank(dev, reps, RiderPass{Task: pks, Obs: wiring("pks")}, RiderPass{Task: pka, Obs: wiring("pka")})
+		bank := NewBank(dev,
+			RiderPass{Task: pks, Kernels: reps, Obs: wiring("pks")},
+			RiderPass{Task: pka, Kernels: reps, Obs: wiring("pka")},
+			RiderPass{Task: blocks, Kernels: reps, Obs: wiring("tbpoint")},
+			RiderPass{Task: firstN, Kernels: cut, Obs: wiring("1b")})
 
 		for _, pass := range []struct {
 			task    KernelTask
@@ -61,9 +71,11 @@ func TestBankRidersMatchSoloTasks(t *testing.T) {
 			tobs    func(int) TaskObs
 			left    int // banked outcomes waiting afterwards
 		}{
-			{full, launches, nil, 4},
-			{pks, reps, wiring("pks"), 2},
-			{pka, reps, wiring("pka"), 0},
+			{full, launches, nil, 7},
+			{pks, reps, wiring("pks"), 5},
+			{pka, reps, wiring("pka"), 3},
+			{blocks, reps, wiring("tbpoint"), 1},
+			{firstN, cut, wiring("1b"), 0},
 		} {
 			got, err := e.RunKernels(dev, pass.task, pass.kernels, pass.tobs, bank)
 			if err != nil {
@@ -74,7 +86,7 @@ func TestBankRidersMatchSoloTasks(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := range want {
-				if got[i] != want[i] {
+				if !bytes.Equal(EncodeOutcome(got[i]), EncodeOutcome(want[i])) {
 					t.Errorf("width %d, mode %d, kernel %d: %+v riding, %+v alone", width, pass.task.Mode, i, got[i], want[i])
 				}
 			}
@@ -82,36 +94,36 @@ func TestBankRidersMatchSoloTasks(t *testing.T) {
 				t.Errorf("width %d, after mode %d: %d outcomes banked, want %d", width, pass.task.Mode, bank.Len(), pass.left)
 			}
 		}
-		// Two passes simulated for two planned kernels (reported under the
-		// first rider's track; the other launches have no SimObs), four
-		// sampled tasks accounted at the simulator tier, one write per distinct
-		// outcome — 4 full + 2 + 2 — and, through the exec's own handle, one
-		// pack per batch.
-		if n := o.SimMetrics().Kernels.Value(); n != 2 {
-			t.Errorf("width %d: %d simulator passes reported, want 2", width, n)
+		// Three passes simulated for three planned launches (reported under
+		// the first rider's track; the other launches have no SimObs), seven
+		// planned tasks accounted at the simulator tier, one write per
+		// distinct outcome — 4 full + 2 + 2 + 2 + 1 — and, through the exec's
+		// own handle, one pack per batch of two tasks or more.
+		if n := o.SimMetrics().Kernels.Value(); n != 3 {
+			t.Errorf("width %d: %d simulator passes reported, want 3", width, n)
 		}
-		if tiers := fr.TierCounts(); tiers["sim"] != 4 || fr.Len() != 4 {
-			t.Errorf("width %d: sampled tasks served by %v", width, tiers)
+		if tiers := fr.TierCounts(); tiers["sim"] != 7 || fr.Len() != 7 {
+			t.Errorf("width %d: planned tasks served by %v", width, tiers)
 		}
-		if st, packs := store.Stats(), e.packs.Stats(); st.Writes != 8 || packs.Writes != 3 || st.Entries != 11 {
-			t.Errorf("width %d: %d outcome writes, %d pack writes, %d entries, want 8, 3 and 11", width, st.Writes, packs.Writes, st.Entries)
+		if st, packs := store.Stats(), e.packs.Stats(); st.Writes != 11 || packs.Writes != 4 || st.Entries != 15 {
+			t.Errorf("width %d: %d outcome writes, %d pack writes, %d entries, want 11, 4 and 15", width, st.Writes, packs.Writes, st.Entries)
 		}
 
 		// Over the now-warm store nothing reaches the simulator, so a second
 		// evaluation's bank is never filled. Its full batch is not the first
 		// one's, so that one reads per-key entries and leaves a pack of its own.
-		again := NewBank(dev, reps, RiderPass{Task: pks}, RiderPass{Task: pka})
+		again := NewBank(dev, RiderPass{Task: pks, Kernels: reps}, RiderPass{Task: pka, Kernels: reps}, RiderPass{Task: blocks, Kernels: reps})
 		fresh := NewExec(nil, store)
-		for _, task := range []KernelTask{full, pks, pka} {
+		for _, task := range []KernelTask{full, pks, pka, blocks} {
 			if _, err := fresh.RunKernels(dev, task, reps, nil, again); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if st := store.Stats(); again.Len() != 0 || st.Writes != 8 || st.Entries != 12 {
-			t.Errorf("width %d: warm evaluation banked %d outcomes, made %d writes and left %d entries", width, again.Len(), st.Writes-8, st.Entries)
+		if st := store.Stats(); again.Len() != 0 || st.Writes != 11 || st.Entries != 16 {
+			t.Errorf("width %d: warm evaluation banked %d outcomes, made %d writes and left %d entries", width, again.Len(), st.Writes-11, st.Entries)
 		}
-		if packs := fresh.CacheStats()["batch"]; packs != (obs.CacheCounts{Hits: 2, Misses: 1}) {
-			t.Errorf("width %d: warm evaluation's batch family %+v, want two hits and a miss", width, packs)
+		if packs := fresh.CacheStats()["batch"]; packs != (obs.CacheCounts{Hits: 3, Misses: 1}) {
+			t.Errorf("width %d: warm evaluation's batch family %+v, want three hits and a miss", width, packs)
 		}
 	}
 }

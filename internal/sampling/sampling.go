@@ -2,6 +2,12 @@
 // compares against: full simulation of every kernel, and the widely used
 // "simulate the first N instructions" heuristic (N = 1 billion in the
 // paper's Figure 7/8 comparison).
+//
+// 1B budgets by nominal counts: a launch fits while the running sum of
+// TotalWarpInstructions stays within N, so its plan (PlanFirstN) is known
+// before anything is simulated and its tasks can ride another pass. A
+// completed kernel may issue a different count (per-warp rounding off Volta,
+// BlockImbalance), and 1B's simulated prefix differs from N by that much.
 package sampling
 
 import (
@@ -9,9 +15,7 @@ import (
 	"fmt"
 
 	"pka/internal/gpu"
-	"pka/internal/pkp"
 	"pka/internal/silicon"
-	"pka/internal/sim"
 	"pka/internal/trace"
 	"pka/internal/workload"
 )
@@ -82,6 +86,90 @@ func (e *Exec) FullSimOf(dev gpu.Device, name string, kernels []trace.KernelDesc
 	if err != nil {
 		return nil, fmt.Errorf("sampling: full sim of %s: %w", name, err)
 	}
+	res, _ := foldLaunches(outs)
+	return res, nil
+}
+
+// FirstN runs the first-N-instructions baseline serially and uncached, one
+// fresh simulator per task: the standard "first billion instructions"
+// methodology, warmup bias and all. Zero applies DefaultFirstN.
+func FirstN(dev gpu.Device, w *workload.Workload, nWarpInstrs int64) (*Result, error) {
+	mass := int64(float64(w.ApproxWarpInstructions(1<<62)) * dev.ISAScale)
+	return (*Exec)(nil).FirstNOf(dev, w.FullName(), PlanFirstN(dev, w, nil, nWarpInstrs), mass, nil, nil, nil)
+}
+
+// FirstNPlan is the first-N-instructions baseline (budget N) over one
+// workload's Launches launches, as kernel tasks: the launches that fit the
+// budget whole, in launch order — ModeFull tasks, the full baseline's own —
+// and the one that crosses it, run as Task (none when the budget covers the
+// workload or ends on a launch boundary).
+type FirstNPlan struct {
+	Whole, Cut []trace.KernelDesc
+	Task       KernelTask
+	N          int64
+	Launches   int
+}
+
+// PlanFirstN plans the first nWarpInstrs warp instructions of w on dev (zero
+// applies DefaultFirstN) by the nominal counts the package doc describes.
+// launches is w.Kernels() where the caller holds it (a Scan's, only read),
+// nil to generate the launches the plan needs.
+func PlanFirstN(dev gpu.Device, w *workload.Workload, launches []trace.KernelDesc, nWarpInstrs int64) FirstNPlan {
+	if nWarpInstrs <= 0 {
+		nWarpInstrs = DefaultFirstN
+	}
+	p := FirstNPlan{N: nWarpInstrs, Launches: w.N}
+	for i, left := 0, nWarpInstrs; i < w.N; i++ {
+		var k trace.KernelDesc
+		if launches != nil {
+			k = launches[i]
+		} else {
+			k = w.Kernel(i)
+		}
+		mass := k.TotalWarpInstructions(dev)
+		if mass > left {
+			if left > 0 {
+				p.Cut, p.Task = []trace.KernelDesc{k}, KernelTask{Mode: ModeFirstN, WarpBudget: left}
+			}
+			break
+		}
+		left -= mass
+		p.Whole = append(p.Whole, k)
+	}
+	return p
+}
+
+// FirstNOf runs plan p of the workload called name — the whole launches, then
+// the cut one, each with its wiring (nil for none), with the evaluation's
+// bank — and folds it as FullSimOf does (bit for bit, when p covers the
+// workload), then holds the prefix's warp IPC over the rest of the
+// workload's mass and adds the overhead of every launch never entered.
+func (e *Exec) FirstNOf(dev gpu.Device, name string, p FirstNPlan, mass int64, whole, cut func(i int) TaskObs, bank *Bank) (*Result, error) {
+	outs, err := e.RunKernels(dev, KernelTask{Mode: ModeFull}, p.Whole, whole, bank)
+	if err == nil {
+		var last []KernelOutcome
+		last, err = e.RunKernels(dev, p.Task, p.Cut, cut, bank)
+		outs = append(outs, last...)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("sampling: first-N sim of %s: %w", name, err)
+	}
+	res, simCycles := foldLaunches(outs)
+	if len(p.Whole) == p.Launches {
+		return res, nil
+	}
+	res.Truncated = true
+	if past := mass - p.N; past > 0 && res.SimWarpInstrs > 0 && simCycles > 0 {
+		prefixWarpIPC := float64(res.SimWarpInstrs) / float64(simCycles)
+		res.ProjCycles += int64(float64(past) / prefixWarpIPC)
+		res.ProjCycles += int64(p.Launches-res.KernelsSimulated) * silicon.KernelLaunchOverheadCycles
+	}
+	return res, nil
+}
+
+// foldLaunches folds per-launch outcomes in launch order: each launch's
+// cycles plus its launch overhead. It also returns the simulated cycles.
+func foldLaunches(outs []KernelOutcome) (*Result, int64) {
 	res := &Result{}
 	var threadInstrs, dramWeighted float64
 	var simCycles int64
@@ -94,64 +182,7 @@ func (e *Exec) FullSimOf(dev gpu.Device, name string, kernels []trace.KernelDesc
 		dramWeighted += oc.DRAMUtil * float64(oc.ProjCycles)
 	}
 	finalize(res, threadInstrs, dramWeighted, simCycles)
-	return res, nil
-}
-
-// FirstN simulates kernels in launch order until nWarpInstrs have been
-// issued (stopping mid-kernel if needed), then projects the application
-// total by holding the observed IPC: the standard "first billion
-// instructions" methodology, warmup bias and all. Zero applies
-// DefaultFirstN.
-func FirstN(dev gpu.Device, w *workload.Workload, nWarpInstrs int64) (*Result, error) {
-	if nWarpInstrs <= 0 {
-		nWarpInstrs = DefaultFirstN
-	}
-	res := &Result{}
-	var threadInstrs, dramWeighted float64
-	var simCycles, enteredWarp int64
-
-	next := w.Iterator()
-	for k := next(); k != nil && res.SimWarpInstrs < nWarpInstrs; k = next() {
-		budgetLeft := nWarpInstrs - res.SimWarpInstrs
-		ctl := sim.ControllerFunc(func(t *sim.Telemetry) bool {
-			return t.WarpInstrs >= budgetLeft
-		})
-		// Cold simulator per kernel, matching the kernel-task semantics
-		// of every other policy (see task.go), so FirstN with an
-		// exhaustive budget lands exactly on FullSim's numbers.
-		s := acquireSim(dev)
-		kr, err := s.RunKernel(k, sim.Options{Controller: ctl})
-		releaseSim(s)
-		if err != nil {
-			return nil, fmt.Errorf("sampling: first-N sim of %s kernel %d: %w", w.FullName(), k.ID, err)
-		}
-		pr := pkp.Project(kr) // lifetime-average extrapolation of a cut kernel
-		res.ProjCycles += pr.Cycles + silicon.KernelLaunchOverheadCycles
-		res.SimWarpInstrs += kr.WarpInstrs
-		res.KernelsSimulated++
-		simCycles += kr.Cycles
-		enteredWarp += k.TotalWarpInstructions(dev)
-		threadInstrs += kr.ThreadInstrs
-		dramWeighted += kr.DRAMUtil * float64(kr.Cycles)
-		if pr.Truncated {
-			res.Truncated = true
-		}
-	}
-
-	// Kernels never entered: project their cycles by holding the
-	// observed warp-level IPC of the simulated prefix. Kernels that were
-	// entered (even if cut mid-run) were already extrapolated above, so
-	// only the never-entered instruction mass remains.
-	totalWarp := int64(float64(w.ApproxWarpInstructions(1<<62)) * dev.ISAScale)
-	if totalWarp > enteredWarp && res.SimWarpInstrs > 0 && simCycles > 0 {
-		res.Truncated = true
-		prefixWarpIPC := float64(res.SimWarpInstrs) / float64(simCycles)
-		remaining := float64(totalWarp - enteredWarp)
-		res.ProjCycles += int64(remaining / prefixWarpIPC)
-		res.ProjCycles += int64(w.N-res.KernelsSimulated) * silicon.KernelLaunchOverheadCycles
-	}
-	finalize(res, threadInstrs, dramWeighted, simCycles)
-	return res, nil
+	return res, simCycles
 }
 
 // finalize derives the aggregate IPC and DRAM utilization from the

@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"pka/internal/gpu"
@@ -58,21 +59,28 @@ func TestFullSimTracksSilicon(t *testing.T) {
 	}
 }
 
+// TestFirstNCoversSmallAppExactly: with a budget that covers the workload,
+// 1B is full simulation bit for bit on every modeled device — the nominal
+// budget rule never cuts a launch it covers, whatever a completed kernel
+// really issues there.
 func TestFirstNCoversSmallAppExactly(t *testing.T) {
 	w := workload.Find("Rodinia/gauss_mat4")
-	full, err := FullSim(gpu.VoltaV100(), w, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := FirstN(gpu.VoltaV100(), w, 1<<40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Truncated {
-		t.Error("huge budget should cover the whole app")
-	}
-	if res.ProjCycles != full.ProjCycles {
-		t.Errorf("FirstN with full budget = %d cycles, full sim = %d", res.ProjCycles, full.ProjCycles)
+	for _, dev := range []gpu.Device{gpu.VoltaV100(), gpu.TuringRTX2060(), gpu.AmpereRTX3070(), gpu.VoltaV100().WithSMs(40)} {
+		full, err := FullSim(dev, w, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := FirstN(dev, w, 1<<40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Truncated {
+			t.Errorf("%s: huge budget should cover the whole app", dev.Name)
+		}
+		if *res != *full || math.Float64bits(res.IPC) != math.Float64bits(full.IPC) ||
+			math.Float64bits(res.DRAMUtil) != math.Float64bits(full.DRAMUtil) {
+			t.Errorf("%s: FirstN with full budget = %+v, full sim = %+v", dev.Name, *res, *full)
+		}
 	}
 }
 

@@ -1,5 +1,6 @@
 // Kernel-granular task execution: every simulation the study layer runs —
-// full-baseline kernels and PKS/PKA group representatives alike — is one
+// full-baseline kernels, PKS/PKA group representatives and the TBPoint and
+// first-N-instructions baselines alike — is one
 // KernelTask on one kernel, executed on a fresh simulator. That makes each
 // task a pure function of (device, kernel feature vector, task spec), which
 // buys the two properties this file exists for: tasks can be scheduled
@@ -29,7 +30,7 @@ import (
 // TaskMode selects the per-kernel simulation policy.
 type TaskMode uint8
 
-// The three policies the study layer runs per kernel.
+// The policies the study layer runs per kernel.
 const (
 	// ModeFull runs the kernel to completion (full-baseline semantics).
 	ModeFull TaskMode = iota
@@ -39,6 +40,12 @@ const (
 	// ModePKA runs under Principal Kernel Projection's stability
 	// controller and projects the truncated run.
 	ModePKA
+	// ModeBlocks (TBPoint) runs ⌈BlockFraction·grid⌉ blocks under the cycle
+	// cap and extrapolates as ModePKS does.
+	ModeBlocks
+	// ModeFirstN (1B's cut launch) issues WarpBudget warp instructions and
+	// reports that prefix unprojected.
+	ModeFirstN
 )
 
 // PKPSpec is the semantic subset of pkp.Options — the fields that change
@@ -72,6 +79,10 @@ type KernelTask struct {
 	MaxCycles int64
 	// PKP parameterizes the stability controller; only ModePKA reads it.
 	PKP PKPSpec
+	// BlockFraction is the share of the grid ModeBlocks runs.
+	BlockFraction float64
+	// WarpBudget is the warp instructions ModeFirstN issues.
+	WarpBudget int64
 }
 
 // SampledTask is the task spec a sampled run issues for each representative:
@@ -86,6 +97,15 @@ func SampledTask(capCycles int64, o pkp.Options, usePKP bool) KernelTask {
 		return KernelTask{Mode: ModePKA, MaxCycles: capCycles, PKP: NewPKPSpec(o)}
 	}
 	return KernelTask{Mode: ModePKS, MaxCycles: capCycles}
+}
+
+// BlocksTask is TBPoint's task spec: fraction of the grid under the cycle
+// cap (zero applies sim.DefaultMaxCycles).
+func BlocksTask(capCycles int64, fraction float64) KernelTask {
+	if capCycles <= 0 {
+		capCycles = sim.DefaultMaxCycles
+	}
+	return KernelTask{Mode: ModeBlocks, MaxCycles: capCycles, BlockFraction: fraction}
 }
 
 // KernelOutcome is the cacheable result of one kernel task: exactly the
@@ -147,6 +167,11 @@ func taskKeys(dev gpu.Device, t KernelTask, kernels []trace.KernelDesc) []string
 	if t.Mode == ModePKA {
 		tSec = appendInt(appendFloat(tSec, t.PKP.Threshold), t.PKP.Window)
 		tSec = appendBool(tSec, t.PKP.DisableWaveConstraint)
+	}
+	if t.Mode == ModeBlocks {
+		tSec = appendFloat(tSec, t.BlockFraction)
+	} else if t.Mode == ModeFirstN {
+		tSec = appendInt(tSec, int(t.WarpBudget))
 	}
 	schema, kSec := []byte(taskSchema), make([]byte, 0, 22*8)
 	keys := make([]string, len(kernels))
@@ -594,7 +619,7 @@ func simulateKernel(dev gpu.Device, k trace.KernelDesc, task KernelTask, to Task
 			t, o = riders[i-1].task, riders[i-1].obs
 		}
 		var err error
-		if probes[i], outcomes[i], err = probeOf(t, o); err != nil {
+		if probes[i], outcomes[i], err = probeOf(&k, t, o); err != nil {
 			return KernelOutcome{}, err
 		}
 		if simObs == nil {
@@ -613,19 +638,24 @@ func simulateKernel(dev gpu.Device, k trace.KernelDesc, task KernelTask, to Task
 	return outcomes[0](res[0]), nil
 }
 
-// probeOf returns the point of the kernel's trajectory task reads its result
-// at, and how that result becomes the task's outcome.
-func probeOf(task KernelTask, to TaskObs) (sim.Probe, func(*sim.KernelResult) KernelOutcome, error) {
+// probeOf returns the point of k's trajectory task reads its result at, and
+// how that result becomes the task's outcome.
+func probeOf(k *trace.KernelDesc, task KernelTask, to TaskObs) (sim.Probe, func(*sim.KernelResult) KernelOutcome, error) {
 	switch task.Mode {
 	case ModeFull:
-		return sim.Probe{}, func(res *sim.KernelResult) KernelOutcome {
-			return KernelOutcome{
-				ProjCycles:    res.Cycles,
-				SimWarpInstrs: res.WarpInstrs,
-				ThreadInstrs:  res.ThreadInstrs,
-				DRAMUtil:      res.DRAMUtil,
-			}
-		}, nil
+		return sim.Probe{}, prefixOutcome, nil
+	case ModeFirstN:
+		budget := task.WarpBudget
+		return sim.Probe{Controller: sim.ControllerFunc(func(t *sim.Telemetry) bool {
+			return t.WarpInstrs >= budget
+		}), MaxCycles: task.MaxCycles}, prefixOutcome, nil
+	case ModeBlocks:
+		target := max(1, int(math.Ceil(task.BlockFraction*float64(k.Grid.Count()))))
+		return sim.Probe{Controller: sim.ControllerFunc(func(t *sim.Telemetry) bool {
+				return t.BlocksCompleted >= target
+			}), MaxCycles: task.MaxCycles}, func(res *sim.KernelResult) KernelOutcome {
+				return outcomeFromProjection(pkp.Project(res), res, task)
+			}, nil
 	case ModePKS:
 		return sim.Probe{MaxCycles: task.MaxCycles}, func(res *sim.KernelResult) KernelOutcome {
 			return outcomeFromProjection(pkp.Project(res), res, task)
@@ -644,6 +674,17 @@ func probeOf(task KernelTask, to TaskObs) (sim.Probe, func(*sim.KernelResult) Ke
 		}, nil
 	default:
 		return sim.Probe{}, nil, fmt.Errorf("sampling: unknown task mode %d", task.Mode)
+	}
+}
+
+// prefixOutcome is the run as simulated, unprojected: a whole kernel, or
+// the prefix a ModeFirstN task issued.
+func prefixOutcome(res *sim.KernelResult) KernelOutcome {
+	return KernelOutcome{
+		ProjCycles:    res.Cycles,
+		SimWarpInstrs: res.WarpInstrs,
+		ThreadInstrs:  res.ThreadInstrs,
+		DRAMUtil:      res.DRAMUtil,
 	}
 }
 

@@ -86,9 +86,12 @@ type KernelResult struct {
 	Kernel     *trace.KernelDesc
 	Cycles     int64
 	WarpInstrs int64
-	// ExpectedWarpInstrs is the full launch's dynamic warp-instruction
-	// count (what WarpInstrs would reach if the run completed); truncation
-	// policies project progress against it.
+	// ExpectedWarpInstrs is the launch's nominal warp-instruction count,
+	// KernelDesc.TotalWarpInstructions: the grid's warps times the mix,
+	// scaled to the device. A completed run need not issue exactly that —
+	// warps round their share to whole instructions, and BlockImbalance
+	// scales each block's — so it is an estimate of where WarpInstrs ends.
+	// Truncation policies project progress against it.
 	ExpectedWarpInstrs int64
 	ThreadInstrs       float64
 	IPC                float64 // thread instructions per cycle

@@ -4,7 +4,9 @@
 // vectors gathered from full functional simulation, sweeping a merge
 // threshold instead of an interpretable K, and reducing intra-kernel work
 // conservatively by simulating a fixed fraction of each representative's
-// thread blocks.
+// thread blocks. This package selects; the simulation is core's, which runs
+// each representative as a sampling.ModeBlocks task and weights it by its
+// group's population, as it does PKS's.
 //
 // Two deliberate fidelity points from the paper are preserved:
 //
@@ -28,10 +30,7 @@ import (
 
 	"pka/internal/cluster"
 	"pka/internal/gpu"
-	"pka/internal/pkp"
 	"pka/internal/profiler"
-	"pka/internal/silicon"
-	"pka/internal/sim"
 	"pka/internal/stats"
 	"pka/internal/trace"
 	"pka/internal/workload"
@@ -243,53 +242,6 @@ func standardize(points [][]float64) {
 			p[j] = (p[j] - mean[j]) / sd[j]
 		}
 	}
-}
-
-// SimResult is the outcome of simulating a TBPoint selection.
-type SimResult struct {
-	ProjCycles    int64
-	SimWarpInstrs int64
-	IPC           float64
-	DRAMUtil      float64
-}
-
-// Simulate runs each representative for BlockFraction of its thread
-// blocks, projects the remainder linearly (TBPoint's conservative
-// intra-kernel reduction), and weights by group population.
-func Simulate(dev gpu.Device, w *workload.Workload, sel *Selection, capCycles int64) (SimResult, error) {
-	if capCycles <= 0 {
-		capCycles = sim.DefaultMaxCycles
-	}
-	s := sim.New(dev)
-	var out SimResult
-	var kernelCycles int64
-	var threadInstrs, dramWeighted float64
-	for _, g := range sel.Groups {
-		k := w.Kernel(g.RepIndex)
-		target := int(math.Ceil(sel.BlockFraction * float64(k.Grid.Count())))
-		if target < 1 {
-			target = 1
-		}
-		ctl := sim.ControllerFunc(func(t *sim.Telemetry) bool {
-			return t.BlocksCompleted >= target
-		})
-		res, err := s.RunKernel(&k, sim.Options{Controller: ctl, MaxCycles: capCycles})
-		if err != nil {
-			return out, fmt.Errorf("tbpoint: rep %d: %w", g.RepIndex, err)
-		}
-		proj := pkp.Project(res)
-		weight := int64(g.Count)
-		kernelCycles += proj.Cycles * weight
-		out.SimWarpInstrs += proj.SimulatedWarpInstrs
-		threadInstrs += proj.ThreadInstrs * float64(weight)
-		dramWeighted += proj.DRAMUtil * float64(proj.Cycles*weight)
-	}
-	out.ProjCycles = kernelCycles + int64(w.N)*silicon.KernelLaunchOverheadCycles
-	if kernelCycles > 0 {
-		out.IPC = threadInstrs / float64(kernelCycles)
-		out.DRAMUtil = dramWeighted / float64(kernelCycles)
-	}
-	return out, nil
 }
 
 // maxPairwiseDistance samples pairwise distances (capped at ~1e6 pairs)
