@@ -301,7 +301,7 @@ func printSimulation(ev *core.Evaluation) {
 	fmt.Printf("simulation (modeled Accel-Sim rate %.0f warp-instr/s)\n", core.DefaultSimRate)
 	if ev.Full != nil {
 		fmt.Printf("  full simulation       %s, error %.1f%% vs silicon\n",
-			report.Hours(ev.FullSimHours), ev.FullErrorPct)
+			report.Hours(ev.FullSimHours), ev.Full.ErrorPct)
 	} else {
 		fmt.Printf("  full simulation       infeasible (projected %s)\n", report.Hours(ev.FullSimHours))
 	}

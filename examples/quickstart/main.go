@@ -28,7 +28,7 @@ func main() {
 	fmt.Printf("  selection error (silicon)  %.2f%%\n", ev.Selection.SelectionErrorPct)
 	fmt.Printf("  silicon speedup            %.0fx\n", ev.Selection.SiliconSpeedup)
 	if ev.Full != nil {
-		fmt.Printf("  full simulation error      %.1f%% vs silicon\n", ev.FullErrorPct)
+		fmt.Printf("  full simulation error      %.1f%% vs silicon\n", ev.Full.ErrorPct)
 	}
 	fmt.Printf("  PKA simulation error       %.1f%% vs silicon\n", ev.PKA.ErrorPct)
 	fmt.Printf("  PKA simulated-work cut     %.0fx\n\n", ev.PKA.SpeedupVsFull)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -91,5 +93,121 @@ func TestBaselinePlanMatchesSolo(t *testing.T) {
 	}
 	if tiers := run("warm"); tiers["sim"] != 0 {
 		t.Errorf("warm tiers %v", tiers)
+	}
+}
+
+func TestFullSimSmallWorkload(t *testing.T) {
+	dev := gpu.VoltaV100()
+	w := mustFind(t, "Rodinia/gauss_mat4")
+	cfg := Config{Device: dev, Exec: sampling.NewExec(nil, nil), Flight: sampling.NewFlightRecorder()}
+	ev, err := Plan{Passes: []sampling.TaskMode{sampling.ModeFull}}.Evaluate(cfg, w, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := cfg.Flight.Len(); n != w.N {
+		t.Errorf("simulated %d kernels, want %d", n, w.N)
+	}
+	// Full simulation cuts no launch short: each ran as a full task.
+	for _, e := range cfg.Flight.Entries() {
+		k := w.Kernel(e.Index)
+		if e.Phase != "full" || e.Key != sampling.TaskKey(dev, &k, sampling.KernelTask{Mode: sampling.ModeFull}) {
+			t.Errorf("launch %d ran as %s task %s, want a full one", e.Index, e.Phase, e.Key)
+		}
+	}
+	if res := ev.Full; res.ProjCycles <= 0 || res.SimWarpInstrs <= 0 {
+		t.Errorf("degenerate result: %+v", res)
+	}
+}
+
+func TestFullSimInfeasibleOnHugeWorkload(t *testing.T) {
+	full := Plan{Passes: []sampling.TaskMode{sampling.ModeFull}}
+	_, err := full.Evaluate(Config{Device: gpu.VoltaV100()}, mustFind(t, "MLPerf/ssd_training"), nil)
+	if !errors.Is(err, sampling.ErrInfeasible) {
+		t.Errorf("err = %v, want ErrInfeasible", err)
+	}
+	// A tiny explicit budget makes even small apps infeasible.
+	small := mustFind(t, "Rodinia/gauss_mat4")
+	if _, err := full.Evaluate(Config{Device: gpu.VoltaV100(), FullSimBudget: 10}, small, nil); !errors.Is(err, sampling.ErrInfeasible) {
+		t.Errorf("tiny budget: err = %v", err)
+	}
+}
+
+func TestFullSimTracksSilicon(t *testing.T) {
+	w := mustFind(t, "Parboil/histo")
+	ev, err := Plan{Passes: []sampling.TaskMode{sampling.ModeFull}, Silicon: true}.Evaluate(Config{Device: gpu.VoltaV100()}, w, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The paper's simulator baseline averages 26.7% error vs silicon
+	// with individual apps up to ~150%; our two models should land in
+	// the same regime.
+	if ev.Full.ErrorPct > 150 {
+		t.Errorf("full-sim error vs silicon = %.1f%%", ev.Full.ErrorPct)
+	}
+}
+
+// TestFirstNCoversSmallAppExactly: with a budget that covers the workload,
+// 1B is full simulation bit for bit on every modeled device — the nominal
+// budget rule never cuts a launch it covers, whatever a completed kernel
+// really issues there.
+func TestFirstNCoversSmallAppExactly(t *testing.T) {
+	w := mustFind(t, "Rodinia/gauss_mat4")
+	plan := Plan{Passes: []sampling.TaskMode{sampling.ModeFull, sampling.ModeFirstN}, FirstN: 1 << 40}
+	for _, dev := range []gpu.Device{gpu.VoltaV100(), gpu.TuringRTX2060(), gpu.AmpereRTX3070(), gpu.VoltaV100().WithSMs(40)} {
+		if p := sampling.PlanFirstN(dev, w, nil, plan.FirstN); len(p.Whole) != w.N || len(p.Cut) != 0 {
+			t.Errorf("%s: huge budget should cover the whole app, plans %d whole and %d cut of %d", dev.Name, len(p.Whole), len(p.Cut), w.N)
+		}
+		ev, err := plan.Evaluate(Config{Device: dev}, w, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, res := *ev.Full, ev.OneB
+		if res != full || math.Float64bits(res.IPC) != math.Float64bits(full.IPC) ||
+			math.Float64bits(res.DRAMUtil) != math.Float64bits(full.DRAMUtil) {
+			t.Errorf("%s: FirstN with full budget = %+v, full sim = %+v", dev.Name, res, full)
+		}
+	}
+}
+
+func TestFirstNTruncatesAndProjects(t *testing.T) {
+	dev := gpu.VoltaV100()
+	w := mustFind(t, "Polybench/fdtd2d")
+	plan := Plan{Passes: []sampling.TaskMode{sampling.ModeFirstN}, FirstN: 2_000_000}
+	p := sampling.PlanFirstN(dev, w, nil, plan.FirstN)
+	if len(p.Whole) == w.N {
+		t.Fatal("2M-instruction budget should truncate fdtd2d")
+	}
+	if entered := len(p.Whole) + len(p.Cut); entered >= w.N {
+		t.Errorf("entered %d kernels of %d", entered, w.N)
+	}
+	ev, err := plan.Evaluate(Config{Device: dev}, w, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := ev.OneB
+	if res.SimWarpInstrs > 2_100_000 {
+		t.Errorf("simulated %d warp instrs, budget 2M", res.SimWarpInstrs)
+	}
+	if res.ProjCycles <= 0 {
+		t.Error("no projection produced")
+	}
+	// The projection must at least account for every kernel's overhead.
+	sil, _ := sampling.SiliconTotal(dev, w)
+	ratio := float64(res.ProjCycles) / float64(sil.Cycles)
+	if ratio < 0.1 || ratio > 10 {
+		t.Errorf("projection wildly off: ratio %.2f vs silicon", ratio)
+	}
+}
+
+func TestFirstNIsCheaperThanFullSim(t *testing.T) {
+	w := mustFind(t, "Polybench/fdtd2d")
+	plan := Plan{Passes: []sampling.TaskMode{sampling.ModeFull, sampling.ModeFirstN}, FirstN: 2_000_000}
+	ev, err := plan.Evaluate(Config{Device: gpu.VoltaV100()}, w, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.OneB.SimWarpInstrs*2 > ev.Full.SimWarpInstrs {
+		t.Errorf("FirstN simulated %d of %d warp instrs — not a meaningful reduction",
+			ev.OneB.SimWarpInstrs, ev.Full.SimWarpInstrs)
 	}
 }

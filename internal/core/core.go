@@ -153,10 +153,9 @@ type Evaluation struct {
 	Silicon   silicon.AppResult
 	Selection *pks.Selection
 
-	// Full is the full-simulation outcome, nil when infeasible.
-	Full *sampling.Result
-	// FullErrorPct is "SimError": full simulation versus silicon.
-	FullErrorPct float64
+	// Full is the full-simulation outcome, nil when infeasible; its ErrorPct
+	// is Table 4's "SimError".
+	Full *SampledSim
 	// FullSimHours is the projected full-simulation time; for infeasible
 	// workloads it is projected from total instruction mass.
 	FullSimHours float64
@@ -169,16 +168,19 @@ type Evaluation struct {
 	TBPoint SampledSim
 }
 
-// Plan is what one evaluation computes: the passes it makes, each named by
-// the kernel-task policy it runs (sampling.ModeFull, ModePKS, ModePKA, and
-// the baselines: ModeFirstN over sampling.DefaultFirstN warp instructions
-// and ModeBlocks over TBPoint's representatives), and whether it takes the
-// workload's silicon total, which the error columns are measured against.
-// The passes run full, 1B, TBPoint, PKS, PKA, whatever their order here.
+// Plan is what one evaluation computes: the methods it runs, each named by
+// the kernel-task policy of its passes (sampling.ModeFull, ModePKS, ModePKA,
+// and the baselines: ModeFirstN over FirstN warp instructions and ModeBlocks
+// over TBPoint's representatives), and whether it takes the workload's
+// silicon total, which the error columns are measured against. The methods
+// run full, 1B, TBPoint, PKS, PKA, whatever their order here.
 type Plan struct {
 	Passes  []sampling.TaskMode
 	Silicon bool
 	TBPoint *tbpoint.Selection
+	// FirstN is 1B's budget in warp instructions; zero applies
+	// sampling.DefaultFirstN.
+	FirstN int64
 }
 
 // CompletePlan is Evaluate's plan, the paper's Table 4 row: every pass, and
@@ -251,34 +253,43 @@ type populations struct {
 	launches int
 }
 
+// eachLaunch weights n launches one each: full simulation and 1B fold every
+// launch as its own stratum of population one.
+func eachLaunch(n int) populations {
+	return populations{func(int) int { return 1 }, n}
+}
+
 // pksPopulations weights representatives by sel's groups.
 func pksPopulations(sel *pks.Selection) populations {
 	return populations{func(i int) int { return sel.Groups[i].Count() }, sel.TotalKernels}
 }
 
-// samplePass is one sampled pass, labelled phase and subject: p over every
-// representative once, as kernel tasks on cfg.Exec's scheduler (inline and
-// serial when it is nil), folded per application in input order, so the float
-// operations are the same at any parallelism. total is the pass's simulated
-// work, hours and runaway-guard flag; the folds carry no simulated work,
-// which may belong to no one app.
-func samplePass(cfg Config, phase, subject string, p sampling.RiderPass, apps []populations) (total SampledSim, folds []SampledSim, err error) {
-	span := cfg.Obs.StartSpan("sampled:"+phase, subject)
-	defer span.End()
-	outs, err := cfg.Exec.RunKernels(cfg.Device, p.Task, p.Kernels, p.Obs, cfg.bank)
-	if err != nil {
-		return total, nil, err
+// run runs the passes in order under one span, labelled subject, as kernel
+// tasks on cfg.Exec's scheduler (inline and serial when it is nil), and
+// returns their outcomes in launch order — a lone pass's as RunKernels
+// returned them — so the float operations folding them are the same at any
+// parallelism. total is their simulated work, hours and runaway-guard flag;
+// a fold carries no simulated work, which may belong to no one app.
+func run(cfg Config, span, subject string, passes ...sampling.RiderPass) (outs []sampling.KernelOutcome, total SampledSim, err error) {
+	sp := cfg.Obs.StartSpan(span, subject)
+	defer sp.End()
+	for i, p := range passes {
+		more, err := cfg.Exec.RunKernels(cfg.Device, p.Task, p.Kernels, p.Obs, cfg.bank)
+		if err != nil {
+			return nil, total, err
+		}
+		if i == 0 {
+			outs = more
+		} else {
+			outs = append(outs, more...)
+		}
 	}
 	for _, oc := range outs {
 		total.SimWarpInstrs += oc.SimWarpInstrs
 		total.Capped = total.Capped || oc.Capped
 	}
 	total.SimHours = cfg.SimHours(total.SimWarpInstrs)
-	folds = make([]SampledSim, len(apps))
-	for i, app := range apps {
-		folds[i] = fold(outs, app)
-	}
-	return total, folds, nil
+	return outs, total, nil
 }
 
 // fold projects one application's metrics from the outcomes: representative
@@ -336,8 +347,13 @@ func RunSegments(cfg Config, ws []*workload.Workload, seg *pks.Segments, usePKP 
 		pops[a] = pksPopulations(sel)
 	}
 	phase, p := r.sampled(cfg, usePKP)
-	if total, apps, err = samplePass(cfg, phase, r.Subject, p, pops); err != nil {
+	outs, total, err := run(cfg, "sampled:"+phase, r.Subject, p)
+	if err != nil {
 		return total, nil, fmt.Errorf("core: shared representatives of %s: %w", r.Subject, err)
+	}
+	apps = make([]SampledSim, len(pops))
+	for a, app := range pops {
+		apps[a] = fold(outs, app)
 	}
 	return total, apps, nil
 }
@@ -408,8 +424,9 @@ func Evaluate(cfg Config, w *workload.Workload) (*Evaluation, error) {
 // hours projected from the instruction mass — or, with no other pass planned,
 // is the ErrInfeasible error. With an Exec and two passes or more the passes
 // share a bank (sampling.Bank), so each kernel is simulated once; a lone pass
-// carries no riders and stops where its own policy stops. Only what the plan
-// computed is filled in: error columns need silicon, speedups and
+// carries no riders and stops where its own policy stops. Every method's
+// outcomes go through one fold (full simulation and 1B weight each launch
+// one) and one accounting step, and only what the plan computed is filled in: error columns need silicon, speedups and
 // full-simulation hours the full pass. The result is identical at any
 // scheduler width, with or without an Exec.
 func (p Plan) Evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*Evaluation, error) {
@@ -449,21 +466,59 @@ func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*E
 	}
 	ev.Silicon = sc.Silicon
 
-	// The passes over representatives in the order they run — TBPoint's, then
-	// PKS before PKA, so a PKS task that simulates carries its PKA rider.
-	type repPass struct {
-		phase string
-		p     sampling.RiderPass
-		app   populations
-		out   *SampledSim
+	mass := int64(float64(sc.WarpInstrs) * cfg.Device.ISAScale) // TotalWarpWork, off the scan
+
+	// The methods in the order they run — full, 1B, TBPoint, then PKS before
+	// PKA, so a PKS task that simulates carries its PKA rider — each its
+	// passes under one span, folded together in launch order into out.
+	type method struct {
+		span   string
+		passes []sampling.RiderPass
+		app    populations
+		out    *SampledSim // nil: full simulation infeasible, its span alone
 	}
-	var passes []repPass
+	methods := make([]method, 0, len(p.Passes))
+	var firstN sampling.FirstNPlan
+	var riders []sampling.RiderPass // every pass that may ride another, in order
+	hosts := full                   // a pass of ModeFull tasks, which never ride
+	if full {
+		m := method{span: "full-sim"}
+		switch {
+		case sc.Kernels != nil:
+			var tobs func(i int) sampling.TaskObs // provenance only: no SimObs of its own
+			if cfg.Flight != nil {
+				tobs = func(i int) sampling.TaskObs {
+					return sampling.TaskObs{Flight: cfg.Flight, Phase: "full", Index: i}
+				}
+			}
+			ev.Full = &SampledSim{}
+			m.passes = []sampling.RiderPass{{Task: sampling.KernelTask{Mode: sampling.ModeFull}, Kernels: sc.Kernels, Obs: tobs}}
+			m.app, m.out = eachLaunch(len(sc.Kernels)), ev.Full
+		case !sampled && !oneB && !tb:
+			return nil, nil, fmt.Errorf("%w: %s", sampling.ErrInfeasible, w.FullName())
+		}
+		methods = append(methods, m)
+	}
+	if oneB {
+		// 1B: its whole launches (the full baseline's own tasks, served from
+		// memory where that ran) and the launch it cuts.
+		firstN = sampling.PlanFirstN(cfg.Device, w, sc.Kernels, p.FirstN)
+		whole := ownReps(w, firstN.Whole).pass(cfg, "1b", sampling.KernelTask{Mode: sampling.ModeFull})
+		cut := ownReps(w, firstN.Cut).pass(cfg, "1b-cut", firstN.Task)
+		if len(firstN.Cut) > 0 {
+			riders = append(riders, cut)
+		}
+		hosts = hosts || len(firstN.Whole) > 0
+		methods = append(methods, method{"first-n", []sampling.RiderPass{whole, cut},
+			eachLaunch(len(firstN.Whole) + len(firstN.Cut)), &ev.OneB})
+	}
 	if tb {
 		g := p.TBPoint.Groups
 		r := workloadReps(w, len(g), func(i int) int { return g[i].RepIndex }, sc.Kernels)
-		task := sampling.BlocksTask(cfg.KernelCapCycles, p.TBPoint.BlockFraction)
+		rp := r.pass(cfg, "tbpoint", sampling.BlocksTask(cfg.KernelCapCycles, p.TBPoint.BlockFraction))
 		app := populations{func(i int) int { return g[i].Count }, w.N}
-		passes = append(passes, repPass{"tbpoint", r.pass(cfg, "tbpoint", task), app, &ev.TBPoint})
+		riders = append(riders, rp)
+		methods = append(methods, method{"sampled:tbpoint", []sampling.RiderPass{rp}, app, &ev.TBPoint})
 	}
 	if sampled {
 		var err error
@@ -487,91 +542,70 @@ func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*E
 			if usePKP {
 				out = &ev.PKA
 			}
-			passes = append(passes, repPass{phase, rp, pksPopulations(sel), out})
+			riders = append(riders, rp)
+			methods = append(methods, method{"sampled:" + phase, []sampling.RiderPass{rp}, pksPopulations(sel), out})
 		}
-	}
-	var firstN sampling.FirstNPlan
-	var whole, cut sampling.RiderPass
-	var riders []sampling.RiderPass // every pass that may ride another, in order
-	if oneB {
-		firstN = sampling.PlanFirstN(cfg.Device, w, sc.Kernels, 0)
-		whole = ownReps(w, firstN.Whole).pass(cfg, "1b", sampling.KernelTask{Mode: sampling.ModeFull})
-		cut = ownReps(w, firstN.Cut).pass(cfg, "1b-cut", firstN.Task)
-		if len(firstN.Cut) > 0 {
-			riders = append(riders, cut)
-		}
-	}
-	for _, rp := range passes {
-		riders = append(riders, rp.p)
 	}
 	// Two passes or more share a bank (1B's whole launches count as one).
-	if hosts := full || len(firstN.Whole) > 0; cfg.Exec != nil && len(riders) > 0 && (hosts || len(riders) > 1) {
+	if cfg.Exec != nil && len(riders) > 0 && (hosts || len(riders) > 1) {
 		cfg.bank = sampling.NewBank(cfg.Device, riders...)
 	}
 
-	// Stage 2: the full baseline, carrying every planned task of every launch
-	// whose content is a planned launch's.
-	var fullWork int64 // what full simulation costs, measured or projected
+	// Stage 2: every method, its outcomes folded by its populations.
+	for _, m := range methods {
+		outs, total, err := run(cfg, m.span, w.FullName(), m.passes...)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: %s of %s: %w", m.span, w.FullName(), err)
+		}
+		if m.out == nil {
+			continue
+		}
+		*m.out = fold(outs, m.app)
+		m.out.SimWarpInstrs = total.SimWarpInstrs
+	}
+	if oneB {
+		extrapolate(&ev.OneB, firstN, mass)
+	}
+
+	// Stage 3: what every method reports beside its projection. Full
+	// simulation costs what it simulated, or where infeasible what its mass
+	// projects (with no error column: the paper's MLPerf rows).
+	fullWork := mass
+	if ev.Full != nil {
+		fullWork = ev.Full.SimWarpInstrs
+	}
 	if full {
-		fullSpan := cfg.Obs.StartSpan("full-sim", w.FullName())
-		var tobs func(i int) sampling.TaskObs
-		if cfg.Flight != nil {
-			tobs = func(i int) sampling.TaskObs {
-				return sampling.TaskObs{Flight: cfg.Flight, Phase: "full", Index: i}
-			}
-		}
-		res, err := cfg.Exec.FullSimOf(cfg.Device, w.FullName(), sc.Kernels, tobs, cfg.bank)
-		fullSpan.End()
-		switch {
-		case err == nil:
-			ev.Full = res
-			if p.Silicon {
-				ev.FullErrorPct = stats.AbsPctErr(float64(res.ProjCycles), float64(sc.Silicon.Cycles))
-			}
-			fullWork = res.SimWarpInstrs
-		case errors.Is(err, sampling.ErrInfeasible) && (sampled || oneB || tb):
-			// Projected time only; no error column (the paper's MLPerf rows).
-			fullWork = int64(float64(sc.WarpInstrs) * cfg.Device.ISAScale) // TotalWarpWork, off the scan
-		default:
-			return nil, nil, err
-		}
 		ev.FullSimHours = cfg.SimHours(fullWork)
 	}
-	// account fills in what every policy reports beside its projection.
-	account := func(out *SampledSim) {
-		out.SimHours = cfg.SimHours(out.SimWarpInstrs)
-		if p.Silicon {
-			out.ErrorPct = stats.AbsPctErr(float64(out.ProjCycles), float64(sc.Silicon.Cycles))
+	for _, m := range methods {
+		if out := m.out; out != nil {
+			out.SimHours = cfg.SimHours(out.SimWarpInstrs)
+			if p.Silicon {
+				out.ErrorPct = stats.AbsPctErr(float64(out.ProjCycles), float64(sc.Silicon.Cycles))
+			}
+			if full && out.SimWarpInstrs > 0 {
+				out.SpeedupVsFull = float64(fullWork) / float64(out.SimWarpInstrs)
+			}
 		}
-		if full && out.SimWarpInstrs > 0 {
-			out.SpeedupVsFull = float64(fullWork) / float64(out.SimWarpInstrs)
-		}
-	}
-
-	// Stage 3: 1B — its whole launches (the full baseline's own tasks, served
-	// from memory where that ran) and the launch it cuts.
-	if oneB {
-		sp := cfg.Obs.StartSpan("first-n", w.FullName())
-		res, err := cfg.Exec.FirstNOf(cfg.Device, w.FullName(), firstN, int64(float64(sc.WarpInstrs)*cfg.Device.ISAScale), whole.Obs, cut.Obs, cfg.bank)
-		sp.End()
-		if err != nil {
-			return nil, nil, err
-		}
-		ev.OneB = SampledSim{ProjCycles: res.ProjCycles, SimWarpInstrs: res.SimWarpInstrs, IPC: res.IPC, DRAMUtil: res.DRAMUtil}
-		account(&ev.OneB)
-	}
-
-	// Stage 4: the passes over representatives.
-	for _, rp := range passes {
-		total, folds, err := samplePass(cfg, rp.phase, w.FullName(), rp.p, []populations{rp.app})
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: rep kernels of %s: %w", w.FullName(), err)
-		}
-		*rp.out = folds[0]
-		rp.out.SimWarpInstrs = total.SimWarpInstrs
-		account(rp.out)
 	}
 	return ev, cfg.bank, nil
+}
+
+// extrapolate projects 1B past its budget as the first-N methodology projects
+// a truncated run: unless out folds every launch of the workload whole, the
+// prefix's warp IPC is held over the rest of its mass, and every launch never
+// entered pays its launch overhead.
+func extrapolate(out *SampledSim, plan sampling.FirstNPlan, mass int64) {
+	if len(plan.Whole) == plan.Launches {
+		return
+	}
+	entered := int64(len(plan.Whole) + len(plan.Cut))
+	simCycles := out.ProjCycles - entered*silicon.KernelLaunchOverheadCycles
+	if past := mass - plan.N; past > 0 && out.SimWarpInstrs > 0 && simCycles > 0 {
+		prefixWarpIPC := float64(out.SimWarpInstrs) / float64(simCycles)
+		out.ProjCycles += int64(float64(past) / prefixWarpIPC)
+		out.ProjCycles += (int64(plan.Launches) - entered) * silicon.KernelLaunchOverheadCycles
+	}
 }
 
 // TotalWarpWork returns the workload's full dynamic warp-instruction mass

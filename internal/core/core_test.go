@@ -36,8 +36,8 @@ func TestEvaluateGaussian(t *testing.T) {
 	}
 	// PKS's sampled-sim error should stay in the neighbourhood of the
 	// simulator's own error vs silicon (Table 4's pattern).
-	if diff := ev.PKS.ErrorPct - ev.FullErrorPct; diff > 40 {
-		t.Errorf("PKS error %.1f%% far above sim error %.1f%%", ev.PKS.ErrorPct, ev.FullErrorPct)
+	if diff := ev.PKS.ErrorPct - ev.Full.ErrorPct; diff > 40 {
+		t.Errorf("PKS error %.1f%% far above sim error %.1f%%", ev.PKS.ErrorPct, ev.Full.ErrorPct)
 	}
 }
 
@@ -54,8 +54,8 @@ func TestEvaluateSingleKernelApp(t *testing.T) {
 	if ev.PKS.SpeedupVsFull < 0.99 || ev.PKS.SpeedupVsFull > 1.01 {
 		t.Errorf("single-kernel PKS speedup = %.3f, want 1.0", ev.PKS.SpeedupVsFull)
 	}
-	if ev.PKS.ErrorPct > ev.FullErrorPct+1 {
-		t.Errorf("PKS error %.2f%% vs sim error %.2f%%", ev.PKS.ErrorPct, ev.FullErrorPct)
+	if ev.PKS.ErrorPct > ev.Full.ErrorPct+1 {
+		t.Errorf("PKS error %.2f%% vs sim error %.2f%%", ev.PKS.ErrorPct, ev.Full.ErrorPct)
 	}
 }
 

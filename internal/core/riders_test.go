@@ -50,7 +50,7 @@ func openStore(t *testing.T) (*artifact.Store, string) {
 
 // soloPhases leaves in store what the cold pass left before tasks carried
 // riders: the selection, and every full, PKS and PKA task resolved by a run
-// of its own (RunSampled and FullSim have no bank) — and, since each phase is
+// of its own (one-pass plans have no bank) — and, since each phase is
 // one RunKernels batch here as in the evaluation, the same packs. only, when
 // set, restricts it to one phase, for priming a partly warm store.
 func soloPhases(t *testing.T, cfg Config, w *workload.Workload, store *artifact.Store, only string) {
@@ -61,7 +61,7 @@ func soloPhases(t *testing.T, cfg Config, w *workload.Workload, store *artifact.
 		t.Fatal(err)
 	}
 	if only == "" || only == "full" {
-		if _, err := cfg.Exec.FullSim(cfg.Device, w, cfg.FullSimBudget); err != nil && only == "full" {
+		if _, err := (Plan{Passes: []sampling.TaskMode{sampling.ModeFull}}).Evaluate(cfg, w, nil); err != nil && only == "full" {
 			t.Fatal(err)
 		}
 	}

@@ -47,23 +47,26 @@ func TestStudyCaching(t *testing.T) {
 	if a != b {
 		t.Error("Selection not cached")
 	}
-	sa, err := s.Silicon(gpu.VoltaV100(), w)
+	ca, err := s.CrossGen(gpu.VoltaV100(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := s.Silicon(gpu.VoltaV100(), w)
+	cb, err := s.CrossGen(gpu.VoltaV100(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sa.Cycles != sb.Cycles {
-		t.Error("Silicon results differ across calls")
+	if ca != cb {
+		t.Error("CrossGen results differ across calls")
+	}
+	if _, misses := s.crossGen.Stats(); misses != 1 {
+		t.Errorf("CrossGen computed %d times for one key, want 1", misses)
 	}
 	// Different devices key separately.
-	st, err := s.Silicon(gpu.TuringRTX2060(), w)
+	ct, err := s.CrossGen(gpu.TuringRTX2060(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Cycles == sa.Cycles {
+	if ct.Truth == ca.Truth {
 		t.Error("Turing and Volta silicon suspiciously identical")
 	}
 }

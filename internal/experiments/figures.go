@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -323,7 +324,7 @@ func Figure8(s *Study) (*report.Chart, *report.Table, error) {
 			if err != nil || ev.Full == nil || ev.TBPoint.SimWarpInstrs == 0 {
 				return errRow{}, err
 			}
-			return errRow{full: ev.FullErrorPct, oneB: ev.OneB.ErrorPct, pka: ev.PKA.ErrorPct, tb: ev.TBPoint.ErrorPct, ok: true}, nil
+			return errRow{full: ev.Full.ErrorPct, oneB: ev.OneB.ErrorPct, pka: ev.PKA.ErrorPct, tb: ev.TBPoint.ErrorPct, ok: true}, nil
 		})
 	if err != nil {
 		return nil, nil, err
@@ -469,44 +470,30 @@ func relativeStudy(s *Study, alt gpu.Device, title, note string, excludeMLPerf b
 		},
 		Notes: []string{note},
 	}
-	fullMAE := maeVs(fullS, silS)
-	oneBMAE := maeVs(oneBS, silS[:minLen(len(oneBS), len(silS))])
-	pkaMAE := maeVs(pkaS, silS)
+	// Each series pairs app i with app i's silicon; an empty comparable set
+	// renders 0.00.
+	var mae [3]float64
+	for i, xs := range [][]float64{fullS, oneBS, pkaS} {
+		m, err := stats.MAPE(xs, silS)
+		if err != nil && !errors.Is(err, stats.ErrEmpty) {
+			return nil, nil, fmt.Errorf("experiments: %s: %s speedups against silicon's: %w", title, [...]string{"full-sim", "1B", "PKA"}[i], err)
+		}
+		mae[i] = m
+	}
 	tab := &report.Table{
 		Title:   title + " — geomeans",
 		Columns: []string{"Method", "GeoMean (comparable)", "GeoMean (all)", "MAE wrt silicon %"},
 	}
 	tab.AddRow("Silicon", report.F(stats.GeoMean(silS), 2)+"x", report.F(stats.GeoMean(silAll), 2)+"x", "-")
-	tab.AddRow("Full Simulation", report.F(stats.GeoMean(fullS), 2)+"x", "*", report.F(fullMAE, 2))
-	tab.AddRow("1B", report.F(stats.GeoMean(oneBS), 2)+"x", report.F(stats.GeoMean(oneBAll), 2)+"x", report.F(oneBMAE, 2))
-	tab.AddRow("PKA", report.F(stats.GeoMean(pkaS), 2)+"x", report.F(stats.GeoMean(pkaAll), 2)+"x", report.F(pkaMAE, 2))
+	tab.AddRow("Full Simulation", report.F(stats.GeoMean(fullS), 2)+"x", "*", report.F(mae[0], 2))
+	tab.AddRow("1B", report.F(stats.GeoMean(oneBS), 2)+"x", report.F(stats.GeoMean(oneBAll), 2)+"x", report.F(mae[1], 2))
+	tab.AddRow("PKA", report.F(stats.GeoMean(pkaS), 2)+"x", report.F(stats.GeoMean(pkaAll), 2)+"x", report.F(mae[2], 2))
 	tab.Notes = append(tab.Notes, note)
 	return chart, tab, nil
 }
 
 func cyclesToSec(cycles int64, dev gpu.Device) float64 {
 	return float64(cycles) / (float64(dev.CoreClockMHz) * 1e6)
-}
-
-// maeVs returns the mean absolute percentage deviation of xs from refs,
-// element-wise over the common prefix.
-func maeVs(xs, refs []float64) float64 {
-	n := minLen(len(xs), len(refs))
-	if n == 0 {
-		return 0
-	}
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += stats.AbsPctErr(xs[i], refs[i])
-	}
-	return sum / float64(n)
-}
-
-func minLen(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func maxOf(xs []float64) float64 {

@@ -67,8 +67,8 @@ func TestFigure7And8SmallSet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Float64bits(ev.OneB.ErrorPct) != math.Float64bits(ev.FullErrorPct) || ev.OneB.ProjCycles != ev.Full.ProjCycles {
-			t.Errorf("%s: 1B covers the app but errs %v%% against full simulation's %v%%", w.FullName(), ev.OneB.ErrorPct, ev.FullErrorPct)
+		if math.Float64bits(ev.OneB.ErrorPct) != math.Float64bits(ev.Full.ErrorPct) || ev.OneB.ProjCycles != ev.Full.ProjCycles {
+			t.Errorf("%s: 1B covers the app but errs %v%% against full simulation's %v%%", w.FullName(), ev.OneB.ErrorPct, ev.Full.ErrorPct)
 		}
 	}
 	if covered == 0 {

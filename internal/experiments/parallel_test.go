@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pka/internal/gpu"
+	"pka/internal/parallel"
 	"pka/internal/workload"
 )
 
@@ -74,14 +75,14 @@ func TestStudySingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := s.Silicon(dev, w); err != nil {
+			if _, err := s.CrossGen(dev, w); err != nil {
 				t.Error(err)
 			}
 		}()
 	}
 	wg.Wait()
-	if _, misses := s.siliconRes.Stats(); misses != 1 {
-		t.Errorf("%d silicon computes for one (device, workload) key, want 1", misses)
+	if _, misses := s.crossGen.Stats(); misses != 1 {
+		t.Errorf("%d cross-device projections for one (device, workload) key, want 1", misses)
 	}
 }
 
@@ -108,7 +109,7 @@ func TestStudyConcurrentAccessors(t *testing.T) {
 					t.Error(err)
 				}
 			case 1:
-				if _, err := s.Silicon(volta, w); err != nil {
+				if _, err := s.CrossGen(volta, w); err != nil {
 					t.Error(err)
 				}
 			case 2:
@@ -128,8 +129,8 @@ func TestStudyConcurrentAccessors(t *testing.T) {
 	if _, misses := s.selections.Stats(); misses > uint64(len(ws)) {
 		t.Errorf("selection computes = %d, want <= %d (one per workload)", misses, len(ws))
 	}
-	if _, misses := s.crossGen.Stats(); misses > uint64(len(ws)) {
-		t.Errorf("crossgen computes = %d, want <= %d", misses, len(ws))
+	if _, misses := s.crossGen.Stats(); misses > uint64(2*len(ws)) {
+		t.Errorf("crossgen computes = %d, want <= %d (one per device and workload)", misses, 2*len(ws))
 	}
 }
 
@@ -182,11 +183,11 @@ func TestParallelDeterminism(t *testing.T) {
 // TestStudyParallelismKnob checks the worker-width plumbing.
 func TestStudyParallelismKnob(t *testing.T) {
 	s := New()
-	if s.Workers() < 1 {
+	if parallel.Workers(s.Cfg.Parallelism) < 1 {
 		t.Error("default Workers must be at least 1")
 	}
 	s.Cfg.Parallelism = 5
-	if s.Workers() != 5 {
-		t.Errorf("Workers = %d, want 5", s.Workers())
+	if w := parallel.Workers(s.Cfg.Parallelism); w != 5 {
+		t.Errorf("Workers = %d, want 5", w)
 	}
 }

@@ -6,8 +6,8 @@
 // (the full per-application results), and Figures 9-10 (relative-accuracy
 // case studies), plus the ablations DESIGN.md calls out.
 //
-// A Study memoizes every expensive artifact — silicon walks, PKS and
-// TBPoint selections, evaluations (full, PKS and PKA simulation, and the
+// A Study memoizes every expensive artifact — PKS and TBPoint selections,
+// cross-device projections, evaluations (full, PKS and PKA simulation, and the
 // 1B and TBPoint baselines riding the full pass) — keyed by
 // device and workload in per-key singleflight caches, so the figures share
 // work when generated together and generators can fan per-workload
@@ -27,7 +27,6 @@ import (
 	"pka/internal/parallel"
 	"pka/internal/pks"
 	"pka/internal/sampling"
-	"pka/internal/silicon"
 	"pka/internal/tbpoint"
 	"pka/internal/workload"
 )
@@ -51,7 +50,6 @@ type Study struct {
 
 	selections parallel.Cache[string, *pks.Selection]
 	crossGen   parallel.Cache[string, pks.CrossGenResult]
-	siliconRes parallel.Cache[string, silicon.AppResult]
 	// evaluations holds the core evaluations per (device, workload), with the
 	// Volta selection: a complete one, which Full and Sampled read their
 	// fields off, and one with the baselines, which Baselines returns.
@@ -64,9 +62,6 @@ type Study struct {
 func New() *Study {
 	return &Study{Cfg: core.Config{Device: gpu.VoltaV100()}}
 }
-
-// Workers returns the study's effective fan-out width.
-func (s *Study) Workers() int { return parallel.Workers(s.Cfg.Parallelism) }
 
 // Workloads returns the 147-workload study set (cached).
 func (s *Study) Workloads() []*workload.Workload {
@@ -118,7 +113,6 @@ func (s *Study) CacheStats() map[string]obs.CacheCounts {
 	}
 	add("selections", s.selections.Stats)
 	add("crossgen", s.crossGen.Stats)
-	add("silicon", s.siliconRes.Stats)
 	add("evaluations", s.evaluations.Stats)
 	add("tbpoint_selections", s.tbSels.Stats)
 	for family, c := range s.Exec().CacheStats() {
@@ -146,15 +140,6 @@ func (s *Study) CrossGen(dev gpu.Device, w *workload.Workload) (pks.CrossGenResu
 			return pks.CrossGenResult{}, err
 		}
 		return pks.ProjectOnDevice(dev, w, sel)
-	})
-}
-
-// Silicon returns the (cached) silicon ground truth on the device.
-func (s *Study) Silicon(dev gpu.Device, w *workload.Workload) (silicon.AppResult, error) {
-	return s.siliconRes.Do(key(dev, w), func() (silicon.AppResult, error) {
-		sp := s.Cfg.Obs.StartSpan("silicon", key(dev, w))
-		defer sp.End()
-		return sampling.SiliconTotal(dev, w)
 	})
 }
 

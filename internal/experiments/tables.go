@@ -226,7 +226,7 @@ func table4For(s *Study, w *workload.Workload, turing, ampere gpu.Device) (table
 	if ev.Full == nil {
 		r.noFullSim = true
 	} else {
-		r.simErr, r.dramFull = ev.FullErrorPct, ev.Full.DRAMUtil
+		r.simErr, r.dramFull = ev.Full.ErrorPct, ev.Full.DRAMUtil
 	}
 	r.pksErr, r.pksHours, r.pksSU = ev.PKS.ErrorPct, ev.PKS.SimHours, ev.PKS.SpeedupVsFull
 	r.pkaErr, r.pkaHours, r.pkaSU = ev.PKA.ErrorPct, ev.PKA.SimHours, ev.PKA.SpeedupVsFull

@@ -155,9 +155,8 @@ type StudyResponse struct {
 	DRAMUtil      float64 `json:"dram_util"`
 	// SimHours is the projected simulation wall time at the modeled
 	// simulator rate.
-	SimHours  float64 `json:"sim_hours"`
-	Capped    bool    `json:"capped,omitempty"`
-	Truncated bool    `json:"truncated,omitempty"`
+	SimHours float64 `json:"sim_hours"`
+	Capped   bool    `json:"capped,omitempty"`
 	// SiliconCycles and ErrorPct are present only when the request set
 	// Silicon.
 	SiliconCycles int64   `json:"silicon_cycles,omitempty"`

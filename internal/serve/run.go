@@ -117,30 +117,18 @@ func (st *study) respond(ev *core.Evaluation, err error) (*StudyResponse, error)
 		st.root.End()
 		return nil, fmt.Errorf("serve: %s study of %s: %w", req.Mode, st.name, err)
 	}
-	resp := &StudyResponse{Workload: st.name, Device: req.Device, Mode: req.Mode}
-	if full := ev.Full; full != nil {
-		resp.Kernels = full.KernelsSimulated
-		resp.ProjCycles = full.ProjCycles
-		resp.SimWarpInstrs = full.SimWarpInstrs
-		resp.IPC = full.IPC
-		resp.DRAMUtil = full.DRAMUtil
-		resp.SimHours = ev.FullSimHours
-		resp.Truncated = full.Truncated
-		resp.ErrorPct = ev.FullErrorPct
-	} else {
-		ss := ev.PKS
-		if req.Mode == "pka" {
-			ss = ev.PKA
-		}
-		resp.K = ev.Selection.K
-		resp.Kernels = len(ev.Selection.Groups)
-		resp.ProjCycles = ss.ProjCycles
-		resp.SimWarpInstrs = ss.SimWarpInstrs
-		resp.IPC = ss.IPC
-		resp.DRAMUtil = ss.DRAMUtil
-		resp.SimHours = ss.SimHours
-		resp.Capped = ss.Capped
-		resp.ErrorPct = ss.ErrorPct
+	ss := ev.Full
+	switch req.Mode {
+	case "pks":
+		ss = &ev.PKS
+	case "pka":
+		ss = &ev.PKA
+	}
+	resp := &StudyResponse{Workload: st.name, Device: req.Device, Mode: req.Mode, Kernels: req.w.N,
+		ProjCycles: ss.ProjCycles, SimWarpInstrs: ss.SimWarpInstrs, IPC: ss.IPC, DRAMUtil: ss.DRAMUtil,
+		SimHours: ss.SimHours, Capped: ss.Capped, ErrorPct: ss.ErrorPct}
+	if sel := ev.Selection; sel != nil {
+		resp.K, resp.Kernels = sel.K, len(sel.Groups)
 	}
 	resp.SiliconCycles = ev.Silicon.Cycles
 	if flight := st.cfg.Flight; req.Provenance {

@@ -104,21 +104,6 @@ func MAPE(measured, reference []float64) (float64, error) {
 	return sum / float64(len(measured)), nil
 }
 
-// MAE returns the mean absolute error between two equal-length series.
-func MAE(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, errors.New("stats: length mismatch")
-	}
-	if len(a) == 0 {
-		return 0, ErrEmpty
-	}
-	var sum float64
-	for i := range a {
-		sum += math.Abs(a[i] - b[i])
-	}
-	return sum / float64(len(a)), nil
-}
-
 // Rolling maintains the mean and standard deviation of the last Window
 // samples in O(1) time per Push. It is the online detector behind Principal
 // Kernel Projection: the simulator pushes one IPC sample per cycle and asks

@@ -103,9 +103,6 @@ type (
 	Controller = sim.Controller
 	// SiliconResult describes a kernel execution on modeled hardware.
 	SiliconResult = silicon.Result
-	// FullSimResult is an application-level (full or first-N) simulation
-	// outcome.
-	FullSimResult = sampling.Result
 	// TBPointSelection is the TBPoint baseline's output.
 	TBPointSelection = tbpoint.Selection
 	// Study memoizes experiment state across table/figure generators.
@@ -207,13 +204,21 @@ func RunSampled(cfg Config, w *Workload, sel *Selection, usePKP bool) (SampledSi
 
 // FullSim simulates every kernel; it returns ErrInfeasible beyond the
 // budget (0 = default).
-func FullSim(dev Device, w *Workload, budgetWarpInstrs int64) (*FullSimResult, error) {
-	return sampling.FullSim(dev, w, budgetWarpInstrs)
+func FullSim(dev Device, w *Workload, budgetWarpInstrs int64) (*SampledSim, error) {
+	ev, err := core.Plan{Passes: []sampling.TaskMode{sampling.ModeFull}}.Evaluate(Config{Device: dev, FullSimBudget: budgetWarpInstrs}, w, nil)
+	if err != nil {
+		return nil, err
+	}
+	return ev.Full, nil
 }
 
 // FirstN runs the first-N-instructions baseline (0 = default budget).
-func FirstN(dev Device, w *Workload, nWarpInstrs int64) (*FullSimResult, error) {
-	return sampling.FirstN(dev, w, nWarpInstrs)
+func FirstN(dev Device, w *Workload, nWarpInstrs int64) (*SampledSim, error) {
+	ev, err := core.Plan{Passes: []sampling.TaskMode{sampling.ModeFirstN}, FirstN: nWarpInstrs}.Evaluate(Config{Device: dev}, w, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &ev.OneB, nil
 }
 
 // TBPointSelect runs the TBPoint baseline's kernel clustering.
