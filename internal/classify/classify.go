@@ -8,6 +8,7 @@ package classify
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 )
@@ -48,6 +49,64 @@ func validate(X [][]float64, y []int, numClasses int) (dim int, err error) {
 		}
 	}
 	return dim, nil
+}
+
+// checkRow panics unless a row to predict has the width the model was fitted
+// on: a short row would read a weight as the bias or drop terms, a long one
+// index past the fitted statistics. Predict has no error return, and a row of
+// another width is a caller's bug.
+func checkRow(model string, got, want int) {
+	if got != want {
+		panic(fmt.Sprintf("classify: %s.Predict: row has %d features, the model was fitted on %d", model, got, want))
+	}
+}
+
+// affine sets out[r] = b[r*bstride] + w_r·x for each row r of the row-major
+// matrix w, whose rows start stride floats apart and hold len(x) weights.
+// Every sum starts from its bias and adds its terms in index order, as one
+// sum at a time would, so the result is the same to the bit. Four rows run
+// side by side so that their sums are independent chains and the FP adder
+// does not wait out each add's latency; the rows left over run one at a time.
+func affine(out, w []float64, stride int, b []float64, bstride int, x []float64) {
+	n := len(x)
+	r := 0
+	for ; r+4 <= len(out); r += 4 {
+		w0, w1, w2, w3 := w[r*stride:][:n], w[(r+1)*stride:][:n], w[(r+2)*stride:][:n], w[(r+3)*stride:][:n]
+		s0, s1, s2, s3 := b[r*bstride], b[(r+1)*bstride], b[(r+2)*bstride], b[(r+3)*bstride]
+		for j, v := range x {
+			s0 += w0[j] * v
+			s1 += w1[j] * v
+			s2 += w2[j] * v
+			s3 += w3[j] * v
+		}
+		out[r], out[r+1], out[r+2], out[r+3] = s0, s1, s2, s3
+	}
+	for ; r < len(out); r++ {
+		wr := w[r*stride:][:n]
+		sum := b[r*bstride]
+		for j, v := range x {
+			sum += wr[j] * v
+		}
+		out[r] = sum
+	}
+}
+
+// normalize turns logits into softmax probabilities in place.
+func normalize(logits []float64) {
+	maxLogit := math.Inf(-1)
+	for _, v := range logits {
+		if v > maxLogit {
+			maxLogit = v
+		}
+	}
+	var total float64
+	for c, v := range logits {
+		logits[c] = math.Exp(v - maxLogit)
+		total += logits[c]
+	}
+	for c := range logits {
+		logits[c] /= total
+	}
 }
 
 // argmax returns the index of the largest value.

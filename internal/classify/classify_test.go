@@ -2,6 +2,7 @@ package classify
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -69,6 +70,46 @@ func TestUnfittedPredictIsSafe(t *testing.T) {
 	for _, m := range []Classifier{NewSGD(0), NewGaussianNB(), NewMLP(0)} {
 		if got := m.Predict([]float64{1, 2, 3}); got != 0 {
 			t.Errorf("%s unfitted Predict = %d, want 0", m.Name(), got)
+		}
+	}
+}
+
+// TestPredictRejectsWrongWidth: a fitted model refuses a row shorter or
+// longer than the rows it was fitted on with a panic naming both widths,
+// where it used to read a feature weight as the bias, drop terms or index
+// past its statistics; a row of the fitted width predicts, and an unfitted
+// model still returns 0 for any row.
+func TestPredictRejectsWrongWidth(t *testing.T) {
+	X, y := gaussianDataset(20, 5) // four features
+	for _, m := range []Classifier{NewSGD(1), NewGaussianNB(), NewMLP(1)} {
+		if got := m.Predict(make([]float64, 7)); got != 0 {
+			t.Errorf("%s unfitted Predict = %d, want 0", m.Name(), got)
+		}
+		if err := m.Fit(X, y, 3); err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name string
+			row  []float64
+			want string // the panic, "" for none
+		}{
+			{"short", X[0][:3], "classify: " + m.Name() + ".Predict: row has 3 features, the model was fitted on 4"},
+			{"empty", nil, "classify: " + m.Name() + ".Predict: row has 0 features, the model was fitted on 4"},
+			{"long", append(append([]float64(nil), X[0]...), 1), "classify: " + m.Name() + ".Predict: row has 5 features, the model was fitted on 4"},
+			{"wider than the stack buffer", make([]float64, stackDim+1), fmt.Sprintf("classify: %s.Predict: row has %d features, the model was fitted on 4", m.Name(), stackDim+1)},
+			{"exact", X[0], ""},
+		} {
+			got := func() (v any) {
+				defer func() { v = recover() }()
+				m.Predict(tc.row)
+				return nil
+			}()
+			if tc.want == "" && got != nil {
+				t.Errorf("%s %s row: panicked %v", m.Name(), tc.name, got)
+			}
+			if tc.want != "" && got != tc.want {
+				t.Errorf("%s %s row: recovered %v, want panic %q", m.Name(), tc.name, got, tc.want)
+			}
 		}
 	}
 }
@@ -198,13 +239,13 @@ func TestEnsembleFitMatchesSerialMembers(t *testing.T) {
 		}
 		es, eg, em := e.Members[0].(*SGD), e.Members[1].(*GaussianNB), e.Members[2].(*MLP)
 		for what, pair := range map[string][2][][]float64{
-			"sgd weights":   {es.weights, sgd.weights},
+			"sgd weights":   {{es.weights}, {sgd.weights}},
 			"sgd scaler":    {{es.scaler.Mean, es.scaler.Scale}, {sgd.scaler.Mean, sgd.scaler.Scale}},
 			"gnb means":     {eg.means, gnb.means},
 			"gnb variances": {eg.variances, gnb.variances},
 			"gnb priors":    {{eg.priors}, {gnb.priors}},
-			"mlp w1":        {em.w1, mlp.w1},
-			"mlp w2":        {em.w2, mlp.w2},
+			"mlp w1":        {{em.w1}, {mlp.w1}},
+			"mlp w2":        {{em.w2}, {mlp.w2}},
 			"mlp biases":    {{em.b1, em.b2}, {mlp.b1, mlp.b2}},
 			"mlp scaler":    {{em.scaler.Mean, em.scaler.Scale}, {mlp.scaler.Mean, mlp.scaler.Scale}},
 		} {

@@ -84,6 +84,7 @@ func (g *GaussianNB) Predict(x []float64) int {
 	if g.means == nil {
 		return 0
 	}
+	checkRow(g.Name(), len(x), g.dim)
 	scores := make([]float64, g.numClasses)
 	for c := 0; c < g.numClasses; c++ {
 		ll := g.priors[c]
@@ -92,9 +93,6 @@ func (g *GaussianNB) Predict(x []float64) int {
 			continue
 		}
 		for j, v := range x {
-			if j >= g.dim {
-				break
-			}
 			d := v - g.means[c][j]
 			ll += -0.5*math.Log(2*math.Pi*g.variances[c][j]) - d*d/(2*g.variances[c][j])
 		}

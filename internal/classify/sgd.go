@@ -1,13 +1,10 @@
 package classify
 
-import (
-	"math"
-
-	"pka/internal/stats"
-)
+import "pka/internal/stats"
 
 // SGD is multiclass logistic regression (softmax) trained with mini-batch
-// stochastic gradient descent and L2 regularization.
+// stochastic gradient descent and L2 regularization. Its logits are
+// affine's four-wide sums, as the MLP's are.
 type SGD struct {
 	Epochs       int
 	LearningRate float64
@@ -15,8 +12,9 @@ type SGD struct {
 
 	seed       uint64
 	numClasses int
+	dim        int
 	scaler     *Scaler
-	weights    [][]float64 // numClasses × (dim+1), last column is bias
+	weights    []float64 // numClasses × (dim+1), the last column of a row its bias
 }
 
 // NewSGD returns an SGD classifier with defaults tuned for the small,
@@ -34,17 +32,13 @@ func (s *SGD) Fit(X [][]float64, y []int, numClasses int) error {
 	if err != nil {
 		return err
 	}
-	s.numClasses = numClasses
+	s.numClasses, s.dim = numClasses, dim
 	s.scaler = FitScaler(X)
 	scaled := make([][]float64, len(X))
 	for i, row := range X {
 		scaled[i] = s.scaler.Apply(row)
 	}
-
-	s.weights = make([][]float64, numClasses)
-	for c := range s.weights {
-		s.weights[c] = make([]float64, dim+1)
-	}
+	s.weights = make([]float64, numClasses*(dim+1))
 
 	rng := stats.NewRNG(s.seed ^ 0x5D6D)
 	probs := make([]float64, numClasses)
@@ -55,12 +49,9 @@ func (s *SGD) Fit(X [][]float64, y []int, numClasses int) error {
 		for _, i := range order {
 			x := scaled[i]
 			s.softmax(x, probs)
-			for c := 0; c < numClasses; c++ {
-				grad := probs[c]
-				if c == y[i] {
-					grad -= 1
-				}
-				w := s.weights[c]
+			probs[y[i]] -= 1 // the softmax + cross-entropy gradient
+			for c, grad := range probs {
+				w := s.weights[c*(dim+1):][:dim+1]
 				for j, v := range x {
 					w[j] -= lr * (grad*v + s.L2*w[j])
 				}
@@ -73,26 +64,9 @@ func (s *SGD) Fit(X [][]float64, y []int, numClasses int) error {
 
 // softmax fills out with class probabilities for standardized features x.
 func (s *SGD) softmax(x []float64, out []float64) {
-	maxLogit := math.Inf(-1)
-	for c := 0; c < s.numClasses; c++ {
-		w := s.weights[c]
-		logit := w[len(x)]
-		for j, v := range x {
-			logit += w[j] * v
-		}
-		out[c] = logit
-		if logit > maxLogit {
-			maxLogit = logit
-		}
-	}
-	var sum float64
-	for c := range out[:s.numClasses] {
-		out[c] = math.Exp(out[c] - maxLogit)
-		sum += out[c]
-	}
-	for c := range out[:s.numClasses] {
-		out[c] /= sum
-	}
+	dim, nc := len(x), s.numClasses
+	affine(out[:nc], s.weights, dim+1, s.weights[dim:], dim+1, x)
+	normalize(out[:nc])
 }
 
 // Predict implements Classifier.
@@ -100,6 +74,7 @@ func (s *SGD) Predict(x []float64) int {
 	if s.weights == nil {
 		return 0
 	}
+	checkRow(s.Name(), len(x), s.dim)
 	probs := make([]float64, s.numClasses)
 	var buf [stackDim]float64
 	s.softmax(s.scaler.applyOn(&buf, x), probs)
