@@ -90,9 +90,9 @@ func TestBuildWiresTheLadderFromFlags(t *testing.T) {
 			t.Errorf("%s: store %v on session, %v on exec", tc.name, sess.Store, sess.Exec.Store())
 		}
 		fr := sampling.NewFlightRecorder()
-		if _, err := sess.Exec.RunKernels(dev, task, ks[:1], func(int) sampling.TaskObs {
+		if _, err := sess.Exec.RunKernels(dev, sampling.RiderPass{Task: task, Kernels: ks[:1], Obs: func(int) sampling.TaskObs {
 			return sampling.TaskObs{Flight: fr, Phase: "t"}
-		}, nil); err != nil {
+		}}, nil); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if got := fr.TierCounts(); got[tc.tier] != 1 || fr.Len() != 1 {

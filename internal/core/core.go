@@ -274,7 +274,7 @@ func run(cfg Config, span, subject string, passes ...sampling.RiderPass) (outs [
 	sp := cfg.Obs.StartSpan(span, subject)
 	defer sp.End()
 	for i, p := range passes {
-		more, err := cfg.Exec.RunKernels(cfg.Device, p.Task, p.Kernels, p.Obs, cfg.bank)
+		more, err := cfg.Exec.RunKernels(cfg.Device, p, cfg.bank)
 		if err != nil {
 			return nil, total, err
 		}
@@ -492,7 +492,7 @@ func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*E
 				}
 			}
 			ev.Full = &SampledSim{}
-			m.passes = []sampling.RiderPass{{Task: sampling.KernelTask{Mode: sampling.ModeFull}, Kernels: sc.Kernels, Obs: tobs}}
+			m.passes = []sampling.RiderPass{{Task: sampling.KernelTask{Mode: sampling.ModeFull}, Kernels: sc.Kernels, Keys: sc.Keys, Obs: tobs}}
 			m.app, m.out = eachLaunch(len(sc.Kernels)), ev.Full
 		case !sampled && !oneB && !tb:
 			return nil, nil, fmt.Errorf("%w: %s", sampling.ErrInfeasible, w.FullName())
@@ -504,6 +504,9 @@ func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*E
 		// memory where that ran) and the launch it cuts.
 		firstN = sampling.PlanFirstN(cfg.Device, w, sc.Kernels, p.FirstN)
 		whole := ownReps(w, firstN.Whole).pass(cfg, "1b", sampling.KernelTask{Mode: sampling.ModeFull})
+		if sc.Keys != nil { // the whole launches are the scan's first ones
+			whole.Keys = sc.Keys[:len(firstN.Whole)]
+		}
 		cut := ownReps(w, firstN.Cut).pass(cfg, "1b-cut", firstN.Task)
 		if len(firstN.Cut) > 0 {
 			riders = append(riders, cut)

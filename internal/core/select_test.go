@@ -10,6 +10,7 @@ import (
 	"pka/internal/artifact"
 	"pka/internal/gpu"
 	"pka/internal/obs"
+	"pka/internal/parallel"
 	"pka/internal/pks"
 	"pka/internal/sampling"
 	"pka/internal/trace"
@@ -278,6 +279,30 @@ func TestWarmStudyWalksOnce(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestWarmEvaluationAllocs pins what a warm study allocates: lud_i on a fresh
+// Exec at scheduler width 1 over a primed store, its scan remembered. The
+// full pass takes its 192 task keys from the scan, and every batch is served
+// by the mem tier or its pack, so it runs on the caller without a scheduler
+// handoff (≈ 1 000 allocations; ≈ 3 400 when each study hashed every key and
+// scheduled every task).
+func TestWarmEvaluationAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	w := mustFind(t, "Rodinia/lud_i")
+	store, _ := openStore(t)
+	study := func() {
+		cfg := Config{Device: gpu.VoltaV100(), Exec: sampling.NewExec(parallel.NewScheduler(1), store)}
+		if _, err := Evaluate(cfg, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	study() // primes the store
+	if allocs := testing.AllocsPerRun(5, study); allocs > 1500 {
+		t.Errorf("a warm lud_i evaluation allocates %.0f times, want at most 1 500", allocs)
 	}
 }
 

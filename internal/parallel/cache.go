@@ -59,19 +59,24 @@ func (c *Cache[K, V]) Do(key K, compute func() (V, error)) (V, error) {
 // Get returns the memoized value for key without computing, and reports
 // whether a completed successful entry exists.
 func (c *Cache[K, V]) Get(key K) (V, bool) {
+	v, ok, _ := c.Peek(key)
+	return v, ok
+}
+
+// Peek is Get that also reports whether a compute for key is in flight
+// (pending), without waiting for it or counting a hit or a miss.
+func (c *Cache[K, V]) Peek(key K) (v V, ok, pending bool) {
 	c.mu.Lock()
-	f, ok := c.m[key]
+	f, found := c.m[key]
 	c.mu.Unlock()
-	if !ok {
-		var zero V
-		return zero, false
+	if !found {
+		return v, false, false
 	}
 	select {
 	case <-f.done:
-		return f.val, f.err == nil
+		return f.val, f.err == nil, false
 	default:
-		var zero V
-		return zero, false
+		return v, false, true
 	}
 }
 

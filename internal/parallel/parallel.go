@@ -82,6 +82,21 @@ func protect[R any](fn func() (R, error)) (r R, err error) {
 	return fn()
 }
 
+// runObserved runs one task on the calling goroutine, reported to obs (nil
+// for none) as a scheduled task is: queued, then started, then done, so the
+// pool's queue-depth and active-worker gauges settle at zero.
+func runObserved[R any](obs Observer, fn func() (R, error)) (R, error) {
+	if obs != nil {
+		obs.TaskQueued()
+		obs.TaskStarted()
+	}
+	r, err := protect(fn)
+	if obs != nil {
+		obs.TaskDone()
+	}
+	return r, err
+}
+
 // Map applies fn to every item with at most Workers(workers) concurrent
 // calls and returns the results in input order. Every item is attempted
 // even when some fail, and the returned error is the lowest-indexed
@@ -102,14 +117,7 @@ func Map[T, R any](workers int, items []T, fn func(i int, item T) (R, error)) ([
 	obs := observer()
 	if w == 1 {
 		for i := range items {
-			i := i
-			if obs != nil {
-				obs.TaskStarted()
-			}
-			results[i], errs[i] = protect(func() (R, error) { return fn(i, items[i]) })
-			if obs != nil {
-				obs.TaskDone()
-			}
+			results[i], errs[i] = runObserved(obs, func() (R, error) { return fn(i, items[i]) })
 		}
 	} else {
 		idx := make(chan int)

@@ -281,3 +281,102 @@ func TestCacheGet(t *testing.T) {
 		t.Errorf("Get = (%d,%v), want (5,true)", v, ok)
 	}
 }
+
+// TestCachePeek checks Peek tells an absent key, a compute in flight and a
+// completed entry apart, and counts neither a hit nor a miss.
+func TestCachePeek(t *testing.T) {
+	var c Cache[string, int]
+	if _, ok, pending := c.Peek("k"); ok || pending {
+		t.Errorf("absent key: ok %v, pending %v", ok, pending)
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.Do("k", func() (int, error) {
+			close(started)
+			<-release
+			return 5, nil
+		})
+	}()
+	<-started
+	if _, ok, pending := c.Peek("k"); ok || !pending {
+		t.Errorf("in flight: ok %v, pending %v", ok, pending)
+	}
+	close(release)
+	<-done
+	if v, ok, pending := c.Peek("k"); !ok || pending || v != 5 {
+		t.Errorf("completed: (%d, %v, %v), want (5, true, false)", v, ok, pending)
+	}
+	if hits, misses := c.Stats(); hits != 0 || misses != 1 {
+		t.Errorf("stats (%d, %d), want (0, 1): Peek counted", hits, misses)
+	}
+}
+
+// countingObserver tallies the pool events of n tasks and the lowest queue
+// depth (queued minus started) it saw; settled closes at the n-th TaskDone.
+type countingObserver struct {
+	n       int
+	settled chan struct{}
+
+	mu                    sync.Mutex
+	queued, started, done int
+	minDepth              int
+}
+
+func (o *countingObserver) TaskQueued() {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.queued++
+}
+
+func (o *countingObserver) TaskStarted() {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.started++
+	o.minDepth = min(o.minDepth, o.queued-o.started)
+}
+
+func (o *countingObserver) TaskDone() {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.done++; o.done == o.n {
+		close(o.settled)
+	}
+}
+
+// TestObserverQueueDepthNeverNegative: every path that runs tasks reports each
+// as queued before it starts it, inline paths included, so the pool's
+// queue-depth gauge never drops below zero and both gauges settle at zero.
+func TestObserverQueueDepthNeverNegative(t *testing.T) {
+	const n = 6
+	items := make([]int, n)
+	square := func(i, _ int) (int, error) { return i * i, nil }
+	cost := func(int) int64 { return 1 }
+	for name, run := range map[string]func() ([]int, error){
+		"Map(1)":            func() ([]int, error) { return Map(1, items, square) },
+		"SchedMap(nil)":     func() ([]int, error) { return SchedMap(nil, items, cost, square) },
+		"SchedMap(width 1)": func() ([]int, error) { return SchedMap(NewScheduler(1), items, cost, square) },
+		"SchedMap(width 4)": func() ([]int, error) { return SchedMap(NewScheduler(4), items, cost, square) },
+	} {
+		o := &countingObserver{n: n, settled: make(chan struct{})}
+		SetObserver(o)
+		_, err := run()
+		if err == nil {
+			select { // a worker reports its last task done just after SchedMap returns
+			case <-o.settled:
+			case <-time.After(5 * time.Second):
+			}
+		}
+		SetObserver(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		o.mu.Lock()
+		if o.minDepth < 0 || o.queued != n || o.started != n || o.done != n {
+			t.Errorf("%s: queued %d, started %d, done %d of %d tasks; lowest queue depth %d",
+				name, o.queued, o.started, o.done, n, o.minDepth)
+		}
+		o.mu.Unlock()
+	}
+}

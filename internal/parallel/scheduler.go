@@ -133,18 +133,11 @@ func SchedMapCtx[T, R any](ctx context.Context, s *Scheduler, items []T, cost fu
 	if s == nil || cost == nil {
 		obs := observer()
 		for i := range items {
-			i := i
 			if err := ctx.Err(); err != nil {
 				errs[i] = err
 				continue
 			}
-			if obs != nil {
-				obs.TaskStarted()
-			}
-			results[i], errs[i] = protect(func() (R, error) { return fn(i, items[i]) })
-			if obs != nil {
-				obs.TaskDone()
-			}
+			results[i], errs[i] = runObserved(obs, func() (R, error) { return fn(i, items[i]) })
 		}
 	} else {
 		var left atomic.Int64 // tasks of this batch not settled yet

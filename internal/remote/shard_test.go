@@ -237,7 +237,7 @@ func TestShardExecTier(t *testing.T) {
 	// First process: simulate and replicate to the fleet.
 	exec1 := sampling.NewExec(nil, localStore())
 	exec1.SetShard(c)
-	want, err := exec1.RunKernels(dev, task, kernels, nil, nil)
+	want, err := exec1.RunKernels(dev, sampling.RiderPass{Task: task, Kernels: kernels}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,9 +246,9 @@ func TestShardExecTier(t *testing.T) {
 	exec2 := sampling.NewExec(nil, localStore())
 	exec2.SetShard(c)
 	fr := sampling.NewFlightRecorder()
-	got, err := exec2.RunKernels(dev, task, kernels, func(i int) sampling.TaskObs {
+	got, err := exec2.RunKernels(dev, sampling.RiderPass{Task: task, Kernels: kernels, Obs: func(i int) sampling.TaskObs {
 		return sampling.TaskObs{Flight: fr, Phase: "shard", Index: i}
-	}, nil)
+	}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,11 +9,13 @@ import (
 )
 
 // RiderPass is one pass an evaluation will make: the task spec it will issue,
-// the launches it will issue it for, and the observe-only wiring its task for
-// launch i will carry (nil for none).
+// the launches it will issue it for, their TaskKeys under that spec where the
+// caller holds them (a Scan's Keys; nil derives them), and the observe-only
+// wiring its task for launch i will carry (nil for none).
 type RiderPass struct {
 	Task    KernelTask
 	Kernels []trace.KernelDesc
+	Keys    []string
 	Obs     func(i int) TaskObs
 }
 
@@ -74,8 +76,12 @@ func (b *Bank) Len() int {
 	return len(b.banked)
 }
 
-// keysUnder returns pass p's launches' TaskKeys under task. Callers hold mu.
+// keysUnder returns pass p's launches' TaskKeys under task: the pass's own
+// Keys when task is its spec and it carries them. Callers hold mu.
 func (b *Bank) keysUnder(task KernelTask, p int) []string {
+	if pass := b.passes[p]; task == pass.Task && len(pass.Keys) == len(pass.Kernels) {
+		return pass.Keys
+	}
 	pk := passKeys{task, p}
 	keys, ok := b.keys[pk]
 	if !ok {
@@ -122,6 +128,17 @@ func (b *Bank) deposit(key string, oc KernelOutcome) {
 		b.banked = map[string]KernelOutcome{}
 	}
 	b.banked[key] = oc
+}
+
+// holds reports whether an outcome is banked under key.
+func (b *Bank) holds(key string) bool {
+	if b == nil {
+		return false
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	_, ok := b.banked[key]
+	return ok
 }
 
 // take withdraws the outcome banked under key, if any.

@@ -77,11 +77,11 @@ func TestBankRidersMatchSoloTasks(t *testing.T) {
 			{blocks, reps, wiring("tbpoint"), 1},
 			{firstN, cut, wiring("1b"), 0},
 		} {
-			got, err := e.RunKernels(dev, pass.task, pass.kernels, pass.tobs, bank)
+			got, err := e.RunKernels(dev, RiderPass{Task: pass.task, Kernels: pass.kernels, Obs: pass.tobs}, bank)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := (*Exec)(nil).RunKernels(dev, pass.task, pass.kernels, nil, nil)
+			want, err := (*Exec)(nil).RunKernels(dev, RiderPass{Task: pass.task, Kernels: pass.kernels}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +115,7 @@ func TestBankRidersMatchSoloTasks(t *testing.T) {
 		again := NewBank(dev, RiderPass{Task: pks, Kernels: reps}, RiderPass{Task: pka, Kernels: reps}, RiderPass{Task: blocks, Kernels: reps})
 		fresh := NewExec(nil, store)
 		for _, task := range []KernelTask{full, pks, pka, blocks} {
-			if _, err := fresh.RunKernels(dev, task, reps, nil, again); err != nil {
+			if _, err := fresh.RunKernels(dev, RiderPass{Task: task, Kernels: reps}, again); err != nil {
 				t.Fatal(err)
 			}
 		}

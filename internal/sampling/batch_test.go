@@ -5,12 +5,17 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"pka/internal/artifact"
 	"pka/internal/gpu"
 	"pka/internal/obs"
 	"pka/internal/parallel"
+	"pka/internal/pkp"
 	"pka/internal/trace"
 )
 
@@ -57,9 +62,9 @@ func (s *packStudy) run(e *Exec) ([]KernelOutcome, map[string]int, *Exec) {
 		e = NewExec(parallel.NewScheduler(s.width), s.store)
 	}
 	fr := NewFlightRecorder()
-	outs, err := e.RunKernels(s.dev, s.task, s.kernels, func(i int) TaskObs {
+	outs, err := e.RunKernels(s.dev, RiderPass{Task: s.task, Kernels: s.kernels, Obs: func(i int) TaskObs {
 		return TaskObs{Flight: fr, Phase: "t", Index: i}
-	}, nil)
+	}}, nil)
 	if err != nil {
 		s.t.Fatal(err)
 	}
@@ -125,6 +130,135 @@ func TestPackServesWarmBatch(t *testing.T) {
 	}
 }
 
+// poolEvents records the pool events of n tasks in order — q(ueued),
+// s(tarted), d(one) — and closes settled at the n-th TaskDone.
+type poolEvents struct {
+	n       int
+	settled chan struct{}
+
+	mu     sync.Mutex
+	events []byte
+}
+
+func (o *poolEvents) add(ev byte) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.events = append(o.events, ev)
+	if ev == 'd' && bytes.Count(o.events, []byte{'d'}) == o.n {
+		close(o.settled)
+	}
+}
+
+func (o *poolEvents) TaskQueued()  { o.add('q') }
+func (o *poolEvents) TaskStarted() { o.add('s') }
+func (o *poolEvents) TaskDone()    { o.add('d') }
+
+// observed runs f, which runs n tasks, with a poolEvents installed as the
+// pool observer, and returns their events once the last is reported done (a
+// worker reports it just after SchedMap returns).
+func observed(n int, f func()) string {
+	o := &poolEvents{n: n, settled: make(chan struct{})}
+	parallel.SetObserver(o)
+	defer parallel.SetObserver(nil)
+	f()
+	select {
+	case <-o.settled:
+	case <-time.After(5 * time.Second):
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return string(o.events)
+}
+
+// TestPackResolvesInline: a batch the mem tier serves whole, or whose pack is
+// on disk, runs on the calling goroutine — each task queued, started and done
+// before the next is queued, nothing handed to the scheduler — and a batch
+// with a task in neither, or with a banked task, goes to the scheduler whole:
+// at width 1 every task is queued before the first starts. Either way the
+// tiers and the store's per-key and pack counts (cumulative over the study's
+// store: its cold batch read four keys and wrote four) are what scheduling
+// every batch gives.
+func TestPackResolvesInline(t *testing.T) {
+	inline := func(n int) string { return strings.Repeat("qsd", n) }
+	for _, width := range []int{1, 4} {
+		scheduled := func(events string, n int) bool {
+			if width == 1 {
+				return events == strings.Repeat("q", n)+strings.Repeat("sd", n)
+			}
+			return len(events) == 3*n && strings.Count(events, "q") == n && strings.Count(events, "s") == n
+		}
+		s := newPackStudy(t, width)
+		n := len(s.kernels)
+		if events := observed(n, func() { s.run(nil) }); !scheduled(events, n) {
+			t.Errorf("width %d: the cold batch ran as %q", width, events)
+		}
+
+		var tiers map[string]int
+		var e *Exec
+		if events := observed(n, func() { _, tiers, e = s.run(nil) }); events != inline(n) {
+			t.Errorf("width %d: the pack-served batch ran as %q, want inline", width, events)
+		}
+		st, packs := s.store.Stats(), e.packs.Stats()
+		if !reflect.DeepEqual(tiers, map[string]int{"disk": 4, "mem": 1}) || st.Hits != 0 || st.Misses != 4 || st.Writes != 4 ||
+			packs.Hits != 1 || packs.Misses != 0 || packs.Writes != 0 {
+			t.Errorf("width %d: pack-served batch: tiers %v, store %+v, pack handle %+v", width, tiers, st, packs)
+		}
+		if events := observed(n, func() { _, tiers, _ = s.run(e) }); events != inline(n) {
+			t.Errorf("width %d: the mem-whole batch ran as %q, want inline", width, events)
+		}
+		if packs := e.packs.Stats(); tiers["mem"] != n || packs.Hits != 1 || packs.Misses != 0 {
+			t.Errorf("width %d: mem-whole batch: tiers %v, pack handle %+v", width, tiers, packs)
+		}
+
+		// One task in neither the mem tier nor a pack: the batch's pack is
+		// read once, missed, and every task is scheduled.
+		novel := s.kernels[1]
+		novel.Seed++
+		more := append(slices.Clone(s.kernels), novel)
+		fr := NewFlightRecorder()
+		if events := observed(n+1, func() {
+			if _, err := e.RunKernels(s.dev, RiderPass{Task: s.task, Kernels: more, Obs: func(i int) TaskObs {
+				return TaskObs{Flight: fr, Phase: "t", Index: i}
+			}}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}); !scheduled(events, n+1) {
+			t.Errorf("width %d: the batch with a novel task ran as %q", width, events)
+		}
+		st, packs = s.store.Stats(), e.packs.Stats()
+		if tiers := fr.TierCounts(); !reflect.DeepEqual(tiers, map[string]int{"sim": 1, "mem": n}) ||
+			st.Hits != 0 || st.Misses != 5 || st.Writes != 5 || packs.Hits != 1 || packs.Misses != 1 || packs.Writes != 1 {
+			t.Errorf("width %d: batch with a novel task: tiers %v, store %+v, pack handle %+v", width, tiers, st, packs)
+		}
+
+		// A pass whose outcomes an earlier pass banked is scheduled, so its
+		// tasks persist them in parallel.
+		b := newPackStudy(t, width)
+		_, reps := studyLaunches(t)
+		pks := SampledTask(0, pkp.Options{}, false)
+		bank := NewBank(b.dev, RiderPass{Task: pks, Kernels: reps})
+		be := NewExec(parallel.NewScheduler(width), b.store)
+		if _, err := be.RunKernels(b.dev, RiderPass{Task: b.task, Kernels: b.kernels}, bank); err != nil {
+			t.Fatal(err)
+		}
+		fr = NewFlightRecorder()
+		if events := observed(len(reps), func() {
+			if _, err := be.RunKernels(b.dev, RiderPass{Task: pks, Kernels: reps, Obs: func(i int) TaskObs {
+				return TaskObs{Flight: fr, Phase: "pks", Index: i}
+			}}, bank); err != nil {
+				t.Fatal(err)
+			}
+		}); !scheduled(events, len(reps)) {
+			t.Errorf("width %d: the bank-served pass ran as %q", width, events)
+		}
+		st, packs = b.store.Stats(), be.packs.Stats()
+		if tiers := fr.TierCounts(); !reflect.DeepEqual(tiers, map[string]int{"sim": 2}) || bank.Len() != 0 ||
+			st.Hits != 0 || st.Misses != 4 || st.Writes != 6 || packs.Hits != 0 || packs.Misses != 1 || packs.Writes != 2 {
+			t.Errorf("width %d: bank-served pass: tiers %v, %d left banked, store %+v, pack handle %+v", width, tiers, bank.Len(), st, packs)
+		}
+	}
+}
+
 // TestPackCorruptFallsBack: a pack the store's checksum refuses, or one that
 // is framed right but is not this batch's outcomes, is counted corrupt, the
 // per-key entries serve, and the batch writes the good pack back.
@@ -181,7 +315,7 @@ func TestPackCorruptFallsBack(t *testing.T) {
 func TestPackSkipped(t *testing.T) {
 	s := newPackStudy(t, 4)
 	for _, e := range []*Exec{NewExec(parallel.NewScheduler(s.width), s.store), NewExec(nil, s.store)} { // cold, then warm
-		if _, err := e.RunKernels(s.dev, s.task, s.kernels[:1], nil, nil); err != nil {
+		if _, err := e.RunKernels(s.dev, RiderPass{Task: s.task, Kernels: s.kernels[:1]}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -119,9 +119,9 @@ func TestExecTierAttribution(t *testing.T) {
 
 	fr := NewFlightRecorder()
 	run := func(ex *Exec, index int) KernelOutcome {
-		outs, err := ex.RunKernels(dev, task, []trace.KernelDesc{k}, func(int) TaskObs {
+		outs, err := ex.RunKernels(dev, RiderPass{Task: task, Kernels: []trace.KernelDesc{k}, Obs: func(int) TaskObs {
 			return TaskObs{Flight: fr, Phase: "t", Index: index}
-		}, nil)
+		}}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,6 +31,7 @@ type Scan struct {
 	Silicon    silicon.AppResult  // silicon.ExecuteAll over the launches, when asked for
 	WarpInstrs int64              // Workload.ApproxWarpInstructions without a limit (with Budget's, when Bounded)
 	Kernels    []trace.KernelDesc // Workload.Kernels(), when asked for; nil once WarpInstrs passed the budget
+	Keys       []string           // Kernels[i]'s ModeFull TaskKey, beside them; nil with them
 }
 
 // keepChunk bounds what a scan allocates for the launches before any has fitted
@@ -43,9 +44,9 @@ const keepChunk = 256
 // same device and want is not walked again. The memo key is the device
 // section, every Want field and — through Recall — w's launch count and full
 // name; the launch generator is fixed when w is built, so a hit is the walk's
-// answer bit for bit. A failed scan is not remembered. The Scan, Kernels
-// included, is shared by every caller that asks the same question: read it,
-// never write it.
+// answer bit for bit. A failed scan is not remembered. The Scan, Kernels and
+// Keys included, is shared by every caller that asks the same question: read
+// it, never write it.
 func ScanLaunches(dev gpu.Device, w *workload.Workload, want Want) (Scan, error) {
 	what := []byte("sampling.scan")
 	for _, b := range [...]bool{want.Key, want.Silicon, want.Keep, want.Bounded} {
@@ -62,6 +63,7 @@ func ScanLaunches(dev gpu.Device, w *workload.Workload, want Want) (Scan, error)
 		return Scan{}, err
 	}
 	sc.Kernels = slices.Clip(sc.Kernels) // a caller's append copies, never writes the shared array
+	sc.Keys = slices.Clip(sc.Keys)
 	w.Remember(key, sc)
 	return sc, nil
 }
@@ -70,16 +72,16 @@ func ScanLaunches(dev gpu.Device, w *workload.Workload, want Want) (Scan, error)
 // KernelDesc — and folds everything want asks for out of that stream, each fold
 // as its stand-alone walk does it: the key hashes SelectionKey's sections, the
 // silicon total is silicon.ExecuteAll pulling the launches through the scan (so
-// its error names the same launch), the kept launches carry their IDs and are
-// dropped the moment the running mass passes the budget.
+// its error names the same launch), the kept launches carry their IDs and
+// their ModeFull TaskKeys and are dropped the moment the running mass passes
+// the budget. Both keys hash the one kernel section a launch is encoded to.
 func scanLaunches(dev gpu.Device, w *workload.Workload, want Want) (sc Scan, err error) {
 	var h artifact.KeyHash
-	var buf []byte
+	buf := make([]byte, 0, 256)
 	if want.Key {
 		h = artifact.NewKeyHash()
 		h.Section([]byte(selectionSchema))
-		buf = appendDeviceSection(make([]byte, 0, 256), dev)
-		h.Section(buf)
+		h.Section(appendDeviceSection(buf, dev))
 		h.Section([]byte(w.FullName()))
 		h.Section(append(appendInt(buf[:0], w.N), want.KeyOpts...))
 	}
@@ -87,8 +89,11 @@ func scanLaunches(dev gpu.Device, w *workload.Workload, want Want) (sc Scan, err
 	if budget <= 0 {
 		budget = DefaultFullSimBudget
 	}
+	var full keyer
 	if want.Keep {
 		sc.Kernels = make([]trace.KernelDesc, 0, min(w.N, keepChunk))
+		sc.Keys = make([]string, 0, cap(sc.Kernels))
+		full = newKeyer(dev, KernelTask{Mode: ModeFull})
 	}
 	var k trace.KernelDesc
 	i := 0
@@ -98,15 +103,19 @@ func scanLaunches(dev gpu.Device, w *workload.Workload, want Want) (sc Scan, err
 		}
 		k = w.Kernel(i)
 		i++
-		if want.Key {
-			buf = append(appendKernelSection(buf[:0], &k), k.Name...)
-			h.Section(buf)
-		}
 		sc.WarpInstrs += k.VoltaWarpInstructions()
 		if sc.WarpInstrs > budget {
-			sc.Kernels = nil
-		} else if sc.Kernels != nil {
+			sc.Kernels, sc.Keys = nil, nil
+		}
+		if want.Key || sc.Kernels != nil {
+			buf = appendKernelSection(buf[:0], &k)
+		}
+		if sc.Kernels != nil {
 			sc.Kernels = append(sc.Kernels, k)
+			sc.Keys = append(sc.Keys, full.key(buf))
+		}
+		if want.Key {
+			h.Section(append(buf, k.Name...))
 		}
 		return &k
 	}

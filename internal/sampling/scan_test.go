@@ -43,7 +43,7 @@ func siliconBits(a silicon.AppResult) [4]uint64 {
 // sameScan reports whether two scans agree bit for bit.
 func sameScan(a, b Scan) bool {
 	return a.Key == b.Key && siliconBits(a.Silicon) == siliconBits(b.Silicon) &&
-		a.WarpInstrs == b.WarpInstrs && reflect.DeepEqual(a.Kernels, b.Kernels)
+		a.WarpInstrs == b.WarpInstrs && reflect.DeepEqual(a.Kernels, b.Kernels) && reflect.DeepEqual(a.Keys, b.Keys)
 }
 
 // checkScan holds one scan asked for everything against the four walks it
@@ -107,6 +107,38 @@ func TestScanMatchesWalks(t *testing.T) {
 	mass := synth.ApproxWarpInstructions(1 << 62)
 	for _, budget := range []int64{mass, mass - 1, mass / 2} {
 		checkScan(t, dev, synth, budget)
+	}
+}
+
+// TestScanKeysAreTaskKeys: the keys a scan keeps beside the launches are their
+// ModeFull TaskKeys on every device, derived in the walk that also hashes the
+// selection key from the same kernel sections, and go with the launches once
+// the budget drops them.
+func TestScanKeysAreTaskKeys(t *testing.T) {
+	opts := pks.Options{}.AppendKey(nil)
+	for _, dev := range []gpu.Device{gpu.VoltaV100(), gpu.TuringRTX2060(), gpu.AmpereRTX3070()} {
+		for _, w := range []*workload.Workload{workload.Find("Rodinia/lud_i"), crossing(0)} {
+			w = fresh(w)
+			sc, err := ScanLaunches(dev, w, Want{Key: true, KeyOpts: opts, Silicon: true, Keep: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(sc.Kernels) != w.N || len(sc.Keys) != w.N {
+				t.Fatalf("%s on %s: %d launches, %d keys, want %d of each", w.FullName(), dev.Name, len(sc.Kernels), len(sc.Keys), w.N)
+			}
+			for i := range sc.Kernels {
+				if want := TaskKey(dev, &sc.Kernels[i], KernelTask{Mode: ModeFull}); sc.Keys[i] != want {
+					t.Fatalf("%s on %s: launch %d keyed %s, TaskKey %s", w.FullName(), dev.Name, i, sc.Keys[i], want)
+				}
+			}
+			if want := refSelectionKey(dev, w, opts); sc.Key != want {
+				t.Errorf("%s on %s: selection key %s, want %s", w.FullName(), dev.Name, sc.Key, want)
+			}
+			over, err := ScanLaunches(dev, w, Want{Keep: true, Budget: sc.WarpInstrs / 2})
+			if err != nil || over.Kernels != nil || over.Keys != nil {
+				t.Errorf("%s on %s past the budget: %d launches, %d keys (nil %v), %v", w.FullName(), dev.Name, len(over.Kernels), len(over.Keys), over.Keys == nil, err)
+			}
+		}
 	}
 }
 

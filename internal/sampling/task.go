@@ -156,13 +156,26 @@ const taskSchema = "pka-kernel-task-v1"
 // excluded — two launches with identical features are the same work, which
 // is exactly the redundancy the paper's methodology exploits.
 func TaskKey(dev gpu.Device, k *trace.KernelDesc, t KernelTask) string {
-	return taskKeys(dev, t, []trace.KernelDesc{*k})[0]
+	return newKeyer(dev, t).key(appendKernelSection(nil, k))
 }
 
 // taskKeys derives the TaskKeys of one batch: the device and task sections
 // are built once and every kernel section goes through one reused buffer.
 func taskKeys(dev gpu.Device, t KernelTask, kernels []trace.KernelDesc) []string {
-	devSec := appendDeviceSection(make([]byte, 0, 256), dev)
+	tk, kSec := newKeyer(dev, t), make([]byte, 0, 22*8)
+	keys := make([]string, len(kernels))
+	for i := range kernels {
+		kSec = appendKernelSection(kSec[:0], &kernels[i])
+		keys[i] = tk.key(kSec)
+	}
+	return keys
+}
+
+// keyer holds the sections every TaskKey under one device and task spec
+// shares.
+type keyer struct{ schema, devSec, tSec []byte }
+
+func newKeyer(dev gpu.Device, t KernelTask) keyer {
 	tSec := appendInt(appendInt(make([]byte, 0, 5*8), int(t.Mode)), int(t.MaxCycles))
 	if t.Mode == ModePKA {
 		tSec = appendInt(appendFloat(tSec, t.PKP.Threshold), t.PKP.Window)
@@ -173,13 +186,13 @@ func taskKeys(dev gpu.Device, t KernelTask, kernels []trace.KernelDesc) []string
 	} else if t.Mode == ModeFirstN {
 		tSec = appendInt(tSec, int(t.WarpBudget))
 	}
-	schema, kSec := []byte(taskSchema), make([]byte, 0, 22*8)
-	keys := make([]string, len(kernels))
-	for i := range kernels {
-		kSec = appendKernelSection(kSec[:0], &kernels[i])
-		keys[i] = artifact.Key(schema, devSec, kSec, tSec)
-	}
-	return keys
+	return keyer{[]byte(taskSchema), appendDeviceSection(make([]byte, 0, 256), dev), tSec}
+}
+
+// key is the TaskKey of the launch whose kernel section (appendKernelSection's
+// bytes) is kSec.
+func (tk keyer) key(kSec []byte) string {
+	return artifact.Key(tk.schema, tk.devSec, kSec, tk.tSec)
 }
 
 // The key sections are little-endian 64-bit words: ints sign-extended,
@@ -416,33 +429,42 @@ func (e *Exec) CacheStats() map[string]obs.CacheCounts {
 	return out
 }
 
-// RunKernels executes task once per kernel through the scheduler and the
-// cache layers and returns the outcomes in input order, so folding them is
-// bit-identical to the serial loop they replace. tobs supplies the
-// observe-only wiring per kernel (nil for none). The scheduler prioritizes
-// by each kernel's dynamic warp-instruction count, longest-first. bank (nil
-// for none) is the calling evaluation's: a task that reaches the simulator
-// carries the passes bank plans as riders, and one whose outcome an earlier
-// pass banked finds it there. With a store, a batch of two tasks or more is
-// also memoised whole (see batch). A nil exec simulates every task on its own.
-// kernels is only read (it may be a remembered Scan's, see ScanLaunches).
-func (e *Exec) RunKernels(dev gpu.Device, task KernelTask, kernels []trace.KernelDesc, tobs func(i int) TaskObs, bank *Bank) ([]KernelOutcome, error) {
-	noObs := func(int) TaskObs { return TaskObs{} }
+// RunKernels executes p's task once per kernel of p through the scheduler and
+// the cache layers and returns the outcomes in input order, so folding them
+// is bit-identical to the serial loop they replace. p.Obs supplies the
+// observe-only wiring per kernel (nil for none), and p.Keys the kernels'
+// TaskKeys where the caller holds them (a Scan's; nil derives them here). The
+// scheduler prioritizes by each kernel's dynamic warp-instruction count,
+// longest-first. bank (nil for none) is the calling evaluation's: a task that
+// reaches the simulator carries the passes bank plans as riders, and one
+// whose outcome an earlier pass banked finds it there. With a store, a batch
+// of two tasks or more is also memoised whole (see batch). A batch no task of
+// which will simulate or persist (see settled) resolves on the calling
+// goroutine: the ladder is the same, the scheduler's handoff is not paid. A
+// nil exec simulates every task on its own. p's slices are only read (they
+// may be a remembered Scan's, see ScanLaunches).
+func (e *Exec) RunKernels(dev gpu.Device, p RiderPass, bank *Bank) ([]KernelOutcome, error) {
+	tobs := p.Obs
 	if tobs == nil {
-		tobs = noObs
+		tobs = func(int) TaskObs { return TaskObs{} }
 	}
 	// All kernels are submitted to the scheduler here; queue wait is
 	// measured from this point to each task's execution start.
 	submitted := time.Now()
 	cost := func(k trace.KernelDesc) int64 { return k.TotalWarpInstructions(dev) }
-	// Keys are derived here, serially, so the batch shares one device
-	// section and one buffer; a nil exec caches nothing and needs none.
-	var keys []string
-	if e != nil {
-		keys = taskKeys(dev, task, kernels)
+	// Keys the pass does not carry are derived here, serially, so the batch
+	// shares one device section and one buffer; a nil exec caches nothing and
+	// needs none.
+	keys := p.Keys
+	if e != nil && len(keys) != len(p.Kernels) {
+		keys = taskKeys(dev, p.Task, p.Kernels)
 	}
 	pack := e.newBatch(keys)
-	outs, err := parallel.SchedMap(e.Scheduler(), kernels, cost, func(i int, k trace.KernelDesc) (KernelOutcome, error) {
+	sched := e.Scheduler()
+	if sched != nil && e.settled(keys, bank, pack) {
+		sched = nil
+	}
+	outs, err := parallel.SchedMap(sched, p.Kernels, cost, func(i int, k trace.KernelDesc) (KernelOutcome, error) {
 		to := tobs(i)
 		if to.Flight != nil {
 			if to.QueuedAt.IsZero() {
@@ -453,14 +475,40 @@ func (e *Exec) RunKernels(dev gpu.Device, task KernelTask, kernels []trace.Kerne
 			}
 		}
 		if e == nil {
-			return simulateKernel(dev, k, task, to, nil, "")
+			return simulateKernel(dev, k, p.Task, to, nil, "")
 		}
-		return e.run(keys[i], dev, k, task, to, bank, pack, i)
+		return e.run(keys[i], dev, k, p.Task, to, bank, pack, i)
 	})
 	if err == nil {
 		pack.save(outs)
 	}
 	return outs, err
+}
+
+// settled reports whether the ladder can serve the batch keyed keys without
+// simulating or persisting anything: every key is a completed mem-tier entry,
+// or none is in flight or banked and the batch's pack is on disk. The pack is
+// read here, where the first task past the mem tier and the bank would read
+// it, so the store sees what it sees when the batch is scheduled. Such a
+// batch costs microseconds, less than its scheduler handoff; any other goes
+// to the scheduler whole, so bank-served passes still persist in parallel.
+func (e *Exec) settled(keys []string, bank *Bank, pack *batch) bool {
+	first := -1 // the first task the mem tier cannot serve
+	banked := bank.Len() > 0
+	for i, key := range keys {
+		_, done, pending := e.mem.Peek(key)
+		if pending || !done && banked && bank.holds(key) {
+			return false
+		}
+		if !done && first < 0 {
+			first = i
+		}
+	}
+	if first < 0 {
+		return true
+	}
+	_, ok := pack.outcome(first)
+	return ok
 }
 
 // run resolves the task keyed key (task i of pack's batch; nil for a lone

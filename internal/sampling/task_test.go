@@ -279,7 +279,7 @@ func TestExecCacheLayering(t *testing.T) {
 	defer st.Close()
 
 	cold := NewExec(nil, st)
-	a, err := cold.RunKernels(dev, task, kernels, nil, nil)
+	a, err := cold.RunKernels(dev, RiderPass{Task: task, Kernels: kernels}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,14 +288,14 @@ func TestExecCacheLayering(t *testing.T) {
 	}
 
 	warm := NewExec(nil, st)
-	b, err := warm.RunKernels(dev, task, kernels, nil, nil)
+	b, err := warm.RunKernels(dev, RiderPass{Task: task, Kernels: kernels}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s := st.Stats(); s.Hits != 1 {
 		t.Fatalf("warm run did not hit the store: %+v", s)
 	}
-	c, err := warm.RunKernels(dev, task, kernels, nil, nil)
+	c, err := warm.RunKernels(dev, RiderPass{Task: task, Kernels: kernels}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestExecCacheLayering(t *testing.T) {
 	}
 
 	// And a serial, uncached run agrees with all of them.
-	d, err := (*Exec)(nil).RunKernels(dev, task, kernels, nil, nil)
+	d, err := (*Exec)(nil).RunKernels(dev, RiderPass{Task: task, Kernels: kernels}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,12 +330,12 @@ func TestExecScheduledMatchesSerial(t *testing.T) {
 	}
 	task := KernelTask{Mode: ModePKS, MaxCycles: 50_000}
 
-	serial, err := (*Exec)(nil).RunKernels(dev, task, kernels, nil, nil)
+	serial, err := (*Exec)(nil).RunKernels(dev, RiderPass{Task: task, Kernels: kernels}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sched := NewExec(parallel.NewScheduler(4), nil)
-	par, err := sched.RunKernels(dev, task, kernels, nil, nil)
+	par, err := sched.RunKernels(dev, RiderPass{Task: task, Kernels: kernels}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestCorruptStoreEntryRecomputes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	clean, err := NewExec(nil, st).RunKernels(dev, task, []trace.KernelDesc{k}, nil, nil)
+	clean, err := NewExec(nil, st).RunKernels(dev, RiderPass{Task: task, Kernels: []trace.KernelDesc{k}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,9 +375,9 @@ func TestCorruptStoreEntryRecomputes(t *testing.T) {
 	}
 	before := st.Stats()
 	fr := NewFlightRecorder()
-	again, err := NewExec(nil, st).RunKernels(dev, task, []trace.KernelDesc{k}, func(int) TaskObs {
+	again, err := NewExec(nil, st).RunKernels(dev, RiderPass{Task: task, Kernels: []trace.KernelDesc{k}, Obs: func(int) TaskObs {
 		return TaskObs{Flight: fr, Phase: "t"}
-	}, nil)
+	}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
