@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -439,5 +440,98 @@ func TestHTTPStatuses(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
 		t.Errorf("overflow: %s retry-after=%q, want 429 with Retry-After", resp.Status, resp.Header.Get("Retry-After"))
+	}
+}
+
+// TestHealthMatchesMetrics drives the handler through completed studies,
+// one 429 and one 400, and requires Health's funnel counters to equal the
+// pka_serve_*_total values the same server's /metrics exposes.
+func TestHealthMatchesMetrics(t *testing.T) {
+	release := make(chan struct{})
+	srv := serve.New(serve.Options{
+		Workers:    1,
+		QueueDepth: 1,
+		Obs:        obs.NewObserver(),
+		Runner: func(req *serve.StudyRequest) (*serve.StudyResponse, error) {
+			if req.Tenant == "hold" {
+				<-release
+			}
+			return stubResp, nil
+		},
+	})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	post := func(doc string) int {
+		resp, err := http.Post(ts.URL+serve.StudyPath, "application/json", strings.NewReader(doc))
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	const study = `{"workload":"Rodinia/gauss_mat4"}`
+	const held = `{"workload":"Rodinia/gauss_mat4","tenant":"hold"}`
+	for i := 0; i < 3; i++ {
+		if code := post(study); code != http.StatusOK {
+			t.Fatalf("study %d: status %d, want 200", i, code)
+		}
+	}
+	if code := post(`{"workload":"Rodinia/nope"}`); code != http.StatusBadRequest {
+		t.Fatalf("invalid request: status %d, want 400", code)
+	}
+	var wg sync.WaitGroup
+	for i, wait := range []func() bool{
+		func() bool { return srv.Health().InFlight == 1 },
+		func() bool { return srv.Health().QueueDepth == 1 },
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if code := post(held); code != http.StatusOK {
+				t.Errorf("held study: status %d, want 200", code)
+			}
+		}()
+		waitFor(t, []string{"held study running", "held study queued"}[i], wait)
+	}
+	if code := post(study); code != http.StatusTooManyRequests {
+		t.Fatalf("overflow: status %d, want 429", code)
+	}
+	close(release)
+	wg.Wait()
+
+	resp, err := http.Get(ts.URL + serve.MetricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scraped := map[string]string{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if name, val, ok := strings.Cut(line, " "); ok && strings.HasPrefix(name, "pka_serve_") {
+			scraped[name] = val
+		}
+	}
+	h := srv.Health()
+	for _, c := range []struct {
+		family string
+		health int64
+		want   int64
+	}{
+		{"pka_serve_requests_total", h.Requests, 5},
+		{"pka_serve_completed_total", h.Completed, 5},
+		{"pka_serve_rejected_total", h.Rejected, 1},
+		{"pka_serve_invalid_total", h.Invalid, 1},
+	} {
+		if c.health != c.want {
+			t.Errorf("Health for %s = %d, want %d", c.family, c.health, c.want)
+		}
+		if got := scraped[c.family]; got != fmt.Sprint(c.health) {
+			t.Errorf("/metrics %s = %q, Health says %d", c.family, got, c.health)
+		}
 	}
 }
