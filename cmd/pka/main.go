@@ -62,12 +62,17 @@ func main() {
 	flag.Parse()
 
 	// -suite-dedup brings its own workload list and prints its own report,
-	// so the single-app selectors and outputs are incoherent alongside it.
+	// so the single-app selectors and outputs are incoherent alongside it;
+	// -w and -workload-file each name the one workload; and a
+	// -selection-only study simulates nothing to explain or record.
 	if err := cli.FlagConflicts(nil,
 		[2]string{"suite-dedup", "w"},
 		[2]string{"suite-dedup", "workload-file"},
 		[2]string{"suite-dedup", "selection-only"},
 		[2]string{"suite-dedup", "json"},
+		[2]string{"w", "workload-file"},
+		[2]string{"selection-only", "flight"},
+		[2]string{"selection-only", "explain"},
 	); err != nil {
 		fatal(err)
 	}

@@ -21,7 +21,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
+	"slices"
 	"syscall"
 
 	"pka/internal/artifact"
@@ -52,6 +52,15 @@ func run(addr, name, ringCSV, ringSelf string, cacheFl *cli.CacheFlags) error {
 	if cacheFl.Dir == "" {
 		return errors.New("-cache-dir is required: a cache peer serves its artifact store")
 	}
+	// A self outside the ring would report no owned range and no replica
+	// peers, so membership is checked before anything starts.
+	members := cli.SplitURLs(ringCSV)
+	if (ringCSV == "") != (ringSelf == "") {
+		return errors.New("-ring and -ring-self must be set together")
+	}
+	if ringCSV != "" && !slices.Contains(members, ringSelf) {
+		return fmt.Errorf("-ring-self %q is not a member of -ring %q", ringSelf, ringCSV)
+	}
 	store, err := cacheFl.Open()
 	if err != nil {
 		return err
@@ -71,16 +80,7 @@ func run(addr, name, ringCSV, ringSelf string, cacheFl *cli.CacheFlags) error {
 	srv.Name = name
 	srv.Obs = observer
 	if ringCSV != "" {
-		var members []string
-		for _, u := range strings.Split(ringCSV, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				members = append(members, u)
-			}
-		}
 		fleetRing := artifact.NewRing(members, artifact.DefaultVNodes, artifact.DefaultReplicas)
-		if fleetRing == nil {
-			return fmt.Errorf("-ring: no member URLs in %q", ringCSV)
-		}
 		srv.SetRing(fleetRing, ringSelf)
 		logger.Printf("cache ring: %d member(s), replication %d, self %q",
 			len(fleetRing.Members()), fleetRing.Replicas(), ringSelf)

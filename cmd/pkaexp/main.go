@@ -137,6 +137,11 @@ func main() {
 	execFl.Cache.Register(nil)
 	execFl.Shard.Register(nil)
 	flag.Parse()
+	// -workloads names the study set outright; a -suite beside it would be
+	// dropped without a word.
+	if err := cli.FlagConflicts(nil, [2]string{"suite", "workloads"}); err != nil {
+		fatal(err)
+	}
 
 	gens := generators()
 	if *list || *expFlag == "" {

@@ -63,7 +63,6 @@ func main() {
 	// its API — so build the observer up front and let the flag bundle
 	// adopt it for the -trace/-metrics/-audit artifact writers.
 	observer := obs.NewObserver()
-	observer.RegisterBuildInfo()
 	execFl.Obs.Use(observer)
 	sess, err := execFl.Build(*par)
 	if err != nil {

@@ -184,11 +184,7 @@ func debugMux(o *obs.Observer) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		o.SyncCacheStats()
-		o.Metrics.WritePrometheus(w) //nolint:errcheck // client went away
-	})
+	mux.Handle("/metrics", o)
 	return mux
 }
 
@@ -399,7 +395,7 @@ func (f *ShardFlags) Start(o *obs.Observer) (*remote.ShardClient, error) {
 	if f.Peers == "" {
 		return nil, nil
 	}
-	peers := splitURLs(f.Peers)
+	peers := SplitURLs(f.Peers)
 	if len(peers) == 0 {
 		return nil, fmt.Errorf("-shard: no ring member URLs in %q", f.Peers)
 	}
@@ -416,8 +412,9 @@ func (f *ShardFlags) Start(o *obs.Observer) (*remote.ShardClient, error) {
 	return c, nil
 }
 
-// splitURLs splits a comma-separated URL list, dropping blanks.
-func splitURLs(csv string) []string {
+// SplitURLs splits a comma-separated URL list (the -shard and -ring
+// spelling), dropping blanks.
+func SplitURLs(csv string) []string {
 	var urls []string
 	for _, u := range strings.Split(csv, ",") {
 		if u = strings.TrimSpace(u); u != "" {

@@ -1,6 +1,5 @@
 // Metrics: a zero-dependency registry of atomic counters, gauges, and
-// fixed-bucket histograms with Prometheus text exposition and a JSON
-// snapshot. All instrument operations are lock-free atomics and nil-safe
+// fixed-bucket histograms with Prometheus text exposition. All instrument operations are lock-free atomics and nil-safe
 // (operating on a nil instrument is a no-op), so instrumented code never
 // needs to guard on whether telemetry is enabled.
 package obs
@@ -176,7 +175,7 @@ func NewRegistry() *Registry {
 	return &Registry{byName: map[string]*metric{}}
 }
 
-func (r *Registry) lookup(name, help string, kind metricKind) *metric {
+func (r *Registry) lookup(name, help string, kind metricKind, bounds []float64) *metric {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m, ok := r.byName[name]; ok {
@@ -191,6 +190,8 @@ func (r *Registry) lookup(name, help string, kind metricKind) *metric {
 		m.counter = &Counter{}
 	case kindGauge:
 		m.gauge = &Gauge{}
+	case kindHistogram:
+		m.hist = newHistogram(bounds)
 	}
 	r.byName[name] = m
 	return m
@@ -201,7 +202,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, help, kindCounter).counter
+	return r.lookup(name, help, kindCounter, nil).counter
 }
 
 // Gauge registers (or fetches) a gauge.
@@ -209,7 +210,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, help, kindGauge).gauge
+	return r.lookup(name, help, kindGauge, nil).gauge
 }
 
 // Histogram registers (or fetches) a histogram with the given upper bounds
@@ -219,17 +220,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if existing, ok := r.byName[name]; ok {
-		if existing.kind != kindHistogram {
-			panic(fmt.Sprintf("obs: metric %q re-registered with a different kind", name))
-		}
-		return existing.hist
-	}
-	m := &metric{name: name, help: help, kind: kindHistogram, hist: newHistogram(bounds)}
-	r.byName[name] = m
-	return m.hist
+	return r.lookup(name, help, kindHistogram, bounds).hist
 }
 
 func (r *Registry) sorted() []*metric {
@@ -297,34 +288,4 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Snapshot returns a JSON-friendly view of every metric: counters and
-// gauges map to their value, histograms to {count, sum, buckets}.
-func (r *Registry) Snapshot() map[string]interface{} {
-	if r == nil {
-		return nil
-	}
-	out := map[string]interface{}{}
-	for _, m := range r.sorted() {
-		switch m.kind {
-		case kindCounter:
-			out[m.name] = m.counter.Value()
-		case kindGauge:
-			out[m.name] = m.gauge.Value()
-		case kindHistogram:
-			h := m.hist
-			buckets := map[string]int64{}
-			for i, b := range h.bounds {
-				buckets[fmtFloat(b)] = h.BucketCount(i)
-			}
-			buckets["+Inf"] = h.BucketCount(len(h.bounds))
-			out[m.name] = map[string]interface{}{
-				"count":   h.Count(),
-				"sum":     h.Sum(),
-				"buckets": buckets,
-			}
-		}
-	}
-	return out
 }

@@ -1,6 +1,6 @@
 // Package obs is the PKA stack's zero-dependency observability layer:
 // a metrics registry (counters, gauges, fixed-bucket histograms with
-// Prometheus text exposition and JSON snapshot), span tracing exported as
+// Prometheus text exposition), span tracing exported as
 // Chrome trace_event JSON, and a structured decision-audit stream for the
 // PKP/PKS online policies.
 //
@@ -13,7 +13,12 @@
 package obs
 
 import (
+	"fmt"
 	"io"
+	"net/http"
+	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -35,6 +40,8 @@ type Observer struct {
 	shard *ShardMetrics
 	dedup *DedupMetrics
 
+	dropped *Counter
+
 	cacheMu   sync.Mutex
 	cacheSrcs []func() map[string]CacheCounts
 }
@@ -44,23 +51,41 @@ type Observer struct {
 func NewObserver() *Observer { return NewObserverAt(time.Now) }
 
 // NewObserverAt is NewObserver with an injectable clock for the tracer.
+// Every metric family is registered up front, so expositions always
+// contain them, populated or not.
 func NewObserverAt(now func() time.Time) *Observer {
-	o := &Observer{Metrics: NewRegistry(), Tracer: NewTracerAt(now), Audit: NewAudit()}
-	// Register every metric family eagerly so expositions always contain
-	// them, populated or not.
-	o.SimMetrics()
-	o.PKPMetrics()
-	o.PKSMetrics()
-	o.PoolMetrics()
-	o.ServeMetrics()
-	o.ExecMetrics()
-	o.ShardMetrics()
-	o.DedupMetrics()
-	// Span loss at the tracer's memory cap lands in the exposition instead
-	// of vanishing silently.
-	o.Tracer.SetDropCounter(o.Metrics.Counter(
-		"pka_trace_dropped_total", "trace events discarded at the tracer memory cap"))
+	r := NewRegistry()
+	o := &Observer{Metrics: r, Tracer: NewTracerAt(now), Audit: NewAudit(),
+		sim: bind[SimMetrics](r), pkp: bind[PKPMetrics](r), pks: bind[PKSMetrics](r),
+		pool: bind[PoolMetrics](r), serve: bind[ServeMetrics](r), exec: newExecMetrics(r),
+		shard: bind[ShardMetrics](r), dedup: bind[DedupMetrics](r),
+		// Span loss at a tracer's memory cap lands in the exposition
+		// instead of vanishing silently.
+		dropped: r.Counter("pka_trace_dropped_total", "trace events discarded at the tracer memory cap"),
+	}
+	o.Tracer.SetDropCounter(o.dropped)
 	return o
+}
+
+// TraceDropped is pka_trace_dropped_total: events this observer's tracer,
+// or any other tracer it is installed on, discarded at the memory cap.
+func (o *Observer) TraceDropped() *Counter {
+	if o == nil {
+		return nil
+	}
+	return o.dropped
+}
+
+// ServeHTTP answers a scrape with the registry's Prometheus text
+// exposition, cache counters synced first; 404 without a registry.
+func (o *Observer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if o == nil || o.Metrics == nil {
+		http.NotFound(w, r)
+		return
+	}
+	o.SyncCacheStats()
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_ = o.Metrics.WritePrometheus(w) // the client went away
 }
 
 // StartSpan opens a span named name on the given track, or returns an
@@ -114,97 +139,61 @@ func sortedFieldKeys(m map[string]float64) []string {
 // --- Component metric bundles -------------------------------------------
 //
 // Bundles pre-resolve their instruments once so instrumented code pays a
-// field load, not a registry lookup, when it reports.
+// field load, not a registry lookup, when it reports. Each instrument is
+// declared once, by its field's tags: metric (the family name), help, and
+// for a histogram buckets (its upper bounds); bind registers them.
 
 // SimMetrics is the cycle-level simulator's metric family. Counters are
 // updated once per kernel at kernel end — never inside the cycle loop.
 type SimMetrics struct {
-	Kernels      *Counter
-	StoppedEarly *Counter
-	Cycles       *Counter
-	WarpInstrs   *Counter
-	L1Hits       *Counter
-	L1Misses     *Counter
-	L2Hits       *Counter
-	L2Misses     *Counter
-	DRAMBytes    *Counter
-	KernelCycles *Histogram
+	Kernels      *Counter   `metric:"pka_sim_kernels_total" help:"kernel launches simulated"`
+	StoppedEarly *Counter   `metric:"pka_sim_kernels_stopped_early_total" help:"kernels truncated by a controller or cycle cap"`
+	Cycles       *Counter   `metric:"pka_sim_cycles_total" help:"simulated cycles across all kernels"`
+	WarpInstrs   *Counter   `metric:"pka_sim_warp_instrs_total" help:"warp instructions issued across all kernels"`
+	L1Hits       *Counter   `metric:"pka_sim_l1_hits_total" help:"L1 cache hits"`
+	L1Misses     *Counter   `metric:"pka_sim_l1_misses_total" help:"L1 cache misses"`
+	L2Hits       *Counter   `metric:"pka_sim_l2_hits_total" help:"L2 cache hits"`
+	L2Misses     *Counter   `metric:"pka_sim_l2_misses_total" help:"L2 cache misses"`
+	DRAMBytes    *Counter   `metric:"pka_sim_dram_bytes_total" help:"bytes moved through the DRAM channel"`
+	KernelCycles *Histogram `metric:"pka_sim_kernel_cycles" help:"per-kernel simulated cycle counts" buckets:"1e3,1e4,1e5,1e6,1e7,1e8"`
 }
 
-// SimMetrics lazily builds (and then reuses) the simulator bundle.
+// SimMetrics returns the simulator bundle; nil on a nil Observer.
 func (o *Observer) SimMetrics() *SimMetrics {
-	if o == nil || o.Metrics == nil {
+	if o == nil {
 		return nil
-	}
-	if o.sim == nil {
-		r := o.Metrics
-		o.sim = &SimMetrics{
-			Kernels:      r.Counter("pka_sim_kernels_total", "kernel launches simulated"),
-			StoppedEarly: r.Counter("pka_sim_kernels_stopped_early_total", "kernels truncated by a controller or cycle cap"),
-			Cycles:       r.Counter("pka_sim_cycles_total", "simulated cycles across all kernels"),
-			WarpInstrs:   r.Counter("pka_sim_warp_instrs_total", "warp instructions issued across all kernels"),
-			L1Hits:       r.Counter("pka_sim_l1_hits_total", "L1 cache hits"),
-			L1Misses:     r.Counter("pka_sim_l1_misses_total", "L1 cache misses"),
-			L2Hits:       r.Counter("pka_sim_l2_hits_total", "L2 cache hits"),
-			L2Misses:     r.Counter("pka_sim_l2_misses_total", "L2 cache misses"),
-			DRAMBytes:    r.Counter("pka_sim_dram_bytes_total", "bytes moved through the DRAM channel"),
-			KernelCycles: r.Histogram("pka_sim_kernel_cycles", "per-kernel simulated cycle counts",
-				[]float64{1e3, 1e4, 1e5, 1e6, 1e7, 1e8}),
-		}
 	}
 	return o.sim
 }
 
 // PKPMetrics is Principal Kernel Projection's metric family.
 type PKPMetrics struct {
-	Stops     *Counter
-	WaveHolds *Counter
-	StopCycle *Histogram
-	DriftCV   *Histogram
+	Stops     *Counter   `metric:"pka_pkp_stops_total" help:"stability stop decisions fired"`
+	WaveHolds *Counter   `metric:"pka_pkp_wave_holds_total" help:"stable signals held back by the wave constraint"`
+	StopCycle *Histogram `metric:"pka_pkp_stop_cycle" help:"cycle at which stability fired" buckets:"1e3,1e4,1e5,1e6,1e7"`
+	DriftCV   *Histogram `metric:"pka_pkp_stop_drift_cv" help:"rolling-mean drift CV at the stop decision" buckets:"0.01,0.025,0.05,0.1,0.25"`
 }
 
-// PKPMetrics lazily builds (and then reuses) the projector bundle.
+// PKPMetrics returns the projector bundle; nil on a nil Observer.
 func (o *Observer) PKPMetrics() *PKPMetrics {
-	if o == nil || o.Metrics == nil {
+	if o == nil {
 		return nil
-	}
-	if o.pkp == nil {
-		r := o.Metrics
-		o.pkp = &PKPMetrics{
-			Stops:     r.Counter("pka_pkp_stops_total", "stability stop decisions fired"),
-			WaveHolds: r.Counter("pka_pkp_wave_holds_total", "stable signals held back by the wave constraint"),
-			StopCycle: r.Histogram("pka_pkp_stop_cycle", "cycle at which stability fired",
-				[]float64{1e3, 1e4, 1e5, 1e6, 1e7}),
-			DriftCV: r.Histogram("pka_pkp_stop_drift_cv", "rolling-mean drift CV at the stop decision",
-				[]float64{0.01, 0.025, 0.05, 0.1, 0.25}),
-		}
 	}
 	return o.pkp
 }
 
 // PKSMetrics is Principal Kernel Selection's metric family.
 type PKSMetrics struct {
-	Selections *Counter
-	SweepSteps *Counter
-	ChosenK    *Histogram
-	ErrorPct   *Histogram
+	Selections *Counter   `metric:"pka_pks_selections_total" help:"selection runs completed"`
+	SweepSteps *Counter   `metric:"pka_pks_sweep_steps_total" help:"K values tried across all sweeps"`
+	ChosenK    *Histogram `metric:"pka_pks_chosen_k" help:"K chosen per selection" buckets:"1,2,4,8,16,20"`
+	ErrorPct   *Histogram `metric:"pka_pks_selection_error_pct" help:"selection error at the chosen K" buckets:"1,2,5,10,25"`
 }
 
-// PKSMetrics lazily builds (and then reuses) the selection bundle.
+// PKSMetrics returns the selection bundle; nil on a nil Observer.
 func (o *Observer) PKSMetrics() *PKSMetrics {
-	if o == nil || o.Metrics == nil {
+	if o == nil {
 		return nil
-	}
-	if o.pks == nil {
-		r := o.Metrics
-		o.pks = &PKSMetrics{
-			Selections: r.Counter("pka_pks_selections_total", "selection runs completed"),
-			SweepSteps: r.Counter("pka_pks_sweep_steps_total", "K values tried across all sweeps"),
-			ChosenK: r.Histogram("pka_pks_chosen_k", "K chosen per selection",
-				[]float64{1, 2, 4, 8, 16, 20}),
-			ErrorPct: r.Histogram("pka_pks_selection_error_pct", "selection error at the chosen K",
-				[]float64{1, 2, 5, 10, 25}),
-		}
 	}
 	return o.pks
 }
@@ -213,25 +202,16 @@ func (o *Observer) PKSMetrics() *PKSMetrics {
 // internal/parallel's Observer interface; its methods are nil-safe so a
 // typed-nil can be installed harmlessly.
 type PoolMetrics struct {
-	Tasks   *Counter
-	Queued  *Gauge
-	Active  *Gauge
-	MaxSeen *Gauge
+	Tasks   *Counter `metric:"pka_pool_tasks_total" help:"tasks completed by worker pools"`
+	Queued  *Gauge   `metric:"pka_pool_queue_depth" help:"tasks submitted but not yet running"`
+	Active  *Gauge   `metric:"pka_pool_active_workers" help:"tasks currently running"`
+	MaxSeen *Gauge   `metric:"pka_pool_active_workers_max" help:"high-water mark of concurrently running tasks"`
 }
 
-// PoolMetrics lazily builds (and then reuses) the pool bundle.
+// PoolMetrics returns the pool bundle; nil on a nil Observer.
 func (o *Observer) PoolMetrics() *PoolMetrics {
-	if o == nil || o.Metrics == nil {
+	if o == nil {
 		return nil
-	}
-	if o.pool == nil {
-		r := o.Metrics
-		o.pool = &PoolMetrics{
-			Tasks:   r.Counter("pka_pool_tasks_total", "tasks completed by worker pools"),
-			Queued:  r.Gauge("pka_pool_queue_depth", "tasks submitted but not yet running"),
-			Active:  r.Gauge("pka_pool_active_workers", "tasks currently running"),
-			MaxSeen: r.Gauge("pka_pool_active_workers_max", "high-water mark of concurrently running tasks"),
-		}
 	}
 	return o.pool
 }
@@ -272,39 +252,22 @@ func (m *PoolMetrics) TaskDone() {
 // distributions the SLO is written against — time queued and total time
 // in system. All fields are nil-safe instruments.
 type ServeMetrics struct {
-	Requests     *Counter
-	Completed    *Counter
-	Errors       *Counter
-	Invalid      *Counter
-	Rejected     *Counter
-	DrainRejects *Counter
-	QueueDepth   *Gauge
-	InFlight     *Gauge
-	QueueWait    *Histogram
-	Latency      *Histogram
+	Requests     *Counter   `metric:"pka_serve_requests_total" help:"study requests admitted to the queue"`
+	Completed    *Counter   `metric:"pka_serve_completed_total" help:"study requests that returned a result"`
+	Errors       *Counter   `metric:"pka_serve_errors_total" help:"admitted requests that failed in execution"`
+	Invalid      *Counter   `metric:"pka_serve_invalid_total" help:"requests rejected by the decoder/validator"`
+	Rejected     *Counter   `metric:"pka_serve_rejected_total" help:"requests rejected with 429 by the full queue"`
+	DrainRejects *Counter   `metric:"pka_serve_drain_rejects_total" help:"requests rejected with 503 while draining"`
+	QueueDepth   *Gauge     `metric:"pka_serve_queue_depth" help:"study requests waiting for a runner"`
+	InFlight     *Gauge     `metric:"pka_serve_inflight" help:"study requests currently executing"`
+	QueueWait    *Histogram `metric:"pka_serve_queue_wait_seconds" help:"time from admission to execution start" buckets:"0.0005,0.001,0.005,0.025,0.1,0.5,2.5"`
+	Latency      *Histogram `metric:"pka_serve_latency_seconds" help:"time from admission to completion" buckets:"0.001,0.005,0.025,0.1,0.25,0.5,1,2.5,10"`
 }
 
-// ServeMetrics lazily builds (and then reuses) the study-server bundle.
+// ServeMetrics returns the study-server bundle; nil on a nil Observer.
 func (o *Observer) ServeMetrics() *ServeMetrics {
-	if o == nil || o.Metrics == nil {
+	if o == nil {
 		return nil
-	}
-	if o.serve == nil {
-		r := o.Metrics
-		o.serve = &ServeMetrics{
-			Requests:     r.Counter("pka_serve_requests_total", "study requests admitted to the queue"),
-			Completed:    r.Counter("pka_serve_completed_total", "study requests that returned a result"),
-			Errors:       r.Counter("pka_serve_errors_total", "admitted requests that failed in execution"),
-			Invalid:      r.Counter("pka_serve_invalid_total", "requests rejected by the decoder/validator"),
-			Rejected:     r.Counter("pka_serve_rejected_total", "requests rejected with 429 by the full queue"),
-			DrainRejects: r.Counter("pka_serve_drain_rejects_total", "requests rejected with 503 while draining"),
-			QueueDepth:   r.Gauge("pka_serve_queue_depth", "study requests waiting for a runner"),
-			InFlight:     r.Gauge("pka_serve_inflight", "study requests currently executing"),
-			QueueWait: r.Histogram("pka_serve_queue_wait_seconds", "time from admission to execution start",
-				[]float64{0.0005, 0.001, 0.005, 0.025, 0.1, 0.5, 2.5}),
-			Latency: r.Histogram("pka_serve_latency_seconds", "time from admission to completion",
-				[]float64{0.001, 0.005, 0.025, 0.1, 0.25, 0.5, 1, 2.5, 10}),
-		}
 	}
 	return o.serve
 }
@@ -325,27 +288,28 @@ type ExecMetrics struct {
 	Latency [len(ExecTierNames)]*Histogram
 }
 
-// ExecMetrics lazily builds (and then reuses) the Exec-ladder bundle.
-func (o *Observer) ExecMetrics() *ExecMetrics {
-	if o == nil || o.Metrics == nil {
-		return nil
+// newExecMetrics registers one counter/histogram pair per tier.
+func newExecMetrics(r *Registry) *ExecMetrics {
+	m := &ExecMetrics{}
+	bounds := []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1, 10}
+	for i, tier := range ExecTierNames {
+		m.Tasks[i] = r.Counter("pka_exec_tier_"+tier+"_total",
+			"kernel tasks satisfied by the "+tier+" tier")
+		m.Latency[i] = r.Histogram("pka_exec_tier_"+tier+"_seconds",
+			"service latency of kernel tasks satisfied by the "+tier+" tier", bounds)
 	}
-	if o.exec == nil {
-		r := o.Metrics
-		m := &ExecMetrics{}
-		bounds := []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1, 10}
-		for i, tier := range ExecTierNames {
-			m.Tasks[i] = r.Counter("pka_exec_tier_"+tier+"_total",
-				"kernel tasks satisfied by the "+tier+" tier")
-			m.Latency[i] = r.Histogram("pka_exec_tier_"+tier+"_seconds",
-				"service latency of kernel tasks satisfied by the "+tier+" tier", bounds)
-		}
-		o.exec = m
+	return m
+}
+
+// ExecMetrics returns the Exec-ladder bundle; nil on a nil Observer.
+func (o *Observer) ExecMetrics() *ExecMetrics {
+	if o == nil {
+		return nil
 	}
 	return o.exec
 }
 
-// Observe records one kernel task served by tier (0..4) in sec seconds.
+// Observe records one kernel task served by tier (0..3) in sec seconds.
 // Nil-safe; out-of-range tiers are ignored.
 func (m *ExecMetrics) Observe(tier int, sec float64) {
 	if m == nil || tier < 0 || tier >= len(m.Tasks) {
@@ -361,34 +325,20 @@ func (m *ExecMetrics) Observe(tier int, sec float64) {
 // watches — ring rebalances after a peer is evicted for repeated
 // failures. All fields are nil-safe instruments.
 type ShardMetrics struct {
-	Lookups       *Counter
-	PeerHits      *Counter
-	PeerMisses    *Counter
-	PeerErrors    *Counter
-	Puts          *Counter
-	PutErrors     *Counter
-	Rebalances    *Counter
-	LookupLatency *Histogram
+	Lookups       *Counter   `metric:"pka_shard_lookups_total" help:"content keys looked up against the shard ring"`
+	PeerHits      *Counter   `metric:"pka_shard_peer_hits_total" help:"lookups served by an owner or replica shard"`
+	PeerMisses    *Counter   `metric:"pka_shard_peer_misses_total" help:"lookups no owner shard held"`
+	PeerErrors    *Counter   `metric:"pka_shard_peer_errors_total" help:"peer GETs that failed in transport"`
+	Puts          *Counter   `metric:"pka_shard_puts_total" help:"outcome replications written to owner shards"`
+	PutErrors     *Counter   `metric:"pka_shard_put_errors_total" help:"peer PUTs that failed in transport or were refused"`
+	Rebalances    *Counter   `metric:"pka_shard_rebalance_total" help:"ring rebalances after evicting an unreachable shard"`
+	LookupLatency *Histogram `metric:"pka_shard_lookup_latency_seconds" help:"peer-lookup round-trip latency" buckets:"0.0005,0.001,0.005,0.025,0.1,0.5,2.5"`
 }
 
-// ShardMetrics lazily builds (and then reuses) the sharded-cache bundle.
+// ShardMetrics returns the sharded-cache bundle; nil on a nil Observer.
 func (o *Observer) ShardMetrics() *ShardMetrics {
-	if o == nil || o.Metrics == nil {
+	if o == nil {
 		return nil
-	}
-	if o.shard == nil {
-		r := o.Metrics
-		o.shard = &ShardMetrics{
-			Lookups:    r.Counter("pka_shard_lookups_total", "content keys looked up against the shard ring"),
-			PeerHits:   r.Counter("pka_shard_peer_hits_total", "lookups served by an owner or replica shard"),
-			PeerMisses: r.Counter("pka_shard_peer_misses_total", "lookups no owner shard held"),
-			PeerErrors: r.Counter("pka_shard_peer_errors_total", "peer GETs that failed in transport"),
-			Puts:       r.Counter("pka_shard_puts_total", "outcome replications written to owner shards"),
-			PutErrors:  r.Counter("pka_shard_put_errors_total", "peer PUTs that failed in transport or were refused"),
-			Rebalances: r.Counter("pka_shard_rebalance_total", "ring rebalances after evicting an unreachable shard"),
-			LookupLatency: r.Histogram("pka_shard_lookup_latency_seconds", "peer-lookup round-trip latency",
-				[]float64{0.0005, 0.001, 0.005, 0.025, 0.1, 0.5, 2.5}),
-		}
 	}
 	return o.shard
 }
@@ -398,33 +348,53 @@ func (o *Observer) ShardMetrics() *ShardMetrics {
 // resulting representative count — the number whose ratio to the pooled
 // per-app representative count is the suite's dedup win.
 type DedupMetrics struct {
-	Selections    *Counter
-	KernelsPooled *Counter
-	SweepSteps    *Counter
-	Reps          *Counter
-	ChosenK       *Histogram
-	SuiteErrorPct *Histogram
+	Selections    *Counter   `metric:"pka_dedup_selections_total" help:"suite-level dedup selections performed"`
+	KernelsPooled *Counter   `metric:"pka_dedup_kernels_pooled_total" help:"kernels pooled into the shared PCA space"`
+	SweepSteps    *Counter   `metric:"pka_dedup_sweep_steps_total" help:"suite K-sweep clustering steps evaluated"`
+	Reps          *Counter   `metric:"pka_dedup_reps_total" help:"cross-workload representatives elected"`
+	ChosenK       *Histogram `metric:"pka_dedup_chosen_k" help:"K chosen by the suite sweep" buckets:"2,4,8,16,32,64,128"`
+	SuiteErrorPct *Histogram `metric:"pka_dedup_suite_error_pct" help:"suite-level projected-cycle error at selection" buckets:"0.5,1,2,5,10,20,50"`
 }
 
-// DedupMetrics lazily builds (and then reuses) the suite-dedup bundle.
+// DedupMetrics returns the suite-dedup bundle; nil on a nil Observer.
 func (o *Observer) DedupMetrics() *DedupMetrics {
-	if o == nil || o.Metrics == nil {
+	if o == nil {
 		return nil
 	}
-	if o.dedup == nil {
-		r := o.Metrics
-		o.dedup = &DedupMetrics{
-			Selections:    r.Counter("pka_dedup_selections_total", "suite-level dedup selections performed"),
-			KernelsPooled: r.Counter("pka_dedup_kernels_pooled_total", "kernels pooled into the shared PCA space"),
-			SweepSteps:    r.Counter("pka_dedup_sweep_steps_total", "suite K-sweep clustering steps evaluated"),
-			Reps:          r.Counter("pka_dedup_reps_total", "cross-workload representatives elected"),
-			ChosenK: r.Histogram("pka_dedup_chosen_k", "K chosen by the suite sweep",
-				[]float64{2, 4, 8, 16, 32, 64, 128}),
-			SuiteErrorPct: r.Histogram("pka_dedup_suite_error_pct", "suite-level projected-cycle error at selection",
-				[]float64{0.5, 1, 2, 5, 10, 20, 50}),
-		}
-	}
 	return o.dedup
+}
+
+// bind registers every instrument field of bundle B on r from its tags
+// and returns the bundle. A field of another type, or a malformed bound,
+// is a programming error and panics.
+func bind[B any](r *Registry) *B {
+	b := new(B)
+	v := reflect.ValueOf(b).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		name, help := f.Tag.Get("metric"), f.Tag.Get("help")
+		var inst any
+		switch f.Type {
+		case reflect.TypeOf((*Counter)(nil)):
+			inst = r.Counter(name, help)
+		case reflect.TypeOf((*Gauge)(nil)):
+			inst = r.Gauge(name, help)
+		case reflect.TypeOf((*Histogram)(nil)):
+			var bounds []float64
+			for _, s := range strings.Split(f.Tag.Get("buckets"), ",") {
+				x, err := strconv.ParseFloat(s, 64)
+				if err != nil {
+					panic(fmt.Sprintf("obs: %s bucket %q: %v", name, s, err))
+				}
+				bounds = append(bounds, x)
+			}
+			inst = r.Histogram(name, help, bounds)
+		default:
+			panic(fmt.Sprintf("obs: bundle field %s.%s is not an instrument", v.Type().Name(), f.Name))
+		}
+		v.Field(i).Set(reflect.ValueOf(inst))
+	}
+	return b
 }
 
 // --- Cache statistics -----------------------------------------------------

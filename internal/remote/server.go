@@ -58,7 +58,7 @@ func (s *Server) Handler() http.Handler {
 		case p == HealthPath:
 			s.handleHealth(w, r)
 		case p == MetricsPath:
-			s.handleMetrics(w, r)
+			s.Obs.ServeHTTP(w, r)
 		default:
 			http.NotFound(w, r)
 		}
@@ -103,18 +103,6 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	default:
 		http.Error(w, "GET or PUT only", http.StatusMethodNotAllowed)
 	}
-}
-
-// handleMetrics serves the daemon observer's Prometheus exposition; 404
-// when the daemon runs without one.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if s.Obs == nil {
-		http.NotFound(w, r)
-		return
-	}
-	s.Obs.SyncCacheStats()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_ = s.Obs.Metrics.WritePrometheus(w)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

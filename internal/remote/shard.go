@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pka/internal/artifact"
@@ -33,7 +32,8 @@ type ShardOptions struct {
 	// EvictAfter is the consecutive-failure eviction threshold (default
 	// DefaultShardEvictAfter).
 	EvictAfter int
-	// Metrics receives shard-tier telemetry (optional, nil-safe).
+	// Metrics receives shard-tier telemetry; nil keeps it in a private
+	// bundle, read by CacheCounts alone.
 	Metrics *obs.ShardMetrics
 	// Logf, when set, receives rebalance log lines.
 	Logf func(format string, args ...any)
@@ -57,9 +57,6 @@ type ShardClient struct {
 	mu    sync.Mutex
 	ring  *artifact.Ring
 	fails map[string]int
-
-	hits   atomic.Uint64
-	misses atomic.Uint64
 }
 
 // NewShardClient builds a shard client over the given fleet, on the ring
@@ -78,7 +75,7 @@ func NewShardClient(opts ShardOptions) *ShardClient {
 		opts.EvictAfter = DefaultShardEvictAfter
 	}
 	if opts.Metrics == nil {
-		opts.Metrics = &obs.ShardMetrics{} // nil-safe instruments
+		opts.Metrics = obs.NewObserver().ShardMetrics()
 	}
 	c := opts.Client
 	if c == nil {
@@ -102,7 +99,8 @@ func (c *ShardClient) CacheCounts() obs.CacheCounts {
 	if c == nil {
 		return obs.CacheCounts{}
 	}
-	return obs.CacheCounts{Hits: c.hits.Load(), Misses: c.misses.Load()}
+	m := c.opts.Metrics
+	return obs.CacheCounts{Hits: uint64(m.PeerHits.Value()), Misses: uint64(m.PeerMisses.Value())}
 }
 
 // noteOK resets a peer's consecutive-failure count after any successful
@@ -157,7 +155,6 @@ func (c *ShardClient) Lookup(key string) (payload []byte, peer string, ok bool) 
 		}
 		c.noteOK(owner)
 		if status == http.StatusOK && len(raw) > 0 {
-			c.hits.Add(1)
 			m.PeerHits.Inc()
 			m.LookupLatency.Observe(time.Since(start).Seconds())
 			return raw, owner, true
@@ -165,7 +162,6 @@ func (c *ShardClient) Lookup(key string) (payload []byte, peer string, ok bool) 
 		// 404 (or any non-200): the owner doesn't hold the key; a replica
 		// might after a partial replication, so keep walking the owner set.
 	}
-	c.misses.Add(1)
 	m.PeerMisses.Inc()
 	m.LookupLatency.Observe(time.Since(start).Seconds())
 	return nil, "", false

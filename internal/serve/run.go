@@ -84,10 +84,7 @@ func newStudy(exec *sampling.Exec, o *obs.Observer, req *StudyRequest) *study {
 	}
 	tr := obs.NewTracer()
 	tr.SetProcessName("pkaserve")
-	if o != nil && o.Metrics != nil {
-		tr.SetDropCounter(o.Metrics.Counter(
-			"pka_trace_dropped_total", "trace events discarded at the tracer memory cap"))
-	}
+	tr.SetDropCounter(o.TraceDropped())
 	var tc obs.TraceContext
 	if req.parent.Valid() {
 		tc = req.parent.Child(ids)

@@ -42,7 +42,8 @@ type Options struct {
 	// LatencyWindow sizes the rolling latency-report window.
 	LatencyWindow int
 	// Obs, when non-nil, receives pka_serve_* metrics and per-request
-	// spans.
+	// spans, and backs /metrics. Without it the pka_serve_* instruments
+	// live in a private observer, for Health alone.
 	Obs *obs.Observer
 	// Now is the clock (default time.Now); tests inject a fake one for
 	// bit-stable latency reports.
@@ -100,10 +101,6 @@ type Server struct {
 	running  int // runner goroutines alive
 	inflight int // requests executing
 	draining bool
-
-	// Plain counters mirror the metric bundle so Health works without an
-	// observer.
-	served, completed, failed, rejected, drainRejects, invalid int64
 }
 
 // New builds a Server from opts.
@@ -124,9 +121,7 @@ func New(opts Options) *Server {
 		s.ids = obs.NewIDGen(0)
 	}
 	if s.m == nil {
-		// No observer: a zero-value bundle's nil instruments absorb every
-		// report, so the hot path stays branch-free.
-		s.m = &obs.ServeMetrics{}
+		s.m = obs.NewObserver().ServeMetrics()
 	}
 	if s.width < 1 {
 		s.width = 2
@@ -150,26 +145,23 @@ func (s *Server) Do(req *StudyRequest) (*StudyResponse, error) {
 	p := &pending{req: req, admitted: s.now(), done: make(chan struct{})}
 	s.mu.Lock()
 	if s.draining {
-		s.drainRejects++
-		s.mu.Unlock()
 		s.m.DrainRejects.Inc()
+		s.mu.Unlock()
 		return nil, ErrDraining
 	}
 	if s.q.len() >= s.depth {
-		s.rejected++
-		s.mu.Unlock()
 		s.m.Rejected.Inc()
+		s.mu.Unlock()
 		return nil, ErrQueueFull
 	}
 	s.q.push(p)
-	s.served++
+	s.m.Requests.Inc()
 	spawn := s.running < s.width
 	if spawn {
 		s.running++
 	}
 	s.m.QueueDepth.Set(float64(s.q.len()))
 	s.mu.Unlock()
-	s.m.Requests.Inc()
 	if spawn {
 		go s.work()
 	}
@@ -210,24 +202,20 @@ func (s *Server) work() {
 	}
 }
 
-// finish settles the counters of one request that ran; the broadcast wakes
-// any drain waiting on in-flight work.
+// finish settles the counters of one request that ran, under the lock
+// Health reads them with; the broadcast wakes any drain waiting on
+// in-flight work.
 func (s *Server) finish(failed bool) {
 	s.mu.Lock()
 	s.inflight--
-	if failed {
-		s.failed++
-	} else {
-		s.completed++
-	}
-	s.m.InFlight.Set(float64(s.inflight))
-	s.cond.Broadcast()
-	s.mu.Unlock()
 	if failed {
 		s.m.Errors.Inc()
 	} else {
 		s.m.Completed.Inc()
 	}
+	s.m.InFlight.Set(float64(s.inflight))
+	s.cond.Broadcast()
+	s.mu.Unlock()
 }
 
 // run is the default runner: it wires the server's span-ID generator and
@@ -324,7 +312,7 @@ type ServeHealth struct {
 	Build        obs.BuildInfo `json:"build"`
 }
 
-// Health snapshots the server's counters.
+// Health snapshots the server's state and its pka_serve_* counters.
 func (s *Server) Health() ServeHealth {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -333,12 +321,12 @@ func (s *Server) Health() ServeHealth {
 		InFlight:     s.inflight,
 		Workers:      s.width,
 		Draining:     s.draining,
-		Requests:     s.served,
-		Completed:    s.completed,
-		Errors:       s.failed,
-		Invalid:      s.invalid,
-		Rejected:     s.rejected,
-		DrainRejects: s.drainRejects,
+		Requests:     s.m.Requests.Value(),
+		Completed:    s.m.Completed.Value(),
+		Errors:       s.m.Errors.Value(),
+		Invalid:      s.m.Invalid.Value(),
+		Rejected:     s.m.Rejected.Value(),
+		DrainRejects: s.m.DrainRejects.Value(),
 		Build:        obs.Build(),
 	}
 }
@@ -351,7 +339,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc(StreamPath, s.handleStream)
 	mux.HandleFunc(LatencyPath, s.handleLatency)
 	mux.HandleFunc(HealthPath, s.handleHealth)
-	mux.HandleFunc(MetricsPath, s.handleMetrics)
+	mux.Handle(MetricsPath, s.o)
 	mux.HandleFunc(ProvenancePath, s.handleProvenance)
 	return mux
 }
@@ -375,9 +363,8 @@ func (s *Server) serveStudy(w http.ResponseWriter, r *http.Request, decode func(
 	req, err := decode(r.Body)
 	if err != nil {
 		s.mu.Lock()
-		s.invalid++
-		s.mu.Unlock()
 		s.m.Invalid.Inc()
+		s.mu.Unlock()
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -443,14 +430,4 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w)
 		_ = rec.flight.WriteReport(w)
 	}
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if s.o == nil || s.o.Metrics == nil {
-		http.Error(w, "metrics disabled", http.StatusNotFound)
-		return
-	}
-	s.o.SyncCacheStats()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_ = s.o.Metrics.WritePrometheus(w)
 }
