@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all vet build test race fuzz-smoke bench-vet profile-sim profile-select profile-cold profile-warm loc ci
+.PHONY: all vet build test race fuzz-smoke bench-vet profile-sim profile-select profile-cold profile-warm loc flags ci
 
 all: build
 
@@ -120,5 +120,13 @@ profile-warm:
 loc:
 	@find cmd internal *.go -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@find cmd internal *.go -name '*_test.go' | xargs cat | wc -l
+
+# Each binary's flag count as its -h lists it — the unit ROADMAP.md's flag
+# census is kept in.
+BINARIES = pka pkaexp pkaserve pkad pkaload
+flags:
+	@for b in $(BINARIES); do \
+	    printf '%s %s\n' $$b "$$($(GO) run ./cmd/$$b -h 2>&1 | grep -c '^  -')"; \
+	done
 
 ci: vet build test race fuzz-smoke bench-vet

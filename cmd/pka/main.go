@@ -270,7 +270,7 @@ func suiteDedupStudy(cfg core.Config, ws []*workload.Workload) error {
 	if run.SimWarpInstrs > 0 {
 		fmt.Printf("  savings               %.2fx fewer (%s -> %s at the modeled rate)\n",
 			float64(perAppWork)/float64(run.SimWarpInstrs),
-			report.Hours(cfg.SimHours(perAppWork)), report.Hours(run.SimHours))
+			report.Hours(core.SimHours(perAppWork)), report.Hours(run.SimHours))
 	}
 	return nil
 }
@@ -303,7 +303,7 @@ func printSelection(sel *pks.Selection, target float64, jsonOut string) error {
 
 // printSimulation renders the sampled-simulation block.
 func printSimulation(ev *core.Evaluation) {
-	fmt.Printf("simulation (modeled Accel-Sim rate %.0f warp-instr/s)\n", core.DefaultSimRate)
+	fmt.Printf("simulation (modeled Accel-Sim rate %.0f warp-instr/s)\n", core.SimRate)
 	if ev.Full != nil {
 		fmt.Printf("  full simulation       %s, error %.1f%% vs silicon\n",
 			report.Hours(ev.FullSimHours), ev.Full.ErrorPct)

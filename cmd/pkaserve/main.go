@@ -47,7 +47,6 @@ func main() {
 		tenants    = flag.String("tenants", "", "per-tenant fair-share weights, e.g. prod=3,batch=1 (unlisted tenants weigh 1)")
 		par        = flag.Int("p", 0, "per-study kernel parallelism (0 = GOMAXPROCS, 1 = serial)")
 		drainWait  = flag.Duration("drain-timeout", 30*time.Second, "bound on graceful drain at shutdown")
-		quiet      = flag.Bool("quiet", false, "suppress the startup and shutdown notes")
 		execFl     cli.ExecFlags
 	)
 	execFl.Obs.Register(nil)
@@ -82,26 +81,20 @@ func main() {
 	}
 	hs := &http.Server{Handler: srv.Handler()}
 	go hs.Serve(ln) //nolint:errcheck // reported via Shutdown
-	if !*quiet {
-		fmt.Fprintf(os.Stderr, "study service on http://%s%s (%d study workers, queue %d)\n",
-			ln.Addr(), serve.StudyPath, *workers, *queueDepth)
-	}
+	fmt.Fprintf(os.Stderr, "study service on http://%s%s (%d study workers, queue %d)\n",
+		ln.Addr(), serve.StudyPath, *workers, *queueDepth)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	if !*quiet {
-		fmt.Fprintln(os.Stderr, "draining: queued studies will finish, new requests get 503")
-	}
+	fmt.Fprintln(os.Stderr, "draining: queued studies will finish, new requests get 503")
 	ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
 	defer cancel()
 	if err := srv.Drain(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "pkaserve: drain:", err)
 	}
 	_ = hs.Shutdown(ctx)
-	if !*quiet {
-		fmt.Fprint(os.Stderr, srv.LatencyReport().String())
-	}
+	fmt.Fprint(os.Stderr, srv.LatencyReport().String())
 	if err := sess.Close(); err != nil {
 		fatal(err)
 	}

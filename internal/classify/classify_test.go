@@ -409,7 +409,7 @@ func TestEnsemblePredictMatchesReferenceVote(t *testing.T) {
 		if err := e.Fit(X, y, 3); err != nil {
 			t.Fatal(err)
 		}
-		probs, hidden := make([]float64, 3), make([]float64, mlp.Hidden)
+		probs, hidden := make([]float64, 3), make([]float64, mlpHidden)
 		for _, x := range X {
 			sgd.softmax(sgd.scaler.Apply(x), probs)
 			if got, want := sgd.Predict(x), argmax(probs); got != want {

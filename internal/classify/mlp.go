@@ -13,10 +13,6 @@ import (
 // and the output layer's backward pass run four rows side by side, each row
 // with the float operations, in the order, of one row at a time.
 type MLP struct {
-	Hidden       int
-	Epochs       int
-	LearningRate float64
-
 	seed       uint64
 	numClasses int
 	dim        int
@@ -27,9 +23,17 @@ type MLP struct {
 	b2         []float64
 }
 
-// NewMLP returns an MLP with defaults sized for profiler feature vectors.
+// The MLP's width and training schedule, sized for profiler feature
+// vectors.
+const (
+	mlpHidden       = 32
+	mlpEpochs       = 80
+	mlpLearningRate = 0.05
+)
+
+// NewMLP returns an MLP seeded with seed.
 func NewMLP(seed uint64) *MLP {
-	return &MLP{Hidden: 32, Epochs: 80, LearningRate: 0.05, seed: seed}
+	return &MLP{seed: seed}
 }
 
 // Name implements Classifier.
@@ -57,7 +61,7 @@ func (m *MLP) Fit(X [][]float64, y []int, numClasses int) error {
 		}
 		return w
 	}
-	nh := m.Hidden
+	nh := mlpHidden
 	m.w1 = initLayer(nh, dim)
 	m.b1 = make([]float64, nh)
 	m.w2 = initLayer(numClasses, nh)
@@ -68,8 +72,8 @@ func (m *MLP) Fit(X [][]float64, y []int, numClasses int) error {
 	dHidden := make([]float64, nh)
 	order := make([]int, len(scaled))
 
-	for epoch := 0; epoch < m.Epochs; epoch++ {
-		lr := m.LearningRate / (1 + 0.02*float64(epoch))
+	for epoch := 0; epoch < mlpEpochs; epoch++ {
+		lr := mlpLearningRate / (1 + 0.02*float64(epoch))
 		rng.PermInto(order)
 		for _, i := range order {
 			x := scaled[i]
@@ -139,7 +143,7 @@ func (m *MLP) forward(x, hidden, probs []float64) {
 			hidden[h] = 0
 		}
 	}
-	affine(probs[:m.numClasses], m.w2, m.Hidden, m.b2, 1, hidden)
+	affine(probs[:m.numClasses], m.w2, mlpHidden, m.b2, 1, hidden)
 	normalize(probs[:m.numClasses])
 }
 
@@ -149,7 +153,7 @@ func (m *MLP) Predict(x []float64) int {
 		return 0
 	}
 	checkRow(m.Name(), len(x), m.dim)
-	hidden := make([]float64, m.Hidden)
+	hidden := make([]float64, mlpHidden)
 	probs := make([]float64, m.numClasses)
 	var buf [stackDim]float64
 	m.forward(m.scaler.applyOn(&buf, x), hidden, probs)

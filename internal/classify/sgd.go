@@ -6,10 +6,6 @@ import "pka/internal/stats"
 // stochastic gradient descent and L2 regularization. Its logits are
 // affine's four-wide sums, as the MLP's are.
 type SGD struct {
-	Epochs       int
-	LearningRate float64
-	L2           float64
-
 	seed       uint64
 	numClasses int
 	dim        int
@@ -17,10 +13,17 @@ type SGD struct {
 	weights    []float64 // numClasses × (dim+1), the last column of a row its bias
 }
 
-// NewSGD returns an SGD classifier with defaults tuned for the small,
-// well-separated feature spaces produced by kernel profiling.
+// SGD's training schedule, tuned for the small, well-separated feature
+// spaces produced by kernel profiling.
+const (
+	sgdEpochs       = 60
+	sgdLearningRate = 0.1
+	sgdL2           = 1e-4
+)
+
+// NewSGD returns an SGD classifier seeded with seed.
 func NewSGD(seed uint64) *SGD {
-	return &SGD{Epochs: 60, LearningRate: 0.1, L2: 1e-4, seed: seed}
+	return &SGD{seed: seed}
 }
 
 // Name implements Classifier.
@@ -43,8 +46,8 @@ func (s *SGD) Fit(X [][]float64, y []int, numClasses int) error {
 	rng := stats.NewRNG(s.seed ^ 0x5D6D)
 	probs := make([]float64, numClasses)
 	order := make([]int, len(scaled))
-	for epoch := 0; epoch < s.Epochs; epoch++ {
-		lr := s.LearningRate / (1 + 0.05*float64(epoch))
+	for epoch := 0; epoch < sgdEpochs; epoch++ {
+		lr := sgdLearningRate / (1 + 0.05*float64(epoch))
 		rng.PermInto(order)
 		for _, i := range order {
 			x := scaled[i]
@@ -53,7 +56,7 @@ func (s *SGD) Fit(X [][]float64, y []int, numClasses int) error {
 			for c, grad := range probs {
 				w := s.weights[c*(dim+1):][:dim+1]
 				for j, v := range x {
-					w[j] -= lr * (grad*v + s.L2*w[j])
+					w[j] -= lr * (grad*v + sgdL2*w[j])
 				}
 				w[dim] -= lr * grad
 			}

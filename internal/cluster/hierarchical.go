@@ -161,9 +161,6 @@ func (d *Dendrogram) Cut(threshold float64) ([]int, int) {
 	return assign, k
 }
 
-// NumPoints returns the size of the clustered point set.
-func (d *Dendrogram) NumPoints() int { return d.n }
-
 // Agglomerative performs average-linkage hierarchical clustering, merging
 // until the nearest pair of clusters is farther apart than threshold. It
 // returns the assignment vector and the number of clusters formed. For

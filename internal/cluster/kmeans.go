@@ -32,23 +32,19 @@ type KMeansResult struct {
 	flat []float64
 }
 
+// The Lloyd iteration stops after maxIterations rounds, or earlier once no
+// point changes cluster or no center moves by tolerance or more.
+const (
+	maxIterations = 100
+	tolerance     = 1e-7
+)
+
 // KMeansOptions controls the Lloyd iteration.
 type KMeansOptions struct {
-	MaxIterations int    // default 100
-	Seed          uint64 // RNG seed for k-means++ initialization
-	Tolerance     float64
+	Seed uint64 // RNG seed for k-means++ initialization
 	// Workers bounds the parallelism of the assignment step; <= 0 uses
 	// GOMAXPROCS. The result is byte-identical for any worker count.
 	Workers int
-}
-
-func (o *KMeansOptions) fill() {
-	if o.MaxIterations <= 0 {
-		o.MaxIterations = 100
-	}
-	if o.Tolerance <= 0 {
-		o.Tolerance = 1e-7
-	}
 }
 
 func sqDist(a, b []float64) float64 {
@@ -151,9 +147,6 @@ func (ds *Dataset) add(p []float64) {
 // N returns the number of points.
 func (ds *Dataset) N() int { return len(ds.rowOf) }
 
-// Dim returns the point dimensionality.
-func (ds *Dataset) Dim() int { return ds.dim }
-
 // row returns point i's coordinates.
 func (ds *Dataset) row(i int) []float64 { return ds.distinct(int(ds.rowOf[i])) }
 
@@ -204,7 +197,6 @@ func (ds *Dataset) KMeans(k int, opts KMeansOptions) (*KMeansResult, error) {
 	if k > n {
 		k = n
 	}
-	opts.fill()
 	rng := stats.NewRNG(opts.Seed ^ 0xC0FFEE)
 
 	ds.centers = grow(ds.centers, k*dim)
@@ -238,7 +230,7 @@ func (ds *Dataset) KMeans(k int, opts KMeansOptions) (*KMeansResult, error) {
 	}
 
 	var iter int
-	for iter = 0; iter < opts.MaxIterations; iter++ {
+	for iter = 0; iter < maxIterations; iter++ {
 		// Half distance from each center to its nearest other center: any
 		// point closer to its center than this cannot prefer another one.
 		for c := 0; c < k; c++ {
@@ -348,7 +340,7 @@ func (ds *Dataset) KMeans(k int, opts KMeansOptions) (*KMeansResult, error) {
 		}
 		centers, next = next, centers
 		ds.centers, ds.next = centers, next
-		if !changed || shift < opts.Tolerance {
+		if !changed || shift < tolerance {
 			iter++
 			break
 		}

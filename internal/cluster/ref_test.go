@@ -17,7 +17,6 @@ func refKMeans(points [][]float64, k int, opts KMeansOptions) *KMeansResult {
 	if k > n {
 		k = n
 	}
-	opts.fill()
 	rng := stats.NewRNG(opts.Seed ^ 0xC0FFEE)
 	center := func(cs []float64, c int) []float64 { return cs[c*dim : (c+1)*dim] }
 
@@ -56,7 +55,7 @@ func refKMeans(points [][]float64, k int, opts KMeansOptions) *KMeansResult {
 	sizes := make([]int, k)
 	repairs := 0
 	var iter int
-	for iter = 0; iter < opts.MaxIterations; iter++ {
+	for iter = 0; iter < maxIterations; iter++ {
 		for c := 0; c < k; c++ {
 			minD := math.Inf(1)
 			for o := 0; o < k; o++ {
@@ -148,7 +147,7 @@ func refKMeans(points [][]float64, k int, opts KMeansOptions) *KMeansResult {
 			}
 		}
 		centers, next = next, centers
-		if !changed || shift < opts.Tolerance {
+		if !changed || shift < tolerance {
 			iter++
 			break
 		}

@@ -27,7 +27,7 @@ func TestBaselinePlanMatchesSolo(t *testing.T) {
 	if len(firstN.Cut) != 1 {
 		t.Fatalf("the 1B budget should cut %s inside a launch", w.FullName())
 	}
-	tb, err := tbpoint.Select(dev, w, tbpoint.Options{})
+	tb, err := tbpoint.Select(dev, w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,22 +24,19 @@ import (
 	"pka/internal/workload"
 )
 
-// DefaultSimRate is the modeled Accel-Sim simulation speed in warp
+// SimRate is the modeled Accel-Sim simulation speed in warp
 // instructions per second, used to convert simulated work into the
 // "SimTime [H]" projections of Table 4 and the time axes of Figures 1 and
 // 6. Accel-Sim executes a few thousand instructions per second per the
 // paper's Figure 1 projections; the tables in EXPERIMENTS.md use this
 // constant throughout.
-const DefaultSimRate = 3000.0
+const SimRate = 3000.0
 
 // Config parameterizes an evaluation.
 type Config struct {
 	Device gpu.Device
 	PKS    pks.Options
 	PKP    pkp.Options
-	// SimRate converts simulated warp instructions to projected
-	// simulation wall time. Zero applies DefaultSimRate.
-	SimRate float64
 	// FullSimBudget bounds the warp instructions actually simulated for
 	// full-simulation baselines. Zero applies the sampling default.
 	FullSimBudget int64
@@ -114,13 +111,9 @@ func (c Config) PKPOptions(subject string) pkp.Options {
 }
 
 // SimHours converts simulated work into projected simulation wall-clock
-// hours at the configured rate.
-func (c Config) SimHours(warpInstrs int64) float64 {
-	rate := c.SimRate
-	if rate <= 0 {
-		rate = DefaultSimRate
-	}
-	return float64(warpInstrs) / rate / 3600
+// hours at SimRate.
+func SimHours(warpInstrs int64) float64 {
+	return float64(warpInstrs) / SimRate / 3600
 }
 
 // SampledSim is the outcome of simulating only the selected kernels.
@@ -288,7 +281,7 @@ func run(cfg Config, span, subject string, passes ...sampling.RiderPass) (outs [
 		total.SimWarpInstrs += oc.SimWarpInstrs
 		total.Capped = total.Capped || oc.Capped
 	}
-	total.SimHours = cfg.SimHours(total.SimWarpInstrs)
+	total.SimHours = SimHours(total.SimWarpInstrs)
 	return outs, total, nil
 }
 
@@ -518,7 +511,7 @@ func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*E
 	if tb {
 		g := p.TBPoint.Groups
 		r := workloadReps(w, len(g), func(i int) int { return g[i].RepIndex }, sc.Kernels)
-		rp := r.pass(cfg, "tbpoint", sampling.BlocksTask(cfg.KernelCapCycles, p.TBPoint.BlockFraction))
+		rp := r.pass(cfg, "tbpoint", sampling.BlocksTask(cfg.KernelCapCycles, tbpoint.BlockFraction))
 		app := populations{func(i int) int { return g[i].Count }, w.N}
 		riders = append(riders, rp)
 		methods = append(methods, method{"sampled:tbpoint", []sampling.RiderPass{rp}, app, &ev.TBPoint})
@@ -578,11 +571,11 @@ func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*E
 		fullWork = ev.Full.SimWarpInstrs
 	}
 	if full {
-		ev.FullSimHours = cfg.SimHours(fullWork)
+		ev.FullSimHours = SimHours(fullWork)
 	}
 	for _, m := range methods {
 		if out := m.out; out != nil {
-			out.SimHours = cfg.SimHours(out.SimWarpInstrs)
+			out.SimHours = SimHours(out.SimWarpInstrs)
 			if p.Silicon {
 				out.ErrorPct = stats.AbsPctErr(float64(out.ProjCycles), float64(sc.Silicon.Cycles))
 			}

@@ -86,13 +86,8 @@ func TestEvaluateInfeasibleWorkloadStillProjects(t *testing.T) {
 }
 
 func TestSimHoursConversion(t *testing.T) {
-	c := Config{}
-	if got := c.SimHours(3000 * 3600); got != 1 {
+	if got := SimHours(3000 * 3600); got != 1 {
 		t.Errorf("SimHours = %v, want 1", got)
-	}
-	c.SimRate = 6000
-	if got := c.SimHours(6000 * 3600 * 2); got != 2 {
-		t.Errorf("SimHours = %v, want 2", got)
 	}
 }
 

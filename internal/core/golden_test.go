@@ -52,7 +52,7 @@ func TestEvaluationGolden(t *testing.T) {
 func evaluationDump(t *testing.T, b *strings.Builder, cfg Config, name string) {
 	t.Helper()
 	w := mustFind(t, name)
-	tb, err := tbpoint.Select(cfg.Device, w, tbpoint.Options{})
+	tb, err := tbpoint.Select(cfg.Device, w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func Figure1(s *Study) (*report.Chart, *report.Table, error) {
 				silSec += r.TimeSeconds
 				profSec += r.TimeSeconds*profiler.DetailedReplayOverhead + profiler.DetailedFixedSeconds
 			}
-			simH := s.Cfg.SimHours(int64(float64(w.ApproxWarpInstructions(1<<62)) * dev.ISAScale))
+			simH := core.SimHours(int64(float64(w.ApproxWarpInstructions(1<<62)) * dev.ISAScale))
 			return row{w.FullName(), silSec / 3600, profSec / 3600, simH}, nil
 		})
 	if err != nil {
@@ -208,7 +208,7 @@ func Figure6(s *Study) (*report.Chart, *report.Table, error) {
 	}
 	rows, err := parallel.Map(s.Cfg.Parallelism, s.Workloads(),
 		func(_ int, w *workload.Workload) (row, error) {
-			full := s.Cfg.SimHours(core.TotalWarpWork(dev, w))
+			full := core.SimHours(core.TotalWarpWork(dev, w))
 			ev, err := s.evaluation(dev, w)
 			if err != nil {
 				return row{}, err

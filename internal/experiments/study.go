@@ -194,7 +194,7 @@ func (s *Study) TBPoint(w *workload.Workload) (*tbpoint.Selection, error) {
 	return s.tbSels.Do(w.FullName(), func() (*tbpoint.Selection, error) {
 		sp := s.Cfg.Obs.StartSpan("tbpoint-select", w.FullName())
 		defer sp.End()
-		r, err := tbpoint.Select(s.Cfg.Device, w, tbpoint.Options{})
+		r, err := tbpoint.Select(s.Cfg.Device, w)
 		if err != nil && !errors.Is(err, tbpoint.ErrTooLarge) {
 			return nil, err
 		}

@@ -38,14 +38,6 @@ func NewScheduler(workers int) *Scheduler {
 	return &Scheduler{width: Workers(workers)}
 }
 
-// Width returns the scheduler's concurrency bound.
-func (s *Scheduler) Width() int {
-	if s == nil {
-		return 1
-	}
-	return s.width
-}
-
 // submit enqueues one task and spawns a worker for it when the pool is
 // not already at width.
 func (s *Scheduler) submit(cost int64, run func()) {

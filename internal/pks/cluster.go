@@ -48,12 +48,15 @@ type Clustering struct {
 	SweepErrors []float64
 }
 
+// pcaVarianceTarget is the explained-variance fraction the PCA keeps.
+const pcaVarianceTarget = 0.9
+
 // ClusterRecords clusters detailed records on their Table-2 vectors under
 // the filled options: strided sample of at most ClusterSampleMax, log
-// scaling, PCA (or standardization, with DisablePCA), one Dataset swept over
-// K up to MaxK with score deciding where to stop, nearest-centre assignment
-// of the unsampled records, and one representative per non-empty cluster,
-// elected by the Representative policy.
+// scaling, PCA to pcaVarianceTarget (or standardization, with DisablePCA),
+// one Dataset swept over K up to MaxK with score deciding where to stop,
+// nearest-centre assignment of the unsampled records, and one representative
+// per non-empty cluster, elected by the Representative policy.
 //
 // A scaled workload launches a few dozen distinct kernels thousands of
 // times, so vectors are interned first: scaling, projection and nearest
@@ -80,7 +83,7 @@ func ClusterRecords(recs []profiler.DetailedRecord, o Options, score ScoreFunc) 
 			points[r] = std.Row(r)
 		}
 	} else {
-		pca, err := linalg.FitPCA(feat, o.PCAVarianceTarget, 2)
+		pca, err := linalg.FitPCA(feat, pcaVarianceTarget, 2)
 		if err != nil {
 			return nil, fmt.Errorf("PCA: %w", err)
 		}

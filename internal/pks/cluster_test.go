@@ -34,7 +34,7 @@ func refClusterRecords(recs []profiler.DetailedRecord, o Options, score ScoreFun
 		proj = feat.Standardize()
 	} else {
 		var err error
-		if pca, err = linalg.FitPCA(feat, o.PCAVarianceTarget, 2); err != nil {
+		if pca, err = linalg.FitPCA(feat, pcaVarianceTarget, 2); err != nil {
 			return nil, err
 		}
 		if proj, err = pca.Transform(feat); err != nil {
@@ -146,7 +146,7 @@ func TestClusterRecordsMatchesRowAtATime(t *testing.T) {
 		{ClusterSampleMax: 500, DisablePCA: true},
 		{ClusterSampleMax: 700, Representative: RepClusterCenter},
 	} {
-		o.PCAVarianceTarget, o.MaxK, o.Seed = 0.9, 20, 7
+		o.MaxK, o.Seed = 20, 7
 		name := fmt.Sprintf("sample %d pca=%v rep=%v", o.ClusterSampleMax, !o.DisablePCA, o.Representative)
 		got, err := ClusterRecords(recs, o, score)
 		if err != nil {

@@ -24,7 +24,10 @@ func (o Options) AppendKey(b []byte) []byte {
 	o = o.filled()
 	c := codec{b: b}
 	rep, seed := int(o.Representative), int(o.Seed)
-	for _, p := range [...]*float64{&o.TargetErrorPct, &o.PCAVarianceTarget, &o.DetailedBudgetSeconds} {
+	// The PCA variance target is a constant, but it keeps its slot so
+	// that keys written by earlier builds still match.
+	varTarget := pcaVarianceTarget
+	for _, p := range [...]*float64{&o.TargetErrorPct, &varTarget, &o.DetailedBudgetSeconds} {
 		c.f64(p)
 	}
 	for _, p := range [...]*int{&o.MaxK, &rep, &o.MaxDetailed, &o.ClusterSampleMax, &seed} {

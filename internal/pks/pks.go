@@ -62,8 +62,6 @@ type Options struct {
 	TargetErrorPct float64
 	// MaxK bounds the sweep (paper: ~20). Zero applies 20.
 	MaxK int
-	// PCAVarianceTarget is the explained-variance fraction kept (0.9).
-	PCAVarianceTarget float64
 	// Representative picks the per-group representative policy.
 	Representative RepPolicy
 	// DisablePCA clusters on raw standardized features (ablation).
@@ -96,9 +94,6 @@ func (o Options) filled() Options {
 	}
 	if o.MaxK <= 0 {
 		o.MaxK = 20
-	}
-	if o.PCAVarianceTarget <= 0 || o.PCAVarianceTarget > 1 {
-		o.PCAVarianceTarget = 0.9
 	}
 	if o.DetailedBudgetSeconds <= 0 {
 		o.DetailedBudgetSeconds = profiler.DefaultDetailedBudgetSeconds

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync/atomic"
 
 	"pka/internal/artifact"
 	"pka/internal/obs"
@@ -19,12 +18,10 @@ type Server struct {
 	store *artifact.Store
 
 	// Shard-ring membership (nil/"" when the daemon runs without -ring):
-	// the ring this peer believes it is part of, its own member name on
-	// it, and the peer cache traffic it has served.
+	// the ring this peer believes it is part of and its own member name on
+	// it.
 	ring     *artifact.Ring
 	ringSelf string
-	peerGets atomic.Uint64
-	peerPuts atomic.Uint64
 
 	// Name identifies this peer in health reports (default "pkad").
 	Name string
@@ -80,7 +77,6 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodGet:
-		s.peerGets.Add(1)
 		raw, ok := s.store.Get(key)
 		if !ok {
 			http.NotFound(w, r)
@@ -98,7 +94,6 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		s.peerPuts.Add(1)
 		w.WriteHeader(http.StatusNoContent)
 	default:
 		http.Error(w, "GET or PUT only", http.StatusMethodNotAllowed)
@@ -110,18 +105,18 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if h.Process == "" {
 		h.Process = "pkad"
 	}
-	if s.store != nil {
-		cs := s.store.Stats()
-		h.Cache = CacheHealth{Hits: cs.Hits, Misses: cs.Misses, Writes: cs.Writes, Entries: cs.Entries}
-	}
+	cs := s.store.Stats() // a nil store reports zeros
+	h.Cache = CacheHealth{Hits: cs.Hits, Misses: cs.Misses, Writes: cs.Writes, Entries: cs.Entries}
 	if s.ring != nil {
+		// The store serves only peer traffic, so its counters are the
+		// peer's: every GET is one hit or miss, every stored PUT one write.
 		h.Ring = &RingHealth{
 			Members:       len(s.ring.Members()),
 			Replicas:      s.ring.Replicas(),
 			OwnedFraction: s.ring.OwnedFraction(s.ringSelf),
 			ReplicaPeers:  s.ring.ReplicaPeersOf(s.ringSelf),
-			PeerGets:      s.peerGets.Load(),
-			PeerPuts:      s.peerPuts.Load(),
+			PeerGets:      cs.Hits + cs.Misses,
+			PeerPuts:      cs.Writes,
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")

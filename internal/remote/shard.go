@@ -12,11 +12,11 @@ import (
 	"pka/internal/obs"
 )
 
-// Shard-client defaults.
+// Shard-client settings.
 const (
-	// DefaultShardTimeout bounds one peer cache RPC. Peer GETs move 33
-	// bytes; anything slow is a peer worth evicting, not waiting for.
-	DefaultShardTimeout = 2 * time.Second
+	// shardTimeout bounds one peer cache RPC. Peer GETs move 33 bytes;
+	// anything slow is a peer worth evicting, not waiting for.
+	shardTimeout = 2 * time.Second
 	// DefaultShardEvictAfter is how many consecutive transport failures a
 	// peer gets before it is evicted from the ring (a rebalance).
 	DefaultShardEvictAfter = 3
@@ -27,8 +27,6 @@ type ShardOptions struct {
 	// Peers are the fleet's pkad base URLs — the ring members. Order
 	// does not matter; placement is a pure function of the set.
 	Peers []string
-	// Timeout bounds one peer RPC (default DefaultShardTimeout).
-	Timeout time.Duration
 	// EvictAfter is the consecutive-failure eviction threshold (default
 	// DefaultShardEvictAfter).
 	EvictAfter int
@@ -67,9 +65,6 @@ func NewShardClient(opts ShardOptions) *ShardClient {
 	ring := artifact.NewRing(opts.Peers, artifact.DefaultVNodes, artifact.DefaultReplicas)
 	if ring == nil {
 		return nil
-	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = DefaultShardTimeout
 	}
 	if opts.EvictAfter <= 0 {
 		opts.EvictAfter = DefaultShardEvictAfter
@@ -194,7 +189,7 @@ func (c *ShardClient) Store(key string, payload []byte) {
 }
 
 func (c *ShardClient) get(peer, key string) ([]byte, int, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.opts.Timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), shardTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+CachePathPrefix+key, nil)
 	if err != nil {
@@ -219,7 +214,7 @@ func (c *ShardClient) get(peer, key string) ([]byte, int, error) {
 }
 
 func (c *ShardClient) put(peer, key string, payload []byte) (int, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.opts.Timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), shardTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPut, peer+CachePathPrefix+key, bytes.NewReader(payload))
 	if err != nil {

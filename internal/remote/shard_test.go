@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -209,6 +211,68 @@ func TestShardRingHealth(t *testing.T) {
 	}
 	if r.PeerGets != 1 || r.PeerPuts != 1 {
 		t.Errorf("peer traffic = %d gets / %d puts, want 1/1", r.PeerGets, r.PeerPuts)
+	}
+}
+
+// The ring block's peer traffic is the store's own count: every peer GET
+// is one store hit or miss (a corrupt entry is a miss), and every stored
+// PUT one store write; a refused PUT is neither.
+func TestRingHealthCountsPeerTraffic(t *testing.T) {
+	dir := t.TempDir()
+	st, err := artifact.Open(dir, artifact.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	srv := remote.NewServer(st)
+	members := []string{"http://a:9377", "http://b:9377", "http://c:9377"}
+	srv.SetRing(artifact.NewRing(members, 0, 0), members[0])
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	do := func(method, key string, body []byte, want int) {
+		t.Helper()
+		req, _ := http.NewRequest(method, ts.URL+remote.CachePathPrefix+key, bytes.NewReader(body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("%s %s: status %d, want %d", method, key, resp.StatusCode, want)
+		}
+	}
+	payload := sampling.EncodeOutcome(sampling.KernelOutcome{ProjCycles: 5})
+	good, corrupt := testKey("peer-traffic-good"), testKey("peer-traffic-corrupt")
+	do(http.MethodPut, good, payload, http.StatusNoContent)
+	do(http.MethodPut, testKey("peer-traffic-empty"), nil, http.StatusBadRequest)
+	do(http.MethodPut, corrupt, payload, http.StatusNoContent)
+	if err := os.WriteFile(filepath.Join(dir, corrupt[:2], corrupt+".bin"), []byte("not an entry"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	do(http.MethodGet, good, nil, http.StatusOK)
+	do(http.MethodGet, good, nil, http.StatusOK)
+	do(http.MethodGet, testKey("peer-traffic-absent"), nil, http.StatusNotFound)
+	do(http.MethodGet, corrupt, nil, http.StatusNotFound)
+
+	resp, err := http.Get(ts.URL + remote.HealthPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var h remote.Health
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	if h.Ring == nil {
+		t.Fatal("health has no ring block")
+	}
+	if h.Ring.PeerGets != 4 || h.Ring.PeerPuts != 2 {
+		t.Errorf("peer traffic = %d gets / %d puts, want 4/2", h.Ring.PeerGets, h.Ring.PeerPuts)
+	}
+	if c := h.Cache; h.Ring.PeerGets != c.Hits+c.Misses || h.Ring.PeerPuts != c.Writes {
+		t.Errorf("peer traffic %d gets / %d puts, store %d hits + %d misses / %d writes",
+			h.Ring.PeerGets, h.Ring.PeerPuts, c.Hits, c.Misses, c.Writes)
 	}
 }
 

@@ -158,13 +158,23 @@ func (fr *FlightRecorder) WorkerCounts() map[string]int {
 }
 
 // WriteNDJSON writes one JSON object per entry in (phase, index) order —
-// the flight-recorder artifact format.
+// the flight-recorder artifact format. Unlike ProvEntry's own encoding,
+// kernel and worker are written even when empty, and no HTML escaping is
+// applied, so a name such as gemm<float> is written as it reads.
 func (fr *FlightRecorder) WriteNDJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
 	for _, e := range fr.Entries() {
-		if _, err := fmt.Fprintf(w,
-			`{"phase":%q,"index":%d,"kernel":%q,"key":%q,"tier":%q,"worker":%q,"wait_ns":%d,"service_ns":%d}`+"\n",
-			e.Phase, e.Index, e.Kernel, e.Key, e.Tier.String(), e.Worker,
-			e.WaitNs, e.ServiceNs); err != nil {
+		if err := enc.Encode(struct {
+			Phase     string `json:"phase"`
+			Index     int    `json:"index"`
+			Kernel    string `json:"kernel"`
+			Key       string `json:"key"`
+			Tier      string `json:"tier"`
+			Worker    string `json:"worker"`
+			WaitNs    int64  `json:"wait_ns"`
+			ServiceNs int64  `json:"service_ns"`
+		}{e.Phase, e.Index, e.Kernel, e.Key, e.Tier.String(), e.Worker, e.WaitNs, e.ServiceNs}); err != nil {
 			return err
 		}
 	}

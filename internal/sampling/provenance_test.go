@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -100,6 +101,42 @@ func TestFlightReportGolden(t *testing.T) {
 	}
 	if !strings.Contains(lines[0], `"tier":"sim"`) || !strings.Contains(lines[1], `"tier":"shard"`) {
 		t.Fatalf("NDJSON order/tiers wrong:\n%s", nd.String())
+	}
+}
+
+// TestFlightNDJSONIsJSON writes kernel and peer names that Go-quoting and
+// JSON render differently and requires every line to decode back to its
+// entry. A name both render alike keeps its bytes, and empty kernel and
+// worker fields stay present.
+func TestFlightNDJSONIsJSON(t *testing.T) {
+	names := []string{"bell\ak", "del\x7fk", `say "hi"`, `back\slash`, "gemm<float>", "café", ""}
+	fr := NewFlightRecorder()
+	for i, name := range names {
+		fr.Record(ProvEntry{Phase: "pka", Index: i, Kernel: name, Key: "k", Tier: TierShard, Worker: name, ServiceNs: int64(i)})
+	}
+	var nd strings.Builder
+	if err := fr.WriteNDJSON(&nd); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(nd.String(), "\n"), "\n")
+	if len(lines) != len(names) {
+		t.Fatalf("NDJSON has %d lines, want %d", len(lines), len(names))
+	}
+	for i, line := range lines {
+		var got struct {
+			Kernel, Worker *string
+		}
+		if err := json.Unmarshal([]byte(line), &got); err != nil {
+			t.Errorf("line %d (%q) is not JSON: %v", i, names[i], err)
+			continue
+		}
+		if got.Kernel == nil || *got.Kernel != names[i] || got.Worker == nil || *got.Worker != names[i] {
+			t.Errorf("line %d decodes to kernel %v worker %v, want %q: %s", i, got.Kernel, got.Worker, names[i], line)
+		}
+	}
+	const want = `{"phase":"pka","index":4,"kernel":"gemm<float>","key":"k","tier":"shard","worker":"gemm<float>","wait_ns":0,"service_ns":4}`
+	if lines[4] != want {
+		t.Errorf("line 4 = %s, want %s", lines[4], want)
 	}
 }
 

@@ -130,7 +130,6 @@ func TestSelectionKeySensitivity(t *testing.T) {
 	perturb := map[string]string{
 		"target":       opt(pks.Options{TargetErrorPct: 4}),
 		"max-k":        opt(pks.Options{MaxK: 19}),
-		"pca-variance": opt(pks.Options{PCAVarianceTarget: 0.8}),
 		"rep-policy":   opt(pks.Options{Representative: pks.RepClusterCenter}),
 		"disable-pca":  opt(pks.Options{DisablePCA: true}),
 		"budget":       opt(pks.Options{DetailedBudgetSeconds: 3600}),
@@ -208,7 +207,7 @@ func TestSelectionKeySensitivity(t *testing.T) {
 
 	// Zero values and the defaults they stand for are one configuration, and
 	// observers are not configuration.
-	explicit := pks.Options{TargetErrorPct: 5, MaxK: 20, PCAVarianceTarget: 0.9,
+	explicit := pks.Options{TargetErrorPct: 5, MaxK: 20,
 		DetailedBudgetSeconds: 7 * 24 * 3600, ClusterSampleMax: 20000}
 	if opt(explicit) != base {
 		t.Error("explicit defaults key differently from zero values")

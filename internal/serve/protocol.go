@@ -115,10 +115,11 @@ type StudyRequest struct {
 	w   *workload.Workload
 	dev gpu.Device
 
-	// Trace plumbing, set by the HTTP handler (or SetTraceParent/SetIDGen
-	// for direct callers): the client's parent context, the span-ID
-	// generator, and the flight recorder the server shares with its debug
-	// report.
+	// Trace plumbing, set by the HTTP handler (or SetTraceParent and
+	// SetFlightRecorder for direct callers): the client's parent context,
+	// the span-ID generator (the server's, which tests seed through
+	// Options.TraceIDs), and the flight recorder the server shares with its
+	// debug report.
 	parent obs.TraceContext
 	ids    *obs.IDGen
 	flight *sampling.FlightRecorder
@@ -128,10 +129,6 @@ type StudyRequest struct {
 // does from the traceparent header. A valid context enables tracing for
 // the request.
 func (r *StudyRequest) SetTraceParent(tc obs.TraceContext) { r.parent = tc }
-
-// SetIDGen installs the span-ID generator tracing draws from; tests
-// install a seeded one for deterministic IDs. Nil keeps the default.
-func (r *StudyRequest) SetIDGen(g *obs.IDGen) { r.ids = g }
 
 // SetFlightRecorder installs the flight recorder provenance folds into,
 // letting a caller keep the full recorder after Run returns. Nil lets Run

@@ -36,38 +36,19 @@ import (
 	"pka/internal/workload"
 )
 
-// Options configures the baseline.
-type Options struct {
-	// TargetErrorPct matches PKS's selection criterion (default 5).
-	TargetErrorPct float64
-	// NumThresholds is the sweep resolution over [MinThreshold,
-	// MaxThreshold] (default 20 over [0.01, 0.2]).
-	NumThresholds              int
-	MinThreshold, MaxThreshold float64
-	// BlockFraction is the conservative intra-kernel reduction: the
-	// fraction of each representative's thread blocks simulated before
-	// linear projection (default 0.5).
-	BlockFraction float64
-}
-
-func (o Options) filled() Options {
-	if o.TargetErrorPct <= 0 {
-		o.TargetErrorPct = 5
-	}
-	if o.NumThresholds <= 0 {
-		o.NumThresholds = 20
-	}
-	if o.MinThreshold <= 0 {
-		o.MinThreshold = 0.01
-	}
-	if o.MaxThreshold <= 0 {
-		o.MaxThreshold = 0.2
-	}
-	if o.BlockFraction <= 0 || o.BlockFraction > 1 {
-		o.BlockFraction = 0.5
-	}
-	return o
-}
+// The baseline's one configuration (Section 5.1): PKS's selection
+// criterion, 20 merge thresholds swept over [0.01, 0.2], and the
+// conservative intra-kernel reduction — the fraction of each
+// representative's thread blocks simulated before linear projection. The
+// float thresholds are typed, so the sweep's maxThreshold-minThreshold
+// rounds to float64 as a run-time subtraction does.
+const (
+	targetErrorPct float64 = 5
+	numThresholds          = 20
+	minThreshold   float64 = 0.01
+	maxThreshold   float64 = 0.2
+	BlockFraction          = 0.5
+)
 
 // ErrTooLarge reports that the workload exceeds TBPoint's scaling wall.
 var ErrTooLarge = errors.New("tbpoint: workload too large for hierarchical clustering")
@@ -90,17 +71,14 @@ type Selection struct {
 	// SelectionErrorPct is the projected-vs-actual error over the
 	// functional-simulation totals.
 	SelectionErrorPct float64
-	// BlockFraction echoes the intra-kernel reduction setting.
-	BlockFraction float64
-	SweepErrors   []float64
+	SweepErrors       []float64
 }
 
 // Select runs TBPoint's kernel clustering for the workload. The per-kernel
 // statistics that the original gathers via full functional simulation
 // (Ocelot) come from the detailed profiler here — the same information at
 // the same "must touch every kernel" cost structure.
-func Select(dev gpu.Device, w *workload.Workload, opts Options) (*Selection, error) {
-	o := opts.filled()
+func Select(dev gpu.Device, w *workload.Workload) (*Selection, error) {
 	if w.N > cluster.MaxHierarchicalPoints {
 		return nil, fmt.Errorf("%w: %s has %d kernels", ErrTooLarge, w.FullName(), w.N)
 	}
@@ -152,12 +130,12 @@ func Select(dev gpu.Device, w *workload.Workload, opts Options) (*Selection, err
 	if err != nil {
 		return nil, err
 	}
-	sel := &Selection{Workload: w.FullName(), BlockFraction: o.BlockFraction}
+	sel := &Selection{Workload: w.FullName()}
 	bestErr := math.Inf(1)
 	var bestAssign []int
 	var bestK int
-	for i := 0; i < o.NumThresholds; i++ {
-		frac := o.MaxThreshold - float64(i)*(o.MaxThreshold-o.MinThreshold)/float64(o.NumThresholds-1)
+	for i := 0; i < numThresholds; i++ {
+		frac := maxThreshold - float64(i)*(maxThreshold-minThreshold)/float64(numThresholds-1)
 		assign, k := dendro.Cut(frac * maxDist)
 		errPct := projectionError(assign, k, recs, total)
 		sel.SweepErrors = append(sel.SweepErrors, errPct)
@@ -166,7 +144,7 @@ func Select(dev gpu.Device, w *workload.Workload, opts Options) (*Selection, err
 			bestAssign, bestK = assign, k
 			sel.Threshold = frac
 		}
-		if errPct <= o.TargetErrorPct {
+		if errPct <= targetErrorPct {
 			bestAssign, bestK, bestErr = assign, k, errPct
 			sel.Threshold = frac
 			break

@@ -10,7 +10,7 @@ import (
 
 func TestSelectGaussian(t *testing.T) {
 	w := workload.Find("Rodinia/gauss_208")
-	sel, err := Select(gpu.VoltaV100(), w, Options{})
+	sel, err := Select(gpu.VoltaV100(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestSelectGaussian(t *testing.T) {
 
 func TestScalingWall(t *testing.T) {
 	w := workload.Find("MLPerf/ssd_training")
-	if _, err := Select(gpu.VoltaV100(), w, Options{}); !errors.Is(err, ErrTooLarge) {
+	if _, err := Select(gpu.VoltaV100(), w); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("err = %v, want ErrTooLarge — TBPoint must not scale to MLPerf", err)
 	}
 }
@@ -44,21 +44,18 @@ func TestMoreConservativeThanPKS(t *testing.T) {
 	// more groups than PKS's K sweep on heterogeneous apps; at minimum it
 	// must produce a valid, low-error clustering.
 	w := workload.Find("Polybench/gramschmidt")
-	sel, err := Select(gpu.VoltaV100(), w, Options{})
+	sel, err := Select(gpu.VoltaV100(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sel.SelectionErrorPct > 10 {
 		t.Errorf("gramschmidt selection error %.2f%%", sel.SelectionErrorPct)
 	}
-	if sel.BlockFraction != 0.5 {
-		t.Errorf("default block fraction = %v", sel.BlockFraction)
-	}
 }
 
 func TestSweepRecordsErrors(t *testing.T) {
 	w := workload.Find("Parboil/histo")
-	sel, err := Select(gpu.VoltaV100(), w, Options{})
+	sel, err := Select(gpu.VoltaV100(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +69,7 @@ func TestSweepRecordsErrors(t *testing.T) {
 
 func TestSingleKernelWorkload(t *testing.T) {
 	w := workload.Find("Polybench/gemm")
-	sel, err := Select(gpu.VoltaV100(), w, Options{})
+	sel, err := Select(gpu.VoltaV100(), w)
 	if err != nil {
 		t.Fatal(err)
 	}

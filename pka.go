@@ -223,7 +223,7 @@ func FirstN(dev Device, w *Workload, nWarpInstrs int64) (*SampledSim, error) {
 
 // TBPointSelect runs the TBPoint baseline's kernel clustering.
 func TBPointSelect(dev Device, w *Workload) (*TBPointSelection, error) {
-	return tbpoint.Select(dev, w, tbpoint.Options{})
+	return tbpoint.Select(dev, w)
 }
 
 // NewStudy returns a memoizing experiment harness with the paper's
