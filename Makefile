@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all vet build test race fuzz-smoke bench-vet profile-sim profile-select profile-cold profile-warm loc flags ci
+.PHONY: all vet build test race fuzz-smoke bench-vet profile-sim profile-select profile-probe profile-cold profile-warm loc flags ci
 
 all: build
 
@@ -93,6 +93,17 @@ profile-select:
 	$(GO) test -run NONE -bench 'SelectSet' -benchtime=5x \
 	    -o $(PROFILE_DIR)/pka.test -cpuprofile $(PROFILE_DIR)/select.cpu.prof .
 	$(GO) tool pprof -top -nodecount=10 $(PROFILE_DIR)/pka.test $(PROFILE_DIR)/select.cpu.prof
+
+# Where a selection-memory PR starts: the heap of select_cold's probe, one
+# selection over MLPerf/ssd_training. alloc_space is everything the selection
+# allocates; inuse_space is what is live as its K sweep starts (the detailed
+# pool and the selection), from the heap profile the bench takes there.
+profile-probe:
+	@mkdir -p $(PROFILE_DIR)
+	$(GO) test -run NONE -bench 'SelectProbe' -benchtime=1x \
+	    -o $(PROFILE_DIR)/pka.test -memprofile $(PROFILE_DIR)/probe.mem.prof .
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=10 $(PROFILE_DIR)/pka.test $(PROFILE_DIR)/probe.mem.prof
+	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=10 $(PROFILE_DIR)/pka.test $(PROFILE_DIR)/probe.live.prof
 
 # Where a cold-study PR starts: the same for the sim_cold study set (eight
 # evaluations, a fresh Exec over a fresh store each) — the simulator, plus

@@ -16,8 +16,12 @@
 package pka
 
 import (
+	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
@@ -362,6 +366,46 @@ func BenchmarkSelectSet(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		}
+	}
+}
+
+// BenchmarkSelectProbe is the repository benchmark's select_cold probe: one
+// selection over MLPerf/ssd_training's 1.06 M launches, 233 206 of them
+// profiled in detail, stopped where pks.Select stops. `make profile-probe`
+// reads the -memprofile for what the selection allocates, and the heap
+// profile this bench writes beside it, probe.live.prof, for what is live as
+// the K sweep starts: the detailed pool and the selection being built.
+func BenchmarkSelectProbe(b *testing.B) {
+	w := workload.Find("MLPerf/ssd_training")
+	if w == nil {
+		b.Fatal("no workload MLPerf/ssd_training")
+	}
+	var live bytes.Buffer
+	score := func(o pks.Options, p *pks.Pool) pks.ScoreFunc {
+		if live.Len() == 0 {
+			runtime.GC() // a heap profile shows the allocations of two cycles ago
+			runtime.GC()
+			if err := pprof.Lookup("heap").WriteTo(&live, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return func(_ int, clusters []pks.Cluster) (float64, bool) {
+			projected, total := pks.ProjectedCycles(clusters, p)
+			e := stats.AbsPctErr(float64(projected), float64(total))
+			return e, e <= o.TargetErrorPct
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := pks.SelectSegments(gpu.VoltaV100(), []*workload.Workload{w}, pks.Options{}, score); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if f := flag.Lookup("test.memprofile"); f != nil && f.Value.String() != "" {
+		path := filepath.Join(filepath.Dir(f.Value.String()), "probe.live.prof")
+		if err := os.WriteFile(path, live.Bytes(), 0o644); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

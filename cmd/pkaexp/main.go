@@ -15,6 +15,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -155,15 +156,17 @@ func main() {
 		return
 	}
 
-	var out io.Writer = os.Stdout
+	dst := os.Stdout
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		out = io.MultiWriter(os.Stdout, f)
+		dst = f
 	}
+	// Flushed after every experiment, so a failed write stops the run and a
+	// later failure keeps what came before.
+	out := bufio.NewWriter(dst)
 
 	sess, err := execFl.Build(*par)
 	if err != nil {
@@ -228,9 +231,17 @@ func main() {
 			fatal(fmt.Errorf("%s: %w", g.name, err))
 		}
 		fmt.Fprintf(out, "[%s generated in %s]\n\n", g.name, time.Since(t0).Round(time.Millisecond))
+		if err := out.Flush(); err != nil {
+			fatal(fmt.Errorf("writing %s: %w", g.name, err))
+		}
 	}
 	if err := sess.Close(); err != nil {
 		fatal(err)
+	}
+	if dst != os.Stdout {
+		if err := dst.Close(); err != nil {
+			fatal(err)
+		}
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"pka/internal/core"
 	"pka/internal/obs"
 	"pka/internal/pks"
-	"pka/internal/profiler"
 	"pka/internal/stats"
 	"pka/internal/workload"
 )
@@ -100,10 +99,10 @@ func Select(cfg core.Config, ws []*workload.Workload) (*Suite, error) {
 	suite := &Suite{}
 
 	// The sweep stops only under both bounds of the envelope.
-	seg, err := pks.SelectSegments(cfg.Device, ws, cfg.PKS, func(o pks.Options, recs []profiler.DetailedRecord, ends []int) pks.ScoreFunc {
+	seg, err := pks.SelectSegments(cfg.Device, ws, cfg.PKS, func(o pks.Options, p *pks.Pool) pks.ScoreFunc {
 		suite.TargetErrorPct, suite.PerAppErrorPct = o.TargetErrorPct, 2*o.TargetErrorPct
 		return func(k int, clusters []pks.Cluster) (float64, bool) {
-			suiteErr, maxAppErr, pooled := suiteProjectionError(clusters, recs, ends)
+			suiteErr, maxAppErr, pooled := suiteProjectionError(clusters, p)
 			if metrics != nil {
 				metrics.SweepSteps.Inc()
 			}
@@ -173,10 +172,10 @@ func Select(cfg core.Config, ws []*workload.Workload) (*Suite, error) {
 
 // suiteProjectionError scores one clustering: the suite-total projected
 // cycle error and the worst single-app error, both over the pooled members
-// the clusters hold. recs are the apps' detailed records, app-major, ends[a]
-// one past app a's last.
-func suiteProjectionError(clusters []pks.Cluster, recs []profiler.DetailedRecord, ends []int) (suiteErr, maxAppErr float64, pooled int) {
-	projected, total := pks.ProjectedCycles(clusters, recs)
+// the clusters hold. p pools the apps' detailed launches, app-major.
+func suiteProjectionError(clusters []pks.Cluster, p *pks.Pool) (suiteErr, maxAppErr float64, pooled int) {
+	projected, total := pks.ProjectedCycles(clusters, p)
+	ends := p.Ends()
 	appProj := make([]int64, len(ends))
 	appTotal := make([]int64, len(ends))
 	for _, cl := range clusters {
@@ -186,8 +185,8 @@ func suiteProjectionError(clusters []pks.Cluster, recs []profiler.DetailedRecord
 			for m >= ends[a] {
 				a++
 			}
-			appProj[a] += recs[cl.Rep].Cycles
-			appTotal[a] += recs[m].Cycles
+			appProj[a] += p.Cycles(cl.Rep)
+			appTotal[a] += p.Cycles(m)
 		}
 	}
 	for a, t := range appTotal {

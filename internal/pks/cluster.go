@@ -59,21 +59,22 @@ const pcaVarianceTarget = 0.9
 // per non-empty cluster, elected by the Representative policy.
 //
 // A scaled workload launches a few dozen distinct kernels thousands of
-// times, so vectors are interned first: scaling, projection and nearest
-// centre run once per distinct vector, while what reduces over launches (the
-// PCA fit's moments, the Lloyd loop's sums) still sees one row per launch,
-// in launch order.
-func ClusterRecords(recs []profiler.DetailedRecord, o Options, score ScoreFunc) (*Clustering, error) {
+// times, so vectors are interned first, from the pool's kinds: scaling,
+// projection and nearest centre run once per distinct vector, while what
+// reduces over launches (the PCA fit's moments, the Lloyd loop's sums) still
+// sees one row per launch, in launch order.
+func ClusterRecords(p *Pool, o Options, score ScoreFunc) (*Clustering, error) {
 	elect := o.elector()
-	vecOf, vecs := internFeatures(recs)
+	vecOfKind, vecs := internFeatures(p.kinds)
+	vecOf := func(i int) int { return int(vecOfKind[p.kindOf[i]]) }
 	scaled := linalg.NewMatrix(len(vecs), trace.NumFeatures)
 	for v, f := range vecs {
 		ScaleFeatures(scaled.Row(v), f)
 	}
-	sample := SampleIndices(len(recs), o.ClusterSampleMax)
+	sample := SampleIndices(p.Len(), o.ClusterSampleMax)
 	feat := linalg.NewMatrix(len(sample), trace.NumFeatures)
 	for r, idx := range sample {
-		copy(feat.Row(r), scaled.Row(int(vecOf[idx])))
+		copy(feat.Row(r), scaled.Row(vecOf(idx)))
 	}
 	points := make([][]float64, len(sample))
 	space := scaled // row v is vecs[v] in cluster space
@@ -91,7 +92,7 @@ func ClusterRecords(recs []profiler.DetailedRecord, o Options, score ScoreFunc) 
 			return nil, err
 		}
 		for r, idx := range sample {
-			points[r] = space.Row(int(vecOf[idx]))
+			points[r] = space.Row(vecOf(idx))
 		}
 	}
 	// One Dataset for the whole K-sweep: every fit after the first reuses
@@ -123,7 +124,7 @@ func ClusterRecords(recs []profiler.DetailedRecord, o Options, score ScoreFunc) 
 	for v := range nearest {
 		nearest[v] = -1
 	}
-	out.GroupOf = make([]int, len(recs))
+	out.GroupOf = make([]int, p.Len())
 	pos := 0
 	for i := range out.GroupOf {
 		if pos < len(sample) && sample[pos] == i {
@@ -131,9 +132,9 @@ func ClusterRecords(recs []profiler.DetailedRecord, o Options, score ScoreFunc) 
 			pos++
 			continue
 		}
-		v := vecOf[i]
+		v := vecOf(i)
 		if nearest[v] < 0 {
-			nearest[v] = groupOfCluster[best.NearestCenter(space.Row(int(v)))]
+			nearest[v] = groupOfCluster[best.NearestCenter(space.Row(v))]
 		}
 		out.GroupOf[i] = nearest[v]
 	}
@@ -141,7 +142,9 @@ func ClusterRecords(recs []profiler.DetailedRecord, o Options, score ScoreFunc) 
 }
 
 // internFeatures numbers the distinct Table-2 vectors of recs in first-seen
-// order: record i carries vecs[vecOf[i]], equal to its own bit for bit.
+// order: record i carries vecs[vecOf[i]], equal to its own bit for bit. Over
+// a pool's kinds, which are in first-seen order themselves, it numbers the
+// vectors as it would over every launch.
 func internFeatures(recs []profiler.DetailedRecord) (vecOf []int32, vecs [][]float64) {
 	ids := map[[trace.NumFeatures]uint64]int32{}
 	vecOf = make([]int32, len(recs))
@@ -198,11 +201,11 @@ func electClusters(res *cluster.KMeansResult, points [][]float64, sample []int, 
 
 // ProjectedCycles is the sweep's yardstick: the cycles the clusters'
 // representatives project for their members, and the members' true total.
-func ProjectedCycles(clusters []Cluster, recs []profiler.DetailedRecord) (projected, total int64) {
+func ProjectedCycles(clusters []Cluster, p *Pool) (projected, total int64) {
 	for _, cl := range clusters {
-		projected += recs[cl.Rep].Cycles * int64(len(cl.Members))
+		projected += p.Cycles(cl.Rep) * int64(len(cl.Members))
 		for _, m := range cl.Members {
-			total += recs[m].Cycles
+			total += p.Cycles(m)
 		}
 	}
 	return projected, total
@@ -226,14 +229,20 @@ type TailClassifier struct {
 // ensemble, unfitted: the launch features of the detailed records, labelled
 // with their groups. Training cost grows linearly in rows while huge detailed
 // prefixes are massively redundant (the same layer kernels repeat thousands of
-// times), so the set is capped by strided sampling. HoldoutAccuracy only reads
-// it, so a selection can start its probe before fit.
-func newTailClassifier(recs []profiler.DetailedRecord, sharedMem, groupOf []int, numClasses int, seed uint64) *TailClassifier {
+// times), so the set is capped by strided sampling, and the rows of one kind
+// are one shared slice: the members only read them. HoldoutAccuracy only
+// reads the set either, so a selection can start its probe before fit.
+func newTailClassifier(p *Pool, groupOf []int, numClasses int, seed uint64) *TailClassifier {
 	const classifierTrainMax = 20000
-	idx := SampleIndices(len(recs), classifierTrainMax)
+	idx := SampleIndices(p.Len(), classifierTrainMax)
 	t := &TailClassifier{x: make([][]float64, len(idx)), y: make([]int, len(idx)), classes: numClasses, seed: seed}
+	rows := make([][]float64, len(p.kinds)) // each kind's row, once it is sampled
 	for i, r := range idx {
-		t.x[i] = profiler.FeaturesOfDetailed(recs[r], sharedMem[r])
+		kind := p.kindOf[r]
+		if rows[kind] == nil {
+			rows[kind] = profiler.FeaturesOfDetailed(p.kinds[kind], p.sharedMem[kind])
+		}
+		t.x[i] = rows[kind]
 		t.y[i] = groupOf[r]
 	}
 	return t

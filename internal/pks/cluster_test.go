@@ -118,6 +118,21 @@ func detailedRecords(t *testing.T, name string, max int) ([]profiler.DetailedRec
 	return recs, w
 }
 
+// poolOf pools recs as one segment, launch i with sharedMem[i] (0 when
+// sharedMem is shorter).
+func poolOf(recs []profiler.DetailedRecord, sharedMem []int) *Pool {
+	p := newPool(len(recs))
+	for i, rec := range recs {
+		var mem int
+		if i < len(sharedMem) {
+			mem = sharedMem[i]
+		}
+		p.add(rec, mem)
+	}
+	p.endSegment()
+	return p
+}
+
 // TestClusterRecordsMatchesRowAtATime runs the interned clustering core and
 // the row-at-a-time reference over gramschmidt's 6 144 launches (132
 // distinct vectors) in a shuffled order, so duplicates are scattered rather
@@ -129,6 +144,7 @@ func TestClusterRecordsMatchesRowAtATime(t *testing.T) {
 	for i, j := range stats.NewRNG(16).Perm(len(ordered)) {
 		recs[i] = ordered[j]
 	}
+	p := poolOf(recs, nil)
 	_, vecs := internFeatures(recs)
 	if len(vecs) < 2 || len(vecs) > len(recs)/10 {
 		t.Fatalf("%d distinct vectors in %d records: not a duplicate-heavy set", len(vecs), len(recs))
@@ -136,7 +152,7 @@ func TestClusterRecordsMatchesRowAtATime(t *testing.T) {
 	// K = 2 already projects within 0.5 %; hold the sweep to K = 10 so it
 	// fits clusterings that split duplicate-heavy data finely.
 	score := func(k int, clusters []Cluster) (float64, bool) {
-		projected, total := ProjectedCycles(clusters, recs)
+		projected, total := ProjectedCycles(clusters, p)
 		e := stats.AbsPctErr(float64(projected), float64(total))
 		return e, k >= 10 && e <= 0.5
 	}
@@ -148,7 +164,7 @@ func TestClusterRecordsMatchesRowAtATime(t *testing.T) {
 	} {
 		o.MaxK, o.Seed = 20, 7
 		name := fmt.Sprintf("sample %d pca=%v rep=%v", o.ClusterSampleMax, !o.DisablePCA, o.Representative)
-		got, err := ClusterRecords(recs, o, score)
+		got, err := ClusterRecords(p, o, score)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -180,14 +196,15 @@ func TestTailGroupMatchesFreshPredict(t *testing.T) {
 		sharedMem[i] = k.SharedMemPerBlock
 	}
 	o := Options{}.filled()
-	c, err := ClusterRecords(detailed, o, projectionScore(o, detailed, nil))
+	p := poolOf(detailed, sharedMem)
+	c, err := ClusterRecords(p, o, projectionScore(o, p))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(c.Clusters) < 2 {
 		t.Fatalf("%d group(s): the ensemble is never consulted", len(c.Clusters))
 	}
-	tail := newTailClassifier(detailed, sharedMem, c.GroupOf, len(c.Clusters), 0)
+	tail := newTailClassifier(p, c.GroupOf, len(c.Clusters), 0)
 	if err := tail.fit(); err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +259,7 @@ func TestTailLightErrorJoinsProbe(t *testing.T) {
 
 	before := runtime.NumGoroutine()
 	seg := &Segments{Sels: []*Selection{{Workload: w.FullName(), Device: dev.Name, TotalKernels: w.N, DetailedKernels: maxDetailed, TwoLevel: true}}}
-	err := seg.finish(dev, []*workload.Workload{w}, pool{recs: detailed, sharedMem: sharedMem, ends: []int{len(detailed)}}, Options{}.filled(), projectionScore)
+	err := seg.finish(dev, []*workload.Workload{w}, poolOf(detailed, sharedMem), Options{}.filled(), projectionScore)
 	if want := fmt.Sprintf("light profiling kernel %d: trace: kernel", maxDetailed); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("err %v, want the silicon model's refusal of kernel %d (%q)", err, maxDetailed, want)
 	}

@@ -25,6 +25,7 @@ import (
 	"pka/internal/profiler"
 	"pka/internal/silicon"
 	"pka/internal/stats"
+	"pka/internal/trace"
 	"pka/internal/workload"
 )
 
@@ -171,9 +172,9 @@ func Select(dev gpu.Device, w *workload.Workload, opts Options) (*Selection, err
 
 // projectionScore is PKS's own stop: the projected cycle error of the
 // clustered records, under the target.
-func projectionScore(o Options, recs []profiler.DetailedRecord, _ []int) ScoreFunc {
+func projectionScore(o Options, p *Pool) ScoreFunc {
 	return func(k int, clusters []Cluster) (float64, bool) {
-		projected, total := ProjectedCycles(clusters, recs)
+		projected, total := ProjectedCycles(clusters, p)
 		errPct := stats.AbsPctErr(float64(projected), float64(total))
 		if m := o.Metrics; m != nil {
 			m.SweepSteps.Inc()
@@ -183,8 +184,8 @@ func projectionScore(o Options, recs []profiler.DetailedRecord, _ []int) ScoreFu
 }
 
 // SegmentScore builds the K sweep's ScoreFunc from the filled options and the
-// pool's records, segment-major, ends[s] one past segment s's last.
-type SegmentScore func(o Options, recs []profiler.DetailedRecord, ends []int) ScoreFunc
+// pool of detailed launches.
+type SegmentScore func(o Options, p *Pool) ScoreFunc
 
 // Segments is one selection over several workloads, a segment each: one
 // clustering of their pooled detailed records, so a group's representative
@@ -199,15 +200,6 @@ type Segments struct {
 	ProfilingSeconds float64
 	// ClassifierAccuracy is the tail ensemble's holdout accuracy, if any.
 	ClassifierAccuracy float64
-}
-
-// pool is every segment's detailed prefix, segment-major and chronological
-// within each: (segment, launch) order, which first-chronological election
-// relies on. ends[s] is one past segment s's last record.
-type pool struct {
-	recs      []profiler.DetailedRecord
-	sharedMem []int
-	ends      []int
 }
 
 // SelectSegments runs Principal Kernel Selection over the workloads at once,
@@ -225,20 +217,20 @@ func SelectSegments(dev gpu.Device, ws []*workload.Workload, opts Options, score
 	for _, w := range ws {
 		n += w.N
 	}
-	p := pool{recs: make([]profiler.DetailedRecord, 0, min(n, 4096)), sharedMem: make([]int, 0, min(n, 4096))}
+	p := newPool(n)
+	features := make([]float64, 0, trace.NumFeatures) // every launch's Table-2 vector, in turn
 	for s, w := range ws {
 		sel := &Selection{Workload: w.FullName(), Device: dev.Name, TotalKernels: w.N}
 		seg.Sels[s] = sel
 		// Pass 1: detailed profiling until the budget (or cap) is exhausted.
 		budget := o.DetailedBudgetSeconds
-		next := w.Iterator()
-		for k := next(); k != nil; k = next() {
-			rec, cost, err := profiler.Detailed(dev, k)
+		for i := 0; i < w.N; i++ {
+			k := w.Kernel(i)
+			rec, cost, err := profiler.DetailedInto(dev, &k, features)
 			if err != nil {
 				return nil, fmt.Errorf("%s: detailed profiling: %w", sel.Workload, err)
 			}
-			p.recs = append(p.recs, rec)
-			p.sharedMem = append(p.sharedMem, k.SharedMemPerBlock)
+			p.add(rec, k.SharedMemPerBlock)
 			sel.DetailedKernels++
 			sel.SiliconTotalCycles += rec.Cycles // ground truth: the detailed prefix, then the tail
 			sel.ProfilingSeconds += cost
@@ -251,7 +243,7 @@ func SelectSegments(dev gpu.Device, ws []*workload.Workload, opts Options, score
 			return nil, fmt.Errorf("workload %s has no kernels", sel.Workload)
 		}
 		sel.TwoLevel = sel.DetailedKernels < sel.TotalKernels
-		p.ends = append(p.ends, len(p.recs))
+		p.endSegment()
 	}
 	if err := seg.finish(dev, ws, p, o, score); err != nil {
 		return nil, err
@@ -263,8 +255,8 @@ func SelectSegments(dev gpu.Device, ws []*workload.Workload, opts Options, score
 // filled seg's selections up to TwoLevel: the PCA + K-Means sweep over the
 // pool, the two-level classifier mapping over the light profiles of the
 // segments' remaining launches, and each segment's projection accounting.
-func (seg *Segments) finish(dev gpu.Device, ws []*workload.Workload, p pool, o Options, score SegmentScore) error {
-	c, err := ClusterRecords(p.recs, o, score(o, p.recs, p.ends))
+func (seg *Segments) finish(dev gpu.Device, ws []*workload.Workload, p *Pool, o Options, score SegmentScore) error {
+	c, err := ClusterRecords(p, o, score(o, p))
 	if err != nil {
 		return err
 	}
@@ -276,11 +268,8 @@ func (seg *Segments) finish(dev gpu.Device, ws []*workload.Workload, p pool, o O
 		sel.K, sel.SweepErrors = len(c.Clusters), c.SweepErrors
 		sel.Groups = make([]Group, sel.K)
 		for g, cl := range c.Clusters {
-			sel.Groups[g] = Group{
-				Representative: p.recs[cl.Rep],
-				RepIndex:       p.recs[cl.Rep].KernelID,
-				NameCounts:     map[string]int{},
-			}
+			rep := p.record(cl.Rep)
+			sel.Groups[g] = Group{Representative: rep, RepIndex: rep.KernelID, NameCounts: map[string]int{}}
 		}
 	}
 	s := 0
@@ -290,7 +279,7 @@ func (seg *Segments) finish(dev gpu.Device, ws []*workload.Workload, p pool, o O
 		}
 		grp := &seg.Sels[s].Groups[g]
 		grp.DetailedCount++
-		grp.NameCounts[p.recs[i].Name]++
+		grp.NameCounts[p.kind(i).Name]++
 	}
 
 	if slices.ContainsFunc(seg.Sels, func(sel *Selection) bool { return sel.TwoLevel }) {
@@ -398,10 +387,10 @@ func (o Options) elector() ElectFunc {
 // The holdout probe fits its own ensemble on its own goroutine, beside the
 // tail's fit and the light pass, and is joined before any return (a panic
 // in it is re-raised here); its error is returned if nothing failed first.
-func (seg *Segments) mapLightKernels(dev gpu.Device, ws []*workload.Workload, p pool, groupOf []int, o Options) (err error) {
-	tail := newTailClassifier(p.recs, p.sharedMem, groupOf, len(seg.Owner), o.Seed)
+func (seg *Segments) mapLightKernels(dev gpu.Device, ws []*workload.Workload, p *Pool, groupOf []int, o Options) (err error) {
+	tail := newTailClassifier(p, groupOf, len(seg.Owner), o.Seed)
 	seg.ClassifierAccuracy = 1
-	if len(p.recs) >= 10 && len(seg.Owner) > 1 {
+	if p.Len() >= 10 && len(seg.Owner) > 1 {
 		var accuracy float64
 		var probeErr error
 		var probePanic any

@@ -74,6 +74,13 @@ type LightRecord struct {
 // Detailed profiles one kernel in detail on the device, returning the
 // record and the modeled profiling cost in seconds.
 func Detailed(dev gpu.Device, k *trace.KernelDesc) (DetailedRecord, float64, error) {
+	return DetailedInto(dev, k, nil)
+}
+
+// DetailedInto is Detailed with the record's Table-2 vector written over
+// features[:0], so a pass that profiles launch after launch reuses one
+// buffer: the record's Features is only good until the next call.
+func DetailedInto(dev gpu.Device, k *trace.KernelDesc, features []float64) (DetailedRecord, float64, error) {
 	res, err := silicon.ExecuteKernel(dev, k)
 	if err != nil {
 		return DetailedRecord{}, 0, err
@@ -83,7 +90,7 @@ func Detailed(dev gpu.Device, k *trace.KernelDesc) (DetailedRecord, float64, err
 		Name:        k.Name,
 		Grid:        k.Grid,
 		Block:       k.Block,
-		Features:    k.FeatureVector(dev),
+		Features:    k.AppendFeatureVector(features[:0], dev),
 		Cycles:      res.Cycles,
 		TimeSeconds: res.TimeSeconds,
 		DRAMUtil:    res.DRAMUtil,

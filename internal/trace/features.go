@@ -22,28 +22,29 @@ var FeatureNames = [NumFeatures]string{
 	"thread_blocks",           // launch_grid_size
 }
 
-// FeatureVector computes the kernel's Table-2 metric vector as it would be
-// reported by detailed profiling on the given device. Counts scale with the
-// generation's ISA representation, reproducing the paper's caveat that
+// AppendFeatureVector appends the kernel's Table-2 metric vector, as
+// detailed profiling on the given device would report it, to dst, so a
+// caller walking launch after launch can reuse one buffer. Counts scale with
+// the generation's ISA representation, reproducing the paper's caveat that
 // instruction makeup varies slightly across machine ISAs; the divergence
 // ratio and grid size are ISA-independent.
-func (k *KernelDesc) FeatureVector(dev gpu.Device) []float64 {
+func (k *KernelDesc) AppendFeatureVector(dst []float64, dev gpu.Device) []float64 {
 	warps := float64(k.Grid.Count()) * float64(k.WarpsPerBlock())
 	threads := float64(k.Threads()) * k.DivergenceEff // executed thread-instruction scale
 	isa := dev.ISAScale
 
-	f := make([]float64, NumFeatures)
-	f[0] = warps * float64(k.Mix.GlobalLoads) * k.CoalescingFactor * isa
-	f[1] = warps * float64(k.Mix.GlobalStores) * k.CoalescingFactor * isa
-	f[2] = warps * float64(k.Mix.LocalLoads) * k.CoalescingFactor * isa
-	f[3] = threads * float64(k.Mix.GlobalLoads) * isa
-	f[4] = threads * float64(k.Mix.GlobalStores) * isa
-	f[5] = threads * float64(k.Mix.LocalLoads) * isa
-	f[6] = threads * float64(k.Mix.SharedLoads) * isa
-	f[7] = threads * float64(k.Mix.SharedStores) * isa
-	f[8] = threads * float64(k.Mix.GlobalAtomics) * isa
-	f[9] = warps * float64(k.Mix.Total()) * isa
-	f[10] = k.DivergenceEff * float64(dev.WarpSize)
-	f[11] = float64(k.Grid.Count())
-	return f
+	return append(dst,
+		warps*float64(k.Mix.GlobalLoads)*k.CoalescingFactor*isa,
+		warps*float64(k.Mix.GlobalStores)*k.CoalescingFactor*isa,
+		warps*float64(k.Mix.LocalLoads)*k.CoalescingFactor*isa,
+		threads*float64(k.Mix.GlobalLoads)*isa,
+		threads*float64(k.Mix.GlobalStores)*isa,
+		threads*float64(k.Mix.LocalLoads)*isa,
+		threads*float64(k.Mix.SharedLoads)*isa,
+		threads*float64(k.Mix.SharedStores)*isa,
+		threads*float64(k.Mix.GlobalAtomics)*isa,
+		warps*float64(k.Mix.Total())*isa,
+		k.DivergenceEff*float64(dev.WarpSize),
+		float64(k.Grid.Count()),
+	)
 }

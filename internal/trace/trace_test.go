@@ -117,7 +117,7 @@ func TestTotalWarpInstructionsScalesWithISA(t *testing.T) {
 
 func TestFeatureVectorShapeAndNames(t *testing.T) {
 	k := validKernel()
-	f := k.FeatureVector(gpu.VoltaV100())
+	f := k.AppendFeatureVector(nil, gpu.VoltaV100())
 	if len(f) != NumFeatures || len(FeatureNames) != NumFeatures {
 		t.Fatalf("feature length %d, names %d", len(f), len(FeatureNames))
 	}
@@ -141,8 +141,8 @@ func TestFeatureVectorShapeAndNames(t *testing.T) {
 
 func TestFeatureVectorISAInvariance(t *testing.T) {
 	k := validKernel()
-	fv := k.FeatureVector(gpu.VoltaV100())
-	fa := k.FeatureVector(gpu.AmpereRTX3070())
+	fv := k.AppendFeatureVector(nil, gpu.VoltaV100())
+	fa := k.AppendFeatureVector(nil, gpu.AmpereRTX3070())
 	// Instruction-derived metrics scale; structural metrics do not.
 	if fa[9] <= fv[9] {
 		t.Error("Ampere instruction count should exceed Volta (ISA 1.04)")
@@ -161,7 +161,7 @@ func TestFeatureVectorScalingProperty(t *testing.T) {
 		k.Grid = D1(b)
 		k.Mix.GlobalLoads = int(loads % 20)
 		k.Mix.Compute = int(computeRaw%50) + 1
-		fv := k.FeatureVector(gpu.VoltaV100())
+		fv := k.AppendFeatureVector(nil, gpu.VoltaV100())
 		for _, v := range fv {
 			if v < 0 {
 				return false
@@ -169,7 +169,7 @@ func TestFeatureVectorScalingProperty(t *testing.T) {
 		}
 		k2 := k
 		k2.Grid = D1(2 * b)
-		fv2 := k2.FeatureVector(gpu.VoltaV100())
+		fv2 := k2.AppendFeatureVector(nil, gpu.VoltaV100())
 		for i := 0; i < 10; i++ { // count-type features
 			if fv[i] == 0 {
 				if fv2[i] != 0 {
