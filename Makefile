@@ -32,7 +32,7 @@ test:
 # at ~10x race overhead (experiments without -short costs ≈ 560 s under
 # -race on the 2-core box; its -short run still includes the study cost pin,
 # TestStudySimulatesLikeEvaluate); core, pks and sampling race only their
-# event-stream tests (a loaded stream's evaluation at scheduler width > 1), the
+# workload-document tests (a loaded document's evaluation at scheduler width > 1), the
 # selection-artifact tests, the rider, bank, baseline-plan and pack tests (at scheduler width > 1 a bank is
 # filled and drained, and a batch's pack read once, from several goroutines),
 # the scan's (its launches are handed to the scheduler's tasks, and its memo
@@ -50,10 +50,10 @@ race:
 	    ./internal/artifact/... ./internal/remote/... ./internal/dedup/... ./internal/classify/...
 	$(GO) test -race -short ./internal/experiments/... ./internal/workload/...
 	$(GO) test -race -short -run 'TwoLevel|MaxDetailed|Tail' ./internal/pks/...
-	$(GO) test -race -run 'Stream|SelectWarm|Misfit|Riders|Bank|Baseline|Pack|Scan|WalksOnce|ShareOneWorkload' ./internal/core/... ./internal/pks/... ./internal/sampling/...
+	$(GO) test -race -run 'Document|SelectWarm|Misfit|Riders|Bank|Baseline|Pack|Scan|WalksOnce|ShareOneWorkload' ./internal/core/... ./internal/pks/... ./internal/sampling/...
 
 # Five seconds of coverage-guided fuzzing per decoder of untrusted or
-# persisted bytes (ten targets). The seed corpora already run in `make test`; this is the
+# persisted bytes (eight targets). The seed corpora already run in `make test`; this is the
 # smoke that the targets still build and survive fresh inputs.
 FUZZTIME ?= 5s
 fuzz-smoke:
@@ -62,9 +62,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzDecodePack -fuzztime $(FUZZTIME) ./internal/sampling
 	$(GO) test -run NONE -fuzz FuzzDecodeEntry -fuzztime $(FUZZTIME) ./internal/artifact
 	$(GO) test -run NONE -fuzz FuzzLoadWorkloadJSON -fuzztime $(FUZZTIME) ./internal/workload
-	$(GO) test -run NONE -fuzz FuzzStreamEvents -fuzztime $(FUZZTIME) ./internal/workload
 	$(GO) test -run NONE -fuzz FuzzServeRequest -fuzztime $(FUZZTIME) ./internal/serve
-	$(GO) test -run NONE -fuzz FuzzStreamRequest -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run NONE -fuzz FuzzParseTraceparent -fuzztime $(FUZZTIME) ./internal/obs
 	$(GO) test -run NONE -fuzz FuzzCacheRequest -fuzztime $(FUZZTIME) ./internal/remote
 

@@ -10,13 +10,13 @@
 //	pka -w Polybench/fdtd2d -target 2 -s 0.1
 //	pka -w MLPerf/ssd_training -device turing -selection-only
 //	pka -w Rodinia/gauss_208 -trace t.json -metrics m.prom -audit a.ndjson
-//	pka -w Rodinia/gauss_208 -emit-events ev.ndjson   # record an event stream
-//	pka -workload-file ev.ndjson                      # study it
+//	pka -w Rodinia/gauss_208 -emit-workload g.json   # write its document
+//	pka -workload-file g.json                        # study it
 //
-// -workload-file reads either workload format: a JSON document, or an
-// NDJSON kernel-event stream as -emit-events writes it (events in any
-// order; '-' = stdin). A study of a workload's event stream prints what the
-// study of the workload itself does, byte for byte.
+// -workload-file reads a workload document ('-' = stdin); -emit-workload
+// writes one, an entry per launch with its exact seed. A study of a
+// workload's emitted document prints what the study of the workload itself
+// does, byte for byte.
 package main
 
 import (
@@ -48,12 +48,12 @@ func main() {
 		selOnly   = flag.Bool("selection-only", false, "stop after Principal Kernel Selection")
 		maxK      = flag.Int("maxk", 20, "K-Means sweep bound")
 		jsonOut   = flag.String("json", "", "write the selection (groups, representatives, weights) to this JSON file")
-		wfile     = flag.String("workload-file", "", "analyze a workload from a file instead of -w: a JSON document or an NDJSON kernel-event stream ('-' = stdin)")
+		wfile     = flag.String("workload-file", "", "analyze a workload from a JSON document instead of -w ('-' = stdin)")
 		par       = flag.Int("p", 0, "parallelism: concurrent pipeline stages (0 = GOMAXPROCS, 1 = serial)")
 		explain   = flag.Bool("explain", false, "print the per-tier execution provenance report (which ladder tier served each kernel launch) after the study")
 		flightF   = flag.String("flight", "", "write the per-kernel execution provenance (flight recorder) as NDJSON to this file")
 		suiteDed  = flag.String("suite-dedup", "", "run a suite-level dedup study over this comma-separated workload list: cluster all apps in one shared PCA space, simulate one representative per cross-workload group, and report per-app errors plus the warp-instruction savings vs per-app PKS")
-		emitEv    = flag.String("emit-events", "", "with -w or -workload-file (either format): write the workload as an NDJSON kernel-event stream to this file ('-' = stdout) and exit")
+		emitDoc   = flag.String("emit-workload", "", "with -w or -workload-file: write the workload as a JSON document, one entry per launch with its exact seed, to this file ('-' = stdout) and exit")
 		execFlags cli.ExecFlags
 	)
 	execFlags.Obs.Register(nil)
@@ -116,11 +116,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *emitEv != "" {
+	if *emitDoc != "" {
 		if w == nil {
-			fatal(fmt.Errorf("-emit-events needs -w or -workload-file"))
+			fatal(fmt.Errorf("-emit-workload needs -w or -workload-file"))
 		}
-		if err := emitEventStream(w, *emitEv); err != nil {
+		if err := emitWorkload(w, *emitDoc); err != nil {
 			fatal(err)
 		}
 		return
@@ -317,11 +317,11 @@ func printSimulation(ev *core.Evaluation) {
 	fmt.Printf("  PKA projected DRAM    %.1f%%\n", ev.PKA.DRAMUtil*100)
 }
 
-// emitEventStream writes the workload as an NDJSON kernel-event stream.
-func emitEventStream(w *workload.Workload, path string) error {
-	err := cli.WriteOutput(path, func(out io.Writer) error { return workload.WriteEvents(out, w) })
+// emitWorkload writes the workload as a workload document.
+func emitWorkload(w *workload.Workload, path string) error {
+	err := cli.WriteOutput(path, func(out io.Writer) error { return workload.WriteJSON(out, w) })
 	if err == nil && path != "-" {
-		fmt.Fprintf(os.Stderr, "event stream written to %s\n", path)
+		fmt.Fprintf(os.Stderr, "workload document written to %s\n", path)
 	}
 	return err
 }

@@ -11,16 +11,14 @@
 //	pkaserve -cache-dir /var/pka -shard http://gpu1:9377,http://gpu2:9377
 //	pkaserve -tenants prod=3,batch=1               # prod drains 3:1 under load
 //
-// Endpoints: POST /v1/study, POST /v1/stream, GET /v1/latency (?text=1),
-// GET /v1/health, GET /metrics. SIGINT/SIGTERM drains gracefully: queued
-// studies finish, new ones get 503.
+// Endpoints: POST /v1/study, GET /v1/latency (?text=1), GET /v1/health,
+// GET /metrics. SIGINT/SIGTERM drains gracefully: queued studies finish, new
+// ones get 503.
 //
-// /v1/stream is /v1/study with the workload sent as a kernel-event stream:
-// the body is NDJSON — a study-request line (no workload field), then the
-// events as written by `pka -emit-events`. The server reads the events
-// whole into their workload and queues the study like any other; the
-// response and its status are the /v1/study ones for the same workload and
-// parameters.
+// A study request names a catalogue workload ("workload") or carries a
+// workload document inline ("workload_json", as `pka -emit-workload`
+// writes it). The body is capped at 1 MiB; a larger workload is studied
+// from its file with `pka -workload-file`.
 package main
 
 import (

@@ -425,7 +425,7 @@ func SplitURLs(csv string) []string {
 }
 
 // WriteOutput renders to the file at path, or to stdout when path is "-" —
-// the spelling -cache-stats and -emit-events share.
+// the spelling -cache-stats and -emit-workload share.
 func WriteOutput(path string, render func(w io.Writer) error) error {
 	if path == "-" {
 		return render(os.Stdout)

@@ -25,7 +25,7 @@ func TestFlagConflicts(t *testing.T) {
 	pair := [2]string{"workload-file", "suite-dedup"}
 
 	// Both set: one clear error naming both flags.
-	fs := conflictSet(t, "-workload-file", "events.ndjson", "-suite-dedup")
+	fs := conflictSet(t, "-workload-file", "doc.json", "-suite-dedup")
 	err := FlagConflicts(fs, pair)
 	if err == nil {
 		t.Fatal("conflicting flags accepted")
@@ -37,7 +37,7 @@ func TestFlagConflicts(t *testing.T) {
 	// Either alone is fine, as is neither; a set flag at its default value
 	// still counts as set (the user typed it).
 	for _, args := range [][]string{
-		{"-workload-file", "events.ndjson"},
+		{"-workload-file", "doc.json"},
 		{"-suite-dedup"},
 		{"-w", "Rodinia/gauss_208"},
 		{},

@@ -404,7 +404,7 @@ func Evaluate(cfg Config, w *workload.Workload) (*Evaluation, error) {
 }
 
 // Evaluate runs the plan on one workload; every study surface calls it. sel,
-// when non-nil, is used verbatim by the sampled passes (a stream's selection,
+// when non-nil, is used verbatim by the sampled passes (a caller's own selection,
 // or a study's Volta selection on another device); nil resolves it as Select
 // does. A selection that does not fit w is an error.
 //
@@ -527,7 +527,7 @@ func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*E
 			}
 		}
 		ev.Selection = sel
-		// sel may come from a stream, a file or the store: check before it indexes w.
+		// sel may come from a caller or the store: check before it indexes w.
 		if err := sel.CheckFor(w.N); err != nil {
 			return nil, nil, err
 		}

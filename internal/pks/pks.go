@@ -213,11 +213,7 @@ type Segments struct {
 func SelectSegments(dev gpu.Device, ws []*workload.Workload, opts Options, score SegmentScore) (*Segments, error) {
 	o := opts.filled()
 	seg := &Segments{Sels: make([]*Selection, len(ws))}
-	n := 0
-	for _, w := range ws {
-		n += w.N
-	}
-	p := newPool(n)
+	p := newPool(detailedBound(ws, o))
 	features := make([]float64, 0, trace.NumFeatures) // every launch's Table-2 vector, in turn
 	for s, w := range ws {
 		sel := &Selection{Workload: w.FullName(), Device: dev.Name, TotalKernels: w.N}
@@ -249,6 +245,26 @@ func SelectSegments(dev gpu.Device, ws []*workload.Workload, opts Options, score
 		return nil, err
 	}
 	return seg, nil
+}
+
+// detailedBound bounds how many launches the detailed pass pools: in each
+// segment at most its N, MaxDetailed when set, and as many as the budget
+// admits, since every detailed launch costs at least
+// profiler.DetailedFixedSeconds. The pool is sized to it once.
+func detailedBound(ws []*workload.Workload, o Options) int {
+	budget := math.Ceil(o.DetailedBudgetSeconds / profiler.DetailedFixedSeconds)
+	n := 0
+	for _, w := range ws {
+		m := w.N
+		if float64(m) > budget {
+			m = int(budget)
+		}
+		if o.MaxDetailed > 0 {
+			m = min(m, o.MaxDetailed)
+		}
+		n += m
+	}
+	return n
 }
 
 // finish runs everything downstream of the detailed-profiling pass, which

@@ -37,9 +37,9 @@ type kindKey struct {
 	sharedMem   int
 }
 
-// newPool returns an empty pool with room for n launches (at most 4 096).
+// newPool returns an empty pool with room for n launches.
 func newPool(n int) *Pool {
-	return &Pool{ids: map[kindKey]int32{}, kindOf: make([]int32, 0, min(n, 4096))}
+	return &Pool{ids: map[kindKey]int32{}, kindOf: make([]int32, 0, n)}
 }
 
 // add appends one launch of the current segment. rec's Features is copied

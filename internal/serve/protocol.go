@@ -30,11 +30,6 @@ import (
 const (
 	// StudyPath runs one study request (POST, JSON body).
 	StudyPath = "/v1/study"
-	// StreamPath runs one study of a workload sent as a kernel-event
-	// stream (POST, NDJSON body): a study request line naming no workload,
-	// then the events in the workload event format. The response and its
-	// status are StudyPath's for the same workload and parameters.
-	StreamPath = "/v1/stream"
 	// LatencyPath reports the rolling latency percentiles (GET; ?text=1
 	// for the human-readable report).
 	LatencyPath = "/v1/latency"
@@ -51,7 +46,8 @@ const (
 	TraceparentHeader = "traceparent"
 	// MaxStudyRequestBytes bounds a study request body. A request naming
 	// a built-in workload is under a kilobyte; the limit leaves room for
-	// a large inline workload document.
+	// an inline workload document of a few thousand launches. A larger
+	// workload is studied from its file, by pka -workload-file.
 	MaxStudyRequestBytes = 1 << 20
 )
 
@@ -70,10 +66,11 @@ const (
 )
 
 // StudyRequest is one client study order. Exactly one of Workload (a
-// built-in study-set name) or WorkloadJSON (an inline workload document in
-// the cmd/pka -workload-json schema) must be set. Zero-valued parameters
-// take the same defaults as the batch CLI, so a minimal request and the
-// default pka invocation produce byte-identical numbers.
+// built-in study-set name) or WorkloadJSON (an inline workload document, as
+// pka -emit-workload writes and pka -workload-file reads) must be set.
+// Zero-valued parameters take the same defaults as the batch CLI, so a
+// minimal request and the default pka invocation produce byte-identical
+// numbers.
 type StudyRequest struct {
 	// Tenant attributes the request for weighted-fair scheduling and
 	// per-tenant latency accounting. Empty means "anon".
@@ -110,8 +107,7 @@ type StudyRequest struct {
 	// the response. Observe-only, like Trace.
 	Provenance bool `json:"provenance,omitempty"`
 
-	// Resolved by Validate, or for a StreamPath request by its event
-	// stream.
+	// Resolved by Validate.
 	w   *workload.Workload
 	dev gpu.Device
 
@@ -217,33 +213,6 @@ func DecodeStudyRequest(r io.Reader) (*StudyRequest, error) {
 // Validate normalizes defaults and rejects out-of-bounds parameters,
 // resolving the workload and device in the process. It is idempotent.
 func (r *StudyRequest) Validate() error {
-	if err := r.validateParams(); err != nil {
-		return err
-	}
-	switch {
-	case r.Workload != "" && len(r.WorkloadJSON) > 0:
-		return errors.New("serve: request sets both workload and workload_json")
-	case r.Workload != "":
-		w, err := cli.FindWorkload(r.Workload)
-		if err != nil {
-			return fmt.Errorf("serve: %w", err)
-		}
-		r.w = w
-	case len(r.WorkloadJSON) > 0:
-		w, err := workload.FromJSON(bytes.NewReader(r.WorkloadJSON))
-		if err != nil {
-			return fmt.Errorf("serve: inline workload: %w", err)
-		}
-		r.w = w
-	default:
-		return errors.New("serve: request names no workload")
-	}
-	return nil
-}
-
-// validateParams checks and defaults every study parameter except the
-// workload.
-func (r *StudyRequest) validateParams() error {
 	if r.Tenant == "" {
 		r.Tenant = "anon"
 	}
@@ -288,6 +257,24 @@ func (r *StudyRequest) validateParams() error {
 	}
 	if r.MaxK == 0 {
 		r.MaxK = 20
+	}
+	switch {
+	case r.Workload != "" && len(r.WorkloadJSON) > 0:
+		return errors.New("serve: request sets both workload and workload_json")
+	case r.Workload != "":
+		w, err := cli.FindWorkload(r.Workload)
+		if err != nil {
+			return fmt.Errorf("serve: %w", err)
+		}
+		r.w = w
+	case len(r.WorkloadJSON) > 0:
+		w, err := workload.FromJSON(bytes.NewReader(r.WorkloadJSON))
+		if err != nil {
+			return fmt.Errorf("serve: inline workload: %w", err)
+		}
+		r.w = w
+	default:
+		return errors.New("serve: request names no workload")
 	}
 	return nil
 }

@@ -160,11 +160,11 @@ func TestBackpressure(t *testing.T) {
 	if _, err := srv.Do(&serve.StudyRequest{Tenant: "t"}); err != serve.ErrQueueFull {
 		t.Errorf("overflow submission: got %v, want ErrQueueFull", err)
 	}
-	// A stream queues like a study, so the full queue turns it away too.
+	// Over HTTP the full queue is a 429.
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	if status, body := postBody(t, ts.URL, serve.StreamPath, streamBody(t, "{}", "Rodinia/gauss_mat4")); status != http.StatusTooManyRequests {
-		t.Errorf("overflow stream: status %d, want 429: %s", status, body)
+	if status, body := postBody(t, ts.URL, serve.StudyPath, strings.NewReader(`{"workload":"Rodinia/gauss_mat4"}`)); status != http.StatusTooManyRequests {
+		t.Errorf("overflow POST: status %d, want 429: %s", status, body)
 	}
 	close(release)
 	wg.Wait()
@@ -250,15 +250,16 @@ func TestRunnerPanicIsContained(t *testing.T) {
 	if _, err := srv.Do(&serve.StudyRequest{Tenant: "t"}); err != nil {
 		t.Fatalf("request after panic failed: %v", err)
 	}
-	// A stream runs on the same runner: its panic is a 500 for it alone.
+	// Over HTTP the panic is a 500 for its request alone.
 	calls.Store(0)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	if status, body := postBody(t, ts.URL, serve.StreamPath, streamBody(t, "{}", "Rodinia/gauss_mat4")); status != http.StatusInternalServerError || !strings.Contains(string(body), "panic") {
-		t.Errorf("poisoned stream: status %d %s, want a 500 panic error", status, body)
+	study := `{"workload":"Rodinia/gauss_mat4"}`
+	if status, body := postBody(t, ts.URL, serve.StudyPath, strings.NewReader(study)); status != http.StatusInternalServerError || !strings.Contains(string(body), "panic") {
+		t.Errorf("poisoned POST: status %d %s, want a 500 panic error", status, body)
 	}
-	if status, body := postBody(t, ts.URL, serve.StreamPath, streamBody(t, "{}", "Rodinia/gauss_mat4")); status != http.StatusOK {
-		t.Errorf("stream after panic: status %d %s, want 200", status, body)
+	if status, body := postBody(t, ts.URL, serve.StudyPath, strings.NewReader(study)); status != http.StatusOK {
+		t.Errorf("POST after panic: status %d %s, want 200", status, body)
 	}
 }
 

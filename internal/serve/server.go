@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -331,12 +330,11 @@ func (s *Server) Health() ServeHealth {
 	}
 }
 
-// Handler returns the server's HTTP mux: POST /v1/study and /v1/stream,
-// GET /v1/latency, /v1/health, /v1/debug/provenance and /metrics.
+// Handler returns the server's HTTP mux: POST /v1/study, GET /v1/latency,
+// /v1/health, /v1/debug/provenance and /metrics.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(StudyPath, s.handleStudy)
-	mux.HandleFunc(StreamPath, s.handleStream)
 	mux.HandleFunc(LatencyPath, s.handleLatency)
 	mux.HandleFunc(HealthPath, s.handleHealth)
 	mux.Handle(MetricsPath, s.o)
@@ -344,23 +342,14 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// handleStudy is the study endpoint: the body is one validated request that
+// goes through Do, and the outcome maps to the response and its status.
 func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
-	s.serveStudy(w, r, DecodeStudyRequest)
-}
-
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	s.serveStudy(w, r, decodeStream)
-}
-
-// serveStudy is both study endpoints: the body, read by decode, is one
-// validated request that goes through Do, and the outcome maps to the
-// response and its status.
-func (s *Server) serveStudy(w http.ResponseWriter, r *http.Request, decode func(io.Reader) (*StudyRequest, error)) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	req, err := decode(r.Body)
+	req, err := DecodeStudyRequest(r.Body)
 	if err != nil {
 		s.mu.Lock()
 		s.m.Invalid.Inc()

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,9 +10,11 @@ import (
 	"pka/internal/trace"
 )
 
-// JSON workload descriptions let downstream users run the PKA pipeline on
-// their own applications without writing Go: a document lists kernel
-// launches (optionally repeated), in launch order.
+// A workload document is the one file format of a workload. It lets
+// downstream users run the PKA pipeline on their own applications without
+// writing Go: a document lists kernel launches (optionally repeated), in
+// launch order. WriteJSON writes any workload as one, an entry per launch
+// with its exact seed, and FromJSON reads that back launch for launch.
 //
 //	{
 //	  "suite": "mine", "name": "pipeline",
@@ -56,7 +57,10 @@ type KernelJSON struct {
 
 	// Repeat launches this kernel N consecutive times (default 1). Each
 	// instance gets a distinct deterministic seed.
-	Repeat int `json:"repeat"`
+	Repeat int `json:"repeat,omitempty"`
+	// Seed, when set, is the launch's exact seed. It names one launch, so
+	// it cannot be combined with a repeat above 1.
+	Seed *uint64 `json:"seed,omitempty"`
 }
 
 // WorkloadJSON is the document root.
@@ -79,7 +83,9 @@ const (
 	maxGridYZ = 65535
 )
 
-// FromJSON parses a workload document and validates every kernel.
+// FromJSON parses a workload document and validates every kernel. A
+// document naming a catalogue workload gives the result that workload's
+// Quirk.
 func FromJSON(r io.Reader) (*Workload, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -113,12 +119,19 @@ func FromJSON(r io.Reader) (*Workload, error) {
 		if repeat == 0 {
 			repeat = 1
 		}
+		if kj.Seed != nil && repeat > 1 {
+			return nil, fmt.Errorf("workload: kernel %d of %q sets a seed and repeats %d times", i, doc.Name, repeat)
+		}
 		if len(seq)+repeat > MaxJSONKernels {
 			return nil, fmt.Errorf("workload: document %q expands past %d kernel launches", doc.Name, MaxJSONKernels)
 		}
 		for r := 0; r < repeat; r++ {
 			inst := k
-			inst.Seed = seedOf(doc.Name+k.Name, uint64(i)<<20|uint64(r))
+			if kj.Seed != nil {
+				inst.Seed = *kj.Seed
+			} else {
+				inst.Seed = seedOf(doc.Name+k.Name, uint64(i)<<20|uint64(r))
+			}
 			seq = append(seq, inst)
 		}
 	}
@@ -126,45 +139,79 @@ func FromJSON(r io.Reader) (*Workload, error) {
 	if err := w.Validate(0); err != nil {
 		return nil, err
 	}
+	if reg := Find(w.FullName()); reg != nil {
+		w.Quirk = reg.Quirk
+	}
 	return w, nil
 }
 
-// Load reads a workload in either file format. A first line that is an
-// event-stream header (a JSON object with a "stream" key) makes the input
-// a kernel-event stream, read by ReadEvents; anything else is a workload
-// document, read by FromJSON.
-func Load(r io.Reader) (*Workload, error) {
-	br := bufio.NewReader(r)
-	var first []byte // the first line that is not blank, cut at br's buffer size
-	for {
-		line, err := br.ReadSlice('\n')
-		if err != nil || len(bytes.TrimSpace(line)) > 0 {
-			first = bytes.Clone(line) // the slice is br's, reused by its next read
-			break
+// WriteJSON writes wl as a workload document, one entry a line: an entry
+// per launch, every field and the exact seed set. FromJSON reads it back
+// launch for launch wherever its defaults leave the launches alone, as they
+// do every catalogue workload's and every loaded document's. A workload of
+// more launches than a document may hold is an error before anything is
+// written.
+func WriteJSON(w io.Writer, wl *Workload) error {
+	if wl.N < 1 || wl.N > MaxJSONKernels {
+		return fmt.Errorf("workload: %s has %d kernel launches; a document holds 1 to %d (MaxJSONKernels)", wl.FullName(), wl.N, MaxJSONKernels)
+	}
+	suite, _ := json.Marshal(wl.Suite) // a string always marshals
+	name, _ := json.Marshal(wl.Name)
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "{\"suite\":%s,\"name\":%s,\"kernels\":[\n", suite, name)
+	for i := 0; i < wl.N; i++ {
+		k := wl.Kernel(i)
+		line, err := json.Marshal(toJSON(&k))
+		if err != nil {
+			return err
 		}
+		if i > 0 {
+			bw.WriteString(",\n")
+		}
+		bw.Write(line)
 	}
-	rest := io.MultiReader(bytes.NewReader(first), br)
-	var probe struct {
-		Stream string `json:"stream"`
-	}
-	if json.Unmarshal(first, &probe) == nil && probe.Stream != "" {
-		return ReadEvents(rest)
-	}
-	return FromJSON(rest)
+	bw.WriteString("\n]}\n")
+	return bw.Flush()
 }
 
-// LoadJSON reads a workload file in either format (see Load); "-" reads
-// standard input.
+// LoadJSON reads a workload document from a file; "-" reads standard
+// input.
 func LoadJSON(path string) (*Workload, error) {
 	if path == "-" {
-		return Load(os.Stdin)
+		return FromJSON(os.Stdin)
 	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return Load(f)
+	return FromJSON(f)
+}
+
+// toJSON is k as a document entry that names its one launch exactly.
+func toJSON(k *trace.KernelDesc) KernelJSON {
+	kj := KernelJSON{
+		Name:              k.Name,
+		Grid:              [3]int{k.Grid.X, k.Grid.Y, k.Grid.Z},
+		Block:             [3]int{k.Block.X, k.Block.Y, k.Block.Z},
+		RegsPerThread:     k.RegsPerThread,
+		SharedMemPerBlock: k.SharedMemPerBlock,
+		CoalescingFactor:  k.CoalescingFactor,
+		WorkingSetBytes:   k.WorkingSetBytes,
+		StridedFraction:   k.StridedFraction,
+		DivergenceEff:     k.DivergenceEff,
+		BlockImbalance:    k.BlockImbalance,
+		Seed:              &k.Seed,
+	}
+	kj.Mix.GlobalLoads = k.Mix.GlobalLoads
+	kj.Mix.GlobalStores = k.Mix.GlobalStores
+	kj.Mix.LocalLoads = k.Mix.LocalLoads
+	kj.Mix.SharedLoads = k.Mix.SharedLoads
+	kj.Mix.SharedStores = k.Mix.SharedStores
+	kj.Mix.GlobalAtomics = k.Mix.GlobalAtomics
+	kj.Mix.Compute = k.Mix.Compute
+	kj.Mix.TensorOps = k.Mix.TensorOps
+	return kj
 }
 
 func (kj *KernelJSON) toKernel(doc string, idx int) (trace.KernelDesc, error) {
@@ -224,9 +271,9 @@ func (kj *KernelJSON) toKernel(doc string, idx int) (trace.KernelDesc, error) {
 	return k, nil
 }
 
-// checkLaunch holds a launch from outside the catalogue — a document entry
-// or an event — to what the substrates can run: CUDA's grid limits, no
-// negative instruction-mix count or resource, and trace's Validate.
+// checkLaunch holds a document entry's launch to what the substrates can
+// run: CUDA's grid limits, no negative instruction-mix count or resource,
+// and trace's Validate.
 func checkLaunch(k *trace.KernelDesc) error {
 	if k.Grid.X > maxGridX || k.Grid.Y > maxGridYZ || k.Grid.Z > maxGridYZ {
 		return fmt.Errorf("kernel %q grid %v exceeds launch limits", k.Name, k.Grid)

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -36,7 +37,15 @@ var jsonSeeds = []string{
 	``, `{`, `[]`, `{"name":"x"}`, `{"name":"x","kernels":[]}`,
 	`{"name":"x","kernels":[{"grid":[1,1,1]}]}`,
 	`{"name":"x","unknown_field":1,"kernels":[{"name":"k","grid":[1,1,1],"block":[32,1,1],"mix":{"compute":1}}]}`,
+	// An exact seed names one launch: valid alone, refused with a repeat.
+	`{"name":"seeded","kernels":[{"name":"k","grid":[8,1,1],"block":[64,1,1],"mix":{"compute":10},"seed":18446744073709551615},
+		{"name":"k","grid":[8,1,1],"block":[64,1,1],"mix":{"compute":10},"seed":7,"repeat":1}]}`,
+	`{"name":"bad","kernels":[{"name":"k","grid":[8,1,1],"block":[64,1,1],"mix":{"compute":10},"seed":7,"repeat":2}]}`,
 }
+
+// validSeeds are the corpus entries that must load: the two-kernel pipeline
+// and the seeded document.
+var validSeeds = map[int]bool{0: true, 15: true}
 
 // FuzzLoadWorkloadJSON fuzzes the user-workload JSON loader: any byte
 // input must either parse into a bounded, fully-validated workload or
@@ -72,16 +81,10 @@ func TestLoadJSONSeedCorpus(t *testing.T) {
 		if err := os.WriteFile(path, []byte(s), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		w, err := LoadJSON(path)
-		if i == 0 {
+		_, err := LoadJSON(path)
+		if validSeeds[i] {
 			if err != nil {
-				t.Fatalf("valid seed rejected: %v", err)
-			}
-			if w.N != 60 {
-				t.Errorf("valid seed expanded to %d kernels, want 60 (40+20 repeats)", w.N)
-			}
-			if w.Suite != "mine" || w.Name != "pipeline" {
-				t.Errorf("identity lost: %s/%s", w.Suite, w.Name)
+				t.Fatalf("valid seed %d rejected: %v", i, err)
 			}
 			continue
 		}
@@ -91,6 +94,14 @@ func TestLoadJSONSeedCorpus(t *testing.T) {
 	}
 	if _, err := LoadJSON(filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("missing file did not error")
+	}
+	w, err := FromJSON(strings.NewReader(jsonSeeds[0]))
+	if err != nil || w.N != 60 || w.FullName() != "mine/pipeline" {
+		t.Errorf("pipeline seed loaded as %v (err %v), want mine/pipeline with 60 kernels (40+20 repeats)", w, err)
+	}
+	w, err = FromJSON(strings.NewReader(jsonSeeds[15]))
+	if err != nil || w.N != 2 || w.Kernel(0).Seed != math.MaxUint64 || w.Kernel(1).Seed != 7 {
+		t.Errorf("seeded document loaded as %v (err %v), want two launches of seeds 2^64-1 and 7", w, err)
 	}
 }
 

@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -102,4 +104,52 @@ func TestFromJSONDefaultSuite(t *testing.T) {
 
 func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
+}
+
+// TestWriteJSONRoundTrip: every catalogue workload of at most 100 000
+// launches, written as a document and read back, is the workload itself —
+// its identity, its quirk and every launch, seed included.
+func TestWriteJSONRoundTrip(t *testing.T) {
+	launches := 0
+	for _, src := range All() {
+		if src.N > 100_000 {
+			continue
+		}
+		var buf bytes.Buffer
+		if err := WriteJSON(&buf, src); err != nil {
+			t.Fatalf("%s: %v", src.FullName(), err)
+		}
+		w, err := FromJSON(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", src.FullName(), err)
+		}
+		if w.Suite != src.Suite || w.Name != src.Name || w.N != src.N || w.Quirk != src.Quirk {
+			t.Fatalf("loaded %s (N=%d, quirk %q), want %s (N=%d, quirk %q)", w.FullName(), w.N, w.Quirk, src.FullName(), src.N, src.Quirk)
+		}
+		for i := 0; i < w.N; i++ {
+			if got, want := w.Kernel(i), src.Kernel(i); got != want {
+				t.Fatalf("%s: launch %d round-tripped as %+v, want %+v", src.FullName(), i, got, want)
+			}
+		}
+		launches += w.N
+	}
+	t.Logf("%d launches round-tripped", launches)
+}
+
+// TestWriteJSONRefusesOversizedWorkload: a workload of more launches than a
+// document may hold is refused before a byte is written, by an error that
+// names the bound, rather than written as a file FromJSON refuses.
+func TestWriteJSONRefusesOversizedWorkload(t *testing.T) {
+	w := Find("MLPerf/ssd_training")
+	if w.N <= MaxJSONKernels {
+		t.Fatalf("%s has %d launches, not more than MaxJSONKernels", w.FullName(), w.N)
+	}
+	var buf bytes.Buffer
+	err := WriteJSON(&buf, w)
+	if err == nil || !strings.Contains(err.Error(), strconv.Itoa(MaxJSONKernels)) {
+		t.Errorf("err %v, want one naming the bound %d", err, MaxJSONKernels)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("wrote %d bytes before refusing", buf.Len())
+	}
 }

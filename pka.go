@@ -162,10 +162,9 @@ func NewWorkload(suite, name string, n int, gen func(i int) KernelDesc) *Workloa
 	return workload.New(suite, name, n, gen)
 }
 
-// LoadWorkloadJSON reads a user-defined workload file from disk in either
-// of internal/workload's formats: a JSON document (a list of kernel
-// launches with optional repeat counts) or an NDJSON kernel-event stream;
-// "-" reads standard input.
+// LoadWorkloadJSON reads a user-defined workload document from disk: a
+// list of kernel launches with optional repeat counts or exact seeds; "-"
+// reads standard input.
 func LoadWorkloadJSON(path string) (*Workload, error) { return workload.LoadJSON(path) }
 
 // Select runs Principal Kernel Selection for a workload on a device.
