@@ -24,8 +24,8 @@ test:
 # and its worker-invariance test), internal/artifact (the store's lock and
 # views), internal/remote (the shard client's eviction and rebalance, the
 # cache peer and a study through a three-member ring), internal/dedup and internal/classify (the ensemble fits its members
-# concurrently) are fast enough to race in full (the last four ≈ 2, 2, 3.5
-# and 4 s of test time under -race on the 2-core box); the
+# concurrently) are fast enough to race in full (the last four ≈ 1.3, 1.2, 5.4
+# and 7.2 s of test time under -race on the 2-core box); the
 # experiments and workload suites run with -short so the concurrency
 # regression tests (singleflight, 64-goroutine stress, fuzz seed corpus)
 # execute under the detector without paying for the full artifact pipeline

@@ -293,7 +293,7 @@ func printSelection(sel *pks.Selection, target float64, jsonOut string) error {
 	fmt.Println()
 	fmt.Println(tab)
 	if jsonOut != "" {
-		if err := sel.SaveJSON(jsonOut); err != nil {
+		if err := cli.WriteFile(jsonOut, sel.WriteJSON); err != nil {
 			return err
 		}
 		fmt.Printf("selection written to %s\n\n", jsonOut)

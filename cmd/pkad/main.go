@@ -80,7 +80,7 @@ func run(addr, name, ringCSV, ringSelf string, cacheFl *cli.CacheFlags) error {
 	srv.Name = name
 	srv.Obs = observer
 	if ringCSV != "" {
-		fleetRing := artifact.NewRing(members, artifact.DefaultVNodes, artifact.DefaultReplicas)
+		fleetRing := artifact.NewRing(members)
 		srv.SetRing(fleetRing, ringSelf)
 		logger.Printf("cache ring: %d member(s), replication %d, self %q",
 			len(fleetRing.Members()), fleetRing.Replicas(), ringSelf)

@@ -100,11 +100,12 @@ func main() {
 	}
 	fmt.Print(rep.String())
 	if *report != "" {
-		doc, err := json.MarshalIndent(rep, "", "  ")
+		err := cli.WriteFile(*report, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(rep)
+		})
 		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*report, append(doc, '\n'), 0o644); err != nil {
 			fatal(err)
 		}
 	}

@@ -13,11 +13,12 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"sort"
+	"strconv"
 )
 
-// Ring defaults: 128 virtual nodes per member keeps the max/min owned
+// Ring shape: 128 virtual nodes per member keeps the max/min owned
 // fraction within 1.25 (pinned by test), and 2 replicas survive a single
-// owner failure.
+// owner failure. Every ring in the fleet uses both, so placement agrees.
 const (
 	DefaultVNodes   = 128
 	DefaultReplicas = 2
@@ -27,9 +28,8 @@ const (
 // one with NewRing; derive a smaller one with Without when a member is
 // evicted. Safe for concurrent use.
 type Ring struct {
-	members  []string // sorted, unique
-	vnodes   int
-	replicas int
+	members  []string    // sorted, unique
+	replicas int         // DefaultReplicas, capped at the member count
 	points   []ringPoint // sorted by hash
 }
 
@@ -48,10 +48,10 @@ func ringHash(label string) uint64 {
 }
 
 // NewRing builds a ring over members (order-insensitive; duplicates and
-// empties dropped) with the given virtual-node count and replication
-// factor. Zero or negative vnodes/replicas take the defaults; replicas
-// is capped at the member count. Returns nil if members is empty.
-func NewRing(members []string, vnodes, replicas int) *Ring {
+// empties dropped) with DefaultVNodes virtual nodes per member and
+// DefaultReplicas owners per key, capped at the member count. Returns nil
+// if members is empty.
+func NewRing(members []string) *Ring {
 	uniq := make([]string, 0, len(members))
 	seen := make(map[string]bool, len(members))
 	for _, m := range members {
@@ -65,31 +65,21 @@ func NewRing(members []string, vnodes, replicas int) *Ring {
 		return nil
 	}
 	sort.Strings(uniq)
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
-	if replicas > len(uniq) {
-		replicas = len(uniq)
-	}
 	r := &Ring{
 		members:  uniq,
-		vnodes:   vnodes,
-		replicas: replicas,
-		points:   make([]ringPoint, 0, 4*vnodes*len(uniq)),
+		replicas: min(DefaultReplicas, len(uniq)),
+		points:   make([]ringPoint, 0, 4*DefaultVNodes*len(uniq)),
 	}
 	var label []byte
 	for mi, m := range uniq {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < DefaultVNodes; v++ {
 			// label = "<member>#<vnode>"; the separator keeps "ab"#1 and
 			// "a"#b1 distinct. Ketama-style, each vnode digest yields four
 			// ring points (32 bytes → 4×8), so 128 vnodes place 512 points
 			// per member — enough dispersion to hold the 1.25 balance bound.
 			label = append(label[:0], m...)
 			label = append(label, '#')
-			label = appendUint(label, uint64(v))
+			label = strconv.AppendUint(label, uint64(v), 10)
 			sum := sha256.Sum256(label)
 			for off := 0; off < len(sum); off += 8 {
 				r.points = append(r.points, ringPoint{
@@ -109,20 +99,6 @@ func NewRing(members []string, vnodes, replicas int) *Ring {
 		return a.member < b.member
 	})
 	return r
-}
-
-func appendUint(b []byte, n uint64) []byte {
-	if n == 0 {
-		return append(b, '0')
-	}
-	var tmp [20]byte
-	i := len(tmp)
-	for n > 0 {
-		i--
-		tmp[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return append(b, tmp[i:]...)
 }
 
 // Members returns the ring's sorted member list.
@@ -249,5 +225,5 @@ func (r *Ring) Without(member string) *Ring {
 			rest = append(rest, m)
 		}
 	}
-	return NewRing(rest, r.vnodes, r.replicas)
+	return NewRing(rest)
 }

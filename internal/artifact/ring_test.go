@@ -15,7 +15,7 @@ import (
 // that cost must be deliberate.
 func TestRingGoldenPlacement(t *testing.T) {
 	members := []string{"http://10.0.0.1:9377", "http://10.0.0.2:9377", "http://10.0.0.3:9377"}
-	r := NewRing(members, DefaultVNodes, DefaultReplicas)
+	r := NewRing(members)
 	golden := []struct {
 		key    string
 		owners []string
@@ -62,7 +62,7 @@ func TestRingBalance(t *testing.T) {
 		for i := range members {
 			members[i] = fmt.Sprintf("http://10.0.0.%d:9377", i+1)
 		}
-		r := NewRing(members, 128, 2)
+		r := NewRing(members)
 		min, max, sum := 1.0, 0.0, 0.0
 		for _, m := range members {
 			f := r.OwnedFraction(m)
@@ -90,8 +90,8 @@ func TestRingBalance(t *testing.T) {
 // duplicates, and independent rebuilds (process restarts) must agree on
 // every owner list.
 func TestRingDeterminism(t *testing.T) {
-	a := NewRing([]string{"w1", "w2", "w3", "w4"}, 64, 3)
-	b := NewRing([]string{"w4", "w2", "w1", "w3", "w2", ""}, 64, 3)
+	a := NewRing([]string{"w1", "w2", "w3", "w4"})
+	b := NewRing([]string{"w4", "w2", "w1", "w3", "w2", ""})
 	for i := 0; i < 500; i++ {
 		sum := sha256.Sum256([]byte(fmt.Sprintf("key-%d", i)))
 		key := hex.EncodeToString(sum[:])
@@ -106,7 +106,7 @@ func TestRingDeterminism(t *testing.T) {
 // surviving replica — that is the property the kill-one-worker smoke
 // relies on for byte-identical studies.
 func TestRingWithout(t *testing.T) {
-	full := NewRing([]string{"w1", "w2", "w3"}, 128, 2)
+	full := NewRing([]string{"w1", "w2", "w3"})
 	rest := full.Without("w2")
 	if got := rest.Members(); !reflect.DeepEqual(got, []string{"w1", "w3"}) {
 		t.Fatalf("Without members = %v", got)
@@ -143,14 +143,14 @@ func TestRingWithout(t *testing.T) {
 // Degenerate shapes: empty member lists, replication above the member
 // count, and nil receivers must all stay total.
 func TestRingEdgeCases(t *testing.T) {
-	if NewRing(nil, 0, 0) != nil {
+	if NewRing(nil) != nil {
 		t.Error("empty ring should be nil")
 	}
 	var nilRing *Ring
 	if nilRing.Owners("k") != nil || nilRing.Owner("k") != "" || nilRing.OwnedFraction("k") != 0 {
 		t.Error("nil ring lookups should be empty")
 	}
-	one := NewRing([]string{"solo"}, 16, 5)
+	one := NewRing([]string{"solo"})
 	if got := one.Owners("anything"); !reflect.DeepEqual(got, []string{"solo"}) {
 		t.Errorf("single-member owners = %v", got)
 	}

@@ -10,7 +10,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
+
+	"pka/internal/parallel"
 )
 
 // Classifier is a multiclass model over dense feature vectors.
@@ -139,34 +140,21 @@ func NewEnsemble(seed uint64) *Ensemble {
 // Name implements Classifier.
 func (e *Ensemble) Name() string { return "ensemble(sgd,gnb,mlp)" }
 
-// Fit trains every member on the same data, each on its own goroutine. A
-// member owns its RNG, scaler and scaled copy and only reads X and y, so
-// each fit is bit-identical to fitting it alone. All are joined; the first
-// error (or panic, re-raised here) in member order wins.
+// Fit trains every member on the same data, all at once through
+// parallel.Map. A member owns its RNG, scaler and scaled copy and only reads
+// X and y, so each fit is bit-identical to fitting it alone. All are
+// joined; the first error (or panic, re-raised here) in member order wins.
 func (e *Ensemble) Fit(X [][]float64, y []int, numClasses int) error {
 	if len(e.Members) == 0 {
 		return errors.New("classify: ensemble has no members")
 	}
-	errs := make([]error, len(e.Members))
-	panics := make([]any, len(e.Members))
-	var wg sync.WaitGroup
-	for i, m := range e.Members {
-		wg.Add(1)
-		go func() {
-			defer func() { panics[i] = recover(); wg.Done() }()
-			errs[i] = m.Fit(X, y, numClasses)
-		}()
+	_, err := parallel.Map(len(e.Members), e.Members, func(_ int, m Classifier) (struct{}, error) {
+		return struct{}{}, m.Fit(X, y, numClasses)
+	})
+	if pe, ok := err.(*parallel.PanicError); ok {
+		panic(pe.Value)
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if panics[i] != nil {
-			panic(panics[i])
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
 // Predict returns the majority vote of the members. A class must beat the

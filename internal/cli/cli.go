@@ -7,6 +7,7 @@
 package cli
 
 import (
+	"cmp"
 	"encoding/json"
 	"expvar"
 	"flag"
@@ -433,16 +434,35 @@ func WriteOutput(path string, render func(w io.Writer) error) error {
 	return WriteFile(path, render)
 }
 
-// WriteFile creates path and renders into it, reporting the first error of
-// create, render and close.
+// WriteFile renders into the file at path, reporting the first error of
+// create, render and close. The file is created at render's first Write, so
+// a render that fails before writing leaves an existing file as it was; one
+// that succeeds without writing leaves an empty file.
 func WriteFile(path string, render func(w io.Writer) error) error {
-	g, err := os.Create(path)
-	if err != nil {
-		return err
+	lf := &lazyFile{path: path}
+	err := render(lf)
+	if err == nil && lf.f == nil {
+		lf.f, err = os.Create(path)
 	}
-	if err := render(g); err != nil {
-		g.Close()
-		return err
+	if lf.f != nil {
+		err = cmp.Or(err, lf.f.Close())
 	}
-	return g.Close()
+	return err
+}
+
+// lazyFile creates its file at the first Write.
+type lazyFile struct {
+	path string
+	f    *os.File
+}
+
+func (l *lazyFile) Write(p []byte) (int, error) {
+	if l.f == nil {
+		f, err := os.Create(l.path)
+		if err != nil {
+			return 0, err
+		}
+		l.f = f
+	}
+	return l.f.Write(p)
 }

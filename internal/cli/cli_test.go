@@ -1,9 +1,12 @@
 package cli
 
 import (
+	"errors"
 	"flag"
 	"io"
 	"maps"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -81,5 +84,67 @@ func TestParseWeights(t *testing.T) {
 		case tc.want != nil && !maps.Equal(got, tc.want):
 			t.Errorf("%q: got %v, want %v", tc.in, got, tc.want)
 		}
+	}
+}
+
+// TestWriteFileCreatesAtFirstWrite: WriteFile creates its file when render
+// first writes, so a render refused before writing leaves an existing file
+// byte-identical and creates nothing where no file was; a render that
+// succeeds without writing still leaves an empty file, and a path whose
+// directory is missing is an error.
+func TestWriteFileCreatesAtFirstWrite(t *testing.T) {
+	dir := t.TempDir()
+	refuse := errors.New("refused")
+	refused := func(io.Writer) error { return refuse }
+
+	kept := filepath.Join(dir, "kept.txt")
+	if err := os.WriteFile(kept, []byte("earlier data\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFile(kept, refused); err != refuse {
+		t.Fatalf("WriteFile = %v, want the render's %v", err, refuse)
+	}
+	if got, err := os.ReadFile(kept); err != nil || string(got) != "earlier data\n" {
+		t.Errorf("refused render left %q (%v), want the earlier contents", got, err)
+	}
+
+	absent := filepath.Join(dir, "absent.txt")
+	if err := WriteFile(absent, refused); err != refuse {
+		t.Fatalf("WriteFile = %v, want the render's %v", err, refuse)
+	}
+	if _, err := os.Stat(absent); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("refused render created %s (stat: %v)", absent, err)
+	}
+
+	empty := filepath.Join(dir, "empty.txt")
+	if err := os.WriteFile(empty, []byte("stale"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFile(empty, func(io.Writer) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(empty); err != nil || len(got) != 0 {
+		t.Errorf("silent render left %q (%v), want an empty file", got, err)
+	}
+
+	written := filepath.Join(dir, "written.txt")
+	if err := WriteFile(written, func(w io.Writer) error {
+		_, err := io.WriteString(w, "a")
+		if err == nil {
+			_, err = io.WriteString(w, "b")
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(written); err != nil || string(got) != "ab" {
+		t.Errorf("render left %q (%v), want \"ab\"", got, err)
+	}
+
+	if err := WriteFile(filepath.Join(dir, "missing", "f.txt"), func(w io.Writer) error {
+		_, err := io.WriteString(w, "x")
+		return err
+	}); err == nil {
+		t.Error("WriteFile into a missing directory reported no error")
 	}
 }

@@ -192,8 +192,8 @@ func TestFirstNTruncatesAndProjects(t *testing.T) {
 		t.Error("no projection produced")
 	}
 	// The projection must at least account for every kernel's overhead.
-	sil, _ := sampling.SiliconTotal(dev, w)
-	ratio := float64(res.ProjCycles) / float64(sil.Cycles)
+	sc, _ := sampling.ScanLaunches(dev, w, sampling.Want{Silicon: true})
+	ratio := float64(res.ProjCycles) / float64(sc.Silicon.Cycles)
 	if ratio < 0.1 || ratio > 10 {
 		t.Errorf("projection wildly off: ratio %.2f vs silicon", ratio)
 	}

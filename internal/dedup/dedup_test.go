@@ -77,10 +77,11 @@ func TestSuiteDedupEnvelope(t *testing.T) {
 		}
 		perAppWork += solo.SimWarpInstrs
 
-		sil, err := sampling.SiliconTotal(dev, w)
+		sc, err := sampling.ScanLaunches(dev, w, sampling.Want{Silicon: true})
 		if err != nil {
 			t.Fatal(err)
 		}
+		sil := sc.Silicon
 		dedupErr := stats.AbsPctErr(float64(apps[a].ProjCycles), float64(sil.Cycles))
 		soloErr := stats.AbsPctErr(float64(solo.ProjCycles), float64(sil.Cycles))
 		t.Logf("%s: dedup err %.2f%% (solo PKS %.2f%%), active reps %d (solo K %d)",
@@ -170,10 +171,11 @@ func TestSuiteDedupTwoLevel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sil, err := sampling.SiliconTotal(dev, w)
+		sc, err := sampling.ScanLaunches(dev, w, sampling.Want{Silicon: true})
 		if err != nil {
 			t.Fatal(err)
 		}
+		sil := sc.Silicon
 		e := stats.AbsPctErr(float64(apps[a].ProjCycles), float64(sil.Cycles))
 		soloErr := stats.AbsPctErr(float64(solo.ProjCycles), float64(sil.Cycles))
 		t.Logf("%s two-level dedup error %.2f%% (solo PKS %.2f%%)", w.FullName(), e, soloErr)

@@ -93,9 +93,6 @@ func (c *Cache) Hits() int64 { return c.hits }
 // Misses returns the cumulative miss count.
 func (c *Cache) Misses() int64 { return c.misses }
 
-// Accesses returns hits + misses.
-func (c *Cache) Accesses() int64 { return c.hits + c.misses }
-
 // MissRate returns misses / accesses, or 0 before any access.
 func (c *Cache) MissRate() float64 {
 	total := c.hits + c.misses

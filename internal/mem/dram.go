@@ -72,9 +72,6 @@ func (d *DRAM) BytesMoved() int64 { return d.bytesMoved }
 // Requests returns the number of transfers serviced.
 func (d *DRAM) Requests() int64 { return d.requests }
 
-// BusyCycles returns the cumulative pipe-busy time in cycles.
-func (d *DRAM) BusyCycles() float64 { return d.busyCycles }
-
 // ResetStats zeroes counters but keeps the pipe schedule, letting
 // per-kernel statistics be isolated mid-simulation.
 func (d *DRAM) ResetStats() {

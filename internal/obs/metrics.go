@@ -134,14 +134,6 @@ func (h *Histogram) BucketCount(i int) int64 {
 	return h.buckets[i].Load()
 }
 
-// Bounds returns the histogram's upper bounds (excluding +Inf).
-func (h *Histogram) Bounds() []float64 {
-	if h == nil {
-		return nil
-	}
-	return append([]float64(nil), h.bounds...)
-}
-
 type metricKind int
 
 const (

@@ -32,7 +32,7 @@ func TestGaugeBasics(t *testing.T) {
 // an inclusive upper bound, values above the last bound land in +Inf.
 func TestHistogramBucketEdges(t *testing.T) {
 	h := newHistogram([]float64{20, 10}) // unsorted on purpose
-	if got := h.Bounds(); got[0] != 10 || got[1] != 20 {
+	if got := h.bounds; got[0] != 10 || got[1] != 20 {
 		t.Fatalf("bounds not sorted: %v", got)
 	}
 	cases := []struct {

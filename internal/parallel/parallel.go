@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"sync/atomic"
 )
 
@@ -82,75 +81,14 @@ func protect[R any](fn func() (R, error)) (r R, err error) {
 	return fn()
 }
 
-// runObserved runs one task on the calling goroutine, reported to obs (nil
-// for none) as a scheduled task is: queued, then started, then done, so the
-// pool's queue-depth and active-worker gauges settle at zero.
-func runObserved[R any](obs Observer, fn func() (R, error)) (R, error) {
-	if obs != nil {
-		obs.TaskQueued()
-		obs.TaskStarted()
-	}
-	r, err := protect(fn)
-	if obs != nil {
-		obs.TaskDone()
-	}
-	return r, err
-}
-
 // Map applies fn to every item with at most Workers(workers) concurrent
 // calls and returns the results in input order. Every item is attempted
 // even when some fail, and the returned error is the lowest-indexed
 // failure — so the (results, error) pair is deterministic regardless of
 // goroutine scheduling. A panic inside fn is contained and surfaces as a
-// *PanicError for that index.
+// *PanicError for that index. Map is SchedMap on a scheduler of its own at
+// equal cost, so items start in input order and the caller works the queue
+// beside at most Workers(workers)-1 spawned goroutines.
 func Map[T, R any](workers int, items []T, fn func(i int, item T) (R, error)) ([]R, error) {
-	n := len(items)
-	if n == 0 {
-		return nil, nil
-	}
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	results := make([]R, n)
-	errs := make([]error, n)
-	obs := observer()
-	if w == 1 {
-		for i := range items {
-			results[i], errs[i] = runObserved(obs, func() (R, error) { return fn(i, items[i]) })
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		wg.Add(w)
-		for g := 0; g < w; g++ {
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					i := i
-					if obs != nil {
-						obs.TaskStarted()
-					}
-					results[i], errs[i] = protect(func() (R, error) { return fn(i, items[i]) })
-					if obs != nil {
-						obs.TaskDone()
-					}
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			if obs != nil {
-				obs.TaskQueued()
-			}
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return results, err
-		}
-	}
-	return results, nil
+	return SchedMap(NewScheduler(workers), items, nil, fn)
 }

@@ -2,7 +2,6 @@ package parallel
 
 import (
 	"container/heap"
-	"context"
 	"sync"
 	"sync/atomic"
 )
@@ -91,11 +90,12 @@ func (s *Scheduler) work(left *atomic.Int64) {
 }
 
 // SchedMap applies fn to every item through the scheduler, prioritized by
-// cost (descending), and returns the results in input order with Map's
-// deterministic error semantics: every item is attempted, panics are
-// contained as *PanicError, and the returned error is the lowest-indexed
-// failure. A nil scheduler (or nil cost) degrades to an inline serial loop
-// in input order — the same results, computed on the calling goroutine.
+// cost (descending; a nil cost is equal cost, so items start in input
+// order), and returns the results in input order with deterministic error
+// semantics: every item is attempted, panics are contained as *PanicError,
+// and the returned error is the lowest-indexed failure. A nil scheduler
+// runs the items inline, serially in input order — the same results,
+// computed on the calling goroutine.
 //
 // The caller's goroutine returns once every item has finished, and does not
 // idle meanwhile: a caller that finds a slot free takes it before submitting
@@ -104,32 +104,23 @@ func (s *Scheduler) work(left *atomic.Int64) {
 // SchedMap's, never more than width at once, and a lone call at width 1
 // starts no goroutine at all.
 func SchedMap[T, R any](s *Scheduler, items []T, cost func(item T) int64, fn func(i int, item T) (R, error)) ([]R, error) {
-	return SchedMapCtx(context.Background(), s, items, cost, fn)
-}
-
-// SchedMapCtx is SchedMap with cancellation: once ctx is done, items that
-// have not started yet are skipped (their slot reports ctx.Err()) while
-// items already running finish normally. The queue always drains — every
-// submitted task settles whether it ran or was skipped — so a cancelled
-// call returns (never deadlocks) with the partial results still in input
-// order: completed items carry real values, skipped ones their zero value.
-// The returned error is the lowest-indexed failure, which for a
-// cancellation mid-run is the first skipped item's ctx.Err().
-func SchedMapCtx[T, R any](ctx context.Context, s *Scheduler, items []T, cost func(item T) int64, fn func(i int, item T) (R, error)) ([]R, error) {
 	n := len(items)
 	if n == 0 {
-		return nil, ctx.Err()
+		return nil, nil
 	}
 	results := make([]R, n)
 	errs := make([]error, n)
-	if s == nil || cost == nil {
+	if s == nil {
 		obs := observer()
 		for i := range items {
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				continue
+			if obs != nil {
+				obs.TaskQueued()
+				obs.TaskStarted()
 			}
-			results[i], errs[i] = runObserved(obs, func() (R, error) { return fn(i, items[i]) })
+			results[i], errs[i] = protect(func() (R, error) { return fn(i, items[i]) })
+			if obs != nil {
+				obs.TaskDone()
+			}
 		}
 	} else {
 		var left atomic.Int64 // tasks of this batch not settled yet
@@ -142,17 +133,15 @@ func SchedMapCtx[T, R any](ctx context.Context, s *Scheduler, items []T, cost fu
 		}
 		s.mu.Unlock()
 		for i := range items {
-			s.submit(cost(items[i]), func() {
-				defer func() {
-					if left.Add(-1) == 0 {
-						close(done)
-					}
-				}()
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					return
-				}
+			var c int64
+			if cost != nil {
+				c = cost(items[i])
+			}
+			s.submit(c, func() {
 				results[i], errs[i] = protect(func() (R, error) { return fn(i, items[i]) })
+				if left.Add(-1) == 0 {
+					close(done)
+				}
 			})
 		}
 		if helping {

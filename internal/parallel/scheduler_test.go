@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -46,6 +45,38 @@ func TestSchedMapNilSchedulerInline(t *testing.T) {
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("inline order %v not input order", order)
+		}
+	}
+}
+
+// TestSchedMapNilCostInputOrder: a nil cost is equal cost, so at any width
+// items are taken off the queue in input order (FIFO ties) — when item i
+// runs, no earlier item is still queued — and results come back in input
+// order.
+func TestSchedMapNilCostInputOrder(t *testing.T) {
+	for _, width := range []int{1, 4} {
+		s := NewScheduler(width)
+		items := make([]int, 32)
+		for i := range items {
+			items[i] = i
+		}
+		got, err := SchedMap(s, items, nil, func(i, v int) (int, error) {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			for _, q := range s.queue { // a fresh scheduler numbers tasks by input index
+				if q.seq < uint64(i) {
+					return 0, fmt.Errorf("item %d started while item %d was still queued", i, q.seq)
+				}
+			}
+			return v * 3, nil
+		})
+		if err != nil {
+			t.Fatalf("width %d: %v", width, err)
+		}
+		for i, v := range got {
+			if v != i*3 {
+				t.Fatalf("width %d: result[%d] = %d, want %d", width, i, v, i*3)
+			}
 		}
 	}
 }
@@ -316,80 +347,4 @@ func TestSchedMapSharedScheduler(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestSchedMapCtxCancelDrains: cancelling the context with tasks still
-// queued must drain the queue without deadlock and return partial results
-// in input order — started tasks finish and keep their results, unstarted
-// tasks are skipped with ctx.Err() and their zero value.
-func TestSchedMapCtxCancelDrains(t *testing.T) {
-	s := NewScheduler(1) // single worker: everything else stays queued behind the gate task
-	ctx, cancel := context.WithCancel(context.Background())
-	started := make(chan struct{})
-	gate := make(chan struct{})
-	const n = 32
-	items := make([]int, n)
-	for i := range items {
-		items[i] = i + 1
-	}
-	// Equal costs -> FIFO: item 0 runs first, signals, and blocks the lone
-	// worker until we cancel, guaranteeing items 1..n-1 are still queued
-	// when the context dies.
-	done := make(chan struct{})
-	var got []int
-	var gotErr error
-	go func() {
-		defer close(done)
-		got, gotErr = SchedMapCtx(ctx, s, items, func(int) int64 { return 1 }, func(i, v int) (int, error) {
-			if i == 0 {
-				close(started)
-				<-gate
-			}
-			return v * 10, nil
-		})
-	}()
-	<-started
-	cancel()
-	close(gate)
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("cancelled SchedMapCtx did not drain: deadlock")
-	}
-	if !errors.Is(gotErr, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", gotErr)
-	}
-	if len(got) != n {
-		t.Fatalf("len(results) = %d, want %d (partial results must keep input order)", len(got), n)
-	}
-	if got[0] != 10 {
-		t.Fatalf("result[0] = %d, want 10 (the started task ran to completion)", got[0])
-	}
-	for i := 1; i < n; i++ {
-		if got[i] != 0 {
-			t.Fatalf("result[%d] = %d, want zero value: task was queued at cancel time", i, got[i])
-		}
-	}
-	// The scheduler must be reusable afterwards: the cancelled call left no
-	// queued tasks or stuck workers behind.
-	again, err := SchedMap(s, []int{1, 2, 3}, func(int) int64 { return 1 }, func(i, v int) (int, error) { return v, nil })
-	if err != nil || len(again) != 3 {
-		t.Fatalf("scheduler unusable after cancel: %v %v", again, err)
-	}
-}
-
-// TestSchedMapCtxUncancelled: a background context changes nothing.
-func TestSchedMapCtxUncancelled(t *testing.T) {
-	s := NewScheduler(4)
-	got, err := SchedMapCtx(context.Background(), s, []int{5, 6, 7}, func(int) int64 { return 1 }, func(i, v int) (int, error) {
-		return v + 1, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != []int{6, 7, 8}[i] {
-			t.Fatalf("result[%d] = %d", i, v)
-		}
-	}
 }

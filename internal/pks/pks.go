@@ -14,6 +14,7 @@
 package pks
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -22,6 +23,7 @@ import (
 	"pka/internal/cluster"
 	"pka/internal/gpu"
 	"pka/internal/obs"
+	"pka/internal/parallel"
 	"pka/internal/profiler"
 	"pka/internal/silicon"
 	"pka/internal/stats"
@@ -400,37 +402,39 @@ func (o Options) elector() ElectFunc {
 // segment's remaining launches on dev, segment by segment, and map each onto
 // a group, extending the segment's ground-truth cycle total to all of them.
 //
-// The holdout probe fits its own ensemble on its own goroutine, beside the
-// tail's fit and the light pass, and is joined before any return (a panic
-// in it is re-raised here); its error is returned if nothing failed first.
-func (seg *Segments) mapLightKernels(dev gpu.Device, ws []*workload.Workload, p *Pool, groupOf []int, o Options) (err error) {
+// The holdout probe fits its own ensemble beside the tail's fit and the
+// light pass, the two joined by parallel.Map (a panic in either is re-raised
+// here, the probe's first); the tail's error wins over the probe's.
+func (seg *Segments) mapLightKernels(dev gpu.Device, ws []*workload.Workload, p *Pool, groupOf []int, o Options) error {
 	tail := newTailClassifier(p, groupOf, len(seg.Owner), o.Seed)
 	seg.ClassifierAccuracy = 1
-	if p.Len() >= 10 && len(seg.Owner) > 1 {
-		var accuracy float64
-		var probeErr error
-		var probePanic any
-		probed := make(chan struct{})
-		go func() {
-			defer close(probed)
-			defer func() { probePanic = recover() }()
-			accuracy, probeErr = tail.HoldoutAccuracy()
-		}()
-		defer func() {
-			<-probed
-			if probePanic != nil {
-				panic(probePanic)
-			}
-			seg.ClassifierAccuracy = accuracy
-			if err == nil && probeErr != nil {
-				err = probeErr
-			}
-		}()
+	if p.Len() < 10 || len(seg.Owner) <= 1 {
+		return seg.lightPass(dev, ws, tail)
 	}
+	var accuracy float64
+	jobs := []func() error{
+		func() (err error) {
+			accuracy, err = tail.HoldoutAccuracy()
+			return err
+		},
+		func() error { return seg.lightPass(dev, ws, tail) },
+	}
+	// Each job's error rides in its result, so Map's own error is only a
+	// contained panic (the probe's first) and the tail's error can win.
+	errs, err := parallel.Map(len(jobs), jobs, func(_ int, job func() error) (error, error) { return job(), nil })
+	if pe, ok := err.(*parallel.PanicError); ok {
+		panic(pe.Value)
+	}
+	seg.ClassifierAccuracy = accuracy
+	return cmp.Or(errs[1], errs[0])
+}
+
+// lightPass fits the tail classifier, then light-profiles and maps every
+// segment's launches past its detailed prefix.
+func (seg *Segments) lightPass(dev gpu.Device, ws []*workload.Workload, tail *TailClassifier) error {
 	if err := tail.fit(); err != nil {
 		return err
 	}
-
 	for s, sel := range seg.Sels {
 		for i := sel.DetailedKernels; i < sel.TotalKernels; i++ {
 			k := ws[s].Kernel(i)

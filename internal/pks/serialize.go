@@ -3,7 +3,6 @@ package pks
 import (
 	"encoding/json"
 	"io"
-	"os"
 )
 
 // The paper's artifact persists each workload's selection — the number of
@@ -80,14 +79,4 @@ func (s *Selection) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s.File())
-}
-
-// SaveJSON writes the selection to a file.
-func (s *Selection) SaveJSON(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return s.WriteJSON(f)
 }

@@ -1,9 +1,8 @@
 package pks
 
 import (
+	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"pka/internal/gpu"
@@ -11,7 +10,7 @@ import (
 	"pka/internal/workload"
 )
 
-// TestSelectionJSONRoundTrip: the document SaveJSON writes decodes with
+// TestSelectionJSONRoundTrip: the document WriteJSON writes decodes with
 // encoding/json into a selection a simulator integration can replay — K
 // groups whose populations cover the workload and whose weights sum to 1,
 // each naming a launch by index with that launch's dimensions.
@@ -21,16 +20,12 @@ func TestSelectionJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "sel.json")
-	if err := sel.SaveJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	doc, err := os.ReadFile(path)
-	if err != nil {
+	var doc bytes.Buffer
+	if err := sel.WriteJSON(&doc); err != nil {
 		t.Fatal(err)
 	}
 	var f SelectionFile
-	if err := json.Unmarshal(doc, &f); err != nil {
+	if err := json.Unmarshal(doc.Bytes(), &f); err != nil {
 		t.Fatal(err)
 	}
 	if f.Version != currentVersion || f.Workload != sel.Workload || f.TotalKernels != w.N {
@@ -58,8 +53,5 @@ func TestSelectionJSONRoundTrip(t *testing.T) {
 	block := trace.Dim3{X: g.RepBlock[0], Y: g.RepBlock[1], Z: g.RepBlock[2]}
 	if grid != k.Grid || block != k.Block {
 		t.Error("representative dims do not reconstruct the launch")
-	}
-	if err := sel.SaveJSON(filepath.Join(t.TempDir(), "missing", "sel.json")); err == nil {
-		t.Error("SaveJSON into a missing directory reported no error")
 	}
 }

@@ -62,7 +62,7 @@ type ShardClient struct {
 // member, artifact.DefaultReplicas owners per key. Returns nil without
 // peers, matching the nil-safe ShardTier wiring in sampling.Exec.
 func NewShardClient(opts ShardOptions) *ShardClient {
-	ring := artifact.NewRing(opts.Peers, artifact.DefaultVNodes, artifact.DefaultReplicas)
+	ring := artifact.NewRing(opts.Peers)
 	if ring == nil {
 		return nil
 	}

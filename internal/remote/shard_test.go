@@ -170,7 +170,7 @@ func TestShardRingHealth(t *testing.T) {
 	defer st.Close()
 	srv := remote.NewServer(st)
 	members := []string{"http://a:9377", "http://b:9377", "http://c:9377"}
-	srv.SetRing(artifact.NewRing(members, 0, 0), members[0])
+	srv.SetRing(artifact.NewRing(members), members[0])
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -226,7 +226,7 @@ func TestRingHealthCountsPeerTraffic(t *testing.T) {
 	defer st.Close()
 	srv := remote.NewServer(st)
 	members := []string{"http://a:9377", "http://b:9377", "http://c:9377"}
-	srv.SetRing(artifact.NewRing(members, 0, 0), members[0])
+	srv.SetRing(artifact.NewRing(members), members[0])
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -76,32 +76,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// CSV renders the table as comma-separated values with a header row.
-// Cells containing commas or quotes are quoted.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(cell, ",\"\n") {
-				b.WriteByte('"')
-				b.WriteString(strings.ReplaceAll(cell, `"`, `""`))
-				b.WriteByte('"')
-			} else {
-				b.WriteString(cell)
-			}
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Columns)
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	return b.String()
-}
-
 // Series is one named line of a chart.
 type Series struct {
 	Name   string

@@ -32,18 +32,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tb := &Table{Columns: []string{"a", "b"}}
-	tb.AddRow(`x,y`, `say "hi"`)
-	csv := tb.CSV()
-	if !strings.Contains(csv, `"x,y"`) || !strings.Contains(csv, `"say ""hi"""`) {
-		t.Errorf("CSV quoting wrong: %s", csv)
-	}
-	if !strings.HasPrefix(csv, "a,b\n") {
-		t.Errorf("CSV header wrong: %s", csv)
-	}
-}
-
 func TestChartRendering(t *testing.T) {
 	c := &Chart{
 		Title:  "Speedups",

@@ -18,7 +18,6 @@ import (
 	"errors"
 
 	"pka/internal/gpu"
-	"pka/internal/silicon"
 	"pka/internal/trace"
 	"pka/internal/workload"
 )
@@ -79,13 +78,4 @@ func PlanFirstN(dev gpu.Device, w *workload.Workload, launches []trace.KernelDes
 		p.Whole = append(p.Whole, k)
 	}
 	return p
-}
-
-// SiliconTotal executes the workload on the silicon model and returns the
-// application total (kernel cycles plus launch overheads) — the ground
-// truth every simulation error is measured against. It is a scan that asks
-// for the silicon total alone (see ScanLaunches).
-func SiliconTotal(dev gpu.Device, w *workload.Workload) (silicon.AppResult, error) {
-	sc, err := ScanLaunches(dev, w, Want{Silicon: true})
-	return sc.Silicon, err
 }

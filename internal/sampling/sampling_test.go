@@ -9,11 +9,11 @@ import (
 
 func TestSiliconTotal(t *testing.T) {
 	w := workload.Find("Rodinia/b+tree")
-	app, err := SiliconTotal(gpu.VoltaV100(), w)
+	sc, err := ScanLaunches(gpu.VoltaV100(), w, Want{Silicon: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if app.Kernels != w.N || app.Cycles <= 0 || app.TimeSeconds <= 0 {
+	if app := sc.Silicon; app.Kernels != w.N || app.Cycles <= 0 || app.TimeSeconds <= 0 {
 		t.Errorf("silicon total: %+v", app)
 	}
 }

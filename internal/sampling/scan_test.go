@@ -66,8 +66,8 @@ func checkScan(t *testing.T, dev gpu.Device, w *workload.Workload, budget int64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if view, _ := SiliconTotal(dev, w); siliconBits(sc.Silicon) != siliconBits(sil) || siliconBits(view) != siliconBits(sil) {
-		t.Errorf("%s: silicon %+v (SiliconTotal %+v), want %+v", w.FullName(), sc.Silicon, view, sil)
+	if view, _ := ScanLaunches(dev, w, Want{Silicon: true}); siliconBits(sc.Silicon) != siliconBits(sil) || siliconBits(view.Silicon) != siliconBits(sil) {
+		t.Errorf("%s: silicon %+v (silicon-only scan %+v), want %+v", w.FullName(), sc.Silicon, view.Silicon, sil)
 	}
 	mass := w.ApproxWarpInstructions(1 << 62)
 	if sc.WarpInstrs != mass {

@@ -75,8 +75,3 @@ func (r *RNG) PermInto(dst []int) {
 		dst[i], dst[j] = dst[j], dst[i]
 	}
 }
-
-// Fork derives an independent generator from this one. Forked streams are
-// used so that, e.g., adding a workload never shifts the random stream seen
-// by an unrelated workload.
-func (r *RNG) Fork() *RNG { return NewRNG(r.Uint64()) }

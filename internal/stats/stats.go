@@ -193,11 +193,3 @@ func (r *Rolling) CoefVar() float64 {
 	}
 	return sd / math.Abs(m)
 }
-
-// Reset empties the window while retaining its capacity.
-func (r *Rolling) Reset() {
-	r.head = 0
-	r.count = 0
-	r.sum = 0
-	r.sumSq = 0
-}

@@ -60,12 +60,6 @@ func (m InstrMix) Total() int {
 		m.SharedStores + m.GlobalAtomics + m.Compute + m.TensorOps
 }
 
-// MemoryOps returns the per-thread count of memory instructions.
-func (m InstrMix) MemoryOps() int {
-	return m.GlobalLoads + m.GlobalStores + m.LocalLoads + m.SharedLoads +
-		m.SharedStores + m.GlobalAtomics
-}
-
 // GlobalOps returns per-thread global-memory instructions (the ones that
 // traverse L1/L2/DRAM).
 func (m InstrMix) GlobalOps() int {

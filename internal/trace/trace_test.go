@@ -42,9 +42,6 @@ func TestInstrMixTotals(t *testing.T) {
 	if m.Total() != 36 {
 		t.Errorf("Total = %d", m.Total())
 	}
-	if m.MemoryOps() != 21 {
-		t.Errorf("MemoryOps = %d", m.MemoryOps())
-	}
 	if m.GlobalOps() != 12 {
 		t.Errorf("GlobalOps = %d", m.GlobalOps())
 	}
