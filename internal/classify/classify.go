@@ -110,6 +110,19 @@ func normalize(logits []float64) {
 	}
 }
 
+// stackClasses is the most classes Predict scores without allocating; a
+// selection's K sweep stops at MaxK, 20 by default.
+const stackClasses = 32
+
+// scoresOn returns n class scores for a Predict call: the caller's stack
+// buffer when they fit it, a fresh slice otherwise.
+func scoresOn(buf *[stackClasses]float64, n int) []float64 {
+	if n > stackClasses {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
 // argmax returns the index of the largest value.
 func argmax(xs []float64) int {
 	best, bestV := 0, math.Inf(-1)

@@ -58,8 +58,20 @@ func putFloats(h hash.Hash64, vals ...[]float64) {
 // narrow row, the light-profile width and a row wider than the scaler's
 // stack buffer, each with a constant column, over two seeds. The hash was
 // recorded before the fits were laid out on flat weight rows; a kernel
-// rewrite must keep it.
+// rewrite must keep it. It runs once per MLP kernel set this CPU has.
 func TestClassifierFitGolden(t *testing.T) {
+	for _, ks := range kernelSets(t) {
+		t.Run(ks.name, func(t *testing.T) {
+			defer useKernels(ks)()
+			const want uint64 = 0x47064185ea8c056a
+			if got := fitGoldenHash(t); got != want {
+				t.Errorf("fitted parameters hash to %#x, want %#x", got, want)
+			}
+		})
+	}
+}
+
+func fitGoldenHash(t *testing.T) uint64 {
 	h := fnv.New64a()
 	for _, seed := range []uint64{3, 8} {
 		for _, dim := range []int{3, profiler.NumLightFeatures, stackDim + 1} {
@@ -90,31 +102,37 @@ func TestClassifierFitGolden(t *testing.T) {
 			}
 		}
 	}
-	const want = 0x47064185ea8c056a
-	if got := h.Sum64(); got != want {
-		t.Errorf("fitted parameters hash to %#x, want %#x", got, want)
-	}
+	return h.Sum64()
 }
 
 var fitSink Classifier
 
-// BenchmarkClassifierFit times one fit per model on a training set shaped
-// like a two-level tail's: 800 rows that repeat 40 distinct light-profile
-// rows (profiler.LightFeatures of 40 launch configurations), labelled into K
-// groups.
-func BenchmarkClassifierFit(b *testing.B) {
-	const distinct, rows = 40, 800
-	light := make([][]float64, distinct)
+// The shape of a two-level tail's training set: rows rows that repeat
+// distinct light-profile rows, each distinct row one shared slice.
+const tailDistinct, tailRows = 40, 800
+
+// tailShaped builds such a set: profiler.LightFeatures of tailDistinct
+// launch configurations, labelled into k groups.
+func tailShaped(k int) ([][]float64, []int) {
+	light := make([][]float64, tailDistinct)
 	for i := range light {
 		grid := trace.Dim3{X: 64 << (i % 6), Y: 1 + i%3, Z: 1}
 		block := trace.Dim3{X: 32 << (i % 4), Y: 1, Z: 1}
 		light[i] = profiler.LightFeatures(fmt.Sprintf("layer%d_kernel", i), grid, block, 1024*(i%5))
 	}
+	X, y := make([][]float64, tailRows), make([]int, tailRows)
+	for i := range X {
+		X[i], y[i] = light[i%tailDistinct], i%tailDistinct%k
+	}
+	return X, y
+}
+
+// BenchmarkClassifierFit times one fit per model on a tail-shaped training
+// set (tailShaped) at K = 2, 4 and 13, through each MLP kernel set this CPU
+// has (the last name element; SGD and Naive Bayes use none).
+func BenchmarkClassifierFit(b *testing.B) {
 	for _, k := range []int{2, 4, 13} {
-		X, y := make([][]float64, rows), make([]int, rows)
-		for i := range X {
-			X[i], y[i] = light[i%distinct], i%distinct%k
-		}
+		X, y := tailShaped(k)
 		for _, model := range []struct {
 			name string
 			new  func() Classifier
@@ -124,15 +142,50 @@ func BenchmarkClassifierFit(b *testing.B) {
 			{"mlp", func() Classifier { return NewMLP(2) }},
 			{"ensemble", func() Classifier { return NewEnsemble(1) }},
 		} {
-			b.Run(fmt.Sprintf("%s/K=%d", model.name, k), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					m := model.new()
-					if err := m.Fit(X, y, k); err != nil {
-						b.Fatal(err)
+			for _, ks := range kernelSets(b) {
+				b.Run(fmt.Sprintf("%s/K=%d/%s", model.name, k, ks.name), func(b *testing.B) {
+					defer useKernels(ks)()
+					for i := 0; i < b.N; i++ {
+						m := model.new()
+						if err := m.Fit(X, y, k); err != nil {
+							b.Fatal(err)
+						}
+						fitSink = m
 					}
-					fitSink = m
-				}
-			})
+				})
+			}
+		}
+	}
+}
+
+// TestFitScalesSharedRowsOnce: SGD and MLP standardize each distinct row of
+// a tail-shaped set once, not once per row — a fit allocates about one
+// scaled row per distinct row, plus a fixed handful.
+func TestFitScalesSharedRowsOnce(t *testing.T) {
+	X, y := tailShaped(4)
+	for _, m := range []Classifier{NewSGD(1), NewMLP(2)} {
+		allocs := testing.AllocsPerRun(2, func() {
+			if err := m.Fit(X, y, 4); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tailDistinct+40 {
+			t.Errorf("%s.Fit on %d rows of %d shared slices allocates %v times, want <= %d", m.Name(), tailRows, tailDistinct, allocs, tailDistinct+40)
+		}
+	}
+}
+
+// TestPredictAllocatesNothing: each model's Predict, and the ensemble's,
+// scores a light-profile row on stack buffers.
+func TestPredictAllocatesNothing(t *testing.T) {
+	X, y := tailShaped(13)
+	e := NewEnsemble(1)
+	if err := e.Fit(X, y, 13); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range append([]Classifier{e}, e.Members...) {
+		if allocs := testing.AllocsPerRun(100, func() { m.Predict(X[7]) }); allocs != 0 {
+			t.Errorf("%s.Predict allocates %v times per call, want 0", m.Name(), allocs)
 		}
 	}
 }

@@ -85,7 +85,8 @@ func (g *GaussianNB) Predict(x []float64) int {
 		return 0
 	}
 	checkRow(g.Name(), len(x), g.dim)
-	scores := make([]float64, g.numClasses)
+	var buf [stackClasses]float64
+	scores := scoresOn(&buf, g.numClasses)
 	for c := 0; c < g.numClasses; c++ {
 		ll := g.priors[c]
 		if math.IsInf(ll, -1) {

@@ -9,9 +9,9 @@ import (
 // MLP is a one-hidden-layer perceptron with ReLU activations and a softmax
 // output, trained by plain backpropagation with SGD.
 //
-// Each layer's weights are one row-major slice. The forward sums (affine)
-// and the output layer's backward pass run four rows side by side, each row
-// with the float operations, in the order, of one row at a time.
+// Each layer's weights are one row-major slice. Fit trains through a kernel
+// set (mlpKernels): the Go loops, or AVX2 kernels that do the same float
+// operations, in the same order, four hidden units at a time.
 type MLP struct {
 	seed       uint64
 	numClasses int
@@ -47,10 +47,7 @@ func (m *MLP) Fit(X [][]float64, y []int, numClasses int) error {
 	}
 	m.numClasses, m.dim = numClasses, dim
 	m.scaler = FitScaler(X)
-	scaled := make([][]float64, len(X))
-	for i, row := range X {
-		scaled[i] = m.scaler.Apply(row)
-	}
+	scaled := m.scaler.applyRows(X)
 
 	rng := stats.NewRNG(m.seed ^ 0xAB1E)
 	initLayer := func(rows, cols int) []float64 {
@@ -67,9 +64,15 @@ func (m *MLP) Fit(X [][]float64, y []int, numClasses int) error {
 	m.w2 = initLayer(numClasses, nh)
 	m.b2 = make([]float64, numClasses)
 
-	hidden := make([]float64, nh)
+	ks := kernels
+	w1 := m.w1
+	if ks.transposed {
+		w1 = make([]float64, len(m.w1))
+		transpose(w1, m.w1, nh, dim)
+	}
+	b1 := (*[mlpHidden]float64)(m.b1)
+	hidden, dHidden := new([mlpHidden]float64), new([mlpHidden]float64)
 	probs := make([]float64, numClasses)
-	dHidden := make([]float64, nh)
 	order := make([]int, len(scaled))
 
 	for epoch := 0; epoch < mlpEpochs; epoch++ {
@@ -77,74 +80,34 @@ func (m *MLP) Fit(X [][]float64, y []int, numClasses int) error {
 		rng.PermInto(order)
 		for _, i := range order {
 			x := scaled[i]
-			m.forward(x, hidden, probs)
+			ks.hiddenForward(hidden, w1, b1, x)
+			m.output(probs, hidden)
 			probs[y[i]] -= 1 // the softmax + cross-entropy gradient
-
-			// Output layer. dHidden takes its class terms in class order, each
-			// from the weight before that class's update.
-			for h := range dHidden {
-				dHidden[h] = 0
+			ks.outputBackward(dHidden, m.w2, hidden, probs, lr)
+			for c, g := range probs {
+				m.b2[c] -= lr * g
 			}
-			c := 0
-			for ; c+4 <= numClasses; c += 4 {
-				g0, g1, g2, g3 := probs[c], probs[c+1], probs[c+2], probs[c+3]
-				l0, l1, l2, l3 := lr*g0, lr*g1, lr*g2, lr*g3
-				w0, w1, w2, w3 := m.w2[c*nh:][:nh], m.w2[(c+1)*nh:][:nh], m.w2[(c+2)*nh:][:nh], m.w2[(c+3)*nh:][:nh]
-				for h, v := range hidden {
-					a0, a1, a2, a3 := w0[h], w1[h], w2[h], w3[h]
-					d := dHidden[h]
-					d += g0 * a0
-					d += g1 * a1
-					d += g2 * a2
-					d += g3 * a3
-					dHidden[h] = d
-					w0[h] = a0 - l0*v
-					w1[h] = a1 - l1*v
-					w2[h] = a2 - l2*v
-					w3[h] = a3 - l3*v
-				}
-				m.b2[c] -= l0
-				m.b2[c+1] -= l1
-				m.b2[c+2] -= l2
-				m.b2[c+3] -= l3
-			}
-			for ; c < numClasses; c++ {
-				g := probs[c]
-				l := lr * g
-				w := m.w2[c*nh:][:nh]
-				for h, v := range hidden {
-					dHidden[h] += g * w[h]
-					w[h] -= l * v
-				}
-				m.b2[c] -= l
-			}
-			// Hidden layer gradient through ReLU.
-			for h, v := range hidden {
-				if v <= 0 {
-					continue
-				}
-				l := lr * dHidden[h]
-				w := m.w1[h*dim:][:len(x)]
-				for j, xj := range x {
-					w[j] -= l * xj
-				}
-				m.b1[h] -= l
-			}
+			ks.hiddenUpdate(w1, b1, hidden, dHidden, x, lr)
 		}
+	}
+	if ks.transposed {
+		transpose(m.w1, w1, dim, nh)
 	}
 	return nil
 }
 
-// forward computes hidden activations and class probabilities in place.
+// forward computes hidden activations and class probabilities in place,
+// through the Go kernels and m.w1's row-major layout.
 func (m *MLP) forward(x, hidden, probs []float64) {
-	affine(hidden, m.w1, len(x), m.b1, 1, x)
-	for h, sum := range hidden {
-		if sum < 0 { // ReLU; not max(sum, 0), which turns a -0 sum into +0
-			hidden[h] = 0
-		}
-	}
-	affine(probs[:m.numClasses], m.w2, mlpHidden, m.b2, 1, hidden)
-	normalize(probs[:m.numClasses])
+	h := (*[mlpHidden]float64)(hidden)
+	hiddenForwardGo(h, m.w1, (*[mlpHidden]float64)(m.b1), x)
+	m.output(probs, h)
+}
+
+// output sets probs to the class probabilities of the hidden activations.
+func (m *MLP) output(probs []float64, hidden *[mlpHidden]float64) {
+	affine(probs, m.w2, mlpHidden, m.b2, 1, hidden[:])
+	normalize(probs)
 }
 
 // Predict implements Classifier.
@@ -153,9 +116,19 @@ func (m *MLP) Predict(x []float64) int {
 		return 0
 	}
 	checkRow(m.Name(), len(x), m.dim)
-	hidden := make([]float64, mlpHidden)
-	probs := make([]float64, m.numClasses)
 	var buf [stackDim]float64
-	m.forward(m.scaler.applyOn(&buf, x), hidden, probs)
+	var hidden [mlpHidden]float64
+	var scores [stackClasses]float64
+	probs := scoresOn(&scores, m.numClasses)
+	m.forward(m.scaler.applyOn(&buf, x), hidden[:], probs)
 	return argmax(probs)
+}
+
+// transpose sets dst to src transposed, src being rows × cols row-major.
+func transpose(dst, src []float64, rows, cols int) {
+	for r := 0; r < rows; r++ {
+		for c, v := range src[r*cols:][:cols] {
+			dst[c*rows+r] = v
+		}
+	}
 }

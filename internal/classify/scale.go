@@ -73,6 +73,27 @@ func (s *Scaler) Apply(x []float64) []float64 {
 	return out
 }
 
+// applyRows standardizes the rows of a training set, each backing array
+// once: rows that are one shared slice (a two-level tail's rows of one kind)
+// share one standardized copy, the same values a copy per row would hold.
+func (s *Scaler) applyRows(X [][]float64) [][]float64 {
+	scaled := make([][]float64, len(X))
+	done := map[*float64][]float64{}
+	for i, row := range X {
+		if len(row) == 0 { // no backing array to key on, and nothing to scale
+			scaled[i] = row
+			continue
+		}
+		out, ok := done[&row[0]]
+		if !ok {
+			out = s.Apply(row)
+			done[&row[0]] = out
+		}
+		scaled[i] = out
+	}
+	return scaled
+}
+
 // ApplyInto standardizes x into dst (which must have len(x)).
 func (s *Scaler) ApplyInto(dst, x []float64) {
 	for j, v := range x {

@@ -37,10 +37,7 @@ func (s *SGD) Fit(X [][]float64, y []int, numClasses int) error {
 	}
 	s.numClasses, s.dim = numClasses, dim
 	s.scaler = FitScaler(X)
-	scaled := make([][]float64, len(X))
-	for i, row := range X {
-		scaled[i] = s.scaler.Apply(row)
-	}
+	scaled := s.scaler.applyRows(X)
 	s.weights = make([]float64, numClasses*(dim+1))
 
 	rng := stats.NewRNG(s.seed ^ 0x5D6D)
@@ -78,8 +75,9 @@ func (s *SGD) Predict(x []float64) int {
 		return 0
 	}
 	checkRow(s.Name(), len(x), s.dim)
-	probs := make([]float64, s.numClasses)
 	var buf [stackDim]float64
+	var scores [stackClasses]float64
+	probs := scoresOn(&scores, s.numClasses)
 	s.softmax(s.scaler.applyOn(&buf, x), probs)
 	return argmax(probs)
 }

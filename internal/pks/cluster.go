@@ -275,10 +275,11 @@ func (t *TailClassifier) Group(rec profiler.LightRecord) int {
 }
 
 // HoldoutAccuracy trains a probe ensemble on 80% of the training set and
-// scores it on the strided remaining 20%.
+// scores it on the strided remaining 20%: every fifth row, len/5 of them.
 func (t *TailClassifier) HoldoutAccuracy() (float64, error) {
-	var trX, teX [][]float64
-	var trY, teY []int
+	nte := len(t.x) / 5
+	trX, teX := make([][]float64, 0, len(t.x)-nte), make([][]float64, 0, nte)
+	trY, teY := make([]int, 0, len(t.x)-nte), make([]int, 0, nte)
 	for i := range t.x {
 		if i%5 == 4 {
 			teX, teY = append(teX, t.x[i]), append(teY, t.y[i])
