@@ -10,8 +10,14 @@
 //	pka -w Polybench/fdtd2d -target 2 -s 0.1
 //	pka -w MLPerf/ssd_training -device turing -selection-only
 //	pka -w Rodinia/gauss_208 -trace t.json -metrics m.prom -audit a.ndjson
+//	pka -w Rodinia/bfs65536 -cache-dir D -flight f.ndjson
 //	pka -w Rodinia/gauss_208 -emit-workload g.json   # write its document
 //	pka -workload-file g.json                        # study it
+//
+// Each fact a run reports leaves through one output: cache and ladder-tier
+// counters through -metrics (pka_cache_*, pka_exec_tier_*, pka_shard_*),
+// and which tier and shard peer served each kernel launch through -flight,
+// one NDJSON line per kernel task.
 //
 // -workload-file reads a workload document ('-' = stdin); -emit-workload
 // writes one, an entry per launch with its exact seed. A study of a
@@ -50,7 +56,6 @@ func main() {
 		jsonOut   = flag.String("json", "", "write the selection (groups, representatives, weights) to this JSON file")
 		wfile     = flag.String("workload-file", "", "analyze a workload from a JSON document instead of -w ('-' = stdin)")
 		par       = flag.Int("p", 0, "parallelism: concurrent pipeline stages (0 = GOMAXPROCS, 1 = serial)")
-		explain   = flag.Bool("explain", false, "print the per-tier execution provenance report (which ladder tier served each kernel launch) after the study")
 		flightF   = flag.String("flight", "", "write the per-kernel execution provenance (flight recorder) as NDJSON to this file")
 		suiteDed  = flag.String("suite-dedup", "", "run a suite-level dedup study over this comma-separated workload list: cluster all apps in one shared PCA space, simulate one representative per cross-workload group, and report per-app errors plus the warp-instruction savings vs per-app PKS")
 		emitDoc   = flag.String("emit-workload", "", "with -w or -workload-file: write the workload as a JSON document, one entry per launch with its exact seed, to this file ('-' = stdout) and exit")
@@ -64,7 +69,7 @@ func main() {
 	// -suite-dedup brings its own workload list and prints its own report,
 	// so the single-app selectors and outputs are incoherent alongside it;
 	// -w and -workload-file each name the one workload; and a
-	// -selection-only study simulates nothing to explain or record.
+	// -selection-only study simulates nothing to record.
 	if err := cli.FlagConflicts(nil,
 		[2]string{"suite-dedup", "w"},
 		[2]string{"suite-dedup", "workload-file"},
@@ -72,7 +77,6 @@ func main() {
 		[2]string{"suite-dedup", "json"},
 		[2]string{"w", "workload-file"},
 		[2]string{"selection-only", "flight"},
-		[2]string{"selection-only", "explain"},
 	); err != nil {
 		fatal(err)
 	}
@@ -143,7 +147,7 @@ func main() {
 		Obs:         sess.Observer,
 		Exec:        sess.Exec,
 	}
-	if *explain || *flightF != "" {
+	if *flightF != "" {
 		cfg.Flight = sampling.NewFlightRecorder()
 	}
 	if execFlags.Obs.Trace != "" {
@@ -151,8 +155,8 @@ func main() {
 		sess.Observer.Tracer.SetProcessName("pka")
 	}
 
-	// Every mode leaves through the one epilogue below: provenance when a
-	// study simulated anything, then the session's Close.
+	// Every mode leaves through the one epilogue below: the -flight
+	// provenance when a study simulated anything, then the session's Close.
 	switch {
 	case *suiteDed != "":
 		var ws []*workload.Workload
@@ -162,8 +166,8 @@ func main() {
 	default:
 		err = batchStudy(cfg, w, *target, *jsonOut, *selOnly)
 	}
-	if err == nil && !*selOnly {
-		err = writeProvenance(cfg.Flight, *explain, *flightF)
+	if err == nil && *flightF != "" {
+		err = writeFlight(cfg.Flight, *flightF)
 	}
 	if cerr := sess.Close(); err == nil {
 		err = cerr
@@ -200,17 +204,9 @@ func batchStudy(cfg core.Config, w *workload.Workload, target float64, jsonOut s
 	return nil
 }
 
-// writeProvenance renders the -explain report and the -flight NDJSON.
-func writeProvenance(flight *sampling.FlightRecorder, explain bool, path string) error {
-	if explain {
-		fmt.Println()
-		if err := flight.WriteReport(os.Stdout); err != nil {
-			return err
-		}
-	}
-	if path == "" {
-		return nil
-	}
+// writeFlight writes the -flight NDJSON, one provenance entry per kernel
+// task in (phase, launch index) order.
+func writeFlight(flight *sampling.FlightRecorder, path string) error {
 	if err := cli.WriteFile(path, flight.WriteNDJSON); err != nil {
 		return err
 	}
@@ -317,13 +313,18 @@ func printSimulation(ev *core.Evaluation) {
 	fmt.Printf("  PKA projected DRAM    %.1f%%\n", ev.PKA.DRAMUtil*100)
 }
 
-// emitWorkload writes the workload as a workload document.
+// emitWorkload writes the workload as a workload document, to stdout when
+// path is "-".
 func emitWorkload(w *workload.Workload, path string) error {
-	err := cli.WriteOutput(path, func(out io.Writer) error { return workload.WriteJSON(out, w) })
-	if err == nil && path != "-" {
-		fmt.Fprintf(os.Stderr, "workload document written to %s\n", path)
+	render := func(out io.Writer) error { return workload.WriteJSON(out, w) }
+	if path == "-" {
+		return render(os.Stdout)
 	}
-	return err
+	if err := cli.WriteFile(path, render); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "workload document written to %s\n", path)
+	return nil
 }
 
 func fatal(err error) {

@@ -101,9 +101,9 @@ func run(addr, name, ringCSV, ringSelf string, cacheFl *cli.CacheFlags) error {
 	case s := <-sig:
 		logger.Printf("caught %v, shutting down", s)
 	case err := <-errc:
-		_ = cacheFl.Finish(nil)
+		_ = cacheFl.Finish()
 		return err
 	}
 	_ = ln.Close()
-	return cacheFl.Finish(nil)
+	return cacheFl.Finish()
 }

@@ -176,8 +176,9 @@ func main() {
 	s.Cfg.Parallelism = *par
 	s.Cfg.Obs = sess.Observer
 	s.Cfg.Exec = sess.Exec
-	// The study's per-artifact caches sit above the ladder's; report both.
-	sess.AddFamilies(s.CacheStats)
+	// The study's per-artifact caches sit above the ladder's, which Build
+	// registered; the exposition reports both.
+	sess.Observer.RegisterCacheStats(s.CacheStats)
 	if *suite != "" {
 		ws := workload.BySuite(*suite)
 		if ws == nil {

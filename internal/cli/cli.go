@@ -8,7 +8,6 @@ package cli
 
 import (
 	"cmp"
-	"encoding/json"
 	"expvar"
 	"flag"
 	"fmt"
@@ -215,16 +214,16 @@ func (f *ObsFlags) Finish() error {
 	return nil
 }
 
-// CacheFlags is the persistent-artifact-cache flag bundle both CLIs
-// register: -cache-dir enables the on-disk content-addressed store of
-// per-kernel simulation outcomes, -cache-max-mb bounds it, and
-// -cache-stats dumps end-of-run cache counters as JSON. The cache only
+// CacheFlags is the persistent-artifact-cache flag bundle every binary
+// registers: -cache-dir enables the on-disk content-addressed store of
+// per-kernel simulation outcomes and -cache-max-mb bounds it. The cache only
 // changes wall-clock time — cached and fresh runs render byte-identical
-// output, because every entry is keyed by the full simulation input.
+// output, because every entry is keyed by the full simulation input. Its
+// counters are reported once, in the -metrics exposition (pka_cache_* and
+// pka_exec_tier_*).
 type CacheFlags struct {
 	Dir   string // artifact store directory; empty disables the disk cache
 	MaxMB int64  // size bound in MiB; 0 applies the store default
-	Stats string // cache-counter JSON output path ("-" for stdout)
 
 	store *artifact.Store
 }
@@ -237,7 +236,6 @@ func (f *CacheFlags) Register(fs *flag.FlagSet) {
 	}
 	fs.StringVar(&f.Dir, "cache-dir", "", "persist per-kernel simulation outcomes in this directory (content-addressed; reused across runs)")
 	fs.Int64Var(&f.MaxMB, "cache-max-mb", 0, "artifact cache size bound in MiB (0 = default)")
-	fs.StringVar(&f.Stats, "cache-stats", "", "write end-of-run cache hit/miss counters as JSON to this file (\"-\" for stdout)")
 }
 
 // Open opens the artifact store when -cache-dir was given; it returns
@@ -255,30 +253,8 @@ func (f *CacheFlags) Open() (*artifact.Store, error) {
 	return st, nil
 }
 
-// Finish writes the -cache-stats JSON (families from the study-level
-// caches plus the artifact store's own counters) and closes the store.
-// Safe to call when the cache was never opened.
-func (f *CacheFlags) Finish(families func() map[string]obs.CacheCounts) error {
-	if f.Stats != "" {
-		doc := struct {
-			Families map[string]obs.CacheCounts `json:"families,omitempty"`
-			Artifact *artifact.Stats            `json:"artifact,omitempty"`
-		}{}
-		if families != nil {
-			doc.Families = families()
-		}
-		if f.store != nil {
-			st := f.store.Stats()
-			doc.Artifact = &st
-		}
-		if err := WriteOutput(f.Stats, func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(doc)
-		}); err != nil {
-			return fmt.Errorf("cache stats: %w", err)
-		}
-	}
+// Finish closes the store. Safe to call when the cache was never opened.
+func (f *CacheFlags) Finish() error {
 	if f.store != nil {
 		return f.store.Close()
 	}
@@ -303,27 +279,7 @@ type Session struct {
 	Exec  *sampling.Exec
 
 	fl     *ExecFlags
-	extra  func() map[string]obs.CacheCounts
 	closed bool
-}
-
-// AddFamilies reports a command's own caches, the ones it keeps above the
-// ladder, beside the ladder's: to the observer now and in -cache-stats at
-// Close.
-func (s *Session) AddFamilies(src func() map[string]obs.CacheCounts) {
-	s.Observer.RegisterCacheStats(src)
-	s.extra = src
-}
-
-// families is the -cache-stats view: the ladder's tiers plus AddFamilies'.
-func (s *Session) families() map[string]obs.CacheCounts {
-	out := s.Exec.CacheStats()
-	if s.extra != nil {
-		for family, c := range s.extra() {
-			out[family] = c
-		}
-	}
-	return out
 }
 
 // Build assembles the ladder the flags describe — scheduler of width par,
@@ -354,7 +310,7 @@ func (f *ExecFlags) Build(par int) (*Session, error) {
 }
 
 // Close tears the session down in dependency order: write the telemetry
-// artifacts, write -cache-stats, and close the store. Every step runs even if
+// artifacts, then close the store. Every step runs even if
 // an earlier one failed; the first error is returned. Closing twice, or a
 // session that opened nothing, is a no-op.
 func (s *Session) Close() error {
@@ -363,7 +319,7 @@ func (s *Session) Close() error {
 	}
 	s.closed = true
 	err := s.fl.Obs.Finish()
-	if e := s.fl.Cache.Finish(s.families); err == nil {
+	if e := s.fl.Cache.Finish(); err == nil {
 		err = e
 	}
 	return err
@@ -423,15 +379,6 @@ func SplitURLs(csv string) []string {
 		}
 	}
 	return urls
-}
-
-// WriteOutput renders to the file at path, or to stdout when path is "-" —
-// the spelling -cache-stats and -emit-workload share.
-func WriteOutput(path string, render func(w io.Writer) error) error {
-	if path == "-" {
-		return render(os.Stdout)
-	}
-	return WriteFile(path, render)
 }
 
 // WriteFile renders into the file at path, reporting the first error of

@@ -8,10 +8,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
 	"pka/internal/artifact"
+	"pka/internal/core"
 	"pka/internal/gpu"
 	"pka/internal/remote"
 	"pka/internal/sampling"
@@ -54,7 +56,8 @@ func parse(t *testing.T, args ...string) *ExecFlags {
 // Build is the only wiring: for each flag set, the ladder it returns has
 // exactly the tiers the flags name — observed through the cache families
 // it reports and the tier that serves a cold kernel — and Close is
-// idempotent whatever was opened.
+// idempotent whatever was opened. The shard tier is no cache family: its
+// cold lookup shows in pka_shard_peer_misses_total alone.
 func TestBuildWiresTheLadderFromFlags(t *testing.T) {
 	dev := gpu.VoltaV100()
 	ks := studyKernels(t)
@@ -66,6 +69,7 @@ func TestBuildWiresTheLadderFromFlags(t *testing.T) {
 	peer := httptest.NewServer(remote.NewServer(peerStore).Handler())
 	defer peer.Close()
 	metrics := filepath.Join(t.TempDir(), "m.prom")
+	shardMetrics := filepath.Join(t.TempDir(), "shard.prom")
 
 	cases := []struct {
 		name     string
@@ -73,12 +77,18 @@ func TestBuildWiresTheLadderFromFlags(t *testing.T) {
 		families []string
 		tier     string
 		missed   string // family that must have seen the cold lookup
+		metrics  string // exposition the session writes at Close
+		prom     []string
 	}{
-		{"none", nil, []string{"kernel_mem"}, "sim", "kernel_mem"},
-		{"cache-dir", []string{"-cache-dir", t.TempDir(), "-metrics", metrics},
-			[]string{"artifact", "batch", "kernel_mem", "selection"}, "sim", "artifact"},
-		{"cache-dir+shard", []string{"-cache-dir", t.TempDir(), "-shard", peer.URL},
-			[]string{"artifact", "batch", "kernel_mem", "selection", "shard"}, "sim", "shard"},
+		{name: "none", families: []string{"kernel_mem"}, tier: "sim", missed: "kernel_mem"},
+		{name: "cache-dir", args: []string{"-cache-dir", t.TempDir(), "-metrics", metrics},
+			families: []string{"artifact", "batch", "kernel_mem", "selection"}, tier: "sim", missed: "artifact",
+			// The per-tier families only SetMetrics produces and the
+			// registered caches.
+			metrics: metrics, prom: []string{"pka_exec_tier_sim_total 1", "pka_cache_artifact_misses 1", "pka_cache_kernel_mem_misses 1"}},
+		{name: "cache-dir+shard", args: []string{"-cache-dir", t.TempDir(), "-shard", peer.URL, "-metrics", shardMetrics},
+			families: []string{"artifact", "batch", "kernel_mem", "selection"}, tier: "sim", missed: "artifact",
+			metrics: shardMetrics, prom: []string{"pka_shard_peer_misses_total 1", "pka_shard_peer_hits_total 0", "pka_exec_tier_sim_total 1"}},
 	}
 	for _, tc := range cases {
 		fl := parse(t, tc.args...)
@@ -98,7 +108,7 @@ func TestBuildWiresTheLadderFromFlags(t *testing.T) {
 		if got := fr.TierCounts(); got[tc.tier] != 1 || fr.Len() != 1 {
 			t.Errorf("%s: cold kernel served by %v, want one %s", tc.name, got, tc.tier)
 		}
-		stats := sess.families()
+		stats := sess.Exec.CacheStats()
 		var families []string
 		for f := range stats {
 			families = append(families, f)
@@ -115,17 +125,87 @@ func TestBuildWiresTheLadderFromFlags(t *testing.T) {
 				t.Errorf("%s: close #%d: %v", tc.name, i+1, err)
 			}
 		}
+		if tc.metrics == "" {
+			continue
+		}
+		prom := readExposition(t, tc.metrics)
+		for _, want := range tc.prom {
+			name, value, _ := strings.Cut(want, " ")
+			if got, ok := prom[name]; !ok || got != value {
+				t.Errorf("%s: exposition has %s = %q, want %s", tc.name, name, got, value)
+			}
+		}
 	}
+}
 
-	// The observed session wrote its exposition at Close, with the
-	// per-tier families only SetMetrics produces and the registered caches.
-	prom, err := os.ReadFile(metrics)
+// A cold study and a warm one over the same -cache-dir, each writing its
+// -metrics exposition: the cold one simulates, the warm one simulates
+// nothing and is served from the store, with a pack for every batch the
+// cold study ran. These are the facts the exposition alone reports about a
+// cache's temperature.
+func TestColdWarmExposition(t *testing.T) {
+	w, err := FindWorkload("Rodinia/gauss_mat4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"pka_exec_tier_sim_total 1", "pka_cache_artifact_misses 1", "pka_cache_kernel_mem_misses 1"} {
-		if !strings.Contains(string(prom), want) {
-			t.Errorf("metrics exposition lacks %q", want)
+	dir, tmp := t.TempDir(), t.TempDir()
+	study := func(name string) map[string]string {
+		t.Helper()
+		prom := filepath.Join(tmp, name+".prom")
+		sess, err := parse(t, "-cache-dir", dir, "-metrics", prom).Build(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = core.Evaluate(core.Config{Device: gpu.VoltaV100(), Obs: sess.Observer, Exec: sess.Exec}, w)
+		if cerr := sess.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatalf("%s study: %v", name, err)
+		}
+		return readExposition(t, prom)
+	}
+	num := func(prom map[string]string, name string) float64 {
+		t.Helper()
+		v, err := strconv.ParseFloat(prom[name], 64)
+		if err != nil {
+			t.Fatalf("exposition sample %s = %q: %v", name, prom[name], err)
+		}
+		return v
+	}
+
+	cold := study("cold")
+	if got := num(cold, "pka_exec_tier_sim_total"); got == 0 {
+		t.Error("cold study simulated nothing: pka_exec_tier_sim_total 0")
+	}
+	warm := study("warm")
+	if got := num(warm, "pka_exec_tier_sim_total"); got != 0 {
+		t.Errorf("warm study simulated %v kernel tasks, want 0", got)
+	}
+	if hits := num(warm, "pka_cache_artifact_hits") + num(warm, "pka_cache_batch_hits"); hits == 0 {
+		t.Error("warm study reports no per-key or pack hits")
+	}
+	if got := num(warm, "pka_cache_batch_misses"); got != 0 {
+		t.Errorf("warm study missed %v packs the cold one should have written", got)
+	}
+}
+
+// readExposition reads a Prometheus text exposition into its samples,
+// name (with labels) to value text.
+func readExposition(t *testing.T, path string) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := map[string]string{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if i := strings.LastIndexByte(line, ' '); i > 0 {
+			samples[line[:i]] = line[i+1:]
 		}
 	}
+	return samples
 }

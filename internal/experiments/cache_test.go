@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -81,14 +83,18 @@ func TestCacheDeterminism(t *testing.T) {
 		t.Errorf("warm cached output diverges from serial:\n--- serial ---\n%s\n--- warm ---\n%s", serial, warm)
 	}
 
-	// The counters surface through CacheStats under the families the obs
-	// gauges are named after.
-	cs := warmStudy.CacheStats()
-	if cs["artifact"].Hits == 0 {
-		t.Error("CacheStats does not report the artifact hits")
+	// The store's counters surface through the Exec's families, and the
+	// study reports its own caches only, the ones above the ladder.
+	if cs := warmStudy.Exec().CacheStats(); cs["artifact"].Hits == 0 {
+		t.Error("Exec.CacheStats does not report the artifact hits")
 	}
-	if _, ok := cs["kernel_mem"]; !ok {
-		t.Error("CacheStats misses the kernel_mem family")
+	var own []string
+	for family := range warmStudy.CacheStats() {
+		own = append(own, family)
+	}
+	sort.Strings(own)
+	if want := []string{"crossgen", "evaluations", "selections", "tbpoint_selections"}; !reflect.DeepEqual(own, want) {
+		t.Errorf("Study.CacheStats families %v, want %v", own, want)
 	}
 }
 

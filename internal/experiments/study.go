@@ -101,10 +101,9 @@ func (s *Study) Exec() *sampling.Exec {
 	return s.ex
 }
 
-// CacheStats reports hit/miss counters for every cache family the study
-// maintains — the per-artifact singleflight caches plus the executor's own
-// (kernel-outcome memory cache, artifact store, fleet shard). The map is
-// shaped for obs.RegisterCacheStats.
+// CacheStats reports hit/miss counters for the study's own per-artifact
+// singleflight caches, the ones above the Exec ladder (whose families
+// Exec.CacheStats reports). The map is shaped for obs.RegisterCacheStats.
 func (s *Study) CacheStats() map[string]obs.CacheCounts {
 	out := map[string]obs.CacheCounts{}
 	add := func(family string, stats func() (hits, misses uint64)) {
@@ -115,9 +114,6 @@ func (s *Study) CacheStats() map[string]obs.CacheCounts {
 	add("crossgen", s.crossGen.Stats)
 	add("evaluations", s.evaluations.Stats)
 	add("tbpoint_selections", s.tbSels.Stats)
-	for family, c := range s.Exec().CacheStats() {
-		out[family] = c
-	}
 	return out
 }
 

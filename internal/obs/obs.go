@@ -404,10 +404,10 @@ func bind[B any](r *Registry) *B {
 // evictions and corrupt-entry recoveries; in-memory singleflight families
 // leave those zero.
 type CacheCounts struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions,omitempty"`
-	Corrupt   uint64 `json:"corrupt,omitempty"`
+	Hits      uint64
+	Misses    uint64
+	Evictions uint64
+	Corrupt   uint64
 }
 
 // RegisterCacheStats installs a source of per-family cache counters.
@@ -424,7 +424,7 @@ func (o *Observer) RegisterCacheStats(src func() map[string]CacheCounts) {
 	o.cacheMu.Unlock()
 }
 
-// SyncCacheStats polls every registered cache-stats source and copies the
+// SyncCacheStats polls every registered cache-counter source and copies the
 // counters into pka_cache_<family>_{hits,misses,evictions,corrupt} gauges.
 // Call it just before rendering an exposition; cache counters are pulled,
 // not pushed, so hot cache paths never touch the registry.

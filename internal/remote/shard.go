@@ -30,8 +30,8 @@ type ShardOptions struct {
 	// EvictAfter is the consecutive-failure eviction threshold (default
 	// DefaultShardEvictAfter).
 	EvictAfter int
-	// Metrics receives shard-tier telemetry; nil keeps it in a private
-	// bundle, read by CacheCounts alone.
+	// Metrics receives shard-tier telemetry; nil counts into a private
+	// bundle, so the client never checks for one.
 	Metrics *obs.ShardMetrics
 	// Logf, when set, receives rebalance log lines.
 	Logf func(format string, args ...any)
@@ -84,18 +84,6 @@ func (c *ShardClient) Ring() *artifact.Ring {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ring
-}
-
-// CacheCounts publishes the peer-lookup hit/miss counters in the shape
-// RegisterCacheStats wants, so the shard tier lands beside the mem and
-// artifact families as pka_cache_shard_* instead of silently reading
-// zero while peers serve traffic.
-func (c *ShardClient) CacheCounts() obs.CacheCounts {
-	if c == nil {
-		return obs.CacheCounts{}
-	}
-	m := c.opts.Metrics
-	return obs.CacheCounts{Hits: uint64(m.PeerHits.Value()), Misses: uint64(m.PeerMisses.Value())}
 }
 
 // noteOK resets a peer's consecutive-failure count after any successful

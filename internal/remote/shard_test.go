@@ -62,7 +62,8 @@ func shardFleet(t *testing.T, n int, opts remote.ShardOptions) ([]*httptest.Serv
 // Store must replicate to every owner, Lookup must read back from one,
 // and the hit must name a true owner of the key.
 func TestShardStoreLookup(t *testing.T) {
-	_, stores, c := shardFleet(t, 3, remote.ShardOptions{})
+	m := obs.NewObserver().ShardMetrics()
+	_, stores, c := shardFleet(t, 3, remote.ShardOptions{Metrics: m})
 	payload := sampling.EncodeOutcome(sampling.KernelOutcome{ProjCycles: 42, SimWarpInstrs: 7})
 	key := testKey("task-1")
 	c.Store(key, payload)
@@ -95,9 +96,8 @@ func TestShardStoreLookup(t *testing.T) {
 	if _, _, ok := c.Lookup(testKey("never-stored")); ok {
 		t.Error("Lookup of an unstored key reported a hit")
 	}
-	cc := c.CacheCounts()
-	if cc.Hits != 1 || cc.Misses != 1 {
-		t.Errorf("CacheCounts = %+v, want 1 hit / 1 miss", cc)
+	if hits, misses := m.PeerHits.Value(), m.PeerMisses.Value(); hits != 1 || misses != 1 {
+		t.Errorf("peer lookups counted %d hits / %d misses, want 1 / 1", hits, misses)
 	}
 }
 
@@ -329,7 +329,7 @@ func TestShardExecTier(t *testing.T) {
 		t.Fatalf("fleet-cached kernels were re-executed: %v", counts)
 	}
 	for _, e := range fr.Entries() {
-		if e.Tier == sampling.TierShard && e.Worker == "" {
+		if e.Tier == sampling.TierShard && e.Peer == "" {
 			t.Error("shard-served entry missing the serving peer")
 		}
 	}

@@ -16,7 +16,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"time"
 
 	"pka/internal/obs"
 )
@@ -79,9 +78,9 @@ type ProvEntry struct {
 	Key string `json:"key"`
 	// Tier is the ladder level that produced the outcome.
 	Tier Tier `json:"tier"`
-	// Worker identifies the shard peer that held the task's cached
+	// Peer identifies the shard peer that held the task's cached
 	// outcome (TierShard only).
-	Worker string `json:"worker,omitempty"`
+	Peer string `json:"peer,omitempty"`
 	// WaitNs is time from scheduler submission to execution start;
 	// ServiceNs is execution time in the ladder.
 	WaitNs    int64 `json:"wait_ns"`
@@ -139,19 +138,26 @@ func (fr *FlightRecorder) Entries() []ProvEntry {
 // TierCounts returns how many entries each tier served, keyed by tier
 // name. Values always sum to Len().
 func (fr *FlightRecorder) TierCounts() map[string]int {
-	counts := map[string]int{}
-	for _, e := range fr.Entries() {
-		counts[e.Tier.String()]++
-	}
-	return counts
+	return fr.count(func(e *ProvEntry) string { return e.Tier.String() })
 }
 
-// WorkerCounts returns how many entries each shard peer served.
-func (fr *FlightRecorder) WorkerCounts() map[string]int {
+// PeerCounts returns how many entries each shard peer served.
+func (fr *FlightRecorder) PeerCounts() map[string]int {
+	return fr.count(func(e *ProvEntry) string { return e.Peer })
+}
+
+// count tallies the entries by name under the lock, skipping empty names.
+// Counts need no order, so nothing is copied or sorted.
+func (fr *FlightRecorder) count(name func(*ProvEntry) string) map[string]int {
 	counts := map[string]int{}
-	for _, e := range fr.Entries() {
-		if e.Worker != "" {
-			counts[e.Worker]++
+	if fr == nil {
+		return counts
+	}
+	fr.mu.Lock()
+	defer fr.mu.Unlock()
+	for i := range fr.entries {
+		if n := name(&fr.entries[i]); n != "" {
+			counts[n]++
 		}
 	}
 	return counts
@@ -159,7 +165,7 @@ func (fr *FlightRecorder) WorkerCounts() map[string]int {
 
 // WriteNDJSON writes one JSON object per entry in (phase, index) order —
 // the flight-recorder artifact format. Unlike ProvEntry's own encoding,
-// kernel and worker are written even when empty, and no HTML escaping is
+// kernel and peer are written even when empty, and no HTML escaping is
 // applied, so a name such as gemm<float> is written as it reads.
 func (fr *FlightRecorder) WriteNDJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -171,62 +177,10 @@ func (fr *FlightRecorder) WriteNDJSON(w io.Writer) error {
 			Kernel    string `json:"kernel"`
 			Key       string `json:"key"`
 			Tier      string `json:"tier"`
-			Worker    string `json:"worker"`
+			Peer      string `json:"peer"`
 			WaitNs    int64  `json:"wait_ns"`
 			ServiceNs int64  `json:"service_ns"`
-		}{e.Phase, e.Index, e.Kernel, e.Key, e.Tier.String(), e.Worker, e.WaitNs, e.ServiceNs}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteReport renders the human-readable tier-attribution report: per-tier
-// kernel counts with wait/service time totals and per-peer counts.
-// Byte-deterministic for a given set of entries.
-func (fr *FlightRecorder) WriteReport(w io.Writer) error {
-	entries := fr.Entries()
-	if _, err := fmt.Fprintf(w, "execution provenance: %d kernel launches\n", len(entries)); err != nil {
-		return err
-	}
-	type agg struct {
-		n             int
-		waitNs, svcNs int64
-	}
-	tiers := map[Tier]*agg{}
-	workers := map[string]int{}
-	for _, e := range entries {
-		a := tiers[e.Tier]
-		if a == nil {
-			a = &agg{}
-			tiers[e.Tier] = a
-		}
-		a.n++
-		a.waitNs += e.WaitNs
-		a.svcNs += e.ServiceNs
-		if e.Worker != "" {
-			workers[e.Worker]++
-		}
-	}
-	for t := TierMem; t <= TierSim; t++ {
-		a := tiers[t]
-		if a == nil {
-			a = &agg{}
-		}
-		if _, err := fmt.Fprintf(w, "  tier %-7s %6d launches  wait %12s  service %12s\n",
-			t.String(), a.n,
-			time.Duration(a.waitNs).Round(time.Microsecond),
-			time.Duration(a.svcNs).Round(time.Microsecond)); err != nil {
-			return err
-		}
-	}
-	names := make([]string, 0, len(workers))
-	for n := range workers {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if _, err := fmt.Fprintf(w, "  worker %s served %d\n", n, workers[n]); err != nil {
+		}{e.Phase, e.Index, e.Kernel, e.Key, e.Tier.String(), e.Peer, e.WaitNs, e.ServiceNs}); err != nil {
 			return err
 		}
 	}

@@ -17,7 +17,7 @@ func TestFlightRecorderDeterministicFold(t *testing.T) {
 	fr.Record(ProvEntry{Phase: "pks", Index: 1, Tier: TierSim})
 	fr.Record(ProvEntry{Phase: "full", Index: 2, Tier: TierDisk})
 	fr.Record(ProvEntry{Phase: "full", Index: 0, Tier: TierSim})
-	fr.Record(ProvEntry{Phase: "pks", Index: 0, Tier: TierShard, Worker: "http://w1"})
+	fr.Record(ProvEntry{Phase: "pks", Index: 0, Tier: TierShard, Peer: "http://w1"})
 
 	es := fr.Entries()
 	want := []struct {
@@ -44,8 +44,8 @@ func TestFlightRecorderDeterministicFold(t *testing.T) {
 	if tiers["sim"] != 2 || tiers["disk"] != 1 || tiers["shard"] != 1 {
 		t.Fatalf("tier counts %v", tiers)
 	}
-	if wc := fr.WorkerCounts(); wc["http://w1"] != 1 {
-		t.Fatalf("worker counts %v", wc)
+	if pc := fr.PeerCounts(); len(pc) != 1 || pc["http://w1"] != 1 {
+		t.Fatalf("peer counts %v", pc)
 	}
 }
 
@@ -68,28 +68,15 @@ func TestTierNamesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFlightReportGolden pins the flight recorder's one report, the -flight
+// NDJSON: one line per entry in (phase, index) order, every field present,
+// the shard peer under "peer".
 func TestFlightReportGolden(t *testing.T) {
 	fr := NewFlightRecorder()
+	fr.Record(ProvEntry{Phase: "pks", Index: 0, Tier: TierShard,
+		Peer: "http://w1", ServiceNs: 3_000_000})
 	fr.Record(ProvEntry{Phase: "full", Index: 0, Tier: TierSim,
 		WaitNs: 1_000_000, ServiceNs: 2_000_000})
-	fr.Record(ProvEntry{Phase: "pks", Index: 0, Tier: TierShard,
-		Worker: "http://w1", ServiceNs: 3_000_000})
-
-	var sb strings.Builder
-	if err := fr.WriteReport(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Join([]string{
-		"execution provenance: 2 kernel launches",
-		"  tier mem          0 launches  wait           0s  service           0s",
-		"  tier disk         0 launches  wait           0s  service           0s",
-		"  tier shard        1 launches  wait           0s  service          3ms",
-		"  tier sim          1 launches  wait          1ms  service          2ms",
-		"  worker http://w1 served 1",
-	}, "\n") + "\n"
-	if got := sb.String(); got != want {
-		t.Errorf("report mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
 
 	var nd strings.Builder
 	if err := fr.WriteNDJSON(&nd); err != nil {
@@ -99,20 +86,26 @@ func TestFlightReportGolden(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("NDJSON has %d lines, want 2", len(lines))
 	}
-	if !strings.Contains(lines[0], `"tier":"sim"`) || !strings.Contains(lines[1], `"tier":"shard"`) {
-		t.Fatalf("NDJSON order/tiers wrong:\n%s", nd.String())
+	want := []string{
+		`{"phase":"full","index":0,"kernel":"","key":"","tier":"sim","peer":"","wait_ns":1000000,"service_ns":2000000}`,
+		`{"phase":"pks","index":0,"kernel":"","key":"","tier":"shard","peer":"http://w1","wait_ns":0,"service_ns":3000000}`,
+	}
+	for i := range want {
+		if lines[i] != want[i] {
+			t.Errorf("line %d = %s, want %s", i, lines[i], want[i])
+		}
 	}
 }
 
 // TestFlightNDJSONIsJSON writes kernel and peer names that Go-quoting and
 // JSON render differently and requires every line to decode back to its
 // entry. A name both render alike keeps its bytes, and empty kernel and
-// worker fields stay present.
+// peer fields stay present.
 func TestFlightNDJSONIsJSON(t *testing.T) {
 	names := []string{"bell\ak", "del\x7fk", `say "hi"`, `back\slash`, "gemm<float>", "café", ""}
 	fr := NewFlightRecorder()
 	for i, name := range names {
-		fr.Record(ProvEntry{Phase: "pka", Index: i, Kernel: name, Key: "k", Tier: TierShard, Worker: name, ServiceNs: int64(i)})
+		fr.Record(ProvEntry{Phase: "pka", Index: i, Kernel: name, Key: "k", Tier: TierShard, Peer: name, ServiceNs: int64(i)})
 	}
 	var nd strings.Builder
 	if err := fr.WriteNDJSON(&nd); err != nil {
@@ -124,17 +117,17 @@ func TestFlightNDJSONIsJSON(t *testing.T) {
 	}
 	for i, line := range lines {
 		var got struct {
-			Kernel, Worker *string
+			Kernel, Peer *string
 		}
 		if err := json.Unmarshal([]byte(line), &got); err != nil {
 			t.Errorf("line %d (%q) is not JSON: %v", i, names[i], err)
 			continue
 		}
-		if got.Kernel == nil || *got.Kernel != names[i] || got.Worker == nil || *got.Worker != names[i] {
-			t.Errorf("line %d decodes to kernel %v worker %v, want %q: %s", i, got.Kernel, got.Worker, names[i], line)
+		if got.Kernel == nil || *got.Kernel != names[i] || got.Peer == nil || *got.Peer != names[i] {
+			t.Errorf("line %d decodes to kernel %v peer %v, want %q: %s", i, got.Kernel, got.Peer, names[i], line)
 		}
 	}
-	const want = `{"phase":"pka","index":4,"kernel":"gemm<float>","key":"k","tier":"shard","worker":"gemm<float>","wait_ns":0,"service_ns":4}`
+	const want = `{"phase":"pka","index":4,"kernel":"gemm<float>","key":"k","tier":"shard","peer":"gemm<float>","wait_ns":0,"service_ns":4}`
 	if lines[4] != want {
 		t.Errorf("line 4 = %s, want %s", lines[4], want)
 	}

@@ -406,10 +406,11 @@ func (e *Exec) Selections() *artifact.Store {
 	return e.sels
 }
 
-// CacheStats reports hit/miss counters for every cache tier this exec
-// holds — "kernel_mem", plus "artifact", "batch" and "selection" with a store
-// and "shard" with a counting shard tier — in the shape obs.RegisterCacheStats
-// and -cache-stats want. Every binary takes its families from here.
+// CacheStats reports hit/miss counters for every cache this exec holds —
+// "kernel_mem", plus "artifact", "batch" and "selection" with a store — in
+// the shape obs.RegisterCacheStats wants. Every binary takes its families
+// from here. The shard tier is not a family: its lookups are counted once,
+// as pka_shard_peer_{hits,misses}_total.
 func (e *Exec) CacheStats() map[string]obs.CacheCounts {
 	h, m := e.MemStats()
 	out := map[string]obs.CacheCounts{"kernel_mem": {Hits: h, Misses: m}}
@@ -420,11 +421,6 @@ func (e *Exec) CacheStats() map[string]obs.CacheCounts {
 		out["selection"] = obs.CacheCounts{Hits: s.Hits, Misses: s.Misses, Corrupt: s.Corrupt}
 		b := e.packs.Stats()
 		out["batch"] = obs.CacheCounts{Hits: b.Hits, Misses: b.Misses, Corrupt: b.Corrupt}
-	}
-	if e != nil {
-		if c, ok := e.shard.(interface{ CacheCounts() obs.CacheCounts }); ok {
-			out["shard"] = c.CacheCounts()
-		}
 	}
 	return out
 }
@@ -589,7 +585,7 @@ func (e *Exec) run(key string, dev gpu.Device, k trace.KernelDesc, task KernelTa
 
 // record appends one provenance entry for a task served at tier. No-op
 // without a flight recorder.
-func (e *Exec) record(to TaskObs, key string, tier Tier, start, end time.Time, shardPeer string) {
+func (e *Exec) record(to TaskObs, key string, tier Tier, start, end time.Time, peer string) {
 	if to.Flight == nil {
 		return
 	}
@@ -599,7 +595,7 @@ func (e *Exec) record(to TaskObs, key string, tier Tier, start, end time.Time, s
 		Kernel:    to.Kernel,
 		Key:       key,
 		Tier:      tier,
-		Worker:    shardPeer,
+		Peer:      peer,
 		ServiceNs: end.Sub(start).Nanoseconds(),
 	}
 	if !to.QueuedAt.IsZero() {

@@ -37,9 +37,6 @@ const (
 	HealthPath = "/v1/health"
 	// MetricsPath serves the Prometheus exposition (GET).
 	MetricsPath = "/metrics"
-	// ProvenancePath reports the tier-attribution of recent studies as a
-	// human-readable text report (GET).
-	ProvenancePath = "/v1/debug/provenance"
 	// TraceparentHeader carries the W3C-style trace context on study
 	// requests; a valid value turns on distributed tracing for the request
 	// and parents the study's spans under the client's span.
@@ -114,8 +111,7 @@ type StudyRequest struct {
 	// Trace plumbing, set by the HTTP handler (or SetTraceParent and
 	// SetFlightRecorder for direct callers): the client's parent context,
 	// the span-ID generator (the server's, which tests seed through
-	// Options.TraceIDs), and the flight recorder the server shares with its
-	// debug report.
+	// Options.TraceIDs), and a flight recorder the caller keeps.
 	parent obs.TraceContext
 	ids    *obs.IDGen
 	flight *sampling.FlightRecorder
@@ -173,8 +169,8 @@ type ProvenanceBlock struct {
 	Kernels int `json:"kernels"`
 	// Tiers counts launches per serving tier (mem, disk, shard, sim).
 	Tiers map[string]int `json:"tiers"`
-	// Workers counts launches per shard peer (absent when none).
-	Workers map[string]int `json:"workers,omitempty"`
+	// Peers counts launches per shard peer (absent when none).
+	Peers map[string]int `json:"peers,omitempty"`
 	// Entries is the full flight-recorder content in (phase, launch index)
 	// order.
 	Entries []sampling.ProvEntry `json:"entries,omitempty"`

@@ -54,9 +54,9 @@ type study struct {
 // newStudy sets up req's evaluation of its resolved workload. Tracing
 // turns on when the client shipped a traceparent or asked in the body;
 // either way the request gets its own tracer so its trace holds only this
-// study's spans. Provenance recording turns on with tracing (the root
-// span reports tier counts), on request, or when the server injected a
-// recorder for its debug report.
+// study's spans. Provenance recording turns on with tracing, on request
+// (the response's provenance block), or when the caller installed a
+// recorder with SetFlightRecorder.
 func newStudy(exec *sampling.Exec, o *obs.Observer, req *StudyRequest) *study {
 	st := &study{
 		req:  req,
@@ -133,7 +133,7 @@ func (st *study) respond(ev *core.Evaluation, err error) (*StudyResponse, error)
 			TraceID: st.traceID,
 			Kernels: flight.Len(),
 			Tiers:   flight.TierCounts(),
-			Workers: flight.WorkerCounts(),
+			Peers:   flight.PeerCounts(),
 			Entries: flight.Entries(),
 		}
 	}

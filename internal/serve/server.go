@@ -56,17 +56,6 @@ type Options struct {
 	TraceIDs *obs.IDGen
 }
 
-// provRingCap bounds the recent-study provenance ring behind
-// ProvenancePath.
-const provRingCap = 32
-
-// provRecord is one completed study's provenance summary.
-type provRecord struct {
-	tenant, workload, mode string
-	traceID                string
-	flight                 *sampling.FlightRecorder
-}
-
 // pending is one admitted request moving through the queue.
 type pending struct {
 	req      *StudyRequest
@@ -90,9 +79,6 @@ type Server struct {
 	m      *obs.ServeMetrics
 	rec    *Recorder
 	ids    *obs.IDGen
-
-	provMu   sync.Mutex
-	provRing []provRecord
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -217,43 +203,13 @@ func (s *Server) finish(failed bool) {
 	s.mu.Unlock()
 }
 
-// run is the default runner: it wires the server's span-ID generator and
-// a flight recorder into the request, executes the study, and folds the
-// completed study's provenance into the debug ring.
+// run is the default runner: Run on the server's Exec, with the server's
+// span-ID generator wired into the request.
 func (s *Server) run(req *StudyRequest) (*StudyResponse, error) {
 	if req.ids == nil {
 		req.ids = s.ids
 	}
-	if req.flight == nil {
-		req.flight = sampling.NewFlightRecorder()
-	}
-	resp, err := Run(s.exec, s.o, req)
-	if err == nil {
-		traceID := ""
-		if resp.Provenance != nil {
-			traceID = resp.Provenance.TraceID
-		}
-		s.recordProvenance(provRecord{
-			tenant:   req.Tenant,
-			workload: resp.Workload,
-			mode:     resp.Mode,
-			traceID:  traceID,
-			flight:   req.flight,
-		})
-	}
-	return resp, err
-}
-
-// recordProvenance appends one study's summary to the bounded debug ring,
-// evicting the oldest beyond provRingCap.
-func (s *Server) recordProvenance(rec provRecord) {
-	s.provMu.Lock()
-	defer s.provMu.Unlock()
-	if len(s.provRing) >= provRingCap {
-		copy(s.provRing, s.provRing[1:])
-		s.provRing = s.provRing[:len(s.provRing)-1]
-	}
-	s.provRing = append(s.provRing, rec)
+	return Run(s.exec, s.o, req)
 }
 
 // runOne isolates runner panics: one poisoned request must not take the
@@ -331,14 +287,13 @@ func (s *Server) Health() ServeHealth {
 }
 
 // Handler returns the server's HTTP mux: POST /v1/study, GET /v1/latency,
-// /v1/health, /v1/debug/provenance and /metrics.
+// /v1/health and /metrics.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(StudyPath, s.handleStudy)
 	mux.HandleFunc(LatencyPath, s.handleLatency)
 	mux.HandleFunc(HealthPath, s.handleHealth)
 	mux.Handle(MetricsPath, s.o)
-	mux.HandleFunc(ProvenancePath, s.handleProvenance)
 	return mux
 }
 
@@ -394,29 +349,4 @@ func (s *Server) handleLatency(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(s.Health())
-}
-
-// handleProvenance renders the tier-attribution reports of the most
-// recent completed studies (oldest first), one flight-recorder report per
-// study.
-func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
-	s.provMu.Lock()
-	ring := append([]provRecord(nil), s.provRing...)
-	s.provMu.Unlock()
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if len(ring) == 0 {
-		fmt.Fprintf(w, "no studies completed yet\n")
-		return
-	}
-	for i, rec := range ring {
-		if i > 0 {
-			fmt.Fprintln(w)
-		}
-		fmt.Fprintf(w, "study tenant=%s workload=%s mode=%s", rec.tenant, rec.workload, rec.mode)
-		if rec.traceID != "" {
-			fmt.Fprintf(w, " trace=%s", rec.traceID)
-		}
-		fmt.Fprintln(w)
-		_ = rec.flight.WriteReport(w)
-	}
 }
