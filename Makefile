@@ -23,7 +23,7 @@ test:
 # queue, fault injection), internal/cluster (the chunked assignment step
 # and its worker-invariance test), internal/artifact (the store's lock and
 # views), internal/remote (the shard client's eviction and rebalance, the
-# cache peer and a study through a three-member ring), internal/dedup and internal/classify (the ensemble fits its members
+# cache peer and a study through a three-member fleet), internal/dedup and internal/classify (the ensemble fits its members
 # concurrently) are fast enough to race in full (the last four ≈ 1.3, 1.2, 5.4
 # and 7.2 s of test time under -race on the 2-core box); the
 # experiments and workload suites run with -short so the concurrency

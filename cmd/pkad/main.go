@@ -1,15 +1,15 @@
 // Command pkad is a PKA fleet-cache peer: it serves its artifact store over
 // the internal/remote cache protocol so pka/pkaexp/pkaserve studies started
 // with -shard can read outcomes another process already simulated instead
-// of simulating them again. A peer holds no study state and executes
-// nothing; it keeps the content-addressed entries clients replicate to it
-// (GET/PUT /v1/cache/<key>) and reports its cache and ring membership on
-// /v1/health.
+// of simulating them again. A peer holds no study state, executes nothing
+// and knows nothing of the fleet: the clients' -shard list is the one
+// statement of membership, and they place every key. It keeps the
+// content-addressed entries clients replicate to it (GET/PUT
+// /v1/cache/<key>) and reports its cache counters on /v1/health.
 //
-// Typical ring member:
+// Typical fleet peer:
 //
-//	pkad -serve 0.0.0.0:9377 -cache-dir /var/pka-cache \
-//	  -ring http://a:9377,http://b:9377,http://c:9377 -ring-self http://a:9377
+//	pkad -serve 0.0.0.0:9377 -cache-dir /var/pka-cache
 package main
 
 import (
@@ -21,45 +21,29 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"slices"
 	"syscall"
 
-	"pka/internal/artifact"
 	"pka/internal/cli"
 	"pka/internal/obs"
 	"pka/internal/remote"
 )
 
 func main() {
-	var (
-		serve    = flag.String("serve", "127.0.0.1:9377", "host:port to serve the peer cache on")
-		name     = flag.String("name", "", "peer name reported in health (default pkad)")
-		ring     = flag.String("ring", "", "comma-separated fleet member URLs forming the consistent-hash cache ring (include this peer)")
-		ringSelf = flag.String("ring-self", "", "this peer's own URL on the -ring (reported in /v1/health)")
-	)
+	serve := flag.String("serve", "127.0.0.1:9377", "host:port to serve the peer cache on")
 	var cacheFl cli.CacheFlags
 	cacheFl.Register(nil)
 	flag.Parse()
 
-	if err := run(*serve, *name, *ring, *ringSelf, &cacheFl); err != nil {
+	if err := run(*serve, &cacheFl); err != nil {
 		fmt.Fprintln(os.Stderr, "pkad:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, name, ringCSV, ringSelf string, cacheFl *cli.CacheFlags) error {
+func run(addr string, cacheFl *cli.CacheFlags) error {
 	// A peer without a store would answer every GET and PUT 404.
 	if cacheFl.Dir == "" {
 		return errors.New("-cache-dir is required: a cache peer serves its artifact store")
-	}
-	// A self outside the ring would report no owned range and no replica
-	// peers, so membership is checked before anything starts.
-	members := cli.SplitURLs(ringCSV)
-	if (ringCSV == "") != (ringSelf == "") {
-		return errors.New("-ring and -ring-self must be set together")
-	}
-	if ringCSV != "" && !slices.Contains(members, ringSelf) {
-		return fmt.Errorf("-ring-self %q is not a member of -ring %q", ringSelf, ringCSV)
 	}
 	store, err := cacheFl.Open()
 	if err != nil {
@@ -77,14 +61,7 @@ func run(addr, name, ringCSV, ringSelf string, cacheFl *cli.CacheFlags) error {
 	})
 
 	srv := remote.NewServer(store)
-	srv.Name = name
 	srv.Obs = observer
-	if ringCSV != "" {
-		fleetRing := artifact.NewRing(members)
-		srv.SetRing(fleetRing, ringSelf)
-		logger.Printf("cache ring: %d member(s), replication %d, self %q",
-			len(fleetRing.Members()), fleetRing.Replicas(), ringSelf)
-	}
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

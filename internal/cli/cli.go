@@ -326,15 +326,14 @@ func (s *Session) Close() error {
 }
 
 // ShardFlags is the fleet-cache flag bundle: -shard joins the study's Exec
-// ladder to a ring of pkad cache peers. Outcomes replicate to their
-// consistent-hash owners, and the ladder asks a key's owners after the
-// local disk and before simulating (mem → disk → shard → sim). The ring is
-// the one every `pkad -ring` builds (artifact.DefaultReplicas owners per
-// key, artifact.DefaultVNodes virtual nodes per member). Like the artifact
-// cache, the shard tier only changes where outcomes come from: output
-// stays byte-identical with or without it.
+// ladder to a fleet of pkad cache peers. It is the fleet's one statement of
+// membership: the client places every key on two of the peers by
+// rendezvous hashing, replicates outcomes to them, and asks them after the
+// local disk and before simulating (mem → disk → shard → sim). Like the
+// artifact cache, the shard tier only changes where outcomes come from:
+// output stays byte-identical with or without it.
 type ShardFlags struct {
-	Peers string // comma-separated ring member URLs; empty disables
+	Peers string // comma-separated pkad URLs; empty disables
 }
 
 // Register installs the shard flag on the flag set (the default set when
@@ -343,7 +342,7 @@ func (f *ShardFlags) Register(fs *flag.FlagSet) {
 	if fs == nil {
 		fs = flag.CommandLine
 	}
-	fs.StringVar(&f.Peers, "shard", "", "comma-separated pkad URLs forming the consistent-hash fleet-cache ring")
+	fs.StringVar(&f.Peers, "shard", "", "comma-separated pkad URLs forming the fleet cache")
 }
 
 // Start builds the fleet-cache client -shard names, reporting to the
@@ -352,9 +351,9 @@ func (f *ShardFlags) Start(o *obs.Observer) (*remote.ShardClient, error) {
 	if f.Peers == "" {
 		return nil, nil
 	}
-	peers := SplitURLs(f.Peers)
+	peers := splitURLs(f.Peers)
 	if len(peers) == 0 {
-		return nil, fmt.Errorf("-shard: no ring member URLs in %q", f.Peers)
+		return nil, fmt.Errorf("-shard: no peer URLs in %q", f.Peers)
 	}
 	c := remote.NewShardClient(remote.ShardOptions{
 		Peers:   peers,
@@ -363,15 +362,13 @@ func (f *ShardFlags) Start(o *obs.Observer) (*remote.ShardClient, error) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
 	})
-	ring := c.Ring()
-	fmt.Fprintf(os.Stderr, "fleet cache sharded over %d peer(s), replication %d\n",
-		len(ring.Members()), ring.Replicas())
+	fmt.Fprintf(os.Stderr, "fleet cache sharded over %d peer(s)\n", len(c.Members()))
 	return c, nil
 }
 
-// SplitURLs splits a comma-separated URL list (the -shard and -ring
-// spelling), dropping blanks.
-func SplitURLs(csv string) []string {
+// splitURLs splits a comma-separated URL list (the -shard spelling),
+// dropping blanks.
+func splitURLs(csv string) []string {
 	var urls []string
 	for _, u := range strings.Split(csv, ",") {
 		if u = strings.TrimSpace(u); u != "" {

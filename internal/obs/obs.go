@@ -320,10 +320,9 @@ func (m *ExecMetrics) Observe(tier int, sec float64) {
 }
 
 // ShardMetrics is the sharded fleet cache's metric family: peer-lookup
-// traffic against the consistent-hash ring (hits, misses, transport
-// errors), replication writes, and — the health signal the fleet operator
-// watches — ring rebalances after a peer is evicted for repeated
-// failures. All fields are nil-safe instruments.
+// traffic against the keys' owner peers (hits, misses, transport errors),
+// replication writes, and — the health signal the fleet operator watches —
+// rebalances after a peer is evicted for repeated failures. All fields are nil-safe instruments.
 type ShardMetrics struct {
 	Lookups       *Counter   `metric:"pka_shard_lookups_total" help:"content keys looked up against the shard ring"`
 	PeerHits      *Counter   `metric:"pka_shard_peer_hits_total" help:"lookups served by an owner or replica shard"`

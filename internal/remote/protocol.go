@@ -13,11 +13,11 @@
 // entries the client's own store does (same SHA-256 keys, same 33-byte
 // payload).
 //
-// A consistent-hash ring (artifact.Ring) assigns every content key a small
-// owner set among the peers; clients replicate outcomes to the owners over
-// CachePathPrefix, and the ShardClient answers "who owns this key" locally
-// and peer-GETs owners (primary first, then replicas) before the Exec
-// ladder falls back to simulating.
+// Rendezvous hashing assigns every content key two owners among the
+// peers; clients replicate outcomes to the owners over CachePathPrefix, and
+// the ShardClient answers "who owns this key" locally and peer-GETs owners
+// (primary first, then the replica) before the Exec ladder falls back to
+// simulating. Only clients know the fleet: a peer answers every valid key.
 package remote
 
 import (
@@ -26,7 +26,7 @@ import (
 
 // Protocol endpoints and limits.
 const (
-	// HealthPath reports the peer's cache and ring statistics (GET).
+	// HealthPath reports the peer's cache statistics and build (GET).
 	HealthPath = "/v1/health"
 	// MetricsPath serves the peer's Prometheus exposition (GET) when the
 	// daemon runs with an observer.
@@ -45,23 +45,8 @@ const (
 
 // Health is the peer's self-report.
 type Health struct {
-	Cache   CacheHealth   `json:"cache"`
-	Ring    *RingHealth   `json:"ring,omitempty"`
-	Process string        `json:"process,omitempty"`
-	Build   obs.BuildInfo `json:"build"`
-}
-
-// RingHealth is the peer's view of its shard-ring membership: how much
-// of the key space it primarily owns, which peers replicate that range,
-// and how much peer cache traffic it has served. Present only when the
-// daemon runs with -ring.
-type RingHealth struct {
-	Members       int      `json:"members"`
-	Replicas      int      `json:"replicas"`
-	OwnedFraction float64  `json:"owned_fraction"`
-	ReplicaPeers  []string `json:"replica_peers"`
-	PeerGets      uint64   `json:"peer_gets"`
-	PeerPuts      uint64   `json:"peer_puts"`
+	Cache CacheHealth   `json:"cache"`
+	Build obs.BuildInfo `json:"build"`
 }
 
 // CacheHealth is the peer's artifact store counters.

@@ -10,21 +10,15 @@ import (
 	"pka/internal/obs"
 )
 
-// Server is one cache peer: it serves an artifact store to the ring's
+// Server is one cache peer: it serves an artifact store to the fleet's
 // clients (GET/PUT under CachePathPrefix), reports its health and, with an
 // observer, its metrics. It never executes anything — peers exchanging
-// cache entries cannot create work for each other, only save it.
+// cache entries cannot create work for each other, only save it. A peer
+// holds no view of the fleet: clients place keys, and it answers every
+// valid one.
 type Server struct {
 	store *artifact.Store
 
-	// Shard-ring membership (nil/"" when the daemon runs without -ring):
-	// the ring this peer believes it is part of and its own member name on
-	// it.
-	ring     *artifact.Ring
-	ringSelf string
-
-	// Name identifies this peer in health reports (default "pkad").
-	Name string
 	// Obs, when set, serves the daemon's Prometheus exposition on
 	// MetricsPath.
 	Obs *obs.Observer
@@ -33,17 +27,6 @@ type Server struct {
 // NewServer builds a cache peer over store. A nil store answers every
 // cache request 404.
 func NewServer(store *artifact.Store) *Server { return &Server{store: store} }
-
-// SetRing declares this peer a member of a shard ring under the given
-// member name; /v1/health then reports its owned key-range fraction and
-// replica peers. The ring only describes membership — the peer answers
-// GET/PUT for any valid key regardless, because consistent hashing is
-// advisory placement, not an ACL, and a client mid-rebalance may ask a
-// former owner.
-func (s *Server) SetRing(ring *artifact.Ring, self string) {
-	s.ring = ring
-	s.ringSelf = self
-}
 
 // Handler returns the peer's HTTP handler. It routes on the raw path, so a
 // cache key is judged as sent and never redirected to a cleaned path.
@@ -100,24 +83,14 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// handleHealth reports the store's counters. The store serves only peer
+// traffic, so they are the peer's: every GET is one hit or miss, every
+// stored PUT one write.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	h := Health{Process: s.Name, Build: obs.Build()}
-	if h.Process == "" {
-		h.Process = "pkad"
-	}
 	cs := s.store.Stats() // a nil store reports zeros
-	h.Cache = CacheHealth{Hits: cs.Hits, Misses: cs.Misses, Writes: cs.Writes, Entries: cs.Entries}
-	if s.ring != nil {
-		// The store serves only peer traffic, so its counters are the
-		// peer's: every GET is one hit or miss, every stored PUT one write.
-		h.Ring = &RingHealth{
-			Members:       len(s.ring.Members()),
-			Replicas:      s.ring.Replicas(),
-			OwnedFraction: s.ring.OwnedFraction(s.ringSelf),
-			ReplicaPeers:  s.ring.ReplicaPeersOf(s.ringSelf),
-			PeerGets:      cs.Hits + cs.Misses,
-			PeerPuts:      cs.Writes,
-		}
+	h := Health{
+		Cache: CacheHealth{Hits: cs.Hits, Misses: cs.Misses, Writes: cs.Writes, Entries: cs.Entries},
+		Build: obs.Build(),
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(h)

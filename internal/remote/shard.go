@@ -2,13 +2,17 @@ package remote
 
 import (
 	"bytes"
+	"cmp"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"io"
 	"net/http"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
-	"pka/internal/artifact"
 	"pka/internal/obs"
 )
 
@@ -18,14 +22,57 @@ const (
 	// anything slow is a peer worth evicting, not waiting for.
 	shardTimeout = 2 * time.Second
 	// DefaultShardEvictAfter is how many consecutive transport failures a
-	// peer gets before it is evicted from the ring (a rebalance).
+	// peer gets before it is evicted from the fleet (a rebalance).
 	DefaultShardEvictAfter = 3
+	// replicas is how many peers own each content key, capped at the fleet
+	// size: two, so a key survives the loss of any one peer.
+	replicas = 2
 )
+
+// owners returns the members owning key, primary first, by rendezvous
+// (highest-random-weight) hashing: each member bids the first 8 bytes of
+// SHA-256(member ‖ 0 ‖ key), big-endian, and the min(replicas,
+// len(members)) highest bids win, ties broken by member name. Placement is
+// a pure function of the member set and the key, so every client agrees on
+// it without coordination; dropping a member moves only the keys it owned,
+// each to its former replica. members must be free of duplicates.
+func owners(members []string, key string) []string {
+	type bid struct {
+		weight uint64
+		member string
+	}
+	bids := make([]bid, len(members))
+	var buf []byte
+	for i, m := range members {
+		buf = append(append(append(buf[:0], m...), 0), key...)
+		sum := sha256.Sum256(buf)
+		bids[i] = bid{binary.BigEndian.Uint64(sum[:8]), m}
+	}
+	slices.SortFunc(bids, func(a, b bid) int {
+		if c := cmp.Compare(b.weight, a.weight); c != 0 {
+			return c
+		}
+		return strings.Compare(a.member, b.member)
+	})
+	out := make([]string, min(replicas, len(bids)))
+	for i := range out {
+		out[i] = bids[i].member
+	}
+	return out
+}
+
+// fleet is the member set a peer list names: sorted, without blanks or
+// duplicates, so its order and repeats cannot move placement.
+func fleet(peers []string) []string {
+	members := slices.DeleteFunc(slices.Clone(peers), func(p string) bool { return p == "" })
+	slices.Sort(members)
+	return slices.Compact(members)
+}
 
 // ShardOptions configures a ShardClient.
 type ShardOptions struct {
-	// Peers are the fleet's pkad base URLs — the ring members. Order
-	// does not matter; placement is a pure function of the set.
+	// Peers are the fleet's pkad base URLs. Order, blanks and duplicates
+	// do not matter; placement is a pure function of the set.
 	Peers []string
 	// EvictAfter is the consecutive-failure eviction threshold (default
 	// DefaultShardEvictAfter).
@@ -40,30 +87,30 @@ type ShardOptions struct {
 }
 
 // ShardClient implements sampling.ShardTier over the pkad fleet: it
-// builds the same consistent-hash ring every ring-aware peer builds,
-// answers "who owns this key" locally, and does peer GET/PUT against the
-// owner set. Failure handling is availability-first: a peer that keeps
-// failing transport is evicted and the ring rebalanced (counted in
-// pka_shard_rebalance_total), after which its key range resolves to the
-// surviving replicas — the property the kill-one-peer smoke pins.
-// Lookup misses and peer failures are never errors; the Exec ladder just
-// falls through to the next tier.
+// answers "who owns this key" locally by rendezvous hashing over the
+// member set, and does peer GET/PUT against the owners. Peers place
+// nothing; they answer every valid key. Failure handling is
+// availability-first: a peer that keeps failing transport is evicted
+// from the member set (a rebalance, counted in pka_shard_rebalance_total),
+// after which the keys it owned resolve to their surviving replicas — the
+// property the kill-one-peer smoke pins. Lookup misses and peer failures
+// are never errors; the Exec ladder just falls through to the next tier.
 type ShardClient struct {
 	opts   ShardOptions
 	client *http.Client
 
-	mu    sync.Mutex
-	ring  *artifact.Ring
-	fails map[string]int
+	mu sync.Mutex
+	// members is sorted and unique; an eviction replaces it, never edits
+	// it, so Owners reads a snapshot outside the lock.
+	members []string
+	fails   map[string]int
 }
 
-// NewShardClient builds a shard client over the given fleet, on the ring
-// every `pkad -ring` builds: artifact.DefaultVNodes virtual nodes per
-// member, artifact.DefaultReplicas owners per key. Returns nil without
-// peers, matching the nil-safe ShardTier wiring in sampling.Exec.
+// NewShardClient builds a shard client over the given fleet. Returns nil
+// without peers, matching the nil-safe ShardTier wiring in sampling.Exec.
 func NewShardClient(opts ShardOptions) *ShardClient {
-	ring := artifact.NewRing(opts.Peers)
-	if ring == nil {
+	members := fleet(opts.Peers)
+	if len(members) == 0 {
 		return nil
 	}
 	if opts.EvictAfter <= 0 {
@@ -76,14 +123,22 @@ func NewShardClient(opts ShardOptions) *ShardClient {
 	if c == nil {
 		c = &http.Client{}
 	}
-	return &ShardClient{opts: opts, client: c, ring: ring, fails: map[string]int{}}
+	return &ShardClient{opts: opts, client: c, members: members, fails: map[string]int{}}
 }
 
-// Ring returns the client's current ring (post-evictions).
-func (c *ShardClient) Ring() *artifact.Ring {
+// Members returns the client's sorted member set (post-evictions).
+func (c *ShardClient) Members() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ring
+	return slices.Clone(c.members)
+}
+
+// Owners returns the members owning key, primary first.
+func (c *ShardClient) Owners(key string) []string {
+	c.mu.Lock()
+	members := c.members
+	c.mu.Unlock()
+	return owners(members, key)
 }
 
 // noteOK resets a peer's consecutive-failure count after any successful
@@ -95,18 +150,19 @@ func (c *ShardClient) noteOK(peer string) {
 }
 
 // noteFailure counts a transport failure against peer and evicts it from
-// the ring at the threshold — the rebalance the fleet operator sees in
-// the log and in pka_shard_rebalance_total.
+// the member set at the threshold — the rebalance the fleet operator sees
+// in the log and in pka_shard_rebalance_total.
 func (c *ShardClient) noteFailure(peer string) {
 	c.mu.Lock()
 	c.fails[peer]++
 	evict := c.fails[peer] >= c.opts.EvictAfter
-	var members int
 	if evict {
 		delete(c.fails, peer)
-		c.ring = c.ring.Without(peer)
-		members = len(c.ring.Members())
+		rest := slices.DeleteFunc(slices.Clone(c.members), func(m string) bool { return m == peer })
+		evict = len(rest) < len(c.members) // a concurrent failure may have evicted it already
+		c.members = rest
 	}
+	members := len(c.members)
 	c.mu.Unlock()
 	if evict {
 		c.opts.Metrics.Rebalances.Inc()
@@ -129,7 +185,7 @@ func (c *ShardClient) Lookup(key string) (payload []byte, peer string, ok bool) 
 	m := c.opts.Metrics
 	m.Lookups.Inc()
 	start := time.Now()
-	for _, owner := range c.Ring().Owners(key) {
+	for _, owner := range c.Owners(key) {
 		raw, status, err := c.get(owner, key)
 		if err != nil {
 			m.PeerErrors.Inc()
@@ -161,7 +217,7 @@ func (c *ShardClient) Store(key string, payload []byte) {
 		return
 	}
 	m := c.opts.Metrics
-	for _, owner := range c.Ring().Owners(key) {
+	for _, owner := range c.Owners(key) {
 		status, err := c.put(owner, key, payload)
 		switch {
 		case err != nil:

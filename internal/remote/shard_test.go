@@ -40,7 +40,7 @@ func peer(t *testing.T) (*httptest.Server, *artifact.Store) {
 	return ts, st
 }
 
-// shardFleet builds n ring peers over private stores plus a client
+// shardFleet builds n fleet peers over private stores plus a client
 // spanning them.
 func shardFleet(t *testing.T, n int, opts remote.ShardOptions) ([]*httptest.Server, []*artifact.Store, *remote.ShardClient) {
 	t.Helper()
@@ -68,7 +68,7 @@ func TestShardStoreLookup(t *testing.T) {
 	key := testKey("task-1")
 	c.Store(key, payload)
 
-	owners := c.Ring().Owners(key)
+	owners := c.Owners(key)
 	if len(owners) != 2 {
 		t.Fatalf("want 2 owners at default replication, got %v", owners)
 	}
@@ -109,7 +109,7 @@ func TestShardReplicaFallback(t *testing.T) {
 	payload := sampling.EncodeOutcome(sampling.KernelOutcome{ProjCycles: 99})
 	key := testKey("task-fallback")
 	c.Store(key, payload)
-	owners := c.Ring().Owners(key)
+	owners := c.Owners(key)
 
 	for _, s := range servers {
 		if s.URL == owners[0] {
@@ -143,7 +143,7 @@ func TestShardEvictionRebalance(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		c.Lookup(testKey(fmt.Sprintf("evict-%d", i)))
 	}
-	members := c.Ring().Members()
+	members := c.Members()
 	if len(members) != 2 {
 		t.Fatalf("ring still has %v, want the dead peer evicted", members)
 	}
@@ -160,74 +160,17 @@ func TestShardEvictionRebalance(t *testing.T) {
 	}
 }
 
-// The peer's health report must expose ring membership: owned
-// fraction, replica peers, and peer traffic counters.
-func TestShardRingHealth(t *testing.T) {
-	st, err := artifact.Open(t.TempDir(), artifact.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	srv := remote.NewServer(st)
-	members := []string{"http://a:9377", "http://b:9377", "http://c:9377"}
-	srv.SetRing(artifact.NewRing(members), members[0])
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	key := testKey("health-roundtrip")
-	payload := sampling.EncodeOutcome(sampling.KernelOutcome{ProjCycles: 5})
-	req, _ := http.NewRequest(http.MethodPut, ts.URL+remote.CachePathPrefix+key, bytes.NewReader(payload))
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil || resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("peer PUT: %v %v", resp, err)
-	}
-	resp.Body.Close()
-	if resp, err = http.Get(ts.URL + remote.CachePathPrefix + key); err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("peer GET: %v %v", resp, err)
-	}
-	resp.Body.Close()
-
-	var h remote.Health
-	resp, err = http.Get(ts.URL + remote.HealthPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		t.Fatal(err)
-	}
-	r := h.Ring
-	if r == nil {
-		t.Fatal("health has no ring block")
-	}
-	if r.Members != 3 || r.Replicas != 2 {
-		t.Errorf("ring block = %+v, want 3 members / 2 replicas", r)
-	}
-	if r.OwnedFraction < 0.2 || r.OwnedFraction > 0.5 {
-		t.Errorf("owned fraction %.3f implausible for a 3-member ring", r.OwnedFraction)
-	}
-	if len(r.ReplicaPeers) != 2 {
-		t.Errorf("replica peers = %v, want both other members", r.ReplicaPeers)
-	}
-	if r.PeerGets != 1 || r.PeerPuts != 1 {
-		t.Errorf("peer traffic = %d gets / %d puts, want 1/1", r.PeerGets, r.PeerPuts)
-	}
-}
-
-// The ring block's peer traffic is the store's own count: every peer GET
-// is one store hit or miss (a corrupt entry is a miss), and every stored
-// PUT one store write; a refused PUT is neither.
-func TestRingHealthCountsPeerTraffic(t *testing.T) {
+// The health report's cache block counts the peer's traffic: every peer
+// GET is one store hit or miss (a corrupt entry is a miss), and every
+// stored PUT one write; a refused PUT is neither.
+func TestHealthCountsPeerTraffic(t *testing.T) {
 	dir := t.TempDir()
 	st, err := artifact.Open(dir, artifact.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	srv := remote.NewServer(st)
-	members := []string{"http://a:9377", "http://b:9377", "http://c:9377"}
-	srv.SetRing(artifact.NewRing(members), members[0])
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(remote.NewServer(st).Handler())
 	defer ts.Close()
 
 	do := func(method, key string, body []byte, want int) {
@@ -264,15 +207,9 @@ func TestRingHealthCountsPeerTraffic(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
-	if h.Ring == nil {
-		t.Fatal("health has no ring block")
-	}
-	if h.Ring.PeerGets != 4 || h.Ring.PeerPuts != 2 {
-		t.Errorf("peer traffic = %d gets / %d puts, want 4/2", h.Ring.PeerGets, h.Ring.PeerPuts)
-	}
-	if c := h.Cache; h.Ring.PeerGets != c.Hits+c.Misses || h.Ring.PeerPuts != c.Writes {
-		t.Errorf("peer traffic %d gets / %d puts, store %d hits + %d misses / %d writes",
-			h.Ring.PeerGets, h.Ring.PeerPuts, c.Hits, c.Misses, c.Writes)
+	if c := h.Cache; c.Hits+c.Misses != 4 || c.Writes != 2 {
+		t.Errorf("peer traffic = %d hits + %d misses / %d writes, want 4 gets / 2 puts",
+			c.Hits, c.Misses, c.Writes)
 	}
 }
 
@@ -371,14 +308,14 @@ func TestShardRefusedPutIsAnError(t *testing.T) {
 		t.Fatalf("after a transport failure and a refusal: %d puts, %d put errors; want 0 and 2",
 			m.Puts.Value(), m.PutErrors.Value())
 	}
-	if got := len(c.Ring().Members()); got != 1 {
+	if got := len(c.Members()); got != 1 {
 		t.Fatalf("a refusing peer was evicted: %d members left", got)
 	}
 	tr.n = 1
 	c.Store(testKey("refused-3"), payload) // transport failure: 2 of 2
-	if m.Rebalances.Value() != 1 || len(c.Ring().Members()) != 0 {
+	if m.Rebalances.Value() != 1 || len(c.Members()) != 0 {
 		t.Errorf("the refusal reset the peer's failure count: %d rebalances, members %v",
-			m.Rebalances.Value(), c.Ring().Members())
+			m.Rebalances.Value(), c.Members())
 	}
 }
 
@@ -414,7 +351,7 @@ func TestShardStudyDeterminism(t *testing.T) {
 	serial := evalRender(t, serialEv)
 
 	servers, _, c := shardFleet(t, 3, remote.ShardOptions{})
-	urls := c.Ring().Members()
+	urls := c.Members()
 	study := func(what string, opts remote.ShardOptions) *sampling.FlightRecorder {
 		t.Helper()
 		st, err := artifact.Open(t.TempDir(), artifact.Options{})
@@ -449,7 +386,7 @@ func TestShardStudyDeterminism(t *testing.T) {
 			counts, fr.Len(), len(keys))
 	}
 
-	dead := c.Ring().Owner(fr.Entries()[0].Key)
+	dead := c.Owners(fr.Entries()[0].Key)[0]
 	for _, s := range servers {
 		if s.URL == dead {
 			s.Close()

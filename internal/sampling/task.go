@@ -313,9 +313,8 @@ func DecodeOutcome(b []byte) (KernelOutcome, error) {
 	}, nil
 }
 
-// ShardTier is the fleet's sharded outcome cache: a consistent-hash ring
-// over the pkad peers where each content key has a small owner set
-// holding its cached payload. It sits between the local disk cache and
+// ShardTier is the fleet's sharded outcome cache: the pkad peers, where
+// each content key has a small owner set holding its cached payload. It sits between the local disk cache and
 // the simulator in the Exec ladder — a peer GET is far cheaper than
 // re-simulating. Implementations must be safe for concurrent use and must
 // never surface transport failures: ok=false means "no reachable owner

@@ -54,9 +54,9 @@ type study struct {
 // newStudy sets up req's evaluation of its resolved workload. Tracing
 // turns on when the client shipped a traceparent or asked in the body;
 // either way the request gets its own tracer so its trace holds only this
-// study's spans. Provenance recording turns on with tracing, on request
-// (the response's provenance block), or when the caller installed a
-// recorder with SetFlightRecorder.
+// study's spans. Provenance recording turns on only on request (the
+// response's provenance block) or when the caller installed a recorder
+// with SetFlightRecorder; tracing alone records none.
 func newStudy(exec *sampling.Exec, o *obs.Observer, req *StudyRequest) *study {
 	st := &study{
 		req:  req,
@@ -71,11 +71,10 @@ func newStudy(exec *sampling.Exec, o *obs.Observer, req *StudyRequest) *study {
 			Flight: req.flight,
 		},
 	}
-	traced := req.Trace || req.parent.Valid()
-	if st.cfg.Flight == nil && (traced || req.Provenance) {
+	if st.cfg.Flight == nil && req.Provenance {
 		st.cfg.Flight = sampling.NewFlightRecorder()
 	}
-	if !traced {
+	if !req.Trace && !req.parent.Valid() {
 		return st
 	}
 	ids := req.ids

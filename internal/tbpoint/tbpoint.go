@@ -30,6 +30,8 @@ import (
 
 	"pka/internal/cluster"
 	"pka/internal/gpu"
+	"pka/internal/linalg"
+	"pka/internal/pks"
 	"pka/internal/profiler"
 	"pka/internal/stats"
 	"pka/internal/trace"
@@ -96,22 +98,18 @@ func Select(dev gpu.Device, w *workload.Workload) (*Selection, error) {
 		return nil, errors.New("tbpoint: workload has no kernels")
 	}
 
-	// Standardized log-compressed feature vectors; distances are
-	// normalized by the maximum pairwise distance so the paper's
-	// [0.01, 0.2] threshold range is scale-free.
-	points := make([][]float64, len(recs))
+	// Standardized log-compressed feature vectors, scaled as PKS scales
+	// them; distances are normalized by the maximum pairwise distance so
+	// the paper's [0.01, 0.2] threshold range is scale-free.
+	raw := linalg.NewMatrix(len(recs), trace.NumFeatures)
 	for i, rec := range recs {
-		row := make([]float64, trace.NumFeatures)
-		for j, v := range rec.Features {
-			if j == 10 {
-				row[j] = v
-			} else {
-				row[j] = math.Log1p(v)
-			}
-		}
-		points[i] = row
+		pks.ScaleFeatures(raw.Row(i), rec.Features)
 	}
-	standardize(points)
+	std := raw.Standardize()
+	points := make([][]float64, len(recs))
+	for i := range points {
+		points[i] = std.Row(i)
+	}
 	maxDist := maxPairwiseDistance(points)
 	if maxDist == 0 {
 		maxDist = 1
@@ -185,41 +183,6 @@ func buildGroups(assign []int, k int, recs []profiler.DetailedRecord) []Group {
 		}
 	}
 	return out
-}
-
-func standardize(points [][]float64) {
-	if len(points) == 0 {
-		return
-	}
-	dim := len(points[0])
-	mean := make([]float64, dim)
-	for _, p := range points {
-		for j, v := range p {
-			mean[j] += v
-		}
-	}
-	n := float64(len(points))
-	for j := range mean {
-		mean[j] /= n
-	}
-	sd := make([]float64, dim)
-	for _, p := range points {
-		for j, v := range p {
-			d := v - mean[j]
-			sd[j] += d * d
-		}
-	}
-	for j := range sd {
-		sd[j] = math.Sqrt(sd[j] / n)
-		if sd[j] == 0 {
-			sd[j] = 1
-		}
-	}
-	for _, p := range points {
-		for j := range p {
-			p[j] = (p[j] - mean[j]) / sd[j]
-		}
-	}
 }
 
 // maxPairwiseDistance samples pairwise distances (capped at ~1e6 pairs)
