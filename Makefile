@@ -34,7 +34,7 @@ test:
 # TestStudySimulatesLikeEvaluate); core, pks and sampling race only their
 # workload-document tests (a loaded document's evaluation at scheduler width > 1), the
 # selection-artifact tests, the rider, bank, baseline-plan and pack tests (at scheduler width > 1 a bank is
-# filled and drained, and a batch's pack read once, from several goroutines),
+# filled and drained, and an evaluation's pack served, from several goroutines),
 # the scan's (its launches are handed to the scheduler's tasks, and its memo
 # is read and filled from every study of a shared workload), the evaluator's
 # walk count over every plan (WalksOnce) and two studies of one catalogue

@@ -61,7 +61,7 @@ func TestBaselinePlanMatchesSolo(t *testing.T) {
 	store, _ := openStore(t)
 	run := func(what string) map[string]int {
 		cfg := Config{Device: dev, Exec: sampling.NewExec(parallel.NewScheduler(4), store), Obs: obs.NewObserver(), Flight: sampling.NewFlightRecorder()}
-		ev, bank, err := plan.evaluate(cfg, w, nil)
+		ev, bank, _, err := plan.evaluate(cfg, w, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -340,10 +340,19 @@ func RunSegments(cfg Config, ws []*workload.Workload, seg *pks.Segments, usePKP 
 		pops[a] = pksPopulations(sel)
 	}
 	phase, p := r.sampled(cfg, usePKP)
+	// The call's pack is keyed by, and holds, the segments' selections (which
+	// launch stands for a group, seg.Owner, is in the digest of its keys).
+	var selRaw []byte
+	for _, sel := range seg.Sels {
+		selRaw = append(selRaw, pks.EncodeSelection(sel)...) // self-delimiting
+	}
+	pack := cfg.Exec.OpenPack(cfg.Device, r.Subject, selRaw, []sampling.KernelTask{p.Task}, nil)
+	pack.Bind(cfg.Device, &p)
 	outs, total, err := run(cfg, "sampled:"+phase, r.Subject, p)
 	if err != nil {
 		return total, nil, fmt.Errorf("core: shared representatives of %s: %w", r.Subject, err)
 	}
+	pack.Save(selRaw)
 	apps = make([]SampledSim, len(pops))
 	for a, app := range pops {
 		apps[a] = fold(outs, app)
@@ -423,15 +432,15 @@ func Evaluate(cfg Config, w *workload.Workload) (*Evaluation, error) {
 // full-simulation hours the full pass. The result is identical at any
 // scheduler width, with or without an Exec.
 func (p Plan) Evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*Evaluation, error) {
-	ev, _, err := p.evaluate(cfg, w, sel)
+	ev, _, _, err := p.evaluate(cfg, w, sel)
 	return ev, err
 }
 
-// evaluate is Evaluate, also handing back the evaluation's bank (nil without
-// one) for the tests to find empty.
-func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*Evaluation, *sampling.Bank, error) {
+// evaluate is Evaluate, also handing back the evaluation's bank and pack (nil
+// without them) for the tests to find empty and on disk.
+func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*Evaluation, *sampling.Bank, *sampling.Pack, error) {
 	if w == nil {
-		return nil, nil, errors.New("core: nil workload")
+		return nil, nil, nil, errors.New("core: nil workload")
 	}
 	ev := &Evaluation{Workload: w}
 	usePKPs := p.sampled()
@@ -454,7 +463,7 @@ func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*E
 		sc, err = sampling.ScanLaunches(cfg.Device, w, want)
 		sp.End()
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 	}
 	ev.Silicon = sc.Silicon
@@ -488,7 +497,7 @@ func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*E
 			m.passes = []sampling.RiderPass{{Task: sampling.KernelTask{Mode: sampling.ModeFull}, Kernels: sc.Kernels, Keys: sc.Keys, Obs: tobs}}
 			m.app, m.out = eachLaunch(len(sc.Kernels)), ev.Full
 		case !sampled && !oneB && !tb:
-			return nil, nil, fmt.Errorf("%w: %s", sampling.ErrInfeasible, w.FullName())
+			return nil, nil, nil, fmt.Errorf("%w: %s", sampling.ErrInfeasible, w.FullName())
 		}
 		methods = append(methods, m)
 	}
@@ -516,20 +525,36 @@ func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*E
 		riders = append(riders, rp)
 		methods = append(methods, method{"sampled:tbpoint", []sampling.RiderPass{rp}, app, &ev.TBPoint})
 	}
+	// The evaluation's pack (sampling.Pack), read where the selection would be,
+	// holds the selection and every outcome the passes below resolve.
+	tasks := make([]sampling.KernelTask, 0, len(p.Passes)+1)
+	for _, m := range methods {
+		for _, rp := range m.passes {
+			tasks = append(tasks, rp.Task)
+		}
+	}
+	for _, usePKP := range usePKPs {
+		tasks = append(tasks, sampling.SampledTask(cfg.KernelCapCycles, cfg.PKP, usePKP))
+	}
+	selRaw := []byte(sc.Key) // then the selection's encoding, for the pack to hold
+	if sel != nil && cfg.Exec.Store() != nil {
+		selRaw = pks.EncodeSelection(sel)
+	}
+	pack := cfg.Exec.OpenPack(cfg.Device, w.FullName(), selRaw, tasks, sc.Keys)
 	if sampled {
 		var err error
 		if sel == nil {
 			sp := cfg.Obs.StartSpan("pks-select", w.FullName())
-			sel, err = selectKeyed(cfg, w, sc.Key)
+			sel, selRaw, err = selectKeyed(cfg, w, sc.Key, pack)
 			sp.End()
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 		}
 		ev.Selection = sel
 		// sel may come from a caller or the store: check before it indexes w.
 		if err := sel.CheckFor(w.N); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		r := workloadReps(w, len(sel.Groups), func(i int) int { return sel.Groups[i].RepIndex }, sc.Kernels)
 		for _, usePKP := range usePKPs {
@@ -542,6 +567,13 @@ func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*E
 			methods = append(methods, method{"sampled:" + phase, []sampling.RiderPass{rp}, pksPopulations(sel), out})
 		}
 	}
+	var passes []*sampling.RiderPass // every pass, in the order the pack lays them out
+	for _, m := range methods {
+		for i := range m.passes {
+			passes = append(passes, &m.passes[i])
+		}
+	}
+	pack.Bind(cfg.Device, passes...)
 	// Two passes or more share a bank (1B's whole launches count as one).
 	if cfg.Exec != nil && len(riders) > 0 && (hosts || len(riders) > 1) {
 		cfg.bank = sampling.NewBank(cfg.Device, riders...)
@@ -551,7 +583,7 @@ func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*E
 	for _, m := range methods {
 		outs, total, err := run(cfg, m.span, w.FullName(), m.passes...)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: %s of %s: %w", m.span, w.FullName(), err)
+			return nil, nil, nil, fmt.Errorf("core: %s of %s: %w", m.span, w.FullName(), err)
 		}
 		if m.out == nil {
 			continue
@@ -559,6 +591,7 @@ func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*E
 		*m.out = fold(outs, m.app)
 		m.out.SimWarpInstrs = total.SimWarpInstrs
 	}
+	pack.Save(selRaw)
 	if oneB {
 		extrapolate(&ev.OneB, firstN, mass)
 	}
@@ -584,7 +617,7 @@ func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*E
 			}
 		}
 	}
-	return ev, cfg.bank, nil
+	return ev, cfg.bank, pack, nil
 }
 
 // extrapolate projects 1B past its budget as the first-N methodology projects

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,6 +15,7 @@ import (
 	"pka/internal/gpu"
 	"pka/internal/obs"
 	"pka/internal/parallel"
+	"pka/internal/pks"
 	"pka/internal/sampling"
 	"pka/internal/workload"
 )
@@ -50,28 +52,42 @@ func openStore(t *testing.T) (*artifact.Store, string) {
 
 // soloPhases leaves in store what the cold pass left before tasks carried
 // riders: the selection, and every full, PKS and PKA task resolved by a run
-// of its own (one-pass plans have no bank) — and, since each phase is
-// one RunKernels batch here as in the evaluation, the same packs. only, when
-// set, restricts it to one phase, for priming a partly warm store.
-func soloPhases(t *testing.T, cfg Config, w *workload.Workload, store *artifact.Store, only string) {
+// of its own (one-pass plans have no bank) — each a one-pass evaluation,
+// with a pack of its own, whose key it returns. only, when set, restricts it
+// to one phase, for priming a partly warm store.
+func soloPhases(t *testing.T, cfg Config, w *workload.Workload, store *artifact.Store, only string) (packs []string) {
 	t.Helper()
 	cfg.Exec = sampling.NewExec(nil, store)
 	sel, err := Select(cfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if only == "" || only == "full" {
-		if _, err := (Plan{Passes: []sampling.TaskMode{sampling.ModeFull}}).Evaluate(cfg, w, nil); err != nil && only == "full" {
+	for _, c := range []struct {
+		phase string
+		mode  sampling.TaskMode
+		sel   *pks.Selection
+	}{{"full", sampling.ModeFull, nil}, {"pks", sampling.ModePKS, sel}, {"pka", sampling.ModePKA, sel}} {
+		if only != "" && only != c.phase {
+			continue
+		}
+		_, _, pack, err := Plan{Passes: []sampling.TaskMode{c.mode}}.evaluate(cfg, w, c.sel)
+		if err != nil && (c.phase != "full" || only == "full") {
 			t.Fatal(err)
 		}
-	}
-	for _, phase := range []string{"pks", "pka"} {
-		if only == "" || only == phase {
-			if _, err := RunSampled(cfg, w, sel, phase == "pka"); err != nil {
-				t.Fatal(err)
-			}
+		if pack != nil {
+			packs = append(packs, pack.Key())
 		}
 	}
+	return packs
+}
+
+// withoutPacks is files without the entries of the packs keyed keys.
+func withoutPacks(files map[string]string, keys ...string) map[string]string {
+	out := maps.Clone(files)
+	for _, key := range keys {
+		delete(out, string(filepath.Separator)+filepath.Join(key[:2], key+".bin"))
+	}
+	return out
 }
 
 // pkpTrail is the set of PKP decision records an evaluation logged — their
@@ -93,10 +109,11 @@ func pkpTrail(o *obs.Observer) ([]obs.AuditRecord, [4]int64) {
 // TestEvaluateRidersMatchSolo is the fence around simulating each kernel
 // once: a cold Evaluate whose full baseline carries the sampled tasks as
 // riders returns what resolving every task alone returns, leaves the store
-// holding exactly the same keys and bytes (per-key entries and packs alike),
-// accounts every task once, and logs the same PKP decisions — at scheduler
-// width 1, 2 and 8, from stores that already hold one of the three phases, and
-// from one that holds them all, which it reads one pack per batch.
+// holding exactly the same selection and per-key entries, keys and bytes,
+// beside its own pack, accounts every task once, and logs the same PKP
+// decisions — at scheduler width 1, 2 and 8, from stores that already hold
+// one of the three phases, and from one that holds them all, which it reads
+// as one pack.
 func TestEvaluateRidersMatchSolo(t *testing.T) {
 	for _, c := range []struct {
 		name, workload string
@@ -126,23 +143,16 @@ func TestEvaluateRidersMatchSolo(t *testing.T) {
 				t.Fatal("the reference logged no PKP decisions")
 			}
 			soloStore, soloDir := openStore(t)
-			soloPhases(t, base, w, soloStore, "")
-			want := storeFiles(t, soloDir)
-			// The RunKernels batches of one evaluation, by size: pks, pka and,
-			// where it is feasible, the full baseline.
-			batches := []int{ref.Selection.K, ref.Selection.K}
+			soloPacks := soloPhases(t, base, w, soloStore, "")
+			want := withoutPacks(storeFiles(t, soloDir), soloPacks...)
+			// The tasks of one evaluation: pks, pka and, where it is feasible,
+			// the full baseline.
+			tasks := 2 * ref.Selection.K
 			if ref.Full != nil {
-				batches = append(batches, w.N)
-			}
-			tasks, packed := 0, 0
-			for _, n := range batches {
-				tasks += n
-				if n >= 2 {
-					packed++
-				}
+				tasks += w.N
 			}
 
-			check := func(what string, width int, store *artifact.Store, dir string, state string) {
+			check := func(what string, width int, store *artifact.Store, dir string, state string, primed []string) {
 				t.Helper()
 				cfg := base
 				cfg.Parallelism = width
@@ -150,7 +160,7 @@ func TestEvaluateRidersMatchSolo(t *testing.T) {
 				cfg.Obs = obs.NewObserver()
 				cfg.Flight = sampling.NewFlightRecorder()
 				before := store.Stats()
-				ev, bank, err := evaluate(cfg, w, nil)
+				ev, bank, pack, err := evaluate(cfg, w, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
@@ -158,8 +168,12 @@ func TestEvaluateRidersMatchSolo(t *testing.T) {
 				if !reflect.DeepEqual(ev, ref) {
 					t.Errorf("%s: evaluation differs:\n got %+v\nwant %+v", what, ev, ref)
 				}
-				if got := storeFiles(t, dir); !reflect.DeepEqual(got, want) {
+				files := storeFiles(t, dir)
+				if got := withoutPacks(files, append(primed, pack.Key())...); !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: store holds %d entries, resolving every task alone leaves %d (or some bytes differ)", what, len(got), len(want))
+				}
+				if _, err := os.Stat(entryPath(store, pack.Key())); err != nil {
+					t.Errorf("%s: the evaluation left no pack: %v", what, err)
 				}
 				if bank == nil || bank.Len() != 0 {
 					t.Errorf("%s: %d outcomes left in the bank", what, bank.Len())
@@ -175,16 +189,15 @@ func TestEvaluateRidersMatchSolo(t *testing.T) {
 					t.Errorf("%s: %d outcome writes for %d sim-tier tasks", what, writes, tiers["sim"])
 				}
 				if state == "warm" {
-					// An all-hit study reads one pack per batch of two tasks or
-					// more and a per-key entry only for a batch of one (the
-					// selection and the packs are counted on their own handles),
+					// An all-hit study reads its pack and nothing else (the
+					// selection and the pack are counted on their own handles),
 					// and the bank never comes into it.
-					st, packs := store.Stats(), cfg.Exec.CacheStats()["batch"]
-					if gets := int(st.Hits - before.Hits); gets != len(batches)-packed || st.Misses != before.Misses || tiers["disk"]+tiers["mem"] != tasks {
-						t.Errorf("%s: %d per-key hits and %d misses, want %d and 0; tiers %v", what, gets, st.Misses-before.Misses, len(batches)-packed, tiers)
+					st, stats := store.Stats(), cfg.Exec.CacheStats()
+					if gets := int(st.Hits - before.Hits); gets != 0 || st.Misses != before.Misses || tiers["disk"]+tiers["mem"] != tasks {
+						t.Errorf("%s: %d per-key hits and %d misses, want 0 and 0; tiers %v", what, gets, st.Misses-before.Misses, tiers)
 					}
-					if packs != (obs.CacheCounts{Hits: uint64(packed)}) {
-						t.Errorf("%s: batch family %+v, want %d hits and nothing else", what, packs, packed)
+					if stats["batch"] != (obs.CacheCounts{Hits: 1}) || stats["selection"] != (obs.CacheCounts{}) {
+						t.Errorf("%s: batch family %+v, selection family %+v; want one pack hit and nothing else", what, stats["batch"], stats["selection"])
 					}
 				}
 				if state != "cold" {
@@ -207,9 +220,9 @@ func TestEvaluateRidersMatchSolo(t *testing.T) {
 			}
 			for _, width := range []int{1, 2, 8} {
 				store, dir := openStore(t)
-				check(fmt.Sprintf("cold, width %d", width), width, store, dir, "cold")
+				check(fmt.Sprintf("cold, width %d", width), width, store, dir, "cold", nil)
 				if width == 2 {
-					check("warm", width, store, dir, "warm")
+					check("warm", width, store, dir, "warm", nil)
 				}
 			}
 			for _, phase := range []string{"full", "pks", "pka"} {
@@ -217,8 +230,8 @@ func TestEvaluateRidersMatchSolo(t *testing.T) {
 					continue
 				}
 				store, dir := openStore(t)
-				soloPhases(t, base, w, store, phase)
-				check("only "+phase+" present", 2, store, dir, "partial")
+				primed := soloPhases(t, base, w, store, phase)
+				check("only "+phase+" present", 2, store, dir, "partial", primed)
 			}
 		})
 	}

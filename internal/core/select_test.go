@@ -1,8 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/fnv"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -99,8 +104,10 @@ func pksRecords(o *obs.Observer) []obs.AuditRecord {
 
 // TestSelectWarmMatchesCold is the selection twin of
 // TestCorruptStoreEntryRecomputes: cold and warm evaluations over one store
-// agree to the byte, in results and in the PKS audit trail, and a stored
-// payload that does not fit the request costs a recompute and an overwrite.
+// agree to the byte, in results and in the PKS audit trail — the warm one
+// takes its selection from the evaluation's pack — and where the pack is gone
+// a stored selection that does not fit the request costs a recompute and an
+// overwrite.
 func TestSelectWarmMatchesCold(t *testing.T) {
 	w := mustFind(t, "Rodinia/gauss_208")
 	store, err := artifact.Open(t.TempDir(), artifact.Options{})
@@ -113,11 +120,10 @@ func TestSelectWarmMatchesCold(t *testing.T) {
 	if got := coldEx.CacheStats()["selection"]; got != (obs.CacheCounts{Misses: 1}) {
 		t.Errorf("cold selection family %+v, want one miss", got)
 	}
-	// The selection and the full baseline's pack (the one-representative
-	// sampled batches have none) are two more entries in the same directory,
-	// written and counted through the exec's own handles: store's counters
-	// stay kernel outcomes only (bench's artifact.puts == exec.sim_runs reads
-	// them).
+	// The selection and the evaluation's pack are two more entries in the
+	// same directory, written and counted through the exec's own handles:
+	// store's counters stay kernel outcomes only (bench's artifact.puts ==
+	// exec.sim_runs reads them).
 	if st, sel := store.Stats(), coldEx.Selections().Stats(); sel.Writes != 1 || st.Writes == 0 || int64(st.Writes)+2 != st.Entries {
 		t.Errorf("cold run: %d outcome writes, %d selection writes, %d entries", st.Writes, sel.Writes, st.Entries)
 	}
@@ -126,13 +132,12 @@ func TestSelectWarmMatchesCold(t *testing.T) {
 	}
 	before := store.Stats()
 	warm, warmEx, warmObs := evalOver(t, w, store)
-	if got := warmEx.CacheStats()["selection"]; got != (obs.CacheCounts{Hits: 1}) {
-		t.Errorf("warm selection family %+v, want one hit", got)
+	if got := warmEx.CacheStats()["selection"]; got != (obs.CacheCounts{}) {
+		t.Errorf("warm selection family %+v, want no read: the pack holds the selection", got)
 	}
-	// The 414 launches come out of one pack; only the two batches of one
-	// task read their per-key entries.
-	if st, packs := store.Stats(), warmEx.CacheStats()["batch"]; packs != (obs.CacheCounts{Hits: 1}) || st.Hits-before.Hits != 2 || st.Misses != before.Misses || st.Entries != before.Entries {
-		t.Errorf("warm run: batch family %+v, %d per-key hits, %d misses, %d new entries; want one pack hit, two per-key hits",
+	// The selection and the 414 launches' outcomes come out of one pack.
+	if st, packs := store.Stats(), warmEx.CacheStats()["batch"]; packs != (obs.CacheCounts{Hits: 1}) || st.Hits != before.Hits || st.Misses != before.Misses || st.Entries != before.Entries {
+		t.Errorf("warm run: batch family %+v, %d per-key hits, %d misses, %d new entries; want one pack hit and nothing else",
 			packs, st.Hits-before.Hits, st.Misses-before.Misses, st.Entries-before.Entries)
 	}
 	if !reflect.DeepEqual(warm.Selection, cold.Selection) {
@@ -153,7 +158,12 @@ func TestSelectWarmMatchesCold(t *testing.T) {
 	}
 
 	// Payloads the store's own checksum cannot catch: re-Put under the right
-	// key, validly framed, but not a selection for this request.
+	// key, validly framed, but not a selection for this request. The pack is
+	// removed first, so the evaluation asks for the selection.
+	_, _, pack, err := evaluate(Config{Device: gpu.VoltaV100(), Exec: sampling.NewExec(nil, store)}, w, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	key := selectionKey(gpu.VoltaV100(), w, pks.Options{})
 	good, ok := store.Get(key)
 	if !ok {
@@ -174,6 +184,9 @@ func TestSelectWarmMatchesCold(t *testing.T) {
 		if err := store.Put(key, payload); err != nil {
 			t.Fatal(err)
 		}
+		if err := os.Remove(entryPath(store, pack.Key())); err != nil {
+			t.Fatal(err)
+		}
 		again, ex, _ := evalOver(t, w, store)
 		if got := ex.CacheStats()["selection"]; got != (obs.CacheCounts{Misses: 1, Corrupt: 1}) {
 			t.Errorf("%s: selection family %+v, want one corrupt miss", what, got)
@@ -186,6 +199,146 @@ func TestSelectWarmMatchesCold(t *testing.T) {
 			t.Errorf("%s: the bad entry was not overwritten with the good payload", what)
 		}
 	}
+}
+
+// entryPath is where store keeps the entry keyed key.
+func entryPath(store *artifact.Store, key string) string {
+	return filepath.Join(store.Dir(), key[:2], key+".bin")
+}
+
+// TestWarmStudyReadsOnce: a warm study is one store read. Over a store a cold
+// Evaluate primed, a fresh Exec's Evaluate makes exactly one Get across the
+// store's views — its pack, which holds the selection and every outcome — and
+// no Put, returns the cold Evaluation and serves every task from disk: with a
+// full baseline (gauss_208, lud_i), with passes of one task (hots_1024) and
+// without a full pass (3dunet_inf). A pack that is not this evaluation's — a
+// flipped byte, one outcome short, another workload's selection — is one
+// corrupt batch miss: the ladder serves the same bytes, and the pack is
+// written back.
+func TestWarmStudyReadsOnce(t *testing.T) {
+	for _, name := range []string{"Rodinia/gauss_208", "Rodinia/lud_i", "Rodinia/hots_1024", "MLPerf/3dunet_inf"} {
+		w := mustFind(t, name)
+		store, dir := openStore(t)
+		study := func() (*Evaluation, Config) {
+			t.Helper()
+			cfg := Config{Device: gpu.VoltaV100(), Parallelism: 1, Exec: sampling.NewExec(nil, store), Flight: sampling.NewFlightRecorder()}
+			ev, err := Evaluate(cfg, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ev.Workload = nil // holds a func
+			return ev, cfg
+		}
+		cold, _ := study()
+		_, _, pack, err := evaluate(Config{Device: gpu.VoltaV100(), Exec: sampling.NewExec(nil, store)}, w, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		good, err := os.ReadFile(entryPath(store, pack.Key()))
+		if err != nil {
+			t.Fatalf("%s: the cold study left no pack: %v", name, err)
+		}
+
+		files, before := storeInodes(t, dir), store.Stats()
+		warm, cfg := study()
+		if !reflect.DeepEqual(warm, cold) {
+			t.Errorf("%s: warm evaluation differs:\n got %+v\nwant %+v", name, warm, cold)
+		}
+		// The store's own counters run from Open, its views' from the Exec's.
+		st, stats := store.Stats(), cfg.Exec.CacheStats()
+		gets := st.Hits + st.Misses - before.Hits - before.Misses
+		for _, family := range []string{"selection", "batch"} {
+			gets += stats[family].Hits + stats[family].Misses
+		}
+		if packs := stats["batch"]; gets != 1 || packs != (obs.CacheCounts{Hits: 1}) {
+			t.Errorf("%s: warm study made %d store reads, batch family %+v; want its pack alone", name, gets, packs)
+		}
+		if now := storeInodes(t, dir); !sameFiles(now, files) {
+			t.Errorf("%s: the warm study wrote to the store", name)
+		}
+		for _, e := range cfg.Flight.Entries() {
+			if e.Tier != sampling.TierDisk {
+				t.Errorf("%s: %s task %d served by %s, want disk", name, e.Phase, e.Index, e.Tier)
+			}
+		}
+		if name != "Rodinia/gauss_208" {
+			continue
+		}
+
+		raw, ok := store.View().Get(pack.Key())
+		if !ok {
+			t.Fatal("the pack does not read back")
+		}
+		selLen := int(binary.LittleEndian.Uint64(raw))
+		other, err := pks.Select(gpu.VoltaV100(), mustFind(t, "Rodinia/gauss_mat4"), pks.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		otherSel := pks.EncodeSelection(other)
+		for what, corrupt := range map[string]func() error{
+			"flipped byte": func() error {
+				bad := bytes.Clone(good)
+				bad[len(bad)/2] ^= 0x40
+				return os.WriteFile(entryPath(store, pack.Key()), bad, 0o644)
+			},
+			"one outcome short": func() error {
+				return store.View().Put(pack.Key(), raw[:len(raw)-33])
+			},
+			"another workload's selection": func() error {
+				bad := binary.LittleEndian.AppendUint64(nil, uint64(len(otherSel)))
+				return store.View().Put(pack.Key(), append(append(bad, otherSel...), raw[8+selLen:]...))
+			},
+		} {
+			if err := corrupt(); err != nil {
+				t.Fatal(err)
+			}
+			got, cfg := study()
+			if !reflect.DeepEqual(got, cold) {
+				t.Errorf("%s, %s: evaluation differs", name, what)
+			}
+			if packs := cfg.Exec.CacheStats()["batch"]; packs != (obs.CacheCounts{Misses: 1, Corrupt: 1}) {
+				t.Errorf("%s, %s: batch family %+v, want one corrupt miss", name, what, packs)
+			}
+			if tiers := cfg.Flight.TierCounts(); tiers["sim"] != 0 {
+				t.Errorf("%s, %s: tiers %v, want the ladder's per-key entries", name, what, tiers)
+			}
+			if now, _ := os.ReadFile(entryPath(store, pack.Key())); !bytes.Equal(now, good) {
+				t.Errorf("%s, %s: the bad pack was not overwritten with the good one", name, what)
+			}
+		}
+	}
+}
+
+// storeInodes stats every entry file under a store directory, by path.
+func storeInodes(t *testing.T, dir string) map[string]os.FileInfo {
+	t.Helper()
+	files := map[string]os.FileInfo{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".bin") {
+			return err
+		}
+		fi, err := os.Stat(path)
+		files[path] = fi
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// sameFiles reports whether a and b name the same files: no entry written
+// (a Put renames a fresh file into place), added or removed.
+func sameFiles(a, b map[string]os.FileInfo) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for path, fi := range a {
+		if other, ok := b[path]; !ok || !os.SameFile(fi, other) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestEvaluateRejectsMisfitSelection: a handed-in selection that does not fit
@@ -284,9 +437,10 @@ func TestWarmStudyWalksOnce(t *testing.T) {
 
 // TestWarmEvaluationAllocs pins what a warm study allocates: lud_i on a fresh
 // Exec at scheduler width 1 over a primed store, its scan remembered. The
-// full pass takes its 192 task keys from the scan, and every batch is served
-// by the mem tier or its pack, so it runs on the caller without a scheduler
-// handoff (≈ 1 000 allocations; ≈ 3 400 when each study hashed every key and
+// full pass takes its 192 task keys from the scan, and every pass is served
+// by the mem tier or the evaluation's pack, so it runs on the caller without
+// a scheduler handoff (≈ 790 allocations; ≈ 1 025 with a pack per pass and
+// the selection read apart, ≈ 3 400 when each study hashed every key and
 // scheduled every task).
 func TestWarmEvaluationAllocs(t *testing.T) {
 	if raceEnabled {

@@ -69,8 +69,12 @@ func TestCacheDeterminism(t *testing.T) {
 
 	warmStudy, warmStore := cached(dir)
 	warm := render(warmStudy)
-	if st := warmStore.Stats(); st.Hits == 0 {
+	cs := warmStudy.Exec().CacheStats()
+	if cs["artifact"].Hits+cs["batch"].Hits == 0 {
 		t.Fatal("warm run never hit the artifact store")
+	}
+	if cs["batch"].Misses != 0 {
+		t.Errorf("warm run missed %d of the packs the cold one wrote", cs["batch"].Misses)
 	}
 	if st := warmStore.Stats(); st.Writes != 0 {
 		t.Errorf("warm run recomputed %d outcomes the store should have served", st.Writes)
@@ -85,8 +89,8 @@ func TestCacheDeterminism(t *testing.T) {
 
 	// The store's counters surface through the Exec's families, and the
 	// study reports its own caches only, the ones above the ladder.
-	if cs := warmStudy.Exec().CacheStats(); cs["artifact"].Hits == 0 {
-		t.Error("Exec.CacheStats does not report the artifact hits")
+	if st := warmStore.Stats(); cs["artifact"].Hits != st.Hits || cs["artifact"].Misses != st.Misses {
+		t.Errorf("Exec.CacheStats reports artifact %+v, the store %+v", cs["artifact"], st)
 	}
 	var own []string
 	for family := range warmStudy.CacheStats() {

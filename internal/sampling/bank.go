@@ -10,13 +10,17 @@ import (
 
 // RiderPass is one pass an evaluation will make: the task spec it will issue,
 // the launches it will issue it for, their TaskKeys under that spec where the
-// caller holds them (a Scan's Keys; nil derives them), and the observe-only
-// wiring its task for launch i will carry (nil for none).
+// caller holds them (a Scan's Keys; nil derives them), the observe-only
+// wiring its task for launch i will carry (nil for none), and — set by
+// Pack.Bind — the evaluation's pack and the place of the pass's first outcome
+// in it.
 type RiderPass struct {
 	Task    KernelTask
 	Kernels []trace.KernelDesc
 	Keys    []string
 	Obs     func(i int) TaskObs
+	Pack    *Pack
+	At      int
 }
 
 // Bank lets one evaluation simulate each kernel once however many policies

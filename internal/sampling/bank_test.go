@@ -97,33 +97,35 @@ func TestBankRidersMatchSoloTasks(t *testing.T) {
 		// Three passes simulated for three planned launches (reported under
 		// the first rider's track; the other launches have no SimObs), seven
 		// planned tasks accounted at the simulator tier, one write per
-		// distinct outcome — 4 full + 2 + 2 + 2 + 1 — and, through the exec's
-		// own handle, one pack per batch of two tasks or more.
+		// distinct outcome — 4 full + 2 + 2 + 2 + 1 — and no pack: packing is
+		// an evaluation's (Pack.Bind), not a pass's.
 		if n := o.SimMetrics().Kernels.Value(); n != 3 {
 			t.Errorf("width %d: %d simulator passes reported, want 3", width, n)
 		}
 		if tiers := fr.TierCounts(); tiers["sim"] != 7 || fr.Len() != 7 {
 			t.Errorf("width %d: planned tasks served by %v", width, tiers)
 		}
-		if st, packs := store.Stats(), e.packs.Stats(); st.Writes != 11 || packs.Writes != 4 || st.Entries != 15 {
-			t.Errorf("width %d: %d outcome writes, %d pack writes, %d entries, want 11, 4 and 15", width, st.Writes, packs.Writes, st.Entries)
+		if st, packs := store.Stats(), e.packs.Stats(); st.Writes != 11 || packs.Writes != 0 || st.Entries != 11 {
+			t.Errorf("width %d: %d outcome writes, %d pack writes, %d entries, want 11, 0 and 11", width, st.Writes, packs.Writes, st.Entries)
 		}
 
 		// Over the now-warm store nothing reaches the simulator, so a second
-		// evaluation's bank is never filled. Its full batch is not the first
-		// one's, so that one reads per-key entries and leaves a pack of its own.
+		// evaluation's bank is never filled: every task reads its per-key
+		// entry.
 		again := NewBank(dev, RiderPass{Task: pks, Kernels: reps}, RiderPass{Task: pka, Kernels: reps}, RiderPass{Task: blocks, Kernels: reps})
 		fresh := NewExec(nil, store)
+		before := store.Stats()
 		for _, task := range []KernelTask{full, pks, pka, blocks} {
 			if _, err := fresh.RunKernels(dev, RiderPass{Task: task, Kernels: reps}, again); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if st := store.Stats(); again.Len() != 0 || st.Writes != 11 || st.Entries != 16 {
-			t.Errorf("width %d: warm evaluation banked %d outcomes, made %d writes and left %d entries", width, again.Len(), st.Writes-11, st.Entries)
+		if st := store.Stats(); again.Len() != 0 || st.Writes != 11 || st.Entries != 11 || st.Hits-before.Hits != 8 {
+			t.Errorf("width %d: warm evaluation banked %d outcomes, made %d writes, %d per-key hits and left %d entries",
+				width, again.Len(), st.Writes-11, st.Hits-before.Hits, st.Entries)
 		}
-		if packs := fresh.CacheStats()["batch"]; packs != (obs.CacheCounts{Hits: 3, Misses: 1}) {
-			t.Errorf("width %d: warm evaluation's batch family %+v, want three hits and a miss", width, packs)
+		if packs := fresh.CacheStats()["batch"]; packs != (obs.CacheCounts{}) {
+			t.Errorf("width %d: warm evaluation's batch family %+v, want nothing", width, packs)
 		}
 	}
 }

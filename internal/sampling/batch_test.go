@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -24,8 +25,9 @@ func entryPath(store *artifact.Store, key string) string {
 	return filepath.Join(store.Dir(), key[:2], key+".bin")
 }
 
-// packStudy is studyLaunches as one ModeFull batch over one store: five
-// launches, four distinct outcomes (launches 0 and 3 are one kernel).
+// packStudy is studyLaunches as a one-pass evaluation of ModeFull tasks over
+// one store: five launches, four distinct outcomes (launches 0 and 3 are one
+// kernel), its pack keyed as an evaluation keys it.
 type packStudy struct {
 	t       *testing.T
 	dev     gpu.Device
@@ -49,33 +51,58 @@ func newPackStudy(t *testing.T, width int) *packStudy {
 	return s
 }
 
-// packPath is where the store keeps the study's pack.
-func (s *packStudy) packPath() string {
-	return entryPath(s.store, (&batch{keys: s.keys}).key())
+// open opens the pack of the study over kernels on e, keyed as an evaluation
+// whose scan found their keys keys it.
+func (s *packStudy) open(e *Exec, kernels []trace.KernelDesc) *Pack {
+	return e.OpenPack(s.dev, "study", nil, []KernelTask{s.task}, taskKeys(s.dev, s.task, kernels))
 }
 
-// run is the batch on e (a fresh Exec over the store when nil): the outcomes,
+// packKey is the key of the study's own pack.
+func (s *packStudy) packKey() string {
+	return s.open(NewExec(nil, s.store), s.kernels).Key()
+}
+
+// packPath is where the store keeps the study's pack.
+func (s *packStudy) packPath() string {
+	return entryPath(s.store, s.packKey())
+}
+
+// evaluate is the one-pass evaluation over kernels on e, as core runs one:
+// open the pack, bind the pass, run it, save the pack. It returns the
+// outcomes and the tier every task was served at.
+func (s *packStudy) evaluate(e *Exec, kernels []trace.KernelDesc, bank *Bank) ([]KernelOutcome, map[string]int) {
+	s.t.Helper()
+	fr := NewFlightRecorder()
+	pack := s.open(e, kernels)
+	rp := RiderPass{Task: s.task, Kernels: kernels, Obs: func(i int) TaskObs {
+		return TaskObs{Flight: fr, Phase: "t", Index: i}
+	}}
+	pack.Bind(s.dev, &rp)
+	outs, err := e.RunKernels(s.dev, rp, bank)
+	if err != nil {
+		s.t.Fatal(err)
+	}
+	pack.Save(nil)
+	return outs, fr.TierCounts()
+}
+
+// run is the study on e (a fresh Exec over the store when nil): the outcomes,
 // the tier every task was served at, and the Exec.
 func (s *packStudy) run(e *Exec) ([]KernelOutcome, map[string]int, *Exec) {
 	s.t.Helper()
 	if e == nil {
 		e = NewExec(parallel.NewScheduler(s.width), s.store)
 	}
-	fr := NewFlightRecorder()
-	outs, err := e.RunKernels(s.dev, RiderPass{Task: s.task, Kernels: s.kernels, Obs: func(i int) TaskObs {
-		return TaskObs{Flight: fr, Phase: "t", Index: i}
-	}}, nil)
-	if err != nil {
-		s.t.Fatal(err)
-	}
-	return outs, fr.TierCounts(), e
+	outs, tiers := s.evaluate(e, s.kernels, nil)
+	return outs, tiers, e
 }
 
-// TestPackServesWarmBatch: a cold batch leaves its pack beside the per-key
-// entries; a fresh Exec then serves the whole batch from that one entry — no
-// per-key read, no write — and the same Exec again from memory without asking
-// for the pack at all. Without the pack the per-key entries serve and the
-// pack comes back byte for byte; without a per-key entry the pack serves.
+// TestPackServesWarmBatch: a cold evaluation leaves its pack beside the
+// per-key entries; a fresh Exec then serves the whole evaluation from that
+// one entry — no per-key read, no write — and the same Exec again from memory,
+// reading the pack and writing nothing. Without the pack the per-key entries
+// serve and the pack comes back byte for byte; without a per-key entry the
+// pack serves.
 func TestPackServesWarmBatch(t *testing.T) {
 	for _, width := range []int{1, 4} {
 		s := newPackStudy(t, width)
@@ -100,9 +127,10 @@ func TestPackServesWarmBatch(t *testing.T) {
 			packs.Hits != 1 || packs.Misses != 0 || packs.Writes != 0 {
 			t.Errorf("width %d: warm run read per-key entries (%+v) or not exactly one pack (%+v)", width, st, packs)
 		}
-		// The lazy read: a batch the mem tier serves whole never asks.
+		// Served whole by the mem tier, the evaluation still reads its pack
+		// once, and writes nothing.
 		again, tiers, _ := s.run(e)
-		if packs := e.packs.Stats(); !reflect.DeepEqual(again, cold) || tiers["mem"] != 5 || packs.Hits+packs.Misses != 1 || packs.Writes != 0 {
+		if packs := e.packs.Stats(); !reflect.DeepEqual(again, cold) || tiers["mem"] != 5 || packs.Hits != 2 || packs.Misses != 0 || packs.Writes != 0 {
 			t.Errorf("width %d: repeat on the same Exec: tiers %v, pack handle %+v", width, tiers, packs)
 		}
 
@@ -170,14 +198,14 @@ func observed(n int, f func()) string {
 	return string(o.events)
 }
 
-// TestPackResolvesInline: a batch the mem tier serves whole, or whose pack is
-// on disk, runs on the calling goroutine — each task queued, started and done
-// before the next is queued, nothing handed to the scheduler — and a batch
-// with a task in neither, or with a banked task, goes to the scheduler whole:
-// at width 1 every task is queued before the first starts. Either way the
-// tiers and the store's per-key and pack counts (cumulative over the study's
-// store: its cold batch read four keys and wrote four) are what scheduling
-// every batch gives.
+// TestPackResolvesInline: a pass the mem tier serves whole, or whose
+// evaluation's pack serves, runs on the calling goroutine — each task queued,
+// started and done before the next is queued, nothing handed to the scheduler
+// — and a pass with a task in neither, or with a banked task, goes to the
+// scheduler whole: at width 1 every task is queued before the first starts.
+// Either way the tiers and the store's per-key and pack counts (cumulative
+// over the study's store: its cold pass read four keys and wrote four) are
+// what scheduling every pass gives.
 func TestPackResolvesInline(t *testing.T) {
 	inline := func(n int) string { return strings.Repeat("qsd", n) }
 	for _, width := range []int{1, 4} {
@@ -190,45 +218,38 @@ func TestPackResolvesInline(t *testing.T) {
 		s := newPackStudy(t, width)
 		n := len(s.kernels)
 		if events := observed(n, func() { s.run(nil) }); !scheduled(events, n) {
-			t.Errorf("width %d: the cold batch ran as %q", width, events)
+			t.Errorf("width %d: the cold pass ran as %q", width, events)
 		}
 
 		var tiers map[string]int
 		var e *Exec
 		if events := observed(n, func() { _, tiers, e = s.run(nil) }); events != inline(n) {
-			t.Errorf("width %d: the pack-served batch ran as %q, want inline", width, events)
+			t.Errorf("width %d: the pack-served pass ran as %q, want inline", width, events)
 		}
 		st, packs := s.store.Stats(), e.packs.Stats()
 		if !reflect.DeepEqual(tiers, map[string]int{"disk": 4, "mem": 1}) || st.Hits != 0 || st.Misses != 4 || st.Writes != 4 ||
 			packs.Hits != 1 || packs.Misses != 0 || packs.Writes != 0 {
-			t.Errorf("width %d: pack-served batch: tiers %v, store %+v, pack handle %+v", width, tiers, st, packs)
+			t.Errorf("width %d: pack-served pass: tiers %v, store %+v, pack handle %+v", width, tiers, st, packs)
 		}
 		if events := observed(n, func() { _, tiers, _ = s.run(e) }); events != inline(n) {
-			t.Errorf("width %d: the mem-whole batch ran as %q, want inline", width, events)
+			t.Errorf("width %d: the mem-whole pass ran as %q, want inline", width, events)
 		}
-		if packs := e.packs.Stats(); tiers["mem"] != n || packs.Hits != 1 || packs.Misses != 0 {
-			t.Errorf("width %d: mem-whole batch: tiers %v, pack handle %+v", width, tiers, packs)
+		if packs := e.packs.Stats(); tiers["mem"] != n || packs.Hits != 2 || packs.Misses != 0 {
+			t.Errorf("width %d: mem-whole pass: tiers %v, pack handle %+v", width, tiers, packs)
 		}
 
-		// One task in neither the mem tier nor a pack: the batch's pack is
-		// read once, missed, and every task is scheduled.
+		// One task in neither the mem tier nor a pack: the evaluation's pack
+		// is read once, missed, and every task is scheduled.
 		novel := s.kernels[1]
 		novel.Seed++
 		more := append(slices.Clone(s.kernels), novel)
-		fr := NewFlightRecorder()
-		if events := observed(n+1, func() {
-			if _, err := e.RunKernels(s.dev, RiderPass{Task: s.task, Kernels: more, Obs: func(i int) TaskObs {
-				return TaskObs{Flight: fr, Phase: "t", Index: i}
-			}}, nil); err != nil {
-				t.Fatal(err)
-			}
-		}); !scheduled(events, n+1) {
-			t.Errorf("width %d: the batch with a novel task ran as %q", width, events)
+		if events := observed(n+1, func() { _, tiers = s.evaluate(e, more, nil) }); !scheduled(events, n+1) {
+			t.Errorf("width %d: the pass with a novel task ran as %q", width, events)
 		}
 		st, packs = s.store.Stats(), e.packs.Stats()
-		if tiers := fr.TierCounts(); !reflect.DeepEqual(tiers, map[string]int{"sim": 1, "mem": n}) ||
-			st.Hits != 0 || st.Misses != 5 || st.Writes != 5 || packs.Hits != 1 || packs.Misses != 1 || packs.Writes != 1 {
-			t.Errorf("width %d: batch with a novel task: tiers %v, store %+v, pack handle %+v", width, tiers, st, packs)
+		if !reflect.DeepEqual(tiers, map[string]int{"sim": 1, "mem": n}) ||
+			st.Hits != 0 || st.Misses != 5 || st.Writes != 5 || packs.Hits != 2 || packs.Misses != 1 || packs.Writes != 1 {
+			t.Errorf("width %d: pass with a novel task: tiers %v, store %+v, pack handle %+v", width, tiers, st, packs)
 		}
 
 		// A pass whose outcomes an earlier pass banked is scheduled, so its
@@ -236,32 +257,37 @@ func TestPackResolvesInline(t *testing.T) {
 		b := newPackStudy(t, width)
 		_, reps := studyLaunches(t)
 		pks := SampledTask(0, pkp.Options{}, false)
-		bank := NewBank(b.dev, RiderPass{Task: pks, Kernels: reps})
 		be := NewExec(parallel.NewScheduler(width), b.store)
-		if _, err := be.RunKernels(b.dev, RiderPass{Task: b.task, Kernels: b.kernels}, bank); err != nil {
+		fr := NewFlightRecorder()
+		full := RiderPass{Task: b.task, Kernels: b.kernels}
+		sampled := RiderPass{Task: pks, Kernels: reps, Obs: func(i int) TaskObs {
+			return TaskObs{Flight: fr, Phase: "pks", Index: i}
+		}}
+		pack := be.OpenPack(b.dev, "study", nil, []KernelTask{b.task, pks}, b.keys)
+		pack.Bind(b.dev, &full, &sampled)
+		bank := NewBank(b.dev, sampled)
+		if _, err := be.RunKernels(b.dev, full, bank); err != nil {
 			t.Fatal(err)
 		}
-		fr = NewFlightRecorder()
 		if events := observed(len(reps), func() {
-			if _, err := be.RunKernels(b.dev, RiderPass{Task: pks, Kernels: reps, Obs: func(i int) TaskObs {
-				return TaskObs{Flight: fr, Phase: "pks", Index: i}
-			}}, bank); err != nil {
+			if _, err := be.RunKernels(b.dev, sampled, bank); err != nil {
 				t.Fatal(err)
 			}
 		}); !scheduled(events, len(reps)) {
 			t.Errorf("width %d: the bank-served pass ran as %q", width, events)
 		}
+		pack.Save(nil)
 		st, packs = b.store.Stats(), be.packs.Stats()
 		if tiers := fr.TierCounts(); !reflect.DeepEqual(tiers, map[string]int{"sim": 2}) || bank.Len() != 0 ||
-			st.Hits != 0 || st.Misses != 4 || st.Writes != 6 || packs.Hits != 0 || packs.Misses != 1 || packs.Writes != 2 {
+			st.Hits != 0 || st.Misses != 4 || st.Writes != 6 || packs.Hits != 0 || packs.Misses != 1 || packs.Writes != 1 {
 			t.Errorf("width %d: bank-served pass: tiers %v, %d left banked, store %+v, pack handle %+v", width, tiers, bank.Len(), st, packs)
 		}
 	}
 }
 
 // TestPackCorruptFallsBack: a pack the store's checksum refuses, or one that
-// is framed right but is not this batch's outcomes, is counted corrupt, the
-// per-key entries serve, and the batch writes the good pack back.
+// is framed right but is not this evaluation's outcomes, is counted corrupt,
+// the per-key entries serve, and the evaluation writes the good pack back.
 func TestPackCorruptFallsBack(t *testing.T) {
 	for _, width := range []int{1, 4} {
 		s := newPackStudy(t, width)
@@ -270,9 +296,13 @@ func TestPackCorruptFallsBack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		packKey := (&batch{keys: s.keys}).key()
+		raw, ok := s.store.View().Get(s.packKey())
+		if !ok {
+			t.Fatal("the cold run's pack does not read back")
+		}
+		_, digest, _, _ := decodePack(raw)
 		put := func(payload []byte) {
-			if err := s.store.View().Put(packKey, payload); err != nil {
+			if err := s.store.View().Put(s.packKey(), payload); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -284,11 +314,15 @@ func TestPackCorruptFallsBack(t *testing.T) {
 					t.Fatal(err)
 				}
 			},
-			"one outcome short": func() { put(encodePack(cold[:len(cold)-1])) },
+			"one outcome short": func() { put(encodePack(nil, digest, cold[:len(cold)-1])) },
 			"unknown flag bits": func() {
-				payload := encodePack(cold)
-				payload[2*outcomeSize+32] = 0xFF
+				payload := encodePack(nil, digest, cold)
+				payload[len(payload)-3*outcomeSize+32] = 0xFF
 				put(payload)
+			},
+			"another digest": func() {
+				other := sha256.Sum256([]byte(strings.Join(s.keys[1:], "")))
+				put(encodePack(nil, string(other[:]), cold))
 			},
 		} {
 			corrupt()
@@ -310,42 +344,37 @@ func TestPackCorruptFallsBack(t *testing.T) {
 	}
 }
 
-// TestPackSkipped: a batch of one task has no pack (it would be its per-key
-// entry again).
-func TestPackSkipped(t *testing.T) {
-	s := newPackStudy(t, 4)
-	for _, e := range []*Exec{NewExec(parallel.NewScheduler(s.width), s.store), NewExec(nil, s.store)} { // cold, then warm
-		if _, err := e.RunKernels(s.dev, RiderPass{Task: s.task, Kernels: s.kernels[:1]}, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := s.store.Stats(); st.Entries != 1 || st.Hits != 1 {
-		t.Errorf("a batch of one left %d entries and scored %d per-key hits, want 1 and 1", st.Entries, st.Hits)
-	}
-}
-
 // FuzzDecodePack: a pack is persisted bytes; whatever they are the decoder
-// must not panic, and whatever it accepts is whole outcomes that re-encode to
-// the input exactly.
+// must not panic, and whatever it accepts is a selection section, a digest and
+// whole outcomes that re-encode to the input exactly.
 func FuzzDecodePack(f *testing.F) {
-	good := encodePack([]KernelOutcome{
+	sum := sha256.Sum256([]byte("fuzz"))
+	digest := string(sum[:])
+	good := encodePack([]byte("selection"), digest, []KernelOutcome{
 		{ProjCycles: 1 << 40, SimWarpInstrs: 7, ThreadInstrs: 3.25, DRAMUtil: 0.875, Capped: true},
 		{ProjCycles: -1, Truncated: true},
 	})
+	outsAt := len(good) - 2*outcomeSize
 	f.Add(good)
-	f.Add(good[:outcomeSize])
+	f.Add(good[:outsAt+outcomeSize])
 	f.Add(good[:len(good)-1])
-	f.Add(append(bytes.Clone(good[:outcomeSize+32]), 0xFF))
+	f.Add(append(bytes.Clone(good[:outsAt+outcomeSize+32]), 0xFF))
 	f.Add([]byte{})
+	truncated := bytes.Clone(good)
+	truncated[0]++ // the selection runs one byte into the digest
+	f.Add(truncated)
+	flipped := bytes.Clone(good)
+	flipped[outsAt-1] ^= 1 // a digest of other keys: it decodes, and Bind refuses it
+	f.Add(flipped)
 	f.Fuzz(func(t *testing.T, b []byte) {
-		outs := decodePack(b)
-		if outs == nil {
+		sel, digest, outs, ok := decodePack(b)
+		if !ok {
 			return
 		}
-		if len(b)%outcomeSize != 0 || len(outs) != len(b)/outcomeSize {
-			t.Fatalf("accepted %d bytes as %d outcomes", len(b), len(outs))
+		if len(digest) != sha256.Size || 8+len(sel)+sha256.Size+len(outs)*outcomeSize != len(b) {
+			t.Fatalf("accepted %d bytes as a %d-byte selection, a %d-byte digest and %d outcomes", len(b), len(sel), len(digest), len(outs))
 		}
-		if got := encodePack(outs); !bytes.Equal(got, b) {
+		if got := encodePack(sel, digest, outs); !bytes.Equal(got, b) {
 			t.Fatalf("decoded %x, re-encoded %x", b, got)
 		}
 	})

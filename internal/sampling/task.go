@@ -176,17 +176,23 @@ func taskKeys(dev gpu.Device, t KernelTask, kernels []trace.KernelDesc) []string
 type keyer struct{ schema, devSec, tSec []byte }
 
 func newKeyer(dev gpu.Device, t KernelTask) keyer {
-	tSec := appendInt(appendInt(make([]byte, 0, 5*8), int(t.Mode)), int(t.MaxCycles))
+	return keyer{[]byte(taskSchema), appendDeviceSection(make([]byte, 0, 256), dev), appendTaskSection(make([]byte, 0, 5*8), t)}
+}
+
+// appendTaskSection appends every field of t that its mode reads — the task
+// half of TaskKey and of an evaluation's PackKey.
+func appendTaskSection(b []byte, t KernelTask) []byte {
+	b = appendInt64(appendInt(b, int(t.Mode)), t.MaxCycles)
 	if t.Mode == ModePKA {
-		tSec = appendInt(appendFloat(tSec, t.PKP.Threshold), t.PKP.Window)
-		tSec = appendBool(tSec, t.PKP.DisableWaveConstraint)
+		b = appendInt(appendFloat(b, t.PKP.Threshold), t.PKP.Window)
+		b = appendBool(b, t.PKP.DisableWaveConstraint)
 	}
 	if t.Mode == ModeBlocks {
-		tSec = appendFloat(tSec, t.BlockFraction)
+		b = appendFloat(b, t.BlockFraction)
 	} else if t.Mode == ModeFirstN {
-		tSec = appendInt(tSec, int(t.WarpBudget))
+		b = appendInt64(b, t.WarpBudget)
 	}
-	return keyer{[]byte(taskSchema), appendDeviceSection(make([]byte, 0, 256), dev), tSec}
+	return b
 }
 
 // key is the TaskKey of the launch whose kernel section (appendKernelSection's
@@ -196,8 +202,11 @@ func (tk keyer) key(kSec []byte) string {
 }
 
 // The key sections are little-endian 64-bit words: ints sign-extended,
-// floats as IEEE-754 bits, bools as 0 or 1.
-func appendInt(b []byte, v int) []byte { return binary.LittleEndian.AppendUint64(b, uint64(int64(v))) }
+// floats as IEEE-754 bits, bools as 0 or 1. A 64-bit field goes through
+// appendInt64 whatever the width of int, so no two values share a key.
+func appendInt(b []byte, v int) []byte { return appendInt64(b, int64(v)) }
+
+func appendInt64(b []byte, v int64) []byte { return binary.LittleEndian.AppendUint64(b, uint64(v)) }
 
 func appendFloat(b []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
@@ -223,7 +232,7 @@ func appendKernelSection(b []byte, k *trace.KernelDesc) []byte {
 		b = appendInt(b, v)
 	}
 	b = appendFloat(b, k.CoalescingFactor)
-	b = appendInt(b, int(k.WorkingSetBytes))
+	b = appendInt64(b, k.WorkingSetBytes)
 	b = appendFloat(b, k.StridedFraction)
 	b = appendFloat(b, k.DivergenceEff)
 	b = appendFloat(b, k.BlockImbalance)
@@ -341,7 +350,7 @@ type Exec struct {
 	sched *parallel.Scheduler
 	store *artifact.Store // kernel outcomes: CacheStats' "artifact" family
 	sels  *artifact.Store // store's View for whole selections: "selection"
-	packs *artifact.Store // store's View for whole batches' outcomes: "batch"
+	packs *artifact.Store // store's View for whole evaluations (see Pack): "batch"
 	shard ShardTier
 	mem   parallel.Cache[string, KernelOutcome]
 	execM *obs.ExecMetrics
@@ -432,12 +441,14 @@ func (e *Exec) CacheStats() map[string]obs.CacheCounts {
 // scheduler prioritizes by each kernel's dynamic warp-instruction count,
 // longest-first. bank (nil for none) is the calling evaluation's: a task that
 // reaches the simulator carries the passes bank plans as riders, and one
-// whose outcome an earlier pass banked finds it there. With a store, a batch
-// of two tasks or more is also memoised whole (see batch). A batch no task of
-// which will simulate or persist (see settled) resolves on the calling
-// goroutine: the ladder is the same, the scheduler's handoff is not paid. A
-// nil exec simulates every task on its own. p's slices are only read (they
-// may be a remembered Scan's, see ScanLaunches).
+// whose outcome an earlier pass banked finds it there. p.Pack (nil for none)
+// is the calling evaluation's pack: it serves the tasks past the mem tier and
+// the bank where it holds the evaluation's outcomes, and otherwise keeps the
+// pass's outcomes for Pack.Save. A pass no task of which will simulate or
+// persist (see settled) resolves on the calling goroutine: the ladder is the
+// same, the scheduler's handoff is not paid. A nil exec simulates every task
+// on its own. p's slices are only read (they may be a remembered Scan's, see
+// ScanLaunches).
 func (e *Exec) RunKernels(dev gpu.Device, p RiderPass, bank *Bank) ([]KernelOutcome, error) {
 	tobs := p.Obs
 	if tobs == nil {
@@ -454,9 +465,8 @@ func (e *Exec) RunKernels(dev gpu.Device, p RiderPass, bank *Bank) ([]KernelOutc
 	if e != nil && len(keys) != len(p.Kernels) {
 		keys = taskKeys(dev, p.Task, p.Kernels)
 	}
-	pack := e.newBatch(keys)
 	sched := e.Scheduler()
-	if sched != nil && e.settled(keys, bank, pack) {
+	if sched != nil && e.settled(keys, bank, p.Pack) {
 		sched = nil
 	}
 	outs, err := parallel.SchedMap(sched, p.Kernels, cost, func(i int, k trace.KernelDesc) (KernelOutcome, error) {
@@ -472,46 +482,36 @@ func (e *Exec) RunKernels(dev gpu.Device, p RiderPass, bank *Bank) ([]KernelOutc
 		if e == nil {
 			return simulateKernel(dev, k, p.Task, to, nil, "")
 		}
-		return e.run(keys[i], dev, k, p.Task, to, bank, pack, i)
+		return e.run(keys[i], dev, k, p.Task, to, bank, p.Pack, p.At+i)
 	})
-	if err == nil {
-		pack.save(outs)
+	if err == nil && p.Pack != nil && p.Pack.got != nil {
+		copy(p.Pack.got[p.At:], outs) // for Pack.Save
 	}
 	return outs, err
 }
 
-// settled reports whether the ladder can serve the batch keyed keys without
+// settled reports whether the ladder can serve the pass keyed keys without
 // simulating or persisting anything: every key is a completed mem-tier entry,
-// or none is in flight or banked and the batch's pack is on disk. The pack is
-// read here, where the first task past the mem tier and the bank would read
-// it, so the store sees what it sees when the batch is scheduled. Such a
-// batch costs microseconds, less than its scheduler handoff; any other goes
-// to the scheduler whole, so bank-served passes still persist in parallel.
-func (e *Exec) settled(keys []string, bank *Bank, pack *batch) bool {
-	first := -1 // the first task the mem tier cannot serve
-	banked := bank.Len() > 0
-	for i, key := range keys {
+// or none is in flight or banked and the evaluation's pack serves. Such a pass
+// costs microseconds, less than its scheduler handoff; any other goes to the
+// scheduler whole, so bank-served passes still persist in parallel.
+func (e *Exec) settled(keys []string, bank *Bank, pack *Pack) bool {
+	banked, served := bank.Len() > 0, pack.serves()
+	for _, key := range keys {
 		_, done, pending := e.mem.Peek(key)
-		if pending || !done && banked && bank.holds(key) {
+		if pending || !done && (!served || banked && bank.holds(key)) {
 			return false
 		}
-		if !done && first < 0 {
-			first = i
-		}
 	}
-	if first < 0 {
-		return true
-	}
-	_, ok := pack.outcome(first)
-	return ok
+	return true
 }
 
-// run resolves the task keyed key (task i of pack's batch; nil for a lone
-// task) through the ladder: mem singleflight → the evaluation's bank → disk
-// (the batch's pack, else the key's entry) → owner shard → fresh sim. The
-// bank is asked before any tier that costs I/O; what it holds is byte for
-// byte what those would serve.
-func (e *Exec) run(key string, dev gpu.Device, k trace.KernelDesc, task KernelTask, to TaskObs, bank *Bank, pack *batch, i int) (KernelOutcome, error) {
+// run resolves the task keyed key (outcome i of the evaluation's pack; nil for
+// none) through the ladder: mem singleflight → the evaluation's bank → disk
+// (the pack, else the key's entry) → owner shard → fresh sim. The bank is
+// asked before any tier that costs I/O; what it holds is byte for byte what
+// those would serve.
+func (e *Exec) run(key string, dev gpu.Device, k trace.KernelDesc, task KernelTask, to TaskObs, bank *Bank, pack *Pack, i int) (KernelOutcome, error) {
 	// observed gates all timing: with no flight recorder and no metrics
 	// bundle the ladder takes no clock readings at all.
 	observed := to.Flight != nil || e.execM != nil
@@ -527,9 +527,6 @@ func (e *Exec) run(key string, dev gpu.Device, k trace.KernelDesc, task KernelTa
 	tier := TierMem
 	var shardPeer string
 	oc, err := e.mem.Do(key, func() (KernelOutcome, error) {
-		if pack != nil {
-			pack.pastMem.Store(true)
-		}
 		if oc, ok := bank.take(key); ok {
 			// An earlier pass of this evaluation read this outcome off its
 			// own run. This task is the one that asked for it, so this task
@@ -538,9 +535,9 @@ func (e *Exec) run(key string, dev gpu.Device, k trace.KernelDesc, task KernelTa
 			e.persist(key, oc)
 			return oc, nil
 		}
-		if oc, ok := pack.outcome(i); ok {
+		if pack.serves() {
 			tier = TierDisk
-			return oc, nil
+			return pack.outs[i], nil
 		}
 		if raw, ok := e.store.Get(key); ok {
 			if oc, err := DecodeOutcome(raw); err == nil {

@@ -104,6 +104,35 @@ func TestTaskKeySensitivity(t *testing.T) {
 	}
 }
 
+// TestKeysHoldSixtyFourBitWords: the 64-bit fields a key hashes keep all 64
+// bits whatever the width of int — launches whose working sets differ by
+// 4 GiB, and task specs whose cycle caps or warp budgets do, are different
+// work under TaskKey and SelectionKey (a 32-bit int once folded them).
+func TestKeysHoldSixtyFourBitWords(t *testing.T) {
+	dev := gpu.VoltaV100()
+	k := testKernel(t)
+	far := k
+	far.WorkingSetBytes += 1 << 32
+	full := KernelTask{Mode: ModeFull}
+	if TaskKey(dev, &k, full) == TaskKey(dev, &far, full) {
+		t.Error("working sets 4 GiB apart share a TaskKey")
+	}
+	for _, task := range []KernelTask{{Mode: ModePKS, MaxCycles: 1000}, {Mode: ModeFirstN, MaxCycles: 1000, WarpBudget: 1000}} {
+		wide := task
+		wide.MaxCycles += 1 << 32
+		wide.WarpBudget += 1 << 32
+		if TaskKey(dev, &k, task) == TaskKey(dev, &k, wide) {
+			t.Errorf("mode %d: specs 1<<32 apart share a TaskKey", task.Mode)
+		}
+	}
+	one := func(k trace.KernelDesc) *workload.Workload {
+		return workload.New("Test", "wide", 1, func(int) trace.KernelDesc { return k })
+	}
+	if SelectionKey(dev, one(k), nil) == SelectionKey(dev, one(far), nil) {
+		t.Error("working sets 4 GiB apart share a SelectionKey")
+	}
+}
+
 // TestSelectionKeySensitivity: everything a selection is a function of moves
 // the key, and nothing else does.
 func TestSelectionKeySensitivity(t *testing.T) {

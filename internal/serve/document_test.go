@@ -83,10 +83,10 @@ func TestWorkloadJSONMatchesStudy(t *testing.T) {
 }
 
 // TestWorkloadJSONReadsStudySelection: a study of a catalogue workload sent
-// as its document selects the way the named study does, through the
-// selection store under a key over every launch, so after a /v1/study
-// naming the workload a /v1/study carrying its document as workload_json
-// reads the named study's selection — one more selection hit, no K sweep —
+// as its document selects the way the named study does, through the store
+// under a key over every launch, so after a /v1/study naming the workload a
+// /v1/study carrying its document as workload_json reads the named study's
+// selection — out of the evaluation's pack, one more pack hit, no K sweep —
 // and answers with the named study's bytes.
 func TestWorkloadJSONReadsStudySelection(t *testing.T) {
 	store, err := artifact.Open(t.TempDir(), artifact.Options{})
@@ -108,11 +108,11 @@ func TestWorkloadJSONReadsStudySelection(t *testing.T) {
 		return out
 	}
 	want := post([]byte(`{"workload":"Rodinia/gauss_208"}`))
-	hits, steps := exec.CacheStats()["selection"].Hits, o.PKSMetrics().SweepSteps.Value()
+	hits, steps := exec.CacheStats()["batch"].Hits, o.PKSMetrics().SweepSteps.Value()
 
 	body := post(documentRequest(t, "Rodinia/gauss_208", ""))
-	if got := exec.CacheStats()["selection"].Hits; got != hits+1 {
-		t.Errorf("selection hits %d after the document's study, want %d", got, hits+1)
+	if got := exec.CacheStats()["batch"].Hits; got != hits+1 {
+		t.Errorf("pack hits %d after the document's study, want %d", got, hits+1)
 	}
 	if got := o.PKSMetrics().SweepSteps.Value(); got != steps {
 		t.Errorf("pka_pks_sweep_steps_total moved %d -> %d: the document's study swept K again", steps, got)

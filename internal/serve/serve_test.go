@@ -315,11 +315,11 @@ func TestServeMatchesBatch(t *testing.T) {
 }
 
 // TestRunSelectionWarmMatchesCold: over one artifact store the first Run
-// computes and persists the selection — and, for a study of two
-// representatives or more, its batch's pack — the second reads them back, and
-// the two responses and the uncached reference are the same bytes. An
-// identical request on the same Exec is the mem tier's: it never asks for
-// the pack.
+// computes and persists the selection and the evaluation's pack, the second
+// reads the pack alone — the selection with it — and the two responses and
+// the uncached reference are the same bytes. An identical request on the same
+// Exec is the mem tier's: it reads the pack, in place of the selection, and
+// writes nothing.
 func TestRunSelectionWarmMatchesCold(t *testing.T) {
 	run := func(doc string, exec *sampling.Exec) []byte {
 		t.Helper()
@@ -337,36 +337,32 @@ func TestRunSelectionWarmMatchesCold(t *testing.T) {
 		}
 		return body
 	}
-	for _, c := range []struct {
-		doc    string
-		packed bool
-	}{
-		{`{"workload":"Rodinia/bfs4096","mode":"pka","target":2,"silicon":true}`, false}, // K = 1
-		{`{"workload":"Rodinia/bfs65536","mode":"pka"}`, true},
+	for _, doc := range []string{
+		`{"workload":"Rodinia/bfs4096","mode":"pka","target":2,"silicon":true}`, // K = 1
+		`{"workload":"Rodinia/bfs65536","mode":"pka"}`,
 	} {
 		store, err := artifact.Open(t.TempDir(), artifact.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer store.Close()
-		want := run(c.doc, nil)
-		for i, wantCounts := range []obs.CacheCounts{{Misses: 1}, {Hits: 1}} {
+		want := run(doc, nil)
+		for i, c := range []struct{ sels, packs obs.CacheCounts }{
+			{obs.CacheCounts{Misses: 1}, obs.CacheCounts{Misses: 1, Hits: 1}}, // cold, then the repeat's read
+			{obs.CacheCounts{}, obs.CacheCounts{Hits: 2}},
+		} {
 			exec := sampling.NewExec(parallel.NewScheduler(2), store)
-			if got := run(c.doc, exec); !bytes.Equal(got, want) {
-				t.Errorf("%s: run %d over the store:\n got %s\nwant %s", c.doc, i, got, want)
+			if got := run(doc, exec); !bytes.Equal(got, want) {
+				t.Errorf("%s: run %d over the store:\n got %s\nwant %s", doc, i, got, want)
 			}
-			if got := exec.CacheStats()["selection"]; got != wantCounts {
-				t.Errorf("%s: run %d: selection family %+v, want %+v", c.doc, i, got, wantCounts)
+			if got := run(doc, exec); !bytes.Equal(got, want) {
+				t.Errorf("%s: run %d repeated on its Exec:\n got %s\nwant %s", doc, i, got, want)
 			}
-			wantPacks := obs.CacheCounts{}
-			if c.packed {
-				wantPacks = wantCounts
+			if got := exec.CacheStats()["selection"]; got != c.sels {
+				t.Errorf("%s: run %d and its repeat: selection family %+v, want %+v", doc, i, got, c.sels)
 			}
-			if got := run(c.doc, exec); !bytes.Equal(got, want) {
-				t.Errorf("%s: run %d repeated on its Exec:\n got %s\nwant %s", c.doc, i, got, want)
-			}
-			if got := exec.CacheStats()["batch"]; got != wantPacks {
-				t.Errorf("%s: run %d and its repeat: batch family %+v, want %+v", c.doc, i, got, wantPacks)
+			if got := exec.CacheStats()["batch"]; got != c.packs {
+				t.Errorf("%s: run %d and its repeat: batch family %+v, want %+v", doc, i, got, c.packs)
 			}
 		}
 	}
