@@ -132,7 +132,7 @@ loc:
 
 # Each binary's flag count as its -h lists it — the unit ROADMAP.md's flag
 # census is kept in.
-BINARIES = pka pkaexp pkaserve pkad pkaload
+BINARIES = pka pkaexp pkaserve pkad
 flags:
 	@for b in $(BINARIES); do \
 	    printf '%s %s\n' $$b "$$($(GO) run ./cmd/$$b -h 2>&1 | grep -c '^  -')"; \

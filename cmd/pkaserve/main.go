@@ -11,9 +11,9 @@
 //	pkaserve -cache-dir /var/pka -shard http://gpu1:9377,http://gpu2:9377
 //	pkaserve -tenants prod=3,batch=1               # prod drains 3:1 under load
 //
-// Endpoints: POST /v1/study, GET /v1/latency (?text=1), GET /v1/health,
-// GET /metrics. SIGINT/SIGTERM drains gracefully: queued studies finish, new
-// ones get 503.
+// Endpoints: POST /v1/study, GET /v1/health, GET /metrics (latency and
+// queue wait are the pka_serve_* histograms there). SIGINT/SIGTERM drains
+// gracefully: queued studies finish, new ones get 503.
 //
 // A study request names a catalogue workload ("workload") or carries a
 // workload document inline ("workload_json", as `pka -emit-workload`
@@ -56,9 +56,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// The server is always observed — /metrics and /v1/latency are part of
-	// its API — so build the observer up front and let the flag bundle
-	// adopt it for the -trace/-metrics/-audit artifact writers.
+	// The server is always observed — /metrics is part of its API — so
+	// build the observer up front and let the flag bundle adopt it for the
+	// -trace/-metrics/-audit artifact writers.
 	observer := obs.NewObserver()
 	execFl.Obs.Use(observer)
 	sess, err := execFl.Build(*par)
@@ -92,7 +92,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pkaserve: drain:", err)
 	}
 	_ = hs.Shutdown(ctx)
-	fmt.Fprint(os.Stderr, srv.LatencyReport().String())
 	if err := sess.Close(); err != nil {
 		fatal(err)
 	}

@@ -90,9 +90,8 @@ func FlagConflicts(fs *flag.FlagSet, pairs ...[2]string) error {
 	return nil
 }
 
-// ParseWeights parses a "tenant=weight,tenant=weight" list (the -tenants
-// spelling shared by pkaserve and pkaload). Weights must be positive
-// integers; an empty string is an empty map.
+// ParseWeights parses pkaserve's -tenants list, "tenant=weight,...".
+// Weights must be positive integers; an empty string is an empty map.
 func ParseWeights(csv string) (map[string]int, error) {
 	out := map[string]int{}
 	if strings.TrimSpace(csv) == "" {

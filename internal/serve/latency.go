@@ -1,101 +1,77 @@
 package serve
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
 
-// DefaultLatencyWindow is the rolling sample window the recorder keeps
-// when the caller does not size it.
-const DefaultLatencyWindow = 1 << 14
-
 // sample is one completed request's timing.
 type sample struct {
-	tenant string
-	queue  time.Duration // admission to execution start
-	total  time.Duration // admission to completion
-	failed bool
+	queue time.Duration // admission to execution start
+	total time.Duration // admission to completion
 }
 
 // Recorder accumulates per-request latency samples in a fixed ring and
 // summarizes them as nearest-rank percentiles. It is goroutine-safe; the
 // clock lives with the caller, so a test can drive it with a fake clock
-// and get bit-stable reports.
+// and get bit-stable reports. A nil Recorder observes nothing and
+// reports zeros.
 type Recorder struct {
 	mu   sync.Mutex
 	ring []sample
 	next int
-	seen int // total observed, may exceed len(ring)
-	errs int
 }
 
-// NewRecorder builds a recorder over a rolling window of n samples
-// (DefaultLatencyWindow when n <= 0).
+// NewRecorder builds a recorder over a rolling window of n > 0 samples.
 func NewRecorder(n int) *Recorder {
-	if n <= 0 {
-		n = DefaultLatencyWindow
-	}
 	return &Recorder{ring: make([]sample, 0, n)}
 }
 
 // Observe records one completed request.
-func (r *Recorder) Observe(tenant string, queue, total time.Duration, failed bool) {
+func (r *Recorder) Observe(queue, total time.Duration) {
+	if r == nil {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := sample{tenant: tenant, queue: queue, total: total, failed: failed}
+	s := sample{queue: queue, total: total}
 	if len(r.ring) < cap(r.ring) {
 		r.ring = append(r.ring, s)
 	} else {
 		r.ring[r.next] = s
 	}
 	r.next = (r.next + 1) % cap(r.ring)
-	r.seen++
-	if failed {
-		r.errs++
-	}
-}
-
-// TenantLatency is one tenant's slice of the report.
-type TenantLatency struct {
-	Tenant   string        `json:"tenant"`
-	Requests int           `json:"requests"`
-	P50      time.Duration `json:"p50_ns"`
-	P95      time.Duration `json:"p95_ns"`
-	P99      time.Duration `json:"p99_ns"`
 }
 
 // Report is a point-in-time latency summary over the recorder's window.
-// Durations marshal as integer nanoseconds, so a report for a fixed
-// request schedule on a fixed clock is byte-reproducible.
 type Report struct {
-	// Requests counts every request ever observed; Window is how many of
-	// the most recent ones the percentiles cover.
-	Requests int `json:"requests"`
-	Errors   int `json:"errors"`
-	Window   int `json:"window"`
+	// Requests counts every request the server finished (its
+	// pka_serve_latency_seconds count); Window is how many of the most
+	// recent ones the percentiles cover.
+	Requests int
+	Window   int
 
-	QueueP50 time.Duration `json:"queue_p50_ns"`
-	QueueP95 time.Duration `json:"queue_p95_ns"`
-	QueueP99 time.Duration `json:"queue_p99_ns"`
+	QueueP50 time.Duration
+	QueueP95 time.Duration
+	QueueP99 time.Duration
 
-	P50  time.Duration `json:"p50_ns"`
-	P95  time.Duration `json:"p95_ns"`
-	P99  time.Duration `json:"p99_ns"`
-	Mean time.Duration `json:"mean_ns"`
-	Max  time.Duration `json:"max_ns"`
-
-	Tenants []TenantLatency `json:"tenants,omitempty"`
+	P50  time.Duration
+	P95  time.Duration
+	P99  time.Duration
+	Mean time.Duration
+	Max  time.Duration
 }
 
 // Report summarizes the current window.
 func (r *Recorder) Report() *Report {
+	if r == nil {
+		return &Report{}
+	}
 	r.mu.Lock()
 	window := make([]sample, len(r.ring))
 	copy(window, r.ring)
-	rep := &Report{Requests: r.seen, Errors: r.errs, Window: len(window)}
+	rep := &Report{Window: len(window)}
 	r.mu.Unlock()
 
 	if len(window) == 0 {
@@ -104,57 +80,19 @@ func (r *Recorder) Report() *Report {
 	totals := make([]time.Duration, len(window))
 	queues := make([]time.Duration, len(window))
 	var sum time.Duration
-	byTenant := map[string][]time.Duration{}
 	for i, s := range window {
 		totals[i], queues[i] = s.total, s.queue
 		sum += s.total
 		if s.total > rep.Max {
 			rep.Max = s.total
 		}
-		byTenant[s.tenant] = append(byTenant[s.tenant], s.total)
 	}
 	sortDurations(totals)
 	sortDurations(queues)
 	rep.P50, rep.P95, rep.P99 = percentile(totals, 50), percentile(totals, 95), percentile(totals, 99)
 	rep.QueueP50, rep.QueueP95, rep.QueueP99 = percentile(queues, 50), percentile(queues, 95), percentile(queues, 99)
 	rep.Mean = sum / time.Duration(len(window))
-
-	names := make([]string, 0, len(byTenant))
-	for t := range byTenant {
-		names = append(names, t)
-	}
-	sort.Strings(names)
-	for _, t := range names {
-		ds := byTenant[t]
-		sortDurations(ds)
-		rep.Tenants = append(rep.Tenants, TenantLatency{
-			Tenant:   t,
-			Requests: len(ds),
-			P50:      percentile(ds, 50),
-			P95:      percentile(ds, 95),
-			P99:      percentile(ds, 99),
-		})
-	}
 	return rep
-}
-
-// String renders the report for terminals and CI logs.
-func (r *Report) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "latency report: %d requests (%d errors), window %d\n", r.Requests, r.Errors, r.Window)
-	if r.Window == 0 {
-		return b.String()
-	}
-	fmt.Fprintf(&b, "  queue wait  p50 %s  p95 %s  p99 %s\n", ms(r.QueueP50), ms(r.QueueP95), ms(r.QueueP99))
-	fmt.Fprintf(&b, "  latency     p50 %s  p95 %s  p99 %s  mean %s  max %s\n", ms(r.P50), ms(r.P95), ms(r.P99), ms(r.Mean), ms(r.Max))
-	for _, t := range r.Tenants {
-		fmt.Fprintf(&b, "  tenant %-12s %4d requests  p50 %s  p95 %s  p99 %s\n", t.Tenant, t.Requests, ms(t.P50), ms(t.P95), ms(t.P99))
-	}
-	return b.String()
-}
-
-func ms(d time.Duration) string {
-	return fmt.Sprintf("%.2fms", float64(d)/float64(time.Millisecond))
 }
 
 // percentile is the nearest-rank percentile of an ascending-sorted slice.

@@ -2,7 +2,8 @@
 // HTTP/JSON service that accepts concurrent study requests, admits them
 // through a bounded weighted-fair queue, executes them on the shared
 // sampling.Exec ladder (mem singleflight → disk artifact store → fleet
-// shard → fresh simulation), and reports per-request latency percentiles.
+// shard → fresh simulation), and reports latency and queue wait as the
+// pka_serve_* histograms on /metrics.
 //
 // The tier inherits the purity property the task layer established: a
 // study outcome is a function of (device, workload, study parameters) and
@@ -30,9 +31,6 @@ import (
 const (
 	// StudyPath runs one study request (POST, JSON body).
 	StudyPath = "/v1/study"
-	// LatencyPath reports the rolling latency percentiles (GET; ?text=1
-	// for the human-readable report).
-	LatencyPath = "/v1/latency"
 	// HealthPath reports queue occupancy and request counters (GET).
 	HealthPath = "/v1/health"
 	// MetricsPath serves the Prometheus exposition (GET).
@@ -69,8 +67,8 @@ const (
 // minimal request and the default pka invocation produce byte-identical
 // numbers.
 type StudyRequest struct {
-	// Tenant attributes the request for weighted-fair scheduling and
-	// per-tenant latency accounting. Empty means "anon".
+	// Tenant attributes the request for weighted-fair scheduling (latency
+	// is not reported per tenant). Empty means "anon".
 	Tenant string `json:"tenant,omitempty"`
 	// Workload names a built-in workload ("suite/name").
 	Workload string `json:"workload,omitempty"`

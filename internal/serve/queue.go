@@ -10,6 +10,9 @@ import "container/heap"
 // weight-1 tenant under contention, while an uncontended tenant is served
 // immediately — the classic start-time fair queueing construction, here
 // with unit cost because admission charges per request, not per cycle.
+// A tenant's clock lives only for the backlog period it joined: when the
+// queue empties, every clock is dropped, so the tenants a server remembers
+// are the ones it is queueing now, not every name a client ever sent.
 //
 // The queue is not goroutine-safe; the Server serializes access under its
 // own mutex.
@@ -71,7 +74,10 @@ func (q *fairQueue) push(p *pending) {
 	heap.Push(&q.items, wfqItem{p: p, vstart: vstart, vfinish: vfinish, seq: q.seq})
 }
 
-// pop releases the most-entitled pending request, or nil when empty.
+// pop releases the most-entitled pending request, or nil when empty. The
+// pop that empties the queue ends the backlog period and, as start-time
+// fair queueing restarts its tags there, drops every tenant clock; vtime
+// stays, so tags keep growing across periods.
 func (q *fairQueue) pop() *pending {
 	if len(q.items) == 0 {
 		return nil
@@ -79,6 +85,9 @@ func (q *fairQueue) pop() *pending {
 	it := heap.Pop(&q.items).(wfqItem)
 	if it.vstart > q.vtime {
 		q.vtime = it.vstart
+	}
+	if len(q.items) == 0 {
+		clear(q.tenants)
 	}
 	return it.p
 }

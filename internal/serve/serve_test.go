@@ -402,6 +402,12 @@ func TestHTTPStatuses(t *testing.T) {
 	} else if resp.Body.Close(); resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET study: %s, want 405", resp.Status)
 	}
+	// Latency is reported once, by the pka_serve_* histograms on /metrics.
+	if resp, err := http.Get(ts.URL + "/v1/latency"); err != nil {
+		t.Fatal(err)
+	} else if resp.Body.Close(); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/latency: %s, want 404", resp.Status)
+	}
 	if h := srv.Health(); h.Invalid != 1 {
 		t.Errorf("invalid counter: %+v", h)
 	}

@@ -38,14 +38,16 @@ type Options struct {
 	// TenantWeights sets per-tenant fair-share weights (missing tenants
 	// weigh 1).
 	TenantWeights map[string]int
-	// LatencyWindow sizes the rolling latency-report window.
+	// LatencyWindow, when positive, keeps the newest LatencyWindow
+	// requests' queue wait and latency for LatencyReport. Zero keeps
+	// none: pka_serve_* on /metrics is the server's latency report.
 	LatencyWindow int
 	// Obs, when non-nil, receives pka_serve_* metrics and per-request
 	// spans, and backs /metrics. Without it the pka_serve_* instruments
 	// live in a private observer, for Health alone.
 	Obs *obs.Observer
 	// Now is the clock (default time.Now); tests inject a fake one for
-	// bit-stable latency reports.
+	// bit-stable latency readings.
 	Now func() time.Time
 	// Runner overrides study execution (tests stub it to control
 	// timing). Nil runs Run on Exec.
@@ -66,8 +68,8 @@ type pending struct {
 }
 
 // Server is the study service: a bounded weighted-fair admission queue in
-// front of a spawn-on-demand runner pool, with rolling latency accounting
-// and graceful drain. Create with New, submit with Do or over HTTP via
+// front of a spawn-on-demand runner pool, with latency histograms and
+// graceful drain. Create with New, submit with Do or over HTTP via
 // Handler.
 type Server struct {
 	exec   *sampling.Exec
@@ -98,9 +100,11 @@ func New(opts Options) *Server {
 		runner: opts.Runner,
 		o:      opts.Obs,
 		m:      opts.Obs.ServeMetrics(),
-		rec:    NewRecorder(opts.LatencyWindow),
 		q:      newFairQueue(opts.TenantWeights),
 		ids:    opts.TraceIDs,
+	}
+	if opts.LatencyWindow > 0 {
+		s.rec = NewRecorder(opts.LatencyWindow)
 	}
 	if s.ids == nil {
 		s.ids = obs.NewIDGen(0)
@@ -179,7 +183,7 @@ func (s *Server) work() {
 
 		queued := started.Sub(p.admitted)
 		total := ended.Sub(p.admitted)
-		s.rec.Observe(p.req.Tenant, queued, total, p.err != nil)
+		s.rec.Observe(queued, total)
 		s.m.QueueWait.Observe(queued.Seconds())
 		s.m.Latency.Observe(total.Seconds())
 		s.finish(p.err != nil)
@@ -249,8 +253,13 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// LatencyReport summarizes the rolling latency window.
-func (s *Server) LatencyReport() *Report { return s.rec.Report() }
+// LatencyReport summarizes the Options.LatencyWindow newest requests;
+// without a window every field but Requests is zero.
+func (s *Server) LatencyReport() *Report {
+	rep := s.rec.Report()
+	rep.Requests = int(s.m.Latency.Count())
+	return rep
+}
 
 // ServeHealth is the server's self-report.
 type ServeHealth struct {
@@ -286,12 +295,11 @@ func (s *Server) Health() ServeHealth {
 	}
 }
 
-// Handler returns the server's HTTP mux: POST /v1/study, GET /v1/latency,
-// /v1/health and /metrics.
+// Handler returns the server's HTTP mux: POST /v1/study, GET /v1/health
+// and /metrics.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(StudyPath, s.handleStudy)
-	mux.HandleFunc(LatencyPath, s.handleLatency)
 	mux.HandleFunc(HealthPath, s.handleHealth)
 	mux.Handle(MetricsPath, s.o)
 	return mux
@@ -333,17 +341,6 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 	default:
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
-}
-
-func (s *Server) handleLatency(w http.ResponseWriter, r *http.Request) {
-	rep := s.LatencyReport()
-	if r.URL.Query().Get("text") != "" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = w.Write([]byte(rep.String()))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(rep)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

@@ -47,15 +47,6 @@ func (r *RNG) NormFloat64() float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// ExpFloat64 returns an exponential sample with mean 1.
-func (r *RNG) ExpFloat64() float64 {
-	u := r.Float64()
-	if u >= 1 {
-		u = 1 - 1e-16
-	}
-	return -math.Log(1 - u)
-}
-
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
