@@ -33,8 +33,9 @@ test:
 # -race on the 2-core box; its -short run still includes the study cost pin,
 # TestStudySimulatesLikeEvaluate); core, pks and sampling race only their
 # workload-document tests (a loaded document's evaluation at scheduler width > 1), the
-# selection-artifact tests, the rider, bank, baseline-plan and pack tests (at scheduler width > 1 a bank is
-# filled and drained, and an evaluation's pack served, from several goroutines),
+# selection-artifact tests, the rider, baseline-plan and pack tests (at scheduler width > 1 an
+# evaluation's pack banks and hands out riders' outcomes, and serves its memo, from several
+# goroutines; `Bank` selects TestBankRidersMatchSoloTasks),
 # the scan's (its launches are handed to the scheduler's tasks, and its memo
 # is read and filled from every study of a shared workload), the evaluator's
 # walk count over every plan (WalksOnce) and two studies of one catalogue

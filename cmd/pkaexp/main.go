@@ -20,7 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -156,17 +156,28 @@ func main() {
 		return
 	}
 
-	dst := os.Stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fatal(err)
+	// Everything a run can be refused for is checked before the report is
+	// rendered: -out names a file that is created at the report's first write.
+	want := map[string]bool{}
+	if *expFlag == "all" {
+		for _, g := range gens {
+			want[g.name] = true
 		}
-		dst = f
+	} else {
+		for _, n := range strings.Split(*expFlag, ",") {
+			want[strings.TrimSpace(n)] = true
+		}
 	}
-	// Flushed after every experiment, so a failed write stops the run and a
-	// later failure keeps what came before.
-	out := bufio.NewWriter(dst)
+	var unknown []string
+	for n := range want {
+		if !slices.ContainsFunc(gens, func(g generator) bool { return g.name == n }) {
+			unknown = append(unknown, n)
+		}
+	}
+	if len(unknown) > 0 {
+		slices.Sort(unknown)
+		fatal(fmt.Errorf("unknown experiments: %s", strings.Join(unknown, ", ")))
+	}
 
 	sess, err := execFl.Build(*par)
 	if err != nil {
@@ -194,55 +205,39 @@ func main() {
 		s.SetWorkloads(ws)
 	}
 
-	want := map[string]bool{}
-	if *expFlag == "all" {
+	render := func(dst io.Writer) error {
+		// Flushed after every experiment, so a failed write stops the run and
+		// a later failure keeps what came before.
+		out := bufio.NewWriter(dst)
 		for _, g := range gens {
-			want[g.name] = true
+			if !want[g.name] {
+				continue
+			}
+			t0 := time.Now()
+			fmt.Fprintf(out, "### %s — %s\n\n", g.name, g.desc)
+			sp := sess.Observer.StartSpan("experiment", g.name)
+			err := g.run(s, out)
+			sp.End()
+			if err != nil {
+				return fmt.Errorf("%s: %w", g.name, err)
+			}
+			fmt.Fprintf(out, "[%s generated in %s]\n\n", g.name, time.Since(t0).Round(time.Millisecond))
+			if err := out.Flush(); err != nil {
+				return fmt.Errorf("writing %s: %w", g.name, err)
+			}
 		}
+		return nil
+	}
+	if *outPath != "" {
+		err = cli.WriteFile(*outPath, render)
 	} else {
-		for _, n := range strings.Split(*expFlag, ",") {
-			want[strings.TrimSpace(n)] = true
-		}
+		err = render(os.Stdout)
 	}
-	known := map[string]bool{}
-	for _, g := range gens {
-		known[g.name] = true
-	}
-	var unknown []string
-	for n := range want {
-		if !known[n] {
-			unknown = append(unknown, n)
-		}
-	}
-	if len(unknown) > 0 {
-		sort.Strings(unknown)
-		fatal(fmt.Errorf("unknown experiments: %s", strings.Join(unknown, ", ")))
-	}
-
-	for _, g := range gens {
-		if !want[g.name] {
-			continue
-		}
-		t0 := time.Now()
-		fmt.Fprintf(out, "### %s — %s\n\n", g.name, g.desc)
-		sp := sess.Observer.StartSpan("experiment", g.name)
-		err := g.run(s, out)
-		sp.End()
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", g.name, err))
-		}
-		fmt.Fprintf(out, "[%s generated in %s]\n\n", g.name, time.Since(t0).Round(time.Millisecond))
-		if err := out.Flush(); err != nil {
-			fatal(fmt.Errorf("writing %s: %w", g.name, err))
-		}
+	if err != nil {
+		fatal(err)
 	}
 	if err := sess.Close(); err != nil {
 		fatal(err)
-	}
-	if dst != os.Stdout {
-		if err := dst.Close(); err != nil {
-			fatal(err)
-		}
 	}
 }
 

@@ -102,7 +102,7 @@ func TestBuildWiresTheLadderFromFlags(t *testing.T) {
 		fr := sampling.NewFlightRecorder()
 		if _, err := sess.Exec.RunKernels(dev, sampling.RiderPass{Task: task, Kernels: ks[:1], Obs: func(int) sampling.TaskObs {
 			return sampling.TaskObs{Flight: fr, Phase: "t"}
-		}}, nil); err != nil {
+		}}); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if got := fr.TierCounts(); got[tc.tier] != 1 || fr.Len() != 1 {

@@ -15,11 +15,12 @@ import (
 
 // TestBaselinePlanMatchesSolo is the fence around the baselines riding the
 // full pass: an evaluation that plans 1B and TBPoint beside the complete plan
-// returns what resolving every task alone returns; its bank ends empty; the
-// baseline tasks make no simulator pass of their own (each pass reported is
-// the full baseline's over one distinct planned launch, run to completion);
-// a warm run over the same store reaches no simulator; and the complete
-// plan, over the same Exec, reads the same full, PKS and PKA columns.
+// returns what resolving every task alone returns; its pack is left with
+// nothing banked; the baseline tasks make no simulator pass of their own
+// (each pass reported is the full baseline's over one distinct planned
+// launch, run to completion); a warm run over the same store reaches no
+// simulator; and the complete plan, over the same Exec, reads the same full,
+// PKS and PKA columns.
 func TestBaselinePlanMatchesSolo(t *testing.T) {
 	dev := gpu.VoltaV100()
 	w := mustFind(t, "DeepBench/rnn_inf_5") // cheap, and the 1B budget cuts it
@@ -61,7 +62,7 @@ func TestBaselinePlanMatchesSolo(t *testing.T) {
 	store, _ := openStore(t)
 	run := func(what string) map[string]int {
 		cfg := Config{Device: dev, Exec: sampling.NewExec(parallel.NewScheduler(4), store), Obs: obs.NewObserver(), Flight: sampling.NewFlightRecorder()}
-		ev, bank, _, err := plan.evaluate(cfg, w, nil)
+		ev, pack, err := plan.evaluate(cfg, w, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,8 +70,8 @@ func TestBaselinePlanMatchesSolo(t *testing.T) {
 		if !reflect.DeepEqual(ev, ref) {
 			t.Errorf("%s: evaluation differs:\n got %+v\nwant %+v", what, ev, ref)
 		}
-		if bank.Len() != 0 {
-			t.Errorf("%s: %d outcomes left in the bank", what, bank.Len())
+		if pack.Banked() != 0 {
+			t.Errorf("%s: %d outcomes left banked", what, pack.Banked())
 		}
 		// Every pass reported is the full baseline's, run to completion:
 		// none is a baseline task's own, stopped where its policy stops.

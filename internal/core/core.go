@@ -60,9 +60,10 @@ type Config struct {
 	Obs *obs.Observer
 	// Exec, when non-nil, runs every per-kernel simulation as a task on
 	// its kernel-granular scheduler and resolves outcomes through its
-	// tier ladder: the in-memory singleflight cache, the evaluation's
-	// bank, the persistent content-addressed artifact store, then (when
-	// configured) the sharded fleet cache, then a fresh local simulation.
+	// tier ladder: the in-memory singleflight cache, the outcomes banked in
+	// the evaluation's pack, the persistent content-addressed artifact
+	// store, then (when configured) the sharded fleet cache, then a fresh
+	// local simulation.
 	// Results are byte-identical with or without it — and at any tier mix
 	// — because task outcomes are pure and merged back in kernel-launch
 	// order.
@@ -71,10 +72,6 @@ type Config struct {
 	// tier, shard peer, queue-wait and service durations — folded in
 	// launch order. Observe-only.
 	Flight *sampling.FlightRecorder
-
-	// bank is Plan.Evaluate's, for that one evaluation's passes (see
-	// sampling.Bank).
-	bank *sampling.Bank
 }
 
 // PKSOptions returns cfg.PKS with the observer's audit stream and metric
@@ -212,7 +209,7 @@ type reps struct {
 
 // pass returns the pass over r under task, labelled phase, its SimObs on the
 // "sim:"+phase+r.SimTrack track. The same RiderPass drives the pass and
-// describes it to the evaluation's bank, so a rider's projector audits under
+// describes it to the evaluation's pack, so a rider's projector audits under
 // its own subject.
 func (r reps) pass(cfg Config, phase string, task sampling.KernelTask) sampling.RiderPass {
 	var simObs *obs.SimObs
@@ -259,25 +256,22 @@ func pksPopulations(sel *pks.Selection) populations {
 
 // run runs the passes in order under one span, labelled subject, as kernel
 // tasks on cfg.Exec's scheduler (inline and serial when it is nil), and
-// returns their outcomes in launch order — a lone pass's as RunKernels
-// returned them — so the float operations folding them are the same at any
-// parallelism. total is their simulated work, hours and runaway-guard flag;
-// a fold carries no simulated work, which may belong to no one app.
-func run(cfg Config, span, subject string, passes ...sampling.RiderPass) (outs []sampling.KernelOutcome, total SampledSim, err error) {
+// appends their outcomes to dst in launch order, so the float operations
+// folding them are the same at any parallelism. total is their simulated
+// work, hours and runaway-guard flag; a fold carries no simulated work, which
+// may belong to no one app.
+func run(cfg Config, span, subject string, dst []sampling.KernelOutcome, passes ...sampling.RiderPass) (outs []sampling.KernelOutcome, total SampledSim, err error) {
 	sp := cfg.Obs.StartSpan(span, subject)
 	defer sp.End()
-	for i, p := range passes {
-		more, err := cfg.Exec.RunKernels(cfg.Device, p, cfg.bank)
+	outs = dst
+	for _, p := range passes {
+		more, err := cfg.Exec.RunKernels(cfg.Device, p)
 		if err != nil {
 			return nil, total, err
 		}
-		if i == 0 {
-			outs = more
-		} else {
-			outs = append(outs, more...)
-		}
+		outs = append(outs, more...)
 	}
-	for _, oc := range outs {
+	for _, oc := range outs[len(dst):] {
 		total.SimWarpInstrs += oc.SimWarpInstrs
 		total.Capped = total.Capped || oc.Capped
 	}
@@ -348,11 +342,11 @@ func RunSegments(cfg Config, ws []*workload.Workload, seg *pks.Segments, usePKP 
 	}
 	pack := cfg.Exec.OpenPack(cfg.Device, r.Subject, selRaw, []sampling.KernelTask{p.Task}, nil)
 	pack.Bind(cfg.Device, &p)
-	outs, total, err := run(cfg, "sampled:"+phase, r.Subject, p)
+	outs, total, err := run(cfg, "sampled:"+phase, r.Subject, nil, p)
 	if err != nil {
 		return total, nil, fmt.Errorf("core: shared representatives of %s: %w", r.Subject, err)
 	}
-	pack.Save(selRaw)
+	pack.Save(selRaw, outs)
 	apps = make([]SampledSim, len(pops))
 	for a, app := range pops {
 		apps[a] = fold(outs, app)
@@ -424,23 +418,24 @@ func Evaluate(cfg Config, w *workload.Workload) (*Evaluation, error) {
 // key, the full baseline's launches. A lone full pass without silicon stops
 // that walk at the budget. Infeasible full simulation leaves Full nil, its
 // hours projected from the instruction mass — or, with no other pass planned,
-// is the ErrInfeasible error. With an Exec and two passes or more the passes
-// share a bank (sampling.Bank), so each kernel is simulated once; a lone pass
-// carries no riders and stops where its own policy stops. Every method's
-// outcomes go through one fold (full simulation and 1B weight each launch
-// one) and one accounting step, and only what the plan computed is filled in: error columns need silicon, speedups and
-// full-simulation hours the full pass. The result is identical at any
-// scheduler width, with or without an Exec.
+// is the ErrInfeasible error. With an Exec the passes share the evaluation's
+// pack (sampling.Pack), which plans their riders, so each kernel is simulated
+// once; a lone pass carries no riders and stops where its own policy stops.
+// Every method's outcomes go through one fold (full simulation and 1B weight
+// each launch one) and one accounting step, and only what the plan computed
+// is filled in: error columns need silicon, speedups and full-simulation
+// hours the full pass. The result is identical at any scheduler width, with
+// or without an Exec.
 func (p Plan) Evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*Evaluation, error) {
-	ev, _, _, err := p.evaluate(cfg, w, sel)
+	ev, _, err := p.evaluate(cfg, w, sel)
 	return ev, err
 }
 
-// evaluate is Evaluate, also handing back the evaluation's bank and pack (nil
-// without them) for the tests to find empty and on disk.
-func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*Evaluation, *sampling.Bank, *sampling.Pack, error) {
+// evaluate is Evaluate, also handing back the evaluation's pack (nil without
+// an Exec) for the tests to find drained and on disk.
+func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*Evaluation, *sampling.Pack, error) {
 	if w == nil {
-		return nil, nil, nil, errors.New("core: nil workload")
+		return nil, nil, errors.New("core: nil workload")
 	}
 	ev := &Evaluation{Workload: w}
 	usePKPs := p.sampled()
@@ -463,7 +458,7 @@ func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*E
 		sc, err = sampling.ScanLaunches(cfg.Device, w, want)
 		sp.End()
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 	}
 	ev.Silicon = sc.Silicon
@@ -481,8 +476,6 @@ func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*E
 	}
 	methods := make([]method, 0, len(p.Passes))
 	var firstN sampling.FirstNPlan
-	var riders []sampling.RiderPass // every pass that may ride another, in order
-	hosts := full                   // a pass of ModeFull tasks, which never ride
 	if full {
 		m := method{span: "full-sim"}
 		switch {
@@ -497,7 +490,7 @@ func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*E
 			m.passes = []sampling.RiderPass{{Task: sampling.KernelTask{Mode: sampling.ModeFull}, Kernels: sc.Kernels, Keys: sc.Keys, Obs: tobs}}
 			m.app, m.out = eachLaunch(len(sc.Kernels)), ev.Full
 		case !sampled && !oneB && !tb:
-			return nil, nil, nil, fmt.Errorf("%w: %s", sampling.ErrInfeasible, w.FullName())
+			return nil, nil, fmt.Errorf("%w: %s", sampling.ErrInfeasible, w.FullName())
 		}
 		methods = append(methods, m)
 	}
@@ -510,10 +503,6 @@ func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*E
 			whole.Keys = sc.Keys[:len(firstN.Whole)]
 		}
 		cut := ownReps(w, firstN.Cut).pass(cfg, "1b-cut", firstN.Task)
-		if len(firstN.Cut) > 0 {
-			riders = append(riders, cut)
-		}
-		hosts = hosts || len(firstN.Whole) > 0
 		methods = append(methods, method{"first-n", []sampling.RiderPass{whole, cut},
 			eachLaunch(len(firstN.Whole) + len(firstN.Cut)), &ev.OneB})
 	}
@@ -522,7 +511,6 @@ func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*E
 		r := workloadReps(w, len(g), func(i int) int { return g[i].RepIndex }, sc.Kernels)
 		rp := r.pass(cfg, "tbpoint", sampling.BlocksTask(cfg.KernelCapCycles, tbpoint.BlockFraction))
 		app := populations{func(i int) int { return g[i].Count }, w.N}
-		riders = append(riders, rp)
 		methods = append(methods, method{"sampled:tbpoint", []sampling.RiderPass{rp}, app, &ev.TBPoint})
 	}
 	// The evaluation's pack (sampling.Pack), read where the selection would be,
@@ -548,13 +536,13 @@ func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*E
 			sel, selRaw, err = selectKeyed(cfg, w, sc.Key, pack)
 			sp.End()
 			if err != nil {
-				return nil, nil, nil, err
+				return nil, nil, err
 			}
 		}
 		ev.Selection = sel
 		// sel may come from a caller or the store: check before it indexes w.
 		if err := sel.CheckFor(w.N); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		r := workloadReps(w, len(sel.Groups), func(i int) int { return sel.Groups[i].RepIndex }, sc.Kernels)
 		for _, usePKP := range usePKPs {
@@ -563,35 +551,36 @@ func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*E
 			if usePKP {
 				out = &ev.PKA
 			}
-			riders = append(riders, rp)
 			methods = append(methods, method{"sampled:" + phase, []sampling.RiderPass{rp}, pksPopulations(sel), out})
 		}
 	}
 	var passes []*sampling.RiderPass // every pass, in the order the pack lays them out
+	n := 0
 	for _, m := range methods {
 		for i := range m.passes {
 			passes = append(passes, &m.passes[i])
+			n += len(m.passes[i].Kernels)
 		}
 	}
 	pack.Bind(cfg.Device, passes...)
-	// Two passes or more share a bank (1B's whole launches count as one).
-	if cfg.Exec != nil && len(riders) > 0 && (hosts || len(riders) > 1) {
-		cfg.bank = sampling.NewBank(cfg.Device, riders...)
-	}
 
-	// Stage 2: every method, its outcomes folded by its populations.
+	// Stage 2: every method, its outcomes folded by its populations and kept,
+	// in pass order, for the pack.
+	outs := make([]sampling.KernelOutcome, 0, n)
 	for _, m := range methods {
-		outs, total, err := run(cfg, m.span, w.FullName(), m.passes...)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("core: %s of %s: %w", m.span, w.FullName(), err)
+		from := len(outs)
+		var total SampledSim
+		var err error
+		if outs, total, err = run(cfg, m.span, w.FullName(), outs, m.passes...); err != nil {
+			return nil, nil, fmt.Errorf("core: %s of %s: %w", m.span, w.FullName(), err)
 		}
 		if m.out == nil {
 			continue
 		}
-		*m.out = fold(outs, m.app)
+		*m.out = fold(outs[from:], m.app)
 		m.out.SimWarpInstrs = total.SimWarpInstrs
 	}
-	pack.Save(selRaw)
+	pack.Save(selRaw, outs)
 	if oneB {
 		extrapolate(&ev.OneB, firstN, mass)
 	}
@@ -617,7 +606,7 @@ func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*E
 			}
 		}
 	}
-	return ev, cfg.bank, pack, nil
+	return ev, pack, nil
 }
 
 // extrapolate projects 1B past its budget as the first-N methodology projects

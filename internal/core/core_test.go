@@ -11,8 +11,8 @@ import (
 
 func cfg() Config { return Config{Device: gpu.VoltaV100()} }
 
-// evaluate is the complete plan's evaluation with its bank and pack.
-func evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*Evaluation, *sampling.Bank, *sampling.Pack, error) {
+// evaluate is the complete plan's evaluation with its pack.
+func evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*Evaluation, *sampling.Pack, error) {
 	return CompletePlan().evaluate(cfg, w, sel)
 }
 

@@ -52,7 +52,7 @@ func openStore(t *testing.T) (*artifact.Store, string) {
 
 // soloPhases leaves in store what the cold pass left before tasks carried
 // riders: the selection, and every full, PKS and PKA task resolved by a run
-// of its own (one-pass plans have no bank) — each a one-pass evaluation,
+// of its own (one-pass plans carry no riders) — each a one-pass evaluation,
 // with a pack of its own, whose key it returns. only, when set, restricts it
 // to one phase, for priming a partly warm store.
 func soloPhases(t *testing.T, cfg Config, w *workload.Workload, store *artifact.Store, only string) (packs []string) {
@@ -70,7 +70,7 @@ func soloPhases(t *testing.T, cfg Config, w *workload.Workload, store *artifact.
 		if only != "" && only != c.phase {
 			continue
 		}
-		_, _, pack, err := Plan{Passes: []sampling.TaskMode{c.mode}}.evaluate(cfg, w, c.sel)
+		_, pack, err := Plan{Passes: []sampling.TaskMode{c.mode}}.evaluate(cfg, w, c.sel)
 		if err != nil && (c.phase != "full" || only == "full") {
 			t.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func TestEvaluateRidersMatchSolo(t *testing.T) {
 				cfg.Obs = obs.NewObserver()
 				cfg.Flight = sampling.NewFlightRecorder()
 				before := store.Stats()
-				ev, bank, pack, err := evaluate(cfg, w, nil)
+				ev, pack, err := evaluate(cfg, w, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
@@ -175,8 +175,8 @@ func TestEvaluateRidersMatchSolo(t *testing.T) {
 				if _, err := os.Stat(entryPath(store, pack.Key())); err != nil {
 					t.Errorf("%s: the evaluation left no pack: %v", what, err)
 				}
-				if bank == nil || bank.Len() != 0 {
-					t.Errorf("%s: %d outcomes left in the bank", what, bank.Len())
+				if pack.Banked() != 0 {
+					t.Errorf("%s: %d outcomes left banked", what, pack.Banked())
 				}
 				tiers, sum := cfg.Flight.TierCounts(), 0
 				for _, n := range tiers {
@@ -191,7 +191,7 @@ func TestEvaluateRidersMatchSolo(t *testing.T) {
 				if state == "warm" {
 					// An all-hit study reads its pack and nothing else (the
 					// selection and the pack are counted on their own handles),
-					// and the bank never comes into it.
+					// and banks nothing.
 					st, stats := store.Stats(), cfg.Exec.CacheStats()
 					if gets := int(st.Hits - before.Hits); gets != 0 || st.Misses != before.Misses || tiers["disk"]+tiers["mem"] != tasks {
 						t.Errorf("%s: %d per-key hits and %d misses, want 0 and 0; tiers %v", what, gets, st.Misses-before.Misses, tiers)

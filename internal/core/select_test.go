@@ -160,7 +160,7 @@ func TestSelectWarmMatchesCold(t *testing.T) {
 	// Payloads the store's own checksum cannot catch: re-Put under the right
 	// key, validly framed, but not a selection for this request. The pack is
 	// removed first, so the evaluation asks for the selection.
-	_, _, pack, err := evaluate(Config{Device: gpu.VoltaV100(), Exec: sampling.NewExec(nil, store)}, w, nil)
+	_, pack, err := evaluate(Config{Device: gpu.VoltaV100(), Exec: sampling.NewExec(nil, store)}, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestWarmStudyReadsOnce(t *testing.T) {
 			return ev, cfg
 		}
 		cold, _ := study()
-		_, _, pack, err := evaluate(Config{Device: gpu.VoltaV100(), Exec: sampling.NewExec(nil, store)}, w, nil)
+		_, pack, err := evaluate(Config{Device: gpu.VoltaV100(), Exec: sampling.NewExec(nil, store)}, w, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

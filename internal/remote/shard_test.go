@@ -238,7 +238,7 @@ func TestShardExecTier(t *testing.T) {
 	// First process: simulate and replicate to the fleet.
 	exec1 := sampling.NewExec(nil, localStore())
 	exec1.SetShard(c)
-	want, err := exec1.RunKernels(dev, sampling.RiderPass{Task: task, Kernels: kernels}, nil)
+	want, err := exec1.RunKernels(dev, sampling.RiderPass{Task: task, Kernels: kernels})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestShardExecTier(t *testing.T) {
 	fr := sampling.NewFlightRecorder()
 	got, err := exec2.RunKernels(dev, sampling.RiderPass{Task: task, Kernels: kernels, Obs: func(i int) sampling.TaskObs {
 		return sampling.TaskObs{Flight: fr, Phase: "shard", Index: i}
-	}}, nil)
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

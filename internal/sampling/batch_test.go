@@ -70,7 +70,7 @@ func (s *packStudy) packPath() string {
 // evaluate is the one-pass evaluation over kernels on e, as core runs one:
 // open the pack, bind the pass, run it, save the pack. It returns the
 // outcomes and the tier every task was served at.
-func (s *packStudy) evaluate(e *Exec, kernels []trace.KernelDesc, bank *Bank) ([]KernelOutcome, map[string]int) {
+func (s *packStudy) evaluate(e *Exec, kernels []trace.KernelDesc) ([]KernelOutcome, map[string]int) {
 	s.t.Helper()
 	fr := NewFlightRecorder()
 	pack := s.open(e, kernels)
@@ -78,11 +78,11 @@ func (s *packStudy) evaluate(e *Exec, kernels []trace.KernelDesc, bank *Bank) ([
 		return TaskObs{Flight: fr, Phase: "t", Index: i}
 	}}
 	pack.Bind(s.dev, &rp)
-	outs, err := e.RunKernels(s.dev, rp, bank)
+	outs, err := e.RunKernels(s.dev, rp)
 	if err != nil {
 		s.t.Fatal(err)
 	}
-	pack.Save(nil)
+	pack.Save(nil, outs)
 	return outs, fr.TierCounts()
 }
 
@@ -93,7 +93,7 @@ func (s *packStudy) run(e *Exec) ([]KernelOutcome, map[string]int, *Exec) {
 	if e == nil {
 		e = NewExec(parallel.NewScheduler(s.width), s.store)
 	}
-	outs, tiers := s.evaluate(e, s.kernels, nil)
+	outs, tiers := s.evaluate(e, s.kernels)
 	return outs, tiers, e
 }
 
@@ -243,7 +243,7 @@ func TestPackResolvesInline(t *testing.T) {
 		novel := s.kernels[1]
 		novel.Seed++
 		more := append(slices.Clone(s.kernels), novel)
-		if events := observed(n+1, func() { _, tiers = s.evaluate(e, more, nil) }); !scheduled(events, n+1) {
+		if events := observed(n+1, func() { _, tiers = s.evaluate(e, more) }); !scheduled(events, n+1) {
 			t.Errorf("width %d: the pass with a novel task ran as %q", width, events)
 		}
 		st, packs = s.store.Stats(), e.packs.Stats()
@@ -265,22 +265,24 @@ func TestPackResolvesInline(t *testing.T) {
 		}}
 		pack := be.OpenPack(b.dev, "study", nil, []KernelTask{b.task, pks}, b.keys)
 		pack.Bind(b.dev, &full, &sampled)
-		bank := NewBank(b.dev, sampled)
-		if _, err := be.RunKernels(b.dev, full, bank); err != nil {
+		outs, err := be.RunKernels(b.dev, full)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if events := observed(len(reps), func() {
-			if _, err := be.RunKernels(b.dev, sampled, bank); err != nil {
+			more, err := be.RunKernels(b.dev, sampled)
+			if err != nil {
 				t.Fatal(err)
 			}
+			outs = append(outs, more...)
 		}); !scheduled(events, len(reps)) {
 			t.Errorf("width %d: the bank-served pass ran as %q", width, events)
 		}
-		pack.Save(nil)
+		pack.Save(nil, outs)
 		st, packs = b.store.Stats(), be.packs.Stats()
-		if tiers := fr.TierCounts(); !reflect.DeepEqual(tiers, map[string]int{"sim": 2}) || bank.Len() != 0 ||
+		if tiers := fr.TierCounts(); !reflect.DeepEqual(tiers, map[string]int{"sim": 2}) || pack.Banked() != 0 ||
 			st.Hits != 0 || st.Misses != 4 || st.Writes != 6 || packs.Hits != 0 || packs.Misses != 1 || packs.Writes != 1 {
-			t.Errorf("width %d: bank-served pass: tiers %v, %d left banked, store %+v, pack handle %+v", width, tiers, bank.Len(), st, packs)
+			t.Errorf("width %d: bank-served pass: tiers %v, %d left banked, store %+v, pack handle %+v", width, tiers, pack.Banked(), st, packs)
 		}
 	}
 }

@@ -151,7 +151,7 @@ func TestExecTierAttribution(t *testing.T) {
 	run := func(ex *Exec, index int) KernelOutcome {
 		outs, err := ex.RunKernels(dev, RiderPass{Task: task, Kernels: []trace.KernelDesc{k}, Obs: func(int) TaskObs {
 			return TaskObs{Flight: fr, Phase: "t", Index: index}
-		}}, nil)
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}

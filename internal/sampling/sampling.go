@@ -1,11 +1,12 @@
 // Package sampling is the kernel-task layer every simulation policy the
 // paper compares runs on: a KernelTask per launch (full simulation, 1B's cut
 // launch, TBPoint's block prefix, PKS and PKA), resolved through Exec's tier
-// ladder and an evaluation's Bank, and the scans, plans and budgets around
-// them — ScanLaunches, PlanFirstN for the "simulate the first N instructions"
-// heuristic (N = 1 billion in the paper's Figure 7/8 comparison), the
-// full-simulation and 1B budgets, and the silicon total every error is
-// measured against. core folds the outcomes into application results.
+// ladder and an evaluation's Pack (its passes, their riders and its memo),
+// and the scans, plans and budgets around them — ScanLaunches, PlanFirstN
+// for the "simulate the first N instructions" heuristic (N = 1 billion in
+// the paper's Figure 7/8 comparison), the full-simulation and 1B budgets,
+// and the silicon total every error is measured against. core folds the
+// outcomes into application results.
 //
 // 1B budgets by nominal counts: a launch fits while the running sum of
 // TotalWarpInstructions stays within N, so its plan (PlanFirstN) is known

@@ -439,17 +439,14 @@ func (e *Exec) CacheStats() map[string]obs.CacheCounts {
 // observe-only wiring per kernel (nil for none), and p.Keys the kernels'
 // TaskKeys where the caller holds them (a Scan's; nil derives them here). The
 // scheduler prioritizes by each kernel's dynamic warp-instruction count,
-// longest-first. bank (nil for none) is the calling evaluation's: a task that
-// reaches the simulator carries the passes bank plans as riders, and one
-// whose outcome an earlier pass banked finds it there. p.Pack (nil for none)
-// is the calling evaluation's pack: it serves the tasks past the mem tier and
-// the bank where it holds the evaluation's outcomes, and otherwise keeps the
-// pass's outcomes for Pack.Save. A pass no task of which will simulate or
-// persist (see settled) resolves on the calling goroutine: the ladder is the
-// same, the scheduler's handoff is not paid. A nil exec simulates every task
-// on its own. p's slices are only read (they may be a remembered Scan's, see
+// longest-first. p.Pack (nil for none) is the evaluation's pack p was bound
+// in: it carries riders on the tasks that simulate, hands banked outcomes to
+// their own tasks, and serves the rest past the mem tier where its memo holds
+// them. A pass no task of which will simulate or persist (see settled)
+// resolves on the calling goroutine. A nil exec simulates every task on its
+// own. p's slices are only read (they may be a remembered Scan's, see
 // ScanLaunches).
-func (e *Exec) RunKernels(dev gpu.Device, p RiderPass, bank *Bank) ([]KernelOutcome, error) {
+func (e *Exec) RunKernels(dev gpu.Device, p RiderPass) ([]KernelOutcome, error) {
 	tobs := p.Obs
 	if tobs == nil {
 		tobs = func(int) TaskObs { return TaskObs{} }
@@ -466,10 +463,10 @@ func (e *Exec) RunKernels(dev gpu.Device, p RiderPass, bank *Bank) ([]KernelOutc
 		keys = taskKeys(dev, p.Task, p.Kernels)
 	}
 	sched := e.Scheduler()
-	if sched != nil && e.settled(keys, bank, p.Pack) {
+	if sched != nil && e.settled(keys, p.Pack) {
 		sched = nil
 	}
-	outs, err := parallel.SchedMap(sched, p.Kernels, cost, func(i int, k trace.KernelDesc) (KernelOutcome, error) {
+	return parallel.SchedMap(sched, p.Kernels, cost, func(i int, k trace.KernelDesc) (KernelOutcome, error) {
 		to := tobs(i)
 		if to.Flight != nil {
 			if to.QueuedAt.IsZero() {
@@ -482,24 +479,21 @@ func (e *Exec) RunKernels(dev gpu.Device, p RiderPass, bank *Bank) ([]KernelOutc
 		if e == nil {
 			return simulateKernel(dev, k, p.Task, to, nil, "")
 		}
-		return e.run(keys[i], dev, k, p.Task, to, bank, p.Pack, p.At+i)
+		return e.run(keys[i], dev, k, p.Task, to, p.Pack, p.At+i)
 	})
-	if err == nil && p.Pack != nil && p.Pack.got != nil {
-		copy(p.Pack.got[p.At:], outs) // for Pack.Save
-	}
-	return outs, err
 }
 
 // settled reports whether the ladder can serve the pass keyed keys without
 // simulating or persisting anything: every key is a completed mem-tier entry,
 // or none is in flight or banked and the evaluation's pack serves. Such a pass
 // costs microseconds, less than its scheduler handoff; any other goes to the
-// scheduler whole, so bank-served passes still persist in parallel.
-func (e *Exec) settled(keys []string, bank *Bank, pack *Pack) bool {
-	banked, served := bank.Len() > 0, pack.serves()
+// scheduler whole, so passes served from banked outcomes still persist in
+// parallel.
+func (e *Exec) settled(keys []string, pack *Pack) bool {
+	banked, served := pack.Banked() > 0, pack.serves()
 	for _, key := range keys {
 		_, done, pending := e.mem.Peek(key)
-		if pending || !done && (!served || banked && bank.holds(key)) {
+		if pending || !done && (!served || banked && pack.holds(key)) {
 			return false
 		}
 	}
@@ -507,11 +501,11 @@ func (e *Exec) settled(keys []string, bank *Bank, pack *Pack) bool {
 }
 
 // run resolves the task keyed key (outcome i of the evaluation's pack; nil for
-// none) through the ladder: mem singleflight → the evaluation's bank → disk
-// (the pack, else the key's entry) → owner shard → fresh sim. The bank is
-// asked before any tier that costs I/O; what it holds is byte for byte what
-// those would serve.
-func (e *Exec) run(key string, dev gpu.Device, k trace.KernelDesc, task KernelTask, to TaskObs, bank *Bank, pack *Pack, i int) (KernelOutcome, error) {
+// none) through the ladder: mem singleflight → the pack's banked outcomes →
+// disk (the pack's memo, else the key's entry) → owner shard → fresh sim. The
+// banked outcomes are asked before any tier that costs I/O; they are byte for
+// byte what those would serve.
+func (e *Exec) run(key string, dev gpu.Device, k trace.KernelDesc, task KernelTask, to TaskObs, pack *Pack, i int) (KernelOutcome, error) {
 	// observed gates all timing: with no flight recorder and no metrics
 	// bundle the ladder takes no clock readings at all.
 	observed := to.Flight != nil || e.execM != nil
@@ -527,7 +521,7 @@ func (e *Exec) run(key string, dev gpu.Device, k trace.KernelDesc, task KernelTa
 	tier := TierMem
 	var shardPeer string
 	oc, err := e.mem.Do(key, func() (KernelOutcome, error) {
-		if oc, ok := bank.take(key); ok {
+		if oc, ok := pack.take(key); ok {
 			// An earlier pass of this evaluation read this outcome off its
 			// own run. This task is the one that asked for it, so this task
 			// accounts for the simulation and persists it.
@@ -561,7 +555,7 @@ func (e *Exec) run(key string, dev gpu.Device, k trace.KernelDesc, task KernelTa
 			}
 		}
 		tier = TierSim
-		oc, err := simulateKernel(dev, k, task, to, bank, key)
+		oc, err := simulateKernel(dev, k, task, to, pack, key)
 		if err != nil {
 			return KernelOutcome{}, err
 		}
@@ -640,16 +634,16 @@ func releaseSim(s *sim.Simulator) {
 }
 
 // simulateKernel runs the kernel task keyed key on a cold simulator. The
-// passes bank plans for this kernel (none for a nil bank) ride along as
+// passes pack plans for this kernel (none for a nil pack) ride along as
 // further probes of the same pass, and their outcomes — exactly what
-// simulating each alone returns — are banked. Cold matters: starting every
+// simulating each alone returns — are banked in the pack. Cold matters: starting every
 // kernel from cold caches is what makes the outcome a pure function of the
 // inputs in the key. Simulators are pooled and flushed between tasks, which
 // is observationally identical to sim.New per task (see Simulator.Flush)
 // without re-paying the construction allocations. The pass reports to the
 // first SimObs among the task's and the riders', once, with its final state.
-func simulateKernel(dev gpu.Device, k trace.KernelDesc, task KernelTask, to TaskObs, bank *Bank, key string) (KernelOutcome, error) {
-	riders := bank.riders(task, key)
+func simulateKernel(dev gpu.Device, k trace.KernelDesc, task KernelTask, to TaskObs, pack *Pack, key string) (KernelOutcome, error) {
+	riders := pack.riders(task, key)
 	probes := make([]sim.Probe, 1+len(riders))
 	outcomes := make([]func(*sim.KernelResult) KernelOutcome, len(probes))
 	simObs := to.Sim
@@ -673,7 +667,7 @@ func simulateKernel(dev gpu.Device, k trace.KernelDesc, task KernelTask, to Task
 		return KernelOutcome{}, err
 	}
 	for i, r := range riders {
-		bank.deposit(r.key, outcomes[1+i](res[1+i]))
+		pack.deposit(r.key, outcomes[1+i](res[1+i]))
 	}
 	return outcomes[0](res[0]), nil
 }

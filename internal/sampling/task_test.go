@@ -307,7 +307,7 @@ func TestExecCacheLayering(t *testing.T) {
 	defer st.Close()
 
 	cold := NewExec(nil, st)
-	a, err := cold.RunKernels(dev, RiderPass{Task: task, Kernels: kernels}, nil)
+	a, err := cold.RunKernels(dev, RiderPass{Task: task, Kernels: kernels})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,14 +316,14 @@ func TestExecCacheLayering(t *testing.T) {
 	}
 
 	warm := NewExec(nil, st)
-	b, err := warm.RunKernels(dev, RiderPass{Task: task, Kernels: kernels}, nil)
+	b, err := warm.RunKernels(dev, RiderPass{Task: task, Kernels: kernels})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s := st.Stats(); s.Hits != 1 {
 		t.Fatalf("warm run did not hit the store: %+v", s)
 	}
-	c, err := warm.RunKernels(dev, RiderPass{Task: task, Kernels: kernels}, nil)
+	c, err := warm.RunKernels(dev, RiderPass{Task: task, Kernels: kernels})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestExecCacheLayering(t *testing.T) {
 	}
 
 	// And a serial, uncached run agrees with all of them.
-	d, err := (*Exec)(nil).RunKernels(dev, RiderPass{Task: task, Kernels: kernels}, nil)
+	d, err := (*Exec)(nil).RunKernels(dev, RiderPass{Task: task, Kernels: kernels})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,12 +358,12 @@ func TestExecScheduledMatchesSerial(t *testing.T) {
 	}
 	task := KernelTask{Mode: ModePKS, MaxCycles: 50_000}
 
-	serial, err := (*Exec)(nil).RunKernels(dev, RiderPass{Task: task, Kernels: kernels}, nil)
+	serial, err := (*Exec)(nil).RunKernels(dev, RiderPass{Task: task, Kernels: kernels})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sched := NewExec(parallel.NewScheduler(4), nil)
-	par, err := sched.RunKernels(dev, RiderPass{Task: task, Kernels: kernels}, nil)
+	par, err := sched.RunKernels(dev, RiderPass{Task: task, Kernels: kernels})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func TestCorruptStoreEntryRecomputes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	clean, err := NewExec(nil, st).RunKernels(dev, RiderPass{Task: task, Kernels: []trace.KernelDesc{k}}, nil)
+	clean, err := NewExec(nil, st).RunKernels(dev, RiderPass{Task: task, Kernels: []trace.KernelDesc{k}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestCorruptStoreEntryRecomputes(t *testing.T) {
 	fr := NewFlightRecorder()
 	again, err := NewExec(nil, st).RunKernels(dev, RiderPass{Task: task, Kernels: []trace.KernelDesc{k}, Obs: func(int) TaskObs {
 		return TaskObs{Flight: fr, Phase: "t"}
-	}}, nil)
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
