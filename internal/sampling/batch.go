@@ -52,7 +52,10 @@ const packSchema = "pka-evaluation-pack-v1"
 // evaluation resolves, and every pass's EncodeOutcome payloads back to back,
 // in pass order, under a key over the evaluation's inputs. A warm study reads
 // it in place of the selection and the per-key entries, whose bytes it
-// repeats.
+// repeats. A pack that serves banks nothing, since no task of its evaluation
+// simulates, and each of its passes is a copy of its slice of the memo
+// (Exec.served): the ladder, the scheduler and the mem tier's singleflight
+// are for the passes of an evaluation it does not serve.
 type Pack struct {
 	store *artifact.Store // nil: the pack plans riders and keeps nothing
 	key   string
@@ -255,17 +258,6 @@ func (p *Pack) deposit(key string, oc KernelOutcome) {
 		p.banked = map[string]KernelOutcome{}
 	}
 	p.banked[key] = oc
-}
-
-// holds reports whether an outcome is banked under key.
-func (p *Pack) holds(key string) bool {
-	if p == nil {
-		return false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	_, ok := p.banked[key]
-	return ok
 }
 
 // take withdraws the outcome banked under key, if any.

@@ -72,6 +72,13 @@ func (s *packStudy) packPath() string {
 // outcomes and the tier every task was served at.
 func (s *packStudy) evaluate(e *Exec, kernels []trace.KernelDesc) ([]KernelOutcome, map[string]int) {
 	s.t.Helper()
+	outs, fr := s.recorded(e, kernels)
+	return outs, fr.TierCounts()
+}
+
+// recorded is evaluate returning the pass's flight recorder.
+func (s *packStudy) recorded(e *Exec, kernels []trace.KernelDesc) ([]KernelOutcome, *FlightRecorder) {
+	s.t.Helper()
 	fr := NewFlightRecorder()
 	pack := s.open(e, kernels)
 	rp := RiderPass{Task: s.task, Kernels: kernels, Obs: func(i int) TaskObs {
@@ -83,7 +90,7 @@ func (s *packStudy) evaluate(e *Exec, kernels []trace.KernelDesc) ([]KernelOutco
 		s.t.Fatal(err)
 	}
 	pack.Save(nil, outs)
-	return outs, fr.TierCounts()
+	return outs, fr
 }
 
 // run is the study on e (a fresh Exec over the store when nil): the outcomes,
@@ -99,10 +106,10 @@ func (s *packStudy) run(e *Exec) ([]KernelOutcome, map[string]int, *Exec) {
 
 // TestPackServesWarmBatch: a cold evaluation leaves its pack beside the
 // per-key entries; a fresh Exec then serves the whole evaluation from that
-// one entry — no per-key read, no write — and the same Exec again from memory,
-// reading the pack and writing nothing. Without the pack the per-key entries
-// serve and the pack comes back byte for byte; without a per-key entry the
-// pack serves.
+// one entry — no per-key read, no write, every task disk, the duplicate
+// launch too — and the same Exec again the same way, reading the pack and
+// writing nothing. Without the pack the per-key entries serve and the pack
+// comes back byte for byte; without a per-key entry the pack serves.
 func TestPackServesWarmBatch(t *testing.T) {
 	for _, width := range []int{1, 4} {
 		s := newPackStudy(t, width)
@@ -120,17 +127,18 @@ func TestPackServesWarmBatch(t *testing.T) {
 
 		before := s.store.Stats()
 		warm, tiers, e := s.run(nil)
-		if !reflect.DeepEqual(warm, cold) || !reflect.DeepEqual(tiers, map[string]int{"disk": 4, "mem": 1}) {
+		if !reflect.DeepEqual(warm, cold) || !reflect.DeepEqual(tiers, map[string]int{"disk": 5}) {
 			t.Errorf("width %d: warm outcomes %+v, tiers %v; cold %+v", width, warm, tiers, cold)
 		}
 		if st, packs := s.store.Stats(), e.packs.Stats(); st.Hits != 0 || st.Misses != before.Misses || st.Writes != 4 ||
 			packs.Hits != 1 || packs.Misses != 0 || packs.Writes != 0 {
 			t.Errorf("width %d: warm run read per-key entries (%+v) or not exactly one pack (%+v)", width, st, packs)
 		}
-		// Served whole by the mem tier, the evaluation still reads its pack
-		// once, and writes nothing.
+		// The served pass left the mem tier empty, so the pack serves the
+		// repeat too: read once more, nothing written.
 		again, tiers, _ := s.run(e)
-		if packs := e.packs.Stats(); !reflect.DeepEqual(again, cold) || tiers["mem"] != 5 || packs.Hits != 2 || packs.Misses != 0 || packs.Writes != 0 {
+		if packs := e.packs.Stats(); !reflect.DeepEqual(again, cold) || !reflect.DeepEqual(tiers, map[string]int{"disk": 5}) ||
+			packs.Hits != 2 || packs.Misses != 0 || packs.Writes != 0 {
 			t.Errorf("width %d: repeat on the same Exec: tiers %v, pack handle %+v", width, tiers, packs)
 		}
 
@@ -181,31 +189,35 @@ func (o *poolEvents) TaskQueued()  { o.add('q') }
 func (o *poolEvents) TaskStarted() { o.add('s') }
 func (o *poolEvents) TaskDone()    { o.add('d') }
 
-// observed runs f, which runs n tasks, with a poolEvents installed as the
-// pool observer, and returns their events once the last is reported done (a
-// worker reports it just after SchedMap returns).
+// observed runs f, which runs n tasks through the pool (0: none), with a
+// poolEvents installed as the pool observer, and returns their events once
+// the last is reported done (a worker reports it just after SchedMap
+// returns).
 func observed(n int, f func()) string {
 	o := &poolEvents{n: n, settled: make(chan struct{})}
 	parallel.SetObserver(o)
 	defer parallel.SetObserver(nil)
 	f()
-	select {
-	case <-o.settled:
-	case <-time.After(5 * time.Second):
+	if n > 0 {
+		select {
+		case <-o.settled:
+		case <-time.After(5 * time.Second):
+		}
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return string(o.events)
 }
 
-// TestPackResolvesInline: a pass the mem tier serves whole, or whose
-// evaluation's pack serves, runs on the calling goroutine — each task queued,
-// started and done before the next is queued, nothing handed to the scheduler
-// — and a pass with a task in neither, or with a banked task, goes to the
-// scheduler whole: at width 1 every task is queued before the first starts.
-// Either way the tiers and the store's per-key and pack counts (cumulative
-// over the study's store: its cold pass read four keys and wrote four) are
-// what scheduling every pass gives.
+// TestPackResolvesInline: a pass whose evaluation's pack serves is a copy and
+// reaches no pool at all; a pass the mem tier serves whole (a storeless
+// repeat) runs on the calling goroutine — each task queued, started and done
+// before the next is queued, nothing handed to the scheduler — and a pass
+// with a task in neither, or with a banked task, goes to the scheduler whole:
+// at width 1 every task is queued before the first starts. Either way the
+// tiers and the store's per-key and pack counts (cumulative over the study's
+// store: its cold pass read four keys and wrote four) are what scheduling
+// every pass gives.
 func TestPackResolvesInline(t *testing.T) {
 	inline := func(n int) string { return strings.Repeat("qsd", n) }
 	for _, width := range []int{1, 4} {
@@ -223,23 +235,38 @@ func TestPackResolvesInline(t *testing.T) {
 
 		var tiers map[string]int
 		var e *Exec
-		if events := observed(n, func() { _, tiers, e = s.run(nil) }); events != inline(n) {
-			t.Errorf("width %d: the pack-served pass ran as %q, want inline", width, events)
+		if events := observed(0, func() { _, tiers, e = s.run(nil) }); events != "" {
+			t.Errorf("width %d: the pack-served pass ran as %q, want no pool events", width, events)
 		}
 		st, packs := s.store.Stats(), e.packs.Stats()
-		if !reflect.DeepEqual(tiers, map[string]int{"disk": 4, "mem": 1}) || st.Hits != 0 || st.Misses != 4 || st.Writes != 4 ||
+		if !reflect.DeepEqual(tiers, map[string]int{"disk": n}) || st.Hits != 0 || st.Misses != 4 || st.Writes != 4 ||
 			packs.Hits != 1 || packs.Misses != 0 || packs.Writes != 0 {
 			t.Errorf("width %d: pack-served pass: tiers %v, store %+v, pack handle %+v", width, tiers, st, packs)
 		}
-		if events := observed(n, func() { _, tiers, _ = s.run(e) }); events != inline(n) {
+		if events := observed(0, func() { _, tiers, _ = s.run(e) }); events != "" {
+			t.Errorf("width %d: the repeat the pack serves ran as %q, want no pool events", width, events)
+		}
+		if packs := e.packs.Stats(); !reflect.DeepEqual(tiers, map[string]int{"disk": n}) || packs.Hits != 2 || packs.Misses != 0 {
+			t.Errorf("width %d: repeat the pack serves: tiers %v, pack handle %+v", width, tiers, packs)
+		}
+
+		// A storeless Exec has no pack to serve: its repeat is the mem tier
+		// whole, and runs inline.
+		me := NewExec(parallel.NewScheduler(width), nil)
+		if events := observed(n, func() { s.evaluate(me, s.kernels) }); !scheduled(events, n) {
+			t.Errorf("width %d: the storeless cold pass ran as %q", width, events)
+		}
+		if events := observed(n, func() { _, tiers = s.evaluate(me, s.kernels) }); events != inline(n) {
 			t.Errorf("width %d: the mem-whole pass ran as %q, want inline", width, events)
 		}
-		if packs := e.packs.Stats(); tiers["mem"] != n || packs.Hits != 2 || packs.Misses != 0 {
-			t.Errorf("width %d: mem-whole pass: tiers %v, pack handle %+v", width, tiers, packs)
+		if tiers["mem"] != n {
+			t.Errorf("width %d: mem-whole pass: tiers %v", width, tiers)
 		}
 
 		// One task in neither the mem tier nor a pack: the evaluation's pack
-		// is read once, missed, and every task is scheduled.
+		// is read once, missed, and every task is scheduled. The served
+		// passes left the mem tier empty, so the per-key entries serve the
+		// rest.
 		novel := s.kernels[1]
 		novel.Seed++
 		more := append(slices.Clone(s.kernels), novel)
@@ -247,8 +274,8 @@ func TestPackResolvesInline(t *testing.T) {
 			t.Errorf("width %d: the pass with a novel task ran as %q", width, events)
 		}
 		st, packs = s.store.Stats(), e.packs.Stats()
-		if !reflect.DeepEqual(tiers, map[string]int{"sim": 1, "mem": n}) ||
-			st.Hits != 0 || st.Misses != 5 || st.Writes != 5 || packs.Hits != 2 || packs.Misses != 1 || packs.Writes != 1 {
+		if !reflect.DeepEqual(tiers, map[string]int{"disk": 4, "mem": 1, "sim": 1}) ||
+			st.Hits != 4 || st.Misses != 5 || st.Writes != 5 || packs.Hits != 2 || packs.Misses != 1 || packs.Writes != 1 {
 			t.Errorf("width %d: pass with a novel task: tiers %v, store %+v, pack handle %+v", width, tiers, st, packs)
 		}
 
@@ -284,6 +311,78 @@ func TestPackResolvesInline(t *testing.T) {
 			st.Hits != 0 || st.Misses != 4 || st.Writes != 6 || packs.Hits != 0 || packs.Misses != 1 || packs.Writes != 1 {
 			t.Errorf("width %d: bank-served pass: tiers %v, %d left banked, store %+v, pack handle %+v", width, tiers, pack.Banked(), st, packs)
 		}
+	}
+}
+
+// TestPackServedPassSkipsTheLadder: a pass whose evaluation's pack serves is
+// a copy of the pack's outcomes. On a fresh Exec it adds no mem-tier entry,
+// counts no singleflight hit or miss, reaches no pool, and still records one
+// provenance entry per task under that task's key, each disk; on the Exec
+// that ran cold every task is mem. It does not wait on another caller's
+// compute of one of its keys.
+func TestPackServedPassSkipsTheLadder(t *testing.T) {
+	for _, width := range []int{1, 4} {
+		s := newPackStudy(t, width)
+		cold, _, ce := s.run(nil)
+
+		e := NewExec(parallel.NewScheduler(width), s.store)
+		var outs []KernelOutcome
+		var fr *FlightRecorder
+		if events := observed(0, func() { outs, fr = s.recorded(e, s.kernels) }); events != "" {
+			t.Errorf("width %d: the served pass ran as %q, want no pool events", width, events)
+		}
+		if !reflect.DeepEqual(outs, cold) {
+			t.Errorf("width %d: served outcomes %+v, cold %+v", width, outs, cold)
+		}
+		if hits, misses := e.MemStats(); e.mem.Len() != 0 || hits != 0 || misses != 0 {
+			t.Errorf("width %d: the served pass left %d mem-tier entries, %d hits, %d misses", width, e.mem.Len(), hits, misses)
+		}
+		entries := fr.Entries()
+		if len(entries) != len(s.kernels) {
+			t.Fatalf("width %d: %d provenance entries for %d tasks", width, len(entries), len(s.kernels))
+		}
+		for i, en := range entries {
+			if en.Phase != "t" || en.Index != i || en.Key != s.keys[i] || en.Tier != TierDisk || en.Kernel != s.kernels[i].Name {
+				t.Errorf("width %d: entry %d is %+v, want phase t, key %s, tier disk, kernel %q", width, i, en, s.keys[i], s.kernels[i].Name)
+			}
+		}
+
+		if _, tiers, _ := s.run(ce); !reflect.DeepEqual(tiers, map[string]int{"mem": len(s.kernels)}) {
+			t.Errorf("width %d: on the Exec that ran cold the served pass read %v, want every task mem", width, tiers)
+		}
+
+		// Another caller holds one of the pass's keys in flight on a fresh
+		// Exec.
+		fe := NewExec(parallel.NewScheduler(width), s.store)
+		block, started, held := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(held)
+			_, _ = fe.mem.Do(s.keys[1], func() (KernelOutcome, error) {
+				close(started)
+				<-block
+				return cold[1], nil
+			})
+		}()
+		<-started
+		served := make(chan []KernelOutcome)
+		go func() {
+			outs, _ := s.recorded(fe, s.kernels)
+			served <- outs
+		}()
+		select {
+		case outs := <-served:
+			if !reflect.DeepEqual(outs, cold) {
+				t.Errorf("width %d: served beside a flight: outcomes %+v, cold %+v", width, outs, cold)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("width %d: the served pass waits on another caller's compute", width)
+			close(block)
+			<-held
+			<-served
+			continue
+		}
+		close(block)
+		<-held
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -440,13 +441,16 @@ func (e *Exec) CacheStats() map[string]obs.CacheCounts {
 // TaskKeys where the caller holds them (a Scan's; nil derives them here). The
 // scheduler prioritizes by each kernel's dynamic warp-instruction count,
 // longest-first. p.Pack (nil for none) is the evaluation's pack p was bound
-// in: it carries riders on the tasks that simulate, hands banked outcomes to
-// their own tasks, and serves the rest past the mem tier where its memo holds
-// them. A pass no task of which will simulate or persist (see settled)
-// resolves on the calling goroutine. A nil exec simulates every task on its
-// own. p's slices are only read (they may be a remembered Scan's, see
-// ScanLaunches).
+// in. When it serves, the pass is a copy of its outcomes (see served): no
+// task reaches the ladder. Otherwise it carries riders on the tasks that
+// simulate and hands banked outcomes to their own tasks. A pass the mem tier
+// serves whole (see settled) resolves on the calling goroutine. A nil exec
+// simulates every task on its own. p's slices are only read (they may be a
+// remembered Scan's, see ScanLaunches).
 func (e *Exec) RunKernels(dev gpu.Device, p RiderPass) ([]KernelOutcome, error) {
+	if p.Pack.serves() {
+		return e.served(p), nil
+	}
 	tobs := p.Obs
 	if tobs == nil {
 		tobs = func(int) TaskObs { return TaskObs{} }
@@ -463,7 +467,7 @@ func (e *Exec) RunKernels(dev gpu.Device, p RiderPass) ([]KernelOutcome, error) 
 		keys = taskKeys(dev, p.Task, p.Kernels)
 	}
 	sched := e.Scheduler()
-	if sched != nil && e.settled(keys, p.Pack) {
+	if sched != nil && e.settled(keys) {
 		sched = nil
 	}
 	return parallel.SchedMap(sched, p.Kernels, cost, func(i int, k trace.KernelDesc) (KernelOutcome, error) {
@@ -479,33 +483,70 @@ func (e *Exec) RunKernels(dev gpu.Device, p RiderPass) ([]KernelOutcome, error) 
 		if e == nil {
 			return simulateKernel(dev, k, p.Task, to, nil, "")
 		}
-		return e.run(keys[i], dev, k, p.Task, to, p.Pack, p.At+i)
+		return e.run(keys[i], dev, k, p.Task, to, p.Pack)
 	})
 }
 
-// settled reports whether the ladder can serve the pass keyed keys without
-// simulating or persisting anything: every key is a completed mem-tier entry,
-// or none is in flight or banked and the evaluation's pack serves. Such a pass
-// costs microseconds, less than its scheduler handoff; any other goes to the
-// scheduler whole, so passes served from banked outcomes still persist in
-// parallel.
-func (e *Exec) settled(keys []string, pack *Pack) bool {
-	banked, served := pack.Banked() > 0, pack.serves()
+// served resolves a pass its evaluation's pack serves — the pack was read,
+// bound, and its digest matched — as a copy of the pack's outcomes for it. No
+// task of such an evaluation simulates, so nothing is banked, and the pack
+// holds the bytes every tier would serve: the pass calls no scheduler, adds
+// no mem-tier entry and waits on no other caller's compute. The mem tier is
+// only read, for accounting: a task whose key is a completed mem-tier entry
+// is TierMem, any other TierDisk. Observed tasks keep their provenance entry
+// and tier observation.
+func (e *Exec) served(p RiderPass) []KernelOutcome {
+	outs := slices.Clone(p.Pack.outs[p.At : p.At+len(p.Kernels)])
+	if p.Obs == nil && e.execM == nil {
+		return outs
+	}
+	submitted := time.Now()
+	for i := range outs {
+		var to TaskObs
+		if p.Obs != nil {
+			to = p.Obs(i)
+		}
+		if to.Flight == nil && e.execM == nil {
+			continue
+		}
+		start := time.Now()
+		tier := TierDisk
+		if _, done, _ := e.mem.Peek(p.Keys[i]); done {
+			tier = TierMem
+		}
+		end := time.Now()
+		e.execM.Observe(int(tier), end.Sub(start).Seconds())
+		if to.QueuedAt.IsZero() {
+			to.QueuedAt = submitted
+		}
+		if to.Kernel == "" {
+			to.Kernel = p.Kernels[i].Name
+		}
+		e.record(to, p.Keys[i], tier, start, end, "")
+	}
+	return outs
+}
+
+// settled reports whether every key of a pass is a completed mem-tier entry
+// — a storeless or packless repeat — so the ladder serves it without
+// simulating or persisting anything. Such a pass costs microseconds, less
+// than its scheduler handoff; any other goes to the scheduler whole, so
+// passes served from banked outcomes still persist in parallel.
+func (e *Exec) settled(keys []string) bool {
 	for _, key := range keys {
-		_, done, pending := e.mem.Peek(key)
-		if pending || !done && (!served || banked && pack.holds(key)) {
+		if _, done, _ := e.mem.Peek(key); !done {
 			return false
 		}
 	}
 	return true
 }
 
-// run resolves the task keyed key (outcome i of the evaluation's pack; nil for
-// none) through the ladder: mem singleflight → the pack's banked outcomes →
-// disk (the pack's memo, else the key's entry) → owner shard → fresh sim. The
-// banked outcomes are asked before any tier that costs I/O; they are byte for
-// byte what those would serve.
-func (e *Exec) run(key string, dev gpu.Device, k trace.KernelDesc, task KernelTask, to TaskObs, pack *Pack, i int) (KernelOutcome, error) {
+// run resolves the task keyed key (nil pack for none) through the ladder: mem
+// singleflight → the pack's banked outcomes → disk → owner shard → fresh sim.
+// The banked outcomes are asked before any tier that costs I/O; they are byte
+// for byte what those would serve. A pass its pack serves never gets here
+// (see served).
+func (e *Exec) run(key string, dev gpu.Device, k trace.KernelDesc, task KernelTask, to TaskObs, pack *Pack) (KernelOutcome, error) {
 	// observed gates all timing: with no flight recorder and no metrics
 	// bundle the ladder takes no clock readings at all.
 	observed := to.Flight != nil || e.execM != nil
@@ -528,10 +569,6 @@ func (e *Exec) run(key string, dev gpu.Device, k trace.KernelDesc, task KernelTa
 			tier = TierSim
 			e.persist(key, oc)
 			return oc, nil
-		}
-		if pack.serves() {
-			tier = TierDisk
-			return pack.outs[i], nil
 		}
 		if raw, ok := e.store.Get(key); ok {
 			if oc, err := DecodeOutcome(raw); err == nil {
