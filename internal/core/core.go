@@ -210,8 +210,13 @@ type reps struct {
 // pass returns the pass over r under task, labelled phase, its SimObs on the
 // "sim:"+phase+r.SimTrack track. The same RiderPass drives the pass and
 // describes it to the evaluation's pack, so a rider's projector audits under
-// its own subject.
+// its own subject. With nothing to observe it — no observer, flight recorder
+// or PKP audit or metrics of the caller's own — the pass has no Obs, so a pass
+// the pack serves builds no per-task wiring.
 func (r reps) pass(cfg Config, phase string, task sampling.KernelTask) sampling.RiderPass {
+	if cfg.Obs == nil && cfg.Flight == nil && cfg.PKP.Audit == nil && cfg.PKP.Metrics == nil {
+		return sampling.RiderPass{Task: task, Kernels: r.Kernels}
+	}
 	var simObs *obs.SimObs
 	if cfg.Obs != nil {
 		simObs = cfg.Obs.SimObs("sim:" + phase + r.SimTrack)
@@ -340,7 +345,7 @@ func RunSegments(cfg Config, ws []*workload.Workload, seg *pks.Segments, usePKP 
 	for _, sel := range seg.Sels {
 		selRaw = append(selRaw, pks.EncodeSelection(sel)...) // self-delimiting
 	}
-	pack := cfg.Exec.OpenPack(cfg.Device, r.Subject, selRaw, []sampling.KernelTask{p.Task}, nil)
+	pack := cfg.Exec.OpenPack(cfg.Device, nil, r.Subject, selRaw, []sampling.KernelTask{p.Task}, nil)
 	pack.Bind(cfg.Device, &p)
 	outs, total, err := run(cfg, "sampled:"+phase, r.Subject, nil, p)
 	if err != nil {
@@ -528,7 +533,7 @@ func (p Plan) evaluate(cfg Config, w *workload.Workload, sel *pks.Selection) (*E
 	if sel != nil && cfg.Exec.Store() != nil {
 		selRaw = pks.EncodeSelection(sel)
 	}
-	pack := cfg.Exec.OpenPack(cfg.Device, w.FullName(), selRaw, tasks, sc.Keys)
+	pack := cfg.Exec.OpenPack(cfg.Device, w, w.FullName(), selRaw, tasks, sc.Keys)
 	if sampled {
 		var err error
 		if sel == nil {

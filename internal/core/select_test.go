@@ -436,13 +436,16 @@ func TestWarmStudyWalksOnce(t *testing.T) {
 }
 
 // TestWarmEvaluationAllocs pins what a warm study allocates: lud_i on a fresh
-// Exec at scheduler width 1 over a primed store, its scan remembered. The
-// full pass takes its 192 task keys from the scan, and the evaluation's pack
-// serves every pass as a copy of its outcomes, with no per-task ladder (342
-// allocations; 785 when each of the 212 tasks still went through the
-// scheduler's inline loop and a mem-tier singleflight entry, ≈ 1 025 with a
-// pack per pass and the selection read apart, ≈ 3 400 when each study hashed
-// every key and scheduled every task).
+// Exec at scheduler width 1 over a primed store, its scan and keys
+// remembered. The full pass takes its 192 task keys from the scan, the
+// representatives' keys, the pack key and the digest come from the
+// workload's memo, and the evaluation's pack serves every pass as a copy of
+// its outcomes, with no per-task ladder or wiring (136 allocations; 210 with a
+// process-wide memo of the keys alone, 342 when each study hashed them and
+// built each served task's PKP wiring, 785 when each of the 212 tasks still
+// went through the scheduler's inline loop and a mem-tier singleflight entry,
+// ≈ 1 025 with a pack per pass and the selection read apart, ≈ 3 400 when
+// each study hashed every key and scheduled every task).
 func TestWarmEvaluationAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -456,8 +459,8 @@ func TestWarmEvaluationAllocs(t *testing.T) {
 		}
 	}
 	study() // primes the store
-	if allocs := testing.AllocsPerRun(5, study); allocs > 600 {
-		t.Errorf("a warm lud_i evaluation allocates %.0f times, want at most 600", allocs)
+	if allocs := testing.AllocsPerRun(5, study); allocs > 180 {
+		t.Errorf("a warm lud_i evaluation allocates %.0f times, want at most 180", allocs)
 	}
 }
 

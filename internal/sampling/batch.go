@@ -9,6 +9,7 @@ import (
 	"pka/internal/artifact"
 	"pka/internal/gpu"
 	"pka/internal/trace"
+	"pka/internal/workload"
 )
 
 // RiderPass is one pass an evaluation will make: the task spec it will issue,
@@ -59,6 +60,7 @@ const packSchema = "pka-evaluation-pack-v1"
 type Pack struct {
 	store *artifact.Store // nil: the pack plans riders and keeps nothing
 	key   string
+	w     *workload.Workload // the evaluation's one workload, which remembers its keys; nil for none
 
 	// What the store held, while it is trusted (Refuse clears found), and
 	// the digest as read, then as Bind takes it.
@@ -99,28 +101,42 @@ type rider struct {
 // counted corrupt and set aside. TaskKeys are fixed-width hex, so keys and
 // Bind's digest hash them back to back, one section: a fraction of the cost
 // of a section each.
-func (e *Exec) OpenPack(dev gpu.Device, subject string, sel []byte, tasks []KernelTask, keys []string) *Pack {
+//
+// w, for one workload's evaluation, launched every kernel the pack binds (IDs
+// index it), and keys are the ModeFull TaskKeys of its first len(keys). Then
+// the pack key, a pure function of dev, subject, sel, the task specs and
+// len(keys), is remembered on w, and so is what Bind derives.
+func (e *Exec) OpenPack(dev gpu.Device, w *workload.Workload, subject string, sel []byte, tasks []KernelTask, keys []string) *Pack {
 	if e == nil {
 		return nil
 	}
 	if e.packs == nil {
-		return &Pack{}
+		return &Pack{w: w}
 	}
-	h := artifact.NewKeyHash()
-	h.Section([]byte(packSchema))
-	buf := appendDeviceSection(make([]byte, 0, 256), dev)
-	h.Section(buf)
-	h.Section([]byte(subject))
-	h.Section(sel)
+	what := appendDeviceSection(append(make([]byte, 0, 1024), "sampling.pack"...), dev)
+	what = append(appendInt(what, len(subject)), subject...)
+	what = appendInt(append(appendInt(what, len(sel)), sel...), len(tasks))
 	for _, t := range tasks {
-		h.Section(appendTaskSection(buf[:0], t))
+		what = appendTaskSection(what, t) // self-delimiting: the mode comes first
 	}
-	buf = make([]byte, 0, 2*sha256.Size*len(keys)) // hex TaskKeys
-	for _, k := range keys {
-		buf = append(buf, k...)
-	}
-	h.Section(buf)
-	p := &Pack{store: e.packs, key: h.Sum()}
+	p := &Pack{store: e.packs, w: w, key: recall(w, appendInt(what, len(keys)), func() string {
+		derived.packKeys.Add(1)
+		h := artifact.NewKeyHash()
+		h.Section([]byte(packSchema))
+		buf := appendDeviceSection(make([]byte, 0, 256), dev)
+		h.Section(buf)
+		h.Section([]byte(subject))
+		h.Section(sel)
+		for _, t := range tasks {
+			h.Section(appendTaskSection(buf[:0], t))
+		}
+		buf = make([]byte, 0, 2*sha256.Size*len(keys)) // hex TaskKeys
+		for _, k := range keys {
+			buf = append(buf, k...)
+		}
+		h.Section(buf)
+		return h.Sum()
+	})}
 	if raw, ok := e.packs.Get(p.key); ok {
 		if p.sel, p.digest, p.outs, p.found = decodePack(raw); !p.found {
 			e.packs.Reject()
@@ -154,16 +170,23 @@ func (p *Pack) Refuse() {
 // run: each pass gets the TaskKeys it does not carry, the pack and its first
 // outcome's place in it, and the pack plans riders over them. The pack serves
 // only if it holds one outcome per task under the digest of every key;
-// anything else is refused.
+// anything else is refused. With a workload (see OpenPack) the expected
+// values are remembered: a pass's TaskKeys under its task spec and launches,
+// the digest under every pass's.
 func (p *Pack) Bind(dev gpu.Device, passes ...*RiderPass) {
 	if p == nil {
 		return
 	}
 	p.dev, p.passes = dev, make([]RiderPass, len(passes))
+	digestOf := appendDeviceSection(append(make([]byte, 0, 1024), "sampling.digest"...), dev)
+	keysOf := make([]byte, 0, 1024)
 	n := 0
 	for i, rp := range passes {
+		from := len(digestOf)
+		digestOf = appendLaunches(appendTaskSection(digestOf, rp.Task), rp.Kernels)
 		if len(rp.Keys) != len(rp.Kernels) {
-			rp.Keys = taskKeys(dev, rp.Task, rp.Kernels)
+			keysOf = append(appendDeviceSection(append(keysOf[:0], "sampling.keys"...), dev), digestOf[from:]...)
+			rp.Keys = recall(p.w, keysOf, func() []string { return taskKeys(dev, rp.Task, rp.Kernels) })
 		}
 		rp.Pack, rp.At = p, n
 		n += len(rp.Keys)
@@ -172,17 +195,34 @@ func (p *Pack) Bind(dev gpu.Device, passes ...*RiderPass) {
 	if p.store == nil {
 		return
 	}
-	keys := make([]byte, 0, 2*sha256.Size*n)
-	for _, rp := range passes {
-		for _, k := range rp.Keys {
-			keys = append(keys, k...)
+	digest := recall(p.w, digestOf, func() string {
+		derived.digests.Add(1)
+		keys := make([]byte, 0, 2*sha256.Size*n)
+		for _, rp := range passes {
+			for _, k := range rp.Keys {
+				keys = append(keys, k...)
+			}
 		}
-	}
-	sum := sha256.Sum256(keys)
-	if p.found && (len(p.outs) != n || p.digest != string(sum[:])) {
+		sum := sha256.Sum256(keys)
+		return string(sum[:])
+	})
+	if p.found && (len(p.outs) != n || p.digest != digest) {
 		p.Refuse()
 	}
-	p.digest = string(sum[:])
+	p.digest = digest
+}
+
+// appendLaunches appends the count of kernels, then where each run of
+// consecutive launch indices (IDs) starts and its first index: a full pass is
+// one run.
+func appendLaunches(b []byte, kernels []trace.KernelDesc) []byte {
+	b = appendInt(b, len(kernels))
+	for i, k := range kernels {
+		if i == 0 || k.ID != kernels[i-1].ID+1 {
+			b = appendInt(appendInt(b, i), k.ID)
+		}
+	}
+	return b
 }
 
 // serves reports whether the pack holds the bound passes' outcomes.

@@ -54,7 +54,7 @@ func newPackStudy(t *testing.T, width int) *packStudy {
 // open opens the pack of the study over kernels on e, keyed as an evaluation
 // whose scan found their keys keys it.
 func (s *packStudy) open(e *Exec, kernels []trace.KernelDesc) *Pack {
-	return e.OpenPack(s.dev, "study", nil, []KernelTask{s.task}, taskKeys(s.dev, s.task, kernels))
+	return e.OpenPack(s.dev, nil, "study", nil, []KernelTask{s.task}, taskKeys(s.dev, s.task, kernels))
 }
 
 // packKey is the key of the study's own pack.
@@ -290,7 +290,7 @@ func TestPackResolvesInline(t *testing.T) {
 		sampled := RiderPass{Task: pks, Kernels: reps, Obs: func(i int) TaskObs {
 			return TaskObs{Flight: fr, Phase: "pks", Index: i}
 		}}
-		pack := be.OpenPack(b.dev, "study", nil, []KernelTask{b.task, pks}, b.keys)
+		pack := be.OpenPack(b.dev, nil, "study", nil, []KernelTask{b.task, pks}, b.keys)
 		pack.Bind(b.dev, &full, &sampled)
 		outs, err := be.RunKernels(b.dev, full)
 		if err != nil {

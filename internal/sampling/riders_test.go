@@ -31,7 +31,7 @@ func studyLaunches(t *testing.T) (launches, reps []trace.KernelDesc) {
 // bind lays passes out, in order, in a pack that plans riders and keeps no
 // memo: a storeless Exec's.
 func bind(dev gpu.Device, passes []RiderPass) *Pack {
-	pack := NewExec(nil, nil).OpenPack(dev, "study", nil, nil, nil)
+	pack := NewExec(nil, nil).OpenPack(dev, nil, "study", nil, nil, nil)
 	ptrs := make([]*RiderPass, len(passes))
 	for i := range passes {
 		ptrs[i] = &passes[i]

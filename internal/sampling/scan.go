@@ -130,3 +130,18 @@ func scanLaunches(dev gpu.Device, w *workload.Workload, want Want) (sc Scan, err
 	}
 	return sc, err
 }
+
+// recall returns w's memo entry what (Workload.Recall), derived and
+// remembered where w (nil for none) does not hold it; what names everything
+// derive reads but w's launches. The entry is shared: read it, never write it.
+func recall[T any](w *workload.Workload, what []byte, derive func() T) T {
+	if w == nil {
+		return derive()
+	}
+	v, ok := w.Recall(string(what))
+	if !ok {
+		v = derive()
+		w.Remember(string(what), v)
+	}
+	return v.(T)
+}

@@ -198,7 +198,7 @@ func TestScanMemoNeverStale(t *testing.T) {
 
 	// More option sets than the memo holds: every answer is still the walk's,
 	// the first one asked again after the memo was dropped included.
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 160; i++ {
 		opts := pks.Options{TargetErrorPct: float64(i%20 + 1), Seed: uint64(i / 20)}.AppendKey(nil)
 		sc, err := ScanLaunches(dev, a, Want{Key: true, KeyOpts: opts})
 		if want := refSelectionKey(dev, a, opts); err != nil || sc.Key != want {

@@ -16,6 +16,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pka/internal/artifact"
@@ -199,8 +200,12 @@ func appendTaskSection(b []byte, t KernelTask) []byte {
 // key is the TaskKey of the launch whose kernel section (appendKernelSection's
 // bytes) is kSec.
 func (tk keyer) key(kSec []byte) string {
+	derived.taskKeys.Add(1)
 	return artifact.Key(tk.schema, tk.devSec, kSec, tk.tSec)
 }
+
+// derived counts the TaskKeys, pack keys and digests hashed, for the tests.
+var derived struct{ taskKeys, packKeys, digests atomic.Int64 }
 
 // The key sections are little-endian 64-bit words: ints sign-extended,
 // floats as IEEE-754 bits, bools as 0 or 1. A 64-bit field goes through

@@ -58,8 +58,11 @@ func New(suite, name string, n int, gen func(i int) trace.KernelDesc) *Workload 
 // memoCap bounds a workload's memo. When it is full it is dropped whole, the
 // simulator's pattern-cache policy: that costs the next caller of each
 // evicted entry one walk and cannot change an answer, because an entry is a
-// pure function of its key and the generator.
-const memoCap = 16
+// pure function of its key and the generator. A study leaves a few entries
+// (its scan, sampling's pack key, digest and task keys), and one no one asked
+// for before (a fresh PKP threshold) three, so a drop comes once in about
+// twenty of those.
+const memoCap = 64
 
 type memoKey struct {
 	suite, name string
